@@ -14,17 +14,16 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
 from . import fo
-from .lang import (Assign, Binary, BoolLit, Call, CallAssign, Expr, If,
-                   IntLit, LookupTable, ParseError, Program, ResVar, Return,
-                   Scope, Seq, Skip, Stmt, TokenStream, Unary, Var, While,
-                   build_lookup, expr_vars, fold_expr, lookup, parse_expr,
-                   pretty_expr, subst_expr, subst_res_expr, subst_stmt,
-                   tokenize)
+from .lang import (Assign, Binary, Call, CallAssign, Expr, If, IntLit,
+                   LookupTable, ParseError, Program, ResVar, Return, Scope,
+                   Seq, Skip, Stmt, TokenStream, Var, While, build_lookup,
+                   expr_vars, fold_expr, lookup, parse_expr, pretty_expr,
+                   subst_expr, subst_res_expr, subst_stmt, tokenize)
 from .logic import (And, Chop, Concat, ContractSpec, FinishEvF, Formula,
-                    Fresh, LogicError, Mu, MuApp, NoEv, Or, RecApp, StartEvF,
-                    StatePred, check_formula, flatten_chain, formula_equal,
-                    is_psi, make_contract, parse_formula, pretty_formula,
-                    pretty_term, subst_term, term_vars)
+                    Fresh, Mu, MuApp, Or, RecApp, StartEvF, StatePred,
+                    flatten_chain, formula_vars, is_psi, make_contract,
+                    map_terms, parse_formula, pretty_formula, pretty_term,
+                    subst_term)
 from .traces import Ctx, MAIN_CTX, MalformedNesting
 from .updates import (CallUpd, Elem, FinishUpd, StartUpd, Update, UpdateAtom,
                       UpdateApplicationError, apply_update_expr,
@@ -122,15 +121,6 @@ def gamma_contracts(seq: Sequent) -> List[ContractAssumption]:
     return [a for a in seq.gamma if isinstance(a, ContractAssumption)]
 
 
-def assertion_equal(a: Assertion, b: Assertion) -> bool:
-    if isinstance(a, PredAssert) and isinstance(b, PredAssert):
-        return a.pred == b.pred
-    if isinstance(a, ContractAssumption) and isinstance(b, ContractAssumption):
-        return (a.proc == b.proc and a.pre == b.pre and a.result == b.result
-                and formula_equal(a.phi, b.phi))
-    return False
-
-
 def _stmt_norm(s: Optional[Stmt]) -> Optional[Stmt]:
     """Canonical right-associated sequencing, recursively."""
     if s is None:
@@ -161,19 +151,12 @@ def _stmt_norm(s: Optional[Stmt]) -> Optional[Stmt]:
 def goal_equal(a: Goal, b: Goal) -> bool:
     if isinstance(a, Judgment) and isinstance(b, Judgment):
         return (a.update == b.update and _stmt_norm(a.stmt) == _stmt_norm(b.stmt)
-                and formula_equal(a.formula, b.formula))
-    if isinstance(a, PredGoal) and isinstance(b, PredGoal):
-        return a.pred == b.pred
-    if isinstance(a, ContractGoal) and isinstance(b, ContractGoal):
-        return a.proc == b.proc
-    return False
+                and a.formula == b.formula)
+    return a == b
 
 
 def sequent_equal(a: Sequent, b: Sequent) -> bool:
-    if len(a.gamma) != len(b.gamma):
-        return False
-    return all(assertion_equal(x, y) for x, y in zip(a.gamma, b.gamma)) \
-        and goal_equal(a.goal, b.goal)
+    return a.gamma == b.gamma and goal_equal(a.goal, b.goal)
 
 
 # ---------------------------------------------------------------------------
@@ -244,30 +227,6 @@ def _stmt_names(s: Optional[Stmt]) -> set:
     return set()
 
 
-def _formula_names(f: Formula) -> set:
-    if isinstance(f, StatePred):
-        return expr_vars(f.pred)
-    if isinstance(f, NoEv):
-        return set()
-    if isinstance(f, (StartEvF, FinishEvF)):
-        return term_vars(f.arg) | term_vars(f.call_id)
-    if isinstance(f, (And, Or, Concat, Chop)):
-        return _formula_names(f.left) | _formula_names(f.right)
-    if isinstance(f, RecApp):
-        out = set()
-        for a in f.args:
-            out |= term_vars(a)
-        return out
-    if isinstance(f, Mu):
-        return set(f.params) | _formula_names(f.body)
-    if isinstance(f, MuApp):
-        out = _formula_names(f.mu)
-        for a in f.args:
-            out |= term_vars(a)
-        return out
-    return set()
-
-
 def _update_names(update: Update) -> set:
     out = set()
     for atom in update:
@@ -286,10 +245,10 @@ def names_in_sequent(seq: Sequent) -> set:
         if isinstance(a, PredAssert):
             names |= expr_vars(a.pred)
         else:
-            names |= expr_vars(a.pre) | expr_vars(a.result) | _formula_names(a.phi)
+            names |= expr_vars(a.pre) | expr_vars(a.result) | formula_vars(a.phi, binders=True)
     g = seq.goal
     if isinstance(g, Judgment):
-        names |= _update_names(g.update) | _stmt_names(g.stmt) | _formula_names(g.formula)
+        names |= _update_names(g.update) | _stmt_names(g.stmt) | formula_vars(g.formula, binders=True)
     elif isinstance(g, PredGoal):
         names |= expr_vars(g.pred)
     return names
@@ -378,37 +337,18 @@ def _instantiate_fresh(f: Formula, taken: set,
     assigned: Dict[int, str] = {}
 
     def term(t):
-        if isinstance(t, Fresh):
-            key = id(t)
-            if key not in assigned:
-                name = fresh_rigid("k", taken)
-                taken.add(name)
-                assigned[key] = name
-                if introduced is not None:
-                    introduced.append(name)
-            return Var(assigned[key])
-        if isinstance(t, Unary):
-            return Unary(t.op, term(t.operand))
-        if isinstance(t, Binary):
-            return Binary(t.op, term(t.left), term(t.right))
-        return t
+        if not isinstance(t, Fresh):
+            return t
+        if id(t) not in assigned:
+            name = fresh_rigid("k", taken)
+            taken.add(name)
+            assigned[id(t)] = name
+            if introduced is not None:
+                introduced.append(name)
+        return Var(assigned[id(t)])
 
-    def go(g):
-        if isinstance(g, (StatePred, NoEv)):
-            return g
-        if isinstance(g, (StartEvF, FinishEvF)):
-            return type(g)(g.proc, term(g.arg), term(g.call_id))
-        if isinstance(g, (And, Or, Concat, Chop)):
-            return type(g)(go(g.left), go(g.right))
-        if isinstance(g, RecApp):
-            return RecApp(g.name, tuple(term(a) for a in g.args))
-        if isinstance(g, MuApp):
-            return MuApp(g.mu, tuple(term(a) for a in g.args))
-        if isinstance(g, Mu):
-            return g  # nested binders keep their own fresh markers
-        return g
-
-    return go(f)
+    # nested binders keep their own fresh markers
+    return map_terms(f, term)
 
 
 def _subst_judgment_var(j: Judgment, name: str, replacement: Expr) -> Judgment:
@@ -423,26 +363,9 @@ def _subst_judgment_var(j: Judgment, name: str, replacement: Expr) -> Judgment:
         return type(a)(a.proc, fold_expr(subst_expr(a.arg, name, replacement)),
                        fold_expr(subst_expr(a.call_id, name, replacement)))
 
-    def formula(f):
-        if isinstance(f, StatePred):
-            return StatePred(subst_expr(f.pred, name, replacement))
-        if isinstance(f, NoEv):
-            return f
-        if isinstance(f, (StartEvF, FinishEvF)):
-            return type(f)(f.proc, subst_term(f.arg, name, replacement),
-                           subst_term(f.call_id, name, replacement))
-        if isinstance(f, (And, Or, Concat, Chop)):
-            return type(f)(formula(f.left), formula(f.right))
-        if isinstance(f, RecApp):
-            return RecApp(f.name, tuple(subst_term(a, name, replacement) for a in f.args))
-        if isinstance(f, MuApp):
-            return MuApp(f.mu, tuple(subst_term(a, name, replacement) for a in f.args))
-        if isinstance(f, Mu):
-            return f
-        return f
-
     stmt = subst_stmt(j.stmt, name, replacement) if j.stmt is not None else None
-    return Judgment(tuple(atom(a) for a in j.update), stmt, formula(j.formula))
+    formula = map_terms(j.formula, lambda t: subst_term(t, name, replacement))
+    return Judgment(tuple(atom(a) for a in j.update), stmt, formula)
 
 
 # ---------------------------------------------------------------------------
@@ -683,7 +606,7 @@ def _rule_trabs(seq, args, ctx):
                for a in seq.gamma):
         raise RuleError(f"contract for {call.proc!r} not among the assumptions")
     if isinstance(xapp, MuApp):
-        if not formula_equal(xapp.mu, c.phi):
+        if xapp.mu != c.phi:
             raise RuleError("recursion occurrence does not match the contract")
         xargs = xapp.args
     else:
@@ -786,7 +709,7 @@ def _rule_drop_update(seq, args, ctx):
     if alive:
         if j.stmt is not None and v in _stmt_names(j.stmt):
             raise RuleError(f"{v!r} occurs in the remaining statement")
-        if v in _formula_names(j.formula):
+        if v in formula_vars(j.formula, binders=True):
             raise RuleError(f"{v!r} occurs in the goal formula")
     if not _gap_tolerant(j.formula, j.update, idx):
         raise RuleError("goal formula does not absorb the dropped state entry")
@@ -843,29 +766,11 @@ def _subst_judgment_res(j: Judgment, index: Expr, replacement: Expr) -> Judgment
     def term(t):
         if isinstance(t, Fresh):
             return Fresh(term(t.arg))
-        if isinstance(t, (Var, IntLit, BoolLit)):
-            return t
         return subst_res_expr(t, index, replacement)
 
-    def formula(f):
-        if isinstance(f, StatePred):
-            return StatePred(subst_res_expr(f.pred, index, replacement))
-        if isinstance(f, NoEv):
-            return f
-        if isinstance(f, (StartEvF, FinishEvF)):
-            return type(f)(f.proc, term(f.arg), term(f.call_id))
-        if isinstance(f, (And, Or, Concat, Chop)):
-            return type(f)(formula(f.left), formula(f.right))
-        if isinstance(f, RecApp):
-            return RecApp(f.name, tuple(term(a) for a in f.args))
-        if isinstance(f, MuApp):
-            return MuApp(f.mu, tuple(term(a) for a in f.args))
-        return f
-
-    stmt = j.stmt
-    if stmt is not None:
+    if j.stmt is not None:
         raise RuleError("result-variable equalities apply after execution finished")
-    return Judgment(tuple(atom(a) for a in j.update), None, formula(j.formula))
+    return Judgment(tuple(atom(a) for a in j.update), None, map_terms(j.formula, term))
 
 
 def _event_formula_matches(atom, part, update_prefix) -> Optional[Expr]:
@@ -1272,7 +1177,7 @@ def _pre_call_simplification(seq: Sequent, j: Judgment):
                 continue
             if not dead:
                 if (j.stmt is not None and v in _stmt_names(j.stmt)) or \
-                        v in _formula_names(j.formula):
+                        v in formula_vars(j.formula, binders=True):
                     continue
             return ("DropUpdate", {"at": k})
     return None
@@ -1447,10 +1352,6 @@ def parse_stmt_text(text: str) -> Stmt:
     if ts.peek().kind != "eof":
         ts.error("trailing input after statement")
     return s
-
-
-def pretty_stmt_line(s: Stmt) -> str:
-    return str(s)
 
 
 # ---------------------------------------------------------------------------

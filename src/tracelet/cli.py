@@ -25,7 +25,7 @@ from typing import List, Optional
 from .calculus import (ContractAssumption, ProofNode, RuleContext, ScriptError,
                        UnsupportedConstruct, apply_rule, check_proof,
                        contract_goal, dump_proof, load_proof, prove_auto,
-                       run_script, RuleError)
+                       run_script, sequent_equal, RuleError)
 from .interp import DEFAULT_FUEL, FuelExhausted, RunError, initial_state, run
 from .lang import (CallAssign, IntLit, ParseError, Program, Var,
                    parse_program, well_formed)
@@ -34,8 +34,8 @@ from .logic import (Chop, ContractSpec, LogicError, MuApp, StatePred,
                     is_psi, make_contract, member, parse_contract_file,
                     pretty_formula)
 from .lang import Binary, ResVar, TokenStream, parse_expr, tokenize
-from .traces import (State, Trace, dump_trace, eval_expr, is_adequate,
-                     load_trace)
+from .traces import (State, Trace, TraceError, dump_trace, eval_expr,
+                     is_adequate, load_trace)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -332,16 +332,33 @@ def cmd_prove(args) -> int:
     return EXIT_OPEN_PROOF
 
 
-def cmd_check_proof(args) -> int:
-    program = _load_program(args.program)
-    cf = _contracts_from_file(args.contracts)
+def _replay_proof(args, program: Program, cf, want: Optional[str] = None):
+    """Load args.proof and replay it against the contract it names.
+
+    Returns (proc, tree, reason); reason is None when the proof is valid.
+    A valid proof must start from the contract goal of a procedure with
+    a spec block (and, when want is given, of that procedure).
+    """
     assumptions = [ContractAssumption.from_spec(s) for s in cf.specs.values()]
     ctx = RuleContext.for_program(program, assumptions, extensions=args.extensions)
     try:
         proc, tree = load_proof(_read(args.proof), ctx)
-    except (RuleError, ParseError, LogicError, json.JSONDecodeError) as e:
+    except KeyError as e:
+        raise CliError(f"cannot load proof: missing key {e}") from None
+    except (RuleError, ParseError, LogicError, ValueError, TypeError, AttributeError) as e:
         raise CliError(f"cannot load proof: {e}") from None
-    bad = check_proof(tree, ctx)
+    if proc not in cf.specs:
+        return proc, tree, f"the contract file has no spec block for {proc!r}"
+    if want is not None and proc != want:
+        return proc, tree, f"the proof is for {proc!r}, not {want!r}"
+    if not sequent_equal(tree.sequent, contract_goal(proc)):
+        return proc, tree, f"root sequent {tree.sequent!r} is not {contract_goal(proc)!r}"
+    return proc, tree, check_proof(tree, ctx)
+
+
+def cmd_check_proof(args) -> int:
+    program = _load_program(args.program)
+    proc, tree, bad = _replay_proof(args, program, _contracts_from_file(args.contracts))
     if bad is None:
         print(f"proof of {proc} is valid ({tree.size()} nodes)")
         return EXIT_OK
@@ -438,23 +455,23 @@ def cmd_validate(args) -> int:
     if proc is None:
         raise CliError("pick a procedure with --proc")
     assumption = _assumption(cf, proc)
-    if not args.no_proof:
-        if not args.proof:
-            raise CliError("validate needs --proof FILE (or --no-proof for a "
-                           "purely semantic check)")
-        assumptions = [ContractAssumption.from_spec(s) for s in cf.specs.values()]
-        ctx = RuleContext.for_program(program, assumptions,
-                                      extensions=args.extensions)
-        _, tree = load_proof(_read(args.proof), ctx)
-        bad = check_proof(tree, ctx)
-        if bad is not None:
-            print(f"proof rejected: {bad}")
-            return EXIT_PROOF_REJECTED
     try:
         lo_s, hi_s = args.range.split("..")
         lo, hi = int(lo_s), int(hi_s)
     except ValueError:
         raise CliError("--range expects lo..hi") from None
+    if lo > hi:
+        raise CliError(f"--range {args.range} is empty")
+    if args.samples < 1:
+        raise CliError("--samples must be at least 1")
+    if not args.no_proof:
+        if not args.proof:
+            raise CliError("validate needs --proof FILE (or --no-proof for a "
+                           "purely semantic check)")
+        _, _, bad = _replay_proof(args, program, cf, want=proc)
+        if bad is not None:
+            print(f"proof rejected: {bad}")
+            return EXIT_PROOF_REJECTED
     report = validate_contract(program, assumption, lo, hi, args.samples,
                                args.seed, fuel=_fuel(args),
                                trace_dir=args.trace_dir)
@@ -517,7 +534,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("contracts")
     p.add_argument("--proc", default=None)
     mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--auto", action="store_true", default=True)
     mode.add_argument("--script", default=None)
     mode.add_argument("--repl", action="store_true")
     p.add_argument("--extensions", action="store_true")
@@ -554,7 +570,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ParseError, LogicError) as e:
+    except (CliError, ParseError, LogicError, TraceError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
 

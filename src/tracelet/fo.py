@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from math import floor, gcd
+from math import gcd
 from typing import Dict, List, Optional, Tuple
 
 from .lang import (Binary, BoolLit, CMP_OPS, Expr, IntLit, ResVar, Unary,
@@ -80,7 +80,7 @@ def _mk(coeffs: Dict[str, int], const: int, op: str) -> Constraint:
             g = gcd(g, abs(v))
         if g > 1:
             items = tuple((k, v // g) for k, v in items)
-            const = floor(const / g)
+            const //= g
     if op in ("==", "!=") and items:
         g = 0
         for _, v in items:

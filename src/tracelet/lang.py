@@ -115,17 +115,6 @@ def expr_vars(e: Expr) -> set:
     return set()
 
 
-def expr_res_vars(e: Expr) -> set:
-    """All ResVar nodes occurring in e."""
-    if isinstance(e, ResVar):
-        return {e} | expr_res_vars(e.index)
-    if isinstance(e, Unary):
-        return expr_res_vars(e.operand)
-    if isinstance(e, Binary):
-        return expr_res_vars(e.left) | expr_res_vars(e.right)
-    return set()
-
-
 def subst_expr(e: Expr, name: str, replacement: Expr) -> Expr:
     """Substitute replacement for every free occurrence of Var(name)."""
     if isinstance(e, Var):

@@ -4,6 +4,12 @@ Formulas are negation-free and use least fixed points only.  Membership
 of a finite trace is decided by memoized descent; a fixed-point query
 that revisits an obligation already on the descent stack is answered
 false, which is exactly the least-fixed-point reading.
+
+``children``/``rebuild`` is the one generic traversal of the formula AST:
+free variables, term maps, substitution and arity checks are written on
+top of it.  Only per-node analyses keep their own dispatch: membership
+(``_Member._sat``), ``_Member.width``, ``first_anchor``/``last_anchor``
+and ``pretty_formula``.
 """
 
 from __future__ import annotations
@@ -12,11 +18,10 @@ import sys
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
-from .lang import (Binary, BoolLit, Expr, IntLit, ParseError, ResVar,
-                   TokenStream, Unary, Var, parse_expr, pretty_expr,
-                   subst_expr, tokenize)
+from .lang import (Binary, Expr, IntLit, ResVar, TokenStream, Unary, Var,
+                   expr_vars, parse_expr, pretty_expr, subst_expr, tokenize)
 from .traces import (CallEv, PopEv, PushEv, RetEv, State, Trace,
-                     UndefinedVariable, eval_expr, is_event, is_state,
+                     UndefinedVariable, eval_expr, event_involves, is_state,
                      res_name, ret_owners)
 
 
@@ -57,28 +62,13 @@ def pretty_term(t: Term) -> str:
 
 
 def term_vars(t: Term) -> set:
-    if isinstance(t, Fresh):
-        return term_vars(t.arg)
-    if isinstance(t, Var):
-        return {t.name}
-    if isinstance(t, Unary):
-        return term_vars(t.operand)
-    if isinstance(t, Binary):
-        return term_vars(t.left) | term_vars(t.right)
-    return set()
+    return term_vars(t.arg) if isinstance(t, Fresh) else expr_vars(t)
 
 
 def subst_term(t: Term, name: str, replacement: Term) -> Term:
     if isinstance(t, Fresh):
         return Fresh(subst_term(t.arg, name, replacement))
-    if isinstance(t, Var) and t.name == name:
-        return replacement
-    if isinstance(t, Unary):
-        return Unary(t.op, subst_term(t.operand, name, replacement))
-    if isinstance(t, Binary):
-        return Binary(t.op, subst_term(t.left, name, replacement),
-                      subst_term(t.right, name, replacement))
-    return t
+    return subst_expr(t, name, replacement)
 
 
 class _FreshValue:
@@ -190,14 +180,25 @@ class RecApp:
 
 
 class Mu:
-    """mu X(params). body — compared by identity, printed structurally."""
+    """mu X(params). body — compared structurally, hashed once."""
 
-    __slots__ = ("name", "params", "body")
+    __slots__ = ("name", "params", "body", "_hash")
 
     def __init__(self, name: str, params: tuple, body):
         self.name = name
         self.params = tuple(params)
         self.body = body
+        self._hash = None
+
+    def __eq__(self, other):
+        return self is other or (isinstance(other, Mu) and self.name == other.name
+                                 and self.params == other.params
+                                 and self.body == other.body)
+
+    def __hash__(self):
+        if self._hash is None:
+            self._hash = hash((self.name, self.params, self.body))
+        return self._hash
 
     def __repr__(self):
         return f"mu {self.name}({', '.join(self.params)}). ..."
@@ -213,18 +214,69 @@ Formula = Union[StatePred, NoEv, StartEvF, FinishEvF, And, Or, Concat, Chop,
                 RecApp, Mu, MuApp]
 
 
-def formula_equal(a: Formula, b: Formula) -> bool:
-    """Structural equality; Mu nodes compare by name/params/body."""
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, Mu):
-        return (a.name == b.name and a.params == b.params
-                and formula_equal(a.body, b.body))
-    if isinstance(a, MuApp):
-        return formula_equal(a.mu, b.mu) and a.args == b.args
-    if isinstance(a, (And, Or, Concat, Chop)):
-        return formula_equal(a.left, b.left) and formula_equal(a.right, b.right)
-    return a == b
+_BINARY = (And, Or, Concat, Chop)
+
+
+def children(f: Formula) -> Tuple[tuple, tuple]:
+    """One level of f: (sub-formulas, terms); a state predicate is a term."""
+    if isinstance(f, _BINARY):
+        return (f.left, f.right), ()
+    if isinstance(f, StatePred):
+        return (), (f.pred,)
+    if isinstance(f, (StartEvF, FinishEvF)):
+        return (), (f.arg, f.call_id)
+    if isinstance(f, RecApp):
+        return (), f.args
+    if isinstance(f, MuApp):
+        return (f.mu,), f.args
+    if isinstance(f, Mu):
+        return (f.body,), ()
+    if isinstance(f, NoEv):
+        return (), ()
+    raise LogicError(f"not a formula: {f!r}")
+
+
+def rebuild(f: Formula, subs: tuple, terms: tuple) -> Formula:
+    """Inverse of children: f's node over new sub-formulas and terms."""
+    if isinstance(f, _BINARY):
+        return type(f)(*subs)
+    if isinstance(f, StatePred):
+        return StatePred(*terms)
+    if isinstance(f, (StartEvF, FinishEvF)):
+        return type(f)(f.proc, *terms)
+    if isinstance(f, RecApp):
+        return RecApp(f.name, tuple(terms))
+    if isinstance(f, MuApp):
+        return MuApp(subs[0], tuple(terms))
+    if isinstance(f, Mu):
+        return Mu(f.name, f.params, subs[0])
+    return f
+
+
+def formula_vars(f: Formula, binders: bool = False) -> set:
+    """Logical variables of f's terms.
+
+    Fixed-point parameters are removed (the free variables), or with
+    binders added (every name in use, for picking fresh ones).
+    """
+    subs, terms = children(f)
+    out = set()
+    for t in terms:
+        out |= term_vars(t)
+    for g in subs:
+        out |= formula_vars(g, binders)
+    if isinstance(f, Mu):
+        return out | set(f.params) if binders else out - set(f.params)
+    return out
+
+
+def map_terms(f: Formula, fn) -> Formula:
+    """f with fn applied to each term outside fixed-point bodies."""
+    if isinstance(f, Mu):
+        return f
+    subs, terms = children(f)
+    return rebuild(f, tuple(map_terms(g, fn) for g in subs),
+                   tuple(fn(t) for t in terms))
 
 
 # ---------------------------------------------------------------------------
@@ -340,61 +392,8 @@ def big_step_of(spec: ContractSpec) -> Formula:
 # Substitution and unfolding
 # ---------------------------------------------------------------------------
 
-def _formula_term_vars(f: Formula) -> set:
-    if isinstance(f, StatePred):
-        from .lang import expr_vars
-        return expr_vars(f.pred)
-    if isinstance(f, (StartEvF, FinishEvF)):
-        return term_vars(f.arg) | term_vars(f.call_id)
-    if isinstance(f, (And, Or, Concat, Chop)):
-        return _formula_term_vars(f.left) | _formula_term_vars(f.right)
-    if isinstance(f, RecApp):
-        out = set()
-        for a in f.args:
-            out |= term_vars(a)
-        return out
-    if isinstance(f, MuApp):
-        out = _formula_term_vars(f.mu)
-        for a in f.args:
-            out |= term_vars(a)
-        return out
-    if isinstance(f, Mu):
-        return _formula_term_vars(f.body) - set(f.params)
-    return set()
-
-
 def _subst_formula(f: Formula, mapping: dict, rec_name: str, mu: Optional[Mu]) -> Formula:
     """Substitute terms for logical variables and mu for X occurrences."""
-    if isinstance(f, StatePred):
-        from .lang import expr_vars
-        pred = f.pred
-        occurring = expr_vars(pred)
-        for name, t in mapping.items():
-            if name not in occurring:
-                continue
-            if isinstance(t, Fresh):
-                raise LogicError("fresh(...) cannot appear inside state predicates")
-            pred = subst_expr(pred, name, t)
-        return StatePred(pred)
-    if isinstance(f, NoEv):
-        return f
-    if isinstance(f, (StartEvF, FinishEvF)):
-        arg, cid = f.arg, f.call_id
-        for name, t in mapping.items():
-            arg = subst_term(arg, name, t)
-            cid = subst_term(cid, name, t)
-        return type(f)(f.proc, arg, cid)
-    if isinstance(f, (And, Or, Concat, Chop)):
-        return type(f)(_subst_formula(f.left, mapping, rec_name, mu),
-                       _subst_formula(f.right, mapping, rec_name, mu))
-    if isinstance(f, RecApp):
-        args = tuple(_subst_terms_in(a, mapping) for a in f.args)
-        if f.name == rec_name and mu is not None:
-            return MuApp(mu, args)
-        return RecApp(f.name, args)
-    if isinstance(f, MuApp):
-        return MuApp(_subst_formula(f.mu, mapping, rec_name, mu),
-                     tuple(_subst_terms_in(a, mapping) for a in f.args))
     if isinstance(f, Mu):
         inner_map = {k: v for k, v in mapping.items() if k not in f.params}
         captured = set()
@@ -406,12 +405,22 @@ def _subst_formula(f: Formula, mapping: dict, rec_name: str, mu: Optional[Mu]) -
         body = _subst_formula(f.body, inner_map,
                               inner_rec if inner_rec else "", mu if inner_rec else None)
         return Mu(f.name, f.params, body)
-    raise LogicError(f"not a formula: {f!r}")
+    subs, terms = children(f)
+    if isinstance(f, StatePred) and any(isinstance(mapping.get(v), Fresh)
+                                        for v in term_vars(f.pred)):
+        raise LogicError("fresh(...) cannot appear inside state predicates")
+    subs = tuple(_subst_formula(g, mapping, rec_name, mu) for g in subs)
+    terms = tuple(_subst_terms_in(t, mapping) for t in terms)
+    if isinstance(f, RecApp) and f.name == rec_name and mu is not None:
+        return MuApp(mu, terms)
+    return rebuild(f, subs, terms)
 
 
 def _subst_terms_in(t: Term, mapping: dict) -> Term:
+    occurring = term_vars(t)
     for name, repl in mapping.items():
-        t = subst_term(t, name, repl)
+        if name in occurring:
+            t = subst_term(t, name, repl)
     return t
 
 
@@ -451,7 +460,7 @@ class _Closure:
         self.mu = mu
         self.benv = benv
         self.renv = renv
-        free_l = sorted(_formula_term_vars(mu) - set(mu.params))
+        free_l = sorted(formula_vars(mu))
         self.key = (id(mu),
                     tuple((v, benv.get(v)) for v in free_l),
                     tuple(sorted((x, c.key) for x, c in renv.items())))
@@ -464,8 +473,8 @@ class _Member:
         self.budget = budget
         self.memo = {}
         self.onstack = set()
-        self._fv = {}
         self._width = {}
+        self._involved = {}
         self._psi = {}
         self._ids = {}
         self._evpos = {}
@@ -482,14 +491,6 @@ class _Member:
                 self._evpos.setdefault(("pop", e.ctx.proc), []).append(pos)
 
     # -- per-node caches ----------------------------------------------------
-
-    def fv(self, f) -> tuple:
-        key = id(f)
-        got = self._fv.get(key)
-        if got is None:
-            got = tuple(sorted(_formula_term_vars(f)))
-            self._fv[key] = got
-        return got
 
     def psi_excl(self, f):
         key = id(f)
@@ -573,22 +574,15 @@ class _Member:
         return out
 
     def _gap_ok(self, exclude, lo: int, hi: int) -> bool:
-        # linear scan: every entry is a state or a non-excluded event
-        for pos in range(lo, hi):
-            e = self.entries[pos]
-            if is_state(e):
-                continue
-            if isinstance(e, CallEv):
-                if e.proc in exclude:
-                    return False
-            elif isinstance(e, (PushEv, PopEv)):
-                if e.ctx.proc in exclude:
-                    return False
-            else:
-                owner = self.owners.get(pos)
-                if owner is not None and owner.proc in exclude:
-                    return False
-        return True
+        """No entry in [lo, hi) is an event involving an excluded procedure."""
+        counts = self._involved.get(exclude)
+        if counts is None:
+            # prefix counts of the entries that involve excluded procedures
+            counts = [0]
+            for pos, e in enumerate(self.entries):
+                counts.append(counts[-1] + event_involves(e, exclude, self.owners.get(pos)))
+            self._involved[exclude] = counts
+        return counts[hi] == counts[lo]
 
     def sat(self, f: Formula, lo: int, hi: int, benv: dict, renv: dict,
             token: int = 0) -> bool:
@@ -620,17 +614,7 @@ class _Member:
             except UndefinedVariable:
                 return False
         if isinstance(f, NoEv):
-            if n != 1:
-                return False
-            e = ent[lo]
-            if is_state(e):
-                return True
-            if isinstance(e, CallEv):
-                return e.proc not in f.exclude
-            if isinstance(e, (PushEv, PopEv)):
-                return e.ctx.proc not in f.exclude
-            owner = self.owners.get(lo)
-            return owner is None or owner.proc not in f.exclude
+            return n == 1 and self._gap_ok(f.exclude, lo, hi)
         if isinstance(f, StartEvF):
             if n != 5:
                 return False
@@ -701,13 +685,22 @@ class _Member:
                     candidates = [p + 1 for p in self._evpos.get(la, ())]
             if candidates is None:
                 candidates = range(j_min, j_max + 1)
-            flags = self._state_flags
+            flags, memo = self._state_flags, self.memo
+            kl, kr = id(f.left), id(f.right)
             for j in candidates:
                 if j < j_min or j > j_max or not flags[j]:
                     continue
-                if self.sat(f.left, lo, j + 1, benv, renv, token) and \
-                        self.sat(f.right, j, hi, benv, renv, token):
-                    return True
+                # read memo hits inline: in deep recursion a call per split
+                # can cross an interpreter stack chunk (mmap/munmap) each time
+                ok = memo.get((kl, token, lo, j + 1))
+                if ok is None:
+                    ok = self.sat(f.left, lo, j + 1, benv, renv, token)
+                if ok:
+                    ok = memo.get((kr, token, j, hi))
+                    if ok is None:
+                        ok = self.sat(f.right, j, hi, benv, renv, token)
+                    if ok:
+                        return True
             return False
         if isinstance(f, Mu):
             if f.params:
@@ -866,6 +859,13 @@ def member(trace: Trace, formula: Formula, env: Optional[dict] = None,
 # ---------------------------------------------------------------------------
 
 def _parse_term(ts: TokenStream) -> Term:
+    """A term; fresh(...) may only stand as a whole term."""
+    if ts.at_ident("fresh"):
+        ts.next()
+        ts.expect_sym("(")
+        inner = _parse_term_add(ts)
+        ts.expect_sym(")")
+        return Fresh(inner)
     return _parse_term_add(ts)
 
 
@@ -903,15 +903,11 @@ def _parse_term_atom(ts):
         return t
     if tok.kind == "ident":
         if tok.text == "fresh":
-            ts.next()
-            ts.expect_sym("(")
-            inner = _parse_term(ts)
-            ts.expect_sym(")")
-            return Fresh(inner)
+            ts.error("fresh(...) must be a whole argument")
         if tok.text == "res":
             ts.next()
             ts.expect_sym("(")
-            inner = _parse_term(ts)
+            inner = _parse_term_add(ts)
             ts.expect_sym(")")
             return ResVar(inner)
         ts.next()
@@ -1053,30 +1049,18 @@ def parse_formula(text: str) -> Formula:
 
 def check_formula(f: Formula, bound: dict):
     """Arity checking for recursion variables; bound maps name -> arity."""
-    if isinstance(f, (StatePred, NoEv, StartEvF, FinishEvF)):
-        return
-    if isinstance(f, (And, Or, Concat, Chop)):
-        check_formula(f.left, bound)
-        check_formula(f.right, bound)
-        return
     if isinstance(f, RecApp):
         if f.name not in bound:
             raise LogicError(f"unbound recursion variable {f.name}")
         if bound[f.name] != len(f.args):
             raise LogicError(f"arity mismatch for {f.name}: "
                              f"{len(f.args)} args, expected {bound[f.name]}")
-        return
-    if isinstance(f, Mu):
-        inner = dict(bound)
-        inner[f.name] = len(f.params)
-        check_formula(f.body, inner)
-        return
-    if isinstance(f, MuApp):
-        if len(f.args) != len(f.mu.params):
-            raise LogicError(f"arity mismatch applying {f.mu.name}")
-        check_formula(f.mu, bound)
-        return
-    raise LogicError(f"not a formula: {f!r}")
+    elif isinstance(f, Mu):
+        bound = {**bound, f.name: len(f.params)}
+    elif isinstance(f, MuApp) and len(f.args) != len(f.mu.params):
+        raise LogicError(f"arity mismatch applying {f.mu.name}")
+    for g in children(f)[0]:
+        check_formula(g, bound)
 
 
 def pretty_formula(f: Formula, prec: int = 0) -> str:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Optional, Union
 
 from .lang import (Binary, BoolLit, Expr, IntLit, ResVar, Unary, Var)
@@ -244,9 +245,6 @@ class Trace:
         return Trace(self.entries + (state,))
 
 
-EMPTY = Trace()
-
-
 def singleton(state: State) -> Trace:
     return Trace((state,))
 
@@ -322,14 +320,18 @@ def ret_owners(t: Trace) -> dict:
     return owners
 
 
-def event_involves(entry, proc: str, owner: Optional[Ctx]) -> bool:
-    """Whether an event entry involves procedure proc."""
+def event_involves(entry, procs, owner: Optional[Ctx]) -> bool:
+    """Whether an event entry involves one of the procedures in procs.
+
+    A retEv involves the procedure of its owner (see ret_owners); a state
+    involves none.
+    """
     if isinstance(entry, CallEv):
-        return entry.proc == proc
+        return entry.proc in procs
     if isinstance(entry, (PushEv, PopEv)):
-        return entry.ctx.proc == proc
+        return entry.ctx.proc in procs
     if isinstance(entry, RetEv):
-        return owner is not None and owner.proc == proc
+        return owner is not None and owner.proc in procs
     return False
 
 
@@ -468,126 +470,6 @@ def _state_diff(a: State, b: State) -> set:
 
 
 # ---------------------------------------------------------------------------
-# Schematic traces
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class EventPattern:
-    kind: str  # 'callEv' | 'retEv' | 'pushEv' | 'popEv'
-    proc: Optional[str] = None
-    arg: Optional[int] = None
-    call_id: Optional[int] = None
-    value: Optional[int] = None
-
-
-@dataclass(frozen=True)
-class Gap:
-    """Non-empty trace segment without the excluded events.
-
-    Exclusions are (kind, proc) pairs; proc None bans the whole kind.
-    """
-
-    exclude: frozenset = frozenset()
-
-
-@dataclass(frozen=True)
-class TraceSchema:
-    atoms: tuple
-
-
-def _gap_allows(entry, owner, exclude) -> bool:
-    if not is_event(entry):
-        return True
-    kind = type(entry).__name__[0].lower() + type(entry).__name__[1:]
-    for ex_kind, ex_proc in exclude:
-        if ex_kind != kind:
-            continue
-        if ex_proc is None:
-            return False
-        if isinstance(entry, CallEv) and entry.proc == ex_proc:
-            return False
-        if isinstance(entry, (PushEv, PopEv)) and entry.ctx.proc == ex_proc:
-            return False
-        if isinstance(entry, RetEv) and owner is not None and owner.proc == ex_proc:
-            return False
-    return True
-
-
-def _pattern_matches(entry, pat: EventPattern) -> bool:
-    if pat.kind == "callEv":
-        return (isinstance(entry, CallEv)
-                and (pat.proc is None or entry.proc == pat.proc)
-                and (pat.arg is None or entry.arg == pat.arg)
-                and (pat.call_id is None or entry.call_id == pat.call_id))
-    if pat.kind == "retEv":
-        return isinstance(entry, RetEv) and (pat.value is None or entry.value == pat.value)
-    if pat.kind == "pushEv":
-        return (isinstance(entry, PushEv)
-                and (pat.proc is None or entry.ctx.proc == pat.proc)
-                and (pat.call_id is None or entry.ctx.call_id == pat.call_id))
-    if pat.kind == "popEv":
-        return (isinstance(entry, PopEv)
-                and (pat.proc is None or entry.ctx.proc == pat.proc)
-                and (pat.call_id is None or entry.ctx.call_id == pat.call_id))
-    raise ValueError(f"unknown event kind {pat.kind!r}")
-
-
-def matches(t: Trace, schema: TraceSchema) -> bool:
-    """Trace membership in a schema's denotation.
-
-    Consecutive atoms chop-join: adjacent segments share one state entry.
-    """
-    if t.is_empty:
-        return False
-    ent = t.entries
-    owners = ret_owners(t)
-    n = len(ent)
-    atoms = schema.atoms
-    state_pos = [i for i, e in enumerate(ent) if is_state(e)]
-    if not state_pos or state_pos[0] != 0 or state_pos[-1] != n - 1:
-        return False
-
-    memo = {}
-
-    def go(ai: int, lo: int) -> bool:
-        # segment [lo, n) must match atoms[ai:]; lo is a state position
-        key = (ai, lo)
-        if key in memo:
-            return memo[key]
-        if ai == len(atoms):
-            out = lo == n - 1
-            memo[key] = out
-            return out
-        atom = atoms[ai]
-        out = False
-        if isinstance(atom, EventPattern):
-            if lo + 2 < n and is_event(ent[lo + 1]) and ent[lo + 2] == ent[lo] and \
-                    _pattern_matches(ent[lo + 1], atom):
-                out = go(ai + 1, lo + 2)
-        else:
-            # gap: consume at least the current state, then any allowed run
-            hi = lo
-            while True:
-                if go(ai + 1, hi):
-                    out = True
-                    break
-                if hi + 2 < n and is_event(ent[hi + 1]):
-                    if not _gap_allows(ent[hi + 1], owners.get(hi + 1), atom.exclude):
-                        break
-                    if ent[hi + 2] != ent[hi]:
-                        break
-                    hi += 2
-                elif hi + 1 < n and is_state(ent[hi + 1]):
-                    hi += 1
-                else:
-                    break
-        memo[key] = out
-        return out
-
-    return go(0, 0)
-
-
-# ---------------------------------------------------------------------------
 # JSON serialization (.trace.json)
 # ---------------------------------------------------------------------------
 
@@ -606,19 +488,25 @@ def entry_to_json(entry):
     raise TraceError(f"not a trace entry: {entry!r}")
 
 
+def _field(ev: dict, key: str, kind: type):
+    value = ev[key]
+    if type(value) is not kind:
+        raise TraceError(f"event field {key!r} must be of type {kind.__name__}: {value!r}")
+    return value
+
+
 def entry_from_json(obj):
     if "state" in obj:
         return State(obj["state"])
     ev = obj["event"]
     kind = ev["kind"]
     if kind == "callEv":
-        return CallEv(ev["proc"], ev["arg"], ev["id"])
+        return CallEv(_field(ev, "proc", str), _field(ev, "arg", int), _field(ev, "id", int))
     if kind == "retEv":
-        return RetEv(ev["val"])
-    if kind == "pushEv":
-        return PushEv(Ctx(ev["proc"], ev["id"]))
-    if kind == "popEv":
-        return PopEv(Ctx(ev["proc"], ev["id"]))
+        return RetEv(_field(ev, "val", int))
+    if kind in ("pushEv", "popEv"):
+        ctx = Ctx(_field(ev, "proc", str), _field(ev, "id", int))
+        return PushEv(ctx) if kind == "pushEv" else PopEv(ctx)
     raise TraceError(f"unknown event kind {kind!r}")
 
 
@@ -635,4 +523,16 @@ def dump_trace(t: Trace) -> str:
 
 
 def load_trace(text: str) -> Trace:
-    return trace_from_json(json.loads(text))
+    """Parse a .trace.json text; any malformed input raises TraceError."""
+    try:
+        data = json.loads(text)
+        if not isinstance(data, list):
+            raise TraceError("a trace file holds a JSON array of entries")
+        states = [obj["state"] for obj in data if "state" in obj]
+        if not {int}.issuperset(map(type, chain.from_iterable(map(dict.values, states)))):
+            raise TraceError("state values must be integers")
+        return trace_from_json(data)
+    except KeyError as e:
+        raise TraceError(f"trace entry lacks the key {e}") from None
+    except (ValueError, TypeError, AttributeError) as e:
+        raise TraceError(f"malformed trace file: {e}") from None

@@ -18,7 +18,7 @@ from tracelet.interp import FuelExhausted, run_cont, UpStmt
 from tracelet.lang import (Assign, Binary, BoolLit, If, IntLit, Return,
                            ResVar, Scope, Seq, TokenStream, Var, build_lookup,
                            parse_expr, parse_program, pretty_expr, tokenize)
-from tracelet.logic import (Chop, Mu, MuApp, StatePred, member,
+from tracelet.logic import (Chop, Mu, MuApp, StatePred, formula_vars, member,
                             parse_formula, pretty_formula, psi)
 from tracelet.traces import Ctx, MAIN_CTX, State, Trace, curr_ctx, res_name, singleton
 from tracelet.updates import (CallUpd, Elem, FinishUpd, StartUpd,
@@ -453,8 +453,8 @@ def _sample_states(seq, rng, tries=600):
         for a in j.update:
             from tracelet.updates import update_reads
             names |= update_reads(a)
-        from tracelet.calculus import _stmt_names, _formula_names
-        names |= _stmt_names(j.stmt) | _formula_names(j.formula)
+        from tracelet.calculus import _stmt_names
+        names |= _stmt_names(j.stmt) | formula_vars(j.formula, binders=True)
     names = sorted(n for n in names if not n.startswith("res"))
     out = []
     from tracelet.traces import eval_expr
@@ -499,8 +499,7 @@ def _judgment_true(seq, state, table, witnesses=(), fuel=200_000):
                            fuel=fuel)
     except FuelExhausted:
         return True  # undefined: the judgment holds vacuously
-    from tracelet.calculus import _formula_names
-    free_witnesses = [w for w in witnesses if w in _formula_names(j.formula)]
+    free_witnesses = [w for w in witnesses if w in formula_vars(j.formula, binders=True)]
     if not free_witnesses:
         return member(machine.trace, j.formula, env)
     ids = sorted({e.call_id for e in machine.trace.entries

@@ -85,6 +85,26 @@ class TestAdequacy:
         assert out["adequate"] is False and out["clause"] == "4"
 
 
+@pytest.mark.parametrize("text", [
+    '{"state": {"x": 0}}',                              # not a list
+    '[{"state": {"x": 0}}, {"event": {"kind": "retEv"}}]',  # missing key
+    '[{"state": {"x": "a"}}]',                          # non-integer value
+    '[{"state": {}}, {"event": {"kind": "callEv", "proc": "m", "arg": 0, "id": [1]}},'
+    ' {"state": {}}]',                                  # non-integer event field
+    '[{"stat": {"x": 0}}]',                             # neither state nor event
+    '[1, 2]',                                           # entries not objects
+    'not json at all',
+    '[]',                                               # empty trace
+])
+def test_malformed_trace_one_line_error(work, capsys, text):
+    bad = work / "bad.trace.json"
+    bad.write_text(text)
+    capsys.readouterr()
+    assert main(["adequacy", str(bad)]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def _json_out(capsys, argv):
     capsys.readouterr()
     main(argv)
@@ -155,6 +175,37 @@ class TestProve:
                      "--program", str(work / "running.tcp"),
                      "--contracts", str(contract)]) == EXIT_PROOF_REJECTED
 
+    @pytest.mark.parametrize("proc,goal", [
+        ("m", {"kind": "pred", "pred": "1 == 1"}),   # proves the wrong goal
+        ("q", {"kind": "pred", "pred": "1 == 1"}),   # names no spec block
+    ])
+    def test_proof_of_another_goal_rejected_exit_7(self, work, capsys, proc, goal):
+        contract = gen_contract(work)
+        fake = work / "fake.proof.json"
+        fake.write_text(json.dumps({
+            "format": "tracelet-proof", "version": 1, "proc": proc, "closed": True,
+            "root": {"sequent": {"gamma": [], "goal": goal},
+                     "rule": "Close", "args": {}, "children": []}}))
+        program = str(work / "running.tcp")
+        assert main(["check-proof", str(fake), "--program", program,
+                     "--contracts", str(contract)]) == EXIT_PROOF_REJECTED
+        assert main(["validate", program, str(contract), "--proc", "m",
+                     "--samples", "1", "--range", "0..0",
+                     "--proof", str(fake)]) == EXIT_PROOF_REJECTED
+        assert "proof rejected" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("text", ['{"format": "tracelet-proof", "proc": "m"}',
+                                      '[]', 'not json'])
+    def test_malformed_proof_one_line_error(self, work, capsys, text):
+        contract = gen_contract(work)
+        bad = work / "bad.proof.json"
+        bad.write_text(text)
+        capsys.readouterr()
+        assert main(["check-proof", str(bad), "--program", str(work / "running.tcp"),
+                     "--contracts", str(contract)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot load proof") and err.count("\n") == 1
+
     def test_script_mode(self, work, capsys):
         contract = gen_contract(work)
         script = work / "start.tps"
@@ -212,6 +263,16 @@ class TestValidate:
         report = json.loads(capsys.readouterr().out)
         assert report["samples"] == [] and report["note"]
 
+    @pytest.mark.parametrize("flags", [["--range", "5..1"], ["--samples", "-1"]])
+    def test_bad_arguments_one_line_error(self, work, capsys, flags):
+        contract = gen_contract(work)
+        capsys.readouterr()
+        code = main(["validate", str(work / "running.tcp"), str(contract),
+                     "--proc", "m", "--no-proof"] + flags)
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_reports_reproducible(self, work, capsys):
         contract = gen_contract(work)
         argv = ["validate", str(work / "running.tcp"), str(contract),
@@ -247,5 +308,5 @@ class TestRepl:
         lines = iter(["quit"])
         monkeypatch.setattr("builtins.input", lambda prompt="": next(lines))
         code = main(["prove", str(work / "running.tcp"), str(contract),
-                     "--proc", "m", "--repl"])
+                     "--proc", "m", "--repl", "-o", str(work / "open.proof.json")])
         assert code == EXIT_OPEN_PROOF

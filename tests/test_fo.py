@@ -3,6 +3,8 @@
 import itertools
 import random
 
+from hypothesis import given, settings, strategies as st
+
 from tracelet.fo import (canon_pred, fo_valid, negate_pred, pred_equiv,
                          simplify_or, terms_equal)
 from tracelet.lang import Binary, BoolLit, IntLit, ResVar, Unary, Var
@@ -77,6 +79,36 @@ class TestValidity:
                 cex = {k: verdict.counterexample.get(k, 0) for k in names}
                 assert all(holds(cex, g) for g in gamma)
                 assert not holds(cex, goal)
+
+
+class TestLargeConstants:
+    """Tightening a >= atom by its coefficients' gcd stays exact past 2^53."""
+
+    def test_float_division_counterexample(self):
+        # 8x >= 738703391925352938 gives x >= 92337923990669118, and that
+        # x is a counterexample to x >= 92337923990669119
+        gamma = [atom(">=", Binary("-", Binary("*", IntLit(8), v("x")),
+                                   IntLit(738703391925352938)), IntLit(0))]
+        x = 92337923990669118
+        assert 8 * x - 738703391925352938 >= 0
+        verdict = fo_valid(gamma, atom(">=", v("x"), IntLit(x + 1)))
+        assert verdict.status != "valid"
+        assert fo_valid(gamma, atom(">=", v("x"), IntLit(x))).status == "valid"
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(a=st.integers(2, 64), c=st.integers(-10 ** 24, 10 ** 24),
+           delta=st.integers(-2, 2))
+    def test_single_bound_decided_exactly(self, a, c, delta):
+        # a*x + c >= 0 |- x >= b, where the least x allowed is -(c // a)
+        least = -(c // a)
+        b = least + delta
+        gamma = [atom(">=", Binary("+", Binary("*", IntLit(a), v("x")), IntLit(c)),
+                      IntLit(0))]
+        verdict = fo_valid(gamma, atom(">=", v("x"), IntLit(b)))
+        assert (verdict.status == "valid") == (least >= b)
+        if verdict.status == "invalid":
+            x = verdict.counterexample["x"]
+            assert a * x + c >= 0 and x < b
 
 
 class TestNegation:

@@ -12,7 +12,7 @@ from tracelet.logic import (And, Chop, Concat, ContractSpec, FinishEvF,
                             Fresh, LogicError, Mu, MuApp, NoEv, Or, RecApp,
                             StartEvF, StatePred, applied, big_step_of,
                             check_formula, contract_file_text, eval_pred,
-                            formula_equal, is_psi, make_contract, member,
+                            is_psi, make_contract, member,
                             no_event_chop, parse_contract_file, parse_formula,
                             pretty_formula, psi, substitute, unfold)
 from tracelet.traces import (CallEv, State, Trace, event_trace, singleton)
@@ -80,14 +80,14 @@ class TestPsi:
             if t.is_empty:
                 continue
             owners = ret_owners(t)
-            has_m = any(event_involves(e, "m", owners.get(k))
+            has_m = any(event_involves(e, {"m"}, owners.get(k))
                         for k, e in enumerate(t.entries))
             assert member(t, psi("m")) == (not has_m)
 
     def test_no_event_chop_desugaring(self):
         a, b = StatePred(BoolLit(True)), StatePred(BoolLit(True))
         f = no_event_chop(a, "m", b)
-        assert formula_equal(f, Chop(Chop(a, psi("m")), b))
+        assert f == Chop(Chop(a, psi("m")), b)
         g = no_event_chop(a, None, b)
         assert is_psi(g.left.right) == frozenset()
 
@@ -101,7 +101,7 @@ class TestParseFormula:
         mu = contract_m()
         printed = pretty_formula(mu)
         again = parse_formula(printed)
-        assert formula_equal(mu, again)
+        assert mu == again
         assert pretty_formula(again) == printed
 
     def test_example_contract_two_disjuncts(self):
@@ -222,7 +222,7 @@ class TestContracts:
         assert "m" in cf.specs
         params, formula = cf.contracts["m"]
         assert params == ("n", "i")
-        assert formula_equal(formula, contract_m())
+        assert formula == contract_m()
 
     def test_big_step_weakening_on_goldens(self):
         big = big_step_of(spec_m())
@@ -286,7 +286,7 @@ class TestUnfold:
             mu2 = parse_formula(pretty_formula(contract_m()))
             direct = _instantiate_fresh(
                 substitute(mu2.body, mu2.name, mu2, inner[0].args), {"k'"})
-            assert formula_equal(twice, direct)
+            assert twice == direct
             check_formula(twice, {})
 
     def test_monotonicity_extra_disjunct(self):
@@ -309,12 +309,9 @@ class TestUnfold:
 
 class TestSchemaCrossCheck:
     def test_psi_membership_equals_schema_gap(self):
-        # the no-event fixed point and the schematic gap agree
-        from tracelet.traces import Gap, TraceSchema, matches
+        # the no-event fixed point agrees with the brute-force oracle
         rng = random.Random(31)
         base = golden_m1()
-        gap_m = TraceSchema((Gap(frozenset({("callEv", "m"), ("retEv", "m"),
-                                            ("pushEv", "m"), ("popEv", "m")})),))
         samples = [base, m1_core(), golden_m0(), singleton(State({"x": 0}))]
         for _ in range(120):
             t = mutate_trace(rng, base)
@@ -324,5 +321,5 @@ class TestSchemaCrossCheck:
             entries = t.entries
             from tracelet.traces import is_state
             if not (is_state(entries[0]) and is_state(entries[-1])):
-                continue  # the schema matcher only covers well-formed traces
-            assert member(t, psi("m")) == matches(t, gap_m), t
+                continue  # mutants that break the state/event shape
+            assert member(t, psi("m")) == member_approx(t, psi("m")), t

@@ -1,4 +1,4 @@
-"""Trace model: chop, concat, event traces, contexts, adequacy, schemas."""
+"""Trace model: chop, concat, event traces, contexts, adequacy, gaps, JSON."""
 
 import random
 
@@ -8,12 +8,13 @@ from helpers import (curr_ctx_stack, eval_expr_oracle, golden_m1,
                      random_linear_expr, running_program)
 from tracelet.interp import run
 from tracelet.lang import Binary, IntLit, Var, parse_program
+from tracelet.logic import member, parse_formula, psi
 from tracelet.traces import (AdequacyVerdict, CallEv, ChopUndefined, Ctx,
-                             EmptyTraceError, EventPattern, Gap, MAIN_CTX,
-                             NO_EVENT, PopEv, PushEv, RetEv, State, Trace,
-                             TraceSchema, chop, concat, curr_ctx, dump_trace,
-                             eval_expr, event_trace, is_adequate, last_event,
-                             load_trace, matches, singleton, update_state)
+                             EmptyTraceError, MAIN_CTX, NO_EVENT, PopEv,
+                             PushEv, RetEv, State, Trace, chop, concat,
+                             curr_ctx, dump_trace, eval_expr, event_trace,
+                             is_adequate, last_event, load_trace, singleton,
+                             update_state)
 
 
 def s(**kw):
@@ -218,37 +219,30 @@ class TestAdequacy:
 
 
 class TestSchemas:
+    """Event shapes of traces, written as formulas and checked by member."""
+
     def test_m0_schema(self):
         prog = parse_program(
             "m(k) { r; if (k != 0) { r = m(k - 1); r = r + 1 }; return r }\n"
             "main { x; x = m(0) }")
         t = run(prog)
-        schema = TraceSchema((
-            EventPattern("callEv", proc="m", call_id=0),
-            EventPattern("pushEv", proc="m", call_id=0),
-            Gap(frozenset({("callEv", None), ("retEv", None),
-                           ("pushEv", None), ("popEv", None)})),
-            EventPattern("retEv"),
-            Gap(frozenset({("callEv", None), ("retEv", None),
-                           ("pushEv", None), ("popEv", None)})),
-            EventPattern("popEv", proc="m", call_id=0),
-            Gap(frozenset()),
-        ))
-        assert matches(t, schema)
+        # call and push of m(0), an event-free body, then its return and
+        # pop, then anything
+        schema = parse_formula("startEv(m, 0, 0) ~m~ finishEv(m, 0, 0) ** psi()")
+        assert member(t, schema)
+        assert not member(t, parse_formula("startEv(m, 1, 0) ~m~ finishEv(m, 0, 0) ** psi()"))
 
     def test_singleton_matches_empty_gap(self):
-        assert matches(singleton(s(x=0)), TraceSchema((Gap(frozenset()),)))
+        assert member(singleton(s(x=0)), psi())
 
     def test_push_excluded(self):
-        t = golden_m1()
-        schema = TraceSchema((Gap(frozenset({("pushEv", None)})),))
-        assert not matches(t, schema)
+        assert not member(golden_m1(), psi("m"))
 
     def test_gap_respects_procedure_restriction(self):
         sigma = s(x=0)
         t = event_trace(sigma, CallEv("q", 1, 0))
-        assert matches(t, TraceSchema((Gap(frozenset({("callEv", "m")})),)))
-        assert not matches(t, TraceSchema((Gap(frozenset({("callEv", "q")})),)))
+        assert member(t, psi("m"))
+        assert not member(t, psi("q"))
 
 
 class TestJson:
