@@ -9,7 +9,8 @@ membership in the contract's denotation.
 """
 
 from tracelet.calculus import (ContractAssumption, RuleContext, check_proof,
-                               contract_goal, prove_auto)
+                               contract_goal, dump_proof, load_proof,
+                               prove_auto)
 from tracelet.cli import validate_contract
 from tracelet.lang import Binary, IntLit, Var, parse_program
 from tracelet.logic import ContractSpec
@@ -44,7 +45,12 @@ for rule, count in sorted(tree.rule_multiset().items()):
     print(f"  {rule:20s} x{count}")
 
 print("\n=== independent replay ===")
-problem = check_proof(tree, ctx)
+# the checker reads the proof file: only each step's rule and arguments
+# count, and every recorded sequent must match the one it rebuilds
+text = dump_proof(tree, "m")
+print(f"proof file: {len(text)} bytes")
+proc, root = load_proof(text)
+problem = check_proof(root, proc, ctx)
 print("checker verdict:", "valid" if problem is None else problem)
 
 print("\n=== differential validation, n in 0..10 ===")

@@ -10,21 +10,20 @@ produced by replaying every step.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
 from . import fo
 from .lang import (Assign, Binary, Call, CallAssign, Expr, If, IntLit,
-                   LookupTable, ParseError, Program, ResVar, Return, Scope,
-                   Seq, Skip, Stmt, TokenStream, Var, While, build_lookup,
-                   expr_vars, fold_expr, lookup, parse_expr, pretty_expr,
-                   subst_expr, subst_res_expr, subst_stmt, tokenize)
+                   LookupTable, Program, ResVar, Return, Scope, Seq, Skip,
+                   Stmt, Var, While, build_lookup, expr_vars, fold_expr,
+                   lookup, pretty_expr, subst_expr, subst_res_expr,
+                   subst_stmt)
 from .logic import (And, Chop, Concat, ContractSpec, FinishEvF, Formula,
                     Fresh, Mu, MuApp, Or, RecApp, StartEvF, StatePred,
                     flatten_chain, formula_vars, is_psi, make_contract,
-                    map_terms, parse_formula, pretty_formula, pretty_term,
-                    subst_term)
-from .traces import Ctx, MAIN_CTX, MalformedNesting
+                    map_terms, pretty_formula, pretty_term, subst_term)
+from .traces import MAIN_CTX, MalformedNesting
 from .updates import (CallUpd, Elem, FinishUpd, StartUpd, Update, UpdateAtom,
                       UpdateApplicationError, apply_update_expr,
                       curr_ctx_update, is_res_elem, pretty_update,
@@ -115,48 +114,6 @@ class Sequent:
 
 def gamma_preds(seq: Sequent) -> List[Expr]:
     return [a.pred for a in seq.gamma if isinstance(a, PredAssert)]
-
-
-def gamma_contracts(seq: Sequent) -> List[ContractAssumption]:
-    return [a for a in seq.gamma if isinstance(a, ContractAssumption)]
-
-
-def _stmt_norm(s: Optional[Stmt]) -> Optional[Stmt]:
-    """Canonical right-associated sequencing, recursively."""
-    if s is None:
-        return None
-    if isinstance(s, Seq):
-        items: List[Stmt] = []
-        stack = [s]
-        while stack:
-            top = stack.pop()
-            if isinstance(top, Seq):
-                stack.append(top.second)
-                stack.append(top.first)
-            else:
-                items.append(_stmt_norm(top))
-        out = items[-1]
-        for item in reversed(items[:-1]):
-            out = Seq(item, out)
-        return out
-    if isinstance(s, If):
-        return If(s.cond, _stmt_norm(s.body))
-    if isinstance(s, While):
-        return While(s.cond, _stmt_norm(s.body))
-    if isinstance(s, Scope):
-        return Scope(s.decls, _stmt_norm(s.body))
-    return s
-
-
-def goal_equal(a: Goal, b: Goal) -> bool:
-    if isinstance(a, Judgment) and isinstance(b, Judgment):
-        return (a.update == b.update and _stmt_norm(a.stmt) == _stmt_norm(b.stmt)
-                and a.formula == b.formula)
-    return a == b
-
-
-def sequent_equal(a: Sequent, b: Sequent) -> bool:
-    return a.gamma == b.gamma and goal_equal(a.goal, b.goal)
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +288,14 @@ def _judgment(seq: Sequent) -> Judgment:
     return seq.goal
 
 
+def _index_arg(args: dict, key: str, default: Optional[int] = None) -> Optional[int]:
+    """An integer rule argument, as scripts and proof files give it."""
+    value = args.get(key, default)
+    if value is not None and type(value) is not int:
+        raise RuleError(f"{key}= must be an integer")
+    return value
+
+
 def _instantiate_fresh(f: Formula, taken: set,
                        introduced: Optional[list] = None) -> Formula:
     """Replace fresh(...) terms with fresh rigid symbols, left to right."""
@@ -364,7 +329,7 @@ def _subst_judgment_var(j: Judgment, name: str, replacement: Expr) -> Judgment:
                        fold_expr(subst_expr(a.call_id, name, replacement)))
 
     stmt = subst_stmt(j.stmt, name, replacement) if j.stmt is not None else None
-    formula = map_terms(j.formula, lambda t: subst_term(t, name, replacement))
+    formula = map_terms(j.formula, lambda t: subst_term(t, {name: replacement}))
     return Judgment(tuple(atom(a) for a in j.update), stmt, formula)
 
 
@@ -579,7 +544,7 @@ def _rule_trabs(seq, args, ctx):
     call_indices = [k for k, a in enumerate(j.update) if isinstance(a, CallUpd)]
     if not call_indices:
         raise RuleError("TrAbs needs a call update")
-    ci = args.get("call", call_indices[0])
+    ci = _index_arg(args, "call", call_indices[0])
     if ci not in call_indices:
         raise RuleError(f"no call update at index {ci}")
     if any(k < ci for k in call_indices):
@@ -594,7 +559,7 @@ def _rule_trabs(seq, args, ctx):
                    if isinstance(p[1] if isinstance(p, tuple) else p, (MuApp, RecApp))]
     if not occ_indices:
         raise RuleError("no recursion occurrence in the goal formula")
-    xi = args.get("occ", occ_indices[0])
+    xi = _index_arg(args, "occ", occ_indices[0])
     if xi not in occ_indices or xi == 0 or xi == len(parts) - 1:
         raise RuleError("recursion occurrence must be interior")
     xapp = parts[xi][1]
@@ -644,7 +609,7 @@ def _rule_trabs(seq, args, ctx):
 
 def _rule_apply_update(seq, args, ctx):
     j = _judgment(seq)
-    idx = args.get("at")
+    idx = _index_arg(args, "at")
     if idx is None:
         raise RuleError("ApplyUpdate needs at=<index>")
     if not (0 <= idx < len(j.update)):
@@ -690,7 +655,7 @@ def _gap_tolerant(formula: Formula, update: Update, idx: int) -> bool:
 
 def _rule_drop_update(seq, args, ctx):
     j = _judgment(seq)
-    idx = args.get("at")
+    idx = _index_arg(args, "at")
     if idx is None:
         raise RuleError("DropUpdate needs at=<index>")
     if not (0 <= idx < len(j.update)):
@@ -722,7 +687,7 @@ def _rule_drop_res_update(seq, args, ctx):
     res_indices = [k for k, a in enumerate(j.update) if is_res_elem(a)]
     if not res_indices:
         raise RuleError("no result-variable update to drop")
-    idx = args.get("at", res_indices[-1])
+    idx = _index_arg(args, "at", res_indices[-1])
     if idx not in res_indices:
         raise RuleError(f"no result-variable update at index {idx}")
     update = j.update[:idx] + j.update[idx + 1:]
@@ -731,7 +696,7 @@ def _rule_drop_res_update(seq, args, ctx):
 
 def _rule_apply_eq_rigid(seq, args, ctx):
     j = _judgment(seq)
-    gi = args.get("eq")
+    gi = _index_arg(args, "eq")
     if gi is None or not (0 <= gi < len(seq.gamma)):
         raise RuleError("ApplyEqRigid needs eq=<gamma index>")
     a = seq.gamma[gi]
@@ -863,7 +828,7 @@ def _rule_subsume_updates(seq, args, ctx):
     for k, a in enumerate(j.update):
         if isinstance(a, (StartUpd, FinishUpd, CallUpd)):
             default_keep = k + 1
-    keep = args.get("keep", default_keep)
+    keep = _index_arg(args, "keep", default_keep)
     if not (0 <= keep <= len(j.update)):
         raise RuleError("keep out of range")
     dropped = j.update[keep:]
@@ -933,8 +898,8 @@ def _rule_fte_postfix(seq, args, ctx):
 
 def _rule_composition(seq, args, ctx):
     j = _judgment(seq)
-    k = args.get("at")
-    fi = args.get("split")
+    k = _index_arg(args, "at")
+    fi = _index_arg(args, "split")
     if k is None or fi is None:
         raise RuleError("Composition needs at=<update index> split=<chain index>")
     parts = flatten_chain(j.formula)
@@ -1193,188 +1158,17 @@ def contract_goal(proc: str) -> Sequent:
 
 
 # ---------------------------------------------------------------------------
-# Proof checking (independent replay)
+# Proof files (.proof.json)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class InvalidStep:
-    path: tuple
-    reason: str
+class ProofFileError(Exception):
+    """A proof file is not JSON or not shaped like a proof tree."""
 
-    def __str__(self):
-        where = "/".join(str(p) for p in self.path) or "root"
-        return f"invalid step at {where}: {self.reason}"
-
-
-def check_proof(node: ProofNode, ctx: RuleContext,
-                path: tuple = ()) -> Optional[InvalidStep]:
-    """Replay every node via apply_rule; None means the proof is valid."""
-    if node.rule is None:
-        return InvalidStep(path, "open goal")
-    try:
-        premises = apply_rule(node.rule, node.sequent, node.args, ctx)
-    except RuleError as e:
-        return InvalidStep(path, f"{node.rule}: {e}")
-    if len(premises) != len(node.children):
-        return InvalidStep(path, f"{node.rule}: expected {len(premises)} premises, "
-                                 f"recorded {len(node.children)}")
-    for k, (premise, child) in enumerate(zip(premises, node.children)):
-        if not sequent_equal(premise, child.sequent):
-            return InvalidStep(path + (k,),
-                               f"premise mismatch under {node.rule}: "
-                               f"expected {premise!r}, recorded {child.sequent!r}")
-        bad = check_proof(child, ctx, path + (k,))
-        if bad is not None:
-            return bad
-    return None
-
-
-# ---------------------------------------------------------------------------
-# Concrete syntax for sequent components
-# ---------------------------------------------------------------------------
-
-def parse_update(text: str) -> Update:
-    ts = TokenStream(tokenize(text))
-    atoms: List[UpdateAtom] = []
-    while ts.at_sym("{"):
-        ts.next()
-        tok = ts.peek()
-        if tok.kind == "ident" and tok.text in ("startEv", "finishEv"):
-            ts.next()
-            ts.expect_sym("(")
-            proc = ts.expect_ident().text
-            ts.expect_sym(",")
-            arg = parse_expr(ts, allow_res=True)
-            ts.expect_sym(",")
-            cid = parse_expr(ts, allow_res=True)
-            ts.expect_sym(")")
-            atoms.append(StartUpd(proc, arg, cid) if tok.text == "startEv"
-                         else FinishUpd(proc, arg, cid))
-        else:
-            if tok.kind == "ident" and tok.text == "res":
-                ts.next()
-                ts.expect_sym("(")
-                idx = parse_expr(ts, allow_res=True)
-                ts.expect_sym(")")
-                target: Union[Var, ResVar] = ResVar(idx)
-            else:
-                target = Var(ts.expect_ident().text)
-            ts.expect_sym(":=")
-            if ts.at_ident() and ts.peek().text not in ("res",) and \
-                    ts.peek(1).kind == "sym" and ts.peek(1).text == "(":
-                proc = ts.next().text
-                ts.expect_sym("(")
-                arg = parse_expr(ts, allow_res=True)
-                ts.expect_sym(")")
-                if not isinstance(target, Var):
-                    raise ParseError("call updates assign to plain variables",
-                                     tok.line, tok.col)
-                atoms.append(CallUpd(target, proc, arg))
-            else:
-                atoms.append(Elem(target, parse_expr(ts, allow_res=True)))
-        ts.expect_sym("}")
-    if ts.peek().kind != "eof":
-        ts.error("trailing input after update")
-    return tuple(atoms)
-
-
-def _parse_stmt_perm(ts: TokenStream) -> Stmt:
-    """Permissive statement grammar for proof sequents (res targets etc.)."""
-    items: List[Stmt] = []
-    while True:
-        tok = ts.peek()
-        if tok.kind == "eof" or ts.at_sym("}"):
-            break
-        if ts.at_ident("skip"):
-            ts.next()
-            items.append(Skip())
-        elif ts.at_ident("return"):
-            ts.next()
-            items.append(Return(parse_expr(ts, allow_res=True)))
-        elif ts.at_ident("if") or ts.at_ident("while"):
-            kw = ts.next().text
-            ts.expect_sym("(")
-            cond = parse_expr(ts, allow_res=True, allow_bool=True)
-            ts.expect_sym(")")
-            ts.expect_sym("{")
-            body = _parse_stmt_perm(ts)
-            ts.expect_sym("}")
-            items.append(If(cond, body) if kw == "if" else While(cond, body))
-        elif ts.at_sym("{"):
-            ts.next()
-            decls = []
-            while ts.at_ident() and \
-                    ts.peek().text not in ("skip", "if", "while", "return", "res") and \
-                    ts.peek(1).kind == "sym" and ts.peek(1).text == ";":
-                decls.append(ts.next().text)
-                ts.next()
-            body = _parse_stmt_perm(ts)
-            ts.expect_sym("}")
-            items.append(Scope(tuple(decls), body))
-        elif tok.kind == "ident":
-            if tok.text == "res":
-                ts.next()
-                ts.expect_sym("(")
-                idx = parse_expr(ts, allow_res=True)
-                ts.expect_sym(")")
-                ts.expect_sym("=")
-                items.append(Assign(ResVar(idx), parse_expr(ts, allow_res=True)))
-            else:
-                name = ts.next().text
-                ts.expect_sym("=")
-                if ts.at_ident() and ts.peek().text != "res" and \
-                        ts.peek(1).kind == "sym" and ts.peek(1).text == "(":
-                    proc = ts.next().text
-                    ts.expect_sym("(")
-                    arg = parse_expr(ts, allow_res=True)
-                    ts.expect_sym(")")
-                    items.append(CallAssign(Var(name), proc, arg))
-                else:
-                    items.append(Assign(Var(name), parse_expr(ts, allow_res=True)))
-        else:
-            ts.error(f"expected statement, found {tok.text!r}")
-        if ts.at_sym(";"):
-            while ts.at_sym(";"):
-                ts.next()
-        elif not (ts.at_sym("}") or ts.peek().kind == "eof"):
-            ts.error("expected ';' between statements")
-    if not items:
-        return Skip()
-    out = items[-1]
-    for s in reversed(items[:-1]):
-        out = Seq(s, out)
-    return out
-
-
-def parse_stmt_text(text: str) -> Stmt:
-    ts = TokenStream(tokenize(text))
-    s = _parse_stmt_perm(ts)
-    if ts.peek().kind != "eof":
-        ts.error("trailing input after statement")
-    return s
-
-
-# ---------------------------------------------------------------------------
-# Proof serialization (.proof.json)
-# ---------------------------------------------------------------------------
 
 def assertion_to_json(a: Assertion):
     if isinstance(a, PredAssert):
         return {"pred": pretty_expr(a.pred)}
     return {"contract": a.proc}
-
-
-def assertion_from_json(obj, ctx: RuleContext) -> Assertion:
-    if "pred" in obj:
-        ts = TokenStream(tokenize(obj["pred"]))
-        pred = parse_expr(ts, allow_res=True, allow_bool=True)
-        if ts.peek().kind != "eof":
-            ts.error("trailing input in assertion")
-        return PredAssert(pred)
-    proc = obj["contract"]
-    if proc not in ctx.contracts:
-        raise RuleError(f"proof references unknown contract {proc!r}")
-    return ctx.contracts[proc]
 
 
 def goal_to_json(g: Goal):
@@ -1388,33 +1182,16 @@ def goal_to_json(g: Goal):
     return {"kind": "contract", "proc": g.proc}
 
 
-def goal_from_json(obj, ctx: RuleContext) -> Goal:
-    kind = obj["kind"]
-    if kind == "judgment":
-        update = parse_update(obj["update"])
-        stmt = None if obj["stmt"] is None else parse_stmt_text(obj["stmt"])
-        formula = parse_formula(obj["formula"])
-        return Judgment(update, stmt, formula)
-    if kind == "pred":
-        ts = TokenStream(tokenize(obj["pred"]))
-        pred = parse_expr(ts, allow_res=True, allow_bool=True)
-        return PredGoal(pred)
-    return ContractGoal(obj["proc"])
+def sequent_to_json(seq: Sequent):
+    return {"gamma": [assertion_to_json(a) for a in seq.gamma],
+            "goal": goal_to_json(seq.goal)}
 
 
 def node_to_json(node: ProofNode):
-    return {"sequent": {"gamma": [assertion_to_json(a) for a in node.sequent.gamma],
-                        "goal": goal_to_json(node.sequent.goal)},
+    return {"sequent": sequent_to_json(node.sequent),
             "rule": node.rule,
             "args": node.args,
             "children": [node_to_json(c) for c in node.children]}
-
-
-def node_from_json(obj, ctx: RuleContext) -> ProofNode:
-    seq = Sequent(tuple(assertion_from_json(a, ctx) for a in obj["sequent"]["gamma"]),
-                  goal_from_json(obj["sequent"]["goal"], ctx))
-    children = [node_from_json(c, ctx) for c in obj["children"]]
-    return ProofNode(seq, obj["rule"], obj.get("args") or {}, children)
 
 
 def dump_proof(node: ProofNode, proc: str) -> str:
@@ -1423,11 +1200,86 @@ def dump_proof(node: ProofNode, proc: str) -> str:
     return json.dumps(doc, indent=1, sort_keys=True) + "\n"
 
 
-def load_proof(text: str, ctx: RuleContext):
-    doc = json.loads(text)
-    if doc.get("format") != "tracelet-proof":
-        raise RuleError("not a tracelet proof file")
-    return doc.get("proc"), node_from_json(doc["root"], ctx)
+_NODE_KEYS = ("sequent", "rule", "args", "children")
+
+
+def load_proof(text: str) -> Tuple[str, dict]:
+    """The procedure a proof file names and its root node, as JSON.
+
+    Only the shape is checked here.  Stored sequents stay in their printed
+    form: check_proof compares them with the sequents it rebuilds.
+    """
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as e:
+        raise ProofFileError(f"not JSON ({e})") from None
+    if not isinstance(doc, dict) or doc.get("format") != "tracelet-proof":
+        raise ProofFileError("not a tracelet proof file")
+    if not isinstance(doc.get("proc"), str):
+        raise ProofFileError("'proc' must be a procedure name")
+    if "root" not in doc:
+        raise ProofFileError("missing key 'root'")
+    stack = [((), doc["root"])]
+    while stack:
+        path, node = stack.pop()
+        where = "/".join(str(p) for p in path) or "root"
+        if not isinstance(node, dict) or any(k not in node for k in _NODE_KEYS):
+            raise ProofFileError(f"node {where} is not an object with keys "
+                                 + ", ".join(_NODE_KEYS))
+        if not (node["rule"] is None or isinstance(node["rule"], str)):
+            raise ProofFileError(f"node {where}: 'rule' must be a string or null")
+        if not isinstance(node["args"], dict):
+            raise ProofFileError(f"node {where}: 'args' must be an object")
+        if not isinstance(node["children"], list):
+            raise ProofFileError(f"node {where}: 'children' must be a list")
+        stack.extend((path + (k,), c) for k, c in enumerate(node["children"]))
+    return doc["proc"], doc["root"]
+
+
+# ---------------------------------------------------------------------------
+# Proof checking (independent replay)
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class InvalidStep:
+    path: tuple
+    reason: str
+
+    def __str__(self):
+        where = "/".join(str(p) for p in self.path) or "root"
+        return f"invalid step at {where}: {self.reason}"
+
+
+def check_proof(root: dict, proc: str, ctx: RuleContext) -> Optional[InvalidStep]:
+    """Replay a loaded proof of proc's contract; None means it is valid.
+
+    Replay starts at contract_goal(proc) and rebuilds every sequent from
+    the rules and args alone; each stored sequent must print exactly as
+    the rebuilt one does.
+    """
+    return _replay(root, contract_goal(proc), ctx, ())
+
+
+def _replay(node: dict, seq: Sequent, ctx: RuleContext,
+            path: tuple) -> Optional[InvalidStep]:
+    if node["sequent"] != sequent_to_json(seq):
+        return InvalidStep(path, f"recorded sequent is not {seq!r}")
+    rule = node["rule"]
+    if rule is None:
+        return InvalidStep(path, "open goal")
+    try:
+        premises = apply_rule(rule, seq, dict(node["args"]), ctx)
+    except RuleError as e:
+        return InvalidStep(path, f"{rule}: {e}")
+    children = node["children"]
+    if len(premises) != len(children):
+        return InvalidStep(path, f"{rule}: expected {len(premises)} premises, "
+                                 f"recorded {len(children)}")
+    for k, (premise, child) in enumerate(zip(premises, children)):
+        bad = _replay(child, premise, ctx, path + (k,))
+        if bad is not None:
+            return bad
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -20,18 +20,18 @@ import os
 import random
 import sys
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Dict, List, Optional
 
-from .calculus import (ContractAssumption, ProofNode, RuleContext, ScriptError,
-                       UnsupportedConstruct, apply_rule, check_proof,
-                       contract_goal, dump_proof, load_proof, prove_auto,
-                       run_script, sequent_equal, RuleError)
+from .calculus import (ContractAssumption, ProofFileError, ProofNode,
+                       RuleContext, ScriptError, UnsupportedConstruct,
+                       apply_rule, check_proof, contract_goal, dump_proof,
+                       load_proof, prove_auto, run_script, RuleError)
 from .interp import DEFAULT_FUEL, FuelExhausted, RunError, initial_state, run
 from .lang import (CallAssign, IntLit, ParseError, Program, Var,
                    parse_program, well_formed)
-from .logic import (Chop, ContractSpec, LogicError, MuApp, StatePred,
-                    applied, big_step_of, contract_file_text, flatten_chain,
-                    is_psi, make_contract, member, parse_contract_file,
+from .logic import (Chop, ContractSpec, LogicError, MemberBudgetExceeded,
+                    MuApp, StatePred, applied, contract_file_text,
+                    flatten_chain, member, parse_contract_file,
                     pretty_formula)
 from .lang import Binary, ResVar, TokenStream, parse_expr, tokenize
 from .traces import (State, Trace, TraceError, dump_trace, eval_expr,
@@ -103,11 +103,24 @@ def _contracts_from_file(path: str):
     return cf
 
 
-def _assumption(cf, proc: str) -> ContractAssumption:
-    if proc not in cf.specs:
+def _assumptions(program: Program, cf) -> Dict[str, ContractAssumption]:
+    """The contract assumption of every spec block, by procedure name."""
+    defined = {p.name for p in program.procs}
+    for proc in cf.specs:
+        if proc not in defined:
+            raise CliError(f"spec block for {proc!r} names a procedure "
+                           "the program does not define")
+    return {proc: ContractAssumption.from_spec(s) for proc, s in cf.specs.items()}
+
+
+def _pick_proc(args, assumptions) -> str:
+    proc = args.proc or (next(iter(assumptions)) if len(assumptions) == 1 else None)
+    if proc is None:
+        raise CliError("pick a procedure with --proc")
+    if proc not in assumptions:
         raise CliError(f"contract file has no 'spec {proc} {{ ... }}' block; "
                        "proving and validation need the template fields")
-    return ContractAssumption.from_spec(cf.specs[proc])
+    return proc
 
 
 # ---------------------------------------------------------------------------
@@ -301,14 +314,10 @@ def _repl(root_seq, ctx) -> ProofNode:
 
 def cmd_prove(args) -> int:
     program = _load_program(args.program)
-    cf = _contracts_from_file(args.contracts)
-    proc = args.proc or (next(iter(cf.specs)) if len(cf.specs) == 1 else None)
-    if proc is None:
-        raise CliError("pick a procedure with --proc")
-    assumptions = [ContractAssumption.from_spec(s) for s in cf.specs.values()]
-    if proc not in {a.proc for a in assumptions}:
-        raise CliError(f"no spec block for procedure {proc!r}")
-    ctx = RuleContext.for_program(program, assumptions, extensions=args.extensions)
+    assumptions = _assumptions(program, _contracts_from_file(args.contracts))
+    proc = _pick_proc(args, assumptions)
+    ctx = RuleContext.for_program(program, assumptions.values(),
+                                  extensions=args.extensions)
     goal = contract_goal(proc)
     try:
         if args.script:
@@ -332,35 +341,37 @@ def cmd_prove(args) -> int:
     return EXIT_OPEN_PROOF
 
 
-def _replay_proof(args, program: Program, cf, want: Optional[str] = None):
+def _replay_proof(args, program: Program, assumptions,
+                  want: Optional[str] = None):
     """Load args.proof and replay it against the contract it names.
 
-    Returns (proc, tree, reason); reason is None when the proof is valid.
+    Returns (proc, root, reason); reason is None when the proof is valid.
     A valid proof must start from the contract goal of a procedure with
     a spec block (and, when want is given, of that procedure).
     """
-    assumptions = [ContractAssumption.from_spec(s) for s in cf.specs.values()]
-    ctx = RuleContext.for_program(program, assumptions, extensions=args.extensions)
+    ctx = RuleContext.for_program(program, assumptions.values(),
+                                  extensions=args.extensions)
     try:
-        proc, tree = load_proof(_read(args.proof), ctx)
-    except KeyError as e:
-        raise CliError(f"cannot load proof: missing key {e}") from None
-    except (RuleError, ParseError, LogicError, ValueError, TypeError, AttributeError) as e:
+        proc, root = load_proof(_read(args.proof))
+    except ProofFileError as e:
         raise CliError(f"cannot load proof: {e}") from None
-    if proc not in cf.specs:
-        return proc, tree, f"the contract file has no spec block for {proc!r}"
+    if proc not in assumptions:
+        return proc, root, f"the contract file has no spec block for {proc!r}"
     if want is not None and proc != want:
-        return proc, tree, f"the proof is for {proc!r}, not {want!r}"
-    if not sequent_equal(tree.sequent, contract_goal(proc)):
-        return proc, tree, f"root sequent {tree.sequent!r} is not {contract_goal(proc)!r}"
-    return proc, tree, check_proof(tree, ctx)
+        return proc, root, f"the proof is for {proc!r}, not {want!r}"
+    return proc, root, check_proof(root, proc, ctx)
+
+
+def _size(node: dict) -> int:
+    return 1 + sum(_size(c) for c in node["children"])
 
 
 def cmd_check_proof(args) -> int:
     program = _load_program(args.program)
-    proc, tree, bad = _replay_proof(args, program, _contracts_from_file(args.contracts))
+    assumptions = _assumptions(program, _contracts_from_file(args.contracts))
+    proc, root, bad = _replay_proof(args, program, assumptions)
     if bad is None:
-        print(f"proof of {proc} is valid ({tree.size()} nodes)")
+        print(f"proof of {proc} is valid ({_size(root)} nodes)")
         return EXIT_OK
     print(f"proof rejected: {bad}")
     return EXIT_PROOF_REJECTED
@@ -438,6 +449,10 @@ def validate_contract(program: Program, assumption: ContractAssumption,
                 _write(trace_file, dump_trace(trace))
         except FuelExhausted:
             verdict = "fuel-exhausted"
+        except RunError:
+            verdict = "run-error"
+        except MemberBudgetExceeded:
+            verdict = "member-budget-exceeded"
         if verdict == "pass" and not (result_ok and member_ok):
             verdict = "fail"
         report.samples.append(SampleResult(v, seed, verdict, result_ok,
@@ -450,11 +465,8 @@ def validate_contract(program: Program, assumption: ContractAssumption,
 
 def cmd_validate(args) -> int:
     program = _load_program(args.program)
-    cf = _contracts_from_file(args.contracts)
-    proc = args.proc or (next(iter(cf.specs)) if len(cf.specs) == 1 else None)
-    if proc is None:
-        raise CliError("pick a procedure with --proc")
-    assumption = _assumption(cf, proc)
+    assumptions = _assumptions(program, _contracts_from_file(args.contracts))
+    proc = _pick_proc(args, assumptions)
     try:
         lo_s, hi_s = args.range.split("..")
         lo, hi = int(lo_s), int(hi_s)
@@ -468,11 +480,11 @@ def cmd_validate(args) -> int:
         if not args.proof:
             raise CliError("validate needs --proof FILE (or --no-proof for a "
                            "purely semantic check)")
-        _, _, bad = _replay_proof(args, program, cf, want=proc)
+        _, _, bad = _replay_proof(args, program, assumptions, want=proc)
         if bad is not None:
             print(f"proof rejected: {bad}")
             return EXIT_PROOF_REJECTED
-    report = validate_contract(program, assumption, lo, hi, args.samples,
+    report = validate_contract(program, assumptions[proc], lo, hi, args.samples,
                                args.seed, fuel=_fuel(args),
                                trace_dir=args.trace_dir)
     if args.json:

@@ -115,18 +115,22 @@ def expr_vars(e: Expr) -> set:
     return set()
 
 
+def subst_vars(e: Expr, mapping: dict) -> Expr:
+    """Substitute mapping[v] for every occurrence of Var(v), all at once."""
+    if isinstance(e, Var):
+        return mapping.get(e.name, e)
+    if isinstance(e, ResVar):
+        return ResVar(subst_vars(e.index, mapping))
+    if isinstance(e, Unary):
+        return Unary(e.op, subst_vars(e.operand, mapping))
+    if isinstance(e, Binary):
+        return Binary(e.op, subst_vars(e.left, mapping), subst_vars(e.right, mapping))
+    return e
+
+
 def subst_expr(e: Expr, name: str, replacement: Expr) -> Expr:
     """Substitute replacement for every free occurrence of Var(name)."""
-    if isinstance(e, Var):
-        return replacement if e.name == name else e
-    if isinstance(e, ResVar):
-        return ResVar(subst_expr(e.index, name, replacement))
-    if isinstance(e, Unary):
-        return Unary(e.op, subst_expr(e.operand, name, replacement))
-    if isinstance(e, Binary):
-        return Binary(e.op, subst_expr(e.left, name, replacement),
-                      subst_expr(e.right, name, replacement))
-    return e
+    return subst_vars(e, {name: replacement})
 
 
 def subst_res_expr(e: Expr, index: Expr, replacement: Expr) -> Expr:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
 from .lang import (Binary, Expr, IntLit, ResVar, TokenStream, Unary, Var,
-                   expr_vars, parse_expr, pretty_expr, subst_expr, tokenize)
+                   expr_vars, parse_expr, pretty_expr, subst_vars, tokenize)
 from .traces import (CallEv, PopEv, PushEv, RetEv, State, Trace,
                      UndefinedVariable, eval_expr, event_involves, is_state,
                      res_name, ret_owners)
@@ -65,10 +65,11 @@ def term_vars(t: Term) -> set:
     return term_vars(t.arg) if isinstance(t, Fresh) else expr_vars(t)
 
 
-def subst_term(t: Term, name: str, replacement: Term) -> Term:
+def subst_term(t: Term, mapping: dict) -> Term:
+    """Substitute mapping[v] for every variable v of t, all at once."""
     if isinstance(t, Fresh):
-        return Fresh(subst_term(t.arg, name, replacement))
-    return subst_expr(t, name, replacement)
+        return Fresh(subst_term(t.arg, mapping))
+    return subst_vars(t, mapping)
 
 
 class _FreshValue:
@@ -410,18 +411,10 @@ def _subst_formula(f: Formula, mapping: dict, rec_name: str, mu: Optional[Mu]) -
                                         for v in term_vars(f.pred)):
         raise LogicError("fresh(...) cannot appear inside state predicates")
     subs = tuple(_subst_formula(g, mapping, rec_name, mu) for g in subs)
-    terms = tuple(_subst_terms_in(t, mapping) for t in terms)
+    terms = tuple(subst_term(t, mapping) for t in terms)
     if isinstance(f, RecApp) and f.name == rec_name and mu is not None:
         return MuApp(mu, terms)
     return rebuild(f, subs, terms)
-
-
-def _subst_terms_in(t: Term, mapping: dict) -> Term:
-    occurring = term_vars(t)
-    for name, repl in mapping.items():
-        if name in occurring:
-            t = subst_term(t, name, repl)
-    return t
 
 
 def substitute(phi: Formula, rec_name: str, mu: Mu, args: tuple) -> Formula:

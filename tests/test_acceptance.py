@@ -13,9 +13,8 @@ from helpers import (M0_SRC, M2_EVENT_SKELETON, M2_SRC, MUTANT_SRC,
                      RUNNING_SRC, contract_m, event_skeleton, golden_m0,
                      golden_m1, member_approx, mutate_trace,
                      random_terminating_program, running_program, spec_m)
-from tracelet.calculus import (ContractAssumption, RuleContext, check_proof,
-                               contract_goal, dump_proof, load_proof,
-                               prove_auto)
+from tracelet.calculus import (ContractAssumption, RuleContext,
+                               contract_goal, dump_proof, prove_auto)
 from tracelet.cli import validate_contract
 from tracelet.fo import fo_valid
 from tracelet.interp import run, run_update_prefixed, semantics
@@ -28,7 +27,7 @@ from tracelet.traces import (State, Trace, chop, is_adequate, singleton,
 from tracelet.updates import CallUpd, Elem, FinishUpd, StartUpd
 
 from test_calculus import TestTrAbsChildren as _TrAbsChildren
-from test_calculus import _perturb_sequent, ctx_m
+from test_calculus import assert_mutations_rejected, ctx_m, replay
 
 
 def contract_with_post():
@@ -168,36 +167,8 @@ def test_criterion_6_contract_proof():
     # sequents up to rigid renaming (see TestTrAbsChildren for the details)
     _TrAbsChildren().test_children_match_display()
 
-    assert check_proof(tree, ctx) is None
-    text = dump_proof(tree, "m")
-    rng = random.Random(0)
-    rejected = 0
-    trials = 0
-    while rejected < 100:
-        trials += 1
-        assert trials < 400
-        _, mutated = load_proof(text, ctx)
-        nodes = []
-
-        def collect(n, depth=0):
-            nodes.append((n, depth))
-            for c in n.children:
-                collect(c, depth + 1)
-
-        collect(mutated)
-        kind = rng.randrange(3)
-        if kind == 0:
-            node = rng.choice([n for n, d in nodes if d > 0])
-            if not _perturb_sequent(node, rng):
-                continue
-        elif kind == 1:
-            node = rng.choice([n for n, d in nodes if len(n.children) >= 2])
-            node.children = node.children[:-1]
-        else:
-            node = rng.choice([n for n, d in nodes if len(n.children) >= 2])
-            node.children = list(reversed(node.children))
-        assert check_proof(mutated, ctx) is not None
-        rejected += 1
+    assert replay(tree, ctx) is None
+    assert_mutations_rejected(dump_proof(tree, "m"), ctx, 100)
     assert time.time() - t0 < 30.0
 
 
@@ -207,7 +178,7 @@ def test_criterion_7_differential_validation():
     t0 = time.time()
     ctx = ctx_m()
     tree = prove_auto(contract_goal("m"), ctx)
-    assert tree.closed and check_proof(tree, ctx) is None
+    assert tree.closed and replay(tree, ctx) is None
 
     assumption = ContractAssumption.from_spec(spec_m())
     report = validate_contract(running_program(), assumption,

@@ -1,6 +1,7 @@
 """Sequent calculus: rules, automated proof, replay checking, soundness."""
 
 import random
+import re
 
 import pytest
 
@@ -10,14 +11,14 @@ from tracelet.calculus import (ContractAssumption, ContractGoal, Judgment,
                                RuleError, ScriptError, Sequent,
                                UnsupportedConstruct, apply_rule, check_proof,
                                contract_goal, dump_proof, load_proof,
-                               names_in_sequent, parse_stmt_text, parse_update,
-                               prove_auto, run_script, sequent_equal,
-                               stmt_head)
+                               names_in_sequent, node_to_json, prove_auto,
+                               run_script, stmt_head)
 from tracelet.fo import pred_equiv
 from tracelet.interp import FuelExhausted, run_cont, UpStmt
 from tracelet.lang import (Assign, Binary, BoolLit, If, IntLit, Return,
-                           ResVar, Scope, Seq, TokenStream, Var, build_lookup,
-                           parse_expr, parse_program, pretty_expr, tokenize)
+                           ResVar, Scope, Seq, Skip, TokenStream, Var,
+                           build_lookup, parse_expr, parse_program,
+                           pretty_expr, tokenize)
 from tracelet.logic import (Chop, Mu, MuApp, StatePred, formula_vars, member,
                             parse_formula, pretty_formula, psi)
 from tracelet.traces import Ctx, MAIN_CTX, State, Trace, curr_ctx, res_name, singleton
@@ -38,21 +39,30 @@ def pexpr(text):
     return parse_expr(ts, allow_res=True, allow_bool=True)
 
 
+START_M00 = StartUpd("m", IntLit(0), IntLit(0))
+
+
+def replay(tree, ctx=None):
+    """check_proof of tree as `prove -o` writes it."""
+    proc, root = load_proof(dump_proof(tree, "m"))
+    return check_proof(root, proc, ctx or ctx_m())
+
+
 class TestUpdateApplication:
     def test_param_copy(self):
         # {k' := n'}(k' - 1)  ->  n' - 1
-        u = parse_update("{k' := n'}")
+        u = (Elem(Var("k'"), Var("n'")),)
         assert apply_update_expr(u, pexpr("k' - 1")) == pexpr("n' - 1")
 
     def test_empty_identity(self):
         assert apply_update_expr((), pexpr("x + 1")) == pexpr("x + 1")
 
     def test_inner_to_outermost(self):
-        u = parse_update("{x := 1}{x := x + 1}")
+        u = (Elem(Var("x"), IntLit(1)), Elem(Var("x"), pexpr("x + 1")))
         assert apply_update_expr(u, pexpr("x")) == IntLit(2)
 
     def test_event_updates_bind_result_variables(self):
-        u = parse_update("{finishEv(m, r', 0)}")
+        u = (FinishUpd("m", Var("r'"), IntLit(0)),)
         assert apply_update_expr(u, pexpr("res(0) == 5")) == pexpr("r' == 5")
 
     def test_semantic_agreement(self):
@@ -75,7 +85,7 @@ class TestUpdateApplication:
 
 class TestCurrCtxUpdate:
     def test_open_start_event(self):
-        u = parse_update("{startEv(m', 0, i)}{r := 0}")
+        u = (StartUpd("m'", IntLit(0), Var("i")), Elem(Var("r"), IntLit(0)))
         got = curr_ctx_update(u)
         assert got.proc == "m'" and got.call_id == Var("i")
 
@@ -83,7 +93,8 @@ class TestCurrCtxUpdate:
         assert curr_ctx_update(()) == MAIN_CTX
 
     def test_nested_stack(self):
-        u = parse_update("{startEv(m, 0, 0)}{startEv(m, 0, 1)}{finishEv(m, 0, 1)}")
+        u = (START_M00, StartUpd("m", IntLit(0), IntLit(1)),
+             FinishUpd("m", IntLit(0), IntLit(1)))
         got = curr_ctx_update(u)
         assert got.proc == "m" and got.call_id == IntLit(0)
 
@@ -112,7 +123,10 @@ class TestRules:
         # under k > 0 the negative branch is refutable
         seq0 = Sequent((PredAssert(pexpr("k > 0")),),
                        Judgment((StartUpd("m", Var("k"), Var("i'")),),
-                                parse_stmt_text("if (k != 0) { r = k - 1; r = r + 1 }; return r"),
+                                Seq(If(pexpr("k != 0"),
+                                       Seq(Assign(Var("r"), pexpr("k - 1")),
+                                           Assign(Var("r"), pexpr("r + 1")))),
+                                    Return(Var("r"))),
                                 StatePred(BoolLit(True))))
         prem = apply_rule("Cond", seq0, {}, ctx_m())
         assert len(prem) == 2
@@ -122,8 +136,8 @@ class TestRules:
         assert fo_valid([pexpr("k > 0"), neg], BoolLit(False)).status == "valid"
 
     def test_return_introduces_finish_event(self):
-        seq0 = Sequent((), Judgment(parse_update("{startEv(m, n', i')}"),
-                                    parse_stmt_text("return e'"),
+        seq0 = Sequent((), Judgment((StartUpd("m", Var("n'"), Var("i'")),),
+                                    Return(Var("e'")),
                                     StatePred(BoolLit(True))))
         prem = apply_rule("Return", seq0, {}, ctx_m())
         j = prem[0].goal
@@ -131,14 +145,15 @@ class TestRules:
         assert j.stmt == Assign(ResVar(Var("i'")), Var("e'"))
 
     def test_return_requires_context(self):
-        seq0 = Sequent((), Judgment((), parse_stmt_text("return x"),
+        seq0 = Sequent((), Judgment((), Return(Var("x")),
                                     StatePred(BoolLit(True))))
         with pytest.raises(RuleError):
             apply_rule("Return", seq0, {}, ctx_m())
 
     def test_var_decl_freshness(self):
         seq0 = Sequent((PredAssert(pexpr("r' == 1")),),
-                       Judgment((), parse_stmt_text("{ r; r = r + 1; return r }"),
+                       Judgment((), Scope(("r",), Seq(Assign(Var("r"), pexpr("r + 1")),
+                                                      Return(Var("r")))),
                                 StatePred(BoolLit(True))))
         prem = apply_rule("VarDecl", seq0, {}, ctx_m())
         j = prem[0].goal
@@ -179,7 +194,7 @@ class TestRules:
             apply_rule("Bogus", Sequent((), PredGoal(BoolLit(True))), {}, ctx_m())
 
     def test_extension_rules_gated(self):
-        seq0 = Sequent((), Judgment(parse_update("{startEv(m, 0, 0)}"),
+        seq0 = Sequent((), Judgment((START_M00,),
                                     None,
                                     Chop(parse_formula("startEv(m, 0, 0)"),
                                          StatePred(BoolLit(True)))))
@@ -189,10 +204,10 @@ class TestRules:
         assert prem[0].goal.formula == StatePred(BoolLit(True))
 
     def test_gap_axiom_blocks_excluded_events(self):
-        seq0 = Sequent((), Judgment(parse_update("{startEv(m, 0, 0)}"), None, psi("m")))
+        seq0 = Sequent((), Judgment((START_M00,), None, psi("m")))
         with pytest.raises(RuleError):
             apply_rule("GapAxiom", seq0, {}, ctx_m())
-        seq1 = Sequent((), Judgment(parse_update("{startEv(q, 0, 0)}"), None, psi("m")))
+        seq1 = Sequent((), Judgment((StartUpd("q", IntLit(0), IntLit(0)),), None, psi("m")))
         assert apply_rule("GapAxiom", seq1, {}, ctx_m()) == []
 
 
@@ -340,79 +355,72 @@ class TestTrAbsChildren:
 class TestCheckProof:
     def test_valid_proof_accepted(self):
         tree = closed_proof()
-        assert check_proof(tree, ctx_m()) is None
+        assert replay(tree) is None
 
     def test_missing_premise_rejected(self):
         tree = closed_proof()
         node = find_nodes(tree, "Cond")[0]
         node.children = node.children[:1]
-        bad = check_proof(tree, ctx_m())
+        bad = replay(tree)
         assert bad is not None and "premises" in bad.reason
 
     def test_serialization_roundtrip_and_replay(self):
         tree = closed_proof()
         text = dump_proof(tree, "m")
-        proc, again = load_proof(text, ctx_m())
+        proc, root = load_proof(text)
         assert proc == "m"
-        assert check_proof(again, ctx_m()) is None
-        assert dump_proof(again, "m") == text
+        assert root == node_to_json(tree)
+        assert check_proof(root, proc, ctx_m()) is None
 
     def test_random_mutations_rejected(self):
-        text = dump_proof(closed_proof(), "m")
-        rng = random.Random(0)
-        rejected = 0
-        trials = 0
-        while rejected < 100:
-            trials += 1
-            assert trials < 400, "mutation generator stalled"
-            _, tree = load_proof(text, ctx_m())
-            nodes = []
+        assert_mutations_rejected(dump_proof(closed_proof(), "m"), ctx_m(), 100)
 
-            def collect(n, depth=0):
-                nodes.append((n, depth))
-                for c in n.children:
-                    collect(c, depth + 1)
 
-            collect(tree)
-            kind = rng.randrange(3)
-            if kind == 0:
-                # perturb an integer constant inside a non-root sequent
-                candidates = [n for n, d in nodes if d > 0]
-                node = rng.choice(candidates)
-                mutated = _perturb_sequent(node, rng)
-                if not mutated:
-                    continue
-            elif kind == 1:
-                candidates = [n for n, d in nodes if len(n.children) >= 2]
-                node = rng.choice(candidates)
-                node.children = node.children[:-1]
-            else:
-                candidates = [n for n, d in nodes if len(n.children) >= 2]
-                node = rng.choice(candidates)
-                node.children = list(reversed(node.children))
-            assert check_proof(tree, ctx_m()) is not None
-            rejected += 1
-        assert rejected == 100
+def assert_mutations_rejected(text, ctx, count):
+    """check_proof rejects each of `count` random one-step mutations of a
+    proof file's nodes."""
+    rng = random.Random(0)
+    rejected = 0
+    trials = 0
+    while rejected < count:
+        trials += 1
+        assert trials < 4 * count, "mutation generator stalled"
+        proc, root = load_proof(text)
+        nodes = []
+
+        def collect(n, depth=0):
+            nodes.append((n, depth))
+            for c in n["children"]:
+                collect(c, depth + 1)
+
+        collect(root)
+        kind = rng.randrange(3)
+        if kind == 0:
+            # perturb an integer constant inside a non-root sequent
+            node = rng.choice([n for n, d in nodes if d > 0])
+            if not _perturb_sequent(node, rng):
+                continue
+        else:
+            node = rng.choice([n for n, d in nodes if len(n["children"]) >= 2])
+            node["children"] = node["children"][:-1] if kind == 1 \
+                else list(reversed(node["children"]))
+        assert check_proof(root, proc, ctx) is not None
+        rejected += 1
 
 
 def _perturb_sequent(node, rng):
-    """Shift one integer literal in the goal; returns False if none."""
-    from tracelet.calculus import goal_to_json, goal_from_json
-    import re as _re
-    doc = goal_to_json(node.sequent.goal)
+    """Shift the first integer literal of a proof-file node's printed goal;
+    returns False if it has none."""
+    goal = node["sequent"]["goal"]
     for key in ("formula", "update", "stmt", "pred"):
-        val = doc.get(key)
+        val = goal.get(key)
         if not val:
             continue
-        m = _re.search(r"\d+", val)
+        m = re.search(r"\d+", val)
         if not m:
             continue
         num = int(m.group(0))
-        doc[key] = val[:m.start()] + str(num + 1 + rng.randrange(3)) + val[m.end():]
-        try:
-            node.sequent = Sequent(node.sequent.gamma, goal_from_json(doc, ctx_m()))
-        except Exception:
-            return False
+        goal[key] = val[:m.start()] + str(num + 1 + rng.randrange(3)) + val[m.end():]
         return True
     return False
 
@@ -616,23 +624,22 @@ class TestExtensionRules:
     def test_fte_prefix_and_postfix(self):
         ctx = ctx_m(extensions=True)
         f = parse_formula("psi(m) ** startEv(m, 0, 0)")
-        seq0 = Sequent((), Judgment(parse_update("{startEv(m, 0, 0)}"), None, f))
+        seq0 = Sequent((), Judgment((START_M00,), None, f))
         prem = apply_rule("FiniteTraceEmptyPrefix", seq0, {}, ctx)
         assert prem[0].goal.formula == parse_formula("startEv(m, 0, 0)")
         g = parse_formula("startEv(m, 0, 0) ** psi(m)")
-        seq1 = Sequent((), Judgment(parse_update("{startEv(m, 0, 0)}"), None, g))
+        seq1 = Sequent((), Judgment((START_M00,), None, g))
         prem = apply_rule("FiniteTraceEmptyPostfix", seq1, {}, ctx)
         assert prem[0].goal.formula == parse_formula("startEv(m, 0, 0)")
 
     def test_composition_splits_update_and_chain(self):
         ctx = ctx_m(extensions=True)
         f = parse_formula("startEv(m, 0, 0) ** psi(m)")
-        seq0 = Sequent((), Judgment(parse_update("{startEv(m, 0, 0)}{x := 1}"),
-                                    None, f))
+        seq0 = Sequent((), Judgment((START_M00, Elem(Var("x"), IntLit(1))), None, f))
         prem = apply_rule("Composition", seq0, {"at": 1, "split": 1}, ctx)
         assert len(prem) == 2
-        assert prem[0].goal.update == parse_update("{startEv(m, 0, 0)}")
-        assert prem[1].goal.update == parse_update("{x := 1}")
+        assert prem[0].goal.update == (START_M00,)
+        assert prem[1].goal.update == (Elem(Var("x"), IntLit(1)),)
 
     def test_appendix_style_proof_with_extensions(self):
         # the published base-branch chain, driven by a script
@@ -662,7 +669,7 @@ ElimStart @ 4
 
 
 def test_trivial_skip_judgment_closes_in_three_steps():
-    seq0 = Sequent((), Judgment((), parse_stmt_text("skip"),
+    seq0 = Sequent((), Judgment((), Skip(),
                                 StatePred(BoolLit(True))))
     tree = prove_auto(seq0, ctx_m())
     assert tree.closed and tree.size() <= 3

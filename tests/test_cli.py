@@ -1,14 +1,20 @@
 """Command-line surface: subcommands, exit codes, file formats."""
 
+import contextlib
+import copy
+import io
 import json
 import os
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from helpers import M0_SRC, MUTANT_SRC, RUNNING_SRC
 from tracelet.cli import (EXIT_ERROR, EXIT_FUEL, EXIT_INADEQUATE,
                           EXIT_NOT_MEMBER, EXIT_OK, EXIT_OPEN_PROOF,
                           EXIT_PROOF_REJECTED, EXIT_VALIDATION_FAILED, main)
+from tracelet.interp import RunError
+from tracelet.logic import MemberBudgetExceeded
 
 
 @pytest.fixture
@@ -206,6 +212,25 @@ class TestProve:
         err = capsys.readouterr().err
         assert err.startswith("error: cannot load proof") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["prove", "validate", "check-proof"])
+    def test_spec_of_undefined_procedure_one_line_error(self, work, capsys, command):
+        contract = gen_contract(work)
+        proof = work / "m.proof.json"
+        assert main(["prove", str(work / "running.tcp"), str(contract),
+                     "--proc", "m", "-o", str(proof)]) == EXIT_OK
+        no_m = work / "no_m.tcp"
+        no_m.write_text("q(k) { return k }\nmain { x; x = q(1) }")
+        argv = {"prove": ["prove", str(no_m), str(contract), "--proc", "m",
+                          "-o", str(work / "q.proof.json")],
+                "validate": ["validate", str(no_m), str(contract), "--proc", "m",
+                             "--no-proof"],
+                "check-proof": ["check-proof", str(proof), "--program", str(no_m),
+                                "--contracts", str(contract)]}[command]
+        capsys.readouterr()
+        assert main(argv) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_script_mode(self, work, capsys):
         contract = gen_contract(work)
         script = work / "start.tps"
@@ -222,6 +247,72 @@ class TestProve:
         contract = gen_contract(work)
         code = main(["prove", str(f), str(contract), "--proc", "m"])
         assert code == EXIT_ERROR
+
+
+@pytest.fixture(scope="module")
+def proof_doc(tmp_path_factory):
+    work = tmp_path_factory.mktemp("proof")
+    (work / "running.tcp").write_text(RUNNING_SRC)
+    contract = gen_contract(work)
+    proof = work / "m.proof.json"
+    assert main(["prove", str(work / "running.tcp"), str(contract),
+                 "--proc", "m", "-o", str(proof)]) == EXIT_OK
+    return work, json.loads(proof.read_text())
+
+
+def _nodes(doc):
+    out, stack = [], [doc["root"]]
+    while stack:
+        out.append(stack.pop())
+        stack.extend(out[-1]["children"])
+    return out
+
+
+_JSON_VALUES = [None, False, 0, 1.5, "x", [], {}]
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_edited_proof_file_exits_1_or_7(proof_doc, data):
+    """One structural edit to a valid proof file: a shape error (1) or a
+    replay rejection (7), reported in one line."""
+    work, doc = proof_doc
+    doc = copy.deepcopy(doc)
+    node = data.draw(st.sampled_from(_nodes(doc)))
+    edit = data.draw(st.sampled_from(["drop", "retype", "rule", "sequent"]))
+    if edit == "drop":
+        container, key = data.draw(st.sampled_from(
+            [(doc, k) for k in ("format", "proc", "root")] + [(node, k) for k in node]))
+        del container[key]
+    elif edit == "retype":
+        # "fresh" records the rule's own choice of witnesses and is not read
+        container, key = data.draw(st.sampled_from(
+            [(doc, k) for k in ("format", "proc", "root")] + [(node, k) for k in node]
+            + [(node["args"], k) for k in node["args"] if k != "fresh"]))
+        old = container[key]
+        container[key] = data.draw(st.sampled_from(
+            [v for v in _JSON_VALUES if type(v) is not type(old)]))
+    elif edit == "rule":
+        node["rule"] = data.draw(st.sampled_from([None, 0, 1.5, True, [], {}]))
+    else:
+        seq = node["sequent"]
+        slots = [(a, k) for a in seq["gamma"] for k in a] + \
+            [(seq["goal"], k) for k, v in seq["goal"].items() if isinstance(v, str)]
+        container, key = data.draw(st.sampled_from(slots))
+        text = data.draw(st.text(max_size=12))
+        container[key] = text if text != container[key] else text + "x"
+    path = work / "edited.proof.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["check-proof", str(path), "--program", str(work / "running.tcp"),
+                     "--contracts", str(work / "m.tcf")])
+    printed = out.getvalue() + err.getvalue()
+    assert code in (EXIT_ERROR, EXIT_PROOF_REJECTED), printed
+    if edit == "sequent":
+        assert code == EXIT_PROOF_REJECTED
+    assert printed.count("\n") == 1 and "Traceback" not in printed
 
 
 class TestValidate:
@@ -272,6 +363,26 @@ class TestValidate:
         assert code == EXIT_ERROR
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("name,error,verdict", [
+        ("run", RunError("undefined variable"), "run-error"),
+        ("member", MemberBudgetExceeded("budget"), "member-budget-exceeded"),
+    ], ids=["run", "member"])
+    def test_sample_error_is_its_verdict(self, work, capsys, monkeypatch,
+                                         name, error, verdict):
+        contract = gen_contract(work)
+
+        def fail(*args, **kwargs):
+            raise error
+        monkeypatch.setattr(f"tracelet.cli.{name}", fail)
+        capsys.readouterr()
+        code = main(["validate", str(work / "running.tcp"), str(contract),
+                     "--proc", "m", "--samples", "2", "--range", "0..1",
+                     "--no-proof", "--json"])
+        assert code == EXIT_VALIDATION_FAILED
+        report = json.loads(capsys.readouterr().out)
+        assert [s["verdict"] for s in report["samples"]] == [verdict, verdict]
+        assert report["overall"] == "fail"
 
     def test_reports_reproducible(self, work, capsys):
         contract = gen_contract(work)

@@ -289,6 +289,12 @@ class TestUnfold:
             assert twice == direct
             check_formula(twice, {})
 
+    def test_unfold_substitutes_all_parameters_at_once(self):
+        # the argument for n names the parameter i, which must stay i
+        mu = parse_formula("mu X(n, i). [n + i == 0]")
+        assert unfold(MuApp(mu, (Var("i"), Var("k")))) == \
+            parse_formula("[i + k == 0]")
+
     def test_monotonicity_extra_disjunct(self):
         phi = contract_with_post()
         widened = Or(phi, StatePred(BoolLit(True)))
