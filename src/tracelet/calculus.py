@@ -1317,8 +1317,8 @@ def parse_script(text: str):
     return steps
 
 
-def run_script(root_seq: Sequent, ctx: RuleContext, text: str) -> ProofNode:
-    root = ProofNode(root_seq)
+def apply_script(root: ProofNode, ctx: RuleContext, text: str) -> ProofNode:
+    """Apply a script's steps in order; each names one of root's open goals."""
     for lineno, rule, idx, args in parse_script(text):
         goals = root.open_goals()
         if not (0 <= idx < len(goals)):
@@ -1328,9 +1328,13 @@ def run_script(root_seq: Sequent, ctx: RuleContext, text: str) -> ProofNode:
         try:
             premises = apply_rule(rule, node.sequent, args, ctx)
         except RuleError as e:
-            raise ScriptError(f"line {lineno}: {rule} failed: {e}\n"
-                              f"  goal: {node.sequent!r}") from None
+            raise ScriptError(f"line {lineno}: {rule} failed: {e} "
+                              f"(goal: {node.sequent!r})") from None
         node.rule = rule
         node.args = args
         node.children = [ProofNode(p) for p in premises]
     return root
+
+
+def run_script(root_seq: Sequent, ctx: RuleContext, text: str) -> ProofNode:
+    return apply_script(ProofNode(root_seq), ctx, text)

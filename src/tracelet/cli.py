@@ -24,8 +24,8 @@ from typing import Dict, List, Optional
 
 from .calculus import (ContractAssumption, ProofFileError, ProofNode,
                        RuleContext, ScriptError, UnsupportedConstruct,
-                       apply_rule, check_proof, contract_goal, dump_proof,
-                       load_proof, prove_auto, run_script, RuleError)
+                       apply_script, check_proof, contract_goal, dump_proof,
+                       load_proof, prove_auto, run_script)
 from .interp import DEFAULT_FUEL, FuelExhausted, RunError, initial_state, run
 from .lang import (CallAssign, IntLit, ParseError, Program, Var,
                    parse_program, well_formed)
@@ -87,15 +87,18 @@ def _parse_bindings(pairs: List[str]) -> dict:
 
 
 def _fuel(args) -> int:
-    if args.fuel is not None:
-        return args.fuel
-    env = os.environ.get("TRACELET_FUEL")
-    if env:
+    fuel = args.fuel
+    if fuel is None:
+        env = os.environ.get("TRACELET_FUEL")
+        if not env:
+            return DEFAULT_FUEL
         try:
-            return int(env)
+            fuel = int(env)
         except ValueError:
             raise CliError("TRACELET_FUEL must be an integer") from None
-    return DEFAULT_FUEL
+    if fuel < 0:
+        raise CliError(f"fuel must not be negative, got {fuel}")
+    return fuel
 
 
 def _contracts_from_file(path: str):
@@ -130,12 +133,13 @@ def _pick_proc(args, assumptions) -> str:
 def cmd_run(args) -> int:
     program = _load_program(args.program)
     overrides = _parse_bindings(args.state or [])
+    fuel = _fuel(args)
     try:
         state = initial_state(program, overrides)
     except RunError as e:
         raise CliError(str(e)) from None
     try:
-        trace = run(program, state, fuel=_fuel(args))
+        trace = run(program, state, fuel=fuel)
     except FuelExhausted:
         print("fuel exhausted before termination", file=sys.stderr)
         return EXIT_FUEL
@@ -300,19 +304,14 @@ def _repl(root_seq, ctx) -> ProofNode:
                     g.rule, g.args, g.children = sub.rule, sub.args, sub.children
             continue
         try:
-            steps = f"{line}"
-            from .calculus import parse_script
-            parsed = parse_script(steps)
-            for _, rule, idx, rargs in parsed:
-                node = root.open_goals()[idx]
-                premises = apply_rule(rule, node.sequent, rargs, ctx)
-                node.rule, node.args = rule, rargs
-                node.children = [ProofNode(p) for p in premises]
-        except (ScriptError, RuleError, IndexError) as e:
+            apply_script(root, ctx, line)
+        except ScriptError as e:
             print(f"error: {e}")
 
 
 def cmd_prove(args) -> int:
+    if args.max_nodes < 0:
+        raise CliError(f"--max-nodes must not be negative, got {args.max_nodes}")
     program = _load_program(args.program)
     assumptions = _assumptions(program, _contracts_from_file(args.contracts))
     proc = _pick_proc(args, assumptions)
@@ -476,6 +475,7 @@ def cmd_validate(args) -> int:
         raise CliError(f"--range {args.range} is empty")
     if args.samples < 1:
         raise CliError("--samples must be at least 1")
+    fuel = _fuel(args)
     if not args.no_proof:
         if not args.proof:
             raise CliError("validate needs --proof FILE (or --no-proof for a "
@@ -485,7 +485,7 @@ def cmd_validate(args) -> int:
             print(f"proof rejected: {bad}")
             return EXIT_PROOF_REJECTED
     report = validate_contract(program, assumptions[proc], lo, hi, args.samples,
-                               args.seed, fuel=_fuel(args),
+                               args.seed, fuel=fuel,
                                trace_dir=args.trace_dir)
     if args.json:
         print(json.dumps(report.to_json(), indent=1, sort_keys=True))

@@ -8,14 +8,15 @@ false, which is exactly the least-fixed-point reading.
 ``children``/``rebuild`` is the one generic traversal of the formula AST:
 free variables, term maps, substitution and arity checks are written on
 top of it.  Only per-node analyses keep their own dispatch: membership
-(``_Member._sat``), ``_Member.width``, ``first_anchor``/``last_anchor``
-and ``pretty_formula``.
+(``_Member._sat``), its static per-node record (``_shape``: width bounds,
+psi gap, anchors) and ``pretty_formula``.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from itertools import product
 from typing import Optional, Tuple, Union
 
 from .lang import (Binary, Expr, IntLit, ResVar, TokenStream, Unary, Var,
@@ -459,6 +460,63 @@ class _Closure:
                     tuple(sorted((x, c.key) for x, c in renv.items())))
 
 
+def _event_key(e):
+    """The anchor an entry can meet: its event kind and procedure, or None."""
+    if isinstance(e, CallEv):
+        return ("call", e.proc)
+    if isinstance(e, RetEv):
+        return ("ret", None)
+    if isinstance(e, PushEv):
+        return ("push", e.ctx.proc)
+    if isinstance(e, PopEv):
+        return ("pop", e.ctx.proc)
+    return None
+
+
+def _shape(f: Formula, shapes: dict) -> tuple:
+    """f's static record, built bottom-up and stored in shapes under id(f).
+
+    The record is (min_entries, max_entries, psi exclusion set, first
+    anchor, last anchor).  max_entries None means unbounded; the exclusion
+    set is None unless f is a no-event fixed point; an anchor is the event
+    key that every match of f has at segment position lo+1 (first) or
+    hi-2 (last), or None.
+    """
+    got = shapes.get(id(f))
+    if got is not None:
+        return got
+    subs = [_shape(g, shapes) for g in children(f)[0]]
+    if isinstance(f, (StatePred, NoEv)):
+        out = (1, 1, None, None, None)
+    elif isinstance(f, StartEvF):
+        out = (5, 5, None, ("call", f.proc), ("push", f.proc))
+    elif isinstance(f, FinishEvF):
+        out = (6, 6, None, ("ret", None), ("pop", f.proc))
+    elif isinstance(f, (Mu, MuApp)):
+        out = (1, None, is_psi(f)) + subs[0][3:]
+    elif isinstance(f, RecApp):
+        out = (1, None, None, None, None)
+    else:
+        (lmin, lmax, _, lfirst, llast), (rmin, rmax, _, rfirst, rlast) = subs
+        bounded = lmax is not None and rmax is not None
+        if isinstance(f, And):
+            hi = rmax if lmax is None else lmax if rmax is None else min(lmax, rmax)
+            out = (max(lmin, rmin), hi, None, lfirst or rfirst, llast or rlast)
+        elif isinstance(f, Or):
+            out = (min(lmin, rmin), max(lmax, rmax) if bounded else None, None,
+                   lfirst if lfirst == rfirst else None,
+                   llast if llast == rlast else None)
+        elif isinstance(f, Concat):
+            out = (lmin + rmin, lmax + rmax if bounded else None, None,
+                   lfirst, rlast)
+        else:  # Chop: the two halves share one entry
+            out = (max(lmin + rmin - 1, 1), lmax + rmax - 1 if bounded else None,
+                   None, lfirst or (rfirst if lmin == lmax == 1 else None),
+                   rlast or (llast if rmin == rmax == 1 else None))
+    shapes[id(f)] = out
+    return out
+
+
 class _Member:
     def __init__(self, trace: Trace, budget: int):
         self.entries = trace.entries
@@ -466,66 +524,16 @@ class _Member:
         self.budget = budget
         self.memo = {}
         self.onstack = set()
-        self._width = {}
+        self.shapes = {}
         self._involved = {}
-        self._psi = {}
         self._ids = {}
         self._evpos = {}
         self._tokens = {}
         self._state_flags = tuple(is_state(e) for e in self.entries)
-        for pos, e in enumerate(self.entries):
-            if isinstance(e, CallEv):
-                self._evpos.setdefault(("call", e.proc), []).append(pos)
-            elif isinstance(e, RetEv):
-                self._evpos.setdefault(("ret", None), []).append(pos)
-            elif isinstance(e, PushEv):
-                self._evpos.setdefault(("push", e.ctx.proc), []).append(pos)
-            elif isinstance(e, PopEv):
-                self._evpos.setdefault(("pop", e.ctx.proc), []).append(pos)
-
-    # -- per-node caches ----------------------------------------------------
-
-    def psi_excl(self, f):
-        key = id(f)
-        if key not in self._psi:
-            self._psi[key] = is_psi(f)
-        return self._psi[key]
-
-    def width(self, f) -> tuple:
-        """(min_entries, max_entries); max None means unbounded."""
-        key = id(f)
-        got = self._width.get(key)
-        if got is not None:
-            return got
-        self._width[key] = (1, None)  # provisional, for recursive formulas
-        if isinstance(f, (StatePred, NoEv)):
-            out = (1, 1)
-        elif isinstance(f, StartEvF):
-            out = (5, 5)
-        elif isinstance(f, FinishEvF):
-            out = (6, 6)
-        elif isinstance(f, And):
-            l, r = self.width(f.left), self.width(f.right)
-            hi = None if l[1] is None else (l[1] if r[1] is None else min(l[1], r[1]))
-            if r[1] is not None and l[1] is None:
-                hi = r[1]
-            out = (max(l[0], r[0]), hi)
-        elif isinstance(f, Or):
-            l, r = self.width(f.left), self.width(f.right)
-            hi = None if (l[1] is None or r[1] is None) else max(l[1], r[1])
-            out = (min(l[0], r[0]), hi)
-        elif isinstance(f, Concat):
-            l, r = self.width(f.left), self.width(f.right)
-            hi = None if (l[1] is None or r[1] is None) else l[1] + r[1]
-            out = (l[0] + r[0], hi)
-        elif isinstance(f, Chop):
-            l, r = self.width(f.left), self.width(f.right)
-            hi = None if (l[1] is None or r[1] is None) else l[1] + r[1] - 1
-            out = (max(l[0] + r[0] - 1, 1), hi)
-        else:
-            out = (1, None)
-        self._width[key] = out
-        return out
+        self._keys = tuple(_event_key(e) for e in self.entries)
+        for pos, key in enumerate(self._keys):
+            if key is not None:
+                self._evpos.setdefault(key, []).append(pos)
 
     def ids_in(self, lo: int, hi: int) -> tuple:
         key = (lo, hi)
@@ -543,28 +551,11 @@ class _Member:
         self._ids[key] = got
         return got
 
-    # -- argument resolution --------------------------------------------------
-
     def resolve_args(self, args: tuple, benv: dict, lo: int, hi: int):
         """All concrete argument tuples; fresh markers range over segment ids."""
         concrete = [eval_term(a, benv) for a in args]
-        fresh_slots = [k for k, v in enumerate(concrete) if isinstance(v, _FreshValue)]
-        if not fresh_slots:
-            return [tuple(concrete)]
-        candidates = self.ids_in(lo, hi)
-        out = []
-
-        def fill(slot_idx, current):
-            if slot_idx == len(fresh_slots):
-                out.append(tuple(current))
-                return
-            for cid in candidates:
-                nxt = list(current)
-                nxt[fresh_slots[slot_idx]] = cid
-                fill(slot_idx + 1, nxt)
-
-        fill(0, concrete)
-        return out
+        return product(*[self.ids_in(lo, hi) if isinstance(v, _FreshValue) else (v,)
+                         for v in concrete])
 
     def _gap_ok(self, exclude, lo: int, hi: int) -> bool:
         """No entry in [lo, hi) is an event involving an excluded procedure."""
@@ -589,28 +580,24 @@ class _Member:
         return got
 
     def _sat(self, f, lo, hi, benv, renv, token) -> bool:
-        ent = self.entries
+        ent, shapes = self.entries, self.shapes
         n = hi - lo
-        if n <= 0:
-            return False
-        lo_w, hi_w = self.width(f)
+        lo_w, hi_w, excl, _, _ = shapes.get(id(f)) or _shape(f, shapes)
         if n < lo_w or (hi_w is not None and n > hi_w):
             return False
-        excl = self.psi_excl(f)
         if excl is not None:
             return self._gap_ok(excl, lo, hi)
+        # from here on a leaf's segment has exactly its width
         if isinstance(f, StatePred):
-            if n != 1 or not is_state(ent[lo]):
+            if not is_state(ent[lo]):
                 return False
             try:
                 return eval_pred(ent[lo], benv, f.pred)
             except UndefinedVariable:
                 return False
         if isinstance(f, NoEv):
-            return n == 1 and self._gap_ok(f.exclude, lo, hi)
+            return self._gap_ok(f.exclude, lo, hi)
         if isinstance(f, StartEvF):
-            if n != 5:
-                return False
             s0, e1, s2, e3, s4 = ent[lo:hi]
             if not (is_state(s0) and s0 == s2 == s4
                     and isinstance(e1, CallEv) and isinstance(e3, PushEv)):
@@ -625,8 +612,6 @@ class _Member:
             return (e1.proc == f.proc and e1.arg == arg and e1.call_id == cid
                     and e3.ctx.proc == f.proc and e3.ctx.call_id == cid)
         if isinstance(f, FinishEvF):
-            if n != 6:
-                return False
             s0, e1, s2, s3, e4, s5 = ent[lo:hi]
             if not (is_state(s0) and isinstance(e1, RetEv) and s2 == s0
                     and is_state(s3) and isinstance(e4, PopEv) and s5 == s3):
@@ -648,7 +633,7 @@ class _Member:
             return self.sat(f.left, lo, hi, benv, renv, token) or \
                 self.sat(f.right, lo, hi, benv, renv, token)
         if isinstance(f, Concat):
-            lw, rw = self.width(f.left), self.width(f.right)
+            lw, rw = shapes[id(f.left)], shapes[id(f.right)]
             k_min = lo + lw[0]
             k_max = hi - rw[0]
             if lw[1] is not None:
@@ -661,22 +646,19 @@ class _Member:
                     return True
             return False
         if isinstance(f, Chop):
-            lw, rw = self.width(f.left), self.width(f.right)
+            lw, rw = shapes[id(f.left)], shapes[id(f.right)]
             j_min = lo + lw[0] - 1
             j_max = hi - rw[0]
             if lw[1] is not None:
                 j_max = min(j_max, lo + lw[1] - 1)
             if rw[1] is not None:
                 j_min = max(j_min, hi - rw[1])
-            candidates = None
-            ra = self.first_anchor(f.right)
-            if ra is not None:
-                candidates = [p - 1 for p in self._evpos.get(ra, ())]
+            # an anchored half fixes the split next to its forced event
+            if rw[3] is not None:
+                candidates = [p - 1 for p in self._evpos.get(rw[3], ())]
+            elif lw[4] is not None:
+                candidates = [p + 1 for p in self._evpos.get(lw[4], ())]
             else:
-                la = self.last_anchor(f.left)
-                if la is not None:
-                    candidates = [p + 1 for p in self._evpos.get(la, ())]
-            if candidates is None:
                 candidates = range(j_min, j_max + 1)
             flags, memo = self._state_flags, self.memo
             kl, kr = id(f.left), id(f.right)
@@ -698,108 +680,26 @@ class _Member:
         if isinstance(f, Mu):
             if f.params:
                 raise LogicError(f"unapplied fixed point {f.name} in formula position")
-            f = MuApp(f, ())
-        if isinstance(f, MuApp):
-            if not self._anchors_ok(f.mu, lo, hi):
-                return False
-            closure = _Closure(f.mu, benv, renv)
-            for argv in self.resolve_args(f.args, benv, lo, hi):
-                if self._mu_member(closure, argv, lo, hi):
-                    return True
-            return False
-        if isinstance(f, RecApp):
+            mu, args = f, ()
+        elif isinstance(f, MuApp):
+            mu, args = f.mu, f.args
+        elif isinstance(f, RecApp):
             if f.name not in renv:
                 raise LogicError(f"unbound recursion variable {f.name}")
-            closure = renv[f.name]
-            if not self._anchors_ok(closure.mu, lo, hi):
-                return False
-            for argv in self.resolve_args(f.args, benv, lo, hi):
-                if self._mu_member(closure, argv, lo, hi):
-                    return True
+            mu, args = renv[f.name].mu, f.args
+        else:
+            raise LogicError(f"not a formula: {f!r}")
+        # every unfolding of mu has its anchors' events at lo+1 and hi-2
+        first, last = (shapes.get(id(mu)) or _shape(mu, shapes))[3:]
+        if first is not None and (n < 3 or self._keys[lo + 1] != first):
             return False
-        raise LogicError(f"not a formula: {f!r}")
-
-
-    def first_anchor(self, f):
-        """Forced event kind at segment position lo+1, if any."""
-        key = ("fa", id(f))
-        if key in self._psi:
-            return self._psi[key]
-        self._psi[key] = None  # cycle guard
-        out = None
-        if isinstance(f, StartEvF):
-            out = ("call", f.proc)
-        elif isinstance(f, FinishEvF):
-            out = ("ret", None)
-        elif isinstance(f, Chop):
-            out = self.first_anchor(f.left)
-            if out is None and self.width(f.left) == (1, 1):
-                out = self.first_anchor(f.right)
-        elif isinstance(f, And):
-            out = self.first_anchor(f.left) or self.first_anchor(f.right)
-        elif isinstance(f, Or):
-            a, b = self.first_anchor(f.left), self.first_anchor(f.right)
-            out = a if a == b else None
-        elif isinstance(f, Concat):
-            out = self.first_anchor(f.left)
-        elif isinstance(f, Mu):
-            out = self.first_anchor(f.body)
-        elif isinstance(f, MuApp):
-            out = self.first_anchor(f.mu)
-        self._psi[key] = out
-        return out
-
-    def last_anchor(self, f):
-        """Forced event kind at segment position hi-2, if any."""
-        key = ("la", id(f))
-        if key in self._psi:
-            return self._psi[key]
-        self._psi[key] = None
-        out = None
-        if isinstance(f, StartEvF):
-            out = ("push", f.proc)
-        elif isinstance(f, FinishEvF):
-            out = ("pop", f.proc)
-        elif isinstance(f, Chop):
-            out = self.last_anchor(f.right)
-            if out is None and self.width(f.right) == (1, 1):
-                out = self.last_anchor(f.left)
-        elif isinstance(f, And):
-            out = self.last_anchor(f.left) or self.last_anchor(f.right)
-        elif isinstance(f, Or):
-            a, b = self.last_anchor(f.left), self.last_anchor(f.right)
-            out = a if a == b else None
-        elif isinstance(f, Concat):
-            out = self.last_anchor(f.right)
-        elif isinstance(f, Mu):
-            out = self.last_anchor(f.body)
-        elif isinstance(f, MuApp):
-            out = self.last_anchor(f.mu)
-        self._psi[key] = out
-        return out
-
-    def _anchors_ok(self, mu, lo: int, hi: int) -> bool:
-        fa = self.first_anchor(mu)
-        if fa is not None:
-            if hi - lo < 3:
-                return False
-            e = self.entries[lo + 1]
-            if fa[0] == "call":
-                if not (isinstance(e, CallEv) and e.proc == fa[1]):
-                    return False
-            elif fa[0] == "ret" and not isinstance(e, RetEv):
-                return False
-        la = self.last_anchor(mu)
-        if la is not None:
-            if hi - lo < 3:
-                return False
-            e = self.entries[hi - 2]
-            if la[0] == "pop":
-                if not (isinstance(e, PopEv) and e.ctx.proc == la[1]):
-                    return False
-            elif la[0] == "push" and not (isinstance(e, PushEv) and e.ctx.proc == la[1]):
-                return False
-        return True
+        if last is not None and (n < 3 or self._keys[hi - 2] != last):
+            return False
+        closure = renv[f.name] if isinstance(f, RecApp) else _Closure(mu, benv, renv)
+        for argv in self.resolve_args(args, benv, lo, hi):
+            if self._mu_member(closure, argv, lo, hi):
+                return True
+        return False
 
     def _mu_member(self, closure: _Closure, argv: tuple, lo: int, hi: int) -> bool:
         key = (closure.key, argv, lo, hi)

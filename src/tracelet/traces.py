@@ -534,5 +534,5 @@ def load_trace(text: str) -> Trace:
         return trace_from_json(data)
     except KeyError as e:
         raise TraceError(f"trace entry lacks the key {e}") from None
-    except (ValueError, TypeError, AttributeError) as e:
+    except (ValueError, TypeError, AttributeError, RecursionError) as e:
         raise TraceError(f"malformed trace file: {e}") from None

@@ -101,6 +101,7 @@ class TestAdequacy:
     '[1, 2]',                                           # entries not objects
     'not json at all',
     '[]',                                               # empty trace
+    pytest.param('[' * 100_000 + ']' * 100_000, id="nested-too-deep"),
 ])
 def test_malformed_trace_one_line_error(work, capsys, text):
     bad = work / "bad.trace.json"
@@ -240,6 +241,17 @@ class TestProve:
                      "--proc", "m", "--script", str(script),
                      "-o", str(proof)]) == EXIT_OPEN_PROOF
 
+    def test_script_error_one_line(self, work, capsys):
+        contract = gen_contract(work)
+        script = work / "bad.tps"
+        script.write_text("ApplyUpdate @ 0 at=x\n")
+        capsys.readouterr()
+        assert main(["prove", str(work / "running.tcp"), str(contract),
+                     "--proc", "m", "--script", str(script),
+                     "-o", str(work / "bad.proof.json")]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 1: ApplyUpdate failed") and err.count("\n") == 1
+
     def test_while_unsupported(self, work, tmp_path, capsys):
         f = tmp_path / "loopy.tcp"
         f.write_text("m(k) { r; while (k > 0) { k = k - 1 }; return r }\n"
@@ -363,6 +375,25 @@ class TestValidate:
         assert code == EXIT_ERROR
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv,env", [
+        (["run", "{dir}/running.tcp", "--fuel", "-5"], None),
+        (["run", "{dir}/running.tcp"], "-5"),
+        (["validate", "{dir}/running.tcp", "{dir}/m.tcf", "--no-proof",
+          "--fuel", "-5"], None),
+        (["prove", "{dir}/running.tcp", "{dir}/m.tcf", "--max-nodes", "-1",
+          "-o", "{dir}/neg.proof.json"], None),
+    ], ids=["run-fuel", "env-fuel", "validate-fuel", "prove-max-nodes"])
+    def test_negative_budget_one_line_error(self, work, capsys, monkeypatch,
+                                            argv, env):
+        gen_contract(work)
+        if env is not None:
+            monkeypatch.setenv("TRACELET_FUEL", env)
+        capsys.readouterr()
+        assert main([a.format(dir=work) for a in argv]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (work / "neg.proof.json").exists()
 
     @pytest.mark.parametrize("name,error,verdict", [
         ("run", RunError("undefined variable"), "run-error"),
