@@ -316,21 +316,26 @@ def _instantiate_fresh(f: Formula, taken: set,
     return map_terms(f, term)
 
 
-def _subst_judgment_var(j: Judgment, name: str, replacement: Expr) -> Judgment:
-    def atom(a):
-        if isinstance(a, Elem):
-            tgt = a.target
-            if isinstance(tgt, ResVar):
-                tgt = ResVar(subst_expr(tgt.index, name, replacement))
-            return Elem(tgt, fold_expr(subst_expr(a.expr, name, replacement)))
-        if isinstance(a, CallUpd):
-            return CallUpd(a.target, a.proc, fold_expr(subst_expr(a.arg, name, replacement)))
-        return type(a)(a.proc, fold_expr(subst_expr(a.arg, name, replacement)),
-                       fold_expr(subst_expr(a.call_id, name, replacement)))
+def _subst_atom(a: UpdateAtom, name: str, e: Expr) -> UpdateAtom:
+    """Substitute e for name in an update atom, folding each expression."""
+    def sub(x):
+        return fold_expr(subst_expr(x, name, e))
 
+    if isinstance(a, Elem):
+        tgt = a.target
+        if isinstance(tgt, ResVar):
+            tgt = ResVar(sub(tgt.index))
+        return Elem(tgt, sub(a.expr))
+    if isinstance(a, CallUpd):
+        return CallUpd(a.target, a.proc, sub(a.arg))
+    return type(a)(a.proc, sub(a.arg), sub(a.call_id))
+
+
+def _subst_judgment_var(j: Judgment, name: str, replacement: Expr) -> Judgment:
     stmt = subst_stmt(j.stmt, name, replacement) if j.stmt is not None else None
     formula = map_terms(j.formula, lambda t: subst_term(t, {name: replacement}))
-    return Judgment(tuple(atom(a) for a in j.update), stmt, formula)
+    return Judgment(tuple(_subst_atom(a, name, replacement) for a in j.update),
+                    stmt, formula)
 
 
 # ---------------------------------------------------------------------------
@@ -624,16 +629,7 @@ def _rule_apply_update(seq, args, ctx):
     new: List[UpdateAtom] = list(j.update)
     for k in range(idx + 1, len(j.update)):
         a = j.update[k]
-        if isinstance(a, Elem):
-            tgt = a.target
-            if isinstance(tgt, ResVar):
-                tgt = ResVar(fold_expr(subst_expr(tgt.index, v, e)))
-            new[k] = Elem(tgt, fold_expr(subst_expr(a.expr, v, e)))
-        elif isinstance(a, CallUpd):
-            new[k] = CallUpd(a.target, a.proc, fold_expr(subst_expr(a.arg, v, e)))
-        else:
-            new[k] = type(a)(a.proc, fold_expr(subst_expr(a.arg, v, e)),
-                             fold_expr(subst_expr(a.call_id, v, e)))
+        new[k] = _subst_atom(a, v, e)
         written = update_writes(a)
         if written == v or written in expr_vars(e):
             break

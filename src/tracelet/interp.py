@@ -4,7 +4,9 @@ A configuration is a trace together with a continuation (the statement or
 update-prefixed statement still to be evaluated).  Exactly one of the
 Progress/Call/Return rules applies to every non-final configuration,
 selected by whether the trace ends in a call event, a return event, or
-neither.
+neither.  The machine grows its trace in place and keeps the stack of open
+call contexts as it goes (``traces.nest``), so Return reads the current
+context off the stack and a step costs O(1) amortised entries.
 """
 
 from __future__ import annotations
@@ -13,12 +15,11 @@ import re
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
-from .lang import (Assign, Call, CallAssign, Expr, If, IntLit, LookupTable,
+from .lang import (Assign, Call, CallAssign, If, IntLit, LookupTable,
                    Program, Return, ResVar, Scope, Seq, Skip, Stmt, Var,
                    While, build_lookup, lookup, subst_stmt)
-from .traces import (CallEv, Ctx, MAIN_CTX, PopEv, PushEv, RetEv, State,
-                     Trace, chop, concat, curr_ctx, event_trace, eval_expr,
-                     is_event, res_name, singleton)
+from .traces import (CallEv, ChopUndefined, Ctx, PopEv, PushEv, RetEv, State,
+                     Trace, event_trace, eval_expr, nest, res_name, singleton)
 from .updates import (CallUpd, Elem, FinishUpd, StartUpd, Update, UpdateAtom)
 
 DEFAULT_FUEL = 10 ** 6
@@ -89,18 +90,35 @@ def _counters_from_trace(trace: Trace) -> Tuple[int, int]:
 
 
 class Machine:
-    """One run's configuration; owns its counters and fuel exclusively."""
+    """One run's configuration; owns its counters and fuel exclusively.
+
+    ``entries`` is the trace so far and ``ctxs`` its open call contexts,
+    innermost last.
+    """
 
     def __init__(self, trace: Trace, cont: Cont, table: LookupTable,
                  fuel: int = DEFAULT_FUEL, next_id: int = 0, next_fresh: int = 0):
         if trace.is_empty:
             raise RunError("initial trace must be non-empty")
-        self.trace = trace
+        self.entries = list(trace.entries)
+        self.ctxs = nest([], trace.entries)
         self.cont = cont
         self.table = table
         self.fuel = fuel
         self.next_id = next_id
         self.next_fresh = next_fresh
+
+    @property
+    def trace(self) -> Trace:
+        return Trace(self.entries)
+
+    def extend(self, tr: Trace):
+        """Chop tr onto the trace: its first state fuses with the last one."""
+        last, first = self.entries[-1], tr.first()
+        if last != first:
+            raise ChopUndefined(last, first)
+        nest(self.ctxs, tr.entries)
+        self.entries += tr.entries[1:]
 
     # -- allocation ---------------------------------------------------------
 
@@ -191,22 +209,21 @@ class Machine:
             arg = eval_expr(state, atom.arg)
             cid = eval_expr(state, atom.call_id)
             self.note_call_id(cid)
-            tr = chop(event_trace(state, CallEv(atom.proc, arg, cid)),
-                      event_trace(state, PushEv(Ctx(atom.proc, cid))))
+            tr = Trace((state, CallEv(atom.proc, arg, cid), state,
+                        PushEv(Ctx(atom.proc, cid)), state))
             return tr, rest
         if isinstance(atom, FinishUpd):
             v = eval_expr(state, atom.arg)
             cid = eval_expr(state, atom.call_id)
             after = state.set(res_name(cid), v)
-            tr = concat(event_trace(state, RetEv(v)),
-                        event_trace(after, PopEv(Ctx(atom.proc, cid))))
+            tr = Trace((state, RetEv(v), state, after, PopEv(Ctx(atom.proc, cid)), after))
             return tr, rest
         raise RunError(f"cannot evaluate update atom {atom!r}")
 
     # -- composition --------------------------------------------------------
 
     def ends_in(self, kind) -> bool:
-        e = self.trace.entries
+        e = self.entries
         return len(e) >= 2 and isinstance(e[-2], kind)
 
     @property
@@ -220,27 +237,26 @@ class Machine:
         if self.fuel <= 0:
             raise FuelExhausted(self.trace)
         self.fuel -= 1
-        entries = self.trace.entries
+        entries = self.entries
         if self.ends_in(CallEv):
             ev: CallEv = entries[-2]
             proc = lookup(ev.proc, self.table)
             inlined = subst_stmt(proc.body, proc.param, IntLit(ev.arg))
-            self.trace = chop(self.trace, event_trace(self.trace.last(),
-                                                      PushEv(Ctx(ev.proc, ev.call_id))))
+            self.extend(event_trace(entries[-1], PushEv(Ctx(ev.proc, ev.call_id))))
             self.cont = _seq(inlined, self.cont)
             return
         if self.ends_in(RetEv):
             ev: RetEv = entries[-2]
-            ctx = curr_ctx(self.trace)
-            if ctx == MAIN_CTX:
+            if not self.ctxs:
                 raise RunError("return event outside any call context")
-            after = self.trace.last().set(res_name(ctx.call_id), ev.value)
-            self.trace = chop(self.trace.append_state(after),
-                              event_trace(after, PopEv(ctx)))
+            ctx = self.ctxs[-1]
+            after = entries[-1].set(res_name(ctx.call_id), ev.value)
+            entries.append(after)
+            self.extend(event_trace(after, PopEv(ctx)))
             return
         # Progress
-        tr, cont = self.local_eval(self.trace.last(), self.cont)
-        self.trace = chop(self.trace, tr)
+        tr, cont = self.local_eval(entries[-1], self.cont)
+        self.extend(tr)
         self.cont = cont
 
     def run(self) -> "Machine":
@@ -287,8 +303,7 @@ def semantics(item: Cont, trace: Trace, table: LookupTable,
     trace ** suffix.  Counters continue from the ids already in trace.
     """
     machine = run_cont(trace, item, table, fuel=fuel)
-    full = machine.trace
-    return Trace(full.entries[len(trace.entries) - 1:])
+    return Trace(machine.entries[len(trace.entries) - 1:])
 
 
 def run_update_prefixed(atoms: Update, stmt: Optional[Stmt], trace: Trace,

@@ -1,8 +1,11 @@
-"""Trace data model: states, event markers, chop, adequacy.
+"""Trace data model: states, event markers, chop, call nesting, adequacy.
 
 A trace is a finite alternating sequence of states and event markers.
 Every event marker sits between two copies of the same state (events do
 not change the state), so non-empty traces begin and end with a state.
+Call nesting has one forward rule, ``nest``: a pushEv opens its context
+and a popEv closes the innermost open one.  The interpreter, adequacy and
+``ret_owners`` each apply it while walking a trace once.
 """
 
 from __future__ import annotations
@@ -192,15 +195,10 @@ class PopEv:
 
 
 EventMarker = Union[CallEv, RetEv, PushEv, PopEv]
-NO_EVENT = object()  # last_event of an event-free trace
 
 
 def is_state(entry) -> bool:
     return isinstance(entry, State)
-
-
-def is_event(entry) -> bool:
-    return isinstance(entry, (CallEv, RetEv, PushEv, PopEv))
 
 
 # ---------------------------------------------------------------------------
@@ -241,9 +239,6 @@ class Trace:
             raise EmptyTraceError("last of empty trace")
         return self.entries[-1]
 
-    def append_state(self, state: State) -> "Trace":
-        return Trace(self.entries + (state,))
-
 
 def singleton(state: State) -> Trace:
     return Trace((state,))
@@ -269,34 +264,19 @@ def concat(t1: Trace, t2: Trace) -> Trace:
     return Trace(t1.entries + t2.entries)
 
 
-def last_event(t: Trace):
-    if t.is_empty:
-        raise EmptyTraceError("last_event of empty trace")
-    for entry in reversed(t.entries):
-        if is_event(entry):
-            return entry
-    return NO_EVENT
+def nest(ctxs: list, entries) -> list:
+    """Apply the entries' pushEv/popEv to ctxs, the open contexts innermost last.
 
-
-def curr_ctx(t: Trace) -> Ctx:
-    """Innermost pushEv context not yet matched by its popEv.
-
-    Implements the right-to-left case analysis: the rightmost unbalanced
-    push/pop event decides; (main, nul) when none remains.
+    A pushEv opens its context; a popEv closes the innermost open one, and
+    closes nothing when none is open.  The current context of a trace is
+    ``nest([], entries)[-1]``, or (main, nul) when the stack is empty.
     """
-    if t.is_empty:
-        raise EmptyTraceError("curr_ctx of empty trace")
-    depth = 0
-    for entry in reversed(t.entries):
-        if isinstance(entry, PopEv):
-            depth += 1
-        elif isinstance(entry, PushEv):
-            if depth == 0:
-                return entry.ctx
-            depth -= 1
-    if depth > 0:
-        raise MalformedNesting("popEv without matching pushEv")
-    return MAIN_CTX
+    for entry in entries:
+        if isinstance(entry, PushEv):
+            ctxs.append(entry.ctx)
+        elif isinstance(entry, PopEv) and ctxs:
+            ctxs.pop()
+    return ctxs
 
 
 def ret_owners(t: Trace) -> dict:
@@ -308,15 +288,10 @@ def ret_owners(t: Trace) -> dict:
     owners = {}
     stack = []
     for pos, entry in enumerate(t.entries):
-        if isinstance(entry, PushEv):
-            stack.append(entry.ctx)
-        elif isinstance(entry, PopEv):
-            if stack and stack[-1] == entry.ctx:
-                stack.pop()
-            elif stack:
-                stack.pop()
-        elif isinstance(entry, RetEv):
+        if isinstance(entry, RetEv):
             owners[pos] = stack[-1] if stack else None
+        else:
+            nest(stack, (entry,))
     return owners
 
 
@@ -364,7 +339,8 @@ def is_adequate(t: Trace, strict: bool = True) -> AdequacyVerdict:
     after a non-call/ret event, (3) retEv likewise, (4) pushEv directly
     chopped onto its callEv, (5) popEv directly after the retEv's
     res-update in the matching context.  Strict mode additionally forces
-    the pushEv/popEv to follow their callEv/retEv immediately.
+    the pushEv/popEv to follow their callEv/retEv immediately.  One
+    forward pass keeps the last event seen and the open contexts (``nest``).
     """
     if t.is_empty:
         raise EmptyTraceError("adequacy of empty trace")
@@ -373,6 +349,8 @@ def is_adequate(t: Trace, strict: bool = True) -> AdequacyVerdict:
         return _viol("shape", 0, "trace must start with a state")
 
     used_ids = set()
+    lastev = None
+    ctxs = []
     pos = 1
     n = len(ent)
     # pending: None | ('push', call_pos) | ('ret-state', ret_pos) | ('pop', ret_pos)
@@ -401,7 +379,7 @@ def is_adequate(t: Trace, strict: bool = True) -> AdequacyVerdict:
             diff = _state_diff(prev_state, entry)
             if len(diff) > 1:
                 return _viol("1", pos, f"more than one variable changes: {sorted(diff)}")
-            removed = set(prev_state.bindings()) - set(entry.bindings())
+            removed = prev_state._b.keys() - entry._b.keys()
             if removed:
                 return _viol("1", pos, f"bindings disappear: {sorted(removed)}")
             if not strict:
@@ -412,8 +390,6 @@ def is_adequate(t: Trace, strict: bool = True) -> AdequacyVerdict:
         # event step: entry is an event, needs equal flanking states
         if pos + 1 >= n or not is_state(ent[pos + 1]) or ent[pos + 1] != prev_state:
             return _viol("shape", pos, "event not flanked by equal states")
-        prefix = Trace(ent[:pos])
-        lastev = last_event(prefix)
         if isinstance(entry, CallEv):
             if pending is not None and strict:
                 return _viol("strict", pos, "event out of place after callEv/retEv")
@@ -451,22 +427,20 @@ def is_adequate(t: Trace, strict: bool = True) -> AdequacyVerdict:
                 ok = True
             if not ok:
                 return _viol("5", pos, "popEv without preceding retEv/res update")
-            try:
-                ctx = curr_ctx(Trace(ent[:pos]))
-            except MalformedNesting:
+            if not ctxs:
                 return _viol("5", pos, "popEv with malformed nesting")
-            if ctx != entry.ctx:
-                return _viol("5", pos, f"popEv context {entry.ctx!r} but current is {ctx!r}")
+            if ctxs[-1] != entry.ctx:
+                return _viol("5", pos, f"popEv context {entry.ctx!r} but current is {ctxs[-1]!r}")
             used_ids.add(entry.ctx.call_id)
             pending = None
+        lastev = entry
+        nest(ctxs, (entry,))
         pos += 2  # skip the closing flank state
     return _OK
 
 
 def _state_diff(a: State, b: State) -> set:
-    ab, bb = a.bindings(), b.bindings()
-    keys = set(ab) | set(bb)
-    return {k for k in keys if ab.get(k) != bb.get(k)}
+    return {k for k, _ in a._b.items() ^ b._b.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +449,7 @@ def _state_diff(a: State, b: State) -> set:
 
 def entry_to_json(entry):
     if is_state(entry):
-        return {"state": {k: v for k, v in sorted(entry.bindings().items())}}
+        return {"state": entry.bindings()}
     if isinstance(entry, CallEv):
         return {"event": {"kind": "callEv", "proc": entry.proc,
                           "arg": entry.arg, "id": entry.call_id}}
@@ -510,16 +484,14 @@ def entry_from_json(obj):
     raise TraceError(f"unknown event kind {kind!r}")
 
 
-def trace_to_json(t: Trace) -> list:
-    return [entry_to_json(e) for e in t.entries]
-
-
 def trace_from_json(data) -> Trace:
     return Trace(entry_from_json(obj) for obj in data)
 
 
 def dump_trace(t: Trace) -> str:
-    return json.dumps(trace_to_json(t), indent=1, sort_keys=True) + "\n"
+    """One entry per line; json's C encoder only runs without indent."""
+    return "[\n" + ",\n".join(json.dumps(entry_to_json(e), sort_keys=True)
+                              for e in t.entries) + "\n]\n"
 
 
 def load_trace(text: str) -> Trace:

@@ -16,7 +16,7 @@ from tracelet.logic import (And, Chop, Concat, ContractSpec, FinishEvF,
                             Fresh, Mu, MuApp, NoEv, Or, RecApp, StartEvF,
                             StatePred, eval_term, make_contract, _FreshValue)
 from tracelet.traces import (CallEv, Ctx, MAIN_CTX, PopEv, PushEv, RetEv,
-                             State, Trace, eval_expr, is_event, is_state,
+                             State, Trace, eval_expr, is_state,
                              res_name, ret_owners)
 
 RUNNING_SRC = """\

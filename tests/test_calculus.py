@@ -21,7 +21,7 @@ from tracelet.lang import (Assign, Binary, BoolLit, If, IntLit, Return,
                            pretty_expr, tokenize)
 from tracelet.logic import (Chop, Mu, MuApp, StatePred, formula_vars, member,
                             parse_formula, pretty_formula, psi)
-from tracelet.traces import Ctx, MAIN_CTX, State, Trace, curr_ctx, res_name, singleton
+from tracelet.traces import Ctx, MAIN_CTX, State, res_name, singleton
 from tracelet.updates import (CallUpd, Elem, FinishUpd, StartUpd,
                               apply_update_expr, curr_ctx_update,
                               pretty_update)
@@ -111,11 +111,10 @@ class TestCurrCtxUpdate:
                     atoms.append(FinishUpd("m", IntLit(0), IntLit(1)))
             machine = run_cont(singleton(State({})), UpStmt(tuple(atoms)), table)
             sym = curr_ctx_update(tuple(atoms))
-            conc = curr_ctx(machine.trace)
             if sym == MAIN_CTX:
-                assert conc == MAIN_CTX
+                assert machine.ctxs == []
             else:
-                assert conc == Ctx(sym.proc, sym.call_id.value)
+                assert machine.ctxs[-1] == Ctx(sym.proc, sym.call_id.value)
 
 
 class TestRules:
@@ -209,6 +208,32 @@ class TestRules:
             apply_rule("GapAxiom", seq0, {}, ctx_m())
         seq1 = Sequent((), Judgment((StartUpd("q", IntLit(0), IntLit(0)),), None, psi("m")))
         assert apply_rule("GapAxiom", seq1, {}, ctx_m()) == []
+
+    def test_apply_eq_rigid_variable(self):
+        # n' == 3 rewrites every n', folding a res(...) index as ApplyUpdate does
+        seq0 = Sequent((PredAssert(pexpr("n' == 3")),),
+                       Judgment((StartUpd("m", Var("n'"), Var("i'")),
+                                 Elem(ResVar(pexpr("n' - 1")), pexpr("n' + 1"))),
+                                None, StatePred(pexpr("r == n'"))))
+        [prem] = apply_rule("ApplyEqRigid", seq0, {"eq": 0}, ctx_m())
+        assert prem.gamma == seq0.gamma
+        assert prem.goal == Judgment((StartUpd("m", IntLit(3), Var("i'")),
+                                      Elem(ResVar(IntLit(2)), IntLit(4))),
+                                     None, StatePred(pexpr("r == 3")))
+        [dropped] = apply_rule("ApplyEqRigid", seq0, {"eq": 0, "drop": True}, ctx_m())
+        assert dropped.gamma == () and dropped.goal == prem.goal
+
+    def test_apply_eq_rigid_result_variable(self):
+        seq0 = Sequent((PredAssert(pexpr("res(i') == 5")),),
+                       Judgment((Elem(Var("x"), pexpr("res(i') + 1")),),
+                                None, StatePred(pexpr("x == res(i')"))))
+        [prem] = apply_rule("ApplyEqRigid", seq0, {"eq": 0}, ctx_m())
+        assert prem.goal == Judgment((Elem(Var("x"), IntLit(6)),),
+                                     None, StatePred(pexpr("x == 5")))
+        pending = Sequent(seq0.gamma, Judgment(seq0.goal.update, Return(Var("x")),
+                                               seq0.goal.formula))
+        with pytest.raises(RuleError, match="after execution"):
+            apply_rule("ApplyEqRigid", pending, {"eq": 0}, ctx_m())
 
 
 def closed_proof():

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from helpers import (M0_SRC, M2_SRC, M2_EVENT_SKELETON, RUNNING_SRC,
-                     event_skeleton, golden_m0, golden_m1,
+                     curr_ctx_stack, event_skeleton, golden_m0, golden_m1,
                      random_terminating_program)
 from tracelet.interp import (DEFAULT_FUEL, FuelExhausted, Machine, RunError,
                              UpStmt, initial_state, run, run_cont,
@@ -13,8 +13,8 @@ from tracelet.interp import (DEFAULT_FUEL, FuelExhausted, Machine, RunError,
 from tracelet.lang import (Assign, Binary, Call, CallAssign, IntLit, ResVar,
                            Scope, Seq, Skip, Var, build_lookup, parse_program,
                            seq)
-from tracelet.traces import (CallEv, Ctx, PopEv, PushEv, RetEv, State, Trace,
-                             chop, is_adequate, singleton)
+from tracelet.traces import (CallEv, Ctx, MAIN_CTX, PopEv, PushEv, RetEv, State,
+                             Trace, chop, is_adequate, singleton)
 from tracelet.updates import CallUpd, Elem, FinishUpd, StartUpd
 
 
@@ -111,6 +111,15 @@ class TestStep:
             t1 = run(p)
             t2 = run(p)
             assert t1 == t2
+
+    def test_ctxs_follow_the_stack_oracle(self):
+        rng = random.Random(29)
+        for _ in range(30):
+            p = random_terminating_program(rng)
+            m = Machine(singleton(initial_state(p)), p.main_body, build_lookup(p))
+            while not m.done:
+                m.step()
+                assert (m.ctxs or [MAIN_CTX])[-1] == curr_ctx_stack(m.trace)
 
     def test_final_configuration_rejects_step(self):
         p = parse_program("main { skip }")
@@ -270,14 +279,13 @@ class TestLastEventLemma:
     def test_call_and_ret_events_only_at_the_end(self):
         # in every reachable configuration, a trailing callEv/retEv is
         # literally the last event group of the trace
-        from tracelet.traces import NO_EVENT, last_event
         p = parse_program(M2_SRC)
         m = Machine(singleton(State({"x": 0})), p.main_body, build_lookup(p))
         while not m.done:
-            ev = last_event(m.trace)
+            ev = next((e for e in reversed(m.entries) if not isinstance(e, State)), None)
             if isinstance(ev, (CallEv, RetEv)):
                 # nothing may follow the event's flanking state
-                assert m.trace.entries[-2] is ev or m.trace.entries[-2] == ev
+                assert m.entries[-2] is ev
             m.step()
 
 

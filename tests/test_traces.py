@@ -5,16 +5,16 @@ import random
 import pytest
 
 from helpers import (curr_ctx_stack, eval_expr_oracle, golden_m1,
-                     random_linear_expr, running_program)
+                     random_linear_expr, random_terminating_program,
+                     running_program)
 from tracelet.interp import run
 from tracelet.lang import Binary, IntLit, Var, parse_program
 from tracelet.logic import member, parse_formula, psi
 from tracelet.traces import (AdequacyVerdict, CallEv, ChopUndefined, Ctx,
-                             EmptyTraceError, MAIN_CTX, NO_EVENT, PopEv,
-                             PushEv, RetEv, State, Trace, chop, concat,
-                             curr_ctx, dump_trace, eval_expr, event_trace,
-                             is_adequate, last_event, load_trace, singleton,
-                             update_state)
+                             EmptyTraceError, MAIN_CTX, PopEv, PushEv, RetEv,
+                             State, Trace, chop, concat, dump_trace,
+                             eval_expr, event_trace, is_adequate, load_trace,
+                             nest, singleton, update_state)
 
 
 def s(**kw):
@@ -118,38 +118,32 @@ class TestEventTrace:
                 assert t.entries[k - 1] == t.entries[k + 1]
 
 
+def current(entries):
+    """The current context by nest: the innermost open one, or (main, nul)."""
+    return (nest([], entries) or [MAIN_CTX])[-1]
+
+
 class TestLastEventCurrCtx:
-    def test_singleton_no_event(self):
-        assert last_event(singleton(s(x=0))) is NO_EVENT
-
-    def test_last_event_of_golden(self):
-        t = golden_m1()
-        assert last_event(t) == PopEv(Ctx("m", 0))
-
-    def test_last_event_after_call_chop(self):
-        t = chop(golden_m1(), event_trace(golden_m1().last(), CallEv("q", 0, 9)))
-        assert last_event(t) == CallEv("q", 0, 9)
-
-    def test_empty_trace_rejected(self):
-        with pytest.raises(EmptyTraceError):
-            last_event(Trace())
-        with pytest.raises(EmptyTraceError):
-            curr_ctx(Trace())
-
     def test_curr_ctx_cases_on_golden_prefixes(self):
         t = golden_m1()
-        assert curr_ctx(singleton(t.first())) == MAIN_CTX
+        assert current(t.entries[:1]) == MAIN_CTX
         # up to and including pushEv((m,1))
         push_m1 = next(k for k, e in enumerate(t.entries)
                        if isinstance(e, PushEv) and e.ctx == Ctx("m", 1))
-        assert curr_ctx(Trace(t.entries[:push_m1 + 2])) == Ctx("m", 1)
-        assert curr_ctx(t) == MAIN_CTX
+        assert nest([], t.entries[:push_m1 + 2]) == [Ctx("m", 0), Ctx("m", 1)]
+        assert nest([], t.entries) == []
 
     def test_curr_ctx_matches_stack_oracle(self):
-        t = golden_m1()
-        for hi in range(1, len(t.entries) + 1):
-            prefix = Trace(t.entries[:hi])
-            assert curr_ctx(prefix) == curr_ctx_stack(prefix)
+        rng = random.Random(23)
+        traces = [golden_m1()] + [run(random_terminating_program(rng)) for _ in range(30)]
+        for t in traces:
+            for hi in range(1, len(t.entries) + 1):
+                prefix = Trace(t.entries[:hi])
+                assert current(prefix.entries) == curr_ctx_stack(prefix)
+
+    def test_pop_with_nothing_open_closes_nothing(self):
+        ctxs = nest([], [PopEv(Ctx("m", 0)), PushEv(Ctx("q", 1))])
+        assert ctxs == [Ctx("q", 1)]
 
 
 class TestAdequacy:
@@ -252,6 +246,12 @@ class TestJson:
         again = load_trace(text)
         assert again == t
         assert dump_trace(again) == text
+
+    def test_one_entry_per_line(self):
+        t = run(running_program())
+        text = dump_trace(t)
+        assert len(text.splitlines()) == len(t) + 2
+        assert load_trace(text) == t
 
     def test_res_serialization(self):
         t = golden_m1()
