@@ -30,12 +30,12 @@ from .interp import DEFAULT_FUEL, FuelExhausted, RunError, initial_state, run
 from .lang import (CallAssign, IntLit, ParseError, Program, Var,
                    parse_program, well_formed)
 from .logic import (Chop, ContractSpec, LogicError, MemberBudgetExceeded,
-                    MuApp, StatePred, applied, contract_file_text,
+                    MuApp, StatePred, _Member, applied, contract_file_text,
                     flatten_chain, member, parse_contract_file,
                     pretty_formula)
 from .lang import Binary, ResVar, TokenStream, parse_expr, tokenize
 from .traces import (State, Trace, TraceError, dump_trace, eval_expr,
-                     is_adequate, load_trace)
+                     is_adequate, is_state, load_trace)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -57,11 +57,16 @@ def _read(path: str) -> str:
             return fh.read()
     except OSError as e:
         raise CliError(str(e)) from None
+    except UnicodeDecodeError as e:
+        raise CliError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
 
 
 def _write(path: str, text: str):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise CliError(str(e)) from None
 
 
 def _load_program(path: str) -> Program:
@@ -134,17 +139,12 @@ def cmd_run(args) -> int:
     program = _load_program(args.program)
     overrides = _parse_bindings(args.state or [])
     fuel = _fuel(args)
-    try:
-        state = initial_state(program, overrides)
-    except RunError as e:
-        raise CliError(str(e)) from None
+    state = initial_state(program, overrides)
     try:
         trace = run(program, state, fuel=fuel)
     except FuelExhausted:
         print("fuel exhausted before termination", file=sys.stderr)
         return EXIT_FUEL
-    except RunError as e:
-        raise CliError(str(e)) from None
     text = dump_trace(trace)
     if args.output:
         _write(args.output, text)
@@ -181,13 +181,11 @@ def _explain_failure(trace: Trace, formula, env) -> str:
     if len(parts) < 2:
         return f"trace is not in the denotation of {pretty_formula(formula)}"
     # walk the chop chain, tracking reachable shared-state positions
-    from .logic import _Member
-    checker = _Member(trace, 500_000)
+    checker = _Member(trace)
     positions = {0}
     first = parts[0]
     labels = [pretty_formula(first)] + [pretty_formula(p) for _, p in parts[1:]]
     elems = [first] + [p for _, p in parts[1:]]
-    from .traces import is_state
     n = len(trace.entries)
     for k, elem in enumerate(elems):
         reachable = set()
@@ -225,10 +223,7 @@ def cmd_check(args) -> int:
     if missing:
         raise CliError(f"missing --bind for parameters: {', '.join(missing)}")
     formula = applied(formula, params)
-    try:
-        ok = member(trace, formula, env)
-    except LogicError as e:
-        raise CliError(str(e)) from None
+    ok = member(trace, formula, env)
     if args.json:
         print(json.dumps({"member": ok, "contract": name, "bindings": env}))
     elif ok:
@@ -257,6 +252,7 @@ def cmd_gen_contract(args) -> int:
                         _parse_pred_arg(args.result),
                         _parse_pred_arg(args.step_inv))
     text = contract_file_text(spec, include_big_step=not args.no_big_step)
+    parse_contract_file(text)  # never write a file that does not read back
     if args.output:
         _write(args.output, text)
         print(f"wrote {args.output}")
@@ -327,8 +323,6 @@ def cmd_prove(args) -> int:
             tree = prove_auto(goal, ctx, max_nodes=args.max_nodes)
     except UnsupportedConstruct as e:
         raise CliError(f"unsupported construct: {e}") from None
-    except ScriptError as e:
-        raise CliError(str(e)) from None
     out = args.output or f"{proc}.proof.json"
     _write(out, dump_proof(tree, proc))
     if tree.closed:
@@ -582,7 +576,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ParseError, LogicError, TraceError) as e:
+    except (CliError, ParseError, LogicError, TraceError, RunError,
+            ScriptError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
 

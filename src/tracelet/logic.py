@@ -3,7 +3,15 @@
 Formulas are negation-free and use least fixed points only.  Membership
 of a finite trace is decided by memoized descent; a fixed-point query
 that revisits an obligation already on the descent stack is answered
-false, which is exactly the least-fixed-point reading.
+false, which is exactly the least-fixed-point reading.  Memo entries and
+stack marks have one key, (node id, token, lo, hi): the token names the
+fixed-point entry (closure and arguments) the node is evaluated under,
+and a fixed-point item is its body's entry under its own token.  Concat
+and Chop share one split loop, which tries only the splits that the
+halves' width bounds and anchors allow.  One query expands at most
+``MEMBER_BUDGET`` fixed-point items.  Terms are arithmetic over logical
+variables, evaluated by ``traces.eval_expr``; ``fresh(...)`` is the one
+case of their own.
 
 ``children``/``rebuild`` is the one generic traversal of the formula AST:
 free variables, term maps, substitution and arity checks are written on
@@ -32,6 +40,10 @@ class LogicError(Exception):
 
 class MemberBudgetExceeded(LogicError):
     pass
+
+
+# fixed-point items one membership query may expand
+MEMBER_BUDGET = 500_000
 
 
 # ---------------------------------------------------------------------------
@@ -82,28 +94,14 @@ class _FreshValue:
         self.token = token
 
 
+_NO_STATE = State()
+
+
 def eval_term(t: Term, env: dict):
+    """A term's value under env; a fresh(...) term yields a marker."""
     if isinstance(t, Fresh):
         return _FreshValue(id(t))
-    if isinstance(t, IntLit):
-        return t.value
-    if isinstance(t, Var):
-        if t.name in env:
-            return env[t.name]
-        raise UndefinedVariable(t.name)
-    if isinstance(t, Unary) and t.op == "-":
-        return -eval_term(t.operand, env)
-    if isinstance(t, Binary):
-        l, r = eval_term(t.left, env), eval_term(t.right, env)
-        if isinstance(l, _FreshValue) or isinstance(r, _FreshValue):
-            raise LogicError("fresh(...) may only appear as a whole argument")
-        if t.op == "+":
-            return l + r
-        if t.op == "-":
-            return l - r
-        if t.op == "*":
-            return l * r
-    raise LogicError(f"cannot evaluate term {t!r}")
+    return eval_expr(_NO_STATE, t, env)
 
 
 # ---------------------------------------------------------------------------
@@ -518,10 +516,10 @@ def _shape(f: Formula, shapes: dict) -> tuple:
 
 
 class _Member:
-    def __init__(self, trace: Trace, budget: int):
+    def __init__(self, trace: Trace):
         self.entries = trace.entries
         self.owners = ret_owners(trace)
-        self.budget = budget
+        self.budget = MEMBER_BUDGET
         self.memo = {}
         self.onstack = set()
         self.shapes = {}
@@ -632,44 +630,34 @@ class _Member:
         if isinstance(f, Or):
             return self.sat(f.left, lo, hi, benv, renv, token) or \
                 self.sat(f.right, lo, hi, benv, renv, token)
-        if isinstance(f, Concat):
+        if isinstance(f, (Concat, Chop)):
+            # one split loop: left half [lo, j+s), right half [j, hi); the
+            # halves of a Chop share the state at j, those of a Concat do not
+            s = 1 if isinstance(f, Chop) else 0
             lw, rw = shapes[id(f.left)], shapes[id(f.right)]
-            k_min = lo + lw[0]
-            k_max = hi - rw[0]
-            if lw[1] is not None:
-                k_max = min(k_max, lo + lw[1])
-            if rw[1] is not None:
-                k_min = max(k_min, hi - rw[1])
-            for k in range(k_min, k_max + 1):
-                if self.sat(f.left, lo, k, benv, renv, token) and \
-                        self.sat(f.right, k, hi, benv, renv, token):
-                    return True
-            return False
-        if isinstance(f, Chop):
-            lw, rw = shapes[id(f.left)], shapes[id(f.right)]
-            j_min = lo + lw[0] - 1
+            j_min = lo + lw[0] - s
             j_max = hi - rw[0]
             if lw[1] is not None:
-                j_max = min(j_max, lo + lw[1] - 1)
+                j_max = min(j_max, lo + lw[1] - s)
             if rw[1] is not None:
                 j_min = max(j_min, hi - rw[1])
             # an anchored half fixes the split next to its forced event
             if rw[3] is not None:
                 candidates = [p - 1 for p in self._evpos.get(rw[3], ())]
             elif lw[4] is not None:
-                candidates = [p + 1 for p in self._evpos.get(lw[4], ())]
+                candidates = [p + 2 - s for p in self._evpos.get(lw[4], ())]
             else:
                 candidates = range(j_min, j_max + 1)
             flags, memo = self._state_flags, self.memo
             kl, kr = id(f.left), id(f.right)
             for j in candidates:
-                if j < j_min or j > j_max or not flags[j]:
+                if j < j_min or j > j_max or (s and not flags[j]):
                     continue
                 # read memo hits inline: in deep recursion a call per split
                 # can cross an interpreter stack chunk (mmap/munmap) each time
-                ok = memo.get((kl, token, lo, j + 1))
+                ok = memo.get((kl, token, lo, j + s))
                 if ok is None:
-                    ok = self.sat(f.left, lo, j + 1, benv, renv, token)
+                    ok = self.sat(f.left, lo, j + s, benv, renv, token)
                 if ok:
                     ok = memo.get((kr, token, j, hi))
                     if ok is None:
@@ -702,7 +690,14 @@ class _Member:
         return False
 
     def _mu_member(self, closure: _Closure, argv: tuple, lo: int, hi: int) -> bool:
-        key = (closure.key, argv, lo, hi)
+        # a fixed-point item is its body's item under the entry's token
+        tok_key = (closure.key, argv)
+        token = self._tokens.get(tok_key)
+        if token is None:
+            token = len(self._tokens) + 1
+            self._tokens[tok_key] = token
+        mu = closure.mu
+        key = (id(mu.body), token, lo, hi)
         got = self.memo.get(key)
         if got is not None:
             return got
@@ -711,38 +706,28 @@ class _Member:
         self.budget -= 1
         if self.budget < 0:
             raise MemberBudgetExceeded("fixed-point descent budget exhausted")
-        mu = closure.mu
         benv = dict(closure.benv)
         benv.update(zip(mu.params, argv))
         renv = dict(closure.renv)
         renv[mu.name] = closure
-        tok_key = (closure.key, argv)
-        token = self._tokens.get(tok_key)
-        if token is None:
-            token = len(self._tokens) + 1
-            self._tokens[tok_key] = token
         self.onstack.add(key)
         try:
-            out = self.sat(mu.body, lo, hi, benv, renv, token)
+            out = self._sat(mu.body, lo, hi, benv, renv, token)
         finally:
             self.onstack.remove(key)
         self.memo[key] = out
         return out
 
 
-def member(trace: Trace, formula: Formula, env: Optional[dict] = None,
-           rec_env: Optional[dict] = None, budget: int = 500_000) -> bool:
+def member(trace: Trace, formula: Formula, env: Optional[dict] = None) -> bool:
     """True iff the trace belongs to the formula's denotation."""
     if trace.is_empty:
         raise LogicError("membership of the empty trace is undefined")
     old_limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(old_limit, 100_000))
     try:
-        checker = _Member(trace, budget)
-        renv = {}
-        for name, (mu, benv) in (rec_env or {}).items():
-            renv[name] = _Closure(mu, benv, {})
-        return checker.sat(formula, 0, len(trace.entries), dict(env or {}), renv)
+        return _Member(trace).sat(formula, 0, len(trace.entries),
+                                  dict(env or {}), {})
     finally:
         sys.setrecursionlimit(old_limit)
 
@@ -760,6 +745,23 @@ def _parse_term(ts: TokenStream) -> Term:
         ts.expect_sym(")")
         return Fresh(inner)
     return _parse_term_add(ts)
+
+
+def _parse_list(ts, item) -> tuple:
+    """A parenthesised, comma-separated, possibly empty list of items."""
+    ts.expect_sym("(")
+    out = []
+    if not ts.at_sym(")"):
+        out.append(item(ts))
+        while ts.at_sym(","):
+            ts.next()
+            out.append(item(ts))
+    ts.expect_sym(")")
+    return tuple(out)
+
+
+def _parse_name(ts) -> str:
+    return ts.expect_ident().text
 
 
 def _parse_term_add(ts):
@@ -798,11 +800,7 @@ def _parse_term_atom(ts):
         if tok.text == "fresh":
             ts.error("fresh(...) must be a whole argument")
         if tok.text == "res":
-            ts.next()
-            ts.expect_sym("(")
-            inner = _parse_term_add(ts)
-            ts.expect_sym(")")
-            return ResVar(inner)
+            ts.error("res(...) may only appear inside [...] predicates")
         ts.next()
         return Var(tok.text)
     ts.error(f"expected term, found {tok.text!r}")
@@ -835,12 +833,12 @@ def _parse_formula_chain(ts) -> Formula:
             f = Concat(f, _parse_formula_app(ts))
         elif ts.at_sym("~~"):
             ts.next()
-            f = Chop(Chop(f, psi()), _parse_formula_app(ts))
+            f = no_event_chop(f, None, _parse_formula_app(ts))
         elif ts.at_sym("~"):
             ts.next()
             name = ts.expect_ident().text
             ts.expect_sym("~")
-            f = Chop(Chop(f, psi(name)), _parse_formula_app(ts))
+            f = no_event_chop(f, name, _parse_formula_app(ts))
         else:
             return f
 
@@ -850,18 +848,8 @@ def _parse_formula_app(ts) -> Formula:
     while ts.at_sym("("):
         if not isinstance(f, (Mu, RecApp)):
             ts.error("only fixed points and recursion variables take arguments")
-        ts.next()
-        args = []
-        if not ts.at_sym(")"):
-            args.append(_parse_term(ts))
-            while ts.at_sym(","):
-                ts.next()
-                args.append(_parse_term(ts))
-        ts.expect_sym(")")
-        if isinstance(f, Mu):
-            f = MuApp(f, tuple(args))
-        else:
-            f = RecApp(f.name, tuple(args))
+        args = _parse_list(ts, _parse_term)
+        f = MuApp(f, args) if isinstance(f, Mu) else RecApp(f.name, args)
     return f
 
 
@@ -892,40 +880,16 @@ def _parse_formula_atom(ts) -> Formula:
             FinishEvF(proc, arg, cid)
     if tok.text == "psi":
         ts.next()
-        ts.expect_sym("(")
-        procs = []
-        if not ts.at_sym(")"):
-            procs.append(ts.expect_ident().text)
-            while ts.at_sym(","):
-                ts.next()
-                procs.append(ts.expect_ident().text)
-        ts.expect_sym(")")
-        return psi(*procs)
+        return psi(*_parse_list(ts, _parse_name))
     if tok.text == "noev":
         ts.next()
-        ts.expect_sym("(")
-        procs = []
-        if not ts.at_sym(")"):
-            procs.append(ts.expect_ident().text)
-            while ts.at_sym(","):
-                ts.next()
-                procs.append(ts.expect_ident().text)
-        ts.expect_sym(")")
-        return NoEv(frozenset(procs))
+        return NoEv(frozenset(_parse_list(ts, _parse_name)))
     if tok.text == "mu":
         ts.next()
         name = ts.expect_ident().text
-        ts.expect_sym("(")
-        params = []
-        if not ts.at_sym(")"):
-            params.append(ts.expect_ident().text)
-            while ts.at_sym(","):
-                ts.next()
-                params.append(ts.expect_ident().text)
-        ts.expect_sym(")")
+        params = _parse_list(ts, _parse_name)
         ts.expect_sym(".")
-        body = _parse_formula_or(ts)
-        return Mu(name, tuple(params), body)
+        return Mu(name, params, _parse_formula_or(ts))
     name = ts.next().text
     return RecApp(name, ())
 
@@ -1052,18 +1016,11 @@ def parse_contract_file(text: str) -> ContractFile:
         elif ts.at_ident("contract"):
             ts.next()
             name = ts.expect_ident().text
-            params = []
-            ts.expect_sym("(")
-            if not ts.at_sym(")"):
-                params.append(ts.expect_ident().text)
-                while ts.at_sym(","):
-                    ts.next()
-                    params.append(ts.expect_ident().text)
-            ts.expect_sym(")")
+            params = _parse_list(ts, _parse_name)
             ts.expect_sym(":=")
             f = _parse_formula_or(ts)
             check_formula(f, {})
-            contracts[name] = (tuple(params), f)
+            contracts[name] = (params, f)
         else:
             ts.error("expected 'contract' or 'spec'")
     return ContractFile(contracts, specs)

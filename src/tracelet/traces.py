@@ -89,10 +89,6 @@ class State:
         return f"[{inner}]"
 
 
-def update_state(state: State, name: str, value: int) -> State:
-    return state.set(name, value)
-
-
 def eval_expr(state: State, e: Expr, env=None):
     """Standard evaluation; env carries logical variables.
 

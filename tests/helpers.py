@@ -10,11 +10,11 @@ from __future__ import annotations
 import random
 
 from tracelet.lang import (Assign, Binary, BoolLit, CallAssign, If, IntLit,
-                           Program, ProcDecl, Return, Scope, Seq, Skip, Stmt,
-                           Unary, Var, While, parse_program, seq)
-from tracelet.logic import (And, Chop, Concat, ContractSpec, FinishEvF,
-                            Fresh, Mu, MuApp, NoEv, Or, RecApp, StartEvF,
-                            StatePred, eval_term, make_contract, _FreshValue)
+                           Program, ProcDecl, Return, Scope, Seq, Skip, Unary,
+                           Var, While, parse_program, seq)
+from tracelet.logic import (And, Chop, Concat, ContractSpec, FinishEvF, Mu,
+                            MuApp, NoEv, Or, RecApp, StartEvF, StatePred,
+                            eval_term, make_contract, _FreshValue)
 from tracelet.traces import (CallEv, Ctx, MAIN_CTX, PopEv, PushEv, RetEv,
                              State, Trace, eval_expr, is_state,
                              res_name, ret_owners)

@@ -3,7 +3,6 @@
 Each criterion prints a PASS/FAIL line in the terminal summary.
 """
 
-import json
 import random
 import time
 
@@ -13,10 +12,9 @@ from helpers import (M0_SRC, M2_EVENT_SKELETON, M2_SRC, MUTANT_SRC,
                      RUNNING_SRC, contract_m, event_skeleton, golden_m0,
                      golden_m1, member_approx, mutate_trace,
                      random_terminating_program, running_program, spec_m)
-from tracelet.calculus import (ContractAssumption, RuleContext,
-                               contract_goal, dump_proof, prove_auto)
+from tracelet.calculus import (ContractAssumption, contract_goal, dump_proof,
+                               prove_auto)
 from tracelet.cli import validate_contract
-from tracelet.fo import fo_valid
 from tracelet.interp import run, run_update_prefixed, semantics
 from tracelet.lang import (Assign, Binary, CallAssign, IntLit, ResVar, Seq,
                            Var, build_lookup, parse_program, seq)

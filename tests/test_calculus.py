@@ -5,10 +5,10 @@ import re
 
 import pytest
 
-from helpers import (MUTANT_SRC, RUNNING_SRC, running_program, spec_m)
-from tracelet.calculus import (ContractAssumption, ContractGoal, Judgment,
-                               PredAssert, PredGoal, ProofNode, RuleContext,
-                               RuleError, ScriptError, Sequent,
+from helpers import MUTANT_SRC, running_program, spec_m
+from tracelet.calculus import (ContractAssumption, Judgment, PredAssert,
+                               PredGoal, RuleContext, RuleError, ScriptError,
+                               Sequent,
                                UnsupportedConstruct, apply_rule, check_proof,
                                contract_goal, dump_proof, load_proof,
                                names_in_sequent, node_to_json, prove_auto,
@@ -19,12 +19,11 @@ from tracelet.lang import (Assign, Binary, BoolLit, If, IntLit, Return,
                            ResVar, Scope, Seq, Skip, TokenStream, Var,
                            build_lookup, parse_expr, parse_program,
                            pretty_expr, tokenize)
-from tracelet.logic import (Chop, Mu, MuApp, StatePred, formula_vars, member,
+from tracelet.logic import (Chop, MuApp, StatePred, formula_vars, member,
                             parse_formula, pretty_formula, psi)
 from tracelet.traces import Ctx, MAIN_CTX, State, res_name, singleton
-from tracelet.updates import (CallUpd, Elem, FinishUpd, StartUpd,
-                              apply_update_expr, curr_ctx_update,
-                              pretty_update)
+from tracelet.updates import (Elem, FinishUpd, StartUpd, apply_update_expr,
+                              curr_ctx_update, pretty_update)
 
 
 def ctx_m(extensions=False):

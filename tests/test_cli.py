@@ -4,7 +4,6 @@ import contextlib
 import copy
 import io
 import json
-import os
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -108,6 +107,29 @@ def test_malformed_trace_one_line_error(work, capsys, text):
     bad.write_text(text)
     capsys.readouterr()
     assert main(["adequacy", str(bad)]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "{dir}/running.tcp", "-o", "{dir}/missing/t.json"],
+    ["run", "{dir}/running.tcp", "-o", "{dir}"],
+    ["gen-contract", "m", "--pre-base", "n == 0", "--pre-step", "n > 0",
+     "--result", "n", "--step-inv", "n - 1", "-o", "{dir}/missing/m.tcf"],
+    ["prove", "{dir}/running.tcp", "{dir}/m.tcf", "-o", "{dir}/missing/p.json"],
+    ["validate", "{dir}/running.tcp", "{dir}/m.tcf", "--no-proof",
+     "--samples", "1", "--range", "1..1", "--trace-dir", "{dir}/missing"],
+    ["run", "{dir}/latin1.tcp"],
+    ["adequacy", "{dir}/latin1.tcp"],
+    ["prove", "{dir}/running.tcp", "{dir}/latin1.tcp"],
+], ids=["run-o-missing-dir", "run-o-directory", "gen-contract-o", "prove-o",
+        "validate-trace-dir", "run-not-utf8", "adequacy-not-utf8",
+        "prove-contracts-not-utf8"])
+def test_file_error_one_line(work, capsys, argv):
+    gen_contract(work)
+    (work / "latin1.tcp").write_bytes("main { x; x = 1 } // caf\xe9".encode("latin-1"))
+    capsys.readouterr()
+    assert main([a.format(dir=work) for a in argv]) == EXIT_ERROR
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
 
@@ -415,6 +437,18 @@ class TestValidate:
         assert [s["verdict"] for s in report["samples"]] == [verdict, verdict]
         assert report["overall"] == "fail"
 
+    def test_member_budget_exceeded_is_its_verdict(self, work, capsys,
+                                                   monkeypatch):
+        contract = gen_contract(work)
+        monkeypatch.setattr("tracelet.logic.MEMBER_BUDGET", 5)
+        capsys.readouterr()
+        code = main(["validate", str(work / "running.tcp"), str(contract),
+                     "--proc", "m", "--samples", "1", "--range", "3..3",
+                     "--no-proof", "--json"])
+        assert code == EXIT_VALIDATION_FAILED
+        report = json.loads(capsys.readouterr().out)
+        assert [s["verdict"] for s in report["samples"]] == ["member-budget-exceeded"]
+
     def test_reports_reproducible(self, work, capsys):
         contract = gen_contract(work)
         argv = ["validate", str(work / "running.tcp"), str(contract),
@@ -432,6 +466,18 @@ class TestGenContract:
         cf = parse_contract_file(contract.read_text())
         assert set(cf.contracts) == {"m", "m_big_step"}
         assert "m" in cf.specs
+
+    @pytest.mark.parametrize("field", ["--result", "--step-inv"])
+    def test_res_in_a_term_one_line_error(self, work, capsys, field):
+        out = work / "res.tcf"
+        argv = ["gen-contract", "m", "--pre-base", "n == 0", "--pre-step", "n > 0",
+                "--result", "n", "--step-inv", "n - 1", "-o", str(out)]
+        argv[argv.index(field) + 1] = "res(0)"
+        capsys.readouterr()
+        assert main(argv) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestRepl:

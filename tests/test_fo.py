@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from tracelet.fo import (canon_pred, fo_valid, negate_pred, pred_equiv,
                          simplify_or, terms_equal)
-from tracelet.lang import Binary, BoolLit, IntLit, ResVar, Unary, Var
+from tracelet.lang import Binary, BoolLit, IntLit, ResVar, Var
 
 
 def v(name):

@@ -1,11 +1,12 @@
-"""Every name a tracelet module imports is used in that module."""
+"""Every name a tracelet module or test file imports is used in that file."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "tracelet"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "tracelet"
 
 
 def unused_imports(source: str) -> list:
@@ -23,7 +24,8 @@ def unused_imports(source: str) -> list:
                   if name not in used)
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")),
+                         ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

@@ -4,16 +4,19 @@ import random
 
 import pytest
 
-from helpers import (M0_SRC, RUNNING_SRC, contract_m, golden_m0, golden_m1,
+from helpers import (RUNNING_SRC, contract_m, golden_m0, golden_m1,
                      member_approx, mutate_trace, spec_m)
+from tracelet import logic
 from tracelet.interp import run
-from tracelet.lang import Binary, BoolLit, IntLit, ResVar, Var, parse_program
+from tracelet.lang import (Binary, BoolLit, IntLit, ParseError, ResVar, Var,
+                           parse_program)
 from tracelet.logic import (And, Chop, Concat, ContractSpec, FinishEvF,
-                            Fresh, LogicError, Mu, MuApp, NoEv, Or, RecApp,
-                            StartEvF, StatePred, applied, big_step_of,
-                            check_formula, contract_file_text, eval_pred,
-                            is_psi, make_contract, member,
-                            no_event_chop, parse_contract_file, parse_formula,
+                            Fresh, LogicError, MemberBudgetExceeded, Mu,
+                            MuApp, NoEv, Or, RecApp, StartEvF, StatePred,
+                            _Member, big_step_of, check_formula,
+                            contract_file_text, eval_pred, is_psi,
+                            make_contract, member, no_event_chop,
+                            parse_contract_file, parse_formula,
                             pretty_formula, psi, substitute, unfold)
 from tracelet.traces import (CallEv, State, Trace, event_trace, is_state,
                              singleton)
@@ -34,6 +37,11 @@ def m1_core():
 
 def m0_core():
     return Trace(golden_m0().entries[:-1])
+
+
+def m3_core():
+    program = parse_program(RUNNING_SRC.replace("x = m(1)", "x = m(3)"))
+    return Trace(run(program).entries[:-1])
 
 
 def contract_with_post(mu=None):
@@ -138,6 +146,15 @@ class TestParseFormula:
         f = parse_formula("noev(m, q)")
         assert f == NoEv(frozenset({"m", "q"}))
 
+    @pytest.mark.parametrize("text", [
+        "startEv(m, res(0), 0)",
+        "(mu X(a). [a == 0])(res(0) + 1)",
+    ])
+    def test_res_is_not_a_term(self, text):
+        # res(i) reads a state, so it belongs inside [...] predicates only
+        with pytest.raises(ParseError, match="res"):
+            parse_formula(text)
+
 
 class TestMember:
     def test_state_pred_membership(self):
@@ -201,6 +218,11 @@ class TestMember:
         "(finishEv(m, 0, 1) .. noev()) ** noev()",   # Concat, last from the right
         "noev() ** (startEv(m, 0, 1) \\/ noev())",   # Or, halves disagree
         "(finishEv(m, 0, 1) \\/ noev()) ** noev()",  # Or, halves disagree
+        # Concat splits at its halves' anchors too
+        "[true] .. startEv(m, 0, 1)",                # right half's first
+        "finishEv(m, 0, 1) .. [true]",               # left half's last
+        "noev() .. (startEv(m, 0, 1) ** psi(m))",    # right half's first
+        "(psi(m) ** finishEv(m, 0, 1)) .. noev()",   # left half's last
     ])
     def test_compound_anchors_match_bruteforce(self, text):
         f = parse_formula(text)
@@ -208,6 +230,22 @@ class TestMember:
         verdicts = [member(seg, f) for seg in segs]
         assert verdicts == [member_approx(seg, f) for seg in segs]
         assert any(verdicts)
+
+    def test_one_memo_key_shape(self):
+        core = m3_core()
+        checker = _Member(core)
+        assert checker.sat(contract_with_post(), 0, len(core.entries),
+                           {"n": 3, "i": 0}, {})
+        keys = list(checker.memo) + list(checker.onstack)
+        assert keys and all(len(k) == 4 and all(type(x) is int for x in k)
+                            for k in keys)
+
+    def test_budget_stops_a_query(self, monkeypatch):
+        env = {"n": 3, "i": 0}
+        assert member(m3_core(), contract_with_post(), env)
+        monkeypatch.setattr(logic, "MEMBER_BUDGET", 5)
+        with pytest.raises(MemberBudgetExceeded):
+            member(m3_core(), contract_with_post(), env)
 
     def test_fresh_id_existential(self):
         # the recursive disjunct finds the inner call id

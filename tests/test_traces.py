@@ -10,11 +10,10 @@ from helpers import (curr_ctx_stack, eval_expr_oracle, golden_m1,
 from tracelet.interp import run
 from tracelet.lang import Binary, IntLit, Var, parse_program
 from tracelet.logic import member, parse_formula, psi
-from tracelet.traces import (AdequacyVerdict, CallEv, ChopUndefined, Ctx,
-                             EmptyTraceError, MAIN_CTX, PopEv, PushEv, RetEv,
-                             State, Trace, chop, concat, dump_trace,
-                             eval_expr, event_trace, is_adequate, load_trace,
-                             nest, singleton, update_state)
+from tracelet.traces import (CallEv, ChopUndefined, Ctx, EmptyTraceError,
+                             MAIN_CTX, PopEv, PushEv, RetEv, State, Trace,
+                             chop, concat, dump_trace, eval_expr, event_trace,
+                             is_adequate, load_trace, nest, singleton)
 
 
 def s(**kw):
@@ -23,10 +22,10 @@ def s(**kw):
 
 class TestStates:
     def test_update_overwrites(self):
-        assert update_state(s(x=0), "x", 1) == s(x=1)
+        assert s(x=0).set("x", 1) == s(x=1)
 
     def test_update_preserves_rest(self):
-        st = update_state(s(x=0, y=1), "x", 5)
+        st = s(x=0, y=1).set("x", 5)
         assert st.get("y") == 1 and st.get("x") == 5
 
     def test_eval_example(self):
@@ -49,7 +48,7 @@ class TestStates:
             st = State({n: rng.randint(-5, 5) for n in "pq"})
             name = rng.choice("pqr")
             v = rng.randint(-100, 100)
-            assert update_state(st, name, v).get(name) == v
+            assert st.set(name, v).get(name) == v
 
 
 class TestChopConcat:
