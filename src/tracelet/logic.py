@@ -1,31 +1,52 @@
 """Fixed-point trace logic: formulas, membership checking, contracts.
 
 Formulas are negation-free and use least fixed points only.  Membership
-of a finite trace is decided by memoized descent; a fixed-point query
-that revisits an obligation already on the descent stack is answered
-false, which is exactly the least-fixed-point reading.  Memo entries and
-stack marks have one key, (node id, token, lo, hi): the token names the
-fixed-point entry (closure and arguments) the node is evaluated under,
-and a fixed-point item is its body's entry under its own token.  Concat
-and Chop share one split loop, which tries only the splits that the
-halves' width bounds and anchors allow.  One query expands at most
-``MEMBER_BUDGET`` fixed-point items.  Terms are arithmetic over logical
-variables, evaluated by ``traces.eval_expr``; ``fresh(...)`` is the one
-case of their own.
+of a finite trace is decided by memoized descent, a chart parse whose
+items are (node, token, lo, hi): the token names the fixed-point entry
+(closure and arguments) the node is evaluated under, and a fixed-point
+item is its body's item under its own token.  A fixed-point query that
+revisits an item already on the descent stack is answered false, which is
+exactly the least-fixed-point reading.  A false result that relied on
+an item still open is not memoized, since the item may yet turn out
+true; true results hold under that assumption too and are always kept.
+Each call tracks the lowest open depth its own false relied on, as
+Tarjan's lowlink does: an item that relied only on itself or on deeper
+items is final when it closes.
+One query expands at most ``MEMBER_BUDGET`` fixed-point items.
+
+The cost is in the splits each Concat or Chop tries.  Both share one split
+loop, bounded by a static record per node (``_shape``):
+- width bounds, and anchors: the event every match has at lo+1 or hi-2,
+  so an anchored half fixes the split next to one of its events, found
+  by bisection in the sorted positions of that event;
+- reach: a psi gap matches only up to the next entry involving an
+  excluded procedure.  Two tables per exclusion set answer this, ``nxt``
+  (first involving position at or after p) and ``prv`` (last one before
+  p).  A node's ``head``/``tail`` is such a gap at its start or end, shifted
+  across a fixed-width neighbour; since both tables are monotone, the
+  left half's tail clamps the largest split and the right half's head the
+  smallest;
+- the call id: when every body match of a fixed point starts with a
+  ``startEv`` whose id is a parameter, a ``fresh(...)`` argument for that
+  parameter is the id of the call at lo+1, not every id in the segment.
+
+Terms are arithmetic over logical variables, evaluated by
+``traces.eval_expr``; ``fresh(...)`` is the one case of their own.
 
 ``children``/``rebuild`` is the one generic traversal of the formula AST:
 free variables, term maps, substitution and arity checks are written on
 top of it.  Only per-node analyses keep their own dispatch: membership
-(``_Member._sat``), its static per-node record (``_shape``: width bounds,
-psi gap, anchors) and ``pretty_formula``.
+(``_Member._sat``), its static per-node record (``_shape``) and
+``pretty_formula``.
 """
 
 from __future__ import annotations
 
 import sys
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import product
-from typing import Optional, Tuple, Union
+from typing import NamedTuple, Optional, Tuple, Union
 
 from .lang import (Binary, Expr, IntLit, ResVar, TokenStream, Unary, Var,
                    expr_vars, parse_expr, pretty_expr, subst_vars, tokenize)
@@ -471,46 +492,80 @@ def _event_key(e):
     return None
 
 
-def _shape(f: Formula, shapes: dict) -> tuple:
-    """f's static record, built bottom-up and stored in shapes under id(f).
+class _Rec(NamedTuple):
+    """A formula node's static record, computed once by ``_shape``.
 
-    The record is (min_entries, max_entries, psi exclusion set, first
-    anchor, last anchor).  max_entries None means unbounded; the exclusion
-    set is None unless f is a no-event fixed point; an anchor is the event
-    key that every match of f has at segment position lo+1 (first) or
-    hi-2 (last), or None.
+    Every match [lo, hi) of the node spans at least ``lo_w`` and at most
+    ``hi_w`` entries (None: unbounded).  ``excl`` is the exclusion set
+    when the node is a psi gap.  ``first``/``last`` is the event key every
+    match has at lo+1/hi-2, and ``cid`` the variable naming the call id of
+    the call at lo+1 (None for a fixed-point application).  ``head``/``tail`` is (E, off) when no entry of
+    [lo, hi-off)/[lo+off, hi) involves a procedure of E.
     """
+
+    lo_w: int
+    hi_w: Optional[int] = None
+    excl: Optional[frozenset] = None
+    first: Optional[tuple] = None
+    last: Optional[tuple] = None
+    cid: Optional[str] = None
+    head: Optional[tuple] = None
+    tail: Optional[tuple] = None
+
+
+def _shape(f: Formula, shapes: dict) -> _Rec:
+    """f's record, built bottom-up and stored in shapes under id(f)."""
     got = shapes.get(id(f))
     if got is not None:
         return got
     subs = [_shape(g, shapes) for g in children(f)[0]]
     if isinstance(f, (StatePred, NoEv)):
-        out = (1, 1, None, None, None)
+        out = _Rec(1, 1)
     elif isinstance(f, StartEvF):
-        out = (5, 5, None, ("call", f.proc), ("push", f.proc))
+        out = _Rec(5, 5, None, ("call", f.proc), ("push", f.proc),
+                   f.call_id.name if isinstance(f.call_id, Var) else None)
     elif isinstance(f, FinishEvF):
-        out = (6, 6, None, ("ret", None), ("pop", f.proc))
+        out = _Rec(6, 6, None, ("ret", None), ("pop", f.proc))
     elif isinstance(f, (Mu, MuApp)):
-        out = (1, None, is_psi(f)) + subs[0][3:]
+        excl = is_psi(f)
+        body = subs[0]
+        if excl is not None:
+            out = _Rec(1, None, excl, head=(excl, 0), tail=(excl, 0))
+        else:
+            # an application's cid would name a variable of mu's scope
+            out = _Rec(1, None, None, body.first, body.last,
+                       body.cid if isinstance(f, Mu) else None)
     elif isinstance(f, RecApp):
-        out = (1, None, None, None, None)
+        out = _Rec(1, None)
     else:
-        (lmin, lmax, _, lfirst, llast), (rmin, rmax, _, rfirst, rlast) = subs
-        bounded = lmax is not None and rmax is not None
+        l, r = subs
+        bounded = l.hi_w is not None and r.hi_w is not None
         if isinstance(f, And):
-            hi = rmax if lmax is None else lmax if rmax is None else min(lmax, rmax)
-            out = (max(lmin, rmin), hi, None, lfirst or rfirst, llast or rlast)
+            hi = r.hi_w if l.hi_w is None else l.hi_w if r.hi_w is None \
+                else min(l.hi_w, r.hi_w)
+            out = _Rec(max(l.lo_w, r.lo_w), hi, None, l.first or r.first,
+                       l.last or r.last, l.cid or r.cid, l.head or r.head,
+                       l.tail or r.tail)
         elif isinstance(f, Or):
-            out = (min(lmin, rmin), max(lmax, rmax) if bounded else None, None,
-                   lfirst if lfirst == rfirst else None,
-                   llast if llast == rlast else None)
-        elif isinstance(f, Concat):
-            out = (lmin + rmin, lmax + rmax if bounded else None, None,
-                   lfirst, rlast)
-        else:  # Chop: the two halves share one entry
-            out = (max(lmin + rmin - 1, 1), lmax + rmax - 1 if bounded else None,
-                   None, lfirst or (rfirst if lmin == lmax == 1 else None),
-                   rlast or (llast if rmin == rmax == 1 else None))
+            out = _Rec(min(l.lo_w, r.lo_w), max(l.hi_w, r.hi_w) if bounded else None,
+                       None, l.first if l.first == r.first else None,
+                       l.last if l.last == r.last else None,
+                       l.cid if l.cid == r.cid else None)
+        else:
+            # Concat, or Chop (s = 1), whose halves share one entry; a gap
+            # half's reach carries across a bounded other half
+            s = 1 if isinstance(f, Chop) else 0
+            head = tail = None
+            if l.head is not None and r.hi_w is not None:
+                head = (l.head[0], l.head[1] + r.hi_w - s)
+            if r.tail is not None and l.hi_w is not None:
+                tail = (r.tail[0], r.tail[1] + l.hi_w - s)
+            one = s and l.lo_w == l.hi_w == 1
+            out = _Rec(max(l.lo_w + r.lo_w - s, 1),
+                       l.hi_w + r.hi_w - s if bounded else None, None,
+                       l.first or (r.first if one else None),
+                       r.last or (l.last if s and r.lo_w == r.hi_w == 1 else None),
+                       l.cid or (r.cid if one else None), head, tail)
     shapes[id(f)] = out
     return out
 
@@ -521,9 +576,10 @@ class _Member:
         self.owners = ret_owners(trace)
         self.budget = MEMBER_BUDGET
         self.memo = {}
-        self.onstack = set()
+        self.onstack = {}   # open fixed-point item -> its depth on the stack
+        self.low = None     # lowest open item the current call's false relied on
         self.shapes = {}
-        self._involved = {}
+        self._reach = {}
         self._ids = {}
         self._evpos = {}
         self._tokens = {}
@@ -549,22 +605,49 @@ class _Member:
         self._ids[key] = got
         return got
 
-    def resolve_args(self, args: tuple, benv: dict, lo: int, hi: int):
-        """All concrete argument tuples; fresh markers range over segment ids."""
+    def resolve_args(self, mu: Mu, args: tuple, benv: dict, lo: int, hi: int):
+        """All concrete argument tuples.
+
+        A fresh marker ranges over the segment's call ids, or is the id of
+        the call at lo+1 when every body match starts with that call and
+        names the marker's parameter as its id.
+        """
         concrete = [eval_term(a, benv) for a in args]
-        return product(*[self.ids_in(lo, hi) if isinstance(v, _FreshValue) else (v,)
-                         for v in concrete])
+        cid = self.shapes[id(mu)].cid
+        bound = {p: k for k, p in enumerate(mu.params)}.get(cid)
+        choices = []
+        for k, v in enumerate(concrete):
+            if not isinstance(v, _FreshValue):
+                choices.append((v,))
+            elif k == bound:
+                call = self.entries[lo + 1] if hi - lo > 1 else None
+                choices.append((call.call_id,) if isinstance(call, CallEv) else ())
+            else:
+                choices.append(self.ids_in(lo, hi))
+        return product(*choices)
+
+    def reach(self, exclude) -> tuple:
+        """(nxt, prv) for the entries involving an excluded procedure.
+
+        nxt[p] is the first such position at or after p, or len; prv[p]
+        the last one before p, or -1.  Both are monotone in p.
+        """
+        got = self._reach.get(exclude)
+        if got is None:
+            n = len(self.entries)
+            hits = [event_involves(e, exclude, self.owners.get(pos))
+                    for pos, e in enumerate(self.entries)]
+            nxt, prv = [n] * (n + 1), [-1] * (n + 1)
+            for p in range(n - 1, -1, -1):
+                nxt[p] = p if hits[p] else nxt[p + 1]
+            for p in range(n):
+                prv[p + 1] = p if hits[p] else prv[p]
+            got = self._reach[exclude] = (nxt, prv)
+        return got
 
     def _gap_ok(self, exclude, lo: int, hi: int) -> bool:
         """No entry in [lo, hi) is an event involving an excluded procedure."""
-        counts = self._involved.get(exclude)
-        if counts is None:
-            # prefix counts of the entries that involve excluded procedures
-            counts = [0]
-            for pos, e in enumerate(self.entries):
-                counts.append(counts[-1] + event_involves(e, exclude, self.owners.get(pos)))
-            self._involved[exclude] = counts
-        return counts[hi] == counts[lo]
+        return self.reach(exclude)[0][lo] >= hi
 
     def sat(self, f: Formula, lo: int, hi: int, benv: dict, renv: dict,
             token: int = 0) -> bool:
@@ -573,18 +656,32 @@ class _Member:
         key = (id(f), token, lo, hi)
         got = self.memo.get(key)
         if got is None:
+            outer, self.low = self.low, None
             got = self._sat(f, lo, hi, benv, renv, token)
-            self.memo[key] = got
+            self._settle(key, got, outer, self.low)
         return got
+
+    def _settle(self, key, got: bool, outer, low) -> None:
+        """Memoize a result unless it is a false that relied on an open
+        item (low: the lowest such depth), and pass low on to the caller.
+
+        A true result is final: it was found with open items counted as
+        false and can only stay true once they are decided.
+        """
+        if got or low is None:
+            self.memo[key] = got
+        if not got and low is not None and (outer is None or low < outer):
+            outer = low
+        self.low = outer
 
     def _sat(self, f, lo, hi, benv, renv, token) -> bool:
         ent, shapes = self.entries, self.shapes
         n = hi - lo
-        lo_w, hi_w, excl, _, _ = shapes.get(id(f)) or _shape(f, shapes)
-        if n < lo_w or (hi_w is not None and n > hi_w):
+        rec = shapes.get(id(f)) or _shape(f, shapes)
+        if n < rec.lo_w or (rec.hi_w is not None and n > rec.hi_w):
             return False
-        if excl is not None:
-            return self._gap_ok(excl, lo, hi)
+        if rec.excl is not None:
+            return self._gap_ok(rec.excl, lo, hi)
         # from here on a leaf's segment has exactly its width
         if isinstance(f, StatePred):
             if not is_state(ent[lo]):
@@ -635,23 +732,37 @@ class _Member:
             # halves of a Chop share the state at j, those of a Concat do not
             s = 1 if isinstance(f, Chop) else 0
             lw, rw = shapes[id(f.left)], shapes[id(f.right)]
-            j_min = lo + lw[0] - s
-            j_max = hi - rw[0]
-            if lw[1] is not None:
-                j_max = min(j_max, lo + lw[1] - s)
-            if rw[1] is not None:
-                j_min = max(j_min, hi - rw[1])
-            # an anchored half fixes the split next to its forced event
-            if rw[3] is not None:
-                candidates = [p - 1 for p in self._evpos.get(rw[3], ())]
-            elif lw[4] is not None:
-                candidates = [p + 2 - s for p in self._evpos.get(lw[4], ())]
+            j_min = lo + lw.lo_w - s
+            j_max = hi - rw.lo_w
+            if lw.hi_w is not None:
+                j_max = min(j_max, lo + lw.hi_w - s)
+            if rw.hi_w is not None:
+                j_min = max(j_min, hi - rw.hi_w)
+            # a gap half ends before the next event it excludes
+            if lw.tail is not None:
+                excl, off = lw.tail
+                j_max = min(j_max, self.reach(excl)[0][min(lo + off, len(ent))] - s)
+            if rw.head is not None:
+                excl, off = rw.head
+                j_min = max(j_min, self.reach(excl)[1][max(hi - off, 0)] + 1)
+            if j_min > j_max:
+                return False
+            # an anchored half fixes the split next to its forced event:
+            # the right half's first anchor at p gives j = p-1, the left
+            # half's last anchor gives j = p+2-s
+            if rw.first is not None:
+                ps, d = self._evpos.get(rw.first, ()), -1
+            elif lw.last is not None:
+                ps, d = self._evpos.get(lw.last, ()), 2 - s
             else:
-                candidates = range(j_min, j_max + 1)
+                ps, d = range(j_min, j_max + 1), 0
+            if d:
+                ps = ps[bisect_left(ps, j_min - d):bisect_right(ps, j_max - d)]
             flags, memo = self._state_flags, self.memo
             kl, kr = id(f.left), id(f.right)
-            for j in candidates:
-                if j < j_min or j > j_max or (s and not flags[j]):
+            for p in ps:
+                j = p + d
+                if s and not flags[j]:
                     continue
                 # read memo hits inline: in deep recursion a call per split
                 # can cross an interpreter stack chunk (mmap/munmap) each time
@@ -678,13 +789,13 @@ class _Member:
         else:
             raise LogicError(f"not a formula: {f!r}")
         # every unfolding of mu has its anchors' events at lo+1 and hi-2
-        first, last = (shapes.get(id(mu)) or _shape(mu, shapes))[3:]
-        if first is not None and (n < 3 or self._keys[lo + 1] != first):
+        mrec = shapes.get(id(mu)) or _shape(mu, shapes)
+        if mrec.first is not None and (n < 3 or self._keys[lo + 1] != mrec.first):
             return False
-        if last is not None and (n < 3 or self._keys[hi - 2] != last):
+        if mrec.last is not None and (n < 3 or self._keys[hi - 2] != mrec.last):
             return False
         closure = renv[f.name] if isinstance(f, RecApp) else _Closure(mu, benv, renv)
-        for argv in self.resolve_args(args, benv, lo, hi):
+        for argv in self.resolve_args(mu, args, benv, lo, hi):
             if self._mu_member(closure, argv, lo, hi):
                 return True
         return False
@@ -701,8 +812,13 @@ class _Member:
         got = self.memo.get(key)
         if got is not None:
             return got
-        if key in self.onstack:
-            return False  # least fixed point: no progress, contributes nothing
+        depth = self.onstack.get(key)
+        if depth is not None:
+            # least fixed point: no progress, contributes nothing; a false
+            # result that relies on this is not final while the item is open
+            if self.low is None or depth < self.low:
+                self.low = depth
+            return False
         self.budget -= 1
         if self.budget < 0:
             raise MemberBudgetExceeded("fixed-point descent budget exhausted")
@@ -710,12 +826,17 @@ class _Member:
         benv.update(zip(mu.params, argv))
         renv = dict(closure.renv)
         renv[mu.name] = closure
-        self.onstack.add(key)
+        depth = len(self.onstack)
+        self.onstack[key] = depth
+        outer, self.low = self.low, None
         try:
             out = self._sat(mu.body, lo, hi, benv, renv, token)
         finally:
-            self.onstack.remove(key)
-        self.memo[key] = out
+            del self.onstack[key]
+        low = self.low
+        if low is not None and low >= depth:
+            low = None  # it relied only on itself or on items closed now
+        self._settle(key, out, outer, low)
         return out
 
 

@@ -8,12 +8,12 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from helpers import M0_SRC, MUTANT_SRC, RUNNING_SRC
+from helpers import M0_SRC, MUTANT_SRC, RUNNING_SRC, contract_m
 from tracelet.cli import (EXIT_ERROR, EXIT_FUEL, EXIT_INADEQUATE,
                           EXIT_NOT_MEMBER, EXIT_OK, EXIT_OPEN_PROOF,
                           EXIT_PROOF_REJECTED, EXIT_VALIDATION_FAILED, main)
 from tracelet.interp import RunError
-from tracelet.logic import MemberBudgetExceeded
+from tracelet.logic import MemberBudgetExceeded, pretty_formula
 
 
 @pytest.fixture
@@ -155,6 +155,22 @@ class TestCheck:
                      "--bind", "n=2", "--bind", "i=0"]) == EXIT_NOT_MEMBER
         err = capsys.readouterr().out
         assert "chain element" in err or "not a member" in err
+
+    def test_explanation_within_budget(self, work, capsys, monkeypatch):
+        # explaining a failed check asks the first chain element for every
+        # end position; each of those queries must stay cheap
+        trace = work / "m50.trace.json"
+        (work / "m50.tcp").write_text(RUNNING_SRC.replace("x = m(1)", "x = m(50)"))
+        assert main(["run", str(work / "m50.tcp"), "-o", str(trace)]) == EXIT_OK
+        formula = work / "m7.tcf"
+        formula.write_text(f"contract m7(n, i) := "
+                           f"({pretty_formula(contract_m())})(n, i) ** [x == 7]\n")
+        monkeypatch.setattr("tracelet.logic.MEMBER_BUDGET", 5000)
+        capsys.readouterr()
+        assert main(["check", str(trace), str(formula), "--bind", "n=50",
+                     "--bind", "i=0"]) == EXIT_NOT_MEMBER
+        assert capsys.readouterr().out.startswith(
+            "not a member: no match for chain element #2")
 
     def test_singleton_true(self, work, tmp_path, capsys):
         t = tmp_path / "s.json"
@@ -440,7 +456,7 @@ class TestValidate:
     def test_member_budget_exceeded_is_its_verdict(self, work, capsys,
                                                    monkeypatch):
         contract = gen_contract(work)
-        monkeypatch.setattr("tracelet.logic.MEMBER_BUDGET", 5)
+        monkeypatch.setattr("tracelet.logic.MEMBER_BUDGET", 2)
         capsys.readouterr()
         code = main(["validate", str(work / "running.tcp"), str(contract),
                      "--proc", "m", "--samples", "1", "--range", "3..3",
@@ -448,6 +464,20 @@ class TestValidate:
         assert code == EXIT_VALIDATION_FAILED
         report = json.loads(capsys.readouterr().out)
         assert [s["verdict"] for s in report["samples"]] == ["member-budget-exceeded"]
+
+    @pytest.mark.parametrize("program,overall", [("running.tcp", "pass"),
+                                                  ("mutant.tcp", "fail")])
+    def test_member_work_linear_in_calls(self, work, capsys, monkeypatch,
+                                         program, overall):
+        # one fixed-point item per call of m(200) suffices; allow twice that
+        contract = gen_contract(work)
+        monkeypatch.setattr("tracelet.logic.MEMBER_BUDGET", 402)
+        capsys.readouterr()
+        main(["validate", str(work / program), str(contract), "--proc", "m",
+              "--samples", "1", "--range", "200..200", "--no-proof", "--json"])
+        report = json.loads(capsys.readouterr().out)
+        assert report["overall"] == overall
+        assert report["samples"][0]["verdict"] != "member-budget-exceeded"
 
     def test_reports_reproducible(self, work, capsys):
         contract = gen_contract(work)

@@ -3,9 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import (RUNNING_SRC, contract_m, golden_m0, golden_m1,
-                     member_approx, mutate_trace, spec_m)
+from helpers import (MUTANT_SRC, RUNNING_SRC, contract_m, golden_m0,
+                     golden_m1, member_approx, mutate_trace, spec_m)
 from tracelet import logic
 from tracelet.interp import run
 from tracelet.lang import (Binary, BoolLit, IntLit, ParseError, ResVar, Var,
@@ -223,6 +224,12 @@ class TestMember:
         "finishEv(m, 0, 1) .. [true]",               # left half's last
         "noev() .. (startEv(m, 0, 1) ** psi(m))",    # right half's first
         "(psi(m) ** finishEv(m, 0, 1)) .. noev()",   # left half's last
+        # a fresh argument is bound to the call at lo+1 only when every
+        # body match starts with a call that the parameter names
+        "(mu Y(a, b). startEv(m, 1, a) \\/ startEv(m, 1, b) ** psi()"
+        " ** startEv(m, 0, a) ** psi())(fresh(n), 0)",  # Or, halves disagree
+        "(mu Y(b). (mu Z(b). startEv(m, 1, b) ** psi())(0) /\\ startEv(m, 1, 0)"
+        " ** psi() ** startEv(m, 0, b) ** psi())(fresh(n))",  # inner argument
     ])
     def test_compound_anchors_match_bruteforce(self, text):
         f = parse_formula(text)
@@ -243,9 +250,38 @@ class TestMember:
     def test_budget_stops_a_query(self, monkeypatch):
         env = {"n": 3, "i": 0}
         assert member(m3_core(), contract_with_post(), env)
-        monkeypatch.setattr(logic, "MEMBER_BUDGET", 5)
+        monkeypatch.setattr(logic, "MEMBER_BUDGET", 2)
         with pytest.raises(MemberBudgetExceeded):
             member(m3_core(), contract_with_post(), env)
+
+    def test_false_under_an_open_item_is_not_reused(self):
+        # items inside X's body are decided while X on the whole trace is
+        # open and counts as false; X turns out true, so a false memoized
+        # then would be reused stale
+        t = Trace((State({"x": 1}), State({"x": 2})))
+        f = parse_formula("(mu X(). ((X() \\/ noev()) ** ([x == 0] \\/ X())"
+                          " ** (X() \\/ noev() .. X()) \\/ noev()))()")
+        assert member(t, f)
+        assert member_approx(t, f)
+
+    def test_right_recursion_false_is_memoized(self, monkeypatch):
+        # X on [j, hi) hits itself at split j, then opens X on [j+1, hi):
+        # that item relied only on itself, so its false is final once it
+        # closes; not memoizing it would expand 2^n items
+        t = Trace(tuple(State({"x": k}) for k in range(30)))
+        f = parse_formula("(mu X(). [x == 99] \\/ (psi() ** X()))()")
+        monkeypatch.setattr(logic, "MEMBER_BUDGET", 100)
+        assert not member(t, f)
+
+    def test_false_relying_on_an_outer_item_is_not_reused(self):
+        # X(1) opens inside X(0) and hits it on the stack; X(0) turns out
+        # true, so X(1), asked again under the same closure, is true too
+        app = parse_formula("(mu X(a). [a == 1] /\\ X(0)"
+                            " \\/ [a == 0] /\\ (X(1) \\/ [true]))(0)")
+        f = And(app, MuApp(app.mu, (IntLit(1),)))
+        t = Trace((State({"x": 0}),))
+        assert member(t, f)
+        assert member_approx(t, f)
 
     def test_fresh_id_existential(self):
         # the recursive disjunct finds the inner call id
@@ -255,6 +291,57 @@ class TestMember:
         t = m1_core()
         ids = [e.call_id for e in t.entries if isinstance(e, CallEv)]
         assert ids == [0, 1]
+
+
+def _property_traces():
+    rng = random.Random(11)
+    out = []
+    for k in range(4):
+        for src in (RUNNING_SRC, MUTANT_SRC):
+            full = run(parse_program(src.replace("x = m(1)", f"x = m({k})")))
+            out += [full, Trace(full.entries[:-1])]
+    return out + [mutate_trace(rng, rng.choice(out)) for _ in range(8)]
+
+
+_PROPERTY_TRACES = _property_traces()
+_CONTRACT = f"({pretty_formula(contract_m())})"
+_PROPERTY_LEAVES = [parse_formula(text) for text in [
+    "psi(m)", "psi()", "noev()", "noev(m)",
+    "startEv(m, n, i)", "startEv(m, 0, 1)", "startEv(m, 1, 0)",
+    "finishEv(m, n, i)", "finishEv(m, 0, 1)", "finishEv(m, 1, 0)",
+    "[true]", "[x >= 1]", "[n == 0]", "[res(i) == n]",
+    _CONTRACT + "(n, i)", _CONTRACT + "(1, 1)",
+    _CONTRACT + "(0, fresh(i))", _CONTRACT + "(n, fresh(i))",
+    # psi gaps whose reach carries across a fixed-width neighbour
+    "[true] ** startEv(m, 0, 1) ** psi(m)",
+    "psi(m) ** finishEv(m, 0, 1) ** [true]",
+    "startEv(m, n, i) .. psi(m)", "psi() .. finishEv(m, n, i)",
+    "noev() ** startEv(m, 1, 0) ** psi(m) ** noev()",
+    "psi(m) /\\ (noev() .. psi())",
+]]
+
+
+@st.composite
+def _segments(draw):
+    trace = draw(st.sampled_from(_PROPERTY_TRACES))
+    states = [p for p, e in enumerate(trace.entries) if is_state(e)]
+    lo = draw(st.sampled_from(states))
+    hi = draw(st.sampled_from([p for p in states if p >= lo]))
+    return Trace(trace.entries[lo:hi + 1])
+
+
+_formulas = st.recursive(
+    st.sampled_from(_PROPERTY_LEAVES),
+    lambda sub: st.builds(lambda op, l, r: op(l, r),
+                          st.sampled_from([And, Or, Concat, Chop]), sub, sub),
+    max_leaves=4)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(f=_formulas, seg=_segments(), n=st.integers(0, 3))
+def test_bounded_splits_match_oracle(f, seg, n):
+    env = {"n": n, "i": 0}
+    assert member(seg, f, env) == member_approx(seg, f, env)
 
 
 class TestContracts:
