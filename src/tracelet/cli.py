@@ -73,8 +73,7 @@ def _load_program(path: str) -> Program:
     program = parse_program(_read(path))
     diags = well_formed(program)
     if diags:
-        raise CliError("program is not well-formed:\n" +
-                       "\n".join(f"  {d}" for d in diags))
+        raise CliError("program is not well-formed: " + "; ".join(map(str, diags)))
     return program
 
 

@@ -6,13 +6,24 @@ not change the state), so non-empty traces begin and end with a state.
 Call nesting has one forward rule, ``nest``: a pushEv opens its context
 and a popEv closes the innermost open one.  The interpreter, adequacy and
 ``ret_owners`` each apply it while walking a trace once.
+
+A ``.trace.json`` file holds one entry per line, each the bytes of
+``json.dumps(entry_to_json(e), sort_keys=True)``.  The two flanks of an
+event are one object and a state step changes one variable, so a file
+costs about its distinct states, not its bytes: ``dump_trace`` writes a
+state made by ``set`` from the previous one by splicing one
+``"name": value`` fragment into the previous line, and ``load_trace``
+reuses the previous State when an entry repeats its text and splices a
+long line that differs from the previous one in one fragment.
 """
 
 from __future__ import annotations
 
 import json
+import re
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Optional, Union
 
 from .lang import (Binary, BoolLit, Expr, IntLit, ResVar, Unary, Var)
@@ -51,18 +62,33 @@ def res_name(call_id: int) -> str:
 # ---------------------------------------------------------------------------
 
 class State:
-    """Immutable partial map from variable names to integers."""
+    """Immutable partial map from variable names to integers.
 
-    __slots__ = ("_b", "_hash")
+    ``_src`` is ``(parent, name)`` for a state made by ``parent.set(name,
+    ...)`` and None otherwise; ``dump_trace`` reads it, equality and
+    hashing ignore it.
+    """
+
+    __slots__ = ("_b", "_hash", "_src")
 
     def __init__(self, bindings=None):
         self._b = dict(bindings) if bindings else {}
         self._hash = None
+        self._src = None
+
+    @classmethod
+    def _adopt(cls, bindings: dict, src=None) -> "State":
+        """A state that takes ownership of bindings, without a copy."""
+        state = cls.__new__(cls)
+        state._b = bindings
+        state._hash = None
+        state._src = src
+        return state
 
     def set(self, name: str, value: int) -> "State":
         new = dict(self._b)
         new[name] = value
-        return State(new)
+        return State._adopt(new, (self, name))
 
     def get(self, name: str) -> int:
         try:
@@ -77,7 +103,7 @@ class State:
         return dict(self._b)
 
     def __eq__(self, other):
-        return isinstance(other, State) and self._b == other._b
+        return self is other or (isinstance(other, State) and self._b == other._b)
 
     def __hash__(self):
         if self._hash is None:
@@ -467,7 +493,10 @@ def _field(ev: dict, key: str, kind: type):
 
 def entry_from_json(obj):
     if "state" in obj:
-        return State(obj["state"])
+        bindings = obj["state"]
+        if not {int}.issuperset(map(type, bindings.values())):
+            raise TraceError("state values must be integers")
+        return State._adopt(bindings)
     ev = obj["event"]
     kind = ev["kind"]
     if kind == "callEv":
@@ -480,26 +509,187 @@ def entry_from_json(obj):
     raise TraceError(f"unknown event kind {kind!r}")
 
 
-def trace_from_json(data) -> Trace:
-    return Trace(entry_from_json(obj) for obj in data)
+def _fragment(name: str, value) -> str:
+    """One ``"name": value`` pair of a state line, as json.dumps writes it."""
+    return encode_basestring_ascii(name) + ": " + (
+        repr(value) if type(value) is int else json.dumps(value))
+
+
+_HEAD = '{"state": {'
+
+
+def _state_line(frags: list) -> str:
+    return _HEAD + ", ".join(frags) + "}}"
+
+
+def _fragments(bindings: dict) -> tuple:
+    """The sorted names of bindings and their fragments."""
+    names = sorted(bindings)
+    return names, [_fragment(name, bindings[name]) for name in names]
+
+
+def _slot(names: list, name: str) -> tuple:
+    """Where name goes in the sorted names: (index, 1 if it is there else 0)."""
+    k = bisect_left(names, name)
+    return k, int(k < len(names) and names[k] == name)
 
 
 def dump_trace(t: Trace) -> str:
-    """One entry per line; json's C encoder only runs without indent."""
-    return "[\n" + ",\n".join(json.dumps(entry_to_json(e), sort_keys=True)
-                              for e in t.entries) + "\n]\n"
+    """One entry per line, each ``json.dumps(entry_to_json(e), sort_keys=True)``.
+
+    State lines come from one sorted fragment list: a state made by ``set``
+    from the previous state entry replaces or inserts one fragment, the
+    same object repeats the previous line, and any other state rebuilds
+    the list.
+    """
+    lines = []
+    prev = line = None
+    names: list = []
+    frags: list = []
+    for e in t.entries:
+        if not is_state(e):
+            lines.append(json.dumps(entry_to_json(e), sort_keys=True))
+            continue
+        if e is not prev:
+            if e._src is not None and e._src[0] is prev:
+                name = e._src[1]
+                k, rep = _slot(names, name)
+                names[k:k + rep] = [name]
+                frags[k:k + rep] = [_fragment(name, e._b[name])]
+            else:
+                names, frags = _fragments(e._b)
+            line = _state_line(frags)
+            prev = e
+        lines.append(line)
+    return "[\n" + ",\n".join(lines) + "\n]\n"
+
+
+_WS = re.compile(r"[ \t\n\r]*")
+_NEXT = re.compile(r"[ \t\n\r]*([,\]])[ \t\n\r]*")
+_PAIR = re.compile(r'"([^"\\]*)": (-?[0-9]+)')
+# A state line shorter than this decodes about as fast as it splices.
+_SPLICE_MIN = 256
+
+
+def _common_prefix(a: str, text: str, pos: int) -> int:
+    """Length of the longest common prefix of a and text[pos:]."""
+    lo, hi = 0, len(a)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if text.startswith(a[lo:mid], pos + lo):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def _spliced(text: str, pos: int, span: str, state: State, names: list, frags: list):
+    """The entry at pos as ``(state.set(name, value), its line)``, or None.
+
+    names and frags are the sorted names and fragments of state, and span
+    its source text.  The fragment where the text first departs from span
+    is read as the change.  It counts only when the text starts with the
+    whole rebuilt line, which decodes to exactly the new bindings; then
+    names and frags are updated to the new state.
+    """
+    n = _common_prefix(span, text, pos)
+    m = _PAIR.match(text, pos + max(span.rfind(', "', 0, n + 1) + 2, len(_HEAD)))
+    if m is not None and m.end() <= pos + n:  # unchanged: the new fragment follows it
+        m = _PAIR.match(text, m.end() + 2)
+    if m is None:
+        return None
+    name = m.group(1)
+    try:
+        value = int(m.group(2))
+    except ValueError:  # more digits than int() converts
+        return None
+    k, rep = _slot(names, name)
+    frag = _fragment(name, value)
+    line = _state_line(frags[:k] + [frag] + frags[k + rep:])
+    if not text.startswith(line, pos):
+        return None
+    names[k:k + rep] = [name]
+    frags[k:k + rep] = [frag]
+    return state.set(name, value), line
+
+
+def _shared(objs: list) -> list:
+    """The entries of decoded objects, consecutive equal states as one State."""
+    entries = []
+    state = None
+    for obj in objs:
+        entry = entry_from_json(obj)
+        if isinstance(entry, State):
+            if state is not None and entry._b == state._b:
+                entry = state
+            state = entry
+        entries.append(entry)
+    return entries
+
+
+def _load_entries(text: str) -> list:
+    """The entries of a trace text, at about the cost of its distinct states.
+
+    Bindings only grow along a trace, so its last state is its widest.  A
+    text whose last state entry is short decodes fastest in one
+    ``json.loads``.  Otherwise the top-level array is walked entry by
+    entry: a state entry costs a memcmp when its text repeats the previous
+    state entry's source span (the span is a complete JSON object, so it
+    decodes to the same bindings and that State is reused), a splice when
+    it is a long span with one fragment changed (``_spliced``), and one
+    decode otherwise.  Syntax errors carry json's own messages and
+    positions.
+    """
+    ws = _WS.match
+    pos = ws(text).end()
+    last = text.rfind('"state"')
+    if not text.startswith("[", pos) or last < 0 or len(text) - last < _SPLICE_MIN:
+        data = json.loads(text)
+        if not isinstance(data, list):
+            raise TraceError("a trace file holds a JSON array of entries")
+        return _shared(data)
+    # the text holds a "state" key, so a well-formed one has an entry
+    scan = json.JSONDecoder().scan_once
+    entries = []
+    span = state = frame = None  # frame: state's (names, frags), made on its first splice
+    pos = ws(text, pos + 1).end()
+    while True:
+        if span is not None and text.startswith(span, pos):
+            entry, end = state, pos + len(span)
+        else:
+            hit = None
+            # only a long line in dump_trace's layout is worth splicing
+            if span is not None and len(span) >= _SPLICE_MIN and text.startswith(_HEAD, pos):
+                frame = frame or _fragments(state._b)
+                hit = _spliced(text, pos, span, state, *frame)
+            if hit:
+                entry = state = hit[0]
+                span = hit[1]
+                end = pos + len(span)
+            else:
+                try:
+                    obj, end = scan(text, pos)
+                except StopIteration as e:
+                    raise json.JSONDecodeError("Expecting value", text, e.value) from None
+                entry = entry_from_json(obj)
+                if is_state(entry):
+                    span, state, frame = text[pos:end], entry, None
+        entries.append(entry)
+        m = _NEXT.match(text, end)
+        if m is None:
+            raise json.JSONDecodeError("Expecting ',' delimiter", text, ws(text, end).end())
+        pos = m.end()
+        if m.group(1) == "]":
+            break
+    if pos != len(text):
+        raise json.JSONDecodeError("Extra data", text, pos)
+    return entries
 
 
 def load_trace(text: str) -> Trace:
     """Parse a .trace.json text; any malformed input raises TraceError."""
     try:
-        data = json.loads(text)
-        if not isinstance(data, list):
-            raise TraceError("a trace file holds a JSON array of entries")
-        states = [obj["state"] for obj in data if "state" in obj]
-        if not {int}.issuperset(map(type, chain.from_iterable(map(dict.values, states)))):
-            raise TraceError("state values must be integers")
-        return trace_from_json(data)
+        return Trace(_load_entries(text))
     except KeyError as e:
         raise TraceError(f"trace entry lacks the key {e}") from None
     except (ValueError, TypeError, AttributeError, RecursionError) as e:

@@ -7,7 +7,9 @@ implementation under test is never checked against itself.
 
 from __future__ import annotations
 
+import json
 import random
+from itertools import chain
 
 from tracelet.lang import (Assign, Binary, BoolLit, CallAssign, If, IntLit,
                            Program, ProcDecl, Return, Scope, Seq, Skip, Unary,
@@ -16,8 +18,9 @@ from tracelet.logic import (And, Chop, Concat, ContractSpec, FinishEvF, Mu,
                             MuApp, NoEv, Or, RecApp, StartEvF, StatePred,
                             eval_term, make_contract, _FreshValue)
 from tracelet.traces import (CallEv, Ctx, MAIN_CTX, PopEv, PushEv, RetEv,
-                             State, Trace, eval_expr, is_state,
-                             res_name, ret_owners)
+                             State, Trace, TraceError, entry_from_json,
+                             entry_to_json, eval_expr, is_state, res_name,
+                             ret_owners)
 
 RUNNING_SRC = """\
 // identity computed by k recursive calls
@@ -43,7 +46,13 @@ m(k) {
 main { x; x = m(0) }
 """
 
-M2_SRC = RUNNING_SRC.replace("x = m(1)", "x = m(2)")
+
+def m_source(n: int) -> str:
+    """The running example with main calling m(n)."""
+    return RUNNING_SRC.replace("x = m(1)", f"x = m({n})")
+
+
+M2_SRC = m_source(2)
 
 MUTANT_SRC = RUNNING_SRC.replace("r = r + 1", "r = r + 2")
 
@@ -405,3 +414,26 @@ def mutate_trace(rng: random.Random, trace: Trace) -> Trace:
                 entries[k] = type(e)(Ctx(e.ctx.proc, (e.ctx.call_id or 0) + 3))
                 break
     return Trace(entries)
+
+
+def dump_trace_oracle(trace: Trace) -> str:
+    """The per-entry trace writer: json.dumps of every entry, keys sorted."""
+    return "[\n" + ",\n".join(json.dumps(entry_to_json(e), sort_keys=True)
+                              for e in trace.entries) + "\n]\n"
+
+
+def load_trace_oracle(text: str) -> Trace:
+    """The whole-text trace reader: json.loads, then one entry per object."""
+    try:
+        data = json.loads(text)
+        if not isinstance(data, list):
+            raise TraceError("a trace file holds a JSON array of entries")
+        states = [obj["state"] for obj in data if "state" in obj]
+        if not {int}.issuperset(map(type, chain.from_iterable(map(dict.values, states)))):
+            raise TraceError("state values must be integers")
+        return Trace(State(obj["state"]) if "state" in obj else entry_from_json(obj)
+                     for obj in data)
+    except KeyError as e:
+        raise TraceError(f"trace entry lacks the key {e}") from None
+    except (ValueError, TypeError, AttributeError, RecursionError) as e:
+        raise TraceError(f"malformed trace file: {e}") from None

@@ -8,7 +8,7 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from helpers import M0_SRC, MUTANT_SRC, RUNNING_SRC, contract_m
+from helpers import M0_SRC, MUTANT_SRC, RUNNING_SRC, contract_m, m_source
 from tracelet.cli import (EXIT_ERROR, EXIT_FUEL, EXIT_INADEQUATE,
                           EXIT_NOT_MEMBER, EXIT_OK, EXIT_OPEN_PROOF,
                           EXIT_PROOF_REJECTED, EXIT_VALIDATION_FAILED, main)
@@ -132,6 +132,71 @@ def test_file_error_one_line(work, capsys, argv):
     assert main([a.format(dir=work) for a in argv]) == EXIT_ERROR
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["run", "prove", "validate"])
+def test_ill_formed_program_one_line_error(work, capsys, command):
+    contract = gen_contract(work)
+    bad = work / "ill.tcp"
+    bad.write_text("main { x; x = 1 < 2; y = 3 }")
+    argv = {"run": ["run", str(bad)],
+            "prove": ["prove", str(bad), str(contract), "--proc", "m"],
+            "validate": ["validate", str(bad), str(contract), "--proc", "m",
+                         "--no-proof"]}[command]
+    capsys.readouterr()
+    assert main(argv) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: program is not well-formed: ") and err.count("\n") == 1
+    assert "; [undeclared]" in err
+
+
+_EXIT_CODES = {EXIT_OK, EXIT_ERROR, EXIT_FUEL, EXIT_NOT_MEMBER, EXIT_OPEN_PROOF,
+               EXIT_VALIDATION_FAILED, EXIT_INADEQUATE, EXIT_PROOF_REJECTED}
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    work = tmp_path_factory.mktemp("fuzz")
+    program = work / "m3.tcp"
+    program.write_text(m_source(3))
+    trace = work / "m3.trace.json"
+    assert main(["run", str(program), "-o", str(trace)]) == EXIT_OK
+    return work, gen_contract(work), program.read_bytes(), trace.read_bytes()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_inputs_exit_cleanly(fuzz_inputs, data):
+    """Byte edits of a trace or a program: a documented exit code, no
+    traceback, and an error is one line."""
+    work, contract, program, trace = fuzz_inputs
+    command = data.draw(st.sampled_from(["adequacy", "check", "run"]))
+    source = program if command == "run" else trace
+    for _ in range(data.draw(st.integers(1, 3))):
+        k = data.draw(st.integers(0, len(source)))
+        edit = data.draw(st.sampled_from(["insert", "delete", "replace", "truncate"]))
+        if edit == "truncate":
+            source = source[:k]
+        else:
+            piece = data.draw(st.binary(min_size=1, max_size=3) |
+                              st.sampled_from([b"{", b"}", b"[", b"]", b",", b'"', b"0", b"-"]))
+            drop = 0 if edit == "insert" else len(piece) if edit == "replace" else 1
+            source = source[:k] + (b"" if edit == "delete" else piece) + source[k + drop:]
+    path = work / ("edited.tcp" if command == "run" else "edited.trace.json")
+    path.write_bytes(source)
+    argv = {"adequacy": ["adequacy", str(path)],
+            "check": ["check", str(path), str(contract), "--contract", "m_big_step",
+                      "--bind", "n=3", "--bind", "i=0"],
+            "run": ["run", str(path), "--fuel", "2000"]}[command]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in _EXIT_CODES
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    if code == EXIT_ERROR:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, \
+            err.getvalue()
 
 
 def _json_out(capsys, argv):

@@ -1,19 +1,25 @@
 """Trace model: chop, concat, event traces, contexts, adequacy, gaps, JSON."""
 
+import json
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import (curr_ctx_stack, eval_expr_oracle, golden_m1,
+from helpers import (curr_ctx_stack, dump_trace_oracle, eval_expr_oracle,
+                     golden_m1, load_trace_oracle, m_source,
                      random_linear_expr, random_terminating_program,
                      running_program)
+from tracelet import traces
 from tracelet.interp import run
 from tracelet.lang import Binary, IntLit, Var, parse_program
 from tracelet.logic import member, parse_formula, psi
 from tracelet.traces import (CallEv, ChopUndefined, Ctx, EmptyTraceError,
                              MAIN_CTX, PopEv, PushEv, RetEv, State, Trace,
-                             chop, concat, dump_trace, eval_expr, event_trace,
-                             is_adequate, load_trace, nest, singleton)
+                             TraceError, chop, concat, dump_trace, eval_expr,
+                             event_trace, is_adequate, is_state, load_trace,
+                             nest, singleton)
 
 
 def s(**kw):
@@ -256,3 +262,214 @@ class TestJson:
         t = golden_m1()
         text = dump_trace(t)
         assert '"res0": 1' in text and '"res1": 0' in text
+
+
+# ---------------------------------------------------------------------------
+# dump_trace / load_trace against the per-entry writer and whole-text reader
+# ---------------------------------------------------------------------------
+
+def m_trace(n):
+    return run(parse_program(m_source(n)))
+
+
+def while_trace(k):
+    return run(parse_program(
+        f"main {{ x; y; x = {k}; while (x > 0) {{ y = y + x; x = x - 1 }} }}"))
+
+
+_NAMES = st.text(alphabet='ab"\\, :}é\n\x7f\u2603', min_size=1, max_size=4)
+_VALUES = st.integers(-2 ** 70, 2 ** 70)
+
+
+@st.composite
+def hand_built_traces(draw):
+    """States made by set, built afresh or repeated, with events between."""
+    state = State(draw(st.dictionaries(_NAMES, _VALUES, max_size=4)))
+    entries = [state]
+    made = [state]
+    for op in draw(st.lists(st.sampled_from(["set", "set-older", "fresh", "same", "event"]),
+                            max_size=12)):
+        if op == "set":
+            state = state.set(draw(_NAMES), draw(_VALUES))
+        elif op == "set-older":
+            state = draw(st.sampled_from(made)).set(draw(_NAMES), draw(_VALUES))
+        elif op == "fresh":
+            state = State(draw(st.dictionaries(_NAMES, _VALUES, max_size=4)))
+        elif op == "event":
+            entries.append(draw(st.sampled_from(
+                [CallEv("m", 1, 0), RetEv(-3), PushEv(Ctx("m", 0)), PopEv(Ctx("m", 0))])))
+        entries.append(state)
+        made.append(state)
+    return Trace(entries)
+
+
+_TRACES = st.one_of(
+    st.integers(0, 10 ** 6).map(lambda seed: run(random_terminating_program(random.Random(seed)))),
+    st.integers(0, 30).map(m_trace),
+    st.integers(0, 40).map(while_trace),
+    hand_built_traces(),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(t=_TRACES)
+def test_dump_matches_per_entry_writer(t):
+    assert dump_trace(t) == dump_trace_oracle(t)
+
+
+def test_dump_writes_non_integer_values_as_json():
+    t = Trace([State({"b": True}), State({"b": True}).set("n", None)])
+    assert dump_trace(t) == dump_trace_oracle(t)
+
+
+def _relaid(data, layout):
+    """The same entries as JSON text in another layout."""
+    if layout == "canonical":
+        return "[\n" + ",\n".join(json.dumps(e, sort_keys=True) for e in data) + "\n]\n"
+    if layout == "spaced":
+        return " \n\t" + json.dumps(data, separators=(" ,\r\n ", " :  ")) + "\n \n"
+    return json.dumps(data, indent=int(layout))
+
+
+def _same_outcome(text):
+    """load_trace(text) after checking it against the whole-text reader,
+    as it reads short states and with every state spliced where it can."""
+    try:
+        want = load_trace_oracle(text)
+    except TraceError:
+        want = None
+    for splice_min in (traces._SPLICE_MIN, 0):
+        with mock.patch.object(traces, "_SPLICE_MIN", splice_min):
+            try:
+                got = load_trace(text)
+            except TraceError:
+                got = None
+        assert (got is None) == (want is None), text
+        if want is not None:
+            assert got.entries == want.entries
+            assert dump_trace(got) == dump_trace_oracle(want)
+    return got
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(t=_TRACES, data=st.data())
+def test_load_matches_whole_text_reader(t, data):
+    entries = json.loads(dump_trace_oracle(t))
+    for k in data.draw(st.lists(st.integers(0, len(entries) - 1), max_size=3)):
+        entries.insert(k, entries[k])  # a duplicated entry
+    layout = data.draw(st.sampled_from(["canonical", "spaced", "0", "1", "2"]))
+    assert _same_outcome(_relaid(entries, layout)) is not None
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(t=_TRACES, data=st.data())
+def test_mutated_text_fails_exactly_when_oracle_does(t, data):
+    entries = json.loads(dump_trace_oracle(t))
+    text = _relaid(entries, data.draw(st.sampled_from(["canonical", "canonical", "1"])))
+    edit = data.draw(st.sampled_from(["truncate", "insert", "delete", "replace",
+                                      "separator", "bracket"]))
+    # two edits in three fall on a structural character or an entry's end
+    marks = [i for i, c in enumerate(text) if c in '{}[],:"']
+    ends = [i for i in marks if text[i] == "}" and text[i + 1] in ",\n"]
+    k = data.draw(st.sampled_from(ends) | st.sampled_from(marks) |
+                  st.integers(0, len(text) - 1))
+    char = data.draw(st.sampled_from('0-9 ,:"\\{}[]x\né'))
+    if edit == "separator":  # the comma between two entries becomes another character
+        k = data.draw(st.sampled_from([i + 1 for i in ends if text[i + 1] == ","] or [k]))
+        edit, char = "replace", data.draw(st.sampled_from("}]{[:x "))
+    if edit == "truncate":
+        text = text[:k]
+    elif edit == "insert":
+        text = text[:k] + char + text[k:]
+    elif edit == "delete":
+        text = text[:k] + text[k + 1:]
+    elif edit == "replace":
+        text = text[:k] + char + text[k + 1:]
+    else:
+        text = text.rstrip() + "]"
+    _same_outcome(text)
+
+
+@pytest.mark.parametrize("text", [
+    "[" + " " * 300 + "]",
+    "[]" + " " * 300 + '"state"',
+    " [ " + '{"state": {"x": 1}} , ' * 30 + '{"state": {"x": 1}}' + " ] ",
+    '[{"state": {"x": 1}}' + " " * 300 + "]]",
+    '[{"state": {"x": 1}}, {"state": {"x": 2}, "event": 0}' + " " * 300 + "]",
+    '\ufeff[{"state": {}}]',
+    '{"state": {}}' + " " * 300,
+    "[" * 100_000,
+], ids=["long-empty", "extra-after-empty", "repeats", "doubled-bracket",
+        "state-and-event", "bom", "not-an-array", "nested-too-deep"])
+def test_load_edge_texts_match_whole_text_reader(text):
+    _same_outcome(text)
+
+
+def test_load_shares_event_flanks():
+    t = m_trace(5)
+    loaded = load_trace(dump_trace(t)).entries
+    for p, entry in enumerate(loaded):
+        if not is_state(entry):
+            assert loaded[p - 1] is loaded[p + 1]
+    distinct = {id(e) for e in loaded if is_state(e)}
+    assert len(distinct) <= len({id(e) for e in t.entries if is_state(e)})
+
+
+def _full_decodes(monkeypatch, text):
+    """load_trace(text) and the number of entries it decoded in full."""
+    calls = []
+    decode = traces.entry_from_json
+    monkeypatch.setattr(traces, "entry_from_json", lambda obj: calls.append(obj) or decode(obj))
+    return load_trace(text), len(calls)
+
+
+def _set_chain():
+    # forty padding bindings make every line long enough to splice
+    state = State({f"v{k:02d}": k for k in range(40)} | {"m": 0})
+    entries = [state]
+    for name, value in [("z", 1), ("a", 2), ("m", 3), ("q", -4), ("zz", 2 ** 70)]:
+        state = state.set(name, value)
+        entries.append(state)
+    return Trace(entries)
+
+
+@pytest.mark.parametrize("make", [lambda: m_trace(200), _set_chain],
+                         ids=["m(200)", "set-front-middle-end"])
+def test_load_decodes_events_and_short_states_only(monkeypatch, make):
+    """A long state line that one set makes from the previous one is
+    spliced, not decoded."""
+    t = make()
+    text = dump_trace(t)
+    loaded, decoded = _full_decodes(monkeypatch, text)
+    assert loaded == t
+    short = sum(len(line) < traces._SPLICE_MIN + 1 for line in text.splitlines()
+                if line.startswith('{"state"'))
+    assert decoded <= 1 + short + sum(not is_state(e) for e in t.entries)
+    assert dump_trace(loaded) == text
+
+
+def test_indented_text_builds_no_fragments(monkeypatch):
+    """No splice can match another layout, so the reader prepares none."""
+    t = m_trace(20)
+    text = json.dumps(json.loads(dump_trace(t)), indent=1)
+    calls = []
+    monkeypatch.setattr(traces, "_fragment", lambda name, value: calls.append(name))
+    assert load_trace(text) == t
+    assert not calls
+
+
+def test_dump_work_bounded_by_distinct_states(monkeypatch):
+    """One fragment per binding of the first state, then one per new state."""
+    t = m_trace(200)
+    calls = []
+    fragment = traces._fragment
+
+    def counted(name, value):
+        calls.append(name)
+        return fragment(name, value)
+
+    monkeypatch.setattr(traces, "_fragment", counted)
+    text = dump_trace(t)
+    states = [e for e in t.entries if is_state(e)]
+    assert len(calls) <= len(states[0].bindings()) + len({id(e) for e in states})
+    assert text == dump_trace_oracle(t)
