@@ -8,12 +8,14 @@ reruns the procedure for many inputs, checking each produced trace for
 membership in the contract's denotation.
 """
 
+from collections import Counter
+
 from tracelet.calculus import (ContractAssumption, RuleContext, check_proof,
-                               contract_goal, dump_proof, load_proof,
-                               prove_auto)
+                               contract_goal, dump_proof, load_proof)
 from tracelet.cli import validate_contract
 from tracelet.lang import Binary, IntLit, Var, parse_program
 from tracelet.logic import ContractSpec
+from tracelet.prover import prove_auto
 
 GOOD = """
 m(k) {
@@ -41,7 +43,12 @@ print("=== proving the contract ===")
 tree = prove_auto(contract_goal("m"), ctx)
 print(f"closed: {tree.closed} ({tree.size()} nodes)")
 print("rules used:")
-for rule, count in sorted(tree.rule_multiset().items()):
+rules, stack = Counter(), [tree]
+while stack:
+    node = stack.pop()
+    rules[node.rule] += 1
+    stack.extend(node.children)
+for rule, count in sorted(rules.items()):
     print(f"  {rule:20s} x{count}")
 
 print("\n=== independent replay ===")

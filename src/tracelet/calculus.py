@@ -1,10 +1,11 @@
-"""Symbolic-execution sequent calculus with a replayable proof kernel.
+"""The symbolic-execution sequent calculus: the trusted proof kernel.
 
 Sequents carry assertions (closed predicates over rigid symbols, or
 contract assumptions) and a goal: a judgment ``U s : Phi``, a first-order
 predicate, or a procedure contract.  Rules are applied by name through
-one registry, so proofs can be checked independently of how they were
-produced by replaying every step.
+one table, ``RULES``, so a proof is checked independently of how it was
+produced by replaying every step (``check_proof``).  This module is the
+whole trusted base; proof search and scripts live in ``prover``.
 """
 
 from __future__ import annotations
@@ -32,10 +33,6 @@ from .updates import (CallUpd, Elem, FinishUpd, StartUpd, Update, UpdateAtom,
 
 class RuleError(Exception):
     """A rule does not match or a side condition failed."""
-
-
-class UnsupportedConstruct(Exception):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -140,15 +137,6 @@ class ProofNode:
             out.extend(c.open_goals())
         return out
 
-    def rule_multiset(self) -> dict:
-        out: Dict[str, int] = {}
-        if self.rule:
-            out[self.rule] = 1
-        for c in self.children:
-            for k, v in c.rule_multiset().items():
-                out[k] = out.get(k, 0) + v
-        return out
-
     def size(self) -> int:
         return 1 + sum(c.size() for c in self.children)
 
@@ -247,13 +235,12 @@ def seq_join(a: Optional[Stmt], b: Optional[Stmt]) -> Optional[Stmt]:
 class RuleContext:
     table: LookupTable
     contracts: Dict[str, ContractAssumption]
-    extensions: bool = False
 
     @staticmethod
-    def for_program(program: Program, contracts, extensions: bool = False):
+    def for_program(program: Program, contracts):
         table = build_lookup(program)
         cmap = {c.proc: c for c in contracts}
-        return RuleContext(table, cmap, extensions)
+        return RuleContext(table, cmap)
 
 
 def _contract_gamma(ctx: RuleContext) -> tuple:
@@ -845,32 +832,17 @@ def _rule_gap_axiom(seq, args, ctx):
     return []
 
 
-# -- extension rules (suggestions; not part of the sound core) -------------
-
-def _rule_prefix_ev(seq, args, ctx):
-    j = _judgment(seq)
-    if not j.update or not isinstance(j.update[0], (StartUpd, FinishUpd)):
-        raise RuleError("PrefixEv expects a leading event update")
-    parts = flatten_chain(j.formula)
-    if len(parts) < 2:
-        raise RuleError("PrefixEv expects ev ** Phi")
-    head = parts[0]
-    cond = _event_formula_matches(j.update[0], head, ())
-    if cond is None:
-        raise RuleError("PrefixEv: event update and formula do not align")
-    verdict = fo.fo_valid(gamma_preds(seq), cond)
-    if verdict.status != "valid":
-        raise RuleError("PrefixEv: event arguments differ")
-    return [Sequent(seq.gamma, Judgment(j.update[1:], j.stmt, _drop_first(parts)))]
-
+# A gap matches the one-state trace, so Phi's traces are in psi ** Phi
+# and in Phi ** psi: the two rules below drop such an empty gap.  Not
+# under "..": a concatenated gap takes at least one entry of its own.
 
 def _rule_fte_prefix(seq, args, ctx):
     j = _judgment(seq)
     if not j.update or not isinstance(j.update[0], (StartUpd, FinishUpd)):
         raise RuleError("FiniteTraceEmptyPrefix expects a leading event update")
     parts = flatten_chain(j.formula)
-    if len(parts) < 2:
-        raise RuleError("FiniteTraceEmptyPrefix expects a leading gap")
+    if len(parts) < 2 or parts[1][0] != "**":
+        raise RuleError("FiniteTraceEmptyPrefix expects a leading chop gap")
     excl = is_psi(parts[0])
     if excl != frozenset({j.update[0].proc}):
         raise RuleError("gap exclusion must name the leading event's procedure")
@@ -892,24 +864,7 @@ def _rule_fte_postfix(seq, args, ctx):
     return [Sequent(seq.gamma, Judgment(j.update, None, _drop_last(parts)))]
 
 
-def _rule_composition(seq, args, ctx):
-    j = _judgment(seq)
-    k = _index_arg(args, "at")
-    fi = _index_arg(args, "split")
-    if k is None or fi is None:
-        raise RuleError("Composition needs at=<update index> split=<chain index>")
-    parts = flatten_chain(j.formula)
-    if not (0 < fi < len(parts)) or parts[fi][0] != "**":
-        raise RuleError("split must name a chop junction")
-    if not (0 <= k <= len(j.update)):
-        raise RuleError("update split out of range")
-    phi1 = _rebuild(parts[:fi])
-    phi2 = _rebuild([parts[fi][1]] + parts[fi + 1:])
-    return [Sequent(seq.gamma, Judgment(j.update[:k], None, phi1)),
-            Sequent(seq.gamma, Judgment(j.update[k:], j.stmt, phi2))]
-
-
-CORE_RULES = {
+RULES = {
     "Assign": _rule_assign,
     "Skip": _rule_skip,
     "Scope": _rule_scope,
@@ -935,13 +890,8 @@ CORE_RULES = {
     "ElimUpdate1": _rule_elim_update1,
     "SubsumeUpdates": _rule_subsume_updates,
     "GapAxiom": _rule_gap_axiom,
-}
-
-EXTENSION_RULES = {
-    "PrefixEv": _rule_prefix_ev,
     "FiniteTraceEmptyPrefix": _rule_fte_prefix,
     "FiniteTraceEmptyPostfix": _rule_fte_postfix,
-    "Composition": _rule_composition,
 }
 
 
@@ -952,201 +902,10 @@ def apply_rule(rule: str, seq: Sequent, args: Optional[dict],
     Rules that invent data (fresh witness symbols) record it in args, so
     the caller's dict is used in place when one is given.
     """
-    handler = CORE_RULES.get(rule)
+    handler = RULES.get(rule)
     if handler is None:
-        if rule in EXTENSION_RULES:
-            if not ctx.extensions:
-                raise RuleError(f"rule {rule} requires --extensions")
-            handler = EXTENSION_RULES[rule]
-        else:
-            raise RuleError(f"unknown rule {rule!r}")
+        raise RuleError(f"unknown rule {rule!r}")
     return handler(seq, args if args is not None else {}, ctx)
-
-
-# ---------------------------------------------------------------------------
-# Automated proving
-# ---------------------------------------------------------------------------
-
-class _Budget:
-    def __init__(self, nodes: int):
-        self.nodes = nodes
-
-    def take(self) -> bool:
-        self.nodes -= 1
-        return self.nodes >= 0
-
-
-def _attempt(rule: str, seq: Sequent, args: dict, ctx: RuleContext,
-             budget: _Budget) -> ProofNode:
-    try:
-        premises = apply_rule(rule, seq, args, ctx)
-    except RuleError:
-        return ProofNode(seq)
-    children = [_solve(p, ctx, budget) for p in premises]
-    return ProofNode(seq, rule, args, children)
-
-
-def _leading_pred(f: Formula) -> Optional[Expr]:
-    parts = flatten_chain(f)
-    head = parts[0]
-    return head.pred if isinstance(head, StatePred) else None
-
-
-def _solve(seq: Sequent, ctx: RuleContext, budget: _Budget) -> ProofNode:
-    if not budget.take():
-        return ProofNode(seq)
-    goal = seq.goal
-
-    if isinstance(goal, ContractGoal):
-        return _attempt("ProcedureContract", seq, {}, ctx, budget)
-
-    if isinstance(goal, PredGoal):
-        try:
-            apply_rule("Close", seq, {}, ctx)
-            return ProofNode(seq, "Close", {}, [])
-        except RuleError:
-            return ProofNode(seq)
-
-    j: Judgment = goal
-    if j.stmt is not None:
-        head, _ = stmt_head(j.stmt)
-        if isinstance(head, While):
-            raise UnsupportedConstruct("no calculus rule covers while loops")
-        rule = {
-            Skip: "Skip",
-            Assign: "Assign",
-            CallAssign: "Assign",
-            If: "Cond",
-            Return: "Return",
-        }.get(type(head))
-        if isinstance(head, Scope):
-            rule = "VarDecl" if head.decls else "Scope"
-        if rule is None:
-            return ProofNode(seq)
-        return _attempt(rule, seq, {}, ctx, budget)
-
-    formula = j.formula
-    has_call = any(isinstance(a, CallUpd) for a in j.update)
-
-    if is_psi(formula) is not None:
-        attempt = _attempt("GapAxiom", seq, {}, ctx, budget)
-        if attempt.closed:
-            return attempt
-    if isinstance(formula, Mu) and not formula.params:
-        formula = MuApp(formula, ())
-    if isinstance(formula, MuApp):
-        if has_call:
-            step = _pre_call_simplification(seq, j)
-            if step is not None:
-                return _attempt(step[0], seq, step[1], ctx, budget)
-        return _attempt("Unfold", seq, {}, ctx, budget)
-
-    if isinstance(formula, Or):
-        order = []
-        left_pred = _leading_pred(formula.left)
-        right_pred = _leading_pred(formula.right)
-        preds = gamma_preds(seq)
-        left_ok = left_pred is not None and bool(fo.fo_valid(preds, left_pred))
-        right_ok = right_pred is not None and bool(fo.fo_valid(preds, right_pred))
-        if left_ok and not right_ok:
-            order = ["OrLeft"]
-        elif right_ok and not left_ok:
-            order = ["OrRight"]
-        else:
-            order = ["OrLeft", "OrRight"]
-        first = None
-        for rule in order:
-            attempt = _attempt(rule, seq, {}, ctx, budget)
-            if attempt.closed:
-                return attempt
-            first = first or attempt
-        return first
-
-    if isinstance(formula, And):
-        return _attempt("AndSplit", seq, {}, ctx, budget)
-
-    parts = flatten_chain(formula)
-    has_occurrence = any(
-        isinstance(p[1] if isinstance(p, tuple) else p, (MuApp, RecApp))
-        for p in parts) and len(parts) > 1
-    if has_call and has_occurrence:
-        return _attempt("TrAbs", seq, {}, ctx, budget)
-
-    if any(is_res_elem(a) for a in j.update):
-        return _attempt("DropResUpdate", seq, {}, ctx, budget)
-
-    if len(parts) == 1:
-        lone = parts[0]
-        if isinstance(lone, StatePred) and not j.update:
-            return _attempt("EmptyUpdate", seq, {}, ctx, budget)
-        if is_psi(lone) is not None:
-            return _attempt("GapAxiom", seq, {}, ctx, budget)
-        if isinstance(lone, StartEvF) and len(j.update) == 1:
-            return _attempt("ElimStart", seq, {}, ctx, budget)
-        if isinstance(lone, FinishEvF) and len(j.update) == 1:
-            return _attempt("ElimFinish", seq, {}, ctx, budget)
-        return ProofNode(seq)
-
-    if isinstance(parts[0], StatePred) and parts[1][0] == "**":
-        return _attempt("Prestate", seq, {}, ctx, budget)
-    last_op, last = parts[-1]
-    if isinstance(last, StatePred) and last_op == "**":
-        return _attempt("Poststate", seq, {}, ctx, budget)
-    if isinstance(last, StatePred) and last_op == ".." and j.update \
-            and isinstance(j.update[-1], Elem) and not is_res_elem(j.update[-1]):
-        return _attempt("ElimUpdate1", seq, {}, ctx, budget)
-    if isinstance(last, FinishEvF) and j.update and isinstance(j.update[-1], FinishUpd):
-        return _attempt("ElimFinish", seq, {}, ctx, budget)
-    if isinstance(last, StartEvF) and j.update and isinstance(j.update[-1], StartUpd):
-        return _attempt("ElimStart", seq, {}, ctx, budget)
-    if is_psi(last) is not None and last_op == "**":
-        return _attempt("SubsumeUpdates", seq, {}, ctx, budget)
-    return ProofNode(seq)
-
-
-def _pre_call_simplification(seq: Sequent, j: Judgment):
-    """Normalize elementary updates before unfolding at a call goal."""
-    for k, a in enumerate(j.update):
-        if isinstance(a, Elem) and isinstance(a.target, Var):
-            v = a.target.name
-            e_vars = expr_vars(a.expr)
-            if v in e_vars:
-                continue
-            read_later = False
-            for later in j.update[k + 1:]:
-                if v in update_reads(later):
-                    read_later = True
-                    break
-                written = update_writes(later)
-                if written == v or written in e_vars:
-                    break
-            if read_later:
-                return ("ApplyUpdate", {"at": k})
-    for k, a in enumerate(j.update):
-        if isinstance(a, Elem) and isinstance(a.target, Var):
-            v = a.target.name
-            dead = False
-            blocked = False
-            for later in j.update[k + 1:]:
-                if v in update_reads(later):
-                    blocked = True
-                    break
-                if update_writes(later) == v:
-                    dead = True
-                    break
-            if blocked:
-                continue
-            if not dead:
-                if (j.stmt is not None and v in _stmt_names(j.stmt)) or \
-                        v in formula_vars(j.formula, binders=True):
-                    continue
-            return ("DropUpdate", {"at": k})
-    return None
-
-
-def prove_auto(seq: Sequent, ctx: RuleContext, max_nodes: int = 50_000) -> ProofNode:
-    """Strategy-driven search; the returned tree may contain open goals."""
-    return _solve(seq, ctx, _Budget(max_nodes))
 
 
 def contract_goal(proc: str) -> Sequent:
@@ -1276,61 +1035,3 @@ def _replay(node: dict, seq: Sequent, ctx: RuleContext,
         if bad is not None:
             return bad
     return None
-
-
-# ---------------------------------------------------------------------------
-# Proof scripts (.tps): one rule application per line
-# ---------------------------------------------------------------------------
-
-class ScriptError(Exception):
-    pass
-
-
-def parse_script(text: str):
-    steps = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("//")[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) < 3 or parts[1] != "@":
-            raise ScriptError(f"line {lineno}: expected 'rule @ goal-index [key=value ...]'")
-        rule = parts[0]
-        try:
-            idx = int(parts[2])
-        except ValueError:
-            raise ScriptError(f"line {lineno}: goal index must be an integer") from None
-        args = {}
-        for kv in parts[3:]:
-            if "=" not in kv:
-                raise ScriptError(f"line {lineno}: malformed argument {kv!r}")
-            key, val = kv.split("=", 1)
-            try:
-                args[key] = int(val)
-            except ValueError:
-                args[key] = val
-        steps.append((lineno, rule, idx, args))
-    return steps
-
-
-def apply_script(root: ProofNode, ctx: RuleContext, text: str) -> ProofNode:
-    """Apply a script's steps in order; each names one of root's open goals."""
-    for lineno, rule, idx, args in parse_script(text):
-        goals = root.open_goals()
-        if not (0 <= idx < len(goals)):
-            raise ScriptError(f"line {lineno}: goal index {idx} out of range "
-                              f"({len(goals)} open)")
-        node = goals[idx]
-        try:
-            premises = apply_rule(rule, node.sequent, args, ctx)
-        except RuleError as e:
-            raise ScriptError(f"line {lineno}: {rule} failed: {e} "
-                              f"(goal: {node.sequent!r})") from None
-        node.rule = rule
-        node.args = args
-        node.children = [ProofNode(p) for p in premises]
-    return root
-
-
-def run_script(root_seq: Sequent, ctx: RuleContext, text: str) -> ProofNode:
-    return apply_script(ProofNode(root_seq), ctx, text)

@@ -23,9 +23,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from .calculus import (ContractAssumption, ProofFileError, ProofNode,
-                       RuleContext, ScriptError, UnsupportedConstruct,
-                       apply_script, check_proof, contract_goal, dump_proof,
-                       load_proof, prove_auto, run_script)
+                       RuleContext, check_proof, contract_goal, dump_proof,
+                       load_proof)
 from .interp import DEFAULT_FUEL, FuelExhausted, RunError, initial_state, run
 from .lang import (CallAssign, IntLit, ParseError, Program, Var,
                    parse_program, well_formed)
@@ -34,6 +33,8 @@ from .logic import (Chop, ContractSpec, LogicError, MemberBudgetExceeded,
                     flatten_chain, member, parse_contract_file,
                     pretty_formula)
 from .lang import Binary, ResVar, TokenStream, parse_expr, tokenize
+from .prover import (ScriptError, UnsupportedConstruct, apply_script,
+                     prove_auto, run_script)
 from .traces import (State, Trace, TraceError, dump_trace, eval_expr,
                      is_adequate, is_state, load_trace)
 
@@ -59,6 +60,8 @@ def _read(path: str) -> str:
         raise CliError(str(e)) from None
     except UnicodeDecodeError as e:
         raise CliError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
+    except ValueError as e:  # a path no file can have, e.g. with a NUL byte
+        raise CliError(f"{path!r}: {e}") from None
 
 
 def _write(path: str, text: str):
@@ -67,6 +70,8 @@ def _write(path: str, text: str):
             fh.write(text)
     except OSError as e:
         raise CliError(str(e)) from None
+    except ValueError as e:
+        raise CliError(f"{path!r}: {e}") from None
 
 
 def _load_program(path: str) -> Program:
@@ -310,8 +315,7 @@ def cmd_prove(args) -> int:
     program = _load_program(args.program)
     assumptions = _assumptions(program, _contracts_from_file(args.contracts))
     proc = _pick_proc(args, assumptions)
-    ctx = RuleContext.for_program(program, assumptions.values(),
-                                  extensions=args.extensions)
+    ctx = RuleContext.for_program(program, assumptions.values())
     goal = contract_goal(proc)
     try:
         if args.script:
@@ -341,8 +345,7 @@ def _replay_proof(args, program: Program, assumptions,
     A valid proof must start from the contract goal of a procedure with
     a spec block (and, when want is given, of that procedure).
     """
-    ctx = RuleContext.for_program(program, assumptions.values(),
-                                  extensions=args.extensions)
+    ctx = RuleContext.for_program(program, assumptions.values())
     try:
         proc, root = load_proof(_read(args.proof))
     except ProofFileError as e:
@@ -496,9 +499,17 @@ def cmd_validate(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors are usage errors: one line and exit 1, not
+    argparse's usage block and exit 2 (the fuel-exhausted code).  Its
+    subparsers are made by this class too; -h still exits 0."""
+
+    def error(self, message):
+        raise CliError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="tracelet",
-                                 description="Trace-based contract toolkit")
+    ap = _Parser(prog="tracelet", description="Trace-based contract toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("run", help="run a program and emit its trace")
@@ -541,7 +552,6 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--script", default=None)
     mode.add_argument("--repl", action="store_true")
-    p.add_argument("--extensions", action="store_true")
     p.add_argument("--max-nodes", type=int, default=50_000)
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_prove)
@@ -550,7 +560,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("proof")
     p.add_argument("--program", required=True)
     p.add_argument("--contracts", required=True)
-    p.add_argument("--extensions", action="store_true")
     p.set_defaults(func=cmd_check_proof)
 
     p = sub.add_parser("validate", help="differential check of a proved contract")
@@ -562,7 +571,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--range", default="0..25")
     p.add_argument("--proof", default=None)
     p.add_argument("--no-proof", action="store_true")
-    p.add_argument("--extensions", action="store_true")
     p.add_argument("--fuel", type=int, default=None)
     p.add_argument("--trace-dir", default=None)
     p.add_argument("--json", action="store_true")
@@ -572,8 +580,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (CliError, ParseError, LogicError, TraceError, RunError,
             ScriptError) as e:

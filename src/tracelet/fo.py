@@ -313,31 +313,8 @@ def fo_valid(gamma, goal: Expr) -> FoResult:
 
 
 # ---------------------------------------------------------------------------
-# Canonical comparison and light simplification
+# Light simplification
 # ---------------------------------------------------------------------------
-
-def canon_pred(e: Expr):
-    """Canonical DNF of constraint systems; equal predicates get equal forms."""
-    disjuncts = _dnf(_nnf(e, True))
-    out = set()
-    for d in disjuncts:
-        expanded = _conj_to_constraints(d)
-        if expanded is None:
-            continue
-        for system in expanded:
-            out.add(frozenset(system))
-    return frozenset(out)
-
-
-def pred_equiv(a: Expr, b: Expr) -> bool:
-    """Equality up to atom normalization (and, failing that, fo validity)."""
-    try:
-        if canon_pred(a) == canon_pred(b):
-            return True
-    except NonlinearError:
-        return False
-    return bool(fo_valid([a], b)) and bool(fo_valid([b], a))
-
 
 def lin_to_expr(coeffs: Dict[str, int], const: int, op: str) -> Expr:
     """Readable expression for coeffs.x + const OP 0 (positives left)."""

@@ -669,37 +669,6 @@ def parse_program(text: str) -> Program:
 
 
 # ---------------------------------------------------------------------------
-# Pretty printer (parse . pretty . parse is the identity)
-# ---------------------------------------------------------------------------
-
-def pretty_stmt(s: Stmt, indent: int = 0) -> str:
-    pad = "  " * indent
-    if isinstance(s, Seq):
-        return f"{pretty_stmt(s.first, indent)};\n{pretty_stmt(s.second, indent)}"
-    if isinstance(s, If):
-        return f"{pad}if ({s.cond}) {{\n{pretty_stmt(s.body, indent + 1)}\n{pad}}}"
-    if isinstance(s, While):
-        return f"{pad}while ({s.cond}) {{\n{pretty_stmt(s.body, indent + 1)}\n{pad}}}"
-    if isinstance(s, Scope):
-        inner = "".join(f"{'  ' * (indent + 1)}{d};\n" for d in s.decls)
-        return f"{pad}{{\n{inner}{pretty_stmt(s.body, indent + 1)}\n{pad}}}"
-    if isinstance(s, Return):
-        return f"{pad}return {s.expr}"
-    return f"{pad}{s}"
-
-
-def pretty_program(p: Program) -> str:
-    chunks = []
-    for proc in p.procs:
-        decls = "".join(f"  {d};\n" for d in proc.body.decls)
-        body = proc.body.body
-        chunks.append(f"{proc.name}({proc.param}) {{\n{decls}{pretty_stmt(body, 1)}\n}}")
-    decls = "".join(f"  {d};\n" for d in p.main_decls)
-    chunks.append(f"main {{\n{decls}{pretty_stmt(p.main_body, 1)}\n}}")
-    return "\n\n".join(chunks) + "\n"
-
-
-# ---------------------------------------------------------------------------
 # Well-formedness
 # ---------------------------------------------------------------------------
 

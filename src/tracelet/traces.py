@@ -386,22 +386,23 @@ def is_adequate(t: Trace, strict: bool = True) -> AdequacyVerdict:
                 if kind == "push":
                     return _viol("strict", pos, "only pushEv may follow callEv")
                 if kind == "ret-state":
-                    diff = _state_diff(prev_state, entry)
+                    diff, _ = _step_diff(prev_state, entry)
                     ev = ent[pending[1]]
-                    if len(diff) == 1 and list(diff)[0].startswith("res") and \
-                            entry == prev_state.set(list(diff)[0], ev.value):
-                        pending = ("pop", pending[1])
-                        pos += 1
-                        continue
+                    if len(diff) == 1:
+                        [name] = diff
+                        if name.startswith("res") and \
+                                _is_set(entry, prev_state, name, ev.value):
+                            pending = ("pop", pending[1])
+                            pos += 1
+                            continue
                     return _viol("strict", pos, "retEv must be followed by its res update")
                 if kind == "pop":
                     return _viol("strict", pos, "only popEv may follow a retEv's res update")
             if not is_state(prev_state):
                 return _viol("shape", pos, "adjacent event entries")
-            diff = _state_diff(prev_state, entry)
+            diff, removed = _step_diff(prev_state, entry)
             if len(diff) > 1:
                 return _viol("1", pos, f"more than one variable changes: {sorted(diff)}")
-            removed = prev_state._b.keys() - entry._b.keys()
             if removed:
                 return _viol("1", pos, f"bindings disappear: {sorted(removed)}")
             if not strict:
@@ -443,7 +444,7 @@ def is_adequate(t: Trace, strict: bool = True) -> AdequacyVerdict:
                 ret_ev = ent[pos - 3]
                 before = ent[pos - 2]
                 rn = res_name(entry.ctx.call_id)
-                ok = prev_state == before.set(rn, ret_ev.value)
+                ok = _is_set(prev_state, before, rn, ret_ev.value)
             if not ok and pos >= 2 and isinstance(ent[pos - 2], RetEv):
                 # res value was already in place, no separate update step
                 ok = True
@@ -461,8 +462,29 @@ def is_adequate(t: Trace, strict: bool = True) -> AdequacyVerdict:
     return _OK
 
 
-def _state_diff(a: State, b: State) -> set:
-    return {k for k, _ in a._b.items() ^ b._b.items()}
+def _step_diff(a: State, b: State) -> tuple:
+    """(names whose binding differs, names b lacks) from a to b.
+
+    O(1) when b was made by ``a.set``: its record names the one binding
+    that can differ, and nothing is removed.  Otherwise both maps are
+    compared.
+    """
+    if b._src is not None and b._src[0] is a:
+        name = b._src[1]
+        same = name in a._b and a._b[name] == b._b[name]
+        return (set() if same else {name}), ()
+    return {k for k, _ in a._b.items() ^ b._b.items()}, a._b.keys() - b._b.keys()
+
+
+def _is_set(b: State, a: State, name: str, value) -> bool:
+    """b == a.set(name, value), in O(1) when b was made by ``a.set``."""
+    if b._src is None or b._src[0] is not a:
+        return b == a.set(name, value)
+    changed = b._src[1]
+    if name not in b._b or b._b[name] != value:
+        return False
+    # the binding b changed must be a's own unless it is name itself
+    return changed == name or (changed in a._b and a._b[changed] == b._b[changed])
 
 
 # ---------------------------------------------------------------------------

@@ -12,20 +12,21 @@ from helpers import (M0_SRC, M2_EVENT_SKELETON, M2_SRC, MUTANT_SRC,
                      RUNNING_SRC, contract_m, event_skeleton, golden_m0,
                      golden_m1, member_approx, mutate_trace,
                      random_terminating_program, running_program, spec_m)
-from tracelet.calculus import (ContractAssumption, contract_goal, dump_proof,
-                               prove_auto)
+from tracelet.calculus import ContractAssumption, contract_goal, dump_proof
 from tracelet.cli import validate_contract
 from tracelet.interp import run, run_update_prefixed, semantics
 from tracelet.lang import (Assign, Binary, CallAssign, IntLit, ResVar, Seq,
                            Var, build_lookup, parse_program, seq)
 from tracelet.logic import (Chop, MuApp, StatePred, big_step_of, member,
                             unfold)
+from tracelet.prover import prove_auto
 from tracelet.traces import (State, Trace, chop, is_adequate, singleton,
                              CallEv, PushEv, PopEv, RetEv, Ctx)
 from tracelet.updates import CallUpd, Elem, FinishUpd, StartUpd
 
 from test_calculus import TestTrAbsChildren as _TrAbsChildren
-from test_calculus import assert_mutations_rejected, ctx_m, replay
+from test_calculus import (assert_mutations_rejected, ctx_m, replay,
+                          rule_counts)
 
 
 def contract_with_post():
@@ -156,7 +157,7 @@ def test_criterion_6_contract_proof():
     ctx = ctx_m()
     tree = prove_auto(contract_goal("m"), ctx)
     assert tree.closed
-    multiset = tree.rule_multiset()
+    multiset = rule_counts(tree)
     for rule in ("ProcedureContract", "VarDecl", "Assign", "Cond", "Return",
                  "Unfold", "Prestate", "TrAbs"):
         assert multiset.get(rule, 0) >= 1, rule

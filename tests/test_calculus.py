@@ -1,36 +1,38 @@
 """Sequent calculus: rules, automated proof, replay checking, soundness."""
 
+import itertools
 import random
 import re
+from collections import Counter
 
 import pytest
 
 from helpers import MUTANT_SRC, running_program, spec_m
 from tracelet.calculus import (ContractAssumption, Judgment, PredAssert,
-                               PredGoal, RuleContext, RuleError, ScriptError,
-                               Sequent,
-                               UnsupportedConstruct, apply_rule, check_proof,
-                               contract_goal, dump_proof, load_proof,
-                               names_in_sequent, node_to_json, prove_auto,
-                               run_script, stmt_head)
-from tracelet.fo import pred_equiv
-from tracelet.interp import FuelExhausted, run_cont, UpStmt
+                               PredGoal, RuleContext, RuleError, Sequent,
+                               apply_rule, check_proof, contract_goal,
+                               dump_proof, load_proof, names_in_sequent,
+                               node_to_json, stmt_head)
+from tracelet.fo import fo_valid
+from tracelet.interp import (FuelExhausted, run_cont, run_update_prefixed,
+                             UpStmt)
 from tracelet.lang import (Assign, Binary, BoolLit, If, IntLit, Return,
                            ResVar, Scope, Seq, Skip, TokenStream, Var,
                            build_lookup, parse_expr, parse_program,
                            pretty_expr, tokenize)
-from tracelet.logic import (Chop, MuApp, StatePred, formula_vars, member,
-                            parse_formula, pretty_formula, psi)
+from tracelet.logic import (Chop, Concat, MuApp, StatePred, formula_vars,
+                            member, parse_formula, pretty_formula, psi)
+from tracelet.prover import (ScriptError, UnsupportedConstruct, prove_auto,
+                             run_script)
 from tracelet.traces import Ctx, MAIN_CTX, State, res_name, singleton
 from tracelet.updates import (Elem, FinishUpd, StartUpd, apply_update_expr,
                               curr_ctx_update, pretty_update)
 
 
-def ctx_m(extensions=False):
+def ctx_m():
     program = running_program()
     return RuleContext.for_program(program,
-                                   [ContractAssumption.from_spec(spec_m())],
-                                   extensions=extensions)
+                                   [ContractAssumption.from_spec(spec_m())])
 
 
 def pexpr(text):
@@ -39,6 +41,22 @@ def pexpr(text):
 
 
 START_M00 = StartUpd("m", IntLit(0), IntLit(0))
+
+
+def rule_counts(tree):
+    """How often each rule is applied in a proof tree."""
+    counts, stack = Counter(), [tree]
+    while stack:
+        node = stack.pop()
+        if node.rule:
+            counts[node.rule] += 1
+        stack.extend(node.children)
+    return counts
+
+
+def equivalent(a, b):
+    """Each predicate implies the other."""
+    return bool(fo_valid([a], b)) and bool(fo_valid([b], a))
 
 
 def replay(tree, ctx=None):
@@ -192,14 +210,15 @@ class TestRules:
             apply_rule("Bogus", Sequent((), PredGoal(BoolLit(True))), {}, ctx_m())
 
     def test_extension_rules_gated(self):
-        seq0 = Sequent((), Judgment((START_M00,),
-                                    None,
-                                    Chop(parse_formula("startEv(m, 0, 0)"),
-                                         StatePred(BoolLit(True)))))
-        with pytest.raises(RuleError, match="extensions"):
-            apply_rule("PrefixEv", seq0, {}, ctx_m(extensions=False))
-        prem = apply_rule("PrefixEv", seq0, {}, ctx_m(extensions=True))
+        # one rule table and no gate: the gap rules apply in every
+        # context, the two rules that failed the semantic check are gone
+        seq0 = Sequent((), Judgment((START_M00,), None,
+                                    parse_formula("psi(m) ** [true]")))
+        prem = apply_rule("FiniteTraceEmptyPrefix", seq0, {}, ctx_m())
         assert prem[0].goal.formula == StatePred(BoolLit(True))
+        for rule in ("PrefixEv", "Composition"):
+            with pytest.raises(RuleError, match="unknown rule"):
+                apply_rule(rule, seq0, {"at": 0, "split": 1}, ctx_m())
 
     def test_gap_axiom_blocks_excluded_events(self):
         seq0 = Sequent((), Judgment((START_M00,), None, psi("m")))
@@ -253,7 +272,7 @@ def find_nodes(node, rule):
 class TestProveAuto:
     def test_contract_proof_closes(self):
         tree = closed_proof()
-        ms = tree.rule_multiset()
+        ms = rule_counts(tree)
         for required in ("ProcedureContract", "VarDecl", "Assign", "Cond",
                          "Return", "Unfold", "Prestate", "TrAbs"):
             assert ms.get(required, 0) >= 1, required
@@ -368,10 +387,10 @@ class TestTrAbsChildren:
             for t in expected["gamma"]:
                 e = renamed_pred(t, rename_expected)
                 conj_e = e if conj_e is None else Binary("&&", conj_e, e)
-            assert pred_equiv(conj_a, conj_e), (actual_preds, expected["gamma"])
+            assert equivalent(conj_a, conj_e), (actual_preds, expected["gamma"])
             if "pred" in expected:
                 assert isinstance(child.goal, PredGoal)
-                assert pred_equiv(
+                assert equivalent(
                     renamed_pred(pretty_expr(child.goal.pred), rename_actual),
                     renamed_pred(expected["pred"], rename_expected))
 
@@ -461,7 +480,7 @@ Cond @ 0
 """
         tree = run_script(contract_goal("m"), ctx_m(), script)
         assert len(tree.open_goals()) == 2  # the two conditional branches
-        ms = tree.rule_multiset()
+        ms = rule_counts(tree)
         assert ms["Cond"] == 1 and ms["VarDecl"] == 1
 
     def test_script_error_reports_line(self):
@@ -527,20 +546,18 @@ def _judgment_true(seq, state, table, witnesses=(), fuel=200_000):
     j = seq.goal
     env = state.bindings()
     try:
-        machine = run_cont(singleton(state), UpStmt(j.update, j.stmt), table,
-                           fuel=fuel)
+        trace = run_update_prefixed(j.update, j.stmt, singleton(state), table,
+                                    fuel=fuel)
     except FuelExhausted:
         return True  # undefined: the judgment holds vacuously
     free_witnesses = [w for w in witnesses if w in formula_vars(j.formula, binders=True)]
     if not free_witnesses:
-        return member(machine.trace, j.formula, env)
-    ids = sorted({e.call_id for e in machine.trace.entries
-                  if hasattr(e, "call_id")})
-    import itertools
+        return member(trace, j.formula, env)
+    ids = sorted({e.call_id for e in trace.entries if hasattr(e, "call_id")})
     for combo in itertools.product(ids or [0], repeat=len(free_witnesses)):
         trial = dict(env)
         trial.update(zip(free_witnesses, combo))
-        if member(machine.trace, j.formula, trial):
+        if member(trace, j.formula, trial):
             return True
     return False
 
@@ -644,9 +661,64 @@ class TestInline:
         assert t_inline.last().get("res0") == t_call.last().get("res0") == 2
 
 
+def _gap_rule_instances(rule, rng, count):
+    """Random conclusions of a gap rule: an event update of m at the end
+    the rule reads, a few assignments, maybe a statement, and a gap
+    joined by chop or concatenation onto a random chain."""
+    parts_pool = ["psi(q)", "psi(q)", "psi(q)", "[true]", "[x >= 0]", "[x >= a]",
+                  "[x == a + 1]", "[res(0) == a]", "psi(m)", "startEv(m, a, 0)",
+                  "finishEv(m, a, 0)", "startEv(m, a, 0) ** [x > 0]"]
+    assigns = [Elem(Var("x"), pexpr("a + 1")), Elem(Var("a"), IntLit(2)),
+               Elem(Var("x"), pexpr("x * 2"))]
+    stmts = [None, Assign(Var("x"), pexpr("x + 1")), Skip()]
+    for _ in range(count):
+        event = rng.choice([StartUpd, FinishUpd])(
+            "m", rng.choice([Var("a"), IntLit(1)]), IntLit(0))
+        middle = tuple(rng.choice(assigns) for _ in range(rng.randint(0, 2)))
+        gap = rng.choice([psi("m"), psi("m"), psi("q")])
+        chain = [parse_formula(rng.choice(parts_pool))
+                 for _ in range(rng.randint(1, 3))]
+        ops = [rng.choice([Chop, Chop, Concat]) for _ in chain]
+        if rule == "FiniteTraceEmptyPrefix":
+            update, stmt, formula = (event,) + middle, rng.choice(stmts), gap
+            for op, part in zip(ops, chain):
+                formula = op(formula, part)
+        else:
+            update, stmt, formula = middle + (event,), None, chain[0]
+            for op, part in zip(ops[1:], chain[1:]):
+                formula = op(formula, part)
+            formula = ops[0](formula, gap)
+        yield Sequent((), Judgment(update, stmt, formula))
+
+
+def _states(rng, count):
+    return [State({"a": rng.randint(0, 3), "x": rng.randint(0, 3)})
+            for _ in range(count)]
+
+
 class TestExtensionRules:
+    """The rule table admits a rule only when sampled states never make
+    its premises true and its conclusion false."""
+
+    @pytest.mark.parametrize("rule", ["FiniteTraceEmptyPrefix",
+                                      "FiniteTraceEmptyPostfix"])
+    def test_gap_rules_preserve_truth_on_sampled_states(self, rule):
+        ctx = ctx_m()
+        rng = random.Random(31)
+        applied = 0
+        for seq in _gap_rule_instances(rule, rng, 1000):
+            try:
+                premises = apply_rule(rule, seq, {}, ctx)
+            except RuleError:
+                continue
+            for state in _states(rng, 4):
+                if all(_sequent_true(p, state, ctx.table) for p in premises):
+                    applied += 1
+                    assert _judgment_true(seq, state, ctx.table), (seq, state)
+        assert applied >= 200
+
     def test_fte_prefix_and_postfix(self):
-        ctx = ctx_m(extensions=True)
+        ctx = ctx_m()
         f = parse_formula("psi(m) ** startEv(m, 0, 0)")
         seq0 = Sequent((), Judgment((START_M00,), None, f))
         prem = apply_rule("FiniteTraceEmptyPrefix", seq0, {}, ctx)
@@ -656,18 +728,38 @@ class TestExtensionRules:
         prem = apply_rule("FiniteTraceEmptyPostfix", seq1, {}, ctx)
         assert prem[0].goal.formula == parse_formula("startEv(m, 0, 0)")
 
-    def test_composition_splits_update_and_chain(self):
-        ctx = ctx_m(extensions=True)
-        f = parse_formula("startEv(m, 0, 0) ** psi(m)")
-        seq0 = Sequent((), Judgment((START_M00, Elem(Var("x"), IntLit(1))), None, f))
-        prem = apply_rule("Composition", seq0, {"at": 1, "split": 1}, ctx)
-        assert len(prem) == 2
-        assert prem[0].goal.update == (START_M00,)
-        assert prem[1].goal.update == (Elem(Var("x"), IntLit(1)),)
+    def test_prefix_ev_counterexample(self):
+        # PrefixEv took ev ** Phi under {ev}U to Phi under U; but the event
+        # update writes res(0), which Phi then reads
+        table = build_lookup(running_program())
+        finish = FinishUpd("m", IntLit(5), IntLit(0))
+        conclusion = Sequent((), Judgment((finish,), None, parse_formula(
+            "finishEv(m, 5, 0) ** [res(0) == 3]")))
+        premise = Sequent((), Judgment((), None, parse_formula("[res(0) == 3]")))
+        state = State({"res0": 3})
+        assert _judgment_true(premise, state, table)
+        assert not _judgment_true(conclusion, state, table)
+        with pytest.raises(RuleError, match="unknown rule"):
+            apply_rule("PrefixEv", conclusion, {}, ctx_m())
 
-    def test_appendix_style_proof_with_extensions(self):
+    def test_composition_splits_update_and_chain(self):
+        # Composition at=1 split=2 ran each half of the update from the
+        # initial state, so the second half missed the first one's writes
+        table = build_lookup(running_program())
+        x1, zx = Elem(Var("x"), IntLit(1)), Elem(Var("z"), Var("x"))
+        conclusion = Sequent((), Judgment((x1, zx), None, parse_formula(
+            "([true] .. [true]) ** ([true] .. [z == 0])")))
+        premises = [Sequent((), Judgment((x1,), None, parse_formula("[true] .. [true]"))),
+                    Sequent((), Judgment((zx,), None, parse_formula("[true] .. [z == 0]")))]
+        state = State({"x": 0})
+        assert all(_judgment_true(p, state, table) for p in premises)
+        assert not _judgment_true(conclusion, state, table)
+        with pytest.raises(RuleError, match="unknown rule"):
+            apply_rule("Composition", conclusion, {"at": 1, "split": 2}, ctx_m())
+
+    def test_appendix_style_proof(self):
         # the published base-branch chain, driven by a script
-        ctx = ctx_m(extensions=True)
+        ctx = ctx_m()
         script = """\
 ProcedureContract @ 0
 Assign @ 0

@@ -4,9 +4,10 @@ import contextlib
 import copy
 import io
 import json
+from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 from helpers import M0_SRC, MUTANT_SRC, RUNNING_SRC, contract_m, m_source
 from tracelet.cli import (EXIT_ERROR, EXIT_FUEL, EXIT_INADEQUATE,
@@ -122,9 +123,11 @@ def test_malformed_trace_one_line_error(work, capsys, text):
     ["run", "{dir}/latin1.tcp"],
     ["adequacy", "{dir}/latin1.tcp"],
     ["prove", "{dir}/running.tcp", "{dir}/latin1.tcp"],
+    ["run", "{dir}/nul\0.tcp"],
+    ["run", "{dir}/running.tcp", "-o", "{dir}/nul\0.json"],
 ], ids=["run-o-missing-dir", "run-o-directory", "gen-contract-o", "prove-o",
         "validate-trace-dir", "run-not-utf8", "adequacy-not-utf8",
-        "prove-contracts-not-utf8"])
+        "prove-contracts-not-utf8", "run-nul-in-path", "run-o-nul-in-path"])
 def test_file_error_one_line(work, capsys, argv):
     gen_contract(work)
     (work / "latin1.tcp").write_bytes("main { x; x = 1 } // caf\xe9".encode("latin-1"))
@@ -197,6 +200,124 @@ def test_mutated_inputs_exit_cleanly(fuzz_inputs, data):
     if code == EXIT_ERROR:
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, \
             err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    ["run"],
+    [],
+    ["validate", "p", "c", "--samples", "abc"],
+    ["prove", "p", "c", "--extensions"],
+    ["check-proof", "f", "--program", "p", "--contracts", "c", "--extensions"],
+    ["validate", "p", "c", "--no-proof", "--extensions"],
+], ids=["missing-positional", "no-command", "bad-int", "removed-flag-prove",
+        "removed-flag-check-proof", "removed-flag-validate"])
+def test_usage_error_one_line_exit_1(capsys, argv):
+    assert main(argv) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["prove", "-h"])
+    assert e.value.code == 0
+    assert "--max-nodes" in capsys.readouterr().out
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    """A directory with one valid file of each kind the commands read."""
+    work = tmp_path_factory.mktemp("cli-fuzz")
+    (work / "m3.tcp").write_text(m_source(3))
+    gen_contract(work)
+    files = {"program": work / "m3.tcp", "contracts": work / "m.tcf",
+             "trace": work / "m3.trace.json", "proof": work / "m.proof.json",
+             "script": work / "m.tps"}
+    assert main(["run", str(files["program"]), "-o", str(files["trace"])]) == EXIT_OK
+    assert main(["prove", str(files["program"]), str(files["contracts"]),
+                 "-o", str(files["proof"])]) == EXIT_OK
+    files["script"].write_text("ProcedureContract @ 0\nAssign @ 0\n")
+    files["traces"], files["missing"] = work / "traces", work / "missing"
+    files["traces"].mkdir()
+    (work / "cwd").mkdir()   # where prove without -o writes, apart from the inputs
+    return work, {k: str(v) for k, v in files.items()}
+
+
+_SMALL_INTS = st.integers(-2, 4).map(str)
+_GARBAGE = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\n\r"),
+                   max_size=6)
+
+
+def _fuzz_flags(files, out):
+    """Per command: its leading arguments (a kind of file, or a literal)
+    and its flags, each with the strategy of its value (None for a
+    switch)."""
+    pred = st.sampled_from(["n == 0", "n > 0", "n", "n - 1", "res(0)", "(", "n +"])
+    ranges = st.sampled_from(["0..2", "1..3", "2..1", "0..", "a..b", "-1..1"])
+    return {
+        "run": (["program"], {"--state": st.sampled_from(["x=1", "x", "y=2", "x=a"]),
+                              "--fuel": _SMALL_INTS | st.just("300"), "-o": out}),
+        "adequacy": (["trace"], {"--lenient": None, "--json": None}),
+        "check": (["trace", "contracts", "--contract", "m_big_step", "--bind", "i=0"],
+                  {"--contract": st.sampled_from(["m", "m_big_step", "nope"]),
+                   "--bind": st.sampled_from(["n=3", "i=0", "n=x", "n"]), "--json": None}),
+        "gen-contract": (["m"], {"--pre-base": pred, "--pre-step": pred,
+                                 "--result": pred, "--step-inv": pred,
+                                 "--no-big-step": None, "-o": out}),
+        "prove": (["program", "contracts"],
+                  {"--proc": st.sampled_from(["m", "q"]), "--script": st.just(files["script"]),
+                   "--repl": None, "--max-nodes": _SMALL_INTS | st.just("600"), "-o": out}),
+        "check-proof": (["proof", "--program", "program", "--contracts", "contracts"],
+                        {"--program": st.just(files["program"]),
+                         "--contracts": st.just(files["contracts"])}),
+        "validate": (["program", "contracts"],
+                     {"--proc": st.sampled_from(["m", "q"]), "--samples": _SMALL_INTS,
+                      "--seed": _SMALL_INTS, "--range": ranges,
+                      "--proof": st.just(files["proof"]), "--no-proof": None,
+                      "--fuel": _SMALL_INTS | st.just("2000"), "--json": None,
+                      "--trace-dir": st.sampled_from([files["traces"], files["missing"]])}),
+    }
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_main_fuzz_exits_cleanly(cli_files, data):
+    """Random argument lists over valid files, garbage and small integers:
+    a documented exit code, no traceback, at most one line on stderr."""
+    work, files = cli_files
+    flags = _fuzz_flags(files, st.just(str(work / "out.txt")))
+    command = data.draw(st.sampled_from(sorted(flags)))
+    positionals, options = flags[command]
+    token = st.sampled_from(sorted(files.values())) | _GARBAGE | _SMALL_INTS
+    argv = [command]
+    for kind in positionals:
+        if kind not in files:
+            argv.append(kind)
+        elif data.draw(st.integers(0, 4)):
+            argv.append(files[kind])
+        else:
+            argv.append(data.draw(token))
+    if command == "validate":
+        argv += ["--range", "0..2"]   # later draws may override; keeps runs short
+    for _ in range(data.draw(st.integers(0, 5))):
+        choice = data.draw(st.sampled_from(sorted(options) + ["<token>"]))
+        if choice == "<token>":
+            argv.append(data.draw(token))
+            continue
+        argv.append(choice)
+        if options[choice] is not None and data.draw(st.integers(0, 5)):
+            argv.append(data.draw(options[choice]))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            contextlib.chdir(work / "cwd"), mock.patch("builtins.input", side_effect=EOFError):
+        code = main(argv)
+    event(f"{command} exit {code}")
+    printed = out.getvalue() + err.getvalue()
+    assert code in _EXIT_CODES, argv
+    assert "Traceback" not in printed, argv
+    assert err.getvalue().count("\n") <= 1, (argv, err.getvalue())
 
 
 def _json_out(capsys, argv):
@@ -284,6 +405,21 @@ class TestProve:
         assert main(["check-proof", str(tampered),
                      "--program", str(work / "running.tcp"),
                      "--contracts", str(contract)]) == EXIT_PROOF_REJECTED
+
+    @pytest.mark.parametrize("rule", ["PrefixEv", "Composition"])
+    def test_deleted_rule_rejected_exit_7(self, work, capsys, rule):
+        contract = gen_contract(work)
+        proof = work / "m.proof.json"
+        main(["prove", str(work / "running.tcp"), str(contract),
+              "--proc", "m", "-o", str(proof)])
+        doc = json.loads(proof.read_text())
+        doc["root"]["children"][0]["rule"] = rule
+        edited = work / "edited.proof.json"
+        edited.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["check-proof", str(edited), "--program", str(work / "running.tcp"),
+                     "--contracts", str(contract)]) == EXIT_PROOF_REJECTED
+        assert f"unknown rule '{rule}'" in capsys.readouterr().out
 
     @pytest.mark.parametrize("proc,goal", [
         ("m", {"kind": "pred", "pred": "1 == 1"}),   # proves the wrong goal

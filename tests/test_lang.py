@@ -8,7 +8,7 @@ from helpers import M0_SRC, RUNNING_SRC, random_terminating_program
 from tracelet.lang import (Assign, CallAssign, If, IntLit, ParseError,
                            ProcDecl, Program, Return, Scope, Seq, Skip,
                            UnknownProcedure, Var, build_lookup, lookup,
-                           parse_program, pretty_program, well_formed)
+                           parse_program, well_formed)
 
 
 class TestParse:
@@ -73,17 +73,16 @@ class TestPretty:
                     "q(a) { b; while (a > 0) { a = a - 1 }; return b }\n"
                     "main { x; y; x = q(3); if (x == 0) { y = 1 } }"):
             p = parse_program(src)
-            printed = pretty_program(p)
+            printed = str(p)
             again = parse_program(printed)
             assert again == p
-            assert pretty_program(again) == printed
+            assert str(again) == printed
 
     def test_roundtrip_generated(self):
         rng = random.Random(20)
         for _ in range(60):
             p = random_terminating_program(rng)
-            printed = pretty_program(p)
-            assert parse_program(printed) == p
+            assert parse_program(str(p)) == p
 
 
 class TestWellFormed:

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (curr_ctx_stack, dump_trace_oracle, eval_expr_oracle,
-                     golden_m1, load_trace_oracle, m_source,
-                     random_linear_expr, random_terminating_program,
-                     running_program)
+                     golden_m0, golden_m1, load_trace_oracle, m_source,
+                     mutate_trace, random_linear_expr,
+                     random_terminating_program, running_program)
 from tracelet import traces
 from tracelet.interp import run
 from tracelet.lang import Binary, IntLit, Var, parse_program
@@ -211,6 +211,16 @@ class TestAdequacy:
         assert is_adequate(t, strict=False)
         verdict = is_adequate(t, strict=True)
         assert not verdict and verdict.clause == "strict"
+
+    def test_pop_after_another_update_clause5(self):
+        # res0 already holds the value, but x changes before the popEv
+        sigma = s(x=0, res0=5)
+        t = Trace([sigma, CallEv("m", 1, 0), sigma, PushEv(Ctx("m", 0)), sigma,
+                   RetEv(5), sigma, sigma.set("x", 1), PopEv(Ctx("m", 0)),
+                   sigma.set("x", 1)])
+        for trace in (t, _rebuilt(t)):
+            verdict = is_adequate(trace, strict=False)
+            assert not verdict and verdict.clause == "5"
 
     def test_empty_trace_precondition(self):
         with pytest.raises(EmptyTraceError):
@@ -473,3 +483,34 @@ def test_dump_work_bounded_by_distinct_states(monkeypatch):
     states = [e for e in t.entries if is_state(e)]
     assert len(calls) <= len(states[0].bindings()) + len({id(e) for e in states})
     assert text == dump_trace_oracle(t)
+
+
+def _rebuilt(t):
+    """The same trace with every state built afresh: no shared objects and
+    no record of the state it was set from."""
+    return Trace([State(e.bindings()) if is_state(e) else e for e in t.entries])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(t=_TRACES | st.sampled_from([golden_m0(), golden_m1()]), data=st.data())
+def test_adequacy_same_without_set_records(t, data):
+    """The O(1) step check on states made by set decides as the full
+    comparison does, on valid, mutated and byte-edited traces."""
+    edit = data.draw(st.sampled_from(["none", "mutate", "bytes"]))
+    if edit == "mutate":
+        rng = random.Random(data.draw(st.integers(0, 10 ** 6)))
+        for _ in range(data.draw(st.integers(1, 3))):
+            t = mutate_trace(rng, t)
+    elif edit == "bytes":
+        text = dump_trace(t)
+        k = data.draw(st.integers(0, len(text) - 1))
+        text = text[:k] + data.draw(st.sampled_from("0123456789-")) + text[k + 1:]
+        try:
+            t = load_trace(text)
+        except TraceError:
+            pass
+    if t.is_empty:
+        return
+    for strict in (True, False):
+        assert is_adequate(t, strict) == is_adequate(_rebuilt(t), strict)
+
