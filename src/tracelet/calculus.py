@@ -20,10 +20,11 @@ from .lang import (Assign, Binary, Call, CallAssign, Expr, If, IntLit,
                    Stmt, Var, While, build_lookup, expr_vars, fold_expr,
                    lookup, pretty_expr, subst_expr, subst_res_expr,
                    subst_stmt)
-from .logic import (And, Chop, Concat, ContractSpec, FinishEvF, Formula,
-                    Fresh, Mu, MuApp, Or, RecApp, StartEvF, StatePred,
-                    flatten_chain, formula_vars, is_psi, make_contract,
-                    map_terms, pretty_formula, pretty_term, subst_term)
+from .logic import (And, ContractSpec, FinishEvF, Formula, Fresh, Mu, MuApp,
+                    Or, RecApp, StartEvF, StatePred, flatten_chain,
+                    formula_vars, is_psi, join_chain, make_contract,
+                    map_terms, pretty_formula, pretty_term, subst_term,
+                    unfold)
 from .traces import MAIN_CTX, MalformedNesting
 from .updates import (CallUpd, Elem, FinishUpd, StartUpd, Update, UpdateAtom,
                       UpdateApplicationError, apply_update_expr,
@@ -61,8 +62,7 @@ class ContractAssumption:
 
     @staticmethod
     def from_spec(spec: ContractSpec) -> "ContractAssumption":
-        from .fo import simplify_or
-        pre = simplify_or(spec.pre_base, spec.pre_step)
+        pre = fo.simplify_or(spec.pre_base, spec.pre_step)
         return ContractAssumption(spec.proc, pre, make_contract(spec), spec.f_m)
 
 
@@ -251,22 +251,12 @@ def _contract_gamma(ctx: RuleContext) -> tuple:
 # Formula chain helpers
 # ---------------------------------------------------------------------------
 
-def _rebuild(parts) -> Formula:
-    """Inverse of flatten_chain on a non-empty prefix-shaped part list."""
-    head = parts[0]
-    out = head if not isinstance(head, tuple) else head[1]
-    for op, p in parts[1:]:
-        out = Chop(out, p) if op == "**" else Concat(out, p)
-    return out
-
-
 def _drop_first(parts) -> Formula:
-    rest = [parts[1][1]] + parts[2:]
-    return _rebuild(rest)
+    return join_chain([parts[1][1]] + parts[2:])
 
 
 def _drop_last(parts) -> Formula:
-    return _rebuild(parts[:-1])
+    return join_chain(parts[:-1])
 
 
 def _judgment(seq: Sequent) -> Judgment:
@@ -456,8 +446,7 @@ def _rule_unfold(seq, args, ctx):
         f = MuApp(f, ())
     if not isinstance(f, MuApp):
         raise RuleError("Unfold expects an applied fixed point")
-    from .logic import unfold as unfold_mu
-    body = unfold_mu(f)
+    body = unfold(f)
     taken = names_in_sequent(seq)
     introduced: list = []
     body = _instantiate_fresh(body, taken, introduced)
@@ -584,8 +573,8 @@ def _rule_trabs(seq, args, ctx):
             f"call argument {pretty_expr(call_arg)} does not match "
             f"occurrence argument {pretty_term(t_val)}")
 
-    phi1 = _rebuild(parts[:xi])
-    phi2 = _rebuild([parts[xi + 1][1]] + parts[xi + 2:])
+    phi1 = join_chain(parts[:xi])
+    phi2 = join_chain([parts[xi + 1][1]] + parts[xi + 2:])
     preds = tuple(a for a in seq.gamma if isinstance(a, PredAssert))
     contracts = tuple(a for a in seq.gamma if isinstance(a, ContractAssumption))
     pre_inst = fold_expr(subst_expr(c.pre, ContractSpec.PARAM, call_arg))

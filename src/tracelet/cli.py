@@ -26,17 +26,16 @@ from .calculus import (ContractAssumption, ProofFileError, ProofNode,
                        RuleContext, check_proof, contract_goal, dump_proof,
                        load_proof)
 from .interp import DEFAULT_FUEL, FuelExhausted, RunError, initial_state, run
-from .lang import (CallAssign, IntLit, ParseError, Program, Var,
-                   parse_program, well_formed)
+from .lang import (Binary, CallAssign, IntLit, ParseError, Program, ResVar,
+                   TokenStream, Var, parse_expr, parse_program, tokenize,
+                   well_formed)
 from .logic import (Chop, ContractSpec, LogicError, MemberBudgetExceeded,
-                    MuApp, StatePred, _Member, applied, contract_file_text,
-                    flatten_chain, member, parse_contract_file,
-                    pretty_formula)
-from .lang import Binary, ResVar, TokenStream, parse_expr, tokenize
+                    MuApp, StatePred, applied, contract_file_text, member,
+                    parse_contract_file)
 from .prover import (ScriptError, UnsupportedConstruct, apply_script,
                      prove_auto, run_script)
 from .traces import (State, Trace, TraceError, dump_trace, eval_expr,
-                     is_adequate, is_state, load_trace)
+                     is_adequate, load_trace)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -180,45 +179,15 @@ def cmd_adequacy(args) -> int:
 # check
 # ---------------------------------------------------------------------------
 
-def _explain_failure(trace: Trace, formula, env) -> str:
-    parts = flatten_chain(formula)
-    if len(parts) < 2:
-        return f"trace is not in the denotation of {pretty_formula(formula)}"
-    # walk the chop chain, tracking reachable shared-state positions
-    checker = _Member(trace)
-    positions = {0}
-    first = parts[0]
-    labels = [pretty_formula(first)] + [pretty_formula(p) for _, p in parts[1:]]
-    elems = [first] + [p for _, p in parts[1:]]
-    n = len(trace.entries)
-    for k, elem in enumerate(elems):
-        reachable = set()
-        is_last = k == len(elems) - 1
-        for lo in positions:
-            if is_last:
-                if checker.sat(elem, lo, n, dict(env), {}):
-                    reachable.add(n)
-            else:
-                for j in range(lo, n):
-                    if not is_state(trace.entries[j]):
-                        continue
-                    if checker.sat(elem, lo, j + 1, dict(env), {}):
-                        reachable.add(j)
-        if not reachable:
-            return f"no match for chain element #{k + 1}: {labels[k]}"
-        positions = reachable
-    return "all chain elements match individually but no global split works"
-
-
 def cmd_check(args) -> int:
     trace = load_trace(_read(args.trace))
     cf = _contracts_from_file(args.formula)
     name = args.contract
     if name is None:
-        if len(cf.contracts) == 1:
-            name = next(iter(cf.contracts))
-        else:
-            raise CliError("multiple contracts in file; pick one with --contract")
+        if len(cf.contracts) != 1:
+            raise CliError("multiple contracts in file; pick one with --contract"
+                           if cf.contracts else f"no contract in {args.formula}")
+        name = next(iter(cf.contracts))
     if name not in cf.contracts:
         raise CliError(f"no contract named {name!r} in {args.formula}")
     params, formula = cf.contracts[name]
@@ -227,13 +196,14 @@ def cmd_check(args) -> int:
     if missing:
         raise CliError(f"missing --bind for parameters: {', '.join(missing)}")
     formula = applied(formula, params)
-    ok = member(trace, formula, env)
+    why = []
+    ok = member(trace, formula, env, why)
     if args.json:
         print(json.dumps({"member": ok, "contract": name, "bindings": env}))
     elif ok:
         print("member")
     else:
-        print("not a member: " + _explain_failure(trace, formula, env))
+        print("not a member: " + why[0])
     return EXIT_OK if ok else EXIT_NOT_MEMBER
 
 

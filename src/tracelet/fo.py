@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Dict, List, Optional, Tuple
 
-from .lang import (Binary, BoolLit, CMP_OPS, Expr, IntLit, ResVar, Unary,
-                   Var, pretty_expr)
+from .lang import (Binary, BoolLit, CMP_OPS, Expr, IntLit, ResVar, TokenStream,
+                   Unary, Var, parse_expr, pretty_expr, tokenize)
 
 
 class NonlinearError(Exception):
@@ -339,7 +339,6 @@ def lin_to_expr(coeffs: Dict[str, int], const: int, op: str) -> Expr:
 
 
 def _parse_res(key: str) -> Expr:
-    from .lang import TokenStream, parse_expr, tokenize
     ts = TokenStream(tokenize(key))
     return parse_expr(ts, allow_res=True)
 

@@ -20,7 +20,8 @@ from .lang import (Assign, Call, CallAssign, If, IntLit, LookupTable,
                    While, build_lookup, lookup, subst_stmt)
 from .traces import (CallEv, ChopUndefined, Ctx, PopEv, PushEv, RetEv, State,
                      Trace, event_trace, eval_expr, nest, res_name, singleton)
-from .updates import (CallUpd, Elem, FinishUpd, StartUpd, Update, UpdateAtom)
+from .updates import (CallUpd, Elem, FinishUpd, StartUpd, Update, UpdateAtom,
+                      pretty_update)
 
 DEFAULT_FUEL = 10 ** 6
 
@@ -43,7 +44,6 @@ class UpStmt:
     stmt: Optional[Stmt] = None
 
     def __repr__(self):
-        from .updates import pretty_update
         body = "" if self.stmt is None else f" {self.stmt}"
         return f"{pretty_update(self.atoms)}{body}"
 

@@ -12,7 +12,9 @@ true; true results hold under that assumption too and are always kept.
 Each call tracks the lowest open depth its own false relied on, as
 Tarjan's lowlink does: an item that relied only on itself or on deeper
 items is final when it closes.
-One query expands at most ``MEMBER_BUDGET`` fixed-point items.
+One query expands at most ``MEMBER_BUDGET`` fixed-point items.  A false
+query's reason (``why_not``) is read from the chart it left, so it
+decides no further item.
 
 The cost is in the splits each Concat or Chop tries.  Both share one split
 loop, bounded by a static record per node (``_shape``):
@@ -332,11 +334,7 @@ def is_psi(f: Formula):
 
 
 def chop_chain(parts) -> Formula:
-    parts = list(parts)
-    out = parts[0]
-    for p in parts[1:]:
-        out = Chop(out, p)
-    return out
+    return join_chain([parts[0]] + [("**", p) for p in parts[1:]])
 
 
 def no_event_chop(left: Formula, proc: Optional[str], right: Formula) -> Formula:
@@ -351,6 +349,14 @@ def flatten_chain(f: Formula):
         head.append(("**" if isinstance(f, Chop) else "..", f.right))
         return head
     return [f]
+
+
+def join_chain(parts) -> Formula:
+    """Inverse of flatten_chain on a non-empty part list."""
+    out = parts[0]
+    for op, p in parts[1:]:
+        out = Chop(out, p) if op == "**" else Concat(out, p)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -839,18 +845,49 @@ class _Member:
         self._settle(key, out, outer, low)
         return out
 
+    def why_not(self, f: Formula) -> str:
+        """Why the query of f over the whole trace came out false, read
+        from the chart that query left: no further item is decided.
 
-def member(trace: Trace, formula: Formula, env: Optional[dict] = None) -> bool:
-    """True iff the trace belongs to the formula's denotation."""
+        A chain p1 op ... op pK is blamed on the element after its
+        longest prefix that has a true item from entry 0.
+        """
+        n = len(self.entries)
+        rec = self.shapes[id(f)]
+        if n < rec.lo_w or (rec.hi_w is not None and n > rec.hi_w):
+            width = (f"at least {rec.lo_w}" if rec.hi_w is None
+                     else f"exactly {rec.lo_w}" if rec.lo_w == rec.hi_w
+                     else f"{rec.lo_w} to {rec.hi_w}")
+            return f"the trace has {n} entries; the formula matches traces of {width} entries"
+        parts = flatten_chain(f)
+        if len(parts) < 2:
+            return f"trace is not in the denotation of {pretty_formula(f)}"
+        prefix, memo = f, self.memo
+        for k in range(len(parts) - 1, 0, -1):
+            prefix = prefix.left  # the node of p1 op ... op pk
+            h = next((h for h in range(n, 0, -1) if memo.get((id(prefix), 0, 0, h))), 0)
+            if h:
+                return (f"no match for chain element #{k + 1}: {pretty_formula(parts[k][1])}"
+                        f" (#1..#{k} match entries 0..{h - 1})")
+        return f"no match for chain element #1: {pretty_formula(parts[0])}"
+
+
+def member(trace: Trace, formula: Formula, env: Optional[dict] = None,
+           why: Optional[list] = None) -> bool:
+    """True iff the trace belongs to the formula's denotation.  When it is
+    not and why is a list, the reason (``_Member.why_not``) is appended."""
     if trace.is_empty:
         raise LogicError("membership of the empty trace is undefined")
     old_limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(old_limit, 100_000))
     try:
-        return _Member(trace).sat(formula, 0, len(trace.entries),
-                                  dict(env or {}), {})
+        checker = _Member(trace)
+        ok = checker.sat(formula, 0, len(trace.entries), dict(env or {}), {})
     finally:
         sys.setrecursionlimit(old_limit)
+    if not ok and why is not None:
+        why.append(checker.why_not(formula))
+    return ok
 
 
 # ---------------------------------------------------------------------------

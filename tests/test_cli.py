@@ -14,7 +14,7 @@ from tracelet.cli import (EXIT_ERROR, EXIT_FUEL, EXIT_INADEQUATE,
                           EXIT_NOT_MEMBER, EXIT_OK, EXIT_OPEN_PROOF,
                           EXIT_PROOF_REJECTED, EXIT_VALIDATION_FAILED, main)
 from tracelet.interp import RunError
-from tracelet.logic import MemberBudgetExceeded, pretty_formula
+from tracelet.logic import MemberBudgetExceeded, _Member, pretty_formula
 
 
 @pytest.fixture
@@ -342,21 +342,86 @@ class TestCheck:
         err = capsys.readouterr().out
         assert "chain element" in err or "not a member" in err
 
-    def test_explanation_within_budget(self, work, capsys, monkeypatch):
-        # explaining a failed check asks the first chain element for every
-        # end position; each of those queries must stay cheap
-        trace = work / "m50.trace.json"
-        (work / "m50.tcp").write_text(RUNNING_SRC.replace("x = m(1)", "x = m(50)"))
-        assert main(["run", str(work / "m50.tcp"), "-o", str(trace)]) == EXIT_OK
+    @staticmethod
+    def m7_check(work, v, core=False):
+        """argv checking m(v)'s trace, or its core without the final
+        assignment, against m(n, i) ** [x == 7]."""
+        trace = work / f"m{v}.trace.json"
+        (work / f"m{v}.tcp").write_text(RUNNING_SRC.replace("x = m(1)", f"x = m({v})"))
+        assert main(["run", str(work / f"m{v}.tcp"), "-o", str(trace)]) == EXIT_OK
+        if core:
+            trace.write_text(json.dumps(json.loads(trace.read_text())[:-1]))
         formula = work / "m7.tcf"
         formula.write_text(f"contract m7(n, i) := "
                            f"({pretty_formula(contract_m())})(n, i) ** [x == 7]\n")
+        return ["check", str(trace), str(formula), "--bind", f"n={v}", "--bind", "i=0"]
+
+    def test_explanation_within_budget(self, work, capsys, monkeypatch):
+        # the contract, whose last element has width 1, is only asked on
+        # [0, n); on the full trace it fails there, so element #1 is blamed
+        argv = self.m7_check(work, 50)
         monkeypatch.setattr("tracelet.logic.MEMBER_BUDGET", 5000)
         capsys.readouterr()
-        assert main(["check", str(trace), str(formula), "--bind", "n=50",
-                     "--bind", "i=0"]) == EXIT_NOT_MEMBER
+        assert main(argv) == EXIT_NOT_MEMBER
         assert capsys.readouterr().out.startswith(
-            "not a member: no match for chain element #2")
+            "not a member: no match for chain element #1: (mu X_m(n, i).")
+
+    def test_explanation_core_trace(self, work, capsys):
+        argv = self.m7_check(work, 50, core=True)
+        n = len(json.loads(open(argv[1]).read()))
+        capsys.readouterr()
+        assert main(argv) == EXIT_NOT_MEMBER
+        assert capsys.readouterr().out == ("not a member: no match for chain element "
+                                           f"#2: [x == 7] (#1..#1 match entries 0..{n - 1})\n")
+
+    def test_explanation_of_deep_trace(self, work, capsys):
+        argv = self.m7_check(work, 100)
+        capsys.readouterr()
+        assert main(argv) == EXIT_NOT_MEMBER
+        out, err = capsys.readouterr()
+        assert out.count("\n") == 1 and "Traceback" not in out + err
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+    def test_explanation_costs_no_budget(self, work, capsys, monkeypatch, flags):
+        argv = self.m7_check(work, 80)
+        monkeypatch.setattr("tracelet.logic.MEMBER_BUDGET", 50)
+        assert main(argv + flags) == EXIT_NOT_MEMBER
+
+    def test_one_membership_engine(self, work, capsys, monkeypatch):
+        made, init = [], _Member.__init__
+
+        def counted(self, trace):
+            made.append(trace)
+            init(self, trace)
+
+        argv = self.m7_check(work, 5, core=True)
+        monkeypatch.setattr(_Member, "__init__", counted)
+        assert main(argv) == EXIT_NOT_MEMBER
+        assert len(made) == 1
+
+    @pytest.mark.parametrize("formula, states, reason", [
+        ("[x == 0] .. [x == 1] .. [x == 5]", [0, 1, 2],
+         "no match for chain element #3: [x == 5] (#1..#2 match entries 0..1)"),
+        ("[x == 0] .. [x == 1] .. [x == 5]", [0, 1],
+         "the trace has 2 entries; the formula matches traces of exactly 3 entries"),
+        ("[x == 0] ** psi() ** [x == 9] ** psi()", [0, 1, 2, 3],
+         "no match for chain element #3: [x == 9] (#1..#2 match entries 0..3)"),
+    ], ids=["concat-chain", "width", "furthest-prefix"])
+    def test_explanation_of_chain(self, tmp_path, capsys, formula, states, reason):
+        t = tmp_path / "t.json"
+        t.write_text(json.dumps([{"state": {"x": x}} for x in states]))
+        f = tmp_path / "f.tcf"
+        f.write_text(formula)
+        assert main(["check", str(t), str(f)]) == EXIT_NOT_MEMBER
+        assert capsys.readouterr().out == f"not a member: {reason}\n"
+
+    def test_spec_only_file_has_no_contract(self, work, capsys):
+        t = work / "s.json"
+        t.write_text(json.dumps([{"state": {"x": 0}}]))
+        f = work / "spec.tcf"
+        f.write_text("spec m { base: [n == 0]; step: [n > 0]; inv: n - 1; result: n }\n")
+        assert main(["check", str(t), str(f)]) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: no contract in {f}\n"
 
     def test_singleton_true(self, work, tmp_path, capsys):
         t = tmp_path / "s.json"

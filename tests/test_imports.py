@@ -35,20 +35,68 @@ def test_detects_an_unused_import():
         ["line 1: os", "line 2: b"]
 
 
+def tracelet_imports(tree) -> list:
+    """The import statements of a parsed file that import tracelet modules."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level or module == "tracelet" or module.startswith("tracelet."):
+                out.append(node)
+        elif isinstance(node, ast.Import) and any(alias.name.startswith("tracelet.")
+                                                  for alias in node.names):
+            out.append(node)
+    return out
+
+
 def imported_modules(source: str) -> set:
     """The tracelet modules a source file imports, by their short name."""
     out = set()
-    for node in ast.walk(ast.parse(source)):
+    for node in tracelet_imports(ast.parse(source)):
         if isinstance(node, ast.ImportFrom):
-            module = node.module or ""
-            if node.level == 0 and not module.startswith("tracelet."):
-                continue
-            name = module.rsplit(".", 1)[-1] if module else ""
-            out |= {name} if name else {alias.name for alias in node.names}
-        elif isinstance(node, ast.Import):
+            module = node.module or "tracelet"
+            out |= {alias.name for alias in node.names} if module == "tracelet" \
+                else {module.rsplit(".", 1)[-1]}
+        else:
             out |= {alias.name.split(".", 1)[1] for alias in node.names
                     if alias.name.startswith("tracelet.")}
     return out
+
+
+def private_imports(source: str) -> list:
+    """The _-prefixed names a source file imports from tracelet modules."""
+    return sorted(f"line {node.lineno}: {alias.name}"
+                  for node in tracelet_imports(ast.parse(source))
+                  if isinstance(node, ast.ImportFrom)
+                  for alias in node.names if alias.name.startswith("_"))
+
+
+def local_imports(source: str) -> list:
+    """Tracelet imports of a source file that are not at its top level."""
+    tree = ast.parse(source)
+    top = set(tree.body)
+    return sorted(f"line {node.lineno}" for node in tracelet_imports(tree)
+                  if node not in top)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_imports(path):
+    """A module uses another one only through its public names."""
+    assert private_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_local_imports(path):
+    """Every dependency between modules shows at the top of the file."""
+    assert local_imports(path.read_text()) == []
+
+
+def test_detects_private_and_local_imports():
+    source = ("import json\nfrom .logic import _Member, member\n"
+              "def f():\n    from . import fo\n    from json import _x\n"
+              "    import tracelet.cli\n")
+    assert private_imports(source) == ["line 2: _Member"]
+    assert local_imports(source) == ["line 4", "line 6"]
 
 
 @pytest.mark.parametrize("module, forbidden", [

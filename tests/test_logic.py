@@ -283,6 +283,29 @@ class TestMember:
         assert member(t, f)
         assert member_approx(t, f)
 
+    def test_reason_read_from_the_chart(self, monkeypatch):
+        core = m3_core()
+        f = Chop(contract_with_post(), StatePred(Binary("==", Var("x"), IntLit(7))))
+        checker = _Member(core)
+        assert not checker.sat(f, 0, len(core.entries), {"n": 3, "i": 0}, {})
+        budget, memo = checker.budget, dict(checker.memo)
+
+        def decide(*args):
+            raise AssertionError("the reason decided an item")
+
+        for name in ("sat", "_sat", "_mu_member"):
+            monkeypatch.setattr(checker, name, decide)
+        assert checker.why_not(f) == (
+            "no match for chain element #3: [x == 7] "
+            f"(#1..#2 match entries 0..{len(core.entries) - 1})")
+        assert (checker.budget, checker.memo) == (budget, memo)
+
+    def test_reason_only_for_a_non_member(self):
+        why = []
+        assert member(m3_core(), contract_with_post(), {"n": 3, "i": 0}, why)
+        assert not member(singleton(State({"x": 1})), parse_formula("[x == 0]"), None, why)
+        assert why == ["trace is not in the denotation of [x == 0]"]
+
     def test_fresh_id_existential(self):
         # the recursive disjunct finds the inner call id
         phi = contract_with_post()
