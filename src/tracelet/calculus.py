@@ -11,6 +11,7 @@ whole trusted base; proof search and scripts live in ``prover``.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _esc
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -909,39 +910,157 @@ class ProofFileError(Exception):
     """A proof file is not JSON or not shaped like a proof tree."""
 
 
-def assertion_to_json(a: Assertion):
-    if isinstance(a, PredAssert):
-        return {"pred": pretty_expr(a.pred)}
-    return {"contract": a.proc}
+class _Printer:
+    """The printed form of sequents, with each object printed once.
+
+    A child sequent mostly reuses its parent's formula, update, statement
+    and predicates, so one printer serves one dump_proof or check_proof
+    call and memoizes by id().  Each memo entry holds the object beside
+    its text: the id cannot pass to another object while the printer
+    lives.
+    """
+
+    def __init__(self):
+        self.formulas, self.updates, self.atoms = {}, {}, {}
+        self.stmts, self.preds = {}, {}
+
+    @staticmethod
+    def _once(memo: dict, show, obj) -> str:
+        got = memo.get(id(obj))
+        if got is None:
+            got = memo[id(obj)] = (obj, show(obj))
+        return got[1]
+
+    def _update(self, update: Update) -> str:
+        # as pretty_update prints it, with each atom printed once
+        return "".join([self._once(self.atoms, repr, a) for a in update])
+
+    def assertion(self, a: Assertion) -> dict:
+        if isinstance(a, PredAssert):
+            return {"pred": self._once(self.preds, pretty_expr, a.pred)}
+        return {"contract": a.proc}
+
+    def goal(self, g: Goal) -> dict:
+        if isinstance(g, Judgment):
+            return {"kind": "judgment",
+                    "update": self._once(self.updates, self._update, g.update),
+                    "stmt": None if g.stmt is None else self._once(self.stmts, str, g.stmt),
+                    "formula": self._once(self.formulas, pretty_formula, g.formula)}
+        if isinstance(g, PredGoal):
+            return {"kind": "pred", "pred": self._once(self.preds, pretty_expr, g.pred)}
+        return {"kind": "contract", "proc": g.proc}
+
+    def sequent(self, seq: Sequent) -> dict:
+        return {"gamma": [self.assertion(a) for a in seq.gamma],
+                "goal": self.goal(seq.goal)}
+
+    def node(self, node: ProofNode) -> dict:
+        return {"sequent": self.sequent(node.sequent),
+                "rule": node.rule,
+                "args": node.args,
+                "children": [self.node(c) for c in node.children]}
 
 
-def goal_to_json(g: Goal):
-    if isinstance(g, Judgment):
-        return {"kind": "judgment",
-                "update": pretty_update(g.update),
-                "stmt": None if g.stmt is None else str(g.stmt),
-                "formula": pretty_formula(g.formula)}
-    if isinstance(g, PredGoal):
-        return {"kind": "pred", "pred": pretty_expr(g.pred)}
-    return {"kind": "contract", "proc": g.proc}
+def node_to_json(node: ProofNode) -> dict:
+    """A proof tree as the JSON value a proof file stores for it."""
+    return _Printer().node(node)
 
 
-def sequent_to_json(seq: Sequent):
-    return {"gamma": [assertion_to_json(a) for a in seq.gamma],
-            "goal": goal_to_json(seq.goal)}
+# The file layout is json.dumps(doc, indent=1, sort_keys=True) + "\n",
+# whose indent makes json fall back to its pure-Python encoder.  The
+# writer below puts the document's, a node's and a sequent's keys in their
+# sorted order itself, and json's C encoder writes each string.
+
+_FORMAT = "tracelet-proof"
 
 
-def node_to_json(node: ProofNode):
-    return {"sequent": sequent_to_json(node.sequent),
-            "rule": node.rule,
-            "args": node.args,
-            "children": [node_to_json(c) for c in node.children]}
+def _members(d: dict, nl: str) -> str:
+    """The members of an object of strings and nulls, each after nl."""
+    return ",".join([nl + _esc(k) + ": " + ("null" if t is None else _esc(t))
+                     for k, t in sorted(d.items())])
+
+
+class _Writer:
+    """One proof file's text; each depth's newline and indent is made once."""
+
+    def __init__(self):
+        self.out: List[str] = []
+        self.nl = ["\n"]
+
+    def indent(self, depth: int) -> str:
+        """A newline and the indent of depth."""
+        nl = self.nl
+        while len(nl) <= depth:
+            nl.append(nl[-1] + " ")
+        return nl[depth]
+
+    def value(self, v, depth: int):
+        """A JSON value (a node's args) at the given depth, sorted keys."""
+        put = self.out.append
+        if isinstance(v, str):
+            put(_esc(v))
+        elif isinstance(v, dict):
+            if not v:
+                put("{}")
+                return
+            sep = "{"
+            for key in sorted(v):
+                put(sep + self.indent(depth + 1) + _esc(key) + ": ")
+                self.value(v[key], depth + 1)
+                sep = ","
+            put(self.indent(depth) + "}")
+        elif isinstance(v, (list, tuple)):
+            if not v:
+                put("[]")
+                return
+            sep = "["
+            for item in v:
+                put(sep + self.indent(depth + 1))
+                self.value(item, depth + 1)
+                sep = ","
+            put(self.indent(depth) + "]")
+        else:
+            # a number, a boolean or null prints the same at any indent
+            put(json.dumps(v))
+
+    def sequent(self, seq: dict, depth: int) -> str:
+        """A sequent, whose assertions and goal map keys to strings or null."""
+        self.indent(depth + 3)
+        n0, n1, n2, n3 = self.nl[depth:depth + 4]
+        gamma = ",".join([n2 + "{" + _members(a, n3) + n2 + "}" for a in seq["gamma"]])
+        return ("{" + n1 + '"gamma": ' + ("[" + gamma + n1 + "]" if gamma else "[]")
+                + "," + n1 + '"goal": {' + _members(seq["goal"], n2) + n1 + "}" + n0 + "}")
+
+    def node(self, node: dict, depth: int):
+        put = self.out.append
+        n1, n2 = self.indent(depth + 1), self.indent(depth + 2)
+        put("{" + n1 + '"args": ')
+        self.value(node["args"], depth + 1)
+        children = node["children"]
+        if children:
+            sep = "," + n1 + '"children": [' + n2
+            for child in children:
+                put(sep)
+                self.node(child, depth + 2)
+                sep = "," + n2
+            put(n1 + "]")
+        else:
+            put("," + n1 + '"children": []')
+        rule = node["rule"]
+        put("," + n1 + '"rule": ' + ("null" if rule is None else _esc(rule))
+            + "," + n1 + '"sequent": ' + self.sequent(node["sequent"], depth + 1)
+            + self.nl[depth] + "}")
 
 
 def dump_proof(node: ProofNode, proc: str) -> str:
-    doc = {"format": "tracelet-proof", "version": 1, "proc": proc,
-           "closed": node.closed, "root": node_to_json(node)}
-    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    """The proof file of node, a proof of proc's contract."""
+    w = _Writer()
+    w.out.append('{\n "closed": ' + ("true" if node.closed else "false")
+                 + ',\n "format": ' + _esc(_FORMAT) + ',\n "proc": ' + _esc(proc)
+                 + ',\n "root": ')
+    w.node(node_to_json(node), 1)
+    w.out.append(',\n "version": 1\n}\n')
+    return "".join(w.out)
 
 
 _NODE_KEYS = ("sequent", "rule", "args", "children")
@@ -957,7 +1076,7 @@ def load_proof(text: str) -> Tuple[str, dict]:
         doc = json.loads(text)
     except (ValueError, RecursionError) as e:
         raise ProofFileError(f"not JSON ({e})") from None
-    if not isinstance(doc, dict) or doc.get("format") != "tracelet-proof":
+    if not isinstance(doc, dict) or doc.get("format") != _FORMAT:
         raise ProofFileError("not a tracelet proof file")
     if not isinstance(doc.get("proc"), str):
         raise ProofFileError("'proc' must be a procedure name")
@@ -1001,12 +1120,12 @@ def check_proof(root: dict, proc: str, ctx: RuleContext) -> Optional[InvalidStep
     the rules and args alone; each stored sequent must print exactly as
     the rebuilt one does.
     """
-    return _replay(root, contract_goal(proc), ctx, ())
+    return _replay(root, contract_goal(proc), ctx, (), _Printer())
 
 
-def _replay(node: dict, seq: Sequent, ctx: RuleContext,
-            path: tuple) -> Optional[InvalidStep]:
-    if node["sequent"] != sequent_to_json(seq):
+def _replay(node: dict, seq: Sequent, ctx: RuleContext, path: tuple,
+            printer: _Printer) -> Optional[InvalidStep]:
+    if node["sequent"] != printer.sequent(seq):
         return InvalidStep(path, f"recorded sequent is not {seq!r}")
     rule = node["rule"]
     if rule is None:
@@ -1020,7 +1139,7 @@ def _replay(node: dict, seq: Sequent, ctx: RuleContext,
         return InvalidStep(path, f"{rule}: expected {len(premises)} premises, "
                                  f"recorded {len(children)}")
     for k, (premise, child) in enumerate(zip(premises, children)):
-        bad = _replay(child, premise, ctx, path + (k,))
+        bad = _replay(child, premise, ctx, path + (k,), printer)
         if bad is not None:
             return bad
     return None

@@ -20,7 +20,7 @@ from .lang import (Assign, Call, CallAssign, If, IntLit, LookupTable,
                    While, build_lookup, lookup, subst_stmt)
 from .traces import (CallEv, ChopUndefined, Ctx, PopEv, PushEv, RetEv, State,
                      Trace, event_trace, eval_expr, nest, res_name, singleton)
-from .updates import (CallUpd, Elem, FinishUpd, StartUpd, Update, UpdateAtom,
+from .updates import (CallUpd, Elem, FinishUpd, StartUpd, UpdateAtom,
                       pretty_update)
 
 DEFAULT_FUEL = 10 ** 6
@@ -305,7 +305,3 @@ def semantics(item: Cont, trace: Trace, table: LookupTable,
     machine = run_cont(trace, item, table, fuel=fuel)
     return Trace(machine.entries[len(trace.entries) - 1:])
 
-
-def run_update_prefixed(atoms: Update, stmt: Optional[Stmt], trace: Trace,
-                        table: LookupTable, fuel: int = DEFAULT_FUEL) -> Trace:
-    return semantics(_norm_upstmt(tuple(atoms), stmt), trace, table, fuel)

@@ -47,6 +47,7 @@ from __future__ import annotations
 import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import NamedTuple, Optional, Tuple, Union
 
@@ -203,15 +204,18 @@ class RecApp:
 
 
 class Mu:
-    """mu X(params). body — compared structurally, hashed once."""
+    """mu X(params). body — compared structurally; hashed, printed and its
+    variables collected once."""
 
-    __slots__ = ("name", "params", "body", "_hash")
+    __slots__ = ("name", "params", "body", "_hash", "_text", "_vars")
 
     def __init__(self, name: str, params: tuple, body):
         self.name = name
         self.params = tuple(params)
         self.body = body
         self._hash = None
+        self._text = None
+        self._vars = {}
 
     def __eq__(self, other):
         return self is other or (isinstance(other, Mu) and self.name == other.name
@@ -282,14 +286,17 @@ def formula_vars(f: Formula, binders: bool = False) -> set:
     Fixed-point parameters are removed (the free variables), or with
     binders added (every name in use, for picking fresh ones).
     """
+    if isinstance(f, Mu):
+        body = f._vars.get(binders)
+        if body is None:
+            body = f._vars[binders] = frozenset(formula_vars(f.body, binders))
+        return set(f.params) | body if binders else set(body) - set(f.params)
     subs, terms = children(f)
     out = set()
     for t in terms:
         out |= term_vars(t)
     for g in subs:
         out |= formula_vars(g, binders)
-    if isinstance(f, Mu):
-        return out | set(f.params) if binders else out - set(f.params)
     return out
 
 
@@ -578,8 +585,8 @@ def _shape(f: Formula, shapes: dict) -> _Rec:
 
 class _Member:
     def __init__(self, trace: Trace):
+        self.trace = trace
         self.entries = trace.entries
-        self.owners = ret_owners(trace)
         self.budget = MEMBER_BUDGET
         self.memo = {}
         self.onstack = {}   # open fixed-point item -> its depth on the stack
@@ -631,6 +638,11 @@ class _Member:
             else:
                 choices.append(self.ids_in(lo, hi))
         return product(*choices)
+
+    @cached_property
+    def owners(self) -> dict:
+        """The owner of each retEv (see ret_owners); only reach reads it."""
+        return ret_owners(self.trace)
 
     def reach(self, exclude) -> tuple:
         """(nxt, prv) for the entries involving an excluded procedure.
@@ -1116,9 +1128,9 @@ def pretty_formula(f: Formula, prec: int = 0) -> str:
     if isinstance(f, RecApp):
         return f"{f.name}({', '.join(pretty_term(a) for a in f.args)})"
     if isinstance(f, Mu):
-        body = pretty_formula(f.body, 0)
-        text = f"mu {f.name}({', '.join(f.params)}). ({body})"
-        return f"({text})" if prec > 0 else text
+        if f._text is None:
+            f._text = f"mu {f.name}({', '.join(f.params)}). ({pretty_formula(f.body, 0)})"
+        return f"({f._text})" if prec > 0 else f._text
     if isinstance(f, MuApp):
         mu_text = pretty_formula(f.mu, 4)
         return f"{mu_text}({', '.join(pretty_term(a) for a in f.args)})"

@@ -11,6 +11,8 @@ import json
 import random
 from itertools import chain
 
+from tracelet.calculus import node_to_json
+from tracelet.interp import DEFAULT_FUEL, UpStmt, semantics
 from tracelet.lang import (Assign, Binary, BoolLit, CallAssign, If, IntLit,
                            Program, ProcDecl, Return, Scope, Seq, Skip, Unary,
                            Var, While, parse_program, seq)
@@ -437,3 +439,18 @@ def load_trace_oracle(text: str) -> Trace:
         raise TraceError(f"trace entry lacks the key {e}") from None
     except (ValueError, TypeError, AttributeError, RecursionError) as e:
         raise TraceError(f"malformed trace file: {e}") from None
+
+
+def dump_proof_oracle(node, proc: str) -> str:
+    """The proof writer as json lays it out: sorted keys, one-space indent."""
+    doc = {"format": "tracelet-proof", "version": 1, "proc": proc,
+           "closed": node.closed, "root": node_to_json(node)}
+    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+
+
+def run_update_prefixed(atoms, stmt, trace: Trace, table,
+                        fuel: int = DEFAULT_FUEL) -> Trace:
+    """[[U s]](trace): the suffix that the updates, then the statement,
+    append to trace (stmt None runs the updates alone)."""
+    item = UpStmt(tuple(atoms), stmt) if atoms else stmt
+    return semantics(item, trace, table, fuel)

@@ -6,22 +6,25 @@ import re
 from collections import Counter
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from helpers import MUTANT_SRC, running_program, spec_m
+from helpers import (MUTANT_SRC, dump_proof_oracle, random_terminating_program,
+                     run_update_prefixed, running_program, spec_m)
+from tracelet import calculus
 from tracelet.calculus import (ContractAssumption, Judgment, PredAssert,
                                PredGoal, RuleContext, RuleError, Sequent,
                                apply_rule, check_proof, contract_goal,
                                dump_proof, load_proof, names_in_sequent,
                                node_to_json, stmt_head)
 from tracelet.fo import fo_valid
-from tracelet.interp import (FuelExhausted, run_cont, run_update_prefixed,
-                             UpStmt)
-from tracelet.lang import (Assign, Binary, BoolLit, If, IntLit, Return,
-                           ResVar, Scope, Seq, Skip, TokenStream, Var,
+from tracelet.interp import FuelExhausted, UpStmt, run_cont
+from tracelet.lang import (RESERVED, Assign, Binary, BoolLit, If, IntLit,
+                           Return, ResVar, Scope, Seq, Skip, TokenStream, Var,
                            build_lookup, parse_expr, parse_program,
                            pretty_expr, tokenize)
-from tracelet.logic import (Chop, Concat, MuApp, StatePred, formula_vars,
-                            member, parse_formula, pretty_formula, psi)
+from tracelet.logic import (Chop, Concat, ContractSpec, MuApp, StatePred,
+                            formula_vars, member, parse_formula,
+                            pretty_formula, psi)
 from tracelet.prover import (ScriptError, UnsupportedConstruct, prove_auto,
                              run_script)
 from tracelet.traces import Ctx, MAIN_CTX, State, res_name, singleton
@@ -85,7 +88,6 @@ class TestUpdateApplication:
     def test_semantic_agreement(self):
         # applied expression evaluated in sigma equals evaluation in the
         # final state of the update's trace
-        from tracelet.interp import run_update_prefixed
         from tracelet.traces import eval_expr
         rng = random.Random(14)
         table = build_lookup(running_program())
@@ -269,6 +271,24 @@ def find_nodes(node, rule):
     return out
 
 
+def rec_source(proc="m", param="k", local="r", step="1", extra_local=False):
+    """The recursive m of the paper under other names, with a step."""
+    if extra_local:
+        decls, call = f"{local}; t;", f"t = {proc}({param} - 1); {local} = t + {step}"
+    else:
+        decls, call = f"{local};", (f"{local} = {proc}({param} - 1); "
+                                    f"{local} = {local} + {step}")
+    return (f"{proc}({param}) {{ {decls} if ({param} != 0) {{ {call} }}; "
+            f"return {local} }}\nmain {{ x; x = {proc}(1) }}\n")
+
+
+def gen_contract_spec(proc, result):
+    """The spec that gen-contract writes for PROC with --pre-base 'n == 0'
+    --pre-step 'n > 0' --result RESULT --step-inv 'n - 1'."""
+    return ContractSpec(proc, pexpr("n == 0"), pexpr("n > 0"), pexpr(result),
+                        pexpr("n - 1"))
+
+
 class TestProveAuto:
     def test_contract_proof_closes(self):
         tree = closed_proof()
@@ -417,6 +437,193 @@ class TestCheckProof:
 
     def test_random_mutations_rejected(self):
         assert_mutations_rejected(dump_proof(closed_proof(), "m"), ctx_m(), 100)
+
+    def test_every_stored_part_is_compared(self):
+        # each node of the m proof, each printed part of its sequent
+        assert_edits_rejected(closed_proof(), ctx_m(), every_node=True)
+
+    @pytest.mark.parametrize("src,result", [
+        (rec_source(step="3"), "3 * n"),
+        (rec_source(step="1", extra_local=True), "n"),
+        (rec_source("kö", "m𝑥'", "rλ", step="2"), "2 * n"),
+    ], ids=["scaled", "local", "unicode"])
+    def test_part_shared_with_the_parent_is_compared(self, src, result):
+        program = parse_program(src)
+        proc = program.procs[0].name
+        ctx = RuleContext.for_program(
+            program, [ContractAssumption.from_spec(gen_contract_spec(proc, result))])
+        tree = prove_auto(contract_goal(proc), ctx)
+        assert tree.closed
+        assert_edits_rejected(tree, ctx, every_node=False, proc=proc)
+
+    def test_each_formula_printed_once_per_call(self, monkeypatch):
+        tree = closed_proof()
+        calls, held = Counter(), []
+        show = calculus.pretty_formula
+
+        def counted(f, *rest):
+            calls[id(f)] += 1
+            held.append(f)  # keeps each id to one object
+            return show(f, *rest)
+
+        monkeypatch.setattr(calculus, "pretty_formula", counted)
+        text = dump_proof(tree, "m")
+        assert calls and max(calls.values()) == 1
+        assert len(calls) < tree.size()
+        calls.clear()
+        proc, root = load_proof(text)
+        assert check_proof(root, proc, ctx_m()) is None
+        assert calls and max(calls.values()) == 1
+        assert len(calls) < tree.size()
+
+
+def _printed_parts(seq):
+    """(keys, text) of each printed part of a stored sequent."""
+    goal = seq["goal"]
+    parts = [(("goal", k), goal[k]) for k in ("formula", "update", "stmt", "pred")
+             if goal.get(k) is not None]
+    parts += [(("gamma", j, "pred"), a["pred"])
+              for j, a in enumerate(seq["gamma"]) if "pred" in a]
+    return parts
+
+
+def _part(seq, keys):
+    for k in keys:
+        try:
+            seq = seq[k]
+        except (KeyError, IndexError):
+            return None
+    return seq
+
+
+def assert_edits_rejected(tree, ctx, every_node, proc="m"):
+    """Each edit of one printed part of one stored sequent is rejected at
+    that node.  The part becomes its parent's text where that differs, so a
+    checker that trusts a text it has seen before fails, else it gains
+    brackets.  every_node=False edits only the nodes whose formula object
+    is their parent's."""
+    text = dump_proof(tree, proc)
+    edits = []
+    stack = [(tree, None, load_proof(text)[1], None, ())]
+    while stack:
+        node, parent, stored, parent_stored, path = stack.pop()
+        shared = parent is not None and isinstance(node.sequent.goal, Judgment) \
+            and isinstance(parent.sequent.goal, Judgment) \
+            and node.sequent.goal.formula is parent.sequent.goal.formula
+        if every_node or shared:
+            for keys, old in _printed_parts(stored["sequent"]):
+                before = None if parent_stored is None \
+                    else _part(parent_stored["sequent"], keys)
+                new = before if before is not None and before != old else f"({old})"
+                edits.append((path, keys, new))
+        stack.extend((child, node, child_stored, stored, path + (k,))
+                     for k, (child, child_stored)
+                     in enumerate(zip(node.children, stored["children"])))
+    assert edits
+    assert every_node or {p for p, _, _ in edits} != {()}
+    for path, keys, new in edits:
+        _, root = load_proof(text)
+        node = root
+        for k in path:
+            node = node["children"][k]
+        target = node["sequent"]
+        for k in keys[:-1]:
+            target = target[k]
+        target[keys[-1]] = new
+        bad = check_proof(root, proc, ctx)
+        assert bad is not None and bad.path == path, (path, keys, new, bad)
+        assert bad.reason.startswith("recorded sequent is not"), bad.reason
+
+
+# identifiers with primes and letters beyond ASCII, which the file escapes
+_IDENT = st.builds(lambda head, tail, primes: head + tail + "'" * primes,
+                   st.sampled_from("kqrλéΩ𝑥"), st.text("aß1_é", max_size=2),
+                   st.integers(0, 2)).filter(
+    lambda s: s not in RESERVED and s not in ("n", "i", "x"))
+# script argument text: no whitespace, '=' or '/'
+_ARG_TEXT = st.text(st.sampled_from(list("az09-_+é\"\\'λ𝑥\x07€")), max_size=6)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=4)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda sub: st.lists(sub, max_size=3)
+    | st.dictionaries(st.text(max_size=4), sub, max_size=3),
+    max_leaves=8)
+
+
+def assert_written_as_json_lays_out(tree, proc, ctx):
+    """dump_proof gives the oracle's bytes, and the file replays: a closed
+    proof is valid, an open one stops at its first open goal."""
+    text = dump_proof(tree, proc)
+    assert text == dump_proof_oracle(tree, proc)
+    _, root = load_proof(text)
+    bad = check_proof(root, proc, ctx)
+    if tree.closed:
+        assert bad is None
+    else:
+        assert bad is not None and bad.reason == "open goal"
+
+
+class TestProofFile:
+    """The schema writer gives the bytes of json.dumps(indent=1, sort_keys=True)."""
+
+    def test_m_proof(self):
+        assert_written_as_json_lays_out(closed_proof(), "m", ctx_m())
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 10 ** 6),
+           result=st.sampled_from(["n", "n + 1", "2 * n", "0", "n - 1"]))
+    def test_generated_programs(self, seed, result):
+        program = random_terminating_program(random.Random(seed))
+        assume(program.procs)
+        for proc in program.procs:
+            ctx = RuleContext.for_program(
+                program, [ContractAssumption.from_spec(gen_contract_spec(proc.name, result))])
+            tree = prove_auto(contract_goal(proc.name), ctx, max_nodes=300)
+            assert_written_as_json_lays_out(tree, proc.name, ctx)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(names=st.lists(_IDENT, min_size=3, max_size=3, unique=True),
+           step=st.integers(1, 3), result=st.sampled_from(["n", "2 * n", "3 * n"]),
+           extra_local=st.booleans())
+    def test_unicode_and_primed_names(self, names, step, result, extra_local):
+        program = parse_program(rec_source(*names, step=str(step),
+                                           extra_local=extra_local))
+        proc = names[0]
+        ctx = RuleContext.for_program(
+            program, [ContractAssumption.from_spec(gen_contract_spec(proc, result))])
+        tree = prove_auto(contract_goal(proc), ctx)
+        assert tree.closed == (result == ("n" if step == 1 else f"{step} * n"))
+        assert_written_as_json_lays_out(tree, proc, ctx)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(extra=st.lists(st.tuples(st.text(st.sampled_from(list("akéλ_0")), min_size=1,
+                                            max_size=3),
+                                    st.one_of(st.integers(-99, 99).map(str), _ARG_TEXT)),
+                          max_size=4),
+           unfold=st.booleans())
+    def test_scripted_proofs(self, extra, unfold):
+        args = " ".join(f"{k}={v}" for k, v in extra)
+        script = (f"ProcedureContract @ 0 {args}\nAssign @ 0 {args}\nVarDecl @ 0\n"
+                  "Scope @ 0\nCond @ 0\n" + ("Unfold @ 0\n" if unfold else ""))
+        tree = run_script(contract_goal("m"), ctx_m(), script)
+        assert set(tree.args) == {k for k, _ in extra}
+        assert bool(find_nodes(tree, "Unfold")) == unfold
+        if unfold:
+            assert find_nodes(tree, "Unfold")[0].args["fresh"]
+        assert_written_as_json_lays_out(tree, "m", ctx_m())
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(args=st.lists(st.dictionaries(st.text(max_size=4), _JSON, max_size=3),
+                         min_size=1, max_size=6))
+    def test_any_json_args(self, args):
+        tree = closed_proof()
+        nodes, stack = [], [tree]
+        while stack:
+            nodes.append(stack.pop())
+            stack.extend(nodes[-1].children)
+        for node, value in zip(nodes, args):
+            node.args = value
+        assert dump_proof(tree, "m") == dump_proof_oracle(tree, "m")
 
 
 def assert_mutations_rejected(text, ctx, count):

@@ -6,10 +6,9 @@ import pytest
 
 from helpers import (M0_SRC, M2_SRC, M2_EVENT_SKELETON, RUNNING_SRC,
                      curr_ctx_stack, event_skeleton, golden_m0, golden_m1,
-                     random_terminating_program)
+                     random_terminating_program, run_update_prefixed)
 from tracelet.interp import (FuelExhausted, Machine, RunError, UpStmt,
-                             initial_state, run, run_cont, run_update_prefixed,
-                             semantics)
+                             initial_state, run, run_cont, semantics)
 from tracelet.lang import (Assign, Binary, Call, CallAssign, IntLit, ResVar,
                            Scope, Seq, Skip, Var, build_lookup, parse_program,
                            seq)

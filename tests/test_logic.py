@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (MUTANT_SRC, RUNNING_SRC, contract_m, golden_m0,
-                     golden_m1, member_approx, mutate_trace, spec_m)
+                     golden_m1, m_source, member_approx, mutate_trace, spec_m)
 from tracelet import logic
 from tracelet.interp import run
 from tracelet.lang import (Binary, BoolLit, IntLit, ParseError, ResVar, Var,
@@ -15,8 +15,8 @@ from tracelet.logic import (And, Chop, Concat, ContractSpec, FinishEvF,
                             Fresh, LogicError, MemberBudgetExceeded, Mu,
                             MuApp, NoEv, Or, RecApp, StartEvF, StatePred,
                             _Member, big_step_of, check_formula,
-                            contract_file_text, eval_pred, is_psi,
-                            make_contract, member, no_event_chop,
+                            contract_file_text, eval_pred, formula_vars,
+                            is_psi, make_contract, member, no_event_chop,
                             parse_contract_file, parse_formula,
                             pretty_formula, psi, substitute, unfold)
 from tracelet.traces import (CallEv, State, Trace, event_trace, is_state,
@@ -306,6 +306,22 @@ class TestMember:
         assert not member(singleton(State({"x": 1})), parse_formula("[x == 0]"), None, why)
         assert why == ["trace is not in the denotation of [x == 0]"]
 
+    def test_owner_table_built_on_first_use(self, monkeypatch):
+        # only a psi gap's reach reads the retEv owners
+        built = []
+        owners = logic.ret_owners
+        monkeypatch.setattr(logic, "ret_owners",
+                            lambda t: built.append(t) or owners(t))
+        full = run(parse_program(m_source(3)))
+        f = Chop(contract_with_post(), StatePred(Binary("==", Var("x"), IntLit(7))))
+        why = []
+        assert not member(full, f, {"n": 3, "i": 0}, why)
+        assert why[0].startswith("no match for chain element #1")
+        assert built == []  # the anchors reject it before any item
+        # two gaps, two reach tables, one owner table
+        assert not member(full, parse_formula("psi(p) /\\ psi(m)"))
+        assert len(built) == 1
+
     def test_fresh_id_existential(self):
         # the recursive disjunct finds the inner call id
         phi = contract_with_post()
@@ -433,6 +449,15 @@ class TestUnfold:
             for n in (0, 1, 2):
                 env = {"n": n, "i": 0}
                 assert member(t, phi_app, env) == member(t, phi_unf, env)
+
+    def test_variables_free_and_with_binders(self):
+        # asked in either order, on the same objects: each Mu keeps the
+        # two answers apart
+        for first in (False, True):
+            f = parse_formula("(mu X(a). (mu Y(c). [c == a] /\\ [d == 0])(a))(k)")
+            expected = {False: {"d", "k"}, True: {"a", "c", "d", "k"}}
+            for binders in (first, not first, first):
+                assert formula_vars(f, binders) == expected[binders]
 
     def test_substitution_identity_when_absent(self):
         mu = contract_m()
