@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii as _esc
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
 from . import fo
 from .lang import (Assign, Binary, Call, CallAssign, Expr, If, IntLit,
                    LookupTable, Program, ResVar, Return, Scope, Seq, Skip,
                    Stmt, Var, While, build_lookup, expr_vars, fold_expr,
-                   lookup, pretty_expr, subst_expr, subst_res_expr,
+                   lookup, pretty_expr, record, subst_expr, subst_res_expr,
                    subst_stmt)
 from .logic import (And, ContractSpec, FinishEvF, Formula, Fresh, Mu, MuApp,
                     Or, RecApp, StartEvF, StatePred, flatten_chain,
@@ -41,7 +40,7 @@ class RuleError(Exception):
 # Sequent model
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PredAssert:
     pred: Expr
 
@@ -49,7 +48,7 @@ class PredAssert:
         return pretty_expr(self.pred)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ContractAssumption:
     """C_m: forall n,i. pre(n) -> m(n) : phi(n,i) ** [res_i == f(n)]."""
 
@@ -70,7 +69,7 @@ class ContractAssumption:
 Assertion = Union[PredAssert, ContractAssumption]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Judgment:
     update: Tuple[UpdateAtom, ...]
     stmt: Optional[Stmt]
@@ -81,7 +80,7 @@ class Judgment:
         return f"{pretty_update(self.update)}{body} : {pretty_formula(self.formula)}"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PredGoal:
     pred: Expr
 
@@ -89,7 +88,7 @@ class PredGoal:
         return pretty_expr(self.pred)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ContractGoal:
     proc: str
 
@@ -100,7 +99,7 @@ class ContractGoal:
 Goal = Union[Judgment, PredGoal, ContractGoal]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Sequent:
     gamma: Tuple[Assertion, ...]
     goal: Goal
@@ -232,7 +231,7 @@ def seq_join(a: Optional[Stmt], b: Optional[Stmt]) -> Optional[Stmt]:
 # Rule context
 # ---------------------------------------------------------------------------
 
-@dataclass
+@record
 class RuleContext:
     table: LookupTable
     contracts: Dict[str, ContractAssumption]
@@ -1103,7 +1102,7 @@ def load_proof(text: str) -> Tuple[str, dict]:
 # Proof checking (independent replay)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class InvalidStep:
     path: tuple
     reason: str

@@ -19,7 +19,6 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from .calculus import (ContractAssumption, ProofFileError, ProofNode,
@@ -27,8 +26,8 @@ from .calculus import (ContractAssumption, ProofFileError, ProofNode,
                        load_proof)
 from .interp import DEFAULT_FUEL, FuelExhausted, RunError, initial_state, run
 from .lang import (Binary, CallAssign, IntLit, ParseError, Program, ResVar,
-                   TokenStream, Var, parse_expr, parse_program, tokenize,
-                   well_formed)
+                   TokenStream, Var, parse_expr, parse_program, record,
+                   tokenize, well_formed)
 from .logic import (Chop, ContractSpec, LogicError, MemberBudgetExceeded,
                     MuApp, StatePred, applied, contract_file_text, member,
                     parse_contract_file)
@@ -109,11 +108,6 @@ def _fuel(args) -> int:
     return fuel
 
 
-def _contracts_from_file(path: str):
-    cf = parse_contract_file(_read(path))
-    return cf
-
-
 def _assumptions(program: Program, cf) -> Dict[str, ContractAssumption]:
     """The contract assumption of every spec block, by procedure name."""
     defined = {p.name for p in program.procs}
@@ -181,7 +175,7 @@ def cmd_adequacy(args) -> int:
 
 def cmd_check(args) -> int:
     trace = load_trace(_read(args.trace))
-    cf = _contracts_from_file(args.formula)
+    cf = parse_contract_file(_read(args.formula))
     name = args.contract
     if name is None:
         if len(cf.contracts) != 1:
@@ -283,7 +277,7 @@ def cmd_prove(args) -> int:
     if args.max_nodes < 0:
         raise CliError(f"--max-nodes must not be negative, got {args.max_nodes}")
     program = _load_program(args.program)
-    assumptions = _assumptions(program, _contracts_from_file(args.contracts))
+    assumptions = _assumptions(program, parse_contract_file(_read(args.contracts)))
     proc = _pick_proc(args, assumptions)
     ctx = RuleContext.for_program(program, assumptions.values())
     goal = contract_goal(proc)
@@ -333,7 +327,7 @@ def _size(node: dict) -> int:
 
 def cmd_check_proof(args) -> int:
     program = _load_program(args.program)
-    assumptions = _assumptions(program, _contracts_from_file(args.contracts))
+    assumptions = _assumptions(program, parse_contract_file(_read(args.contracts)))
     proc, root, bad = _replay_proof(args, program, assumptions)
     if bad is None:
         print(f"proof of {proc} is valid ({_size(root)} nodes)")
@@ -346,7 +340,7 @@ def cmd_check_proof(args) -> int:
 # validate
 # ---------------------------------------------------------------------------
 
-@dataclass
+@record
 class SampleResult:
     n: int
     seed: int
@@ -356,10 +350,10 @@ class SampleResult:
     trace_file: Optional[str] = None
 
 
-@dataclass
+@record
 class ValidationReport:
     contract: str
-    samples: List[SampleResult] = field(default_factory=list)
+    samples: List[SampleResult]
     overall: str = "pass"
     counterexample: Optional[dict] = None
     note: str = ""
@@ -384,7 +378,7 @@ def validate_contract(program: Program, assumption: ContractAssumption,
                       fuel: int = DEFAULT_FUEL,
                       trace_dir: Optional[str] = None) -> ValidationReport:
     """Run the procedure concretely and check trace membership per sample."""
-    report = ValidationReport(contract=assumption.proc)
+    report = ValidationReport(assumption.proc, [])
     env_pre = lambda v: bool(eval_expr(State({}), assumption.pre, {"n": v}))
     candidates = [v for v in range(lo, hi + 1) if env_pre(v)]
     if not candidates:
@@ -430,7 +424,7 @@ def validate_contract(program: Program, assumption: ContractAssumption,
 
 def cmd_validate(args) -> int:
     program = _load_program(args.program)
-    assumptions = _assumptions(program, _contracts_from_file(args.contracts))
+    assumptions = _assumptions(program, parse_contract_file(_read(args.contracts)))
     proc = _pick_proc(args, assumptions)
     try:
         lo_s, hi_s = args.range.split("..")

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from math import gcd
 from typing import Dict, List, Optional, Tuple
 
 from .lang import (Binary, BoolLit, CMP_OPS, Expr, IntLit, ResVar, TokenStream,
-                   Unary, Var, parse_expr, pretty_expr, tokenize)
+                   Unary, Var, parse_expr, pretty_expr, record, tokenize)
 
 
 class NonlinearError(Exception):
@@ -268,7 +267,7 @@ def _eval_constraint(c: Constraint, assignment: Dict[str, int]) -> bool:
     return total != 0
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FoResult:
     status: str  # 'valid' | 'invalid' | 'unknown'
     counterexample: Optional[dict] = None

@@ -12,12 +12,11 @@ context off the stack and a step costs O(1) amortised entries.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
 from .lang import (Assign, Call, CallAssign, If, IntLit, LookupTable,
                    Program, Return, ResVar, Scope, Seq, Skip, Stmt, Var,
-                   While, build_lookup, lookup, subst_stmt)
+                   While, build_lookup, lookup, record, subst_stmt)
 from .traces import (CallEv, ChopUndefined, Ctx, PopEv, PushEv, RetEv, State,
                      Trace, event_trace, eval_expr, nest, res_name, singleton)
 from .updates import (CallUpd, Elem, FinishUpd, StartUpd, UpdateAtom,
@@ -36,7 +35,7 @@ class FuelExhausted(Exception):
         self.partial = partial
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class UpStmt:
     """A statement with leading updates; stmt None means updates only."""
 

@@ -8,8 +8,89 @@ booleans exist only at condition positions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from types import FunctionType
 from typing import Iterator, Optional, Union
+
+
+def _frozen_setattr(self, name, value):
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name):
+    raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _record_repr(self):
+    shown = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+    return f"{self.__class__.__qualname__}({shown})"
+
+
+_SHAPES = {}
+
+
+def _shape(arity: int, frozen: bool) -> dict:
+    """``__init__``, ``__eq__`` and, if frozen, ``__hash__`` for the fields
+    ``_0``, ``_1``, ...; compiled from one source text once per shape."""
+    got = _SHAPES.get((arity, frozen))
+    if got is None:
+        names = [f"_{k}" for k in range(arity)]
+        assign = "_set(self, {0!r}, {0})" if frozen else "self.{0} = {0}"
+        init = "".join(f"\n    {assign.format(n)}" for n in names) or "\n    pass"
+        own = "".join(f"self.{n}," for n in names)
+        other = "".join(f"other.{n}," for n in names)
+        src = (f"def __init__(self, {', '.join(names)}):{init}\n"
+               "def __eq__(self, other):\n"
+               "    if other.__class__ is self.__class__:\n"
+               f"        return ({own}) == ({other})\n"
+               "    return NotImplemented\n")
+        if frozen:
+            src += f"def __hash__(self):\n    return hash(({own}))\n"
+        got = _SHAPES[arity, frozen] = {}
+        exec(src, {"__name__": __name__, "_set": object.__setattr__}, got)
+    return got
+
+
+def record(cls=None, /, *, frozen: bool = False):
+    """Class decorator: a ``__slots__`` value class whose fields are the
+    annotated names of the class body, in order; a value assigned in the
+    body is that field's default.
+
+    ``__init__``, ``__eq__`` (same class, equal field tuples) and
+    ``__hash__`` (the hash of the field tuple; ``None`` unless frozen) are
+    the shape's compiled methods with the field names put in their code,
+    so they run as if written for the class.  ``__repr__`` prints
+    ``Name(a=..., b=...)``.  A frozen record raises AttributeError on
+    assignment and deletion.  Methods the class body defines are kept.
+    """
+    if cls is None:
+        return lambda c: record(c, frozen=frozen)
+    ns = dict(cls.__dict__)
+    names = tuple(ns.get("__annotations__", ()))
+    first = len(names) - sum(n in ns for n in names)  # the first field with a default
+    if not all(n in ns for n in names[first:]):
+        raise TypeError(f"{cls.__name__}: a field without a default follows one with one")
+    defaults = tuple(ns.pop(n) for n in names[first:])
+    made = {"__repr__": _record_repr}
+    if frozen:
+        made.update(__setattr__=_frozen_setattr, __delattr__=_frozen_delattr)
+    else:
+        made["__hash__"] = None
+    rename = {f"_{k}": n for k, n in enumerate(names)}
+    for name, fn in _shape(len(names), frozen).items():
+        code = fn.__code__
+        code = code.replace(co_names=tuple(rename.get(x, x) for x in code.co_names),
+                            co_varnames=tuple(rename.get(x, x) for x in code.co_varnames),
+                            co_consts=tuple(rename.get(x, x) for x in code.co_consts))
+        made[name] = FunctionType(code, fn.__globals__, name,
+                                  defaults if name == "__init__" else None)
+        made[name].__qualname__ = f"{cls.__qualname__}.{name}"
+    for name, fn in made.items():
+        ns.setdefault(name, fn)
+    ns.pop("__dict__", None)
+    ns.pop("__weakref__", None)
+    ns["__slots__"] = names
+    ns["__qualname__"] = cls.__qualname__
+    return type(cls)(cls.__name__, cls.__bases__, ns)
 
 
 class ParseError(Exception):
@@ -29,7 +110,7 @@ CMP_OPS = ("==", "!=", "<", "<=", ">", ">=")
 BOOL_OPS = ("&&", "||")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class IntLit:
     value: int
 
@@ -37,7 +118,7 @@ class IntLit:
         return str(self.value)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BoolLit:
     value: bool
 
@@ -45,7 +126,7 @@ class BoolLit:
         return "true" if self.value else "false"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Var:
     name: str
 
@@ -53,7 +134,7 @@ class Var:
         return self.name
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ResVar:
     """Result variable res(i); written only by the semantics itself."""
 
@@ -63,7 +144,7 @@ class ResVar:
         return f"res({self.index})"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Unary:
     op: str  # '-' or '!'
     operand: "Expr"
@@ -72,7 +153,7 @@ class Unary:
         return pretty_expr(self)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Binary:
     op: str
     left: "Expr"
@@ -181,13 +262,13 @@ def fold_expr(e: Expr) -> Expr:
 # Statements and programs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Skip:
     def __str__(self):
         return "skip"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Assign:
     target: Union[Var, ResVar]
     expr: Expr
@@ -196,7 +277,7 @@ class Assign:
         return f"{self.target} = {self.expr}"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CallAssign:
     target: Var
     proc: str
@@ -206,7 +287,7 @@ class CallAssign:
         return f"{self.target} = {self.proc}({self.arg})"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Call:
     """Bare procedure call; internal form used by contract judgments."""
 
@@ -217,7 +298,7 @@ class Call:
         return f"{self.proc}({self.arg})"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class If:
     cond: Expr
     body: "Stmt"
@@ -226,7 +307,7 @@ class If:
         return f"if ({self.cond}) {{ {self.body} }}"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class While:
     cond: Expr
     body: "Stmt"
@@ -235,7 +316,7 @@ class While:
         return f"while ({self.cond}) {{ {self.body} }}"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Seq:
     first: "Stmt"
     second: "Stmt"
@@ -244,7 +325,7 @@ class Seq:
         return f"{self.first}; {self.second}"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Scope:
     decls: tuple
     body: "Stmt"
@@ -254,7 +335,7 @@ class Scope:
         return f"{{ {ds}{self.body} }}"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Return:
     expr: Expr
 
@@ -307,7 +388,7 @@ def subst_stmt(s: Stmt, name: str, replacement: Expr) -> Stmt:
     raise TypeError(f"not a statement: {s!r}")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ProcDecl:
     name: str
     param: str
@@ -317,7 +398,7 @@ class ProcDecl:
         return f"{self.name}({self.param}) {self.body}"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Program:
     procs: tuple
     main_decls: tuple
@@ -356,7 +437,7 @@ _TWO_CHAR = ("==", "!=", "<=", ">=", "&&", "||", "**", "..", "~~", ":=", "/\\", 
 _ONE_CHAR = "+-*!<>=(){}[],;.~:@"
 
 
-@dataclass
+@record
 class Token:
     kind: str  # 'ident' | 'int' | 'sym' | 'eof'
     text: str
@@ -672,7 +753,7 @@ def parse_program(text: str) -> Program:
 # Well-formedness
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Diagnostic:
     code: str
     message: str

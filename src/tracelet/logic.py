@@ -46,13 +46,13 @@ from __future__ import annotations
 
 import sys
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from typing import NamedTuple, Optional, Tuple, Union
 
 from .lang import (Binary, Expr, IntLit, ResVar, TokenStream, Unary, Var,
-                   expr_vars, parse_expr, pretty_expr, subst_vars, tokenize)
+                   expr_vars, parse_expr, pretty_expr, record, subst_vars,
+                   tokenize)
 from .traces import (CallEv, PopEv, PushEv, RetEv, State, Trace,
                      UndefinedVariable, eval_expr, event_involves, is_state,
                      res_name, ret_owners)
@@ -74,7 +74,7 @@ MEMBER_BUDGET = 500_000
 # Terms: expressions over logical variables, plus the fresh-id marker
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Fresh:
     """#(i): a call identifier fresh for the enclosing ones.
 
@@ -132,7 +132,7 @@ def eval_term(t: Term, env: dict):
 # Formula AST
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class StatePred:
     pred: Expr
 
@@ -140,7 +140,7 @@ class StatePred:
         return f"[{pretty_expr(self.pred)}]"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class NoEv:
     """One-entry matcher: a state, or an event not involving the procs."""
 
@@ -150,7 +150,7 @@ class NoEv:
         return f"noev({', '.join(sorted(self.exclude))})"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class StartEvF:
     proc: str
     arg: Term
@@ -160,7 +160,7 @@ class StartEvF:
         return f"startEv({self.proc}, {pretty_term(self.arg)}, {pretty_term(self.call_id)})"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FinishEvF:
     proc: str
     arg: Term
@@ -170,31 +170,31 @@ class FinishEvF:
         return f"finishEv({self.proc}, {pretty_term(self.arg)}, {pretty_term(self.call_id)})"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class And:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Or:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Concat:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Chop:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RecApp:
     name: str
     args: tuple
@@ -231,7 +231,7 @@ class Mu:
         return f"mu {self.name}({', '.join(self.params)}). ..."
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MuApp:
     mu: Mu
     args: tuple
@@ -370,7 +370,7 @@ def join_chain(parts) -> Formula:
 # Contracts
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ContractSpec:
     """The recursive-contract template's parameters for one procedure.
 
@@ -594,13 +594,7 @@ class _Member:
         self.shapes = {}
         self._reach = {}
         self._ids = {}
-        self._evpos = {}
         self._tokens = {}
-        self._state_flags = tuple(is_state(e) for e in self.entries)
-        self._keys = tuple(_event_key(e) for e in self.entries)
-        for pos, key in enumerate(self._keys):
-            if key is not None:
-                self._evpos.setdefault(key, []).append(pos)
 
     def ids_in(self, lo: int, hi: int) -> tuple:
         key = (lo, hi)
@@ -643,6 +637,21 @@ class _Member:
     def owners(self) -> dict:
         """The owner of each retEv (see ret_owners); only reach reads it."""
         return ret_owners(self.trace)
+
+    @cached_property
+    def _evpos(self) -> dict:
+        """The positions of each event key, ascending; only splits read it."""
+        out = {}
+        for pos, e in enumerate(self.entries):
+            key = _event_key(e)
+            if key is not None:
+                out.setdefault(key, []).append(pos)
+        return out
+
+    @cached_property
+    def _state_flags(self) -> tuple:
+        """Whether each entry is a state; only Chop splits read it."""
+        return tuple(is_state(e) for e in self.entries)
 
     def reach(self, exclude) -> tuple:
         """(nxt, prv) for the entries involving an excluded procedure.
@@ -769,14 +778,23 @@ class _Member:
             # the right half's first anchor at p gives j = p-1, the left
             # half's last anchor gives j = p+2-s
             if rw.first is not None:
-                ps, d = self._evpos.get(rw.first, ()), -1
+                key, d = rw.first, -1
             elif lw.last is not None:
-                ps, d = self._evpos.get(lw.last, ()), 2 - s
+                key, d = lw.last, 2 - s
             else:
-                ps, d = range(j_min, j_max + 1), 0
-            if d:
+                key, d = None, 0
+            if key is None:
+                ps = range(j_min, j_max + 1)
+            elif j_min == j_max:
+                # one split: read its anchor rather than build the table
+                p = j_min - d
+                ps = (p,) if 0 <= p < len(ent) and _event_key(ent[p]) == key else ()
+            else:
+                ps = self._evpos.get(key, ())
                 ps = ps[bisect_left(ps, j_min - d):bisect_right(ps, j_max - d)]
-            flags, memo = self._state_flags, self.memo
+            if not ps:
+                return False
+            flags, memo = self._state_flags if s else None, self.memo
             kl, kr = id(f.left), id(f.right)
             for p in ps:
                 j = p + d
@@ -808,9 +826,9 @@ class _Member:
             raise LogicError(f"not a formula: {f!r}")
         # every unfolding of mu has its anchors' events at lo+1 and hi-2
         mrec = shapes.get(id(mu)) or _shape(mu, shapes)
-        if mrec.first is not None and (n < 3 or self._keys[lo + 1] != mrec.first):
+        if mrec.first is not None and (n < 3 or _event_key(ent[lo + 1]) != mrec.first):
             return False
-        if mrec.last is not None and (n < 3 or self._keys[hi - 2] != mrec.last):
+        if mrec.last is not None and (n < 3 or _event_key(ent[hi - 2]) != mrec.last):
             return False
         closure = renv[f.name] if isinstance(f, RecApp) else _Closure(mu, benv, renv)
         for argv in self.resolve_args(mu, args, benv, lo, hi):
@@ -1141,7 +1159,7 @@ def pretty_formula(f: Formula, prec: int = 0) -> str:
 # Contract files: named bindings plus template spec blocks
 # ---------------------------------------------------------------------------
 
-@dataclass
+@record
 class ContractFile:
     contracts: dict  # name -> (params, Formula)
     specs: dict      # proc -> ContractSpec

@@ -22,11 +22,10 @@ from __future__ import annotations
 import json
 import re
 from bisect import bisect_left
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Optional, Union
 
-from .lang import (Binary, BoolLit, Expr, IntLit, ResVar, Unary, Var)
+from .lang import (Binary, BoolLit, Expr, IntLit, ResVar, Unary, Var, record)
 
 
 class TraceError(Exception):
@@ -169,7 +168,7 @@ def eval_expr(state: State, e: Expr, env=None):
 # Event markers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Ctx:
     proc: str
     call_id: Optional[int]  # None encodes the distinguished 'nul' id
@@ -182,7 +181,7 @@ class Ctx:
 MAIN_CTX = Ctx("main", None)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CallEv:
     proc: str
     arg: int
@@ -192,7 +191,7 @@ class CallEv:
         return f"callEv({self.proc},{self.arg},{self.call_id})"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RetEv:
     value: int
 
@@ -200,7 +199,7 @@ class RetEv:
         return f"retEv({self.value})"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PushEv:
     ctx: Ctx
 
@@ -208,7 +207,7 @@ class PushEv:
         return f"pushEv{self.ctx!r}"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PopEv:
     ctx: Ctx
 
@@ -336,7 +335,7 @@ def event_involves(entry, procs, owner: Optional[Ctx]) -> bool:
 # Adequacy
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AdequacyVerdict:
     adequate: bool
     clause: Optional[str] = None  # '1'..'5', 'strict', or 'shape'

@@ -7,15 +7,14 @@ variable; event atoms record a startEv/finishEv occurrence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
-from .lang import (Expr, ResVar, Var, expr_vars, fold_expr, subst_expr,
-                   subst_res_expr)
+from .lang import (Expr, ResVar, Var, expr_vars, fold_expr, record,
+                   subst_expr, subst_res_expr)
 from .traces import Ctx, MAIN_CTX, MalformedNesting
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Elem:
     target: Union[Var, ResVar]
     expr: Expr
@@ -24,7 +23,7 @@ class Elem:
         return f"{{{self.target} := {self.expr}}}"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CallUpd:
     target: Var
     proc: str
@@ -34,7 +33,7 @@ class CallUpd:
         return f"{{{self.target} := {self.proc}({self.arg})}}"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class StartUpd:
     proc: str
     arg: Expr
@@ -44,7 +43,7 @@ class StartUpd:
         return f"{{startEv({self.proc},{self.arg},{self.call_id})}}"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FinishUpd:
     proc: str
     arg: Expr

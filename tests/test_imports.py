@@ -1,6 +1,10 @@
-"""Every name a tracelet module or test file imports is used in that file."""
+"""Import rules: unused, private and local imports, layering, and what
+importing the CLI loads."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -114,3 +118,36 @@ def test_imported_modules_sees_every_form():
                             "import tracelet.prover\nfrom tracelet.lang import Var\n"
                             "import json\nfrom typing import List\n") == \
         {"fo", "cli", "prover", "lang"}
+
+
+def absolute_imports(source: str) -> set:
+    """The top-level names of the absolute imports of a source file."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            out.add(node.module.split(".")[0])
+    return out
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_dataclasses(path):
+    """Value classes are ``lang.record``s: every command would pay for
+    importing dataclasses and for its code generation."""
+    assert "dataclasses" not in absolute_imports(path.read_text())
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    code = ("import sys, tracelet.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
+def test_absolute_imports_sees_every_form():
+    assert absolute_imports("import os.path, json as j\nfrom dataclasses import field\n"
+                          "from . import fo\nfrom .lang import record\n") == \
+        {"os", "json", "dataclasses"}

@@ -322,6 +322,22 @@ class TestMember:
         assert not member(full, parse_formula("psi(p) /\\ psi(m)"))
         assert len(built) == 1
 
+    def test_tables_built_on_first_use(self, monkeypatch):
+        # the anchor and split tables are lazy, like the owner table
+        made = []
+        monkeypatch.setattr(logic, "_Member",
+                            lambda t: made.append(_Member(t)) or made[-1])
+        tables = {"owners", "_evpos", "_state_flags"}
+        full = run(parse_program(m_source(3)))
+        f = Chop(contract_with_post(), StatePred(Binary("==", Var("x"), IntLit(7))))
+        assert not member(full, f, {"n": 3, "i": 0}, [])
+        assert tables.isdisjoint(vars(made[-1]))  # rejected by the anchors
+        assert not member(full, MuApp(contract_m(), (Var("n"), Var("i"))), {"n": 3, "i": 0})
+        assert tables.isdisjoint(vars(made[-1]))
+        # a core trace reaches the Chop split loops, which read the flags
+        assert member(Trace(full.entries[:-1]), f.left, {"n": 3, "i": 0})
+        assert "_state_flags" in vars(made[-1])
+
     def test_fresh_id_existential(self):
         # the recursive disjunct finds the inner call id
         phi = contract_with_post()
