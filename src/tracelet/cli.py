@@ -14,11 +14,12 @@ Exit codes are a total function of the verdict class:
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import random
+import re
 import sys
+from types import SimpleNamespace
 from typing import Dict, List, Optional
 
 from .calculus import (ContractAssumption, ProofFileError, ProofNode,
@@ -463,89 +464,128 @@ def cmd_validate(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-class _Parser(argparse.ArgumentParser):
-    """Argument errors are usage errors: one line and exit 1, not
-    argparse's usage block and exit 2 (the fuel-exhausted code).  Its
-    subparsers are made by this class too; -h still exits 0."""
+# The command table: (handler, help line, positionals, options, required options,
+# mutually exclusive options).  An option is (flags, kind[, default]); kind str or
+# int takes a value, bool is a switch and list collects the value of every use.
+COMMANDS = {
+    "run": (cmd_run, "run a program and emit its trace", ("program",),
+            (("--state", list), ("--fuel", int), ("-o --output", str)), (), ()),
+    "adequacy": (cmd_adequacy, "check trace adequacy", ("trace",),
+                 (("--lenient", bool), ("--json", bool)), (), ()),
+    "check": (cmd_check, "check trace membership in a formula", ("trace", "formula"),
+              (("--contract", str), ("--bind", list), ("--json", bool)), (), ()),
+    "gen-contract": (cmd_gen_contract, "emit the recursive-contract template", ("proc",),
+                     (("--pre-base", str), ("--pre-step", str), ("--result", str),
+                      ("--step-inv", str), ("--no-big-step", bool), ("-o --output", str)),
+                     ("--pre-base", "--pre-step", "--result", "--step-inv"), ()),
+    "prove": (cmd_prove, "prove a procedure contract", ("program", "contracts"),
+              (("--proc", str), ("--script", str), ("--repl", bool),
+               ("--max-nodes", int, 50_000), ("-o --output", str)), (), ("--script", "--repl")),
+    "check-proof": (cmd_check_proof, "replay and verify a proof file", ("proof",),
+                    (("--program", str), ("--contracts", str)), ("--program", "--contracts"), ()),
+    "validate": (cmd_validate, "differential check of a proved contract", ("program", "contracts"),
+                 (("--proc", str), ("--samples", int, 20), ("--seed", int, 0),
+                  ("--range", str, "0..25"), ("--proof", str), ("--no-proof", bool),
+                  ("--fuel", int), ("--trace-dir", str), ("--json", bool)), (), ()),
+}
+_TOP = (None, "Trace-based contract toolkit", ("command",), (), (), ())   # tracelet's own
+_HELP = ("-h --help", bool)
+_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")   # a negative number is a value, not an option
 
-    def error(self, message):
-        raise CliError(f"{self.prog}: {message}")
+
+def _dest(flags: str) -> str:
+    return flags.split()[-1].lstrip("-").replace("-", "_")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = _Parser(prog="tracelet", description="Trace-based contract toolkit")
-    sub = ap.add_subparsers(dest="command", required=True)
+def _option(prog: str, table: dict, token: str):
+    """(option, attached value or None) for a token naming an option of the
+    table or a unique prefix of a long one, (None, None) for an unknown
+    option, and None for a value."""
+    if token[:1] != "-" or token in ("-", "--"):
+        return None
+    name, eq, value = token.partition("=")
+    if name in table:
+        return table[name], value if eq else None
+    if token[1] == "-":
+        found, value = [f for f in table if f.startswith(name)], value if eq else None
+    else:   # -oVALUE
+        found, value = [f for f in table if f == token[:2]], token[2:]
+    if len(found) > 1:
+        raise CliError(f"{prog}: ambiguous option: {token} could match {', '.join(found)}")
+    if found:
+        return table[found[0]], value
+    return None if _NUMBER.match(token) or " " in token else (None, None)
 
-    p = sub.add_parser("run", help="run a program and emit its trace")
-    p.add_argument("program")
-    p.add_argument("--state", action="append", metavar="x=0",
-                   help="initial binding for a main-declared variable")
-    p.add_argument("--fuel", type=int, default=None)
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("adequacy", help="check trace adequacy")
-    p.add_argument("trace")
-    p.add_argument("--lenient", action="store_true",
-                   help="check only the literal adequacy clauses")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_adequacy)
+def parse_args(tokens: List[str], name: Optional[str] = None, extras: Optional[list] = None):
+    """The arguments of a command line (of a command's tokens when name is
+    given) by argparse's rules: options may come before, between or after the
+    positionals, the last of repeated values counts, and "--" ends options."""
+    func, _, wanted, options, required, exclusive = COMMANDS[name] if name else _TOP
+    prog, extras = f"tracelet {name or ''}".strip(), [] if extras is None else extras
+    table = {f: o for o in (_HELP,) + options for f in o[0].split()}
+    values = {o[0]: o[2] if len(o) > 2 else (False if o[1] is bool else None) for o in options}
+    end = (tokens.index("--") if "--" in tokens else len(tokens)) if name else \
+        len(tokens) - (tokens[-1:] == ["--"])   # before the command "--" is a name, unless last
+    kinds = [_option(prog, table, t) for t in tokens[:end]] + [None] * (len(tokens) - end)
+    positionals, given, filled, k = [], set(), False, 0
+    while k < len(tokens):
+        token, kind, k = tokens[k], kinds[k], k + 1
+        if k - 1 == end:   # "--" is an extra unless it stands next to a positional
+            if len(positionals) == len(wanted) and not filled:
+                extras.append(token)
+            continue
+        filled = kind is None and len(positionals) < len(wanted)
+        if kind is None or kind[0] is None:   # a value, or an unknown option
+            (positionals if filled else extras).append(token)
+            if name is None and positionals:
+                if token not in COMMANDS:
+                    raise CliError(f"tracelet: argument command: invalid choice: {token!r} "
+                                   f"(choose from {', '.join(map(repr, COMMANDS))})")
+                return parse_args(tokens[k:], token, extras)
+            continue
+        (flags, type_, *_), value = kind
+        option = "/".join(flags.split())
+        if type_ is bool and value is not None:
+            raise CliError(f"{prog}: argument {option}: ignored explicit argument {value!r}")
+        if flags == _HELP[0]:   # a command that prints the usage; the rest goes unparsed
+            return SimpleNamespace(command=name, func=lambda _: print(_usage(name)) or EXIT_OK)
+        if type_ is not bool and value is None:
+            if k == len(tokens) or k == end or kinds[k] is not None:
+                raise CliError(f"{prog}: argument {option}: expected one argument")
+            value, k = tokens[k], k + 1
+        try:
+            value = True if type_ is bool else int(value) if type_ is int else value
+        except ValueError:
+            raise CliError(f"{prog}: argument {option}: invalid int value: {value!r}") from None
+        if flags in exclusive and (clash := [f for f in exclusive if f != flags and f in given]):
+            raise CliError(f"{prog}: argument {option}: not allowed with argument {clash[0]}")
+        given.add(flags)
+        values[flags] = (values[flags] or []) + [value] if type_ is list else value
+    missing = list(wanted[len(positionals):]) + [f for f in required if f not in given]
+    if missing:
+        raise CliError(f"{prog}: the following arguments are required: {', '.join(missing)}")
+    if extras:
+        raise CliError(f"tracelet: unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(command=name, func=func, **dict(zip(wanted, positionals)),
+                           **{_dest(flags): value for flags, value in values.items()})
 
-    p = sub.add_parser("check", help="check trace membership in a formula")
-    p.add_argument("trace")
-    p.add_argument("formula")
-    p.add_argument("--contract", default=None)
-    p.add_argument("--bind", action="append", metavar="n=1")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("gen-contract", help="emit the recursive-contract template")
-    p.add_argument("proc")
-    p.add_argument("--pre-base", required=True)
-    p.add_argument("--pre-step", required=True)
-    p.add_argument("--result", required=True)
-    p.add_argument("--step-inv", required=True)
-    p.add_argument("--no-big-step", action="store_true")
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_gen_contract)
-
-    p = sub.add_parser("prove", help="prove a procedure contract")
-    p.add_argument("program")
-    p.add_argument("contracts")
-    p.add_argument("--proc", default=None)
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--script", default=None)
-    mode.add_argument("--repl", action="store_true")
-    p.add_argument("--max-nodes", type=int, default=50_000)
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_prove)
-
-    p = sub.add_parser("check-proof", help="replay and verify a proof file")
-    p.add_argument("proof")
-    p.add_argument("--program", required=True)
-    p.add_argument("--contracts", required=True)
-    p.set_defaults(func=cmd_check_proof)
-
-    p = sub.add_parser("validate", help="differential check of a proved contract")
-    p.add_argument("program")
-    p.add_argument("contracts")
-    p.add_argument("--proc", default=None)
-    p.add_argument("--samples", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--range", default="0..25")
-    p.add_argument("--proof", default=None)
-    p.add_argument("--no-proof", action="store_true")
-    p.add_argument("--fuel", type=int, default=None)
-    p.add_argument("--trace-dir", default=None)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_validate)
-
-    return ap
+def _usage(name: Optional[str]) -> str:
+    """The -h text of a command, or of tracelet when name is None."""
+    _, about, positionals, options, required, exclusive = COMMANDS[name] if name else _TOP
+    commands = "".join(f"  {n:<13} {c[1]}\n" for n, c in COMMANDS.items() if not name)
+    return ("usage: " + " ".join(filter(None, ("tracelet", name, "[options]") + positionals))
+            + f"\n\n{about}\n\n" + (f"commands:\n{commands}\n" if commands else "")
+            + "options:\n" + "\n".join(
+                "  " + ", ".join(o[0].split()) + f" {_dest(o[0]).upper()}" * (o[1] is not bool)
+                + " (required)" * (o[0] in required) + " (exclusive)" * (o[0] in exclusive)
+                for o in (_HELP,) + options))
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else list(argv))
         return args.func(args)
     except (CliError, ParseError, LogicError, TraceError, RunError,
             ScriptError) as e:

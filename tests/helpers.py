@@ -7,10 +7,12 @@ implementation under test is never checked against itself.
 
 from __future__ import annotations
 
+import argparse
 import json
 import random
 from itertools import chain
 
+from tracelet import cli
 from tracelet.calculus import node_to_json
 from tracelet.interp import DEFAULT_FUEL, UpStmt, semantics
 from tracelet.lang import (Assign, Binary, BoolLit, CallAssign, If, IntLit,
@@ -454,3 +456,87 @@ def run_update_prefixed(atoms, stmt, trace: Trace, table,
     append to trace (stmt None runs the updates alone)."""
     item = UpStmt(tuple(atoms), stmt) if atoms else stmt
     return semantics(item, trace, table, fuel)
+
+
+class OracleError(Exception):
+    pass
+
+
+class _OracleParser(argparse.ArgumentParser):
+    """An argument error raises OracleError("<prog>: <message>"), the text
+    tracelet prints after "error: "."""
+
+    def error(self, message):
+        raise OracleError(f"{self.prog}: {message}")
+
+
+def argparse_oracle() -> argparse.ArgumentParser:
+    """The tracelet command line as argparse parsers, one per command."""
+    ap = _OracleParser(prog="tracelet", description="Trace-based contract toolkit")
+    sub = ap.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("run", help="run a program and emit its trace")
+    p.add_argument("program")
+    p.add_argument("--state", action="append", metavar="x=0",
+                   help="initial binding for a main-declared variable")
+    p.add_argument("--fuel", type=int, default=None)
+    p.add_argument("-o", "--output")
+    p.set_defaults(func=cli.cmd_run)
+
+    p = sub.add_parser("adequacy", help="check trace adequacy")
+    p.add_argument("trace")
+    p.add_argument("--lenient", action="store_true",
+                   help="check only the literal adequacy clauses")
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=cli.cmd_adequacy)
+
+    p = sub.add_parser("check", help="check trace membership in a formula")
+    p.add_argument("trace")
+    p.add_argument("formula")
+    p.add_argument("--contract", default=None)
+    p.add_argument("--bind", action="append", metavar="n=1")
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=cli.cmd_check)
+
+    p = sub.add_parser("gen-contract", help="emit the recursive-contract template")
+    p.add_argument("proc")
+    p.add_argument("--pre-base", required=True)
+    p.add_argument("--pre-step", required=True)
+    p.add_argument("--result", required=True)
+    p.add_argument("--step-inv", required=True)
+    p.add_argument("--no-big-step", action="store_true")
+    p.add_argument("-o", "--output")
+    p.set_defaults(func=cli.cmd_gen_contract)
+
+    p = sub.add_parser("prove", help="prove a procedure contract")
+    p.add_argument("program")
+    p.add_argument("contracts")
+    p.add_argument("--proc", default=None)
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--script", default=None)
+    mode.add_argument("--repl", action="store_true")
+    p.add_argument("--max-nodes", type=int, default=50_000)
+    p.add_argument("-o", "--output")
+    p.set_defaults(func=cli.cmd_prove)
+
+    p = sub.add_parser("check-proof", help="replay and verify a proof file")
+    p.add_argument("proof")
+    p.add_argument("--program", required=True)
+    p.add_argument("--contracts", required=True)
+    p.set_defaults(func=cli.cmd_check_proof)
+
+    p = sub.add_parser("validate", help="differential check of a proved contract")
+    p.add_argument("program")
+    p.add_argument("contracts")
+    p.add_argument("--proc", default=None)
+    p.add_argument("--samples", type=int, default=20)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--range", default="0..25")
+    p.add_argument("--proof", default=None)
+    p.add_argument("--no-proof", action="store_true")
+    p.add_argument("--fuel", type=int, default=None)
+    p.add_argument("--trace-dir", default=None)
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=cli.cmd_validate)
+
+    return ap

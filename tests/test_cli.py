@@ -9,10 +9,12 @@ from unittest import mock
 import pytest
 from hypothesis import HealthCheck, event, given, settings, strategies as st
 
-from helpers import M0_SRC, MUTANT_SRC, RUNNING_SRC, contract_m, m_source
-from tracelet.cli import (EXIT_ERROR, EXIT_FUEL, EXIT_INADEQUATE,
+from helpers import (M0_SRC, MUTANT_SRC, RUNNING_SRC, OracleError, argparse_oracle,
+                     contract_m, m_source)
+from tracelet.cli import (COMMANDS, EXIT_ERROR, EXIT_FUEL, EXIT_INADEQUATE,
                           EXIT_NOT_MEMBER, EXIT_OK, EXIT_OPEN_PROOF,
-                          EXIT_PROOF_REJECTED, EXIT_VALIDATION_FAILED, main)
+                          EXIT_PROOF_REJECTED, EXIT_VALIDATION_FAILED, CliError,
+                          main, parse_args)
 from tracelet.interp import RunError
 from tracelet.logic import MemberBudgetExceeded, _Member, pretty_formula
 
@@ -209,8 +211,17 @@ def test_mutated_inputs_exit_cleanly(fuzz_inputs, data):
     ["prove", "p", "c", "--extensions"],
     ["check-proof", "f", "--program", "p", "--contracts", "c", "--extensions"],
     ["validate", "p", "c", "--no-proof", "--extensions"],
+    ["bogus", "p"],
+    ["run", "p", "q"],
+    ["validate", "p", "c", "--pro", "x"],
+    ["validate", "p", "c", "--no-proof", "--range", "-1..1"],
+    ["prove", "p", "c", "--script", "s", "--repl"],
+    ["gen-contract", "m"],
+    ["prove", "p", "c", "--max-nodes=abc"],
 ], ids=["missing-positional", "no-command", "bad-int", "removed-flag-prove",
-        "removed-flag-check-proof", "removed-flag-validate"])
+        "removed-flag-check-proof", "removed-flag-validate", "unknown-command",
+        "extra-positional", "ambiguous-prefix", "negative-range", "script-and-repl",
+        "missing-required", "attached-bad-int"])
 def test_usage_error_one_line_exit_1(capsys, argv):
     assert main(argv) == EXIT_ERROR
     captured = capsys.readouterr()
@@ -218,11 +229,97 @@ def test_usage_error_one_line_exit_1(capsys, argv):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+def _oracle_commands():
+    """The argparse parser of each command, by name."""
+    ap = argparse_oracle()
+    return next(a for a in ap._actions if a.dest == "command").choices
+
+
 def test_help_exits_0(capsys):
-    with pytest.raises(SystemExit) as e:
-        main(["prove", "-h"])
-    assert e.value.code == 0
+    assert main(["prove", "-h"]) == EXIT_OK
     assert "--max-nodes" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [["-h"]] + [[name, "--help"] for name in COMMANDS],
+                         ids=lambda argv: argv[0])
+def test_help_lists_every_flag(capsys, argv):
+    """-h returns 0 and prints every flag the command has, to stdout."""
+    assert main(argv) == EXIT_OK
+    out, err = capsys.readouterr()
+    parser = _oracle_commands()[argv[0]] if len(argv) == 2 else argparse_oracle()
+    flags = {f for action in parser._actions for f in action.option_strings}
+    assert flags <= set(out.replace(",", " ").split()) and err == ""
+
+
+_VALUES = ["p", "c", "x", "3", "-3", "-1..1", "0..2", "abc", "", " 4", "-", "a b", "-x y",
+           "x=1", "-1.5"]
+_UNKNOWN = ["--nope", "--nope=1", "-z", "-zz", "--extensions"]
+
+
+def _parse_outcome(parse, argv):
+    """("ok", every dest and its value) or ("error", the text after "error: ")."""
+    try:
+        return "ok", vars(parse(list(argv)))
+    except (CliError, OracleError) as e:
+        return "error", str(e)
+
+
+@st.composite
+def _command_lines(draw):
+    """An argv for one command: positionals (one too few or too many at
+    times), options by full name, unique and ambiguous prefix, with
+    attached values, repeats, unknown flags and one "--", in any order;
+    never -h."""
+    parsers = _oracle_commands()
+    name = draw(st.sampled_from(sorted(parsers) * 3 + ["bogus"]))
+    actions = [a for a in parsers.get(name, parsers["run"])._actions if a.dest != "help"]
+    takes_value = {f: a.nargs != 0 for a in actions for f in a.option_strings}
+    longs = [f for f in takes_value if f.startswith("--")]
+    prefixes = sorted({f[:k] for f in longs for k in range(3, len(f))})
+    forms = {"full": sorted(takes_value), "attached": sorted(takes_value),
+             "unique": [p for p in prefixes if sum(f.startswith(p) for f in longs) == 1],
+             "ambiguous": [p for p in prefixes if sum(f.startswith(p) for f in longs) > 1]}
+    value = st.just("3") | st.sampled_from(_VALUES)   # "3" suits every option
+    wanted = sum(not a.option_strings for a in actions) + draw(st.sampled_from([0, 0, 0, -1, 1]))
+    chunks = [[draw(value)] for _ in range(max(0, wanted))]
+    if draw(st.booleans()):   # the required options
+        chunks += [[f, draw(value)] for a in actions if a.required and a.option_strings
+                   for f in a.option_strings]
+    for _ in range(draw(st.integers(0, 4))):
+        form = draw(st.sampled_from(["full"] * 3 + ["unique", "attached"] * 2
+                                    + ["ambiguous", "unknown"]))
+        if form == "unknown" or not forms[form]:
+            chunks.append([draw(st.sampled_from(_UNKNOWN))])
+            continue
+        flag = draw(st.sampled_from(forms[form]))
+        full = next(f for f in sorted(takes_value) if f.startswith(flag))
+        if form == "attached":
+            chunks.append([flag + ("=" if flag.startswith("--") else "") + draw(value)])
+        elif takes_value[full] == draw(st.sampled_from([True, True, True, True, False])):
+            chunks.append([flag, draw(value)])
+        else:
+            chunks.append([flag])
+    if name == "prove" and not draw(st.integers(0, 3)):
+        chunks += [["--script", "s"], ["--repl"]]
+    chunks = draw(st.permutations(chunks))
+    argv = [name] + [token for chunk in chunks for token in chunk]
+    if not draw(st.integers(0, 3)):
+        argv.insert(len(argv) - draw(st.integers(0, len(argv))), "--")
+    if not draw(st.integers(0, 7)):   # an option before the command
+        argv.insert(0, draw(st.sampled_from(_UNKNOWN)))
+    return argv
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(argv=_command_lines())
+def test_parser_agrees_with_argparse(argv):
+    """The command-table parser accepts what argparse accepted, with the
+    same value for every dest, and rejects the rest with argparse's
+    message.  ("--" as an option's value, or a second "--", argparse
+    turns into an empty list; such lines are not drawn.)"""
+    mine = _parse_outcome(parse_args, argv)
+    event(f"{argv[0]} {mine[0]}")
+    assert mine == _parse_outcome(argparse_oracle().parse_args, argv), argv
 
 
 @pytest.fixture(scope="module")

@@ -147,6 +147,17 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
     assert out.strip() == "[]"
 
 
+def test_cli_import_leaves_out_argparse_and_gettext():
+    """Commands parse their arguments from cli's own command table; every
+    command would pay for importing argparse and the gettext it loads."""
+    code = ("import sys, tracelet.cli; "
+            "print(sorted({'argparse', 'gettext'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
 def test_absolute_imports_sees_every_form():
     assert absolute_imports("import os.path, json as j\nfrom dataclasses import field\n"
                           "from . import fo\nfrom .lang import record\n") == \
