@@ -63,10 +63,16 @@ def _read(path: str) -> str:
         raise CliError(f"{path!r}: {e}") from None
 
 
+# Below glibc's 128 KiB mmap threshold, so each slice's buffers come from the
+# heap and are reused, where one whole-text write maps fresh pages for its copy.
+_WRITE_SLICE = 1 << 16
+
+
 def _write(path: str, text: str):
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            for k in range(0, len(text), _WRITE_SLICE):
+                fh.write(text[k:k + _WRITE_SLICE])
     except OSError as e:
         raise CliError(str(e)) from None
     except ValueError as e:
@@ -590,6 +596,9 @@ def main(argv=None) -> int:
     except (CliError, ParseError, LogicError, TraceError, RunError,
             ScriptError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_ERROR
+    except RecursionError:
+        print("error: the input nests too deeply to process", file=sys.stderr)
         return EXIT_ERROR
 
 

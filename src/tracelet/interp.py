@@ -4,14 +4,15 @@ A configuration is a trace together with a continuation (the statement or
 update-prefixed statement still to be evaluated).  Exactly one of the
 Progress/Call/Return rules applies to every non-final configuration,
 selected by whether the trace ends in a call event, a return event, or
-neither.  The machine grows its trace in place and keeps the stack of open
+neither.  Local evaluation looks up one method per statement type in a
+table, as ``step`` picks its rule by the type of the second-last entry.
+The machine grows its trace in place and keeps the stack of open
 call contexts as it goes (``traces.nest``), so Return reads the current
 context off the stack and a step costs O(1) amortised entries.
 """
 
 from __future__ import annotations
 
-import re
 from typing import Optional, Tuple, Union
 
 from .lang import (Assign, Call, CallAssign, If, IntLit, LookupTable,
@@ -67,27 +68,6 @@ def _seq(first: Cont, second: Cont) -> Cont:
     return Seq(first, second)
 
 
-_FRESH_RE = re.compile(r"#(\d+)$")
-
-
-def _counters_from_trace(trace: Trace) -> Tuple[int, int]:
-    next_id = 0
-    next_fresh = 0
-    for entry in trace.entries:
-        if isinstance(entry, CallEv):
-            next_id = max(next_id, entry.call_id + 1)
-        elif isinstance(entry, (PushEv, PopEv)) and entry.ctx.call_id is not None:
-            next_id = max(next_id, entry.ctx.call_id + 1)
-        elif isinstance(entry, State):
-            for name in entry.bindings():
-                if name.startswith("res") and name[3:].isdigit():
-                    next_id = max(next_id, int(name[3:]) + 1)
-                m = _FRESH_RE.search(name)
-                if m:
-                    next_fresh = max(next_fresh, int(m.group(1)))
-    return next_id, next_fresh
-
-
 class Machine:
     """One run's configuration; owns its counters and fuel exclusively.
 
@@ -106,6 +86,7 @@ class Machine:
         self.fuel = fuel
         self.next_id = next_id
         self.next_fresh = next_fresh
+        self._loops = {}   # id(While) -> (the While, Seq(its body, it))
 
     @property
     def trace(self) -> Trace:
@@ -113,11 +94,13 @@ class Machine:
 
     def extend(self, tr: Trace):
         """Chop tr onto the trace: its first state fuses with the last one."""
-        last, first = self.entries[-1], tr.first()
-        if last != first:
+        new = tr.entries
+        last, first = self.entries[-1], new[0]
+        if last is not first and last != first:
             raise ChopUndefined(last, first)
-        nest(self.ctxs, tr.entries)
-        self.entries += tr.entries[1:]
+        if len(new) > 1:
+            nest(self.ctxs, new)
+            self.entries += new[1:]
 
     # -- allocation ---------------------------------------------------------
 
@@ -140,53 +123,55 @@ class Machine:
         self.next_fresh = k
         return name
 
-    # -- local evaluation ---------------------------------------------------
+    # -- local evaluation, one method per statement kind ----------------------
 
-    def local_eval(self, state: State, item: Union[Stmt, UpStmt]) -> Tuple[Trace, Cont]:
-        if isinstance(item, UpStmt):
-            return self._eval_update_head(state, item)
-        return self._eval_stmt(state, item)
+    def _skip(self, state: State, s: Skip) -> Tuple[Trace, Cont]:
+        return singleton(state), None
 
-    def _eval_stmt(self, state: State, s: Stmt) -> Tuple[Trace, Cont]:
-        if isinstance(s, Skip):
+    def _assign(self, state: State, s: Assign) -> Tuple[Trace, Cont]:
+        if type(s.target) is ResVar:
+            # result variables are written by finishEv; this is a no-op
             return singleton(state), None
-        if isinstance(s, Assign):
-            if isinstance(s.target, ResVar):
-                # result variables are written by finishEv; this is a no-op
-                return singleton(state), None
-            v = eval_expr(state, s.expr)
-            return Trace((state, state.set(s.target.name, v))), None
-        if isinstance(s, CallAssign):
-            cid = self.alloc_call_id(state)
-            arg = eval_expr(state, s.arg)
-            tr = event_trace(state, CallEv(s.proc, arg, cid))
-            return tr, Assign(s.target, ResVar(IntLit(cid)))
-        if isinstance(s, Call):
-            cid = self.alloc_call_id(state)
-            arg = eval_expr(state, s.arg)
-            return event_trace(state, CallEv(s.proc, arg, cid)), None
-        if isinstance(s, If):
-            if eval_expr(state, s.cond):
-                return singleton(state), s.body
+        return Trace((state, state.set(s.target.name, eval_expr(state, s.expr)))), None
+
+    def _call_assign(self, state: State, s: CallAssign) -> Tuple[Trace, Cont]:
+        cid = self.alloc_call_id(state)
+        arg = eval_expr(state, s.arg)
+        return event_trace(state, CallEv(s.proc, arg, cid)), Assign(s.target, ResVar(IntLit(cid)))
+
+    def _call(self, state: State, s: Call) -> Tuple[Trace, Cont]:
+        cid = self.alloc_call_id(state)
+        arg = eval_expr(state, s.arg)
+        return event_trace(state, CallEv(s.proc, arg, cid)), None
+
+    def _if(self, state: State, s: If) -> Tuple[Trace, Cont]:
+        return singleton(state), s.body if eval_expr(state, s.cond) else None
+
+    def _while(self, state: State, s: While) -> Tuple[Trace, Cont]:
+        # if (cond) { body; loop }, with that continuation built once per loop
+        if not eval_expr(state, s.cond):
             return singleton(state), None
-        if isinstance(s, While):
-            return self._eval_stmt(state, If(s.cond, Seq(s.body, s)))
-        if isinstance(s, Seq):
-            tr, cont = self.local_eval(state, s.first)
-            return tr, _seq(cont, s.second)
-        if isinstance(s, Scope):
-            if s.decls:
-                name = s.decls[0]
-                fresh = self.fresh_var(name, state)
-                rest = Scope(s.decls[1:], subst_stmt(s.body, name, Var(fresh)))
-                return Trace((state, state.set(fresh, 0))), rest
+        got = self._loops.get(id(s))
+        if got is None:
+            got = self._loops[id(s)] = (s, Seq(s.body, s))
+        return singleton(state), got[1]
+
+    def _seq(self, state: State, s: Seq) -> Tuple[Trace, Cont]:
+        tr, cont = self.local_eval(state, s.first)
+        return tr, _seq(cont, s.second)
+
+    def _scope(self, state: State, s: Scope) -> Tuple[Trace, Cont]:
+        if not s.decls:
             return self.local_eval(state, s.body)
-        if isinstance(s, Return):
-            v = eval_expr(state, s.expr)
-            return event_trace(state, RetEv(v)), None
-        raise RunError(f"cannot evaluate {s!r}")
+        name = s.decls[0]
+        fresh = self.fresh_var(name, state)
+        rest = Scope(s.decls[1:], subst_stmt(s.body, name, Var(fresh)))
+        return Trace((state, state.set(fresh, 0))), rest
 
-    def _eval_update_head(self, state: State, us: UpStmt) -> Tuple[Trace, Cont]:
+    def _return(self, state: State, s: Return) -> Tuple[Trace, Cont]:
+        return event_trace(state, RetEv(eval_expr(state, s.expr))), None
+
+    def _update_head(self, state: State, us: UpStmt) -> Tuple[Trace, Cont]:
         atom = us.atoms[0]
         rest = _norm_upstmt(us.atoms[1:], us.stmt)
         if isinstance(atom, Elem):
@@ -219,44 +204,53 @@ class Machine:
             return tr, rest
         raise RunError(f"cannot evaluate update atom {atom!r}")
 
-    # -- composition --------------------------------------------------------
+    _LOCAL = {Skip: _skip, Assign: _assign, CallAssign: _call_assign, Call: _call,
+              If: _if, While: _while, Seq: _seq, Scope: _scope, Return: _return,
+              UpStmt: _update_head}
 
-    def ends_in(self, kind) -> bool:
-        e = self.entries
-        return len(e) >= 2 and isinstance(e[-2], kind)
+    def local_eval(self, state: State, item: Union[Stmt, UpStmt]) -> Tuple[Trace, Cont]:
+        rule = self._LOCAL.get(type(item))
+        if rule is None:
+            raise RunError(f"cannot evaluate {item!r}")
+        return rule(self, state, item)
+
+    # -- composition --------------------------------------------------------
 
     @property
     def done(self) -> bool:
-        return self.cont is None and not self.ends_in(CallEv) and not self.ends_in(RetEv)
+        e = self.entries
+        kind = type(e[-2]) if len(e) > 1 else State
+        return self.cont is None and kind is not CallEv and kind is not RetEv
 
     def step(self):
-        """Apply exactly one composition rule."""
-        if self.done:
+        """Apply exactly one composition rule: Call after a callEv, Return
+        after a retEv, Progress otherwise."""
+        entries = self.entries
+        kind = type(entries[-2]) if len(entries) > 1 else State
+        if self.cont is None and kind is not CallEv and kind is not RetEv:
             raise RunError("no rule applies to a final configuration")
         if self.fuel <= 0:
             raise FuelExhausted(self.trace)
         self.fuel -= 1
-        entries = self.entries
-        if self.ends_in(CallEv):
+        state = entries[-1]
+        if kind is CallEv:
             ev: CallEv = entries[-2]
             proc = lookup(ev.proc, self.table)
             inlined = subst_stmt(proc.body, proc.param, IntLit(ev.arg))
-            self.extend(event_trace(entries[-1], PushEv(Ctx(ev.proc, ev.call_id))))
+            ctx = Ctx(ev.proc, ev.call_id)
+            self.ctxs.append(ctx)
+            entries += (PushEv(ctx), state)
             self.cont = _seq(inlined, self.cont)
-            return
-        if self.ends_in(RetEv):
-            ev: RetEv = entries[-2]
+        elif kind is RetEv:
             if not self.ctxs:
                 raise RunError("return event outside any call context")
-            ctx = self.ctxs[-1]
-            after = entries[-1].set(res_name(ctx.call_id), ev.value)
-            entries.append(after)
-            self.extend(event_trace(after, PopEv(ctx)))
-            return
-        # Progress
-        tr, cont = self.local_eval(entries[-1], self.cont)
-        self.extend(tr)
-        self.cont = cont
+            ctx = self.ctxs.pop()
+            after = state.set(res_name(ctx.call_id), entries[-2].value)
+            entries += (after, PopEv(ctx), after)
+        else:  # Progress
+            tr, cont = self.local_eval(state, self.cont)
+            self.extend(tr)
+            self.cont = cont
 
     def run(self) -> "Machine":
         while not self.done:
@@ -265,11 +259,9 @@ class Machine:
 
 
 def run_cont(trace: Trace, cont: Cont, table: LookupTable, fuel: int = DEFAULT_FUEL,
-             next_id: Optional[int] = None, next_fresh: Optional[int] = None) -> Machine:
-    if next_id is None or next_fresh is None:
-        tid, tfresh = _counters_from_trace(trace)
-        next_id = tid if next_id is None else next_id
-        next_fresh = tfresh if next_fresh is None else next_fresh
+             next_id: int = 0, next_fresh: int = 0) -> Machine:
+    """Run cont from the end of trace; call ids and fresh-name suffixes
+    continue from next_id and next_fresh."""
     return Machine(trace, cont, table, fuel, next_id, next_fresh).run()
 
 
@@ -292,15 +284,4 @@ def run(program: Program, state: Optional[State] = None,
     machine = run_cont(singleton(sigma0), program.main_body, table,
                        fuel=fuel, next_id=0, next_fresh=0)
     return machine.trace
-
-
-def semantics(item: Cont, trace: Trace, table: LookupTable,
-              fuel: int = DEFAULT_FUEL) -> Trace:
-    """Relative semantics [[item]](trace): the appended suffix.
-
-    The suffix shares its first state with trace's last; the full run is
-    trace ** suffix.  Counters continue from the ids already in trace.
-    """
-    machine = run_cont(trace, item, table, fuel=fuel)
-    return Trace(machine.entries[len(trace.entries) - 1:])
 

@@ -197,15 +197,23 @@ def expr_vars(e: Expr) -> set:
 
 
 def subst_vars(e: Expr, mapping: dict) -> Expr:
-    """Substitute mapping[v] for every occurrence of Var(v), all at once."""
-    if isinstance(e, Var):
+    """Substitute mapping[v] for every occurrence of Var(v), all at once.
+
+    A subtree with nothing to substitute is returned as it is: records are
+    immutable, so the result may share it.
+    """
+    kind = type(e)
+    if kind is Var:
         return mapping.get(e.name, e)
-    if isinstance(e, ResVar):
-        return ResVar(subst_vars(e.index, mapping))
-    if isinstance(e, Unary):
-        return Unary(e.op, subst_vars(e.operand, mapping))
-    if isinstance(e, Binary):
-        return Binary(e.op, subst_vars(e.left, mapping), subst_vars(e.right, mapping))
+    if kind is Binary:
+        left, right = subst_vars(e.left, mapping), subst_vars(e.right, mapping)
+        return e if left is e.left and right is e.right else Binary(e.op, left, right)
+    if kind is Unary:
+        inner = subst_vars(e.operand, mapping)
+        return e if inner is e.operand else Unary(e.op, inner)
+    if kind is ResVar:
+        inner = subst_vars(e.index, mapping)
+        return e if inner is e.index else ResVar(inner)
     return e
 
 
@@ -358,33 +366,43 @@ def seq(parts) -> Stmt:
 
 
 def subst_stmt(s: Stmt, name: str, replacement: Expr) -> Stmt:
-    """Substitute into a statement, respecting scope shadowing."""
-    if isinstance(s, Skip):
-        return s
-    if isinstance(s, Assign):
-        tgt = s.target
-        if isinstance(tgt, Var) and tgt.name == name and isinstance(replacement, Var):
-            tgt = replacement
-        return Assign(tgt, subst_expr(s.expr, name, replacement))
-    if isinstance(s, CallAssign):
-        tgt = s.target
-        if tgt.name == name and isinstance(replacement, Var):
-            tgt = replacement
-        return CallAssign(tgt, s.proc, subst_expr(s.arg, name, replacement))
-    if isinstance(s, Call):
-        return Call(s.proc, subst_expr(s.arg, name, replacement))
-    if isinstance(s, If):
-        return If(subst_expr(s.cond, name, replacement), subst_stmt(s.body, name, replacement))
-    if isinstance(s, While):
-        return While(subst_expr(s.cond, name, replacement), subst_stmt(s.body, name, replacement))
-    if isinstance(s, Seq):
-        return Seq(subst_stmt(s.first, name, replacement), subst_stmt(s.second, name, replacement))
-    if isinstance(s, Scope):
+    """Substitute into a statement, respecting scope shadowing.
+
+    As in ``subst_vars``, a statement in which nothing changes is returned
+    as it is.  An assigned variable is renamed by a Var replacement and
+    kept otherwise.
+    """
+    kind = type(s)
+    if kind is Seq:
+        first = subst_stmt(s.first, name, replacement)
+        second = subst_stmt(s.second, name, replacement)
+        return s if first is s.first and second is s.second else Seq(first, second)
+    mapping = {name: replacement}
+    if kind is Assign or kind is CallAssign:
+        target = s.target
+        if type(target) is Var and target.name == name and type(replacement) is Var:
+            target = replacement
+        if kind is Assign:
+            expr = subst_vars(s.expr, mapping)
+            return s if target is s.target and expr is s.expr else Assign(target, expr)
+        arg = subst_vars(s.arg, mapping)
+        return s if target is s.target and arg is s.arg else CallAssign(target, s.proc, arg)
+    if kind is If or kind is While:
+        cond, body = subst_vars(s.cond, mapping), subst_stmt(s.body, name, replacement)
+        return s if cond is s.cond and body is s.body else kind(cond, body)
+    if kind is Scope:
         if name in s.decls:
             return s
-        return Scope(s.decls, subst_stmt(s.body, name, replacement))
-    if isinstance(s, Return):
-        return Return(subst_expr(s.expr, name, replacement))
+        body = subst_stmt(s.body, name, replacement)
+        return s if body is s.body else Scope(s.decls, body)
+    if kind is Return:
+        expr = subst_vars(s.expr, mapping)
+        return s if expr is s.expr else Return(expr)
+    if kind is Call:
+        arg = subst_vars(s.arg, mapping)
+        return s if arg is s.arg else Call(s.proc, arg)
+    if kind is Skip:
+        return s
     raise TypeError(f"not a statement: {s!r}")
 
 

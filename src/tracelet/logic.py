@@ -1082,16 +1082,6 @@ def _parse_formula_atom(ts) -> Formula:
     return RecApp(name, ())
 
 
-def parse_formula(text: str) -> Formula:
-    """Parse a single formula, verifying arities and closedness rules."""
-    ts = TokenStream(tokenize(text))
-    f = _parse_formula_or(ts)
-    if ts.peek().kind != "eof":
-        ts.error("trailing input after formula")
-    check_formula(f, {})
-    return f
-
-
 def check_formula(f: Formula, bound: dict):
     """Arity checking for recursion variables; bound maps name -> arity."""
     if isinstance(f, RecApp):

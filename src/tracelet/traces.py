@@ -20,6 +20,7 @@ long line that differs from the previous one in one fragment.
 from __future__ import annotations
 
 import json
+import operator
 import re
 from bisect import bisect_left
 from json.encoder import encode_basestring_ascii
@@ -114,53 +115,43 @@ class State:
         return f"[{inner}]"
 
 
+_STRICT = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "==": operator.eq, "!=": operator.ne, "<": operator.lt,
+           "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
 def eval_expr(state: State, e: Expr, env=None):
     """Standard evaluation; env carries logical variables.
 
     Logical bindings take precedence: a fixed point's bound parameters
     must not be shadowed by program variables of the same name.
     """
-    if isinstance(e, IntLit):
+    kind = type(e)
+    if kind is Binary:
+        op = e.op
+        left = eval_expr(state, e.left, env)
+        if op == "&&":
+            return bool(left) and bool(eval_expr(state, e.right, env))
+        if op == "||":
+            return bool(left) or bool(eval_expr(state, e.right, env))
+        fn = _STRICT.get(op)
+        if fn is not None:
+            return fn(left, eval_expr(state, e.right, env))
+    elif kind is Var:
+        name = e.name
+        if env and name in env:
+            return env[name]
+        try:
+            return state._b[name]
+        except KeyError:
+            raise UndefinedVariable(name) from None
+    elif kind is IntLit or kind is BoolLit:
         return e.value
-    if isinstance(e, BoolLit):
-        return e.value
-    if isinstance(e, Var):
-        if env and e.name in env:
-            return env[e.name]
-        if e.name in state:
-            return state.get(e.name)
-        raise UndefinedVariable(e.name)
-    if isinstance(e, ResVar):
-        idx = eval_expr(state, e.index, env)
-        return state.get(res_name(idx))
-    if isinstance(e, Unary):
+    elif kind is ResVar:
+        return state.get(res_name(eval_expr(state, e.index, env)))
+    elif kind is Unary:
         v = eval_expr(state, e.operand, env)
         return -v if e.op == "-" else (not v)
-    if isinstance(e, Binary):
-        l = eval_expr(state, e.left, env)
-        if e.op == "&&":
-            return bool(l) and bool(eval_expr(state, e.right, env))
-        if e.op == "||":
-            return bool(l) or bool(eval_expr(state, e.right, env))
-        r = eval_expr(state, e.right, env)
-        if e.op == "+":
-            return l + r
-        if e.op == "-":
-            return l - r
-        if e.op == "*":
-            return l * r
-        if e.op == "==":
-            return l == r
-        if e.op == "!=":
-            return l != r
-        if e.op == "<":
-            return l < r
-        if e.op == "<=":
-            return l <= r
-        if e.op == ">":
-            return l > r
-        if e.op == ">=":
-            return l >= r
     raise TraceError(f"cannot evaluate {e!r}")
 
 
@@ -268,21 +259,6 @@ def singleton(state: State) -> Trace:
 def event_trace(state: State, ev: EventMarker) -> Trace:
     # the evTrio shape: <s> . ev . s
     return Trace((state, ev, state))
-
-
-def chop(t1: Trace, t2: Trace) -> Trace:
-    """Semantic chop: fuse equal boundary states; undefined on mismatch."""
-    if t1.is_empty:
-        raise EmptyTraceError("chop requires non-empty left trace")
-    if t2.is_empty:
-        raise EmptyTraceError("chop requires non-empty right trace")
-    if t1.last() != t2.first():
-        raise ChopUndefined(t1.last(), t2.first())
-    return Trace(t1.entries[:-1] + t2.entries)
-
-
-def concat(t1: Trace, t2: Trace) -> Trace:
-    return Trace(t1.entries + t2.entries)
 
 
 def nest(ctxs: list, entries) -> list:
@@ -563,13 +539,13 @@ def dump_trace(t: Trace) -> str:
     same object repeats the previous line, and any other state rebuilds
     the list.
     """
-    lines = []
+    parts = ["[\n"]
     prev = line = None
     names: list = []
     frags: list = []
     for e in t.entries:
         if not is_state(e):
-            lines.append(json.dumps(entry_to_json(e), sort_keys=True))
+            parts += (json.dumps(entry_to_json(e), sort_keys=True), ",\n")
             continue
         if e is not prev:
             if e._src is not None and e._src[0] is prev:
@@ -581,8 +557,13 @@ def dump_trace(t: Trace) -> str:
                 names, frags = _fragments(e._b)
             line = _state_line(frags)
             prev = e
-        lines.append(line)
-    return "[\n" + ",\n".join(lines) + "\n]\n"
+        parts += (line, ",\n")
+    # one join: the last separator closes the array, an empty one keeps its blank line
+    if t.entries:
+        parts[-1] = "\n]\n"
+    else:
+        parts.append("\n]\n")
+    return "".join(parts)
 
 
 _WS = re.compile(r"[ \t\n\r]*")

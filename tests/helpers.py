@@ -10,21 +10,27 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 from itertools import chain
 
 from tracelet import cli
 from tracelet.calculus import node_to_json
-from tracelet.interp import DEFAULT_FUEL, UpStmt, semantics
-from tracelet.lang import (Assign, Binary, BoolLit, CallAssign, If, IntLit,
-                           Program, ProcDecl, Return, Scope, Seq, Skip, Unary,
-                           Var, While, parse_program, seq)
+from tracelet.interp import (DEFAULT_FUEL, FuelExhausted, Machine, RunError,
+                             UpStmt, run_cont)
+from tracelet.lang import (Assign, Binary, BoolLit, Call, CallAssign, If,
+                           IntLit, Program, ProcDecl, ResVar, Return, Scope,
+                           Seq, Skip, TokenStream, Unary, Var, While, lookup,
+                           parse_program, seq, tokenize)
 from tracelet.logic import (And, Chop, Concat, ContractSpec, FinishEvF, Mu,
                             MuApp, NoEv, Or, RecApp, StartEvF, StatePred,
-                            eval_term, make_contract, _FreshValue)
-from tracelet.traces import (CallEv, Ctx, MAIN_CTX, PopEv, PushEv, RetEv,
-                             State, Trace, TraceError, entry_from_json,
-                             entry_to_json, eval_expr, is_state, res_name,
-                             ret_owners)
+                            check_formula, eval_term, make_contract,
+                            _FreshValue, _parse_formula_or)
+from tracelet.traces import (CallEv, ChopUndefined, Ctx, EmptyTraceError,
+                             MAIN_CTX, PopEv, PushEv, RetEv, State, Trace,
+                             TraceError, UndefinedVariable, entry_from_json,
+                             entry_to_json, eval_expr, event_trace, is_state,
+                             nest, res_name, ret_owners, singleton)
+from tracelet.updates import CallUpd, Elem, FinishUpd, StartUpd
 
 RUNNING_SRC = """\
 // identity computed by k recursive calls
@@ -456,6 +462,311 @@ def run_update_prefixed(atoms, stmt, trace: Trace, table,
     append to trace (stmt None runs the updates alone)."""
     item = UpStmt(tuple(atoms), stmt) if atoms else stmt
     return semantics(item, trace, table, fuel)
+
+
+# ---------------------------------------------------------------------------
+# Trace algebra and the relative semantics, as the paper states them
+# ---------------------------------------------------------------------------
+
+def chop(t1: Trace, t2: Trace) -> Trace:
+    """Semantic chop: fuse equal boundary states; undefined on mismatch."""
+    if t1.is_empty:
+        raise EmptyTraceError("chop requires non-empty left trace")
+    if t2.is_empty:
+        raise EmptyTraceError("chop requires non-empty right trace")
+    if t1.last() != t2.first():
+        raise ChopUndefined(t1.last(), t2.first())
+    return Trace(t1.entries[:-1] + t2.entries)
+
+
+def concat(t1: Trace, t2: Trace) -> Trace:
+    return Trace(t1.entries + t2.entries)
+
+
+_FRESH_RE = re.compile(r"#(\d+)$")
+
+
+def counters_from_trace(trace: Trace):
+    """(next call id, last fresh-name suffix) a run continuing trace starts
+    from: past every call id and res variable, and every name#k, in it."""
+    next_id = 0
+    next_fresh = 0
+    for entry in trace.entries:
+        if isinstance(entry, CallEv):
+            next_id = max(next_id, entry.call_id + 1)
+        elif isinstance(entry, (PushEv, PopEv)) and entry.ctx.call_id is not None:
+            next_id = max(next_id, entry.ctx.call_id + 1)
+        elif isinstance(entry, State):
+            for name in entry.bindings():
+                if name.startswith("res") and name[3:].isdigit():
+                    next_id = max(next_id, int(name[3:]) + 1)
+                m = _FRESH_RE.search(name)
+                if m:
+                    next_fresh = max(next_fresh, int(m.group(1)))
+    return next_id, next_fresh
+
+
+def semantics(item, trace: Trace, table, fuel: int = DEFAULT_FUEL) -> Trace:
+    """Relative semantics [[item]](trace): the appended suffix.
+
+    The suffix shares its first state with trace's last; the full run is
+    trace ** suffix.  Counters continue from the ids already in trace.
+    """
+    machine = run_cont(trace, item, table, fuel, *counters_from_trace(trace))
+    return Trace(machine.entries[len(trace.entries) - 1:])
+
+
+def parse_formula(text: str):
+    """Parse a single formula, verifying arities and closedness rules."""
+    ts = TokenStream(tokenize(text))
+    f = _parse_formula_or(ts)
+    if ts.peek().kind != "eof":
+        ts.error("trailing input after formula")
+    check_formula(f, {})
+    return f
+
+
+# ---------------------------------------------------------------------------
+# Reference interpreter: evaluation, substitution and steps as isinstance
+# chains that rebuild every node, against which the type-keyed tables and
+# the shared substitution results are checked
+# ---------------------------------------------------------------------------
+
+def eval_expr_reference(state: State, e, env=None):
+    """eval_expr as one isinstance chain, with logical variables first."""
+    if isinstance(e, IntLit):
+        return e.value
+    if isinstance(e, BoolLit):
+        return e.value
+    if isinstance(e, Var):
+        if env and e.name in env:
+            return env[e.name]
+        if e.name in state:
+            return state.get(e.name)
+        raise UndefinedVariable(e.name)
+    if isinstance(e, ResVar):
+        idx = eval_expr_reference(state, e.index, env)
+        return state.get(res_name(idx))
+    if isinstance(e, Unary):
+        v = eval_expr_reference(state, e.operand, env)
+        return -v if e.op == "-" else (not v)
+    if isinstance(e, Binary):
+        l = eval_expr_reference(state, e.left, env)
+        if e.op == "&&":
+            return bool(l) and bool(eval_expr_reference(state, e.right, env))
+        if e.op == "||":
+            return bool(l) or bool(eval_expr_reference(state, e.right, env))
+        r = eval_expr_reference(state, e.right, env)
+        if e.op == "+":
+            return l + r
+        if e.op == "-":
+            return l - r
+        if e.op == "*":
+            return l * r
+        if e.op == "==":
+            return l == r
+        if e.op == "!=":
+            return l != r
+        if e.op == "<":
+            return l < r
+        if e.op == "<=":
+            return l <= r
+        if e.op == ">":
+            return l > r
+        if e.op == ">=":
+            return l >= r
+    raise TraceError(f"cannot evaluate {e!r}")
+
+
+def subst_vars_oracle(e, mapping: dict):
+    """Substitute mapping[v] for every Var(v), rebuilding every inner node."""
+    if isinstance(e, Var):
+        return mapping.get(e.name, e)
+    if isinstance(e, ResVar):
+        return ResVar(subst_vars_oracle(e.index, mapping))
+    if isinstance(e, Unary):
+        return Unary(e.op, subst_vars_oracle(e.operand, mapping))
+    if isinstance(e, Binary):
+        return Binary(e.op, subst_vars_oracle(e.left, mapping),
+                      subst_vars_oracle(e.right, mapping))
+    return e
+
+
+def subst_stmt_oracle(s, name: str, replacement):
+    """subst_stmt rebuilding every statement it passes through."""
+    sub = lambda e: subst_vars_oracle(e, {name: replacement})   # noqa: E731
+    if isinstance(s, Skip):
+        return s
+    if isinstance(s, Assign):
+        tgt = s.target
+        if isinstance(tgt, Var) and tgt.name == name and isinstance(replacement, Var):
+            tgt = replacement
+        return Assign(tgt, sub(s.expr))
+    if isinstance(s, CallAssign):
+        tgt = s.target
+        if tgt.name == name and isinstance(replacement, Var):
+            tgt = replacement
+        return CallAssign(tgt, s.proc, sub(s.arg))
+    if isinstance(s, Call):
+        return Call(s.proc, sub(s.arg))
+    if isinstance(s, If):
+        return If(sub(s.cond), subst_stmt_oracle(s.body, name, replacement))
+    if isinstance(s, While):
+        return While(sub(s.cond), subst_stmt_oracle(s.body, name, replacement))
+    if isinstance(s, Seq):
+        return Seq(subst_stmt_oracle(s.first, name, replacement),
+                   subst_stmt_oracle(s.second, name, replacement))
+    if isinstance(s, Scope):
+        if name in s.decls:
+            return s
+        return Scope(s.decls, subst_stmt_oracle(s.body, name, replacement))
+    if isinstance(s, Return):
+        return Return(sub(s.expr))
+    raise TypeError(f"not a statement: {s!r}")
+
+
+def _then(first, second):
+    if first is None:
+        return second
+    if second is None:
+        return first
+    if isinstance(first, UpStmt):
+        return UpStmt(first.atoms, _then(first.stmt, second))
+    return Seq(first, second)
+
+
+class ReferenceMachine(Machine):
+    """The machine with each step classified by three end tests, local
+    evaluation as an isinstance chain, a loop unfolded into
+    ``if (cond) { body; loop }`` on every turn, and the oracle's evaluation
+    and substitution."""
+
+    def extend(self, tr: Trace):
+        last, first = self.entries[-1], tr.first()
+        if last != first:
+            raise ChopUndefined(last, first)
+        nest(self.ctxs, tr.entries)
+        self.entries += tr.entries[1:]
+
+    def ends_in(self, kind) -> bool:
+        e = self.entries
+        return len(e) >= 2 and isinstance(e[-2], kind)
+
+    @property
+    def done(self) -> bool:
+        return self.cont is None and not self.ends_in(CallEv) and not self.ends_in(RetEv)
+
+    def step(self):
+        if self.done:
+            raise RunError("no rule applies to a final configuration")
+        if self.fuel <= 0:
+            raise FuelExhausted(self.trace)
+        self.fuel -= 1
+        entries = self.entries
+        if self.ends_in(CallEv):
+            ev = entries[-2]
+            proc = lookup(ev.proc, self.table)
+            inlined = subst_stmt_oracle(proc.body, proc.param, IntLit(ev.arg))
+            self.extend(event_trace(entries[-1], PushEv(Ctx(ev.proc, ev.call_id))))
+            self.cont = _then(inlined, self.cont)
+            return
+        if self.ends_in(RetEv):
+            ev = entries[-2]
+            if not self.ctxs:
+                raise RunError("return event outside any call context")
+            ctx = self.ctxs[-1]
+            after = entries[-1].set(res_name(ctx.call_id), ev.value)
+            entries.append(after)
+            self.extend(event_trace(after, PopEv(ctx)))
+            return
+        tr, cont = self.local_eval(entries[-1], self.cont)
+        self.extend(tr)
+        self.cont = cont
+
+    def local_eval(self, state: State, item):
+        if isinstance(item, UpStmt):
+            return self.eval_update_head(state, item)
+        return self.eval_stmt(state, item)
+
+    def eval_stmt(self, state: State, s):
+        ev = eval_expr_reference
+        if isinstance(s, Skip):
+            return singleton(state), None
+        if isinstance(s, Assign):
+            if isinstance(s.target, ResVar):
+                return singleton(state), None
+            return Trace((state, state.set(s.target.name, ev(state, s.expr)))), None
+        if isinstance(s, CallAssign):
+            cid = self.alloc_call_id(state)
+            tr = event_trace(state, CallEv(s.proc, ev(state, s.arg), cid))
+            return tr, Assign(s.target, ResVar(IntLit(cid)))
+        if isinstance(s, Call):
+            cid = self.alloc_call_id(state)
+            return event_trace(state, CallEv(s.proc, ev(state, s.arg), cid)), None
+        if isinstance(s, If):
+            return singleton(state), s.body if ev(state, s.cond) else None
+        if isinstance(s, While):
+            return self.eval_stmt(state, If(s.cond, Seq(s.body, s)))
+        if isinstance(s, Seq):
+            tr, cont = self.local_eval(state, s.first)
+            return tr, _then(cont, s.second)
+        if isinstance(s, Scope):
+            if s.decls:
+                name = s.decls[0]
+                fresh = self.fresh_var(name, state)
+                rest = Scope(s.decls[1:], subst_stmt_oracle(s.body, name, Var(fresh)))
+                return Trace((state, state.set(fresh, 0))), rest
+            return self.local_eval(state, s.body)
+        if isinstance(s, Return):
+            return event_trace(state, RetEv(ev(state, s.expr))), None
+        raise RunError(f"cannot evaluate {s!r}")
+
+    def eval_update_head(self, state: State, us: UpStmt):
+        ev = eval_expr_reference
+        atom = us.atoms[0]
+        rest = UpStmt(us.atoms[1:], us.stmt) if us.atoms[1:] else us.stmt
+        if isinstance(atom, Elem):
+            if isinstance(atom.target, ResVar):
+                return singleton(state), rest
+            return Trace((state, state.set(atom.target.name, ev(state, atom.expr)))), rest
+        if isinstance(atom, CallUpd):
+            sub = ReferenceMachine(singleton(state), CallAssign(atom.target, atom.proc, atom.arg),
+                                   self.table, self.fuel, self.next_id, self.next_fresh).run()
+            self.fuel, self.next_id, self.next_fresh = sub.fuel, sub.next_id, sub.next_fresh
+            return sub.trace, rest
+        if isinstance(atom, StartUpd):
+            arg, cid = ev(state, atom.arg), ev(state, atom.call_id)
+            self.note_call_id(cid)
+            return Trace((state, CallEv(atom.proc, arg, cid), state,
+                          PushEv(Ctx(atom.proc, cid)), state)), rest
+        if isinstance(atom, FinishUpd):
+            v, cid = ev(state, atom.arg), ev(state, atom.call_id)
+            after = state.set(res_name(cid), v)
+            return Trace((state, RetEv(v), state, after, PopEv(Ctx(atom.proc, cid)), after)), rest
+        raise RunError(f"cannot evaluate update atom {atom!r}")
+
+
+def while_source(turns: int, c: int) -> str:
+    """A two-variable counting loop of the benchmark's shape."""
+    return (f"main {{ i; s; i = 0; s = 0; "
+            f"while (i < {turns}) {{ s = s + i * {c}; i = i + 1 }} }}\n")
+
+
+def multi_proc_source(rng: random.Random, nprocs: int, main_arg: int) -> str:
+    """Procedures p0..p<nprocs-1> of the benchmark's shape: p<i> recurses on
+    k - 1 under k > 0, calls p<i-1>(1) and runs a two-turn loop."""
+    procs = []
+    for i in range(nprocs):
+        a, b, c = rng.randint(1, 5), rng.randint(0, 9), rng.randint(1, 3)
+        lines = [rng.choice([f"r = k * {a} + {b}", f"r = {b} - k", f"r = k + {a} * {b}"]),
+                 "if (k > 0) { t = p%d(k - 1); %s }" % (
+                     i, rng.choice(["r = r + t", "r = t - r", f"r = r + t * {c}"]))]
+        if i > 0:
+            lines += [f"t = p{i - 1}(1)", rng.choice([f"r = r - t * {c}", f"r = t + r"])]
+        lines.append("j = 0; while (j < 2) { r = r + j; j = j + 1 }")
+        procs.append(f"p{i}(k) {{\n  r; t; j;\n  " + ";\n  ".join(lines)
+                     + ";\n  return r\n}\n")
+    return "\n".join(procs) + f"\nmain {{ x; y; x = p{nprocs - 1}({main_arg}); y = x + 1 }}\n"
 
 
 class OracleError(Exception):

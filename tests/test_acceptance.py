@@ -9,19 +9,19 @@ import time
 import pytest
 
 from helpers import (M0_SRC, M2_EVENT_SKELETON, M2_SRC, MUTANT_SRC,
-                     RUNNING_SRC, contract_m, event_skeleton, golden_m0,
+                     RUNNING_SRC, chop, contract_m, event_skeleton, golden_m0,
                      golden_m1, member_approx, mutate_trace,
                      random_terminating_program, run_update_prefixed,
-                     running_program, spec_m)
+                     running_program, semantics, spec_m)
 from tracelet.calculus import ContractAssumption, contract_goal, dump_proof
 from tracelet.cli import validate_contract
-from tracelet.interp import run, semantics
+from tracelet.interp import run
 from tracelet.lang import (Assign, Binary, CallAssign, IntLit, ResVar, Seq,
                            Var, build_lookup, parse_program, seq)
 from tracelet.logic import (Chop, MuApp, StatePred, big_step_of, member,
                             unfold)
 from tracelet.prover import prove_auto
-from tracelet.traces import (State, Trace, chop, is_adequate, singleton,
+from tracelet.traces import (State, Trace, is_adequate, singleton,
                              CallEv, PushEv, PopEv, RetEv, Ctx)
 from tracelet.updates import CallUpd, Elem, FinishUpd, StartUpd
 

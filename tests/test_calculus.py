@@ -8,8 +8,9 @@ from collections import Counter
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from helpers import (MUTANT_SRC, dump_proof_oracle, random_terminating_program,
-                     run_update_prefixed, running_program, spec_m)
+from helpers import (MUTANT_SRC, dump_proof_oracle, parse_formula,
+                     random_terminating_program, run_update_prefixed,
+                     running_program, spec_m)
 from tracelet import calculus
 from tracelet.calculus import (ContractAssumption, Judgment, PredAssert,
                                PredGoal, RuleContext, RuleError, Sequent,
@@ -23,7 +24,7 @@ from tracelet.lang import (RESERVED, Assign, Binary, BoolLit, If, IntLit,
                            build_lookup, parse_expr, parse_program,
                            pretty_expr, tokenize)
 from tracelet.logic import (Chop, Concat, ContractSpec, MuApp, StatePred,
-                            formula_vars, member, parse_formula,
+                            formula_vars, member,
                             pretty_formula, psi)
 from tracelet.prover import (ScriptError, UnsupportedConstruct, prove_auto,
                              run_script)

@@ -11,12 +11,15 @@ from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 from helpers import (M0_SRC, MUTANT_SRC, RUNNING_SRC, OracleError, argparse_oracle,
                      contract_m, m_source)
+from tracelet import cli
 from tracelet.cli import (COMMANDS, EXIT_ERROR, EXIT_FUEL, EXIT_INADEQUATE,
                           EXIT_NOT_MEMBER, EXIT_OK, EXIT_OPEN_PROOF,
                           EXIT_PROOF_REJECTED, EXIT_VALIDATION_FAILED, CliError,
                           main, parse_args)
-from tracelet.interp import RunError
+from tracelet.interp import RunError, run
+from tracelet.lang import parse_program
 from tracelet.logic import MemberBudgetExceeded, _Member, pretty_formula
+from tracelet.traces import dump_trace
 
 
 @pytest.fixture
@@ -74,6 +77,39 @@ class TestRun:
         assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("length", [0, 1, 65535, 65536, 65537, 3 * 65536 + 7])
+def test_write_keeps_every_byte(tmp_path, length):
+    pattern = '{"state": {"x": 1}},\n[\u00e9\u4e2d]'
+    text = (pattern * (length // len(pattern) + 1))[:length]
+    path = tmp_path / "out.txt"
+    cli._write(str(path), text)
+    assert path.read_bytes() == text.encode("utf-8")
+
+
+@pytest.mark.parametrize("source", [m_source(60), "main { x; skip }"],
+                         ids=["m60-several-slices", "empty-body"])
+def test_run_file_equals_stdout_and_dump(tmp_path, capsys, source):
+    program = tmp_path / "p.tcp"
+    program.write_text(source)
+    out = tmp_path / "p.trace.json"
+    assert main(["run", str(program)]) == EXIT_OK
+    stdout = capsys.readouterr().out
+    assert main(["run", str(program), "-o", str(out)]) == EXIT_OK
+    text = dump_trace(run(parse_program(source)))
+    assert out.read_text() == stdout == text
+
+
+def test_validate_trace_file_equals_dump(work, capsys):
+    contract = gen_contract(work)
+    traces = work / "traces"
+    traces.mkdir()
+    assert main(["validate", str(work / "running.tcp"), str(contract), "--proc", "m",
+                 "--samples", "1", "--range", "7..7", "--no-proof",
+                 "--trace-dir", str(traces)]) == EXIT_OK
+    harness = parse_program(RUNNING_SRC.replace("x = m(1)", "x = m(7)"))
+    assert (traces / "m_7.trace.json").read_text() == dump_trace(run(harness))
+
+
 class TestAdequacy:
     def test_adequate_trace(self, work, capsys):
         out = work / "t.json"
@@ -112,6 +148,31 @@ def test_malformed_trace_one_line_error(work, capsys, text):
     assert main(["adequacy", str(bad)]) == EXIT_ERROR
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def nested(depth: int, inner: str, around: str) -> str:
+    left, right = around.split("@")
+    return left * depth + inner + right * depth
+
+
+@pytest.mark.parametrize("argv, files", [
+    (["run", "{dir}/p.tcp"], {"p.tcp": "main { x; x = %s }" % nested(3000, "1", "(@)")}),
+    (["run", "{dir}/p.tcp"], {"p.tcp": "main { x; x = %s }" % "+".join(["1"] * 50_000)}),
+    (["run", "{dir}/p.tcp"], {"p.tcp": "main { x; %s }" % nested(400, "x = 1", "if (x == 0) { @ }")}),
+    (["check", "{dir}/t.json", "{dir}/c.tcf"],
+     {"c.tcf": "contract c() := %s\n" % nested(3000, "[true]", "(@)")}),
+    (["check", "{dir}/t.json", "{dir}/c.tcf"],
+     {"c.tcf": "contract c() := %s\n" % " ** ".join(["[true]"] * 20_000)}),
+    (["gen-contract", "m", "--pre-base", "n == 0", "--pre-step", "n > 0",
+      "--result", nested(3000, "n", "(@)"), "--step-inv", "n - 1"], {}),
+], ids=["parens", "long-sum", "nested-ifs", "deep-formula", "long-chop", "deep-predicate"])
+def test_deep_nesting_one_line_error(tmp_path, capsys, argv, files):
+    (tmp_path / "t.json").write_text('[\n{"state": {}}\n]\n')
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert main([a.format(dir=tmp_path) for a in argv]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "nests too deeply" in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,16 +1,18 @@
-"""Import rules: unused, private and local imports, layering, and what
-importing the CLI loads."""
+"""Import rules: unused, private and local imports, layering, what
+importing the CLI loads, and no production code that only tests use."""
 
 import ast
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "tracelet"
+DEMOS = TESTS.parent / "demos"
 
 
 def unused_imports(source: str) -> list:
@@ -162,3 +164,53 @@ def test_absolute_imports_sees_every_form():
     assert absolute_imports("import os.path, json as j\nfrom dataclasses import field\n"
                           "from . import fo\nfrom .lang import record\n") == \
         {"os", "json", "dataclasses"}
+
+
+def name_refs(node) -> Counter:
+    """How often each name is read in a syntax tree, as a name or an attribute."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def definitions(tree):
+    """(qualified name, node) of every top-level function and class of a
+    module, and of every method of its classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        yield f"{node.name}.{item.name}", item
+
+
+def unreferenced(defining: dict, using: list) -> list:
+    """The definitions of the modules in defining (name -> source) whose
+    name no source in using reads outside the definition itself.  Dunder
+    methods are called by Python, so they count as used."""
+    total = sum((name_refs(ast.parse(src)) for src in using), Counter())
+    out = []
+    for module, source in defining.items():
+        for qual, node in definitions(ast.parse(source)):
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            if total[node.name] - name_refs(node)[node.name] <= 0:
+                out.append(f"{module}.{qual}")
+    return sorted(out)
+
+
+def test_no_production_code_only_tests_use():
+    """Every function, class and method of the package is used by the
+    package or a demo; what only tests need lives in tests/helpers.py."""
+    src = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    demos = [p.read_text() for p in sorted(DEMOS.glob("*.py"))]
+    assert unreferenced(src, list(src.values()) + demos) == []
+
+
+def test_detects_unreferenced_definitions():
+    lib = ("def used(): pass\ndef alone(): return alone()\n"
+           "class C:\n    def __init__(self): pass\n    def m(self): return self.n()\n"
+           "    def n(self): pass\n    @property\n    def p(self): pass\n"
+           "class Unused: pass\n")
+    user = "from lib import used, C\nused()\nC().p\n"
+    assert unreferenced({"lib": lib}, [lib, user]) == ["lib.C.m", "lib.Unused", "lib.alone"]

@@ -5,15 +5,17 @@ import random
 import pytest
 
 from helpers import (M0_SRC, M2_SRC, M2_EVENT_SKELETON, RUNNING_SRC,
-                     curr_ctx_stack, event_skeleton, golden_m0, golden_m1,
-                     random_terminating_program, run_update_prefixed)
+                     ReferenceMachine, chop, curr_ctx_stack, event_skeleton,
+                     golden_m0, golden_m1, m_source, multi_proc_source,
+                     random_linear_expr, random_terminating_program,
+                     run_update_prefixed, semantics, while_source)
 from tracelet.interp import (FuelExhausted, Machine, RunError, UpStmt,
-                             initial_state, run, run_cont, semantics)
+                             initial_state, run, run_cont)
 from tracelet.lang import (Assign, Binary, Call, CallAssign, IntLit, ResVar,
-                           Scope, Seq, Skip, Var, build_lookup, parse_program,
-                           seq)
+                           Scope, Seq, Skip, Var, While, build_lookup,
+                           parse_program, seq)
 from tracelet.traces import (CallEv, Ctx, MAIN_CTX, PopEv, PushEv, RetEv, State,
-                             Trace, chop, is_adequate, singleton)
+                             Trace, dump_trace, is_adequate, singleton)
 from tracelet.updates import CallUpd, Elem, FinishUpd, StartUpd
 
 
@@ -296,3 +298,76 @@ def test_update_prefixed_skip():
     out = run_update_prefixed((Elem(Var("x"), IntLit(1)),), Skip(),
                               singleton(sigma), table)
     assert out.entries == (sigma, sigma.set("x", 1))
+
+
+def oracle_programs():
+    """Random terminating programs, counting loops, m(n) and programs of
+    several procedures, as (id, program) pairs."""
+    rng = random.Random(101)
+    out = [(f"random-{k}", random_terminating_program(rng)) for k in range(200)]
+    out += [(f"while-{n}", parse_program(while_source(n, c))) for n, c in [(0, 1), (1, 4), (37, 3)]]
+    out += [(f"m-{n}", parse_program(m_source(n))) for n in (0, 1, 7, 30)]
+    out += [(f"procs-{k}", parse_program(multi_proc_source(random.Random(k), k, 2)))
+            for k in (1, 2, 3)]
+    out.append(("m0", parse_program(M0_SRC)))
+    return out
+
+
+def assert_agrees_with_reference(start: Trace, cont, table, fuel=100_000):
+    """The machine and the reference machine step in lockstep to the same
+    entries, open contexts, continuation and counters."""
+    m, ref = Machine(start, cont, table, fuel), ReferenceMachine(start, cont, table, fuel)
+    while not ref.done:
+        assert not m.done
+        ref.step()
+        m.step()
+        assert m.entries == ref.entries and m.ctxs == ref.ctxs and m.cont == ref.cont
+        assert (m.next_id, m.next_fresh, m.fuel) == (ref.next_id, ref.next_fresh, ref.fuel)
+    assert m.done
+    assert dump_trace(m.trace) == dump_trace(ref.trace)
+
+
+def test_run_agrees_with_reference_machine():
+    for name, p in oracle_programs():
+        start = singleton(initial_state(p))
+        ref = ReferenceMachine(start, p.main_body, build_lookup(p)).run()
+        assert run(p).entries == ref.trace.entries, name
+        assert_agrees_with_reference(start, p.main_body, build_lookup(p))
+
+
+def test_update_prefixed_runs_agree_with_reference_machine():
+    rng = random.Random(103)
+    table = build_lookup(parse_program(RUNNING_SRC))
+    for _ in range(150):
+        atoms = []
+        for _ in range(rng.randint(1, 4)):
+            kind = rng.randrange(5)
+            if kind == 0:
+                atoms.append(Elem(Var(rng.choice("xy")), random_linear_expr(rng, ["x", "y"])))
+            elif kind == 1:
+                atoms.append(CallUpd(Var(rng.choice("xy")), "m", IntLit(rng.randint(0, 3))))
+            elif kind == 2:
+                atoms.append(StartUpd("m", IntLit(rng.randint(0, 3)), IntLit(rng.randint(0, 5))))
+            elif kind == 3:
+                atoms.append(FinishUpd("m", Var("x"), IntLit(rng.randint(0, 5))))
+            else:
+                atoms.append(Elem(ResVar(IntLit(0)), IntLit(1)))
+        stmt = rng.choice([None, Skip(), Assign(Var("x"), Binary("+", Var("y"), IntLit(1))),
+                           CallAssign(Var("y"), "m", Binary("-", IntLit(2), Var("z"))),
+                           While(Binary("<", Var("x"), IntLit(3)),
+                                 Assign(Var("x"), Binary("+", Var("x"), IntLit(1))))])
+        start = singleton(State({"x": rng.randint(-1, 2), "y": 0, "z": rng.randint(0, 2)}))
+        assert_agrees_with_reference(start, UpStmt(tuple(atoms), stmt), table)
+
+
+def test_loop_continuation_built_once_per_loop():
+    p = parse_program(while_source(5, 2))
+    m = Machine(singleton(initial_state(p)), p.main_body, build_lookup(p))
+    unfolded = []
+    while not m.done:
+        loop = m.cont if isinstance(m.cont, While) else None
+        m.step()
+        if loop is not None and m.cont is not None:
+            assert m.cont == Seq(loop.body, loop)
+            unfolded.append(m.cont)
+    assert len(unfolded) == 5 and all(c is unfolded[0] for c in unfolded)

@@ -4,11 +4,13 @@ import random
 
 import pytest
 
-from helpers import M0_SRC, RUNNING_SRC, random_terminating_program
-from tracelet.lang import (Assign, CallAssign, If, IntLit, ParseError,
-                           ProcDecl, Program, Return, Scope, Seq, Skip,
-                           UnknownProcedure, Var, build_lookup, lookup,
-                           parse_program, well_formed)
+from helpers import (M0_SRC, RUNNING_SRC, random_linear_expr,
+                     random_terminating_program, subst_stmt_oracle,
+                     subst_vars_oracle)
+from tracelet.lang import (Assign, Binary, CallAssign, If, IntLit, ParseError,
+                           ProcDecl, Program, ResVar, Return, Scope, Seq, Skip,
+                           Unary, UnknownProcedure, Var, build_lookup, lookup,
+                           parse_program, subst_stmt, subst_vars, well_formed)
 
 
 class TestParse:
@@ -151,3 +153,61 @@ class TestLookup:
             table = build_lookup(p)
             for proc in p.procs:
                 assert lookup(proc.name, table) is proc
+
+
+def occurs(s, name: str) -> bool:
+    """Whether Var(name) occurs free in a statement or expression, as a
+    target or inside an expression."""
+    if isinstance(s, Var):
+        return s.name == name
+    if isinstance(s, Scope) and name in s.decls:
+        return False
+    children = [getattr(s, f) for f in type(s).__slots__]
+    return any(occurs(c, name) for c in children if not isinstance(c, (str, int, tuple)))
+
+
+class TestSubstitution:
+    NAMES = ["x", "y", "z", "a", "v", "r", "absent"]
+
+    def statements(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            p = random_terminating_program(rng)
+            yield rng, p.main_body
+            for proc in p.procs:
+                yield rng, proc.body
+                yield rng, proc.body.body
+        for src in (RUNNING_SRC, M0_SRC):
+            yield rng, parse_program(src).procs[0].body.body
+
+    def test_subst_stmt_agrees_with_oracle(self):
+        for rng, s in self.statements():
+            name = rng.choice(self.NAMES)
+            replacement = rng.choice([Var("w#1"), IntLit(rng.randint(-2, 2)),
+                                      Binary("+", Var("q"), IntLit(1))])
+            got = subst_stmt(s, name, replacement)
+            assert got == subst_stmt_oracle(s, name, replacement)
+            if not occurs(s, name):
+                assert got is s
+
+    def test_subst_vars_agrees_with_oracle(self):
+        rng = random.Random(12)
+        for _ in range(500):
+            e = random_linear_expr(rng, ["x", "y", "z"], depth=3)
+            if rng.random() < 0.3:
+                e = Binary("<", ResVar(e), Unary("-", Var("y")))
+            mapping = {n: IntLit(rng.randint(0, 3)) for n in rng.sample("xyq", rng.randint(0, 2))}
+            got = subst_vars(e, mapping)
+            assert got == subst_vars_oracle(e, mapping)
+            if not any(occurs(e, n) for n in mapping):
+                assert got is e
+
+    def test_shadowed_name_is_left_alone(self):
+        s = Scope(("x",), Assign(Var("x"), Var("x")))
+        assert subst_stmt(s, "x", IntLit(1)) is s
+        assert subst_stmt(Seq(Skip(), s), "x", IntLit(1)).second is s
+
+    def test_unchanged_children_are_shared(self):
+        left, right = Assign(Var("y"), IntLit(1)), Assign(Var("x"), Var("x"))
+        got = subst_stmt(Seq(left, right), "x", Var("x'"))
+        assert got == Seq(left, Assign(Var("x'"), Var("x'"))) and got.first is left

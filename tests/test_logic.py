@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (MUTANT_SRC, RUNNING_SRC, contract_m, golden_m0,
-                     golden_m1, m_source, member_approx, mutate_trace, spec_m)
+                     golden_m1, m_source, member_approx, mutate_trace,
+                     parse_formula, spec_m)
 from tracelet import logic
 from tracelet.interp import run
 from tracelet.lang import (Binary, BoolLit, IntLit, ParseError, ResVar, Var,
@@ -17,7 +18,7 @@ from tracelet.logic import (And, Chop, Concat, ContractSpec, FinishEvF,
                             _Member, big_step_of, check_formula,
                             contract_file_text, eval_pred, formula_vars,
                             is_psi, make_contract, member, no_event_chop,
-                            parse_contract_file, parse_formula,
+                            parse_contract_file,
                             pretty_formula, psi, substitute, unfold)
 from tracelet.traces import (CallEv, State, Trace, event_trace, is_state,
                              singleton)

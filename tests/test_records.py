@@ -9,13 +9,13 @@ from pathlib import Path
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
-from helpers import contract_m, random_linear_expr, random_terminating_program
+from helpers import (contract_m, parse_formula, random_linear_expr,
+                     random_terminating_program)
 from tracelet.calculus import (ContractAssumption, ContractGoal, Judgment,
                                PredAssert, PredGoal)
 from tracelet.cli import SampleResult
 from tracelet.lang import BoolLit, IntLit, ResVar, Scope, Unary, Var
-from tracelet.logic import (And, Chop, Concat, Fresh, Or, parse_formula,
-                            pretty_formula)
+from tracelet.logic import And, Chop, Concat, Fresh, Or, pretty_formula
 from tracelet.traces import Ctx
 from tracelet.updates import CallUpd, Elem, FinishUpd, StartUpd
 

@@ -7,17 +7,19 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import (curr_ctx_stack, dump_trace_oracle, eval_expr_oracle,
-                     golden_m0, golden_m1, load_trace_oracle, m_source,
-                     mutate_trace, random_linear_expr,
+from helpers import (chop, concat, curr_ctx_stack, dump_trace_oracle,
+                     eval_expr_oracle, eval_expr_reference, golden_m0,
+                     golden_m1, load_trace_oracle,
+                     m_source, mutate_trace, parse_formula, random_linear_expr,
                      random_terminating_program, running_program)
 from tracelet import traces
 from tracelet.interp import run
-from tracelet.lang import Binary, IntLit, Var, parse_program
-from tracelet.logic import member, parse_formula, psi
+from tracelet.lang import (Binary, BoolLit, IntLit, ResVar, Unary, Var,
+                           parse_program)
+from tracelet.logic import member, psi
 from tracelet.traces import (CallEv, ChopUndefined, Ctx, EmptyTraceError,
                              MAIN_CTX, PopEv, PushEv, RetEv, State, Trace,
-                             TraceError, chop, concat, dump_trace, eval_expr,
+                             TraceError, dump_trace, eval_expr,
                              event_trace, is_adequate, is_state, load_trace,
                              nest, singleton)
 
@@ -47,6 +49,43 @@ class TestStates:
             st = State({n: rng.randint(-9, 9) for n in "abc"})
             e = random_linear_expr(rng, ["a", "b", "c"], depth=3)
             assert eval_expr(st, e) == eval_expr_oracle(st, e)
+
+    def test_eval_agrees_with_reference_evaluator(self):
+        # u is never bound and n only in env: && and || must not evaluate
+        # their right operand once the left one decides
+        rng = random.Random(8)
+        names = ["a", "b", "u", "n"]
+
+        def term(depth):
+            if rng.random() < 0.15:
+                return ResVar(IntLit(rng.randint(0, 1)))
+            e = random_linear_expr(rng, names, depth)
+            return Unary("-", e) if rng.random() < 0.1 else e
+
+        def cond(depth):
+            roll = rng.random()
+            if depth == 0 or roll < 0.4:
+                return Binary(rng.choice(["==", "!=", "<", "<=", ">", ">="]), term(1), term(1))
+            if roll < 0.5:
+                return Unary("!", cond(depth - 1))
+            if roll < 0.55:
+                return BoolLit(rng.random() < 0.5)
+            return Binary(rng.choice(["&&", "||"]), cond(depth - 1), cond(depth - 1))
+
+        outcomes = set()
+        for _ in range(3000):
+            st = State({"a": rng.randint(-2, 2), "b": rng.randint(-2, 2), "res0": rng.randint(-2, 2)})
+            env = {"n": rng.randint(-2, 2)} if rng.random() < 0.5 else None
+            e = cond(3) if rng.random() < 0.7 else term(3)
+            results = []
+            for evaluate in (eval_expr, eval_expr_reference):
+                try:
+                    results.append(evaluate(st, e, env))
+                except TraceError as err:
+                    results.append((type(err), str(err)))
+            assert results[0] == results[1] and type(results[0]) is type(results[1]), e
+            outcomes.add(type(results[0]))
+        assert outcomes == {bool, int, tuple}
 
     def test_random_update_roundtrip(self):
         rng = random.Random(3)
