@@ -15,16 +15,14 @@ from json.encoder import encode_basestring_ascii as _esc
 from typing import Dict, List, Optional, Tuple, Union
 
 from . import fo
-from .lang import (Assign, Binary, Call, CallAssign, Expr, If, IntLit,
+from .lang import (Assign, Binary, CallAssign, Expr, Fresh, If, IntLit,
                    LookupTable, Program, ResVar, Return, Scope, Seq, Skip,
                    Stmt, Var, While, build_lookup, expr_vars, fold_expr,
-                   lookup, pretty_expr, record, subst_expr, subst_res_expr,
-                   subst_stmt)
-from .logic import (And, ContractSpec, FinishEvF, Formula, Fresh, Mu, MuApp,
-                    Or, RecApp, StartEvF, StatePred, flatten_chain,
-                    formula_vars, is_psi, join_chain, make_contract,
-                    map_terms, pretty_formula, pretty_term, subst_term,
-                    unfold)
+                   lookup, pretty_expr, record, subst_stmt, subst_vars)
+from .logic import (And, ContractSpec, FinishEvF, Formula, Mu, MuApp, Or,
+                    RecApp, StartEvF, StatePred, flatten_chain, formula_vars,
+                    is_psi, join_chain, make_contract, map_terms,
+                    pretty_formula, unfold)
 from .traces import MAIN_CTX, MalformedNesting
 from .updates import (CallUpd, Elem, FinishUpd, StartUpd, Update, UpdateAtom,
                       UpdateApplicationError, apply_update_expr,
@@ -159,8 +157,6 @@ def _stmt_names(s: Optional[Stmt]) -> set:
         return base
     if isinstance(s, CallAssign):
         return {s.target.name} | expr_vars(s.arg)
-    if isinstance(s, Call):
-        return expr_vars(s.arg)
     if isinstance(s, (If, While)):
         return expr_vars(s.cond) | _stmt_names(s.body)
     if isinstance(s, Seq):
@@ -179,8 +175,6 @@ def _update_names(update: Update) -> set:
         w = update_writes(atom)
         if w:
             out.add(w)
-        if isinstance(atom, Elem) and isinstance(atom.target, ResVar):
-            out |= expr_vars(atom.target.index)
     return out
 
 
@@ -295,8 +289,10 @@ def _instantiate_fresh(f: Formula, taken: set,
 
 def _subst_atom(a: UpdateAtom, name: str, e: Expr) -> UpdateAtom:
     """Substitute e for name in an update atom, folding each expression."""
+    mapping = {name: e}
+
     def sub(x):
-        return fold_expr(subst_expr(x, name, e))
+        return fold_expr(subst_vars(x, mapping))
 
     if isinstance(a, Elem):
         tgt = a.target
@@ -310,7 +306,8 @@ def _subst_atom(a: UpdateAtom, name: str, e: Expr) -> UpdateAtom:
 
 def _subst_judgment_var(j: Judgment, name: str, replacement: Expr) -> Judgment:
     stmt = subst_stmt(j.stmt, name, replacement) if j.stmt is not None else None
-    formula = map_terms(j.formula, lambda t: subst_term(t, {name: replacement}))
+    mapping = {name: replacement}
+    formula = map_terms(j.formula, lambda t: subst_vars(t, mapping))
     return Judgment(tuple(_subst_atom(a, name, replacement) for a in j.update),
                     stmt, formula)
 
@@ -513,7 +510,7 @@ def _rule_procedure_contract(seq, args, ctx):
     taken.add(i_p)
     update, inlined = inline(proc_name, Var(n_p), Var(i_p), ctx.table, taken)
     formula = MuApp(c.phi, (Var(n_p), Var(i_p)))
-    gamma = (PredAssert(subst_expr(c.pre, ContractSpec.PARAM, Var(n_p))),) + \
+    gamma = (PredAssert(subst_vars(c.pre, {ContractSpec.PARAM: Var(n_p)})),) + \
         _contract_gamma(ctx)
     return [Sequent(gamma, Judgment(update, inlined, formula))]
 
@@ -571,14 +568,15 @@ def _rule_trabs(seq, args, ctx):
     if not fo.terms_equal(t_val, call_arg):
         raise RuleError(
             f"call argument {pretty_expr(call_arg)} does not match "
-            f"occurrence argument {pretty_term(t_val)}")
+            f"occurrence argument {pretty_expr(t_val)}")
 
     phi1 = join_chain(parts[:xi])
     phi2 = join_chain([parts[xi + 1][1]] + parts[xi + 2:])
     preds = tuple(a for a in seq.gamma if isinstance(a, PredAssert))
     contracts = tuple(a for a in seq.gamma if isinstance(a, ContractAssumption))
-    pre_inst = fold_expr(subst_expr(c.pre, ContractSpec.PARAM, call_arg))
-    f_call = fold_expr(subst_expr(c.result, ContractSpec.PARAM, call_arg))
+    param = {ContractSpec.PARAM: call_arg}
+    pre_inst = fold_expr(subst_vars(c.pre, param))
+    f_call = fold_expr(subst_vars(c.result, param))
     res_k = ResVar(t_id)
     third_gamma = (PredAssert(Binary("==", res_k, f_call)),) + contracts
     return [
@@ -691,23 +689,23 @@ def _rule_apply_eq_rigid(seq, args, ctx):
 
 
 def _subst_judgment_res(j: Judgment, index: Expr, replacement: Expr) -> Judgment:
+    # the kernel rewrites right-hand sides only: never a target or a call id
+    mapping = {ResVar(index): replacement}
+
+    def sub(x):
+        return fold_expr(subst_vars(x, mapping))
+
     def atom(a):
         if isinstance(a, Elem):
-            return Elem(a.target, fold_expr(subst_res_expr(a.expr, index, replacement)))
+            return Elem(a.target, sub(a.expr))
         if isinstance(a, CallUpd):
-            return CallUpd(a.target, a.proc,
-                           fold_expr(subst_res_expr(a.arg, index, replacement)))
-        return type(a)(a.proc, fold_expr(subst_res_expr(a.arg, index, replacement)),
-                       a.call_id)
-
-    def term(t):
-        if isinstance(t, Fresh):
-            return Fresh(term(t.arg))
-        return subst_res_expr(t, index, replacement)
+            return CallUpd(a.target, a.proc, sub(a.arg))
+        return type(a)(a.proc, sub(a.arg), a.call_id)
 
     if j.stmt is not None:
         raise RuleError("result-variable equalities apply after execution finished")
-    return Judgment(tuple(atom(a) for a in j.update), None, map_terms(j.formula, term))
+    formula = map_terms(j.formula, lambda t: subst_vars(t, mapping))
+    return Judgment(tuple(atom(a) for a in j.update), None, formula)
 
 
 def _event_formula_matches(atom, part, update_prefix) -> Optional[Expr]:

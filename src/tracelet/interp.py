@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from typing import Optional, Tuple, Union
 
-from .lang import (Assign, Call, CallAssign, If, IntLit, LookupTable,
-                   Program, Return, ResVar, Scope, Seq, Skip, Stmt, Var,
-                   While, build_lookup, lookup, record, subst_stmt)
+from .lang import (Assign, CallAssign, If, IntLit, LookupTable, Program,
+                   Return, ResVar, Scope, Seq, Skip, Stmt, Var, While,
+                   build_lookup, lookup, record, subst_stmt)
 from .traces import (CallEv, ChopUndefined, Ctx, PopEv, PushEv, RetEv, State,
                      Trace, event_trace, eval_expr, nest, res_name, singleton)
 from .updates import (CallUpd, Elem, FinishUpd, StartUpd, UpdateAtom,
@@ -139,11 +139,6 @@ class Machine:
         arg = eval_expr(state, s.arg)
         return event_trace(state, CallEv(s.proc, arg, cid)), Assign(s.target, ResVar(IntLit(cid)))
 
-    def _call(self, state: State, s: Call) -> Tuple[Trace, Cont]:
-        cid = self.alloc_call_id(state)
-        arg = eval_expr(state, s.arg)
-        return event_trace(state, CallEv(s.proc, arg, cid)), None
-
     def _if(self, state: State, s: If) -> Tuple[Trace, Cont]:
         return singleton(state), s.body if eval_expr(state, s.cond) else None
 
@@ -204,7 +199,7 @@ class Machine:
             return tr, rest
         raise RunError(f"cannot evaluate update atom {atom!r}")
 
-    _LOCAL = {Skip: _skip, Assign: _assign, CallAssign: _call_assign, Call: _call,
+    _LOCAL = {Skip: _skip, Assign: _assign, CallAssign: _call_assign,
               If: _if, While: _while, Seq: _seq, Scope: _scope, Return: _return,
               UpStmt: _update_head}
 

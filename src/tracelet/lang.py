@@ -102,7 +102,8 @@ class ParseError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Expressions (shared by programs, predicates and update right-hand sides)
+# Expressions (shared by programs, predicates, update right-hand sides and
+# contract terms)
 # ---------------------------------------------------------------------------
 
 ARITH_OPS = ("+", "-", "*")
@@ -145,6 +146,22 @@ class ResVar:
 
 
 @record(frozen=True)
+class Fresh:
+    """fresh(i): a call identifier fresh for the enclosing ones.
+
+    It stands only as a whole argument of a contract formula, never in a
+    program.  During membership checking it is matched existentially
+    against the call identifiers occurring in the segment; the calculus
+    instead instantiates it with a fresh rigid symbol at unfold time.
+    """
+
+    arg: "Expr"
+
+    def __str__(self):
+        return f"fresh({pretty_expr(self.arg)})"
+
+
+@record(frozen=True)
 class Unary:
     op: str  # '-' or '!'
     operand: "Expr"
@@ -163,7 +180,7 @@ class Binary:
         return pretty_expr(self)
 
 
-Expr = Union[IntLit, BoolLit, Var, ResVar, Unary, Binary]
+Expr = Union[IntLit, BoolLit, Var, ResVar, Fresh, Unary, Binary]
 
 _PREC = {"||": 1, "&&": 2, "==": 3, "!=": 3, "<": 3, "<=": 3, ">": 3, ">=": 3,
          "+": 4, "-": 4, "*": 5}
@@ -171,7 +188,7 @@ _PREC = {"||": 1, "&&": 2, "==": 3, "!=": 3, "<": 3, "<=": 3, ">": 3, ">=": 3,
 
 def pretty_expr(e: Expr, min_prec: int = 0) -> str:
     """Minimal-parentheses rendering; reparses to the same tree."""
-    if isinstance(e, (IntLit, BoolLit, Var)):
+    if isinstance(e, (IntLit, BoolLit, Var, Fresh)):
         return str(e)
     if isinstance(e, ResVar):
         return f"res({pretty_expr(e.index)})"
@@ -193,11 +210,15 @@ def expr_vars(e: Expr) -> set:
         return expr_vars(e.left) | expr_vars(e.right)
     if isinstance(e, ResVar):
         return expr_vars(e.index)
+    if isinstance(e, Fresh):
+        return expr_vars(e.arg)
     return set()
 
 
 def subst_vars(e: Expr, mapping: dict) -> Expr:
-    """Substitute mapping[v] for every occurrence of Var(v), all at once.
+    """Substitute, all at once, mapping[v] for every occurrence of Var(v)
+    and mapping[r] for every res(...) node equal to a key r; res indices
+    compare structurally.
 
     A subtree with nothing to substitute is returned as it is: records are
     immutable, so the result may share it.
@@ -212,27 +233,14 @@ def subst_vars(e: Expr, mapping: dict) -> Expr:
         inner = subst_vars(e.operand, mapping)
         return e if inner is e.operand else Unary(e.op, inner)
     if kind is ResVar:
+        got = mapping.get(e)
+        if got is not None:
+            return got
         inner = subst_vars(e.index, mapping)
         return e if inner is e.index else ResVar(inner)
-    return e
-
-
-def subst_expr(e: Expr, name: str, replacement: Expr) -> Expr:
-    """Substitute replacement for every free occurrence of Var(name)."""
-    return subst_vars(e, {name: replacement})
-
-
-def subst_res_expr(e: Expr, index: Expr, replacement: Expr) -> Expr:
-    """Substitute replacement for res(index); indices compared structurally."""
-    if isinstance(e, ResVar):
-        if e.index == index:
-            return replacement
-        return ResVar(subst_res_expr(e.index, index, replacement))
-    if isinstance(e, Unary):
-        return Unary(e.op, subst_res_expr(e.operand, index, replacement))
-    if isinstance(e, Binary):
-        return Binary(e.op, subst_res_expr(e.left, index, replacement),
-                      subst_res_expr(e.right, index, replacement))
+    if kind is Fresh:
+        inner = subst_vars(e.arg, mapping)
+        return e if inner is e.arg else Fresh(inner)
     return e
 
 
@@ -296,17 +304,6 @@ class CallAssign:
 
 
 @record(frozen=True)
-class Call:
-    """Bare procedure call; internal form used by contract judgments."""
-
-    proc: str
-    arg: Expr
-
-    def __str__(self):
-        return f"{self.proc}({self.arg})"
-
-
-@record(frozen=True)
 class If:
     cond: Expr
     body: "Stmt"
@@ -351,7 +348,7 @@ class Return:
         return f"return {self.expr}"
 
 
-Stmt = Union[Skip, Assign, CallAssign, Call, If, While, Seq, Scope, Return]
+Stmt = Union[Skip, Assign, CallAssign, If, While, Seq, Scope, Return]
 
 
 def seq(parts) -> Stmt:
@@ -398,9 +395,6 @@ def subst_stmt(s: Stmt, name: str, replacement: Expr) -> Stmt:
     if kind is Return:
         expr = subst_vars(s.expr, mapping)
         return s if expr is s.expr else Return(expr)
-    if kind is Call:
-        arg = subst_vars(s.arg, mapping)
-        return s if arg is s.arg else Call(s.proc, arg)
     if kind is Skip:
         return s
     raise TypeError(f"not a statement: {s!r}")
@@ -856,17 +850,16 @@ def _check_stmt(s: Stmt, scope: set, locals_only: Optional[set], table: dict,
                                         f"procedure writes non-local variable {name!r}", where))
             _check_expr(item.expr, scope, "int", diags, where)
             continue
-        if isinstance(item, (CallAssign, Call)):
+        if isinstance(item, CallAssign):
             if item.proc not in table:
                 diags.append(Diagnostic("unknown-procedure", f"call to unknown {item.proc!r}", where))
             _check_expr(item.arg, scope, "int", diags, where)
-            if isinstance(item, CallAssign):
-                name = item.target.name
-                if name not in scope:
-                    diags.append(Diagnostic("undeclared", f"assignment to undeclared {name!r}", where))
-                elif locals_only is not None and name not in locals_only:
-                    diags.append(Diagnostic("side-effect",
-                                            f"procedure writes non-local variable {name!r}", where))
+            name = item.target.name
+            if name not in scope:
+                diags.append(Diagnostic("undeclared", f"assignment to undeclared {name!r}", where))
+            elif locals_only is not None and name not in locals_only:
+                diags.append(Diagnostic("side-effect",
+                                        f"procedure writes non-local variable {name!r}", where))
             continue
         if isinstance(item, If) or isinstance(item, While):
             _check_expr(item.cond, scope, "bool", diags, where)

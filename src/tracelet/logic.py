@@ -32,8 +32,9 @@ loop, bounded by a static record per node (``_shape``):
   ``startEv`` whose id is a parameter, a ``fresh(...)`` argument for that
   parameter is the id of the call at lo+1, not every id in the segment.
 
-Terms are arithmetic over logical variables, evaluated by
-``traces.eval_expr``; ``fresh(...)`` is the one case of their own.
+Terms are expressions: arithmetic over logical variables, read by
+``lang.parse_expr`` and evaluated by ``traces.eval_expr``, or ``fresh(...)``
+of one as a whole argument (``lang.Fresh``).
 
 ``children``/``rebuild`` is the one generic traversal of the formula AST:
 free variables, term maps, substitution and arity checks are written on
@@ -50,9 +51,9 @@ from functools import cached_property
 from itertools import product
 from typing import NamedTuple, Optional, Tuple, Union
 
-from .lang import (Binary, Expr, IntLit, ResVar, TokenStream, Unary, Var,
-                   expr_vars, parse_expr, pretty_expr, record, subst_vars,
-                   tokenize)
+from .lang import (ARITH_OPS, Binary, Expr, Fresh, IntLit, ParseError, ResVar,
+                   TokenStream, Unary, Var, expr_vars, parse_expr, pretty_expr,
+                   record, subst_vars, tokenize)
 from .traces import (CallEv, PopEv, PushEv, RetEv, State, Trace,
                      UndefinedVariable, eval_expr, event_involves, is_state,
                      res_name, ret_owners)
@@ -71,43 +72,8 @@ MEMBER_BUDGET = 500_000
 
 
 # ---------------------------------------------------------------------------
-# Terms: expressions over logical variables, plus the fresh-id marker
+# Terms: arithmetic expressions over logical variables, or fresh(...)
 # ---------------------------------------------------------------------------
-
-@record(frozen=True)
-class Fresh:
-    """#(i): a call identifier fresh for the enclosing ones.
-
-    During membership checking it is matched existentially against the
-    call identifiers occurring in the segment; the calculus instead
-    instantiates it with a fresh rigid symbol at unfold time.
-    """
-
-    arg: "Term"
-
-    def __str__(self):
-        return f"fresh({pretty_term(self.arg)})"
-
-
-Term = Union[Expr, Fresh]
-
-
-def pretty_term(t: Term) -> str:
-    if isinstance(t, Fresh):
-        return str(t)
-    return pretty_expr(t)
-
-
-def term_vars(t: Term) -> set:
-    return term_vars(t.arg) if isinstance(t, Fresh) else expr_vars(t)
-
-
-def subst_term(t: Term, mapping: dict) -> Term:
-    """Substitute mapping[v] for every variable v of t, all at once."""
-    if isinstance(t, Fresh):
-        return Fresh(subst_term(t.arg, mapping))
-    return subst_vars(t, mapping)
-
 
 class _FreshValue:
     """Placeholder produced when a fresh(...) term is evaluated."""
@@ -121,7 +87,7 @@ class _FreshValue:
 _NO_STATE = State()
 
 
-def eval_term(t: Term, env: dict):
+def eval_term(t: Expr, env: dict):
     """A term's value under env; a fresh(...) term yields a marker."""
     if isinstance(t, Fresh):
         return _FreshValue(id(t))
@@ -153,21 +119,21 @@ class NoEv:
 @record(frozen=True)
 class StartEvF:
     proc: str
-    arg: Term
-    call_id: Term
+    arg: Expr
+    call_id: Expr
 
     def __repr__(self):
-        return f"startEv({self.proc}, {pretty_term(self.arg)}, {pretty_term(self.call_id)})"
+        return f"startEv({self.proc}, {pretty_expr(self.arg)}, {pretty_expr(self.call_id)})"
 
 
 @record(frozen=True)
 class FinishEvF:
     proc: str
-    arg: Term
-    call_id: Term
+    arg: Expr
+    call_id: Expr
 
     def __repr__(self):
-        return f"finishEv({self.proc}, {pretty_term(self.arg)}, {pretty_term(self.call_id)})"
+        return f"finishEv({self.proc}, {pretty_expr(self.arg)}, {pretty_expr(self.call_id)})"
 
 
 @record(frozen=True)
@@ -200,7 +166,7 @@ class RecApp:
     args: tuple
 
     def __repr__(self):
-        return f"{self.name}({', '.join(pretty_term(a) for a in self.args)})"
+        return f"{self.name}({', '.join(pretty_expr(a) for a in self.args)})"
 
 
 class Mu:
@@ -294,7 +260,7 @@ def formula_vars(f: Formula, binders: bool = False) -> set:
     subs, terms = children(f)
     out = set()
     for t in terms:
-        out |= term_vars(t)
+        out |= expr_vars(t)
     for g in subs:
         out |= formula_vars(g, binders)
     return out
@@ -432,7 +398,7 @@ def _subst_formula(f: Formula, mapping: dict, rec_name: str, mu: Optional[Mu]) -
         inner_map = {k: v for k, v in mapping.items() if k not in f.params}
         captured = set()
         for t in inner_map.values():
-            captured |= term_vars(t)
+            captured |= expr_vars(t)
         if captured & set(f.params):
             raise LogicError(f"substitution would capture a parameter of {f.name}")
         inner_rec = None if f.name == rec_name else rec_name
@@ -441,10 +407,10 @@ def _subst_formula(f: Formula, mapping: dict, rec_name: str, mu: Optional[Mu]) -
         return Mu(f.name, f.params, body)
     subs, terms = children(f)
     if isinstance(f, StatePred) and any(isinstance(mapping.get(v), Fresh)
-                                        for v in term_vars(f.pred)):
+                                        for v in expr_vars(f.pred)):
         raise LogicError("fresh(...) cannot appear inside state predicates")
     subs = tuple(_subst_formula(g, mapping, rec_name, mu) for g in subs)
-    terms = tuple(subst_term(t, mapping) for t in terms)
+    terms = tuple(subst_vars(t, mapping) for t in terms)
     if isinstance(f, RecApp) and f.name == rec_name and mu is not None:
         return MuApp(mu, terms)
     return rebuild(f, subs, terms)
@@ -924,15 +890,46 @@ def member(trace: Trace, formula: Formula, env: Optional[dict] = None,
 # Concrete syntax (.tcf)
 # ---------------------------------------------------------------------------
 
-def _parse_term(ts: TokenStream) -> Term:
+# lang's messages for the two reserved words that mean something in a term
+_TERM_ERRORS = {"res(...) is reserved for the semantics":
+                "res(...) may only appear inside [...] predicates",
+                "reserved word 'fresh' in expression":
+                "fresh(...) must be a whole argument"}
+
+
+def _is_arith(e: Expr) -> bool:
+    if isinstance(e, Binary):
+        return e.op in ARITH_OPS and _is_arith(e.left) and _is_arith(e.right)
+    if isinstance(e, Unary):
+        return e.op == "-" and _is_arith(e.operand)
+    return isinstance(e, (IntLit, Var))
+
+
+def _parse_arith(ts: TokenStream) -> Expr:
+    """A program expression that is arithmetic: integer literals,
+    variables, unary minus and + - *."""
+    start = ts.peek()
+    try:
+        e = parse_expr(ts)
+    except ParseError as err:
+        if err.msg in _TERM_ERRORS:
+            raise ParseError(_TERM_ERRORS[err.msg], err.line, err.col) from None
+        raise
+    if not _is_arith(e):
+        raise ParseError(f"expected an arithmetic term, found {pretty_expr(e)!r}",
+                         start.line, start.col)
+    return e
+
+
+def _parse_term(ts: TokenStream) -> Expr:
     """A term; fresh(...) may only stand as a whole term."""
     if ts.at_ident("fresh"):
         ts.next()
         ts.expect_sym("(")
-        inner = _parse_term_add(ts)
+        inner = _parse_arith(ts)
         ts.expect_sym(")")
         return Fresh(inner)
-    return _parse_term_add(ts)
+    return _parse_arith(ts)
 
 
 def _parse_list(ts, item) -> tuple:
@@ -950,48 +947,6 @@ def _parse_list(ts, item) -> tuple:
 
 def _parse_name(ts) -> str:
     return ts.expect_ident().text
-
-
-def _parse_term_add(ts):
-    t = _parse_term_mul(ts)
-    while ts.at_sym("+") or ts.at_sym("-"):
-        op = ts.next().text
-        t = Binary(op, t, _parse_term_mul(ts))
-    return t
-
-
-def _parse_term_mul(ts):
-    t = _parse_term_atom(ts)
-    while ts.at_sym("*"):
-        ts.next()
-        t = Binary("*", t, _parse_term_atom(ts))
-    return t
-
-
-def _parse_term_atom(ts):
-    tok = ts.peek()
-    if ts.at_sym("-"):
-        ts.next()
-        inner = _parse_term_atom(ts)
-        if isinstance(inner, IntLit):
-            return IntLit(-inner.value)
-        return Unary("-", inner)
-    if tok.kind == "int":
-        ts.next()
-        return IntLit(int(tok.text))
-    if ts.at_sym("("):
-        ts.next()
-        t = _parse_term_add(ts)
-        ts.expect_sym(")")
-        return t
-    if tok.kind == "ident":
-        if tok.text == "fresh":
-            ts.error("fresh(...) must be a whole argument")
-        if tok.text == "res":
-            ts.error("res(...) may only appear inside [...] predicates")
-        ts.next()
-        return Var(tok.text)
-    ts.error(f"expected term, found {tok.text!r}")
 
 
 def _parse_formula_or(ts) -> Formula:
@@ -1109,7 +1064,7 @@ def pretty_formula(f: Formula, prec: int = 0) -> str:
         return f"noev({', '.join(sorted(f.exclude))})"
     if isinstance(f, (StartEvF, FinishEvF)):
         kind = "startEv" if isinstance(f, StartEvF) else "finishEv"
-        return f"{kind}({f.proc}, {pretty_term(f.arg)}, {pretty_term(f.call_id)})"
+        return f"{kind}({f.proc}, {pretty_expr(f.arg)}, {pretty_expr(f.call_id)})"
     if isinstance(f, Or):
         text = f"{pretty_formula(f.left, 1)} \\/ {pretty_formula(f.right, 2)}"
         return f"({text})" if prec > 1 else text
@@ -1134,14 +1089,14 @@ def pretty_formula(f: Formula, prec: int = 0) -> str:
         text = "".join(pieces)
         return f"({text})" if prec > 3 else text
     if isinstance(f, RecApp):
-        return f"{f.name}({', '.join(pretty_term(a) for a in f.args)})"
+        return f"{f.name}({', '.join(pretty_expr(a) for a in f.args)})"
     if isinstance(f, Mu):
         if f._text is None:
             f._text = f"mu {f.name}({', '.join(f.params)}). ({pretty_formula(f.body, 0)})"
         return f"({f._text})" if prec > 0 else f._text
     if isinstance(f, MuApp):
         mu_text = pretty_formula(f.mu, 4)
-        return f"{mu_text}({', '.join(pretty_term(a) for a in f.args)})"
+        return f"{mu_text}({', '.join(pretty_expr(a) for a in f.args)})"
     raise LogicError(f"not a formula: {f!r}")
 
 
@@ -1208,7 +1163,7 @@ def contract_file_text(spec: ContractSpec, include_big_step: bool = True) -> str
     lines = [
         f"spec {spec.proc} {{ base: [{pretty_expr(spec.pre_base)}]; "
         f"step: [{pretty_expr(spec.pre_step)}]; "
-        f"inv: {pretty_term(spec.step_inv)}; result: {pretty_term(spec.f_m)} }}",
+        f"inv: {pretty_expr(spec.step_inv)}; result: {pretty_expr(spec.f_m)} }}",
         "",
         f"contract {spec.proc}(n, i) :=",
         f"  {pretty_formula(make_contract(spec))}",

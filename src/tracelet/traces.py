@@ -241,11 +241,6 @@ class Trace:
     def is_empty(self) -> bool:
         return not self.entries
 
-    def first(self) -> State:
-        if self.is_empty:
-            raise EmptyTraceError("first of empty trace")
-        return self.entries[0]
-
     def last(self) -> State:
         if self.is_empty:
             raise EmptyTraceError("last of empty trace")

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Optional, Tuple, Union
 
 from .lang import (Expr, ResVar, Var, expr_vars, fold_expr, record,
-                   subst_expr, subst_res_expr)
+                   subst_vars)
 from .traces import Ctx, MAIN_CTX, MalformedNesting
 
 
@@ -77,13 +77,13 @@ def apply_update_expr(update: Update, e: Expr, fold: bool = True) -> Expr:
         if isinstance(atom, Elem):
             if isinstance(atom.target, ResVar):
                 continue
-            e = subst_expr(e, atom.target.name, atom.expr)
+            e = subst_vars(e, {atom.target.name: atom.expr})
         elif isinstance(atom, CallUpd):
             if atom.target.name in expr_vars(e):
                 raise UpdateApplicationError(
                     f"expression reads {atom.target.name!r}, assigned by a call update")
         elif isinstance(atom, FinishUpd):
-            e = subst_res_expr(e, atom.call_id, atom.arg)
+            e = subst_vars(e, {ResVar(atom.call_id): atom.arg})
         # StartUpd: identity on expressions
     return fold_expr(e) if fold else e
 

@@ -17,7 +17,7 @@ from tracelet import cli
 from tracelet.calculus import node_to_json
 from tracelet.interp import (DEFAULT_FUEL, FuelExhausted, Machine, RunError,
                              UpStmt, run_cont)
-from tracelet.lang import (Assign, Binary, BoolLit, Call, CallAssign, If,
+from tracelet.lang import (Assign, Binary, BoolLit, CallAssign, Fresh, If,
                            IntLit, Program, ProcDecl, ResVar, Return, Scope,
                            Seq, Skip, TokenStream, Unary, Var, While, lookup,
                            parse_program, seq, tokenize)
@@ -474,8 +474,8 @@ def chop(t1: Trace, t2: Trace) -> Trace:
         raise EmptyTraceError("chop requires non-empty left trace")
     if t2.is_empty:
         raise EmptyTraceError("chop requires non-empty right trace")
-    if t1.last() != t2.first():
-        raise ChopUndefined(t1.last(), t2.first())
+    if t1.last() != t2.entries[0]:
+        raise ChopUndefined(t1.last(), t2.entries[0])
     return Trace(t1.entries[:-1] + t2.entries)
 
 
@@ -592,6 +592,77 @@ def subst_vars_oracle(e, mapping: dict):
     return e
 
 
+def subst_res_oracle(e, index, replacement):
+    """Substitute replacement for res(index), indices compared
+    structurally, rebuilding every inner node."""
+    if isinstance(e, ResVar):
+        if e.index == index:
+            return replacement
+        return ResVar(subst_res_oracle(e.index, index, replacement))
+    if isinstance(e, Unary):
+        return Unary(e.op, subst_res_oracle(e.operand, index, replacement))
+    if isinstance(e, Binary):
+        return Binary(e.op, subst_res_oracle(e.left, index, replacement),
+                      subst_res_oracle(e.right, index, replacement))
+    return e
+
+
+def parse_term_oracle(ts: TokenStream):
+    """A contract term by a grammar of its own: + - * over integer
+    literals, unary minus, parentheses and variables, where every
+    identifier but res and fresh is a variable; fresh(...) only as the
+    whole term."""
+    if ts.at_ident("fresh"):
+        ts.next()
+        ts.expect_sym("(")
+        inner = _term_add_oracle(ts)
+        ts.expect_sym(")")
+        return Fresh(inner)
+    return _term_add_oracle(ts)
+
+
+def _term_add_oracle(ts):
+    t = _term_mul_oracle(ts)
+    while ts.at_sym("+") or ts.at_sym("-"):
+        op = ts.next().text
+        t = Binary(op, t, _term_mul_oracle(ts))
+    return t
+
+
+def _term_mul_oracle(ts):
+    t = _term_atom_oracle(ts)
+    while ts.at_sym("*"):
+        ts.next()
+        t = Binary("*", t, _term_atom_oracle(ts))
+    return t
+
+
+def _term_atom_oracle(ts):
+    tok = ts.peek()
+    if ts.at_sym("-"):
+        ts.next()
+        inner = _term_atom_oracle(ts)
+        if isinstance(inner, IntLit):
+            return IntLit(-inner.value)
+        return Unary("-", inner)
+    if tok.kind == "int":
+        ts.next()
+        return IntLit(int(tok.text))
+    if ts.at_sym("("):
+        ts.next()
+        t = _term_add_oracle(ts)
+        ts.expect_sym(")")
+        return t
+    if tok.kind == "ident":
+        if tok.text == "fresh":
+            ts.error("fresh(...) must be a whole argument")
+        if tok.text == "res":
+            ts.error("res(...) may only appear inside [...] predicates")
+        ts.next()
+        return Var(tok.text)
+    ts.error(f"expected term, found {tok.text!r}")
+
+
 def subst_stmt_oracle(s, name: str, replacement):
     """subst_stmt rebuilding every statement it passes through."""
     sub = lambda e: subst_vars_oracle(e, {name: replacement})   # noqa: E731
@@ -607,8 +678,6 @@ def subst_stmt_oracle(s, name: str, replacement):
         if tgt.name == name and isinstance(replacement, Var):
             tgt = replacement
         return CallAssign(tgt, s.proc, sub(s.arg))
-    if isinstance(s, Call):
-        return Call(s.proc, sub(s.arg))
     if isinstance(s, If):
         return If(sub(s.cond), subst_stmt_oracle(s.body, name, replacement))
     if isinstance(s, While):
@@ -642,7 +711,7 @@ class ReferenceMachine(Machine):
     and substitution."""
 
     def extend(self, tr: Trace):
-        last, first = self.entries[-1], tr.first()
+        last, first = self.entries[-1], tr.entries[0]
         if last != first:
             raise ChopUndefined(last, first)
         nest(self.ctxs, tr.entries)
@@ -700,9 +769,6 @@ class ReferenceMachine(Machine):
             cid = self.alloc_call_id(state)
             tr = event_trace(state, CallEv(s.proc, ev(state, s.arg), cid))
             return tr, Assign(s.target, ResVar(IntLit(cid)))
-        if isinstance(s, Call):
-            cid = self.alloc_call_id(state)
-            return event_trace(state, CallEv(s.proc, ev(state, s.arg), cid)), None
         if isinstance(s, If):
             return singleton(state), s.body if ev(state, s.cond) else None
         if isinstance(s, While):

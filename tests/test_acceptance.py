@@ -246,5 +246,5 @@ def test_criterion_8_composition_properties():
         t3 = Trace([states[2], states[3]])
         assert chop(chop(t1, t2), t3) == chop(t1, chop(t2, t3))
         assert chop(t1, singleton(t1.last())) == t1
-        assert chop(singleton(t1.first()), t1) == t1
+        assert chop(singleton(t1.entries[0]), t1) == t1
     assert time.time() - t0 < 60.0

@@ -19,18 +19,20 @@ from tracelet.calculus import (ContractAssumption, Judgment, PredAssert,
                                node_to_json, stmt_head)
 from tracelet.fo import fo_valid
 from tracelet.interp import FuelExhausted, UpStmt, run_cont
-from tracelet.lang import (RESERVED, Assign, Binary, BoolLit, If, IntLit,
-                           Return, ResVar, Scope, Seq, Skip, TokenStream, Var,
-                           build_lookup, parse_expr, parse_program,
-                           pretty_expr, tokenize)
+from tracelet.lang import (RESERVED, Assign, Binary, BoolLit, CallAssign, If,
+                           IntLit, Return, ResVar, Scope, Seq, Skip,
+                           TokenStream, Var, build_lookup, parse_expr,
+                           parse_program, pretty_expr, tokenize)
 from tracelet.logic import (Chop, Concat, ContractSpec, MuApp, StatePred,
                             formula_vars, member,
                             pretty_formula, psi)
 from tracelet.prover import (ScriptError, UnsupportedConstruct, prove_auto,
                              run_script)
-from tracelet.traces import Ctx, MAIN_CTX, State, res_name, singleton
-from tracelet.updates import (Elem, FinishUpd, StartUpd, apply_update_expr,
-                              curr_ctx_update, pretty_update)
+from tracelet.traces import (Ctx, MAIN_CTX, State, eval_expr, res_name,
+                             singleton)
+from tracelet.updates import (CallUpd, Elem, FinishUpd, StartUpd,
+                              apply_update_expr, curr_ctx_update,
+                              pretty_update)
 
 
 def ctx_m():
@@ -255,6 +257,19 @@ class TestRules:
                                                seq0.goal.formula))
         with pytest.raises(RuleError, match="after execution"):
             apply_rule("ApplyEqRigid", pending, {"eq": 0}, ctx_m())
+
+    def test_apply_eq_rigid_result_variable_rewrites_right_hand_sides_only(self):
+        # never a target or a call id, though res(i') occurs in them too
+        r = pexpr("res(i')")
+        seq0 = Sequent((PredAssert(pexpr("res(i') == 5")),),
+                       Judgment((Elem(ResVar(r), pexpr("res(i') + 1")),
+                                 CallUpd(Var("y"), "m", pexpr("res(i') - 1")),
+                                 StartUpd("m", r, r), FinishUpd("m", pexpr("2 * res(i')"), r)),
+                                None, parse_formula("psi(q) ** [y == res(i') + 1]")))
+        [prem] = apply_rule("ApplyEqRigid", seq0, {"eq": 0}, ctx_m())
+        assert prem.goal == Judgment((Elem(ResVar(r), IntLit(6)), CallUpd(Var("y"), "m", IntLit(4)),
+                                      StartUpd("m", IntLit(5), r), FinishUpd("m", IntLit(10), r)),
+                                     None, parse_formula("psi(q) ** [y == 5 + 1]"))
 
 
 def closed_proof():
@@ -859,20 +874,90 @@ class TestInline:
     def test_inline_runs_like_a_call(self):
         # differential: executing the inlined form reproduces the call
         from tracelet.calculus import inline
-        from tracelet.lang import Call
         from helpers import event_skeleton
         table = build_lookup(running_program())
         update, stmt = inline("m", IntLit(2), IntLit(0), table)
         t_inline = run_cont(singleton(State({})), UpStmt(update, stmt), table).trace
-        t_call = run_cont(singleton(State({})), Call("m", IntLit(2)), table).trace
+        t_call = run_cont(singleton(State({})), CallAssign(Var("x"), "m", IntLit(2)),
+                          table).trace
         assert event_skeleton(t_inline) == event_skeleton(t_call)
         assert t_inline.last().get("res0") == t_call.last().get("res0") == 2
 
 
+def _apply_update_instances(rng, count):
+    """Random ApplyUpdate conclusions: y and z start as the rigid a and
+    x, then later atoms read or reassign them, and a chain observes their
+    final values or an event argument."""
+    assigns = [Elem(Var("y"), pexpr("z + 1")), Elem(Var("z"), IntLit(2)),
+               Elem(Var("y"), pexpr("y * 2")), Elem(Var("z"), Var("y")),
+               Elem(Var("y"), IntLit(3)), Elem(Var("z"), pexpr("z + y")),
+               StartUpd("m", Var("y"), IntLit(0))]
+    stmts = [None, None, Assign(Var("z"), pexpr("z + y")), Skip()]
+    for _ in range(count):
+        update = (Elem(Var("y"), Var("a")), Elem(Var("z"), Var("x"))) + \
+            tuple(rng.choice(assigns) for _ in range(rng.randint(1, 4)))
+        k = rng.randint(0, 6)
+        formula = parse_formula(rng.choice([
+            f"psi(q) ** [y == {k}]", f"psi(q) ** [z == {k}]", "psi(q) ** [y >= z]",
+            f"psi(q) ** startEv(m, {k}, 0) ** psi(q)", f"psi(q) ** [y == z + {k}]"]))
+        seq = Sequent((), Judgment(update, rng.choice(stmts), formula))
+        yield seq, {"at": rng.randrange(len(update))}, "ApplyUpdate"
+
+
+def _apply_eq_rigid_instances(rng, count):
+    """Random ApplyEqRigid conclusions.  The equality binds a rigid
+    symbol b or a result variable res(x) to a term in the rigid a, as
+    Cond and TrAbs assume them; the update writes only y and z and
+    finishes and makes no call that could bind res(x)."""
+    for _ in range(count):
+        k = rng.randint(0, 4)
+        rhs = rng.choice([IntLit(k), pexpr(f"a + {k}"), pexpr("a * 2")])
+        if rng.random() < 0.5:
+            lhs, kind = Var("b"), "var equality"
+            atoms = [Elem(Var("y"), pexpr("b + 1")), Elem(Var("z"), pexpr("b + a")),
+                     Elem(ResVar(Var("b")), pexpr("b + a")), StartUpd("m", Var("b"), IntLit(0)),
+                     CallUpd(Var("y"), "m", pexpr("b + 1"))]
+            stmt = rng.choice([None, Assign(Var("z"), pexpr("z + b")), Skip()])
+            chain = [f"psi(q) ** [y == {k}]", "psi(q) ** [z >= b]", f"[b == {k}] ** psi(q)",
+                     "psi(q) ** startEv(m, b, 0) ** psi(q)", f"psi(q) ** [y == b + {k}]"]
+        else:
+            lhs, kind = ResVar(Var("x")), "res equality"
+            atoms = [Elem(Var("y"), pexpr("res(x) + 1")), Elem(Var("z"), pexpr("res(x) * 2")),
+                     Elem(Var("y"), Var("a")), StartUpd("m", pexpr("res(x)"), Var("x"))]
+            stmt = None
+            chain = [f"psi(q) ** [y == {k}]", "psi(q) ** [z >= res(x)]",
+                     f"[res(x) == {k}] ** psi(q)", f"psi(q) ** [y == res(x) + {k}]"]
+        eq = Binary("==", lhs, rhs) if rng.random() < 0.8 else Binary("==", rhs, lhs)
+        update = (Elem(Var("y"), IntLit(0)), Elem(Var("z"), IntLit(0))) + \
+            tuple(rng.choice(atoms) for _ in range(rng.randint(1, 4)))
+        seq = Sequent((PredAssert(eq),),
+                      Judgment(update, stmt, parse_formula(rng.choice(chain))))
+        yield seq, {"eq": 0, "drop": rng.random() < 0.3}, kind
+
+
+def _assume(gamma, state):
+    """state with the rigid side of each assumed equality bound to the
+    other side's value, so that it satisfies the assumptions."""
+    for a in gamma:
+        lhs, rhs = a.pred.left, a.pred.right
+        if not isinstance(lhs, (Var, ResVar)):
+            lhs, rhs = rhs, lhs
+        name = lhs.name if isinstance(lhs, Var) else res_name(eval_expr(state, lhs.index))
+        state = state.set(name, eval_expr(state, rhs))
+    return state
+
+
 def _gap_rule_instances(rule, rng, count):
-    """Random conclusions of a gap rule: an event update of m at the end
+    """Random conclusions of a rule, its arguments and a label for the
+    kind of instance.  For a gap rule: an event update of m at the end
     the rule reads, a few assignments, maybe a statement, and a gap
     joined by chop or concatenation onto a random chain."""
+    if rule == "ApplyUpdate":
+        yield from _apply_update_instances(rng, count)
+        return
+    if rule == "ApplyEqRigid":
+        yield from _apply_eq_rigid_instances(rng, count)
+        return
     parts_pool = ["psi(q)", "psi(q)", "psi(q)", "[true]", "[x >= 0]", "[x >= a]",
                   "[x == a + 1]", "[res(0) == a]", "psi(m)", "startEv(m, a, 0)",
                   "finishEv(m, a, 0)", "startEv(m, a, 0) ** [x > 0]"]
@@ -896,7 +981,7 @@ def _gap_rule_instances(rule, rng, count):
             for op, part in zip(ops[1:], chain[1:]):
                 formula = op(formula, part)
             formula = ops[0](formula, gap)
-        yield Sequent((), Judgment(update, stmt, formula))
+        yield Sequent((), Judgment(update, stmt, formula)), {}, rule
 
 
 def _states(rng, count):
@@ -909,21 +994,25 @@ class TestExtensionRules:
     its premises true and its conclusion false."""
 
     @pytest.mark.parametrize("rule", ["FiniteTraceEmptyPrefix",
-                                      "FiniteTraceEmptyPostfix"])
+                                      "FiniteTraceEmptyPostfix",
+                                      "ApplyUpdate", "ApplyEqRigid"])
     def test_gap_rules_preserve_truth_on_sampled_states(self, rule):
+        # the states satisfy the conclusion's assumptions, which judge it:
+        # a rigid symbol reads its value in the first state
         ctx = ctx_m()
         rng = random.Random(31)
-        applied = 0
-        for seq in _gap_rule_instances(rule, rng, 1000):
+        applied = Counter()
+        for seq, args, kind in _gap_rule_instances(rule, rng, 1000):
             try:
-                premises = apply_rule(rule, seq, {}, ctx)
+                premises = apply_rule(rule, seq, args, ctx)
             except RuleError:
                 continue
             for state in _states(rng, 4):
+                state = _assume(seq.gamma, state)
                 if all(_sequent_true(p, state, ctx.table) for p in premises):
-                    applied += 1
-                    assert _judgment_true(seq, state, ctx.table), (seq, state)
-        assert applied >= 200
+                    applied[kind] += 1
+                    assert _sequent_true(seq, state, ctx.table), (seq, state)
+        assert sum(applied.values()) >= 200 and min(applied.values()) >= 100, applied
 
     def test_fte_prefix_and_postfix(self):
         ctx = ctx_m()

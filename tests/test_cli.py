@@ -934,6 +934,30 @@ class TestGenContract:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("field, text", [("--result", "true"), ("--step-inv", "n < 1"),
+                                             ("--result", "!n"), ("--step-inv", "psi")])
+    def test_malformed_term_one_line_error(self, work, capsys, field, text):
+        # a term is arithmetic: the file would not read back
+        out = work / "bad.tcf"
+        argv = ["gen-contract", "m", "--pre-base", "n == 0", "--pre-step", "n > 0",
+                "--result", "n", "--step-inv", "n - 1", "-o", str(out)]
+        argv[argv.index(field) + 1] = text
+        capsys.readouterr()
+        assert main(argv) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_check_rejects_a_reserved_word_as_term(self, work, capsys):
+        trace, contract = work / "t.json", work / "bad.tcf"
+        trace.write_text('[\n{"state": {}}\n]\n')
+        contract.write_text("contract c(i) := startEv(m, true, i)\n")
+        capsys.readouterr()
+        assert main(["check", str(trace), str(contract), "--bind", "i=0"]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err == "error: 1:29: 'true' not allowed here\n"
+
+
 class TestRepl:
     def test_repl_accepts_rule_commands(self, work, capsys, monkeypatch):
         contract = gen_contract(work)

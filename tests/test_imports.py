@@ -166,10 +166,20 @@ def test_absolute_imports_sees_every_form():
         {"os", "json", "dataclasses"}
 
 
-def name_refs(node) -> Counter:
-    """How often each name is read in a syntax tree, as a name or an attribute."""
-    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
-                   if isinstance(n, (ast.Name, ast.Attribute)))
+def name_refs(node, fields=frozenset()) -> Counter:
+    """How often each name is read in a syntax tree, as a name or an
+    attribute; a read of a name in fields counts only when it is called."""
+    called = {id(n.func) for n in ast.walk(node) if isinstance(n, ast.Call)}
+    names = ((n.id if isinstance(n, ast.Name) else n.attr, n) for n in ast.walk(node)
+             if isinstance(n, (ast.Name, ast.Attribute)))
+    return Counter(name for name, n in names if name not in fields or id(n) in called)
+
+
+def annotated_fields(tree) -> set:
+    """The names that classes of a module declare as annotated fields."""
+    return {item.target.id for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+            for item in node.body
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)}
 
 
 def definitions(tree):
@@ -187,14 +197,21 @@ def definitions(tree):
 def unreferenced(defining: dict, using: list) -> list:
     """The definitions of the modules in defining (name -> source) whose
     name no source in using reads outside the definition itself.  Dunder
-    methods are called by Python, so they count as used."""
+    methods are called by Python, so they count as used.  A method named
+    like a field that a class of defining declares is read only by a call:
+    ``s.first`` reads the field, ``t.first()`` the method."""
+    trees = {module: ast.parse(source) for module, source in defining.items()}
+    fields = set().union(*map(annotated_fields, trees.values()))
     total = sum((name_refs(ast.parse(src)) for src in using), Counter())
+    calls = sum((name_refs(ast.parse(src), fields) for src in using), Counter())
     out = []
-    for module, source in defining.items():
-        for qual, node in definitions(ast.parse(source)):
+    for module, tree in trees.items():
+        for qual, node in definitions(tree):
             if node.name.startswith("__") and node.name.endswith("__"):
                 continue
-            if total[node.name] - name_refs(node)[node.name] <= 0:
+            refs, own = (calls, name_refs(node, fields)) if "." in qual \
+                else (total, name_refs(node))
+            if refs[node.name] - own[node.name] <= 0:
                 out.append(f"{module}.{qual}")
     return sorted(out)
 
@@ -214,3 +231,9 @@ def test_detects_unreferenced_definitions():
            "class Unused: pass\n")
     user = "from lib import used, C\nused()\nC().p\n"
     assert unreferenced({"lib": lib}, [lib, user]) == ["lib.C.m", "lib.Unused", "lib.alone"]
+    # a method named like a field is read only by a call
+    clash = ("class F:\n    first: int\n    last: int\n"
+             "class T:\n    def first(self): pass\n    def last(self): pass\n"
+             "    def size(self): pass\n")
+    user = "from lib import F, T\nfirst = F(1, 2).first\nprint(first)\nT().last()\nT().size\n"
+    assert unreferenced({"lib": clash}, [clash, user]) == ["lib.T.first"]

@@ -11,7 +11,7 @@ from helpers import (M0_SRC, M2_SRC, M2_EVENT_SKELETON, RUNNING_SRC,
                      run_update_prefixed, semantics, while_source)
 from tracelet.interp import (FuelExhausted, Machine, RunError, UpStmt,
                              initial_state, run, run_cont)
-from tracelet.lang import (Assign, Binary, Call, CallAssign, IntLit, ResVar,
+from tracelet.lang import (Assign, Binary, CallAssign, IntLit, ResVar,
                            Scope, Seq, Skip, Var, While, build_lookup,
                            parse_program, seq)
 from tracelet.traces import (CallEv, Ctx, MAIN_CTX, PopEv, PushEv, RetEv, State,
@@ -171,13 +171,6 @@ class TestRun:
         p = parse_program("main { x; x = 3; while (x > 0) { x = x - 1 } }")
         assert run(p).last().get("x") == 0
 
-    def test_bare_call_ends_after_pop(self):
-        p = parse_program(RUNNING_SRC)
-        t = run_cont(singleton(State({})), Call("m", IntLit(1)),
-                     build_lookup(p)).trace
-        assert isinstance(t.entries[-2], PopEv)
-        assert t.last().get("res0") == 1
-
 
 class TestAdequacyTheorem:
     def test_sample_runs_adequate(self):
@@ -262,7 +255,7 @@ class TestCompositionProperties:
                          "RetEv", "State", "State", "PopEv", "State"]
 
     def test_inline_matches_direct_call(self):
-        # running inline(m, v, i) equals the bare call's event/state skeleton
+        # running inline(m, v, i) equals the call's event skeleton
         p = parse_program(RUNNING_SRC)
         table = build_lookup(p)
         proc = p.procs[0]
@@ -271,7 +264,8 @@ class TestCompositionProperties:
                          Seq(Assign(Var("k'"), IntLit(1)),
                              subst_stmt(proc.body, "k", Var("k'"))))
         t_inline = run_cont(singleton(State({})), inlined, table).trace
-        t_call = run_cont(singleton(State({})), Call("m", IntLit(1)), table).trace
+        t_call = run_cont(singleton(State({})), CallAssign(Var("x"), "m", IntLit(1)),
+                          table).trace
         assert event_skeleton(t_inline) == event_skeleton(t_call)
         assert t_inline.last().get("res0") == t_call.last().get("res0") == 1
 

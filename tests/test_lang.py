@@ -5,9 +5,9 @@ import random
 import pytest
 
 from helpers import (M0_SRC, RUNNING_SRC, random_linear_expr,
-                     random_terminating_program, subst_stmt_oracle,
-                     subst_vars_oracle)
-from tracelet.lang import (Assign, Binary, CallAssign, If, IntLit, ParseError,
+                     random_terminating_program, subst_res_oracle,
+                     subst_stmt_oracle, subst_vars_oracle)
+from tracelet.lang import (Assign, Binary, CallAssign, Fresh, If, IntLit, ParseError,
                            ProcDecl, Program, ResVar, Return, Scope, Seq, Skip,
                            Unary, UnknownProcedure, Var, build_lookup, lookup,
                            parse_program, subst_stmt, subst_vars, well_formed)
@@ -166,6 +166,15 @@ def occurs(s, name: str) -> bool:
     return any(occurs(c, name) for c in children if not isinstance(c, (str, int, tuple)))
 
 
+def walk(e):
+    """e and every expression below it."""
+    yield e
+    for f in type(e).__slots__:
+        child = getattr(e, f)
+        if not isinstance(child, (str, int, bool)):
+            yield from walk(child)
+
+
 class TestSubstitution:
     NAMES = ["x", "y", "z", "a", "v", "r", "absent"]
 
@@ -201,6 +210,55 @@ class TestSubstitution:
             assert got == subst_vars_oracle(e, mapping)
             if not any(occurs(e, n) for n in mapping):
                 assert got is e
+
+    INDICES = [Var("i"), IntLit(0), Var("k'"), Binary("+", Var("i"), IntLit(1))]
+
+    def res_expr(self, rng, depth=3):
+        """An expression whose res(...) nodes may nest, their indices drawn
+        from INDICES or built like any other subtree."""
+        r = rng.random()
+        if depth == 0 or r < 0.25:
+            return rng.choice([Var("x"), Var("i"), IntLit(rng.randint(-1, 2))])
+        if r < 0.55:
+            index = rng.choice(self.INDICES) if rng.random() < 0.6 \
+                else self.res_expr(rng, depth - 1)
+            return ResVar(index)
+        if r < 0.65:
+            return Unary(rng.choice(["-", "!"]), self.res_expr(rng, depth - 1))
+        return Binary(rng.choice(["+", "*", "==", "&&"]), self.res_expr(rng, depth - 1),
+                      self.res_expr(rng, depth - 1))
+
+    def test_res_keys_agree_with_oracle(self):
+        rng = random.Random(13)
+        hits = 0
+        for _ in range(1000):
+            e = self.res_expr(rng)
+            inside = [node.index for node in walk(e) if isinstance(node, ResVar)]
+            index = rng.choice(inside if inside and rng.random() < 0.7
+                               else self.INDICES + [ResVar(Var("i"))])
+            replacement = rng.choice([IntLit(7), Var("y"), ResVar(index),
+                                      Binary("-", Var("n'"), IntLit(1))])
+            got = subst_vars(e, {ResVar(index): replacement})
+            assert got == subst_res_oracle(e, index, replacement)
+            occurs = subst_res_oracle(e, index, Var("absent")) != e
+            if not occurs:
+                assert got is e
+            hits += occurs
+            # a Fresh argument is substituted like any other subtree
+            fresh = Fresh(e)
+            assert subst_vars(fresh, {ResVar(index): replacement}) == Fresh(got)
+        assert hits >= 300
+
+    def test_name_and_res_keys_at_once(self):
+        e = Binary("+", ResVar(Var("i")), Binary("*", Var("i"), ResVar(ResVar(Var("i")))))
+        got = subst_vars(e, {"i": Var("j"), ResVar(Var("i")): IntLit(5)})
+        assert got == Binary("+", IntLit(5), Binary("*", Var("j"), ResVar(IntLit(5))))
+
+    def test_fresh_argument_substituted_or_shared(self):
+        fresh = Fresh(Binary("+", Var("i"), IntLit(1)))
+        assert subst_vars(fresh, {"i": Var("i'")}) == Fresh(Binary("+", Var("i'"), IntLit(1)))
+        assert subst_vars(fresh, {"j": Var("i'")}) is fresh
+        assert subst_vars(fresh, {ResVar(Var("i")): IntLit(0)}) is fresh
 
     def test_shadowed_name_is_left_alone(self):
         s = Scope(("x",), Assign(Var("x"), Var("x")))

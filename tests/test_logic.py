@@ -1,17 +1,19 @@
 """Trace logic: parsing, membership vs the brute-force oracle, contracts."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (MUTANT_SRC, RUNNING_SRC, contract_m, golden_m0,
                      golden_m1, m_source, member_approx, mutate_trace,
-                     parse_formula, spec_m)
+                     parse_formula, parse_term_oracle, spec_m)
 from tracelet import logic
 from tracelet.interp import run
-from tracelet.lang import (Binary, BoolLit, IntLit, ParseError, ResVar, Var,
-                           parse_program)
+from tracelet.lang import (RESERVED, Binary, BoolLit, IntLit, ParseError,
+                           ResVar, TokenStream, Var, parse_program,
+                           pretty_expr, tokenize)
 from tracelet.logic import (And, Chop, Concat, ContractSpec, FinishEvF,
                             Fresh, LogicError, MemberBudgetExceeded, Mu,
                             MuApp, NoEv, Or, RecApp, StartEvF, StatePred,
@@ -156,6 +158,116 @@ class TestParseFormula:
         # res(i) reads a state, so it belongs inside [...] predicates only
         with pytest.raises(ParseError, match="res"):
             parse_formula(text)
+
+
+# The words the term parser rejects as variables, though the grammar
+# before parse_expr served terms read them as variables.
+NEWLY_REJECTED = ["contract", "false", "finishEv", "if", "main", "mu", "psi",
+                  "return", "skip", "spec", "startEv", "true", "while"]
+_TERM_NAMES = ["x", "n", "k'", "i''", "a_1"]
+_TERM_NOISE = ["(", ")", "+", "-", "*", ",", "<", "!", "&&", "==", "fresh",
+               "res", "x", "3", "true", "mu", "[", "]"]
+
+
+def random_term_text(rng, depth=3) -> str:
+    """Integer literals, negatives, nested parentheses, unary minus,
+    + - *, primed names, and now and then a reserved word as a name."""
+    if depth == 0 or rng.random() < 0.3:
+        r = rng.random()
+        if r < 0.3:
+            return str(rng.randint(0, 12))
+        if r < 0.4:
+            return f"-{rng.randint(0, 9)}"
+        if r < 0.96:
+            return rng.choice(_TERM_NAMES)
+        return rng.choice(NEWLY_REJECTED)
+    r = rng.random()
+    if r < 0.2:
+        return f"({random_term_text(rng, depth - 1)})"
+    if r < 0.3:
+        return f"-{random_term_text(rng, depth - 1)}"
+    op = rng.choice(["+", "-", "*"])
+    return f"{random_term_text(rng, depth - 1)} {op} {random_term_text(rng, depth - 1)}"
+
+
+def term_texts(count: int, seed: int):
+    """Seeded term texts; a third of them have a token dropped, inserted
+    or duplicated, and some stand inside fresh(...)."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        text = random_term_text(rng)
+        if rng.random() < 0.15:
+            text = f"fresh({text})"
+        if rng.random() < 0.33:
+            toks = [t.text for t in tokenize(text)[:-1]]
+            k = rng.randrange(len(toks) + 1)
+            edit = rng.choice(["drop", "insert", "duplicate"])
+            if edit == "insert" or not toks:
+                toks.insert(k, rng.choice(_TERM_NOISE))
+            elif edit == "drop":
+                del toks[min(k, len(toks) - 1)]
+            else:
+                toks.insert(k, toks[min(k, len(toks) - 1)])
+            text = " ".join(toks)
+        yield text
+
+
+def parse_whole_term(parse, text: str):
+    """parse's term for all of text, or ParseError (the class) if it
+    raises one or leaves input over."""
+    ts = TokenStream(tokenize(text))
+    try:
+        got = parse(ts)
+        if ts.peek().kind != "eof":
+            ts.error("trailing input")
+    except ParseError:
+        return ParseError
+    return got
+
+
+class TestTermParser:
+    def test_newly_rejected_are_the_reserved_words(self):
+        assert NEWLY_REJECTED == sorted(RESERVED - {"res", "fresh"})
+
+    def test_agrees_with_the_term_grammar_oracle(self):
+        kinds = Counter()
+        for text in term_texts(4000, 15):
+            want = parse_whole_term(parse_term_oracle, text)
+            got = parse_whole_term(logic._parse_term, text)
+            words = {t.text for t in tokenize(text) if t.kind == "ident"}
+            if want is ParseError:
+                assert got is ParseError, text
+                kinds["both reject"] += 1
+            elif words & set(NEWLY_REJECTED):
+                assert got is ParseError, text
+                kinds["newly rejected"] += 1
+            else:
+                assert got == want, text
+                assert parse_whole_term(logic._parse_term, pretty_expr(got)) == got, text
+                kinds["equal"] += 1
+                kinds["fresh"] += isinstance(got, Fresh)
+        assert kinds["equal"] >= 2000 and kinds["both reject"] >= 800
+        assert kinds["newly rejected"] >= 150 and kinds["fresh"] >= 200
+
+    @pytest.mark.parametrize("text, message", [
+        ("startEv(m, true, i)", "'true' not allowed here"),
+        ("startEv(m, n, psi)", "reserved word 'psi'"),
+        ("startEv(m, n < 1, i)", "expected an arithmetic term, found 'n < 1'"),
+        ("startEv(m, !n, i)", "expected an arithmetic term"),
+        ("(mu X(a). [a == 0])(n && 1)", "expected an arithmetic term"),
+        ("startEv(m, res(0), 0)", "1:12: res(...) may only appear inside [...] predicates"),
+        ("startEv(m, n + fresh(i), i)", "1:16: fresh(...) must be a whole argument"),
+        ("startEv(m, fresh(fresh(i)), i)", "fresh(...) must be a whole argument"),
+    ])
+    def test_malformed_terms(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_formula(text)
+        assert message in str(err.value)
+
+    def test_spec_fields_are_terms(self):
+        with pytest.raises(ParseError, match="'true' not allowed here"):
+            parse_contract_file("spec m { base: [n == 0]; step: [n > 0]; "
+                                "inv: n - 1; result: true }")
 
 
 class TestMember:

@@ -116,7 +116,7 @@ class TestChopConcat:
     def test_chop_identities(self):
         t = golden_m1()
         assert chop(t, singleton(t.last())) == t
-        assert chop(singleton(t.first()), t) == t
+        assert chop(singleton(t.entries[0]), t) == t
 
     def test_chop_associative_where_defined(self):
         rng = random.Random(11)
@@ -153,7 +153,7 @@ class TestEventTrace:
         sigma = s(x=0)
         t = event_trace(sigma, CallEv("m", 1, 0))
         assert t.entries == (sigma, CallEv("m", 1, 0), sigma)
-        assert t.first() == t.last() == sigma
+        assert t.entries[0] == t.last() == sigma
 
     def test_interpreter_traces_keep_trio_shape(self):
         t = run(running_program())
