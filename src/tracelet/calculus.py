@@ -305,8 +305,8 @@ def _subst_atom(a: UpdateAtom, name: str, e: Expr) -> UpdateAtom:
 
 
 def _subst_judgment_var(j: Judgment, name: str, replacement: Expr) -> Judgment:
-    stmt = subst_stmt(j.stmt, name, replacement) if j.stmt is not None else None
     mapping = {name: replacement}
+    stmt = subst_stmt(j.stmt, mapping) if j.stmt is not None else None
     formula = map_terms(j.formula, lambda t: subst_vars(t, mapping))
     return Judgment(tuple(_subst_atom(a, name, replacement) for a in j.update),
                     stmt, formula)
@@ -359,7 +359,7 @@ def _rule_var_decl(seq, args, ctx):
         raise RuleError("VarDecl expects a block with declarations")
     name = head.decls[0]
     fresh = fresh_rigid(name, names_in_sequent(seq))
-    body = Scope(head.decls[1:], subst_stmt(head.body, name, Var(fresh)))
+    body = Scope(head.decls[1:], subst_stmt(head.body, {name: Var(fresh)}))
     update = j.update + (Elem(Var(fresh), IntLit(0)),)
     return [Sequent(seq.gamma, Judgment(update, seq_join(body, rest), j.formula))]
 
@@ -490,7 +490,7 @@ def inline(proc_name: str, arg: Expr, call_id: Expr, table: LookupTable,
         expr_vars(arg) | expr_vars(call_id)
     e_p = fresh_rigid(proc.param, taken)
     stmt = seq_join(Assign(Var(e_p), arg),
-                    subst_stmt(proc.body, proc.param, Var(e_p)))
+                    subst_stmt(proc.body, {proc.param: Var(e_p)}))
     return (StartUpd(proc_name, arg, call_id),), stmt
 
 
@@ -676,6 +676,11 @@ def _rule_apply_eq_rigid(seq, args, ctx):
     lhs, rhs = a.pred.left, a.pred.right
     if not isinstance(lhs, (Var, ResVar)):
         lhs, rhs = rhs, lhs
+    # the equality is assumed of the state before the update: once an atom
+    # writes its variable, later reads no longer see the assumed value
+    if any(_writes(atom, lhs) for atom in j.update):
+        raise RuleError(f"the update writes {pretty_expr(lhs)}, so the equality "
+                        "cannot be applied through it")
     if isinstance(lhs, Var):
         new_j = _subst_judgment_var(j, lhs.name, rhs)
     elif isinstance(lhs, ResVar):
@@ -686,6 +691,15 @@ def _rule_apply_eq_rigid(seq, args, ctx):
     if args.get("drop"):
         gamma = gamma[:gi] + gamma[gi + 1:]
     return [Sequent(gamma, new_j)]
+
+
+def _writes(atom, target) -> bool:
+    """Whether an update atom writes the variable or res(...) node target."""
+    if isinstance(target, Var):
+        return update_writes(atom) == target.name
+    if isinstance(atom, FinishUpd):
+        return ResVar(atom.call_id) == target
+    return isinstance(atom, Elem) and atom.target == target
 
 
 def _subst_judgment_res(j: Judgment, index: Expr, replacement: Expr) -> Judgment:

@@ -31,7 +31,7 @@ from .lang import (Binary, CallAssign, IntLit, ParseError, Program, ResVar,
                    tokenize, well_formed)
 from .logic import (Chop, ContractSpec, LogicError, MemberBudgetExceeded,
                     MuApp, StatePred, applied, contract_file_text, member,
-                    parse_contract_file)
+                    parse_arith, parse_contract_file)
 from .prover import (ScriptError, UnsupportedConstruct, apply_script,
                      prove_auto, run_script)
 from .traces import (State, Trace, TraceError, dump_trace, eval_expr,
@@ -212,20 +212,29 @@ def cmd_check(args) -> int:
 # gen-contract
 # ---------------------------------------------------------------------------
 
-def _parse_pred_arg(text: str):
-    ts = TokenStream(tokenize(text))
-    e = parse_expr(ts, allow_res=True, allow_bool=True)
-    if ts.peek().kind != "eof":
-        ts.error("trailing input in predicate")
+def _parse_option(option: str, text: str, parse):
+    """An option's text, read whole by parse; an error names the option
+    and the line and column within its text."""
+    try:
+        ts = TokenStream(tokenize(text))
+        e = parse(ts)
+        if ts.peek().kind != "eof":
+            ts.error("trailing input")
+    except ParseError as err:
+        raise CliError(f"{option}: {err}") from None
     return e
+
+
+def _parse_pred(ts: TokenStream):
+    return parse_expr(ts, allow_res=True, allow_bool=True)
 
 
 def cmd_gen_contract(args) -> int:
     spec = ContractSpec(args.proc,
-                        _parse_pred_arg(args.pre_base),
-                        _parse_pred_arg(args.pre_step),
-                        _parse_pred_arg(args.result),
-                        _parse_pred_arg(args.step_inv))
+                        _parse_option("--pre-base", args.pre_base, _parse_pred),
+                        _parse_option("--pre-step", args.pre_step, _parse_pred),
+                        _parse_option("--result", args.result, parse_arith),
+                        _parse_option("--step-inv", args.step_inv, parse_arith))
     text = contract_file_text(spec, include_big_step=not args.no_big_step)
     parse_contract_file(text)  # never write a file that does not read back
     if args.output:

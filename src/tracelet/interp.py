@@ -156,12 +156,18 @@ class Machine:
         return tr, _seq(cont, s.second)
 
     def _scope(self, state: State, s: Scope) -> Tuple[Trace, Cont]:
+        # Every local gets a fresh name now, in declaration order, and the
+        # body is renamed in one walk; the first is bound to 0 in this step
+        # and the others by zero updates, one step each.  A later name has
+        # a larger suffix, so none collides with one allocated here before.
         if not s.decls:
             return self.local_eval(state, s.body)
-        name = s.decls[0]
-        fresh = self.fresh_var(name, state)
-        rest = Scope(s.decls[1:], subst_stmt(s.body, name, Var(fresh)))
-        return Trace((state, state.set(fresh, 0))), rest
+        fresh = [Var(self.fresh_var(name, state)) for name in s.decls]
+        # reversed, so that a name declared twice maps to its first fresh name
+        mapping = dict(zip(reversed(s.decls), reversed(fresh)))
+        zeros = [Elem(var, IntLit(0)) for var in fresh[1:]]
+        rest = Scope((), subst_stmt(s.body, mapping))
+        return Trace((state, state.set(fresh[0].name, 0))), _norm_upstmt(zeros, rest)
 
     def _return(self, state: State, s: Return) -> Tuple[Trace, Cont]:
         return event_trace(state, RetEv(eval_expr(state, s.expr))), None
@@ -231,7 +237,7 @@ class Machine:
         if kind is CallEv:
             ev: CallEv = entries[-2]
             proc = lookup(ev.proc, self.table)
-            inlined = subst_stmt(proc.body, proc.param, IntLit(ev.arg))
+            inlined = subst_stmt(proc.body, {proc.param: IntLit(ev.arg)})
             ctx = Ctx(ev.proc, ev.call_id)
             self.ctxs.append(ctx)
             entries += (PushEv(ctx), state)

@@ -362,8 +362,9 @@ def seq(parts) -> Stmt:
     return out
 
 
-def subst_stmt(s: Stmt, name: str, replacement: Expr) -> Stmt:
-    """Substitute into a statement, respecting scope shadowing.
+def subst_stmt(s: Stmt, mapping: dict) -> Stmt:
+    """Substitute, all at once, mapping[v] for every free occurrence of
+    Var(v) in a statement; a block that declares v shadows it.
 
     As in ``subst_vars``, a statement in which nothing changes is returned
     as it is.  An assigned variable is renamed by a Var replacement and
@@ -371,26 +372,27 @@ def subst_stmt(s: Stmt, name: str, replacement: Expr) -> Stmt:
     """
     kind = type(s)
     if kind is Seq:
-        first = subst_stmt(s.first, name, replacement)
-        second = subst_stmt(s.second, name, replacement)
+        first = subst_stmt(s.first, mapping)
+        second = subst_stmt(s.second, mapping)
         return s if first is s.first and second is s.second else Seq(first, second)
-    mapping = {name: replacement}
     if kind is Assign or kind is CallAssign:
         target = s.target
-        if type(target) is Var and target.name == name and type(replacement) is Var:
-            target = replacement
+        if type(target) is Var:
+            renamed = mapping.get(target.name)
+            if type(renamed) is Var:
+                target = renamed
         if kind is Assign:
             expr = subst_vars(s.expr, mapping)
             return s if target is s.target and expr is s.expr else Assign(target, expr)
         arg = subst_vars(s.arg, mapping)
         return s if target is s.target and arg is s.arg else CallAssign(target, s.proc, arg)
     if kind is If or kind is While:
-        cond, body = subst_vars(s.cond, mapping), subst_stmt(s.body, name, replacement)
+        cond, body = subst_vars(s.cond, mapping), subst_stmt(s.body, mapping)
         return s if cond is s.cond and body is s.body else kind(cond, body)
     if kind is Scope:
-        if name in s.decls:
-            return s
-        body = subst_stmt(s.body, name, replacement)
+        if not mapping.keys().isdisjoint(s.decls):
+            mapping = {k: v for k, v in mapping.items() if k not in s.decls}
+        body = subst_stmt(s.body, mapping) if mapping else s.body
         return s if body is s.body else Scope(s.decls, body)
     if kind is Return:
         expr = subst_vars(s.expr, mapping)

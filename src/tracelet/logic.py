@@ -434,7 +434,8 @@ def unfold(app: MuApp) -> Formula:
 # ---------------------------------------------------------------------------
 
 def eval_pred(state: State, env: Optional[dict], pred: Expr) -> bool:
-    """First-order satisfaction; program variables shadow logical ones."""
+    """First-order satisfaction; logical bindings shadow program variables
+    of the same name (see ``eval_expr``)."""
     value = eval_expr(state, pred, env or {})
     if not isinstance(value, bool):
         raise LogicError(f"predicate is not boolean: {pretty_expr(pred)}")
@@ -905,7 +906,7 @@ def _is_arith(e: Expr) -> bool:
     return isinstance(e, (IntLit, Var))
 
 
-def _parse_arith(ts: TokenStream) -> Expr:
+def parse_arith(ts: TokenStream) -> Expr:
     """A program expression that is arithmetic: integer literals,
     variables, unary minus and + - *."""
     start = ts.peek()
@@ -926,10 +927,10 @@ def _parse_term(ts: TokenStream) -> Expr:
     if ts.at_ident("fresh"):
         ts.next()
         ts.expect_sym("(")
-        inner = _parse_arith(ts)
+        inner = parse_arith(ts)
         ts.expect_sym(")")
         return Fresh(inner)
-    return _parse_arith(ts)
+    return parse_arith(ts)
 
 
 def _parse_list(ts, item) -> tuple:

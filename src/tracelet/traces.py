@@ -7,22 +7,22 @@ Call nesting has one forward rule, ``nest``: a pushEv opens its context
 and a popEv closes the innermost open one.  The interpreter, adequacy and
 ``ret_owners`` each apply it while walking a trace once.
 
-A ``.trace.json`` file holds one entry per line, each the bytes of
-``json.dumps(entry_to_json(e), sort_keys=True)``.  The two flanks of an
-event are one object and a state step changes one variable, so a file
-costs about its distinct states, not its bytes: ``dump_trace`` writes a
-state made by ``set`` from the previous one by splicing one
-``"name": value`` fragment into the previous line, and ``load_trace``
-reuses the previous State when an entry repeats its text and splices a
-long line that differs from the previous one in one fragment.
+A ``.trace.json`` file (format v2) is a JSON array with one entry per
+line.  The first is the header ``{"format": "tracelet-trace", "version":
+2}``.  The first state entry holds all its bindings; each later one holds
+only the bindings that differ from the previous state entry, plus
+``"unset": [names]`` for bindings that disappear, so an event's flank is
+``{"state": {}}``.  Event entries are ``{"event": {...}}`` with sorted
+keys.  ``load_trace`` reads the file with one ``json.loads`` and turns a
+one-binding change into ``set`` on the previous state, whose record keeps
+adequacy's step check O(1).  A file without the header is v1, where every
+state entry holds all its bindings; it is still read.
 """
 
 from __future__ import annotations
 
 import json
 import operator
-import re
-from bisect import bisect_left
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Optional, Union
 
@@ -461,19 +461,79 @@ def _is_set(b: State, a: State, name: str, value) -> bool:
 # JSON serialization (.trace.json)
 # ---------------------------------------------------------------------------
 
-def entry_to_json(entry):
-    if is_state(entry):
-        return {"state": entry.bindings()}
-    if isinstance(entry, CallEv):
-        return {"event": {"kind": "callEv", "proc": entry.proc,
-                          "arg": entry.arg, "id": entry.call_id}}
-    if isinstance(entry, RetEv):
-        return {"event": {"kind": "retEv", "val": entry.value}}
-    if isinstance(entry, PushEv):
-        return {"event": {"kind": "pushEv", "proc": entry.ctx.proc, "id": entry.ctx.call_id}}
-    if isinstance(entry, PopEv):
-        return {"event": {"kind": "popEv", "proc": entry.ctx.proc, "id": entry.ctx.call_id}}
-    raise TraceError(f"not a trace entry: {entry!r}")
+_HEADER = {"format": "tracelet-trace", "version": 2}
+_HEADER_LINE = json.dumps(_HEADER)
+_SAME = '{"state": {}}'
+
+
+def _json(value) -> str:
+    """value as json.dumps writes it."""
+    kind = type(value)
+    if kind is int:
+        return repr(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    return json.dumps(value)
+
+
+def _same(a, b) -> bool:
+    return type(a) is type(b) and a == b
+
+
+def _state_entry(prev: Optional[State], state: State) -> str:
+    """The entry of state after the state entry prev: all its bindings
+    when prev is None, else those that differ from prev's, and "unset"
+    for the names it lacks."""
+    b = state._b
+    if prev is None:
+        return '{"state": %s}' % json.dumps(b, sort_keys=True)
+    if state is prev:
+        return _SAME
+    a = prev._b
+    src = state._src
+    if src is not None and src[0] is prev:
+        name = src[1]
+        value = b[name]
+        if name in a and _same(a[name], value):
+            return _SAME
+        return '{"state": {%s: %s}}' % (encode_basestring_ascii(name), _json(value))
+    changed = {k: v for k, v in b.items() if k not in a or not _same(a[k], v)}
+    removed = a.keys() - b.keys()
+    unset = ', "unset": %s' % json.dumps(sorted(removed)) if removed else ""
+    return '{"state": %s%s}' % (json.dumps(changed, sort_keys=True), unset)
+
+
+def _event_entry(e) -> str:
+    """The entry of an event: its fields, keys sorted as json.dumps sorts them."""
+    kind = type(e)
+    if kind is CallEv:
+        return '{"event": {"arg": %s, "id": %s, "kind": "callEv", "proc": %s}}' % (
+            _json(e.arg), _json(e.call_id), _json(e.proc))
+    if kind is RetEv:
+        return '{"event": {"kind": "retEv", "val": %s}}' % _json(e.value)
+    if kind is PushEv or kind is PopEv:
+        return '{"event": {"id": %s, "kind": "%s", "proc": %s}}' % (
+            _json(e.ctx.call_id), "pushEv" if kind is PushEv else "popEv", _json(e.ctx.proc))
+    raise TraceError(f"not a trace entry: {e!r}")
+
+
+def dump_trace(t: Trace) -> str:
+    """The v2 text of a trace: the header, then one entry per line."""
+    lines = [_HEADER_LINE]
+    prev = None
+    for e in t.entries:
+        if is_state(e):
+            lines.append(_state_entry(prev, e))
+            prev = e
+        else:
+            lines.append(_event_entry(e))
+    return "[\n" + ",\n".join(lines) + "\n]\n"
+
+
+def _checked(bindings: dict) -> dict:
+    if not {int}.issuperset(map(type, bindings.values())):
+        raise TraceError("state values must be integers")
+    return bindings
 
 
 def _field(ev: dict, key: str, kind: type):
@@ -485,10 +545,7 @@ def _field(ev: dict, key: str, kind: type):
 
 def entry_from_json(obj):
     if "state" in obj:
-        bindings = obj["state"]
-        if not {int}.issuperset(map(type, bindings.values())):
-            raise TraceError("state values must be integers")
-        return State._adopt(bindings)
+        return State._adopt(_checked(obj["state"]))
     ev = obj["event"]
     kind = ev["kind"]
     if kind == "callEv":
@@ -501,117 +558,8 @@ def entry_from_json(obj):
     raise TraceError(f"unknown event kind {kind!r}")
 
 
-def _fragment(name: str, value) -> str:
-    """One ``"name": value`` pair of a state line, as json.dumps writes it."""
-    return encode_basestring_ascii(name) + ": " + (
-        repr(value) if type(value) is int else json.dumps(value))
-
-
-_HEAD = '{"state": {'
-
-
-def _state_line(frags: list) -> str:
-    return _HEAD + ", ".join(frags) + "}}"
-
-
-def _fragments(bindings: dict) -> tuple:
-    """The sorted names of bindings and their fragments."""
-    names = sorted(bindings)
-    return names, [_fragment(name, bindings[name]) for name in names]
-
-
-def _slot(names: list, name: str) -> tuple:
-    """Where name goes in the sorted names: (index, 1 if it is there else 0)."""
-    k = bisect_left(names, name)
-    return k, int(k < len(names) and names[k] == name)
-
-
-def dump_trace(t: Trace) -> str:
-    """One entry per line, each ``json.dumps(entry_to_json(e), sort_keys=True)``.
-
-    State lines come from one sorted fragment list: a state made by ``set``
-    from the previous state entry replaces or inserts one fragment, the
-    same object repeats the previous line, and any other state rebuilds
-    the list.
-    """
-    parts = ["[\n"]
-    prev = line = None
-    names: list = []
-    frags: list = []
-    for e in t.entries:
-        if not is_state(e):
-            parts += (json.dumps(entry_to_json(e), sort_keys=True), ",\n")
-            continue
-        if e is not prev:
-            if e._src is not None and e._src[0] is prev:
-                name = e._src[1]
-                k, rep = _slot(names, name)
-                names[k:k + rep] = [name]
-                frags[k:k + rep] = [_fragment(name, e._b[name])]
-            else:
-                names, frags = _fragments(e._b)
-            line = _state_line(frags)
-            prev = e
-        parts += (line, ",\n")
-    # one join: the last separator closes the array, an empty one keeps its blank line
-    if t.entries:
-        parts[-1] = "\n]\n"
-    else:
-        parts.append("\n]\n")
-    return "".join(parts)
-
-
-_WS = re.compile(r"[ \t\n\r]*")
-_NEXT = re.compile(r"[ \t\n\r]*([,\]])[ \t\n\r]*")
-_PAIR = re.compile(r'"([^"\\]*)": (-?[0-9]+)')
-# A state line shorter than this decodes about as fast as it splices.
-_SPLICE_MIN = 256
-
-
-def _common_prefix(a: str, text: str, pos: int) -> int:
-    """Length of the longest common prefix of a and text[pos:]."""
-    lo, hi = 0, len(a)
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if text.startswith(a[lo:mid], pos + lo):
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
-
-
-def _spliced(text: str, pos: int, span: str, state: State, names: list, frags: list):
-    """The entry at pos as ``(state.set(name, value), its line)``, or None.
-
-    names and frags are the sorted names and fragments of state, and span
-    its source text.  The fragment where the text first departs from span
-    is read as the change.  It counts only when the text starts with the
-    whole rebuilt line, which decodes to exactly the new bindings; then
-    names and frags are updated to the new state.
-    """
-    n = _common_prefix(span, text, pos)
-    m = _PAIR.match(text, pos + max(span.rfind(', "', 0, n + 1) + 2, len(_HEAD)))
-    if m is not None and m.end() <= pos + n:  # unchanged: the new fragment follows it
-        m = _PAIR.match(text, m.end() + 2)
-    if m is None:
-        return None
-    name = m.group(1)
-    try:
-        value = int(m.group(2))
-    except ValueError:  # more digits than int() converts
-        return None
-    k, rep = _slot(names, name)
-    frag = _fragment(name, value)
-    line = _state_line(frags[:k] + [frag] + frags[k + rep:])
-    if not text.startswith(line, pos):
-        return None
-    names[k:k + rep] = [name]
-    frags[k:k + rep] = [frag]
-    return state.set(name, value), line
-
-
 def _shared(objs: list) -> list:
-    """The entries of decoded objects, consecutive equal states as one State."""
+    """The entries of v1 objects, consecutive equal states as one State."""
     entries = []
     state = None
     for obj in objs:
@@ -624,69 +572,59 @@ def _shared(objs: list) -> list:
     return entries
 
 
-def _load_entries(text: str) -> list:
-    """The entries of a trace text, at about the cost of its distinct states.
+def _applied(state: Optional[State], changed: dict, obj: dict) -> State:
+    """state with the names of the entry's "unset" removed and changed bound."""
+    bindings = dict(state._b) if state is not None else {}
+    if "unset" in obj:
+        unset = obj["unset"]
+        if type(unset) is not list or not {str}.issuperset(map(type, unset)):
+            raise TraceError('"unset" must be a list of variable names')
+        for name in unset:
+            if name not in bindings:
+                raise TraceError(f"unset of the unbound variable {name!r}")
+            del bindings[name]
+    bindings.update(_checked(changed))
+    return State._adopt(bindings)
 
-    Bindings only grow along a trace, so its last state is its widest.  A
-    text whose last state entry is short decodes fastest in one
-    ``json.loads``.  Otherwise the top-level array is walked entry by
-    entry: a state entry costs a memcmp when its text repeats the previous
-    state entry's source span (the span is a complete JSON object, so it
-    decodes to the same bindings and that State is reused), a splice when
-    it is a long span with one fragment changed (``_spliced``), and one
-    decode otherwise.  Syntax errors carry json's own messages and
-    positions.
-    """
-    ws = _WS.match
-    pos = ws(text).end()
-    last = text.rfind('"state"')
-    if not text.startswith("[", pos) or last < 0 or len(text) - last < _SPLICE_MIN:
-        data = json.loads(text)
-        if not isinstance(data, list):
-            raise TraceError("a trace file holds a JSON array of entries")
-        return _shared(data)
-    # the text holds a "state" key, so a well-formed one has an entry
-    scan = json.JSONDecoder().scan_once
+
+def _v2_entries(objs: list) -> list:
+    """The entries of v2 objects, the header first.  A one-binding change
+    is ``set`` on the previous state, and an empty one repeats it."""
+    head = objs[0]
+    if head.get("format") != _HEADER["format"]:
+        raise TraceError(f"unknown trace format {head.get('format')!r}")
+    version = head.get("version")
+    if type(version) is not int or version != _HEADER["version"]:
+        raise TraceError(f"unknown trace format version {version!r}")
     entries = []
-    span = state = frame = None  # frame: state's (names, frags), made on its first splice
-    pos = ws(text, pos + 1).end()
-    while True:
-        if span is not None and text.startswith(span, pos):
-            entry, end = state, pos + len(span)
-        else:
-            hit = None
-            # only a long line in dump_trace's layout is worth splicing
-            if span is not None and len(span) >= _SPLICE_MIN and text.startswith(_HEAD, pos):
-                frame = frame or _fragments(state._b)
-                hit = _spliced(text, pos, span, state, *frame)
-            if hit:
-                entry = state = hit[0]
-                span = hit[1]
-                end = pos + len(span)
-            else:
-                try:
-                    obj, end = scan(text, pos)
-                except StopIteration as e:
-                    raise json.JSONDecodeError("Expecting value", text, e.value) from None
-                entry = entry_from_json(obj)
-                if is_state(entry):
-                    span, state, frame = text[pos:end], entry, None
-        entries.append(entry)
-        m = _NEXT.match(text, end)
-        if m is None:
-            raise json.JSONDecodeError("Expecting ',' delimiter", text, ws(text, end).end())
-        pos = m.end()
-        if m.group(1) == "]":
-            break
-    if pos != len(text):
-        raise json.JSONDecodeError("Extra data", text, pos)
+    state = None
+    for obj in objs[1:]:
+        if "state" not in obj:
+            entries.append(entry_from_json(obj))
+            continue
+        changed = obj["state"]
+        if type(changed) is not dict:
+            raise TraceError("a state entry holds an object of bindings")
+        if state is None or len(obj) > 1 or len(changed) > 1:
+            state = _applied(state, changed, obj)
+        elif changed:
+            [(name, value)] = changed.items()
+            if type(value) is not int:
+                raise TraceError("state values must be integers")
+            state = state.set(name, value)
+        entries.append(state)
     return entries
 
 
 def load_trace(text: str) -> Trace:
-    """Parse a .trace.json text; any malformed input raises TraceError."""
+    """Parse a .trace.json text, v2 or v1; any malformed input raises TraceError."""
     try:
-        return Trace(_load_entries(text))
+        data = json.loads(text)
+        if not isinstance(data, list):
+            raise TraceError("a trace file holds a JSON array of entries")
+        if data and isinstance(data[0], dict) and "format" in data[0]:
+            return Trace(_v2_entries(data))
+        return Trace(_shared(data))
     except KeyError as e:
         raise TraceError(f"trace entry lacks the key {e}") from None
     except (ValueError, TypeError, AttributeError, RecursionError) as e:

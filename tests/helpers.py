@@ -28,7 +28,7 @@ from tracelet.logic import (And, Chop, Concat, ContractSpec, FinishEvF, Mu,
 from tracelet.traces import (CallEv, ChopUndefined, Ctx, EmptyTraceError,
                              MAIN_CTX, PopEv, PushEv, RetEv, State, Trace,
                              TraceError, UndefinedVariable, entry_from_json,
-                             entry_to_json, eval_expr, event_trace, is_state,
+                             eval_expr, event_trace, is_state,
                              nest, res_name, ret_owners, singleton)
 from tracelet.updates import CallUpd, Elem, FinishUpd, StartUpd
 
@@ -426,18 +426,79 @@ def mutate_trace(rng: random.Random, trace: Trace) -> Trace:
     return Trace(entries)
 
 
+def entry_json_oracle(e) -> dict:
+    """The JSON object of one trace entry, a state with all its bindings."""
+    if is_state(e):
+        return {"state": e.bindings()}
+    if isinstance(e, CallEv):
+        return {"event": {"kind": "callEv", "proc": e.proc, "arg": e.arg, "id": e.call_id}}
+    if isinstance(e, RetEv):
+        return {"event": {"kind": "retEv", "val": e.value}}
+    kind = "pushEv" if isinstance(e, PushEv) else "popEv"
+    return {"event": {"kind": kind, "proc": e.ctx.proc, "id": e.ctx.call_id}}
+
+
 def dump_trace_oracle(trace: Trace) -> str:
-    """The per-entry trace writer: json.dumps of every entry, keys sorted."""
-    return "[\n" + ",\n".join(json.dumps(entry_to_json(e), sort_keys=True)
+    """The per-entry v1 trace writer: json.dumps of every entry, keys sorted."""
+    return "[\n" + ",\n".join(json.dumps(entry_json_oracle(e), sort_keys=True)
                               for e in trace.entries) + "\n]\n"
 
 
+V2_HEADER = {"format": "tracelet-trace", "version": 2}
+
+
+def dump_trace_v2_oracle(trace: Trace) -> str:
+    """The per-entry v2 trace writer: the header, then json.dumps of every
+    entry, keys sorted; a state after the first holds the bindings whose
+    JSON differs from the previous state's, and "unset" the names it lacks."""
+    objs = [V2_HEADER]
+    prev = None
+    for e in trace.entries:
+        obj = entry_json_oracle(e)
+        if is_state(e):
+            full = obj["state"]
+            if prev is not None:
+                obj = {"state": {k: v for k, v in full.items()
+                                 if k not in prev or json.dumps(prev[k]) != json.dumps(v)}}
+                if set(prev) - set(full):
+                    obj["unset"] = sorted(set(prev) - set(full))
+            prev = full
+        objs.append(obj)
+    return "[\n" + ",\n".join(json.dumps(obj, sort_keys=True) for obj in objs) + "\n]\n"
+
+
+def _v2_full_states_oracle(objs: list) -> list:
+    """v2 entry objects after the header as v1 ones: each state entry's
+    changes applied to the bindings of the state entry before it."""
+    out = []
+    full = {}
+    for obj in objs:
+        if "state" in obj:
+            unset = obj.get("unset", [])
+            if not isinstance(unset, list) or not all(isinstance(n, str) and n in full
+                                                      for n in unset):
+                raise TraceError("bad unset")
+            if len(set(unset)) != len(unset):
+                raise TraceError("a name unset twice")
+            full = {**{k: v for k, v in full.items() if k not in unset}, **obj["state"]}
+            obj = {"state": full}
+        out.append(obj)
+    return out
+
+
 def load_trace_oracle(text: str) -> Trace:
-    """The whole-text trace reader: json.loads, then one entry per object."""
+    """The whole-text trace reader: json.loads, v2 changes applied to whole
+    states, then one entry per object."""
     try:
         data = json.loads(text)
         if not isinstance(data, list):
             raise TraceError("a trace file holds a JSON array of entries")
+        if data and isinstance(data[0], dict) and "format" in data[0]:
+            version = data[0].get("version")
+            if data[0].get("format") != V2_HEADER["format"] or type(version) is not int \
+                    or version != V2_HEADER["version"]:
+                raise TraceError("unknown format")
+            data = _v2_full_states_oracle(data[1:])
         states = [obj["state"] for obj in data if "state" in obj]
         if not {int}.issuperset(map(type, chain.from_iterable(map(dict.values, states)))):
             raise TraceError("state values must be integers")

@@ -258,6 +258,33 @@ class TestRules:
         with pytest.raises(RuleError, match="after execution"):
             apply_rule("ApplyEqRigid", pending, {"eq": 0}, ctx_m())
 
+    def test_apply_eq_rigid_refuses_an_update_that_writes_the_variable(self):
+        # in the state b = 1 the premise {b := 2}{y := 1} holds, the
+        # conclusion {b := 2}{y := b} does not
+        seq0 = Sequent((PredAssert(pexpr("b == 1")),),
+                       Judgment((Elem(Var("b"), IntLit(2)), Elem(Var("y"), Var("b"))),
+                                None, parse_formula("psi(q) ** [y == 1]")))
+        with pytest.raises(RuleError, match="writes b"):
+            apply_rule("ApplyEqRigid", seq0, {"eq": 0}, ctx_m())
+        call = Sequent(seq0.gamma, Judgment((CallUpd(Var("b"), "m", IntLit(0)),),
+                                            None, seq0.goal.formula))
+        with pytest.raises(RuleError, match="writes b"):
+            apply_rule("ApplyEqRigid", call, {"eq": 0}, ctx_m())
+
+    @pytest.mark.parametrize("atom", [Elem(ResVar(Var("i'")), IntLit(6)),
+                                      FinishUpd("m", IntLit(6), Var("i'"))],
+                             ids=["elem", "finishEv"])
+    def test_apply_eq_rigid_refuses_an_update_that_writes_the_result(self, atom):
+        seq0 = Sequent((PredAssert(pexpr("res(i') == 5")),),
+                       Judgment((atom, Elem(Var("y"), pexpr("res(i')"))),
+                                None, parse_formula("psi(q) ** [y == 5]")))
+        with pytest.raises(RuleError, match=r"writes res\(i'\)"):
+            apply_rule("ApplyEqRigid", seq0, {"eq": 0}, ctx_m())
+        # res(res(i')) is another result variable
+        other = Sequent(seq0.gamma, Judgment((Elem(ResVar(pexpr("res(i')")), IntLit(6)),),
+                                             None, seq0.goal.formula))
+        assert apply_rule("ApplyEqRigid", other, {"eq": 0}, ctx_m())
+
     def test_apply_eq_rigid_result_variable_rewrites_right_hand_sides_only(self):
         # never a target or a call id, though res(i') occurs in them too
         r = pexpr("res(i')")

@@ -2,15 +2,19 @@
 
 import contextlib
 import copy
+import importlib.util
 import io
 import json
+import random
+import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, event, given, settings, strategies as st
 
-from helpers import (M0_SRC, MUTANT_SRC, RUNNING_SRC, OracleError, argparse_oracle,
-                     contract_m, m_source)
+from helpers import (M0_SRC, MUTANT_SRC, RUNNING_SRC, V2_HEADER, OracleError,
+                     argparse_oracle, contract_m, m_source)
 from tracelet import cli
 from tracelet.cli import (COMMANDS, EXIT_ERROR, EXIT_FUEL, EXIT_INADEQUATE,
                           EXIT_NOT_MEMBER, EXIT_OK, EXIT_OPEN_PROOF,
@@ -45,14 +49,15 @@ class TestRun:
                      "-o", str(out)])
         assert code == EXIT_OK
         data = json.loads(out.read_text())
-        assert data[0] == {"state": {"x": 0}}
-        assert data[1] == {"event": {"kind": "callEv", "proc": "m", "arg": 1, "id": 0}}
+        assert data[0] == V2_HEADER
+        assert data[1] == {"state": {"x": 0}}
+        assert data[2] == {"event": {"kind": "callEv", "proc": "m", "arg": 1, "id": 0}}
 
     def test_skip_single_state(self, work, tmp_path, capsys):
         f = tmp_path / "skip.tcp"
         f.write_text("main { skip }")
         assert main(["run", str(f)]) == EXIT_OK
-        assert json.loads(capsys.readouterr().out) == [{"state": {}}]
+        assert json.loads(capsys.readouterr().out) == [V2_HEADER, {"state": {}}]
 
     def test_fuel_exhaustion_exit_2(self, work, tmp_path, capsys):
         f = tmp_path / "loop.tcp"
@@ -129,6 +134,35 @@ class TestAdequacy:
         assert out["adequate"] is False and out["clause"] == "4"
 
 
+def _bench_corpus(monkeypatch):
+    """bench/corpus.py, imported from its file; it imports no tracelet."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("bench_corpus", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("kind", ["two-vars", "unflanked", "reused-id"])
+def test_bench_mutations_of_a_v2_file_are_inadequate(tmp_path, capsys, monkeypatch, kind):
+    corpus = _bench_corpus(monkeypatch)
+    sources = [RUNNING_SRC, corpus.rec_program(main_arg=10),
+               corpus.while_program(random.Random(1), 6),
+               corpus.random_program(random.Random(2), 3, 4)]
+    for k, source in enumerate(sources):
+        program, base = tmp_path / f"p{k}.tcp", tmp_path / f"p{k}.trace.json"
+        program.write_text(source)
+        assert main(["run", str(program), "-o", str(base)]) == EXIT_OK
+        assert json.loads(base.read_text())[0] == V2_HEADER
+        for seed in range(12):
+            data = corpus.mutate_trace(json.loads(base.read_text()), random.Random(seed), kind)
+            mutated = tmp_path / "mutated.trace.json"
+            mutated.write_text(json.dumps(data, indent=1))
+            capsys.readouterr()
+            assert main(["adequacy", str(mutated)]) == EXIT_INADEQUATE, (k, seed)
+
+
 @pytest.mark.parametrize("text", [
     '{"state": {"x": 0}}',                              # not a list
     '[{"state": {"x": 0}}, {"event": {"kind": "retEv"}}]',  # missing key
@@ -140,6 +174,16 @@ class TestAdequacy:
     'not json at all',
     '[]',                                               # empty trace
     pytest.param('[' * 100_000 + ']' * 100_000, id="nested-too-deep"),
+    '[{"format": "tracelet-trace", "version": 3}, {"state": {}}]',   # unknown version
+    '[{"format": "tracelet-trace", "version": 2}, {"state": {"x": 0}},'
+    ' {"state": {}, "unset": "x"}]',                     # unset not a list of names
+    '[{"format": "tracelet-trace", "version": 2}, {"state": {"x": 0}},'
+    ' {"state": {}, "unset": [0]}]',                     # unset not a list of names
+    '[{"format": "tracelet-trace", "version": 2}, {"state": {"x": 0}},'
+    ' {"state": {}, "unset": ["y"]}]',                   # unset of an absent name
+    '[{"format": "tracelet-trace", "version": 2}, {"state": {"x": 0}},'
+    ' {"state": {"x": "a"}}]',                          # v2 non-integer value
+    '[{"format": "tracelet-trace", "version": 2}]',     # v2 empty trace
 ])
 def test_malformed_trace_one_line_error(work, capsys, text):
     bad = work / "bad.trace.json"
@@ -526,7 +570,7 @@ class TestCheck:
 
     def test_explanation_core_trace(self, work, capsys):
         argv = self.m7_check(work, 50, core=True)
-        n = len(json.loads(open(argv[1]).read()))
+        n = len(json.loads(open(argv[1]).read())) - 1  # the header is no entry
         capsys.readouterr()
         assert main(argv) == EXIT_NOT_MEMBER
         assert capsys.readouterr().out == ("not a member: no match for chain element "
@@ -947,6 +991,19 @@ class TestGenContract:
         captured = capsys.readouterr()
         assert captured.out == "" and not out.exists()
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("field, text, message", [
+        ("--result", "true", "1:1: 'true' not allowed here"),
+        ("--step-inv", "n < 1", "1:1: expected an arithmetic term, found 'n < 1'"),
+        ("--result", "n n", "1:3: trailing input"),
+        ("--pre-step", "n >", "1:4: expected expression, found ''")])
+    def test_error_names_the_option_and_its_column(self, work, capsys, field, text, message):
+        argv = ["gen-contract", "m", "--pre-base", "n == 0", "--pre-step", "n > 0",
+                "--result", "n", "--step-inv", "n - 1"]
+        argv[argv.index(field) + 1] = text
+        capsys.readouterr()
+        assert main(argv) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {field}: {message}\n"
 
     def test_check_rejects_a_reserved_word_as_term(self, work, capsys):
         trace, contract = work / "t.json", work / "bad.tcf"

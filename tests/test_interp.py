@@ -8,7 +8,8 @@ from helpers import (M0_SRC, M2_SRC, M2_EVENT_SKELETON, RUNNING_SRC,
                      ReferenceMachine, chop, curr_ctx_stack, event_skeleton,
                      golden_m0, golden_m1, m_source, multi_proc_source,
                      random_linear_expr, random_terminating_program,
-                     run_update_prefixed, semantics, while_source)
+                     run_update_prefixed, semantics, subst_stmt_oracle,
+                     while_source)
 from tracelet.interp import (FuelExhausted, Machine, RunError, UpStmt,
                              initial_state, run, run_cont)
 from tracelet.lang import (Assign, Binary, CallAssign, IntLit, ResVar,
@@ -82,6 +83,19 @@ class TestLocalEval:
         tr, cont = m.local_eval(sigma, Scope(("r",), Assign(Var("r"), IntLit(1))))
         assert tr.entries[1].get("r#1") == 0
         assert cont == Scope((), Assign(Var("r#1"), IntLit(1)))
+
+    def test_scope_names_all_locals_on_its_first_step(self):
+        sigma = State({"r": 9})
+        m = machine(sigma, None)
+        tr, cont = m.local_eval(sigma, Scope(("r", "t"), Assign(Var("r"), Var("t"))))
+        assert tr.entries == (sigma, sigma.set("r#1", 0))
+        assert cont == UpStmt((Elem(Var("t#2"), IntLit(0)),),
+                              Scope((), Assign(Var("r#1"), Var("t#2"))))
+
+    def test_local_named_like_a_fresh_name_is_not_captured(self):
+        # a becomes a#1 and the local a#1 becomes a#1#2, both at once
+        src = "p(k) { a; a#1; a = 5; a#1 = 7; return a }\nmain { x; x = p(0) }\n"
+        assert run(parse_program(src)).last().get("x") == 5
 
 
 class TestStep:
@@ -262,7 +276,7 @@ class TestCompositionProperties:
         from tracelet.lang import subst_stmt
         inlined = UpStmt((StartUpd("m", IntLit(1), IntLit(0)),),
                          Seq(Assign(Var("k'"), IntLit(1)),
-                             subst_stmt(proc.body, "k", Var("k'"))))
+                             subst_stmt(proc.body, {"k": Var("k'")})))
         t_inline = run_cont(singleton(State({})), inlined, table).trace
         t_call = run_cont(singleton(State({})), CallAssign(Var("x"), "m", IntLit(1)),
                           table).trace
@@ -307,16 +321,47 @@ def oracle_programs():
     return out
 
 
+def declared_ahead(ref_cont, cont):
+    """The reference's continuation and fresh-name counter as the machine
+    holds them, given the machine's continuation cont.
+
+    The reference declares a block's locals one per step and renames the
+    body each time.  The machine names them all on the first step and
+    renames the body once, so until the reference has declared the last
+    one the machine holds zero updates of the names still to be bound
+    in front of the block with all of them renamed, and its counter
+    stands at the last name's suffix.
+    """
+    seconds, head = [], ref_cont
+    while type(head) is Seq:
+        seconds.append(head.second)
+        head = head.first
+    if type(head) is not Scope or not head.decls or type(cont) is not UpStmt:
+        return ref_cont, None
+    names = [atom.target.name for atom in cont.atoms]
+    body = head.body
+    for name, fresh in zip(head.decls, names):
+        body = subst_stmt_oracle(body, name, Var(fresh))
+    settled = Scope((), body)
+    for second in reversed(seconds):
+        settled = Seq(settled, second)
+    zeros = tuple(Elem(Var(fresh), IntLit(0)) for fresh in names[:len(head.decls)])
+    return UpStmt(zeros, settled), int(names[-1].rsplit("#", 1)[1])
+
+
 def assert_agrees_with_reference(start: Trace, cont, table, fuel=100_000):
     """The machine and the reference machine step in lockstep to the same
-    entries, open contexts, continuation and counters."""
+    entries, open contexts, continuation and counters, up to the
+    declarations the machine makes ahead (``declared_ahead``)."""
     m, ref = Machine(start, cont, table, fuel), ReferenceMachine(start, cont, table, fuel)
     while not ref.done:
         assert not m.done
         ref.step()
         m.step()
-        assert m.entries == ref.entries and m.ctxs == ref.ctxs and m.cont == ref.cont
-        assert (m.next_id, m.next_fresh, m.fuel) == (ref.next_id, ref.next_fresh, ref.fuel)
+        ref_cont, ref_fresh = declared_ahead(ref.cont, m.cont)
+        assert m.entries == ref.entries and m.ctxs == ref.ctxs and m.cont == ref_cont
+        assert (m.next_id, m.next_fresh, m.fuel) == \
+            (ref.next_id, ref.next_fresh if ref_fresh is None else ref_fresh, ref.fuel)
     assert m.done
     assert dump_trace(m.trace) == dump_trace(ref.trace)
 

@@ -194,10 +194,20 @@ class TestSubstitution:
             name = rng.choice(self.NAMES)
             replacement = rng.choice([Var("w#1"), IntLit(rng.randint(-2, 2)),
                                       Binary("+", Var("q"), IntLit(1))])
-            got = subst_stmt(s, name, replacement)
+            got = subst_stmt(s, {name: replacement})
             assert got == subst_stmt_oracle(s, name, replacement)
             if not occurs(s, name):
                 assert got is s
+
+    def test_subst_stmt_mapping_is_successive_renames(self):
+        # fresh names that no key equals, as a block's locals get them
+        for rng, s in self.statements():
+            names = rng.sample(self.NAMES, 2)
+            mapping = {name: Var(f"{name}#{k}") for k, name in enumerate(names)}
+            want = s
+            for name in names:
+                want = subst_stmt_oracle(want, name, mapping[name])
+            assert subst_stmt(s, mapping) == want
 
     def test_subst_vars_agrees_with_oracle(self):
         rng = random.Random(12)
@@ -262,10 +272,10 @@ class TestSubstitution:
 
     def test_shadowed_name_is_left_alone(self):
         s = Scope(("x",), Assign(Var("x"), Var("x")))
-        assert subst_stmt(s, "x", IntLit(1)) is s
-        assert subst_stmt(Seq(Skip(), s), "x", IntLit(1)).second is s
+        assert subst_stmt(s, {"x": IntLit(1)}) is s
+        assert subst_stmt(Seq(Skip(), s), {"x": IntLit(1)}).second is s
 
     def test_unchanged_children_are_shared(self):
         left, right = Assign(Var("y"), IntLit(1)), Assign(Var("x"), Var("x"))
-        got = subst_stmt(Seq(left, right), "x", Var("x'"))
+        got = subst_stmt(Seq(left, right), {"x": Var("x'")})
         assert got == Seq(left, Assign(Var("x'"), Var("x'"))) and got.first is left

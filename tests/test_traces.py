@@ -2,14 +2,13 @@
 
 import json
 import random
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import (chop, concat, curr_ctx_stack, dump_trace_oracle,
-                     eval_expr_oracle, eval_expr_reference, golden_m0,
-                     golden_m1, load_trace_oracle,
+from helpers import (V2_HEADER, chop, concat, curr_ctx_stack, dump_trace_oracle,
+                     dump_trace_v2_oracle, eval_expr_oracle, eval_expr_reference,
+                     golden_m0, golden_m1, load_trace_oracle,
                      m_source, mutate_trace, parse_formula, random_linear_expr,
                      random_terminating_program, running_program)
 from tracelet import traces
@@ -302,9 +301,12 @@ class TestJson:
         assert dump_trace(again) == text
 
     def test_one_entry_per_line(self):
+        # the array's brackets and the header take a line each
         t = run(running_program())
         text = dump_trace(t)
-        assert len(text.splitlines()) == len(t) + 2
+        lines = text.splitlines()
+        assert len(lines) == len(t) + 3
+        assert json.loads(lines[1].rstrip(",")) == V2_HEADER
         assert load_trace(text) == t
 
     def test_res_serialization(self):
@@ -312,9 +314,22 @@ class TestJson:
         text = dump_trace(t)
         assert '"res0": 1' in text and '"res1": 0' in text
 
+    def test_state_entries_hold_changes(self):
+        sigma = s(x=0, y=1)
+        t = Trace([sigma, CallEv("m", 1, 0), sigma, sigma.set("x", 2), State({"x": 2, "z": 3})])
+        assert json.loads(dump_trace(t))[1:] == [
+            {"state": {"x": 0, "y": 1}},
+            {"event": {"kind": "callEv", "proc": "m", "arg": 1, "id": 0}},
+            {"state": {}},
+            {"state": {"x": 2}},
+            {"state": {"z": 3}, "unset": ["y"]}]
+
+    def test_m400_file_under_a_megabyte(self):
+        assert len(dump_trace(m_trace(400)).encode()) < 10 ** 6
+
 
 # ---------------------------------------------------------------------------
-# dump_trace / load_trace against the per-entry writer and whole-text reader
+# dump_trace / load_trace against the per-entry writers and whole-text reader
 # ---------------------------------------------------------------------------
 
 def m_trace(n):
@@ -363,12 +378,23 @@ _TRACES = st.one_of(
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(t=_TRACES)
 def test_dump_matches_per_entry_writer(t):
-    assert dump_trace(t) == dump_trace_oracle(t)
+    assert dump_trace(t) == dump_trace_v2_oracle(t)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(t=_TRACES)
+def test_v2_roundtrip_bit_exact(t):
+    text = dump_trace(t)
+    again = load_trace(text)
+    assert again.entries == t.entries
+    assert dump_trace(again) == text
 
 
 def test_dump_writes_non_integer_values_as_json():
     t = Trace([State({"b": True}), State({"b": True}).set("n", None)])
-    assert dump_trace(t) == dump_trace_oracle(t)
+    assert dump_trace(t) == dump_trace_v2_oracle(t)
+    with pytest.raises(TraceError, match="integers"):
+        load_trace(dump_trace(t))
 
 
 def _relaid(data, layout):
@@ -381,39 +407,43 @@ def _relaid(data, layout):
 
 
 def _same_outcome(text):
-    """load_trace(text) after checking it against the whole-text reader,
-    as it reads short states and with every state spliced where it can."""
+    """load_trace(text) after checking it against the whole-text reader."""
     try:
         want = load_trace_oracle(text)
     except TraceError:
         want = None
-    for splice_min in (traces._SPLICE_MIN, 0):
-        with mock.patch.object(traces, "_SPLICE_MIN", splice_min):
-            try:
-                got = load_trace(text)
-            except TraceError:
-                got = None
-        assert (got is None) == (want is None), text
-        if want is not None:
-            assert got.entries == want.entries
-            assert dump_trace(got) == dump_trace_oracle(want)
+    try:
+        got = load_trace(text)
+    except TraceError:
+        got = None
+    assert (got is None) == (want is None), text
+    if want is not None:
+        assert got.entries == want.entries
+        assert dump_trace(got) == dump_trace_v2_oracle(want)
     return got
 
 
+_WRITERS = {"v1": dump_trace_oracle, "v2": dump_trace}
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(t=_TRACES, data=st.data())
-def test_load_matches_whole_text_reader(t, data):
-    entries = json.loads(dump_trace_oracle(t))
-    for k in data.draw(st.lists(st.integers(0, len(entries) - 1), max_size=3)):
-        entries.insert(k, entries[k])  # a duplicated entry
+@given(t=_TRACES, version=st.sampled_from(sorted(_WRITERS)), data=st.data())
+def test_load_matches_whole_text_reader(t, version, data):
+    entries = json.loads(_WRITERS[version](t))
+    # a repeated v2 entry is the same change again, unless it is the
+    # header or removes a name
+    dups = [k for k, e in enumerate(entries)
+            if version == "v1" or (k > 0 and "unset" not in e)]
+    for k in data.draw(st.lists(st.sampled_from(dups), max_size=3)):
+        entries.insert(k, entries[k])
     layout = data.draw(st.sampled_from(["canonical", "spaced", "0", "1", "2"]))
     assert _same_outcome(_relaid(entries, layout)) is not None
 
 
 @settings(max_examples=500, deadline=None, derandomize=True)
-@given(t=_TRACES, data=st.data())
-def test_mutated_text_fails_exactly_when_oracle_does(t, data):
-    entries = json.loads(dump_trace_oracle(t))
+@given(t=_TRACES, version=st.sampled_from(sorted(_WRITERS)), data=st.data())
+def test_mutated_text_fails_exactly_when_oracle_does(t, version, data):
+    entries = json.loads(_WRITERS[version](t))
     text = _relaid(entries, data.draw(st.sampled_from(["canonical", "canonical", "1"])))
     edit = data.draw(st.sampled_from(["truncate", "insert", "delete", "replace",
                                       "separator", "bracket"]))
@@ -439,6 +469,9 @@ def test_mutated_text_fails_exactly_when_oracle_does(t, data):
     _same_outcome(text)
 
 
+_HEADER_TEXT = json.dumps(V2_HEADER)
+
+
 @pytest.mark.parametrize("text", [
     "[" + " " * 300 + "]",
     "[]" + " " * 300 + '"state"',
@@ -448,8 +481,26 @@ def test_mutated_text_fails_exactly_when_oracle_does(t, data):
     '\ufeff[{"state": {}}]',
     '{"state": {}}' + " " * 300,
     "[" * 100_000,
+    f"[{_HEADER_TEXT}]",
+    f'[{_HEADER_TEXT}, {{"state": {{"x": 1}}}}, {{"state": {{}}, "unset": ["x"]}}, {{"state": {{}}}}]',
+    f'[{_HEADER_TEXT}, {{"state": {{"x": 1}}, "unset": ["x"]}}]',
+    f'[{_HEADER_TEXT}, {{"state": {{"x": 1}}}}, {{"state": {{}}, "unset": "x"}}]',
+    f'[{_HEADER_TEXT}, {{"state": {{"x": 1}}}}, {{"state": {{}}, "unset": ["x", "x"]}}]',
+    f'[{_HEADER_TEXT}, {{"state": {{"x": 1}}}}, {{"state": {{}}, "unset": null}}]',
+    f'[{_HEADER_TEXT}, {{"state": {{"x": 1}}}}, {{"state": []}}]',
+    f'[{_HEADER_TEXT}, {{"state": {{"x": 1}}}}, {{"state": {{"x": 1.5}}}}]',
+    f'[{_HEADER_TEXT}, {{"state": {{"x": 1}}}}, {{"state": {{"x": true}}}}]',
+    '[{"format": "tracelet-trace", "version": 3}, {"state": {}}]',
+    '[{"format": "tracelet-trace", "version": 2.0}, {"state": {}}]',
+    '[{"format": "other", "version": 2}, {"state": {}}]',
+    f'[{{"state": {{}}}}, {_HEADER_TEXT}]',
+    f'[{_HEADER_TEXT}, {_HEADER_TEXT}, {{"state": {{}}}}]',
 ], ids=["long-empty", "extra-after-empty", "repeats", "doubled-bracket",
-        "state-and-event", "bom", "not-an-array", "nested-too-deep"])
+        "state-and-event", "bom", "not-an-array", "nested-too-deep",
+        "v2-header-only", "v2-unset", "v2-first-state-unsets", "v2-unset-not-a-list",
+        "v2-unset-twice", "v2-unset-null", "v2-state-not-an-object", "v2-float",
+        "v2-bool", "v2-version-3", "v2-version-float", "v2-other-format",
+        "v2-header-not-first", "v2-two-headers"])
 def test_load_edge_texts_match_whole_text_reader(text):
     _same_outcome(text)
 
@@ -464,16 +515,17 @@ def test_load_shares_event_flanks():
     assert len(distinct) <= len({id(e) for e in t.entries if is_state(e)})
 
 
-def _full_decodes(monkeypatch, text):
-    """load_trace(text) and the number of entries it decoded in full."""
-    calls = []
-    decode = traces.entry_from_json
-    monkeypatch.setattr(traces, "entry_from_json", lambda obj: calls.append(obj) or decode(obj))
-    return load_trace(text), len(calls)
+def _assert_made_by_set(loaded):
+    """Every state after the first repeats the previous state entry or is
+    made from it by one set, as adequacy's O(1) step check needs."""
+    states = [e for e in loaded.entries if is_state(e)]
+    for prev, state in zip(states, states[1:]):
+        assert state is prev or state._src[0] is prev
 
 
 def _set_chain():
-    # forty padding bindings make every line long enough to splice
+    # set at the front, in the middle and at the end of the sorted names,
+    # over an existing name and to a value json reads as a long integer
     state = State({f"v{k:02d}": k for k in range(40)} | {"m": 0})
     entries = [state]
     for name, value in [("z", 1), ("a", 2), ("m", 3), ("q", -4), ("zz", 2 ** 70)]:
@@ -484,44 +536,36 @@ def _set_chain():
 
 @pytest.mark.parametrize("make", [lambda: m_trace(200), _set_chain],
                          ids=["m(200)", "set-front-middle-end"])
-def test_load_decodes_events_and_short_states_only(monkeypatch, make):
-    """A long state line that one set makes from the previous one is
-    spliced, not decoded."""
+def test_load_makes_states_by_set(make):
     t = make()
     text = dump_trace(t)
-    loaded, decoded = _full_decodes(monkeypatch, text)
+    loaded = load_trace(text)
     assert loaded == t
-    short = sum(len(line) < traces._SPLICE_MIN + 1 for line in text.splitlines()
-                if line.startswith('{"state"'))
-    assert decoded <= 1 + short + sum(not is_state(e) for e in t.entries)
+    _assert_made_by_set(loaded)
     assert dump_trace(loaded) == text
 
 
-def test_indented_text_builds_no_fragments(monkeypatch):
-    """No splice can match another layout, so the reader prepares none."""
+def test_indented_v2_text_loads_by_set():
+    """Another layout of a v2 file reads the same, by set as well."""
     t = m_trace(20)
-    text = json.dumps(json.loads(dump_trace(t)), indent=1)
-    calls = []
-    monkeypatch.setattr(traces, "_fragment", lambda name, value: calls.append(name))
-    assert load_trace(text) == t
-    assert not calls
+    loaded = load_trace(json.dumps(json.loads(dump_trace(t)), indent=1))
+    assert loaded == t
+    _assert_made_by_set(loaded)
 
 
 def test_dump_work_bounded_by_distinct_states(monkeypatch):
-    """One fragment per binding of the first state, then one per new state."""
+    """json encodes the first state; every later one is one binding or none."""
     t = m_trace(200)
     calls = []
-    fragment = traces._fragment
-
-    def counted(name, value):
-        calls.append(name)
-        return fragment(name, value)
-
-    monkeypatch.setattr(traces, "_fragment", counted)
+    dumps = json.dumps
+    monkeypatch.setattr(traces.json, "dumps", lambda *a, **k: calls.append(a) or dumps(*a, **k))
     text = dump_trace(t)
-    states = [e for e in t.entries if is_state(e)]
-    assert len(calls) <= len(states[0].bindings()) + len({id(e) for e in states})
-    assert text == dump_trace_oracle(t)
+    monkeypatch.undo()
+    assert len(calls) == 1
+    assert text == dump_trace_v2_oracle(t)
+    state_lines = [json.loads(line.rstrip(",")) for line in text.splitlines()
+                   if line.startswith('{"state"')]
+    assert all(len(obj["state"]) <= 1 and "unset" not in obj for obj in state_lines[1:])
 
 
 def _rebuilt(t):
