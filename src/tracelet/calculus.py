@@ -17,12 +17,12 @@ from typing import Dict, List, Optional, Tuple, Union
 from . import fo
 from .lang import (Assign, Binary, CallAssign, Expr, Fresh, If, IntLit,
                    LookupTable, Program, ResVar, Return, Scope, Seq, Skip,
-                   Stmt, Var, While, build_lookup, expr_vars, fold_expr,
-                   lookup, pretty_expr, record, subst_stmt, subst_vars)
+                   Stmt, Var, build_lookup, fields, fold_expr, lookup, names,
+                   nodes, pretty_expr, record, remake, subst_stmt, subst_vars)
 from .logic import (And, ContractSpec, FinishEvF, Formula, Mu, MuApp, Or,
-                    RecApp, StartEvF, StatePred, flatten_chain, formula_vars,
-                    is_psi, join_chain, make_contract, map_terms,
-                    pretty_formula, unfold)
+                    RecApp, StartEvF, StatePred, flatten_chain, is_psi,
+                    join_chain, make_contract, map_terms, pretty_formula,
+                    unfold)
 from .traces import MAIN_CTX, MalformedNesting
 from .updates import (CallUpd, Elem, FinishUpd, StartUpd, Update, UpdateAtom,
                       UpdateApplicationError, apply_update_expr,
@@ -140,58 +140,8 @@ class ProofNode:
 
 
 # ---------------------------------------------------------------------------
-# Name management for fresh rigid symbols
+# Fresh rigid symbols: a name not among a sequent's ``names``
 # ---------------------------------------------------------------------------
-
-def _stmt_names(s: Optional[Stmt]) -> set:
-    if s is None:
-        return set()
-    if isinstance(s, Skip):
-        return set()
-    if isinstance(s, Assign):
-        base = expr_vars(s.expr)
-        if isinstance(s.target, Var):
-            base |= {s.target.name}
-        else:
-            base |= expr_vars(s.target.index)
-        return base
-    if isinstance(s, CallAssign):
-        return {s.target.name} | expr_vars(s.arg)
-    if isinstance(s, (If, While)):
-        return expr_vars(s.cond) | _stmt_names(s.body)
-    if isinstance(s, Seq):
-        return _stmt_names(s.first) | _stmt_names(s.second)
-    if isinstance(s, Scope):
-        return set(s.decls) | _stmt_names(s.body)
-    if isinstance(s, Return):
-        return expr_vars(s.expr)
-    return set()
-
-
-def _update_names(update: Update) -> set:
-    out = set()
-    for atom in update:
-        out |= update_reads(atom)
-        w = update_writes(atom)
-        if w:
-            out.add(w)
-    return out
-
-
-def names_in_sequent(seq: Sequent) -> set:
-    names = set()
-    for a in seq.gamma:
-        if isinstance(a, PredAssert):
-            names |= expr_vars(a.pred)
-        else:
-            names |= expr_vars(a.pre) | expr_vars(a.result) | formula_vars(a.phi, binders=True)
-    g = seq.goal
-    if isinstance(g, Judgment):
-        names |= _update_names(g.update) | _stmt_names(g.stmt) | formula_vars(g.formula, binders=True)
-    elif isinstance(g, PredGoal):
-        names |= expr_vars(g.pred)
-    return names
-
 
 def fresh_rigid(base: str, taken: set) -> str:
     candidate = base + "'"
@@ -287,29 +237,33 @@ def _instantiate_fresh(f: Formula, taken: set,
     return map_terms(f, term)
 
 
-def _subst_atom(a: UpdateAtom, name: str, e: Expr) -> UpdateAtom:
-    """Substitute e for name in an update atom, folding each expression."""
-    mapping = {name: e}
-
-    def sub(x):
-        return fold_expr(subst_vars(x, mapping))
-
-    if isinstance(a, Elem):
-        tgt = a.target
-        if isinstance(tgt, ResVar):
-            tgt = ResVar(sub(tgt.index))
-        return Elem(tgt, sub(a.expr))
-    if isinstance(a, CallUpd):
-        return CallUpd(a.target, a.proc, sub(a.arg))
-    return type(a)(a.proc, sub(a.arg), sub(a.call_id))
+# The fields of an update atom that the res(...) rewrite keeps: the target
+# it writes and the call id that names its call.  A variable rewrite keeps
+# only a Var target.
+_RES_BINDERS = ("target", "call_id")
 
 
-def _subst_judgment_var(j: Judgment, name: str, replacement: Expr) -> Judgment:
-    mapping = {name: replacement}
+def _subst_atom(a: UpdateAtom, mapping: dict, keep: tuple = ()) -> UpdateAtom:
+    """a with mapping substituted into each expression field, folding each
+    result, but for the fields in keep.  A Var target is never rewritten;
+    a res(...) target's index is, unless keep names the target."""
+    out = []
+    for field, value in zip(a.__slots__, fields(a)):
+        if field in keep or type(value) is str or (field == "target" and type(value) is Var):
+            out.append(value)
+        elif field == "target":
+            out.append(ResVar(fold_expr(subst_vars(value.index, mapping))))
+        else:
+            out.append(fold_expr(subst_vars(value, mapping)))
+    return remake(a, out)
+
+
+def _subst_judgment(j: Judgment, mapping: dict, keep: tuple = ()) -> Judgment:
+    """mapping substituted into j's update (by _subst_atom), statement and
+    formula terms."""
     stmt = subst_stmt(j.stmt, mapping) if j.stmt is not None else None
     formula = map_terms(j.formula, lambda t: subst_vars(t, mapping))
-    return Judgment(tuple(_subst_atom(a, name, replacement) for a in j.update),
-                    stmt, formula)
+    return Judgment(tuple(_subst_atom(a, mapping, keep) for a in j.update), stmt, formula)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +312,7 @@ def _rule_var_decl(seq, args, ctx):
     if not isinstance(head, Scope) or not head.decls:
         raise RuleError("VarDecl expects a block with declarations")
     name = head.decls[0]
-    fresh = fresh_rigid(name, names_in_sequent(seq))
+    fresh = fresh_rigid(name, names(seq))
     body = Scope(head.decls[1:], subst_stmt(head.body, {name: Var(fresh)}))
     update = j.update + (Elem(Var(fresh), IntLit(0)),)
     return [Sequent(seq.gamma, Judgment(update, seq_join(body, rest), j.formula))]
@@ -444,7 +398,7 @@ def _rule_unfold(seq, args, ctx):
     if not isinstance(f, MuApp):
         raise RuleError("Unfold expects an applied fixed point")
     body = unfold(f)
-    taken = names_in_sequent(seq)
+    taken = names(seq)
     introduced: list = []
     body = _instantiate_fresh(body, taken, introduced)
     # record the witness symbols: they stand for "some fresh identifier"
@@ -486,8 +440,7 @@ def inline(proc_name: str, arg: Expr, call_id: Expr, table: LookupTable,
     """{startEv(m,e,i)} e' = e; body[e'/p] with e' a fresh copy of the
     formal parameter.  Returns the update prefix and the statement."""
     proc = lookup(proc_name, table)
-    taken = set(taken or ()) | _stmt_names(proc.body) | {proc.param} | \
-        expr_vars(arg) | expr_vars(call_id)
+    taken = set(taken or ()) | names(proc, arg, call_id) | {proc.param}
     e_p = fresh_rigid(proc.param, taken)
     stmt = seq_join(Assign(Var(e_p), arg),
                     subst_stmt(proc.body, {proc.param: Var(e_p)}))
@@ -502,8 +455,7 @@ def _rule_procedure_contract(seq, args, ctx):
         raise RuleError(f"no contract assumption for {proc_name!r}")
     c = ctx.contracts[proc_name]
     proc = lookup(proc_name, ctx.table)
-    taken = names_in_sequent(seq) | _stmt_names(proc.body) | \
-        {proc.param} | set(c.phi.params) | expr_vars(c.pre)
+    taken = names(seq, proc, c.pre) | {proc.param} | set(c.phi.params)
     n_p = fresh_rigid(ContractSpec.PARAM, taken)
     taken.add(n_p)
     i_p = fresh_rigid(ContractSpec.ID, taken)
@@ -597,15 +549,16 @@ def _rule_apply_update(seq, args, ctx):
     if not isinstance(atom, Elem) or not isinstance(atom.target, Var):
         raise RuleError("ApplyUpdate expects an elementary update on a variable")
     v, e = atom.target.name, atom.expr
-    if v in expr_vars(e):
+    read = names(e)
+    if v in read:
         raise RuleError("ApplyUpdate cannot propagate a self-referential update")
     # substitution is valid until v or a variable of e is reassigned
     new: List[UpdateAtom] = list(j.update)
     for k in range(idx + 1, len(j.update)):
         a = j.update[k]
-        new[k] = _subst_atom(a, v, e)
+        new[k] = _subst_atom(a, {v: e})
         written = update_writes(a)
-        if written == v or written in expr_vars(e):
+        if written == v or written in read:
             break
     return [Sequent(seq.gamma, Judgment(tuple(new), j.stmt, j.formula))]
 
@@ -642,9 +595,9 @@ def _rule_drop_update(seq, args, ctx):
             alive = False
             break
     if alive:
-        if j.stmt is not None and v in _stmt_names(j.stmt):
+        if v in names(j.stmt):
             raise RuleError(f"{v!r} occurs in the remaining statement")
-        if v in formula_vars(j.formula, binders=True):
+        if v in names(j.formula):
             raise RuleError(f"{v!r} occurs in the goal formula")
     if not _gap_tolerant(j.formula, j.update, idx):
         raise RuleError("goal formula does not absorb the dropped state entry")
@@ -676,15 +629,20 @@ def _rule_apply_eq_rigid(seq, args, ctx):
     lhs, rhs = a.pred.left, a.pred.right
     if not isinstance(lhs, (Var, ResVar)):
         lhs, rhs = rhs, lhs
-    # the equality is assumed of the state before the update: once an atom
-    # writes its variable, later reads no longer see the assumed value
-    if any(_writes(atom, lhs) for atom in j.update):
-        raise RuleError(f"the update writes {pretty_expr(lhs)}, so the equality "
-                        "cannot be applied through it")
+    # the equality is assumed of the state before the update and the
+    # statement: once either writes a variable or res(...) node of the
+    # equality, later reads no longer see the assumed values
+    written = _written(j)
+    for node in nodes(a.pred):
+        if isinstance(node, (Var, ResVar)) and node in written:
+            raise RuleError(f"the judgment writes {pretty_expr(node)}, so the equality "
+                            "cannot be applied through it")
     if isinstance(lhs, Var):
-        new_j = _subst_judgment_var(j, lhs.name, rhs)
+        new_j = _subst_judgment(j, {lhs.name: rhs})
     elif isinstance(lhs, ResVar):
-        new_j = _subst_judgment_res(j, lhs.index, rhs)
+        if j.stmt is not None:
+            raise RuleError("result-variable equalities apply after execution finished")
+        new_j = _subst_judgment(j, {lhs: rhs}, _RES_BINDERS)
     else:
         raise RuleError("equality must bind a variable or result variable")
     gamma = seq.gamma
@@ -693,33 +651,11 @@ def _rule_apply_eq_rigid(seq, args, ctx):
     return [Sequent(gamma, new_j)]
 
 
-def _writes(atom, target) -> bool:
-    """Whether an update atom writes the variable or res(...) node target."""
-    if isinstance(target, Var):
-        return update_writes(atom) == target.name
-    if isinstance(atom, FinishUpd):
-        return ResVar(atom.call_id) == target
-    return isinstance(atom, Elem) and atom.target == target
-
-
-def _subst_judgment_res(j: Judgment, index: Expr, replacement: Expr) -> Judgment:
-    # the kernel rewrites right-hand sides only: never a target or a call id
-    mapping = {ResVar(index): replacement}
-
-    def sub(x):
-        return fold_expr(subst_vars(x, mapping))
-
-    def atom(a):
-        if isinstance(a, Elem):
-            return Elem(a.target, sub(a.expr))
-        if isinstance(a, CallUpd):
-            return CallUpd(a.target, a.proc, sub(a.arg))
-        return type(a)(a.proc, sub(a.arg), a.call_id)
-
-    if j.stmt is not None:
-        raise RuleError("result-variable equalities apply after execution finished")
-    formula = map_terms(j.formula, lambda t: subst_vars(t, mapping))
-    return Judgment(tuple(atom(a) for a in j.update), None, formula)
+def _written(j: Judgment) -> list:
+    """The variables and res(...) nodes that j's update and statement write."""
+    out = [ResVar(a.call_id) if isinstance(a, FinishUpd) else a.target
+           for a in j.update if not isinstance(a, StartUpd)]
+    return out + [s.target for s in nodes(j.stmt) if isinstance(s, (Assign, CallAssign))]
 
 
 def _event_formula_matches(atom, part, update_prefix) -> Optional[Expr]:

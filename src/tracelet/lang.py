@@ -8,6 +8,7 @@ booleans exist only at condition positions.
 
 from __future__ import annotations
 
+import operator
 from types import FunctionType
 from typing import Iterator, Optional, Union
 
@@ -93,6 +94,90 @@ def record(cls=None, /, *, frozen: bool = False):
     return type(cls)(cls.__name__, cls.__bases__, ns)
 
 
+# ---------------------------------------------------------------------------
+# The field walk.  A node's fields are its class's annotated names, in
+# constructor order; a field annotated ``Names`` holds declared variables.
+# ---------------------------------------------------------------------------
+
+Names = tuple
+_PLANS = {}
+
+
+def getter(names) -> callable:
+    """A function that returns the tuple of the named attributes of a node."""
+    if len(names) != 1:
+        return operator.attrgetter(*names) if names else lambda node: ()
+    one = operator.attrgetter(names[0])
+    return lambda node: (one(node),)
+
+
+def _plan(kind) -> tuple:
+    """(fields, kids, declared, cached) of a node class: a getter of its
+    fields, the fields that may hold a node (annotated other than str, int,
+    bool, frozenset or Names) and those annotated Names, and whether it
+    keeps its ``names`` in a ``_names`` slot.  str, tuple and None have no
+    fields."""
+    notes = getattr(kind, "__annotations__", {})
+    got = _PLANS[kind] = (
+        getter(list(notes)),
+        tuple(f for f, n in notes.items() if n not in ("str", "int", "bool", "frozenset", "Names")),
+        [f for f, n in notes.items() if n == "Names"], hasattr(kind, "_names"))
+    return got
+
+
+def fields(node) -> tuple:
+    """node's field values, in constructor order."""
+    return (_PLANS.get(type(node)) or _plan(type(node)))[0](node)
+
+
+def remake(node, values):
+    """node's class over new field values; node itself when none changed."""
+    return node if all(map(operator.is_, values, fields(node))) else type(node)(*values)
+
+
+def nodes(*roots) -> Iterator:
+    """Every node under roots, each before its children."""
+    stack = list(roots)
+    while stack:
+        node = stack.pop()
+        if type(node) is tuple:
+            stack.extend(node)
+        elif node is not None:
+            yield node
+            stack.extend([getattr(node, f) for f in (_PLANS.get(type(node)) or _plan(type(node)))[1]])
+
+
+def names(*roots) -> set:
+    """The variable names under roots, read, written or declared alike:
+    each Var's, and those of each Names field (a block's declarations, a
+    fixed point's parameters)."""
+    out = set()
+    for node in roots:
+        _names(node, out)
+    return out
+
+
+def _names(node, out: set):
+    kind = type(node)
+    if kind is Var:
+        out.add(node.name)
+    elif kind is tuple:
+        for item in node:
+            _names(item, out)
+    elif node is not None:
+        _, kids, declared, cached = _PLANS.get(kind) or _plan(kind)
+        if cached:
+            if node._names is None:
+                node._names = frozenset(names(*[getattr(node, f) for f in kids]).union(
+                    *[getattr(node, f) for f in declared]))
+            out |= node._names
+        else:
+            if declared:
+                out.update(*[getattr(node, f) for f in declared])
+            for f in kids:
+                _names(getattr(node, f), out)
+
+
 class ParseError(Exception):
     def __init__(self, msg: str, line: int, col: int):
         super().__init__(f"{line}:{col}: {msg}")
@@ -139,7 +224,7 @@ class Var:
 class ResVar:
     """Result variable res(i); written only by the semantics itself."""
 
-    index: "Expr"
+    index: Expr
 
     def __str__(self):
         return f"res({self.index})"
@@ -155,7 +240,7 @@ class Fresh:
     instead instantiates it with a fresh rigid symbol at unfold time.
     """
 
-    arg: "Expr"
+    arg: Expr
 
     def __str__(self):
         return f"fresh({pretty_expr(self.arg)})"
@@ -164,7 +249,7 @@ class Fresh:
 @record(frozen=True)
 class Unary:
     op: str  # '-' or '!'
-    operand: "Expr"
+    operand: Expr
 
     def __str__(self):
         return pretty_expr(self)
@@ -173,8 +258,8 @@ class Unary:
 @record(frozen=True)
 class Binary:
     op: str
-    left: "Expr"
-    right: "Expr"
+    left: Expr
+    right: Expr
 
     def __str__(self):
         return pretty_expr(self)
@@ -198,21 +283,6 @@ def pretty_expr(e: Expr, min_prec: int = 0) -> str:
     prec = _PREC[e.op]
     text = f"{pretty_expr(e.left, prec)} {e.op} {pretty_expr(e.right, prec + 1)}"
     return f"({text})" if min_prec > prec else text
-
-
-def expr_vars(e: Expr) -> set:
-    """All variable names read by e (res-variables excluded)."""
-    if isinstance(e, Var):
-        return {e.name}
-    if isinstance(e, Unary):
-        return expr_vars(e.operand)
-    if isinstance(e, Binary):
-        return expr_vars(e.left) | expr_vars(e.right)
-    if isinstance(e, ResVar):
-        return expr_vars(e.index)
-    if isinstance(e, Fresh):
-        return expr_vars(e.arg)
-    return set()
 
 
 def subst_vars(e: Expr, mapping: dict) -> Expr:
@@ -306,7 +376,7 @@ class CallAssign:
 @record(frozen=True)
 class If:
     cond: Expr
-    body: "Stmt"
+    body: Stmt
 
     def __str__(self):
         return f"if ({self.cond}) {{ {self.body} }}"
@@ -315,7 +385,7 @@ class If:
 @record(frozen=True)
 class While:
     cond: Expr
-    body: "Stmt"
+    body: Stmt
 
     def __str__(self):
         return f"while ({self.cond}) {{ {self.body} }}"
@@ -323,8 +393,8 @@ class While:
 
 @record(frozen=True)
 class Seq:
-    first: "Stmt"
-    second: "Stmt"
+    first: Stmt
+    second: Stmt
 
     def __str__(self):
         return f"{self.first}; {self.second}"
@@ -332,8 +402,8 @@ class Seq:
 
 @record(frozen=True)
 class Scope:
-    decls: tuple
-    body: "Stmt"
+    decls: Names
+    body: Stmt
 
     def __str__(self):
         ds = "".join(f"{d}; " for d in self.decls)
@@ -415,7 +485,7 @@ class ProcDecl:
 @record(frozen=True)
 class Program:
     procs: tuple
-    main_decls: tuple
+    main_decls: Names
     main_body: Stmt
 
     def __str__(self):

@@ -36,24 +36,30 @@ Terms are expressions: arithmetic over logical variables, read by
 ``lang.parse_expr`` and evaluated by ``traces.eval_expr``, or ``fresh(...)``
 of one as a whole argument (``lang.Fresh``).
 
-``children``/``rebuild`` is the one generic traversal of the formula AST:
-free variables, term maps, substitution and arity checks are written on
-top of it.  Only per-node analyses keep their own dispatch: membership
-(``_Member._sat``), its static per-node record (``_shape``) and
-``pretty_formula``.
+``children``/``rebuild`` is the one generic traversal of the formula AST.
+It reads a node's fields through ``lang``'s field walk, by annotation: a
+``Formula`` or ``Mu`` field holds a sub-formula, an ``Expr`` field a term,
+a ``Tuple[Expr, ...]`` field a run of terms, and any other field data.
+Free variables, term maps, substitution, arity checks and the static
+per-node record (``_shape``) are written on top of it, and the names a
+formula uses are ``lang.names``, as for every other node.  Only per-node
+analyses keep their own dispatch: membership (``_Member._sat``), the
+record's rules per kind and ``pretty_formula``.
 """
 
 from __future__ import annotations
 
+import operator
 import sys
 from bisect import bisect_left, bisect_right
 from functools import cached_property
 from itertools import product
 from typing import NamedTuple, Optional, Tuple, Union
 
-from .lang import (ARITH_OPS, Binary, Expr, Fresh, IntLit, ParseError, ResVar,
-                   TokenStream, Unary, Var, expr_vars, parse_expr, pretty_expr,
-                   record, subst_vars, tokenize)
+from .lang import (ARITH_OPS, Binary, Expr, Fresh, IntLit, Names, ParseError,
+                   ResVar, TokenStream, Unary, Var, fields, getter, names,
+                   nodes, parse_expr, pretty_expr, record, subst_vars,
+                   tokenize)
 from .traces import (CallEv, PopEv, PushEv, RetEv, State, Trace,
                      UndefinedVariable, eval_expr, event_involves, is_state,
                      res_name, ret_owners)
@@ -138,32 +144,32 @@ class FinishEvF:
 
 @record(frozen=True)
 class And:
-    left: "Formula"
-    right: "Formula"
+    left: Formula
+    right: Formula
 
 
 @record(frozen=True)
 class Or:
-    left: "Formula"
-    right: "Formula"
+    left: Formula
+    right: Formula
 
 
 @record(frozen=True)
 class Concat:
-    left: "Formula"
-    right: "Formula"
+    left: Formula
+    right: Formula
 
 
 @record(frozen=True)
 class Chop:
-    left: "Formula"
-    right: "Formula"
+    left: Formula
+    right: Formula
 
 
 @record(frozen=True)
 class RecApp:
     name: str
-    args: tuple
+    args: Tuple[Expr, ...]
 
     def __repr__(self):
         return f"{self.name}({', '.join(pretty_expr(a) for a in self.args)})"
@@ -171,26 +177,26 @@ class RecApp:
 
 class Mu:
     """mu X(params). body — compared structurally; hashed, printed and its
-    variables collected once."""
+    names and free variables collected once."""
 
-    __slots__ = ("name", "params", "body", "_hash", "_text", "_vars")
+    name: str
+    params: Names
+    body: Formula
+
+    __slots__ = ("name", "params", "body", "_hash", "_text", "_names", "_free")
 
     def __init__(self, name: str, params: tuple, body):
         self.name = name
         self.params = tuple(params)
         self.body = body
-        self._hash = None
-        self._text = None
-        self._vars = {}
+        self._hash = self._text = self._names = self._free = None
 
     def __eq__(self, other):
-        return self is other or (isinstance(other, Mu) and self.name == other.name
-                                 and self.params == other.params
-                                 and self.body == other.body)
+        return self is other or (isinstance(other, Mu) and fields(self) == fields(other))
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.name, self.params, self.body))
+            self._hash = hash(fields(self))
         return self._hash
 
     def __repr__(self):
@@ -200,70 +206,53 @@ class Mu:
 @record(frozen=True)
 class MuApp:
     mu: Mu
-    args: tuple
+    args: Tuple[Expr, ...]
 
 
 Formula = Union[StatePred, NoEv, StartEvF, FinishEvF, And, Or, Concat, Chop,
                 RecApp, Mu, MuApp]
 
 
-_BINARY = (And, Or, Concat, Chop)
+# a field's part in children, by its annotation; any other field is data
+_ROLES = {"Formula": 1, "Mu": 1, "Expr": 2, "Tuple[Expr, ...]": 3}
+_PARTS = {}
+
+
+def _parts(kind) -> tuple:
+    """(data, subs, terms, run) of a formula class: getters of its data
+    fields, its sub-formulas and its terms (the fields themselves, or the
+    one field that holds a run of them), and whether it holds a run."""
+    roles = {f: _ROLES.get(n, 0) for f, n in kind.__annotations__.items()}
+    if list(roles.values()) != sorted(roles.values()):
+        raise LogicError(f"{kind.__name__}: data, sub-formulas and terms out of order")
+    role = {r: [f for f, q in roles.items() if q == r] for r in range(4)}
+    got = _PARTS[kind] = (getter(role[0]), getter(role[1]),
+                          operator.attrgetter(*role[3]) if role[3] else getter(role[2]),
+                          bool(role[3]))
+    return got
 
 
 def children(f: Formula) -> Tuple[tuple, tuple]:
     """One level of f: (sub-formulas, terms); a state predicate is a term."""
-    if isinstance(f, _BINARY):
-        return (f.left, f.right), ()
-    if isinstance(f, StatePred):
-        return (), (f.pred,)
-    if isinstance(f, (StartEvF, FinishEvF)):
-        return (), (f.arg, f.call_id)
-    if isinstance(f, RecApp):
-        return (), f.args
-    if isinstance(f, MuApp):
-        return (f.mu,), f.args
-    if isinstance(f, Mu):
-        return (f.body,), ()
-    if isinstance(f, NoEv):
-        return (), ()
-    raise LogicError(f"not a formula: {f!r}")
+    _, subs, terms, _ = _PARTS.get(type(f)) or _parts(type(f))
+    return subs(f), terms(f)
 
 
 def rebuild(f: Formula, subs: tuple, terms: tuple) -> Formula:
     """Inverse of children: f's node over new sub-formulas and terms."""
-    if isinstance(f, _BINARY):
-        return type(f)(*subs)
-    if isinstance(f, StatePred):
-        return StatePred(*terms)
-    if isinstance(f, (StartEvF, FinishEvF)):
-        return type(f)(f.proc, *terms)
-    if isinstance(f, RecApp):
-        return RecApp(f.name, tuple(terms))
-    if isinstance(f, MuApp):
-        return MuApp(subs[0], tuple(terms))
+    data, _, _, run = _PARTS.get(type(f)) or _parts(type(f))
+    return type(f)(*data(f), *subs, tuple(terms)) if run else type(f)(*data(f), *subs, *terms)
+
+
+def formula_vars(f: Formula) -> set:
+    """The free logical variables of f's terms: fixed-point parameters
+    removed."""
     if isinstance(f, Mu):
-        return Mu(f.name, f.params, subs[0])
-    return f
-
-
-def formula_vars(f: Formula, binders: bool = False) -> set:
-    """Logical variables of f's terms.
-
-    Fixed-point parameters are removed (the free variables), or with
-    binders added (every name in use, for picking fresh ones).
-    """
-    if isinstance(f, Mu):
-        body = f._vars.get(binders)
-        if body is None:
-            body = f._vars[binders] = frozenset(formula_vars(f.body, binders))
-        return set(f.params) | body if binders else set(body) - set(f.params)
+        if f._free is None:
+            f._free = frozenset(formula_vars(f.body)) - set(f.params)
+        return set(f._free)
     subs, terms = children(f)
-    out = set()
-    for t in terms:
-        out |= expr_vars(t)
-    for g in subs:
-        out |= formula_vars(g, binders)
-    return out
+    return names(*terms).union(*map(formula_vars, subs))
 
 
 def map_terms(f: Formula, fn) -> Formula:
@@ -395,19 +384,17 @@ def big_step_of(spec: ContractSpec) -> Formula:
 def _subst_formula(f: Formula, mapping: dict, rec_name: str, mu: Optional[Mu]) -> Formula:
     """Substitute terms for logical variables and mu for X occurrences."""
     if isinstance(f, Mu):
+        if is_psi(f) is not None:
+            return f  # a gap is closed: nothing to substitute
         inner_map = {k: v for k, v in mapping.items() if k not in f.params}
-        captured = set()
-        for t in inner_map.values():
-            captured |= expr_vars(t)
-        if captured & set(f.params):
+        if f.params and names(*inner_map.values()) & set(f.params):
             raise LogicError(f"substitution would capture a parameter of {f.name}")
-        inner_rec = None if f.name == rec_name else rec_name
-        body = _subst_formula(f.body, inner_map,
-                              inner_rec if inner_rec else "", mu if inner_rec else None)
-        return Mu(f.name, f.params, body)
+        if f.name == rec_name:  # the binder shadows X
+            rec_name, mu = "", None
+        return Mu(f.name, f.params, _subst_formula(f.body, inner_map, rec_name, mu))
     subs, terms = children(f)
-    if isinstance(f, StatePred) and any(isinstance(mapping.get(v), Fresh)
-                                        for v in expr_vars(f.pred)):
+    if isinstance(f, StatePred) and any(isinstance(t, Fresh) for t in mapping.values()) \
+            and any(isinstance(mapping.get(v), Fresh) for v in names(f.pred)):
         raise LogicError("fresh(...) cannot appear inside state predicates")
     subs = tuple(_subst_formula(g, mapping, rec_name, mu) for g in subs)
     terms = tuple(subst_vars(t, mapping) for t in terms)
@@ -899,11 +886,8 @@ _TERM_ERRORS = {"res(...) is reserved for the semantics":
 
 
 def _is_arith(e: Expr) -> bool:
-    if isinstance(e, Binary):
-        return e.op in ARITH_OPS and _is_arith(e.left) and _is_arith(e.right)
-    if isinstance(e, Unary):
-        return e.op == "-" and _is_arith(e.operand)
-    return isinstance(e, (IntLit, Var))
+    return all(type(x) in (IntLit, Var) or type(x) in (Unary, Binary) and x.op in ARITH_OPS
+               for x in nodes(e))
 
 
 def parse_arith(ts: TokenStream) -> Expr:

@@ -173,10 +173,11 @@ def _pre_call_simplification(seq: Sequent, ctx: RuleContext):
     the kernel's DropUpdate accepts.
     """
     j: Judgment = seq.goal
+    reads = [update_reads(b) for b in j.update]
     for k, a in enumerate(j.update):
         if not (isinstance(a, Elem) and isinstance(a.target, Var)):
             continue
-        if not any(a.target.name in update_reads(b) for b in j.update[k + 1:]):
+        if not any(a.target.name in r for r in reads[k + 1:]):
             continue
         try:
             [premise] = apply_rule("ApplyUpdate", seq, {"at": k}, ctx)

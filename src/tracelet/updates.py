@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Optional, Tuple, Union
 
-from .lang import (Expr, ResVar, Var, expr_vars, fold_expr, record,
+from .lang import (Expr, ResVar, Var, fields, fold_expr, names, record,
                    subst_vars)
 from .traces import Ctx, MAIN_CTX, MalformedNesting
 
@@ -79,7 +79,7 @@ def apply_update_expr(update: Update, e: Expr, fold: bool = True) -> Expr:
                 continue
             e = subst_vars(e, {atom.target.name: atom.expr})
         elif isinstance(atom, CallUpd):
-            if atom.target.name in expr_vars(e):
+            if atom.target.name in names(e):
                 raise UpdateApplicationError(
                     f"expression reads {atom.target.name!r}, assigned by a call update")
         elif isinstance(atom, FinishUpd):
@@ -107,13 +107,11 @@ def curr_ctx_update(update: Update) -> Ctx:
 
 
 def update_reads(atom) -> set:
-    """Variable names an atom's right-hand side reads."""
-    if isinstance(atom, Elem):
-        return expr_vars(atom.expr) | expr_vars(atom.target.index) \
-            if isinstance(atom.target, ResVar) else expr_vars(atom.expr)
-    if isinstance(atom, CallUpd):
-        return expr_vars(atom.arg)
-    return expr_vars(atom.arg) | expr_vars(atom.call_id)
+    """Variable names an atom reads: all of its names but those of a Var
+    target, which is an elementary or call atom's first field."""
+    if type(getattr(atom, "target", None)) is Var:
+        return names(*fields(atom)[1:])
+    return names(atom)
 
 
 def update_writes(atom) -> Optional[str]:

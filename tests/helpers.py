@@ -14,23 +14,26 @@ import re
 from itertools import chain
 
 from tracelet import cli
-from tracelet.calculus import node_to_json
+from tracelet.calculus import (Judgment, PredAssert, PredGoal, RuleError,
+                               node_to_json)
 from tracelet.interp import (DEFAULT_FUEL, FuelExhausted, Machine, RunError,
                              UpStmt, run_cont)
 from tracelet.lang import (Assign, Binary, BoolLit, CallAssign, Fresh, If,
                            IntLit, Program, ProcDecl, ResVar, Return, Scope,
-                           Seq, Skip, TokenStream, Unary, Var, While, lookup,
-                           parse_program, seq, tokenize)
-from tracelet.logic import (And, Chop, Concat, ContractSpec, FinishEvF, Mu,
-                            MuApp, NoEv, Or, RecApp, StartEvF, StatePred,
-                            check_formula, eval_term, make_contract,
-                            _FreshValue, _parse_formula_or)
+                           Seq, Skip, TokenStream, Unary, Var, While,
+                           fold_expr, lookup, parse_program, seq,
+                           subst_vars, tokenize)
+from tracelet.logic import (And, Chop, Concat, ContractSpec, FinishEvF,
+                            LogicError, Mu, MuApp, NoEv, Or, RecApp, StartEvF,
+                            StatePred, check_formula, eval_term,
+                            make_contract, map_terms, _FreshValue,
+                            _parse_formula_or)
 from tracelet.traces import (CallEv, ChopUndefined, Ctx, EmptyTraceError,
                              MAIN_CTX, PopEv, PushEv, RetEv, State, Trace,
                              TraceError, UndefinedVariable, entry_from_json,
                              eval_expr, event_trace, is_state,
                              nest, res_name, ret_owners, singleton)
-from tracelet.updates import CallUpd, Elem, FinishUpd, StartUpd
+from tracelet.updates import CallUpd, Elem, FinishUpd, StartUpd, update_writes
 
 RUNNING_SRC = """\
 // identity computed by k recursive calls
@@ -666,6 +669,181 @@ def subst_res_oracle(e, index, replacement):
         return Binary(e.op, subst_res_oracle(e.left, index, replacement),
                       subst_res_oracle(e.right, index, replacement))
     return e
+
+
+# The hand-written walks that lang.names, logic.children/rebuild and
+# calculus._subst_atom replaced, kept as they were: only formula_vars_oracle
+# no longer caches on the fixed point, whose slot for it is gone.
+
+def expr_vars_oracle(e) -> set:
+    """All variable names read by e (res-variables excluded)."""
+    if isinstance(e, Var):
+        return {e.name}
+    if isinstance(e, Unary):
+        return expr_vars_oracle(e.operand)
+    if isinstance(e, Binary):
+        return expr_vars_oracle(e.left) | expr_vars_oracle(e.right)
+    if isinstance(e, ResVar):
+        return expr_vars_oracle(e.index)
+    if isinstance(e, Fresh):
+        return expr_vars_oracle(e.arg)
+    return set()
+
+
+_BINARY = (And, Or, Concat, Chop)
+
+
+def formula_children_oracle(f):
+    """One level of f: (sub-formulas, terms); a state predicate is a term."""
+    if isinstance(f, _BINARY):
+        return (f.left, f.right), ()
+    if isinstance(f, StatePred):
+        return (), (f.pred,)
+    if isinstance(f, (StartEvF, FinishEvF)):
+        return (), (f.arg, f.call_id)
+    if isinstance(f, RecApp):
+        return (), f.args
+    if isinstance(f, MuApp):
+        return (f.mu,), f.args
+    if isinstance(f, Mu):
+        return (f.body,), ()
+    if isinstance(f, NoEv):
+        return (), ()
+    raise LogicError(f"not a formula: {f!r}")
+
+
+def formula_rebuild_oracle(f, subs: tuple, terms: tuple):
+    """Inverse of children: f's node over new sub-formulas and terms."""
+    if isinstance(f, _BINARY):
+        return type(f)(*subs)
+    if isinstance(f, StatePred):
+        return StatePred(*terms)
+    if isinstance(f, (StartEvF, FinishEvF)):
+        return type(f)(f.proc, *terms)
+    if isinstance(f, RecApp):
+        return RecApp(f.name, tuple(terms))
+    if isinstance(f, MuApp):
+        return MuApp(subs[0], tuple(terms))
+    if isinstance(f, Mu):
+        return Mu(f.name, f.params, subs[0])
+    return f
+
+
+def formula_vars_oracle(f, binders: bool = False) -> set:
+    """Logical variables of f's terms.
+
+    Fixed-point parameters are removed (the free variables), or with
+    binders added (every name in use, for picking fresh ones).
+    """
+    if isinstance(f, Mu):
+        body = frozenset(formula_vars_oracle(f.body, binders))
+        return set(f.params) | body if binders else set(body) - set(f.params)
+    subs, terms = formula_children_oracle(f)
+    out = set()
+    for t in terms:
+        out |= expr_vars_oracle(t)
+    for g in subs:
+        out |= formula_vars_oracle(g, binders)
+    return out
+
+
+def update_reads_oracle(atom) -> set:
+    """Variable names an atom's right-hand side reads."""
+    if isinstance(atom, Elem):
+        return expr_vars_oracle(atom.expr) | expr_vars_oracle(atom.target.index) \
+            if isinstance(atom.target, ResVar) else expr_vars_oracle(atom.expr)
+    if isinstance(atom, CallUpd):
+        return expr_vars_oracle(atom.arg)
+    return expr_vars_oracle(atom.arg) | expr_vars_oracle(atom.call_id)
+
+
+def stmt_names_oracle(s) -> set:
+    if s is None:
+        return set()
+    if isinstance(s, Skip):
+        return set()
+    if isinstance(s, Assign):
+        base = expr_vars_oracle(s.expr)
+        if isinstance(s.target, Var):
+            base |= {s.target.name}
+        else:
+            base |= expr_vars_oracle(s.target.index)
+        return base
+    if isinstance(s, CallAssign):
+        return {s.target.name} | expr_vars_oracle(s.arg)
+    if isinstance(s, (If, While)):
+        return expr_vars_oracle(s.cond) | stmt_names_oracle(s.body)
+    if isinstance(s, Seq):
+        return stmt_names_oracle(s.first) | stmt_names_oracle(s.second)
+    if isinstance(s, Scope):
+        return set(s.decls) | stmt_names_oracle(s.body)
+    if isinstance(s, Return):
+        return expr_vars_oracle(s.expr)
+    return set()
+
+
+def update_names_oracle(update) -> set:
+    out = set()
+    for atom in update:
+        out |= update_reads_oracle(atom)
+        w = update_writes(atom)
+        if w:
+            out.add(w)
+    return out
+
+
+def names_in_sequent_oracle(seq) -> set:
+    names = set()
+    for a in seq.gamma:
+        if isinstance(a, PredAssert):
+            names |= expr_vars_oracle(a.pred)
+        else:
+            names |= expr_vars_oracle(a.pre) | expr_vars_oracle(a.result) | \
+                formula_vars_oracle(a.phi, binders=True)
+    g = seq.goal
+    if isinstance(g, Judgment):
+        names |= update_names_oracle(g.update) | stmt_names_oracle(g.stmt) | \
+            formula_vars_oracle(g.formula, binders=True)
+    elif isinstance(g, PredGoal):
+        names |= expr_vars_oracle(g.pred)
+    return names
+
+
+def subst_atom_oracle(a, name: str, e):
+    """Substitute e for name in an update atom, folding each expression."""
+    mapping = {name: e}
+
+    def sub(x):
+        return fold_expr(subst_vars(x, mapping))
+
+    if isinstance(a, Elem):
+        tgt = a.target
+        if isinstance(tgt, ResVar):
+            tgt = ResVar(sub(tgt.index))
+        return Elem(tgt, sub(a.expr))
+    if isinstance(a, CallUpd):
+        return CallUpd(a.target, a.proc, sub(a.arg))
+    return type(a)(a.proc, sub(a.arg), sub(a.call_id))
+
+
+def subst_judgment_res_oracle(j, index, replacement):
+    # the kernel rewrites right-hand sides only: never a target or a call id
+    mapping = {ResVar(index): replacement}
+
+    def sub(x):
+        return fold_expr(subst_vars(x, mapping))
+
+    def atom(a):
+        if isinstance(a, Elem):
+            return Elem(a.target, sub(a.expr))
+        if isinstance(a, CallUpd):
+            return CallUpd(a.target, a.proc, sub(a.arg))
+        return type(a)(a.proc, sub(a.arg), a.call_id)
+
+    if j.stmt is not None:
+        raise RuleError("result-variable equalities apply after execution finished")
+    formula = map_terms(j.formula, lambda t: subst_vars(t, mapping))
+    return Judgment(tuple(atom(a) for a in j.update), None, formula)
 
 
 def parse_term_oracle(ts: TokenStream):

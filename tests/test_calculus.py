@@ -8,31 +8,36 @@ from collections import Counter
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from helpers import (MUTANT_SRC, dump_proof_oracle, parse_formula,
-                     random_terminating_program, run_update_prefixed,
-                     running_program, spec_m)
-from tracelet import calculus
+from helpers import (MUTANT_SRC, dump_proof_oracle, expr_vars_oracle,
+                     formula_children_oracle, formula_rebuild_oracle,
+                     formula_vars_oracle, names_in_sequent_oracle,
+                     parse_formula, random_terminating_program,
+                     run_update_prefixed, running_program, spec_m,
+                     stmt_names_oracle, subst_atom_oracle,
+                     subst_judgment_res_oracle, subst_stmt_oracle,
+                     update_reads_oracle)
+from tracelet import calculus, lang
 from tracelet.calculus import (ContractAssumption, Judgment, PredAssert,
                                PredGoal, RuleContext, RuleError, Sequent,
                                apply_rule, check_proof, contract_goal,
-                               dump_proof, load_proof, names_in_sequent,
-                               node_to_json, stmt_head)
+                               dump_proof, load_proof, node_to_json,
+                               stmt_head)
 from tracelet.fo import fo_valid
 from tracelet.interp import FuelExhausted, UpStmt, run_cont
 from tracelet.lang import (RESERVED, Assign, Binary, BoolLit, CallAssign, If,
                            IntLit, Return, ResVar, Scope, Seq, Skip,
                            TokenStream, Var, build_lookup, parse_expr,
-                           parse_program, pretty_expr, tokenize)
+                           parse_program, pretty_expr, subst_vars, tokenize)
 from tracelet.logic import (Chop, Concat, ContractSpec, MuApp, StatePred,
-                            formula_vars, member,
-                            pretty_formula, psi)
+                            children, formula_vars, map_terms, member,
+                            pretty_formula, psi, rebuild)
 from tracelet.prover import (ScriptError, UnsupportedConstruct, prove_auto,
                              run_script)
 from tracelet.traces import (Ctx, MAIN_CTX, State, eval_expr, res_name,
                              singleton)
 from tracelet.updates import (CallUpd, Elem, FinishUpd, StartUpd,
                               apply_update_expr, curr_ctx_update,
-                              pretty_update)
+                              pretty_update, update_reads, update_writes)
 
 
 def ctx_m():
@@ -179,7 +184,7 @@ class TestRules:
         prem = apply_rule("VarDecl", seq0, {}, ctx_m())
         j = prem[0].goal
         target = j.update[-1].target.name
-        assert target not in names_in_sequent(seq0)
+        assert target not in lang.names(seq0)
         assert target.startswith("r'")
 
     def test_unfold_instantiates_fresh_ids(self):
@@ -284,6 +289,30 @@ class TestRules:
         other = Sequent(seq0.gamma, Judgment((Elem(ResVar(pexpr("res(i')")), IntLit(6)),),
                                              None, seq0.goal.formula))
         assert apply_rule("ApplyEqRigid", other, {"eq": 0}, ctx_m())
+
+    @pytest.mark.parametrize("eq, update, stmt, premise, written", [
+        # the statement assigns the equality's variable
+        ("b == 1", (), Seq(Assign(Var("b"), IntLit(2)), Assign(Var("y"), Var("b"))),
+         (None, Seq(Assign(Var("b"), IntLit(2)), Assign(Var("y"), IntLit(1)))), "b"),
+        # an atom writes a variable of the other side
+        ("b == a", (Elem(Var("a"), IntLit(2)), Elem(Var("y"), Var("b"))), None,
+         ((Elem(Var("a"), IntLit(2)), Elem(Var("y"), Var("a"))), None), "a"),
+        # an atom writes a variable of the result variable's index
+        ("res(a) == 1", (Elem(Var("a"), IntLit(2)), Elem(Var("y"), pexpr("res(a)"))), None,
+         ((Elem(Var("a"), IntLit(2)), Elem(Var("y"), IntLit(1))), None), "a"),
+    ], ids=["statement", "other-side", "index"])
+    def test_apply_eq_rigid_refuses_a_write_to_a_variable_of_the_equality(
+            self, eq, update, stmt, premise, written):
+        # on the state a = b = 1 (res(1) = 1, res(2) = 7) the substituted
+        # premise holds and the conclusion does not
+        formula = parse_formula(f"psi(q) ** [y == {1 if 'res' in eq or stmt else 2}]")
+        seq0 = Sequent((PredAssert(pexpr(eq)),), Judgment(update, stmt, formula))
+        unsound = Sequent(seq0.gamma, Judgment(premise[0] or update, premise[1], formula))
+        state = State({"a": 1, "b": 1, res_name(1): 1, res_name(2): 7})
+        table = build_lookup(running_program())
+        assert _sequent_true(unsound, state, table) and not _sequent_true(seq0, state, table)
+        with pytest.raises(RuleError, match=f"writes {written},"):
+            apply_rule("ApplyEqRigid", seq0, {"eq": 0}, ctx_m())
 
     def test_apply_eq_rigid_result_variable_rewrites_right_hand_sides_only(self):
         # never a target or a call id, though res(i') occurs in them too
@@ -752,10 +781,8 @@ def _sample_states(seq, rng, tries=600):
         names |= _expr_rigids(p)
     if isinstance(j, Judgment):
         for a in j.update:
-            from tracelet.updates import update_reads
             names |= update_reads(a)
-        from tracelet.calculus import _stmt_names
-        names |= _stmt_names(j.stmt) | formula_vars(j.formula, binders=True)
+        names |= lang.names(j.stmt, j.formula)
     names = sorted(n for n in names if not n.startswith("res"))
     out = []
     from tracelet.traces import eval_expr
@@ -786,8 +813,7 @@ def _sample_states(seq, rng, tries=600):
 
 
 def _expr_rigids(e):
-    from tracelet.lang import expr_vars
-    return expr_vars(e)
+    return lang.names(e)
 
 
 def _judgment_true(seq, state, table, witnesses=(), fuel=200_000):
@@ -800,7 +826,7 @@ def _judgment_true(seq, state, table, witnesses=(), fuel=200_000):
                                     fuel=fuel)
     except FuelExhausted:
         return True  # undefined: the judgment holds vacuously
-    free_witnesses = [w for w in witnesses if w in formula_vars(j.formula, binders=True)]
+    free_witnesses = [w for w in witnesses if w in lang.names(j.formula)]
     if not free_witnesses:
         return member(trace, j.formula, env)
     ids = sorted({e.call_id for e in trace.entries if hasattr(e, "call_id")})
@@ -934,7 +960,8 @@ def _apply_update_instances(rng, count):
 def _apply_eq_rigid_instances(rng, count):
     """Random ApplyEqRigid conclusions.  The equality binds a rigid
     symbol b or a result variable res(x) to a term in the rigid a, as
-    Cond and TrAbs assume them; the update writes only y and z and
+    Cond and TrAbs assume them.  The update and the statement write y and
+    z, and now and then a or b, which the rule must refuse; the update
     finishes and makes no call that could bind res(x)."""
     for _ in range(count):
         k = rng.randint(0, 4)
@@ -943,14 +970,16 @@ def _apply_eq_rigid_instances(rng, count):
             lhs, kind = Var("b"), "var equality"
             atoms = [Elem(Var("y"), pexpr("b + 1")), Elem(Var("z"), pexpr("b + a")),
                      Elem(ResVar(Var("b")), pexpr("b + a")), StartUpd("m", Var("b"), IntLit(0)),
-                     CallUpd(Var("y"), "m", pexpr("b + 1"))]
-            stmt = rng.choice([None, Assign(Var("z"), pexpr("z + b")), Skip()])
+                     CallUpd(Var("y"), "m", pexpr("b + 1")), Elem(Var("a"), IntLit(3))]
+            stmt = rng.choice([None, Assign(Var("z"), pexpr("z + b")), Skip(),
+                               Seq(Assign(Var("b"), IntLit(2)), Assign(Var("y"), Var("b")))])
             chain = [f"psi(q) ** [y == {k}]", "psi(q) ** [z >= b]", f"[b == {k}] ** psi(q)",
                      "psi(q) ** startEv(m, b, 0) ** psi(q)", f"psi(q) ** [y == b + {k}]"]
         else:
             lhs, kind = ResVar(Var("x")), "res equality"
             atoms = [Elem(Var("y"), pexpr("res(x) + 1")), Elem(Var("z"), pexpr("res(x) * 2")),
-                     Elem(Var("y"), Var("a")), StartUpd("m", pexpr("res(x)"), Var("x"))]
+                     Elem(Var("y"), Var("a")), StartUpd("m", pexpr("res(x)"), Var("x")),
+                     Elem(Var("a"), IntLit(3))]
             stmt = None
             chain = [f"psi(q) ** [y == {k}]", "psi(q) ** [z >= res(x)]",
                      f"[res(x) == {k}] ** psi(q)", f"psi(q) ** [y == res(x) + {k}]"]
@@ -1113,3 +1142,135 @@ def test_trivial_skip_judgment_closes_in_three_steps():
                                 StatePred(BoolLit(True))))
     tree = prove_auto(seq0, ctx_m())
     assert tree.closed and tree.size() <= 3
+
+
+def _auto_proof_sequents():
+    """Every sequent of the auto proofs of generated procedures with
+    gen-contract specs: the paper's m under other steps and locals, whose
+    specs are provable, their off-by-k mutants, and the procedures of
+    random_terminating_program."""
+    cases = []
+    for step, extra in ((1, False), (2, False), (1, True)):
+        program = parse_program(rec_source(step=str(step), extra_local=extra))
+        for k in (0, 1, -2):
+            cases.append((program, "m", f"{step} * n + {k}" if k else f"{step} * n"))
+    rng = random.Random(17)
+    while len(cases) < 40:
+        program = random_terminating_program(rng)
+        for proc in program.procs:
+            cases.append((program, proc.name, rng.choice(["n", "n + 1", "2 * n", "0"])))
+    for program, proc, result in cases:
+        ctx = RuleContext.for_program(
+            program, [ContractAssumption.from_spec(gen_contract_spec(proc, result))])
+        stack = [prove_auto(contract_goal(proc), ctx, max_nodes=300)]
+        while stack:
+            node = stack.pop()
+            stack.extend(node.children)
+            yield node.sequent
+
+
+def _scripted_premises():
+    """(conclusion, rule, args, premise) of the sampled ApplyUpdate and
+    ApplyEqRigid instances that a one-line proof script applies."""
+    rng = random.Random(5)
+    instances = list(_apply_update_instances(rng, 150)) + list(_apply_eq_rigid_instances(rng, 150))
+    for seq, args, kind in instances:
+        rule = "ApplyUpdate" if kind == "ApplyUpdate" else "ApplyEqRigid"
+        line = f"{rule} @ 0 " + " ".join(f"{k}={int(v)}" for k, v in args.items())
+        try:
+            tree = run_script(seq, ctx_m(), line)
+        except ScriptError:
+            continue
+        yield seq, rule, tree.args, tree.children[0].sequent
+
+
+def _formulas_in(f):
+    stack = [f]
+    while stack:
+        f = stack.pop()
+        yield f
+        stack.extend(formula_children_oracle(f)[0])
+
+
+def _assert_walks_agree(seqs) -> int:
+    """Each walk agrees with its oracle on every sequent of seqs, and on
+    each distinct formula node and update atom among them.  For the
+    res(...) rewrite, atoms that hold each res(...) node of the sequent in
+    a target and a call id are added, and each judgment is rewritten as a
+    whole for its first hundred distinct finished ones.  Returns the
+    number of sequents."""
+    formulas, atoms, judgments = {}, {}, {}
+    for seq in seqs:
+        assert lang.names(seq) == names_in_sequent_oracle(seq)
+        j = seq.goal
+        if not isinstance(j, Judgment):
+            continue
+        assert lang.names(j.stmt) == stmt_names_oracle(j.stmt)
+        formulas.update(dict.fromkeys(_formulas_in(j.formula)))
+        extra = tuple(atom for r in lang.nodes(seq) if isinstance(r, ResVar) for atom in
+                      (Elem(ResVar(r), r), CallUpd(Var("y"), "m", r), StartUpd("m", r, r),
+                       FinishUpd("m", r, ResVar(r))))
+        atoms.update(dict.fromkeys(j.update + extra))
+        if j.stmt is None:
+            judgments[j] = None
+    for f in formulas:
+        assert children(f) == formula_children_oracle(f)
+        subs, terms = children(f)
+        assert rebuild(f, subs, terms) == f
+        terms = tuple(subst_vars(t, {"n": Var("q")}) for t in terms)
+        assert rebuild(f, subs, terms) == formula_rebuild_oracle(f, subs, terms)
+        assert formula_vars(f) == formula_vars_oracle(f)
+        assert lang.names(f) == formula_vars_oracle(f, binders=True)
+    true = StatePred(BoolLit(True))
+    for atom in atoms:
+        assert update_reads(atom) == update_reads_oracle(atom)
+        for v in sorted(lang.names(atom)) + ["absent"]:
+            for e in (IntLit(7), pexpr(f"{v} + 1"), pexpr("res(w) * 2")):
+                assert calculus._subst_atom(atom, {v: e}) == subst_atom_oracle(atom, v, e)
+        for r in [r for r in lang.nodes(atom) if isinstance(r, ResVar)] + [ResVar(Var("w"))]:
+            got = calculus._subst_atom(atom, {r: IntLit(7)}, calculus._RES_BINDERS)
+            assert got == subst_judgment_res_oracle(Judgment((atom,), None, true),
+                                                    r.index, IntLit(7)).update[0]
+    for j in list(judgments)[:100]:
+        r = next((r for r in lang.nodes(j) if isinstance(r, ResVar)), ResVar(Var("w")))
+        got = calculus._subst_judgment(j, {r: IntLit(7)}, calculus._RES_BINDERS)
+        assert got == subst_judgment_res_oracle(j, r.index, IntLit(7))
+    return len(seqs)
+
+
+class TestWalksAgainstOracles:
+    """The field walks give the sets and records of the hand-written walks
+    they replaced (tests/helpers.py keeps those as oracles)."""
+
+    def test_auto_proof_sequents(self):
+        assert _assert_walks_agree(list(_auto_proof_sequents())) >= 1000
+
+    def test_scripted_apply_update_and_apply_eq_rigid(self):
+        applied = Counter()
+        premises = list(_scripted_premises())
+        _assert_walks_agree([s for seq, _, _, premise in premises for s in (seq, premise)])
+        for seq, rule, args, premise in premises:
+            j = seq.goal
+            if rule == "ApplyUpdate":
+                v, e = j.update[args["at"]].target.name, j.update[args["at"]].expr
+                update = list(j.update)
+                for k in range(args["at"] + 1, len(update)):
+                    update[k] = subst_atom_oracle(j.update[k], v, e)
+                    if update_writes(j.update[k]) in {v} | expr_vars_oracle(e):
+                        break
+                expected = Judgment(tuple(update), j.stmt, j.formula)
+            else:
+                eq = seq.gamma[0].pred
+                lhs, rhs = (eq.left, eq.right) if isinstance(eq.left, (Var, ResVar)) \
+                    else (eq.right, eq.left)
+                if isinstance(lhs, ResVar):
+                    expected = subst_judgment_res_oracle(j, lhs.index, rhs)
+                else:
+                    mapping = {lhs.name: rhs}
+                    expected = Judgment(
+                        tuple(subst_atom_oracle(a, lhs.name, rhs) for a in j.update),
+                        None if j.stmt is None else subst_stmt_oracle(j.stmt, lhs.name, rhs),
+                        map_terms(j.formula, lambda t: subst_vars(t, mapping)))
+            assert premise.goal == expected, (seq, premise)
+            applied[rule] += 1
+        assert min(applied.values()) >= 50, applied

@@ -12,7 +12,7 @@ from helpers import (MUTANT_SRC, RUNNING_SRC, contract_m, golden_m0,
 from tracelet import logic
 from tracelet.interp import run
 from tracelet.lang import (RESERVED, Binary, BoolLit, IntLit, ParseError,
-                           ResVar, TokenStream, Var, parse_program,
+                           ResVar, TokenStream, Var, names, parse_program,
                            pretty_expr, tokenize)
 from tracelet.logic import (And, Chop, Concat, ContractSpec, FinishEvF,
                             Fresh, LogicError, MemberBudgetExceeded, Mu,
@@ -580,13 +580,14 @@ class TestUnfold:
                 assert member(t, phi_app, env) == member(t, phi_unf, env)
 
     def test_variables_free_and_with_binders(self):
-        # asked in either order, on the same objects: each Mu keeps the
-        # two answers apart
+        # asked in either order, on the same objects: each Mu keeps its
+        # names and its free variables apart
         for first in (False, True):
             f = parse_formula("(mu X(a). (mu Y(c). [c == a] /\\ [d == 0])(a))(k)")
             expected = {False: {"d", "k"}, True: {"a", "c", "d", "k"}}
             for binders in (first, not first, first):
-                assert formula_vars(f, binders) == expected[binders]
+                got = names(f) if binders else formula_vars(f)
+                assert got == expected[binders]
 
     def test_substitution_identity_when_absent(self):
         mu = contract_m()

@@ -4,6 +4,7 @@ mutable dataclass it stands for, on drawn values."""
 import ast
 import dataclasses
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -14,8 +15,9 @@ from helpers import (contract_m, parse_formula, random_linear_expr,
 from tracelet.calculus import (ContractAssumption, ContractGoal, Judgment,
                                PredAssert, PredGoal)
 from tracelet.cli import SampleResult
-from tracelet.lang import BoolLit, IntLit, ResVar, Scope, Unary, Var
-from tracelet.logic import And, Chop, Concat, Fresh, Or, pretty_formula
+from tracelet.lang import (BoolLit, IntLit, ResVar, Scope, Unary, Var, fields,
+                           remake)
+from tracelet.logic import And, Chop, Concat, Fresh, Mu, Or, pretty_formula
 from tracelet.traces import Ctx
 from tracelet.updates import CallUpd, Elem, FinishUpd, StartUpd
 
@@ -92,6 +94,7 @@ BY_ANNOTATION = {
     "int": _ints,
     "bool": st.booleans(),
     "str": _names,
+    "Names": st.lists(_names, max_size=2).map(tuple),
     "dict": _small_dicts,
     "LookupTable": _small_dicts,
     "Expr": _exprs,
@@ -220,3 +223,35 @@ def test_defaults_and_keywords():
     assert Ctx(call_id=3, proc="m") == Ctx("m", 3)
     with pytest.raises(TypeError):
         Ctx("m")
+
+
+def clone(value):
+    """An equal copy of value that shares no node with it."""
+    if isinstance(value, tuple):
+        return tuple(map(clone, value))
+    if hasattr(type(value), "__annotations__"):
+        return type(value)(*map(clone, fields(value)))
+    return value
+
+
+@pytest.mark.parametrize("cls", [r[0] for r in RECORDS] + [Mu],
+                         ids=[r[0].__name__ for r in RECORDS] + ["Mu"])
+def test_fields_follow_the_constructor(cls):
+    """A node's fields are its constructor's parameters, in order, and
+    remaking a node from its own fields gives the node itself; from equal
+    copies of them, an equal node."""
+    assert list(cls.__annotations__) == list(inspect.signature(cls.__init__).parameters)[1:]
+
+    @settings(max_examples=15, deadline=None, derandomize=True, phases=[Phase.generate])
+    @given(values=field_values(cls))
+    def check(values):
+        node = cls(*values)
+        assert fields(node) == values
+        assert remake(node, fields(node)) is node
+        assert remake(node, list(values)) is node
+        copied = clone(values)
+        copy = remake(node, copied)
+        assert copy == node
+        assert (copy is node) == all(a is b for a, b in zip(copied, values))
+
+    check()
