@@ -209,6 +209,37 @@ def _judgment(seq: Sequent) -> Judgment:
     return seq.goal
 
 
+def _leading(seq: Sequent, rule: str) -> Tuple[Judgment, Stmt, Optional[Stmt]]:
+    """(judgment, leading statement, rest) of seq's goal."""
+    j = _judgment(seq)
+    if j.stmt is None:
+        raise RuleError(f"{rule} needs a leading statement")
+    return (j, *stmt_head(j.stmt))
+
+
+def _finished(seq: Sequent, rule: str) -> Judgment:
+    """seq's judgment, whose statement has been executed to the end."""
+    j = _judgment(seq)
+    if j.stmt is not None:
+        raise RuleError(f"{rule} applies after symbolic execution finished")
+    return j
+
+
+def _var_elem_at(seq: Sequent, args: dict, rule: str) -> Tuple[Judgment, int, Elem]:
+    """seq's judgment, and the index at= and the atom there, an elementary
+    update on a variable."""
+    j = _judgment(seq)
+    idx = _index_arg(args, "at")
+    if idx is None:
+        raise RuleError(f"{rule} needs at=<index>")
+    if not (0 <= idx < len(j.update)):
+        raise RuleError("index out of range")
+    atom = j.update[idx]
+    if not isinstance(atom, Elem) or not isinstance(atom.target, Var):
+        raise RuleError(f"{rule} expects an elementary update on a variable")
+    return j, idx, atom
+
+
 def _index_arg(args: dict, key: str, default: Optional[int] = None) -> Optional[int]:
     """An integer rule argument, as scripts and proof files give it."""
     value = args.get(key, default)
@@ -271,10 +302,7 @@ def _subst_judgment(j: Judgment, mapping: dict, keep: tuple = ()) -> Judgment:
 # ---------------------------------------------------------------------------
 
 def _rule_assign(seq, args, ctx):
-    j = _judgment(seq)
-    if j.stmt is None:
-        raise RuleError("Assign needs a leading statement")
-    head, rest = stmt_head(j.stmt)
+    j, head, rest = _leading(seq, "Assign")
     if isinstance(head, Assign):
         atom = Elem(head.target, head.expr)
     elif isinstance(head, CallAssign):
@@ -285,30 +313,21 @@ def _rule_assign(seq, args, ctx):
 
 
 def _rule_skip(seq, args, ctx):
-    j = _judgment(seq)
-    if j.stmt is None:
-        raise RuleError("Skip needs a leading statement")
-    head, rest = stmt_head(j.stmt)
+    j, head, rest = _leading(seq, "Skip")
     if not isinstance(head, Skip):
         raise RuleError("Skip expects a skip statement")
     return [Sequent(seq.gamma, Judgment(j.update, rest, j.formula))]
 
 
 def _rule_scope(seq, args, ctx):
-    j = _judgment(seq)
-    if j.stmt is None:
-        raise RuleError("Scope needs a leading statement")
-    head, rest = stmt_head(j.stmt)
+    j, head, rest = _leading(seq, "Scope")
     if not isinstance(head, Scope) or head.decls:
         raise RuleError("Scope expects a declaration-free block")
     return [Sequent(seq.gamma, Judgment(j.update, seq_join(head.body, rest), j.formula))]
 
 
 def _rule_var_decl(seq, args, ctx):
-    j = _judgment(seq)
-    if j.stmt is None:
-        raise RuleError("VarDecl needs a leading statement")
-    head, rest = stmt_head(j.stmt)
+    j, head, rest = _leading(seq, "VarDecl")
     if not isinstance(head, Scope) or not head.decls:
         raise RuleError("VarDecl expects a block with declarations")
     name = head.decls[0]
@@ -319,10 +338,7 @@ def _rule_var_decl(seq, args, ctx):
 
 
 def _rule_cond(seq, args, ctx):
-    j = _judgment(seq)
-    if j.stmt is None:
-        raise RuleError("Cond needs a leading statement")
-    head, rest = stmt_head(j.stmt)
+    j, head, rest = _leading(seq, "Cond")
     if not isinstance(head, If):
         raise RuleError("Cond expects a conditional")
     try:
@@ -337,10 +353,7 @@ def _rule_cond(seq, args, ctx):
 
 
 def _rule_return(seq, args, ctx):
-    j = _judgment(seq)
-    if j.stmt is None:
-        raise RuleError("Return needs a leading statement")
-    head, rest = stmt_head(j.stmt)
+    j, head, rest = _leading(seq, "Return")
     if not isinstance(head, Return):
         raise RuleError("Return expects a return statement")
     if rest is not None:
@@ -367,9 +380,7 @@ def _rule_prestate(seq, args, ctx):
 
 
 def _rule_poststate(seq, args, ctx):
-    j = _judgment(seq)
-    if j.stmt is not None:
-        raise RuleError("Poststate applies after symbolic execution finished")
+    j = _finished(seq, "Poststate")
     parts = flatten_chain(j.formula)
     if len(parts) < 2 or not isinstance(parts[-1][1], StatePred) or parts[-1][0] != "**":
         raise RuleError("Poststate expects Phi ** [Q]")
@@ -468,9 +479,7 @@ def _rule_procedure_contract(seq, args, ctx):
 
 
 def _rule_trabs(seq, args, ctx):
-    j = _judgment(seq)
-    if j.stmt is not None:
-        raise RuleError("TrAbs applies after symbolic execution finished")
+    j = _finished(seq, "TrAbs")
     call_indices = [k for k, a in enumerate(j.update) if isinstance(a, CallUpd)]
     if not call_indices:
         raise RuleError("TrAbs needs a call update")
@@ -539,15 +548,7 @@ def _rule_trabs(seq, args, ctx):
 
 
 def _rule_apply_update(seq, args, ctx):
-    j = _judgment(seq)
-    idx = _index_arg(args, "at")
-    if idx is None:
-        raise RuleError("ApplyUpdate needs at=<index>")
-    if not (0 <= idx < len(j.update)):
-        raise RuleError("index out of range")
-    atom = j.update[idx]
-    if not isinstance(atom, Elem) or not isinstance(atom.target, Var):
-        raise RuleError("ApplyUpdate expects an elementary update on a variable")
+    j, idx, atom = _var_elem_at(seq, args, "ApplyUpdate")
     v, e = atom.target.name, atom.expr
     read = names(e)
     if v in read:
@@ -577,15 +578,7 @@ def _gap_tolerant(formula: Formula, update: Update, idx: int) -> bool:
 
 
 def _rule_drop_update(seq, args, ctx):
-    j = _judgment(seq)
-    idx = _index_arg(args, "at")
-    if idx is None:
-        raise RuleError("DropUpdate needs at=<index>")
-    if not (0 <= idx < len(j.update)):
-        raise RuleError("index out of range")
-    atom = j.update[idx]
-    if not isinstance(atom, Elem) or not isinstance(atom.target, Var):
-        raise RuleError("DropUpdate expects an elementary update on a variable")
+    j, idx, atom = _var_elem_at(seq, args, "DropUpdate")
     v = atom.target.name
     alive = True
     for k in range(idx + 1, len(j.update)):
@@ -645,6 +638,12 @@ def _rule_apply_eq_rigid(seq, args, ctx):
         new_j = _subst_judgment(j, {lhs: rhs}, _RES_BINDERS)
     else:
         raise RuleError("equality must bind a variable or result variable")
+    # a finishEv or a return writes the result of a call whose id may be the
+    # value of any index of the equality, whatever its structure
+    if any(type(n) is ResVar for n in nodes(a.pred)) and any(
+            type(n) in (FinishUpd, Return) for n in nodes(j.update, j.stmt)):
+        raise RuleError("the judgment finishes a call, whose result variable the "
+                        "equality may read")
     gamma = seq.gamma
     if args.get("drop"):
         gamma = gamma[:gi] + gamma[gi + 1:]
@@ -659,16 +658,9 @@ def _written(j: Judgment) -> list:
 
 
 def _event_formula_matches(atom, part, update_prefix) -> Optional[Expr]:
-    """Equality side conditions when an event update meets its formula."""
-    if isinstance(atom, StartUpd) and isinstance(part, StartEvF):
-        pass
-    elif isinstance(atom, FinishUpd) and isinstance(part, FinishEvF):
-        pass
-    else:
-        return None
-    if atom.proc != part.proc:
-        return None
-    if isinstance(part.arg, Fresh) or isinstance(part.call_id, Fresh):
+    """Equality side conditions when an event update meets a formula of its
+    kind."""
+    if atom.proc != part.proc or isinstance(part.arg, Fresh) or isinstance(part.call_id, Fresh):
         return None
     try:
         ae = apply_update_expr(update_prefix, atom.arg)
@@ -684,33 +676,28 @@ def _rule_elim_event(kind: str):
     label = "ElimStart" if kind == "start" else "ElimFinish"
 
     def rule(seq, args, ctx):
-        j = _judgment(seq)
-        if j.stmt is not None:
-            raise RuleError(f"{label} applies after symbolic execution finished")
+        j = _finished(seq, label)
         if not j.update or not isinstance(j.update[-1], upd_type):
             raise RuleError(f"{label} expects a trailing event update")
-        atom = j.update[-1]
         parts = flatten_chain(j.formula)
+        # Phi ** ev under U{ev} leaves Phi under U; ev alone under {ev}, nothing
         if len(parts) >= 2 and parts[-1][0] == "**" and isinstance(parts[-1][1], fml_type):
-            cond = _event_formula_matches(atom, parts[-1][1], j.update[:-1])
-            if cond is None:
-                raise RuleError(f"{label}: event update and formula do not align")
-            return [Sequent(seq.gamma, PredGoal(cond)),
-                    Sequent(seq.gamma, Judgment(j.update[:-1], None, _drop_last(parts)))]
-        if len(parts) == 1 and isinstance(parts[0], fml_type) and len(j.update) == 1:
-            cond = _event_formula_matches(atom, parts[0], ())
-            if cond is None:
-                raise RuleError(f"{label}: event update and formula do not align")
-            return [Sequent(seq.gamma, PredGoal(cond))]
-        raise RuleError(f"{label}: shape mismatch")
+            part = parts[-1][1]
+            rest = [Sequent(seq.gamma, Judgment(j.update[:-1], None, _drop_last(parts)))]
+        elif len(parts) == 1 and isinstance(parts[0], fml_type) and len(j.update) == 1:
+            part, rest = parts[0], []
+        else:
+            raise RuleError(f"{label}: shape mismatch")
+        cond = _event_formula_matches(j.update[-1], part, j.update[:-1])
+        if cond is None:
+            raise RuleError(f"{label}: event update and formula do not align")
+        return [Sequent(seq.gamma, PredGoal(cond))] + rest
 
     return rule
 
 
 def _rule_elim_update1(seq, args, ctx):
-    j = _judgment(seq)
-    if j.stmt is not None:
-        raise RuleError("ElimUpdate1 applies after symbolic execution finished")
+    j = _finished(seq, "ElimUpdate1")
     if not j.update or not isinstance(j.update[-1], Elem) \
             or isinstance(j.update[-1].target, ResVar):
         raise RuleError("ElimUpdate1 expects a trailing elementary update")
@@ -735,9 +722,7 @@ def _atoms_outside(update: Update, exclude: frozenset) -> bool:
 
 
 def _rule_subsume_updates(seq, args, ctx):
-    j = _judgment(seq)
-    if j.stmt is not None:
-        raise RuleError("SubsumeUpdates applies after symbolic execution finished")
+    j = _finished(seq, "SubsumeUpdates")
     parts = flatten_chain(j.formula)
     if len(parts) < 2 or parts[-1][0] != "**":
         raise RuleError("SubsumeUpdates expects a trailing chop gap")
@@ -758,9 +743,7 @@ def _rule_subsume_updates(seq, args, ctx):
 
 
 def _rule_gap_axiom(seq, args, ctx):
-    j = _judgment(seq)
-    if j.stmt is not None:
-        raise RuleError("GapAxiom applies after symbolic execution finished")
+    j = _finished(seq, "GapAxiom")
     excl = is_psi(j.formula)
     if excl is None:
         raise RuleError("GapAxiom expects a no-event gap formula")
@@ -787,9 +770,7 @@ def _rule_fte_prefix(seq, args, ctx):
 
 
 def _rule_fte_postfix(seq, args, ctx):
-    j = _judgment(seq)
-    if j.stmt is not None:
-        raise RuleError("FiniteTraceEmptyPostfix applies after execution finished")
+    j = _finished(seq, "FiniteTraceEmptyPostfix")
     if not j.update or not isinstance(j.update[-1], (StartUpd, FinishUpd)):
         raise RuleError("FiniteTraceEmptyPostfix expects a trailing event update")
     parts = flatten_chain(j.formula)

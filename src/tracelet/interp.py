@@ -176,11 +176,8 @@ class Machine:
         atom = us.atoms[0]
         rest = _norm_upstmt(us.atoms[1:], us.stmt)
         if isinstance(atom, Elem):
-            if isinstance(atom.target, ResVar):
-                # redundant: its evaluation always follows finishEv
-                return singleton(state), rest
-            v = eval_expr(state, atom.expr)
-            return Trace((state, state.set(atom.target.name, v))), rest
+            # as the assignment of its expression to its target
+            return self._assign(state, atom)[0], rest
         if isinstance(atom, CallUpd):
             # invokes the full program semantics from the last state
             sub = run_cont(singleton(state), CallAssign(atom.target, atom.proc, atom.arg),

@@ -200,24 +200,15 @@ BOOL_OPS = ("&&", "||")
 class IntLit:
     value: int
 
-    def __str__(self):
-        return str(self.value)
-
 
 @record(frozen=True)
 class BoolLit:
     value: bool
 
-    def __str__(self):
-        return "true" if self.value else "false"
-
 
 @record(frozen=True)
 class Var:
     name: str
-
-    def __str__(self):
-        return self.name
 
 
 @record(frozen=True)
@@ -225,9 +216,6 @@ class ResVar:
     """Result variable res(i); written only by the semantics itself."""
 
     index: Expr
-
-    def __str__(self):
-        return f"res({self.index})"
 
 
 @record(frozen=True)
@@ -242,17 +230,11 @@ class Fresh:
 
     arg: Expr
 
-    def __str__(self):
-        return f"fresh({pretty_expr(self.arg)})"
-
 
 @record(frozen=True)
 class Unary:
     op: str  # '-' or '!'
     operand: Expr
-
-    def __str__(self):
-        return pretty_expr(self)
 
 
 @record(frozen=True)
@@ -260,9 +242,6 @@ class Binary:
     op: str
     left: Expr
     right: Expr
-
-    def __str__(self):
-        return pretty_expr(self)
 
 
 Expr = Union[IntLit, BoolLit, Var, ResVar, Fresh, Unary, Binary]
@@ -272,17 +251,30 @@ _PREC = {"||": 1, "&&": 2, "==": 3, "!=": 3, "<": 3, "<=": 3, ">": 3, ">=": 3,
 
 
 def pretty_expr(e: Expr, min_prec: int = 0) -> str:
-    """Minimal-parentheses rendering; reparses to the same tree."""
-    if isinstance(e, (IntLit, BoolLit, Var, Fresh)):
-        return str(e)
-    if isinstance(e, ResVar):
-        return f"res({pretty_expr(e.index)})"
+    """Minimal-parentheses rendering; reparses to the same tree.  It is the
+    ``__str__`` of every expression class."""
+    if isinstance(e, Var):
+        return e.name
+    if isinstance(e, IntLit):
+        return str(e.value)
+    if isinstance(e, Binary):
+        prec = _PREC[e.op]
+        text = f"{pretty_expr(e.left, prec)} {e.op} {pretty_expr(e.right, prec + 1)}"
+        return f"({text})" if min_prec > prec else text
     if isinstance(e, Unary):
         text = f"{e.op}{pretty_expr(e.operand, 6)}"
         return f"({text})" if min_prec > 6 else text
-    prec = _PREC[e.op]
-    text = f"{pretty_expr(e.left, prec)} {e.op} {pretty_expr(e.right, prec + 1)}"
-    return f"({text})" if min_prec > prec else text
+    if isinstance(e, ResVar):
+        return f"res({pretty_expr(e.index)})"
+    if isinstance(e, Fresh):
+        return f"fresh({pretty_expr(e.arg)})"
+    if isinstance(e, BoolLit):
+        return "true" if e.value else "false"
+    raise TypeError(f"not an expression: {e!r}")
+
+
+for _kind in Expr.__args__:
+    _kind.__str__ = pretty_expr
 
 
 def subst_vars(e: Expr, mapping: dict) -> Expr:
@@ -855,46 +847,31 @@ def _stmt_seq(s: Stmt) -> Iterator[Stmt]:
         yield s
 
 
+# For each literal kind and operator: the type it produces, the type of its
+# operands, and what a context that wants the other type is told
+_TYPING = {IntLit: ("int", None, "integer where condition expected"),
+           BoolLit: ("bool", None, "boolean literal in integer position"),
+           Var: ("int", None, "integer variable where condition expected"),
+           "!": ("bool", "bool", "boolean where integer expected"),
+           **{op: ("int", "int", "arithmetic where condition expected") for op in ARITH_OPS},
+           **{op: ("bool", "int", "comparison in integer position") for op in CMP_OPS},
+           **{op: ("bool", "bool", "boolean operator in integer position") for op in BOOL_OPS}}
+
+
 def _check_expr(e: Expr, scope: set, want: str, diags, where: str):
     # want is 'int' or 'bool'
-    if isinstance(e, IntLit):
-        if want != "int":
-            diags.append(Diagnostic("type", f"integer where condition expected: {e}", where))
-    elif isinstance(e, BoolLit):
-        if want != "bool":
-            diags.append(Diagnostic("type", f"boolean literal in integer position: {e}", where))
-    elif isinstance(e, Var):
-        if e.name not in scope:
-            diags.append(Diagnostic("undeclared", f"variable {e.name!r} not in scope", where))
-        if want != "int":
-            diags.append(Diagnostic("type", f"integer variable where condition expected: {e}", where))
-    elif isinstance(e, ResVar):
+    kind = type(e)
+    if kind is ResVar:
         diags.append(Diagnostic("res-var", "res(...) may not appear in user programs", where))
-    elif isinstance(e, Unary):
-        if e.op == "-":
-            if want != "int":
-                diags.append(Diagnostic("type", f"arithmetic where condition expected: {e}", where))
-            _check_expr(e.operand, scope, "int", diags, where)
-        else:  # '!'
-            if want != "bool":
-                diags.append(Diagnostic("type", f"boolean where integer expected: {e}", where))
-            _check_expr(e.operand, scope, "bool", diags, where)
-    elif isinstance(e, Binary):
-        if e.op in ARITH_OPS:
-            if want != "int":
-                diags.append(Diagnostic("type", f"arithmetic where condition expected: {e}", where))
-            _check_expr(e.left, scope, "int", diags, where)
-            _check_expr(e.right, scope, "int", diags, where)
-        elif e.op in CMP_OPS:
-            if want != "bool":
-                diags.append(Diagnostic("type", f"comparison in integer position: {e}", where))
-            _check_expr(e.left, scope, "int", diags, where)
-            _check_expr(e.right, scope, "int", diags, where)
-        else:
-            if want != "bool":
-                diags.append(Diagnostic("type", f"boolean operator in integer position: {e}", where))
-            _check_expr(e.left, scope, "bool", diags, where)
-            _check_expr(e.right, scope, "bool", diags, where)
+        return
+    if kind is Var and e.name not in scope:
+        diags.append(Diagnostic("undeclared", f"variable {e.name!r} not in scope", where))
+    made, operand, message = _TYPING[e.op if kind is Unary or kind is Binary else kind]
+    if want != made:
+        diags.append(Diagnostic("type", f"{message}: {e}", where))
+    if operand:
+        for sub in fields(e)[1:]:  # after the operator
+            _check_expr(sub, scope, operand, diags, where)
 
 
 def _check_stmt(s: Stmt, scope: set, locals_only: Optional[set], table: dict,
@@ -903,47 +880,40 @@ def _check_stmt(s: Stmt, scope: set, locals_only: Optional[set], table: dict,
     items = list(_stmt_seq(s))
     for k, item in enumerate(items):
         last = k == len(items) - 1
-        if isinstance(item, Skip):
+        kind = type(item)
+        if kind is Skip:
             continue
-        if isinstance(item, Return):
+        if kind is Return:
             if not (tail_return_ok and last):
                 diags.append(Diagnostic("return-position", "return must be the final statement", where))
             _check_expr(item.expr, scope, "int", diags, where)
-            continue
-        if isinstance(item, Assign):
-            if isinstance(item.target, ResVar):
+        elif kind is Assign or kind is CallAssign:
+            if type(item.target) is ResVar:
                 diags.append(Diagnostic("res-var", "user code may not write res(...)", where))
                 continue
+            # a call's procedure and argument are checked before its target
+            if kind is CallAssign:
+                if item.proc not in table:
+                    diags.append(Diagnostic("unknown-procedure", f"call to unknown {item.proc!r}", where))
+                _check_expr(item.arg, scope, "int", diags, where)
             name = item.target.name
             if name not in scope:
                 diags.append(Diagnostic("undeclared", f"assignment to undeclared {name!r}", where))
             elif locals_only is not None and name not in locals_only:
                 diags.append(Diagnostic("side-effect",
                                         f"procedure writes non-local variable {name!r}", where))
-            _check_expr(item.expr, scope, "int", diags, where)
-            continue
-        if isinstance(item, CallAssign):
-            if item.proc not in table:
-                diags.append(Diagnostic("unknown-procedure", f"call to unknown {item.proc!r}", where))
-            _check_expr(item.arg, scope, "int", diags, where)
-            name = item.target.name
-            if name not in scope:
-                diags.append(Diagnostic("undeclared", f"assignment to undeclared {name!r}", where))
-            elif locals_only is not None and name not in locals_only:
-                diags.append(Diagnostic("side-effect",
-                                        f"procedure writes non-local variable {name!r}", where))
-            continue
-        if isinstance(item, If) or isinstance(item, While):
+            if kind is Assign:
+                _check_expr(item.expr, scope, "int", diags, where)
+        elif kind is If or kind is While:
             _check_expr(item.cond, scope, "bool", diags, where)
             _check_stmt(item.body, scope, locals_only, table, diags, where, False)
-            continue
-        if isinstance(item, Scope):
+        elif kind is Scope:
             inner_scope = scope | set(item.decls)
             inner_locals = None if locals_only is None else locals_only | set(item.decls)
             _check_stmt(item.body, inner_scope, inner_locals, table, diags, where,
                         tail_return_ok and last)
-            continue
-        diags.append(Diagnostic("internal", f"unexpected statement {item!r}", where))
+        else:
+            diags.append(Diagnostic("internal", f"unexpected statement {item!r}", where))
 
 
 def well_formed(p: Program) -> list:

@@ -108,18 +108,12 @@ def eval_term(t: Expr, env: dict):
 class StatePred:
     pred: Expr
 
-    def __repr__(self):
-        return f"[{pretty_expr(self.pred)}]"
-
 
 @record(frozen=True)
 class NoEv:
     """One-entry matcher: a state, or an event not involving the procs."""
 
     exclude: frozenset  # procedure names; empty set excludes nothing
-
-    def __repr__(self):
-        return f"noev({', '.join(sorted(self.exclude))})"
 
 
 @record(frozen=True)
@@ -128,18 +122,12 @@ class StartEvF:
     arg: Expr
     call_id: Expr
 
-    def __repr__(self):
-        return f"startEv({self.proc}, {pretty_expr(self.arg)}, {pretty_expr(self.call_id)})"
-
 
 @record(frozen=True)
 class FinishEvF:
     proc: str
     arg: Expr
     call_id: Expr
-
-    def __repr__(self):
-        return f"finishEv({self.proc}, {pretty_expr(self.arg)}, {pretty_expr(self.call_id)})"
 
 
 @record(frozen=True)
@@ -171,9 +159,6 @@ class RecApp:
     name: str
     args: Tuple[Expr, ...]
 
-    def __repr__(self):
-        return f"{self.name}({', '.join(pretty_expr(a) for a in self.args)})"
-
 
 class Mu:
     """mu X(params). body — compared structurally; hashed, printed and its
@@ -198,9 +183,6 @@ class Mu:
         if self._hash is None:
             self._hash = hash(fields(self))
         return self._hash
-
-    def __repr__(self):
-        return f"mu {self.name}({', '.join(self.params)}). ..."
 
 
 @record(frozen=True)
@@ -1039,7 +1021,8 @@ def check_formula(f: Formula, bound: dict):
 
 
 def pretty_formula(f: Formula, prec: int = 0) -> str:
-    """Render with the ~m~ shorthand for chop-embedded no-event gaps."""
+    """Render with the ~m~ shorthand for chop-embedded no-event gaps.  It is
+    the ``__repr__`` of every formula class."""
     excl = is_psi(f)
     if excl is not None:
         return f"psi({', '.join(sorted(excl))})"
@@ -1083,6 +1066,10 @@ def pretty_formula(f: Formula, prec: int = 0) -> str:
         mu_text = pretty_formula(f.mu, 4)
         return f"{mu_text}({', '.join(pretty_expr(a) for a in f.args)})"
     raise LogicError(f"not a formula: {f!r}")
+
+
+for _kind in Formula.__args__:
+    _kind.__repr__ = pretty_formula
 
 
 # ---------------------------------------------------------------------------

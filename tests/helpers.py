@@ -18,9 +18,10 @@ from tracelet.calculus import (Judgment, PredAssert, PredGoal, RuleError,
                                node_to_json)
 from tracelet.interp import (DEFAULT_FUEL, FuelExhausted, Machine, RunError,
                              UpStmt, run_cont)
-from tracelet.lang import (Assign, Binary, BoolLit, CallAssign, Fresh, If,
-                           IntLit, Program, ProcDecl, ResVar, Return, Scope,
-                           Seq, Skip, TokenStream, Unary, Var, While,
+from tracelet.lang import (ARITH_OPS, CMP_OPS, Assign, Binary, BoolLit,
+                           CallAssign, Diagnostic, Fresh, If, IntLit, Program,
+                           ProcDecl, ResVar, Return, Scope, Seq, Skip,
+                           TokenStream, Unary, Var, While, _stmt_seq,
                            fold_expr, lookup, parse_program, seq,
                            subst_vars, tokenize)
 from tracelet.logic import (And, Chop, Concat, ContractSpec, FinishEvF,
@@ -931,6 +932,121 @@ def subst_stmt_oracle(s, name: str, replacement):
     if isinstance(s, Return):
         return Return(sub(s.expr))
     raise TypeError(f"not a statement: {s!r}")
+
+
+# lang.well_formed before its typing table: one branch per literal kind
+# and operator, and an assignment's target checked in two places
+
+def _check_expr_oracle(e: Expr, scope: set, want: str, diags, where: str):
+    # want is 'int' or 'bool'
+    if isinstance(e, IntLit):
+        if want != "int":
+            diags.append(Diagnostic("type", f"integer where condition expected: {e}", where))
+    elif isinstance(e, BoolLit):
+        if want != "bool":
+            diags.append(Diagnostic("type", f"boolean literal in integer position: {e}", where))
+    elif isinstance(e, Var):
+        if e.name not in scope:
+            diags.append(Diagnostic("undeclared", f"variable {e.name!r} not in scope", where))
+        if want != "int":
+            diags.append(Diagnostic("type", f"integer variable where condition expected: {e}", where))
+    elif isinstance(e, ResVar):
+        diags.append(Diagnostic("res-var", "res(...) may not appear in user programs", where))
+    elif isinstance(e, Unary):
+        if e.op == "-":
+            if want != "int":
+                diags.append(Diagnostic("type", f"arithmetic where condition expected: {e}", where))
+            _check_expr_oracle(e.operand, scope, "int", diags, where)
+        else:  # '!'
+            if want != "bool":
+                diags.append(Diagnostic("type", f"boolean where integer expected: {e}", where))
+            _check_expr_oracle(e.operand, scope, "bool", diags, where)
+    elif isinstance(e, Binary):
+        if e.op in ARITH_OPS:
+            if want != "int":
+                diags.append(Diagnostic("type", f"arithmetic where condition expected: {e}", where))
+            _check_expr_oracle(e.left, scope, "int", diags, where)
+            _check_expr_oracle(e.right, scope, "int", diags, where)
+        elif e.op in CMP_OPS:
+            if want != "bool":
+                diags.append(Diagnostic("type", f"comparison in integer position: {e}", where))
+            _check_expr_oracle(e.left, scope, "int", diags, where)
+            _check_expr_oracle(e.right, scope, "int", diags, where)
+        else:
+            if want != "bool":
+                diags.append(Diagnostic("type", f"boolean operator in integer position: {e}", where))
+            _check_expr_oracle(e.left, scope, "bool", diags, where)
+            _check_expr_oracle(e.right, scope, "bool", diags, where)
+
+
+def _check_stmt_oracle(s: Stmt, scope: set, locals_only: Optional[set], table: dict,
+                diags, where: str, tail_return_ok: bool):
+    # locals_only, when set, is the set of names a procedure may write to
+    items = list(_stmt_seq(s))
+    for k, item in enumerate(items):
+        last = k == len(items) - 1
+        if isinstance(item, Skip):
+            continue
+        if isinstance(item, Return):
+            if not (tail_return_ok and last):
+                diags.append(Diagnostic("return-position", "return must be the final statement", where))
+            _check_expr_oracle(item.expr, scope, "int", diags, where)
+            continue
+        if isinstance(item, Assign):
+            if isinstance(item.target, ResVar):
+                diags.append(Diagnostic("res-var", "user code may not write res(...)", where))
+                continue
+            name = item.target.name
+            if name not in scope:
+                diags.append(Diagnostic("undeclared", f"assignment to undeclared {name!r}", where))
+            elif locals_only is not None and name not in locals_only:
+                diags.append(Diagnostic("side-effect",
+                                        f"procedure writes non-local variable {name!r}", where))
+            _check_expr_oracle(item.expr, scope, "int", diags, where)
+            continue
+        if isinstance(item, CallAssign):
+            if item.proc not in table:
+                diags.append(Diagnostic("unknown-procedure", f"call to unknown {item.proc!r}", where))
+            _check_expr_oracle(item.arg, scope, "int", diags, where)
+            name = item.target.name
+            if name not in scope:
+                diags.append(Diagnostic("undeclared", f"assignment to undeclared {name!r}", where))
+            elif locals_only is not None and name not in locals_only:
+                diags.append(Diagnostic("side-effect",
+                                        f"procedure writes non-local variable {name!r}", where))
+            continue
+        if isinstance(item, If) or isinstance(item, While):
+            _check_expr_oracle(item.cond, scope, "bool", diags, where)
+            _check_stmt_oracle(item.body, scope, locals_only, table, diags, where, False)
+            continue
+        if isinstance(item, Scope):
+            inner_scope = scope | set(item.decls)
+            inner_locals = None if locals_only is None else locals_only | set(item.decls)
+            _check_stmt_oracle(item.body, inner_scope, inner_locals, table, diags, where,
+                        tail_return_ok and last)
+            continue
+        diags.append(Diagnostic("internal", f"unexpected statement {item!r}", where))
+
+
+def well_formed_oracle(p: Program) -> list:
+    """Empty list iff all program invariants hold."""
+    diags: list = []
+    table = {}
+    for proc in p.procs:
+        if proc.name in table:
+            diags.append(Diagnostic("duplicate-procedure",
+                                    f"procedure {proc.name!r} declared twice", proc.name))
+        table[proc.name] = proc
+    for proc in p.procs:
+        scope = {proc.param} | set(proc.body.decls)
+        locals_only = set(proc.body.decls)
+        items = list(_stmt_seq(proc.body.body))
+        if not items or not isinstance(items[-1], Return):
+            diags.append(Diagnostic("return-position",
+                                    "procedure body must end in return", proc.name))
+        _check_stmt_oracle(proc.body.body, scope, locals_only, table, diags, proc.name, True)
+    _check_stmt_oracle(p.main_body, set(p.main_decls), None, table, diags, "main", False)
+    return diags
 
 
 def _then(first, second):

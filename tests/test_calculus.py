@@ -52,6 +52,8 @@ def pexpr(text):
 
 
 START_M00 = StartUpd("m", IntLit(0), IntLit(0))
+START_K = StartUpd("m", IntLit(0), Var("k'"))
+FINISH_K = FinishUpd("m", IntLit(6), Var("k'"))
 
 
 def rule_counts(tree):
@@ -320,12 +322,33 @@ class TestRules:
         seq0 = Sequent((PredAssert(pexpr("res(i') == 5")),),
                        Judgment((Elem(ResVar(r), pexpr("res(i') + 1")),
                                  CallUpd(Var("y"), "m", pexpr("res(i') - 1")),
-                                 StartUpd("m", r, r), FinishUpd("m", pexpr("2 * res(i')"), r)),
+                                 StartUpd("m", r, r), StartUpd("m", pexpr("2 * res(i')"), r)),
                                 None, parse_formula("psi(q) ** [y == res(i') + 1]")))
         [prem] = apply_rule("ApplyEqRigid", seq0, {"eq": 0}, ctx_m())
         assert prem.goal == Judgment((Elem(ResVar(r), IntLit(6)), CallUpd(Var("y"), "m", IntLit(4)),
-                                      StartUpd("m", IntLit(5), r), FinishUpd("m", IntLit(10), r)),
+                                      StartUpd("m", IntLit(5), r), StartUpd("m", IntLit(10), r)),
                                      None, parse_formula("psi(q) ** [y == 5 + 1]"))
+
+    @pytest.mark.parametrize("eq, update, stmt, formula, premise", [
+        # finishEv(m, 6, k') writes res(k'), which is res(i') when k' = i'
+        ("res(i') == 5", (START_K, FINISH_K, Elem(Var("y"), pexpr("res(i')"))), None,
+         "psi(q) ** [y == 5]",
+         ((START_K, FINISH_K, Elem(Var("y"), IntLit(5))), None, "psi(q) ** [y == 5]")),
+        # so does the return of the call k'
+        ("b == res(i')", (START_K,), Return(IntLit(0)), "psi(q) ** [b == 0]",
+         ((START_K,), Return(IntLit(0)), "psi(q) ** [res(i') == 0]")),
+    ], ids=["finishEv", "return"])
+    def test_apply_eq_rigid_refuses_a_call_that_finishes(self, eq, update, stmt, formula,
+                                                          premise):
+        # on the state i' = k' = 1, res(1) = 5 the substituted premise holds
+        # and the conclusion does not
+        seq0 = Sequent((PredAssert(pexpr(eq)),), Judgment(update, stmt, parse_formula(formula)))
+        unsound = Sequent(seq0.gamma, Judgment(*premise[:2], parse_formula(premise[2])))
+        state = State({"i'": 1, "k'": 1, "b": 5, res_name(1): 5})
+        table = build_lookup(running_program())
+        assert _sequent_true(unsound, state, table) and not _sequent_true(seq0, state, table)
+        with pytest.raises(RuleError, match="finishes a call"):
+            apply_rule("ApplyEqRigid", seq0, {"eq": 0}, ctx_m())
 
 
 def closed_proof():
@@ -818,9 +841,15 @@ def _expr_rigids(e):
 
 def _judgment_true(seq, state, table, witnesses=(), fuel=200_000):
     """Sequent-semantics truth; witness rigids are fresh-id symbols and
-    are read existentially over the call identifiers of the trace."""
+    are read existentially over the call identifiers of the trace.  A
+    variable the update or the statement never writes is rigid: it keeps
+    its first value, so it is bound as a logical variable; logical bindings
+    shadow program variables, so a written one is not."""
     j = seq.goal
-    env = state.bindings()
+    written = {update_writes(a) for a in j.update} | {
+        s.target.name for s in lang.nodes(j.stmt)
+        if isinstance(s, (Assign, CallAssign)) and isinstance(s.target, Var)}
+    env = {k: v for k, v in state.bindings().items() if k not in written}
     try:
         trace = run_update_prefixed(j.update, j.stmt, singleton(state), table,
                                     fuel=fuel)
@@ -876,6 +905,12 @@ class TestDifferentialSoundness:
                         if isinstance(c.sequent.goal, Judgment))
                     if premises:
                         assert conclusion
+
+    def test_a_written_variable_is_read_after_the_write(self):
+        # x is sampled, but the update writes it: the formula reads 5, not 0
+        seq = Sequent((), Judgment((Elem(Var("x"), IntLit(5)),), None,
+                                   parse_formula("psi(q) ** [x == 5]")))
+        assert _sequent_true(seq, State({"x": 0}), build_lookup(running_program()))
 
     def test_mutant_program_judgment_fails(self):
         # the same contract formula rejects the off-by-one implementation
@@ -961,12 +996,14 @@ def _apply_eq_rigid_instances(rng, count):
     """Random ApplyEqRigid conclusions.  The equality binds a rigid
     symbol b or a result variable res(x) to a term in the rigid a, as
     Cond and TrAbs assume them.  The update and the statement write y and
-    z, and now and then a or b, which the rule must refuse; the update
-    finishes and makes no call that could bind res(x)."""
+    z, and now and then a or b, which the rule must refuse.  In the third
+    kind the update may finish a call with the id a, which writes res(x)
+    when a and x are equal, so the rule must refuse it too."""
     for _ in range(count):
         k = rng.randint(0, 4)
         rhs = rng.choice([IntLit(k), pexpr(f"a + {k}"), pexpr("a * 2")])
-        if rng.random() < 0.5:
+        roll = rng.random()
+        if roll < 0.4:
             lhs, kind = Var("b"), "var equality"
             atoms = [Elem(Var("y"), pexpr("b + 1")), Elem(Var("z"), pexpr("b + a")),
                      Elem(ResVar(Var("b")), pexpr("b + a")), StartUpd("m", Var("b"), IntLit(0)),
@@ -976,11 +1013,15 @@ def _apply_eq_rigid_instances(rng, count):
             chain = [f"psi(q) ** [y == {k}]", "psi(q) ** [z >= b]", f"[b == {k}] ** psi(q)",
                      "psi(q) ** startEv(m, b, 0) ** psi(q)", f"psi(q) ** [y == b + {k}]"]
         else:
-            lhs, kind = ResVar(Var("x")), "res equality"
-            atoms = [Elem(Var("y"), pexpr("res(x) + 1")), Elem(Var("z"), pexpr("res(x) * 2")),
-                     Elem(Var("y"), Var("a")), StartUpd("m", pexpr("res(x)"), Var("x")),
-                     Elem(Var("a"), IntLit(3))]
-            stmt = None
+            lhs, stmt = ResVar(Var("x")), None
+            atoms = [Elem(Var("y"), pexpr("res(x) + 1")), Elem(Var("z"), pexpr("res(x) * 2"))]
+            if roll < 0.7:
+                kind = "res equality"
+                atoms += [Elem(Var("y"), Var("a")), StartUpd("m", pexpr("res(x)"), Var("x")),
+                          Elem(Var("a"), IntLit(3))]
+            else:
+                kind = "res equality, finished call"
+                atoms += [StartUpd("m", IntLit(0), Var("a")), FinishUpd("m", IntLit(6), Var("a"))]
             chain = [f"psi(q) ** [y == {k}]", "psi(q) ** [z >= res(x)]",
                      f"[res(x) == {k}] ** psi(q)", f"psi(q) ** [y == res(x) + {k}]"]
         eq = Binary("==", lhs, rhs) if rng.random() < 0.8 else Binary("==", rhs, lhs)

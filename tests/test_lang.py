@@ -6,11 +6,12 @@ import pytest
 
 from helpers import (M0_SRC, RUNNING_SRC, random_linear_expr,
                      random_terminating_program, subst_res_oracle,
-                     subst_stmt_oracle, subst_vars_oracle)
-from tracelet.lang import (Assign, Binary, CallAssign, Fresh, If, IntLit, ParseError,
-                           ProcDecl, Program, ResVar, Return, Scope, Seq, Skip,
-                           Unary, UnknownProcedure, Var, build_lookup, lookup,
-                           parse_program, subst_stmt, subst_vars, well_formed)
+                     subst_stmt_oracle, subst_vars_oracle, well_formed_oracle)
+from tracelet.lang import (Assign, Binary, BoolLit, CallAssign, Fresh, If, IntLit,
+                           ParseError, ProcDecl, Program, ResVar, Return, Scope,
+                           Seq, Skip, Unary, UnknownProcedure, Var, build_lookup,
+                           fields, lookup, parse_program, remake, subst_stmt,
+                           subst_vars, well_formed)
 
 
 class TestParse:
@@ -133,6 +134,53 @@ class TestWellFormed:
         rng = random.Random(9)
         for _ in range(100):
             assert well_formed(random_terminating_program(rng)) == []
+
+    def test_diagnostics_match_the_oracle(self):
+        # the same diagnostics in the same order, on generated programs and
+        # on copies with mutated types, scopes, targets and calls
+        rng = random.Random(18)
+        codes = set()
+        for _ in range(300):
+            p = random_terminating_program(rng)
+            assert well_formed(p) == well_formed_oracle(p) == []
+            for _ in range(3):
+                q = _mutate(p, rng)
+                got = well_formed(q)
+                assert got == well_formed_oracle(q), q
+                codes |= {d.code for d in got}
+        assert codes == {"type", "undeclared", "res-var", "side-effect",
+                         "unknown-procedure", "return-position"}
+
+
+# replacements for an expression: ill-typed, undeclared, or a result variable
+_EXPRS = [BoolLit(True), IntLit(2), Var("w"), Var("a"), Var("z"), ResVar(IntLit(0)),
+          Unary("!", Var("x")), Unary("-", BoolLit(False)), Binary("<", Var("v"), IntLit(1)),
+          Binary("&&", Var("y"), BoolLit(True)), Binary("+", BoolLit(True), Var("x"))]
+
+
+def _mutate(node, rng):
+    """node with some expressions, assignment targets and called procedures
+    replaced, some declarations dropped and some assignments turned into
+    returns."""
+    kind = type(node)
+    if kind is tuple:
+        if all(type(x) is str for x in node):
+            return tuple(d for d in node if rng.random() < 0.7)
+        return tuple(_mutate(x, rng) for x in node)
+    if kind is str:
+        return node
+    if kind in (IntLit, BoolLit, Var, ResVar, Unary, Binary) and rng.random() < 0.15:
+        return rng.choice(_EXPRS)
+    if kind is Assign and rng.random() < 0.05:
+        return Return(node.expr)
+    values = [_mutate(v, rng) for v in fields(node)]
+    if kind in (Assign, CallAssign):
+        # a target stays a variable (or, assigned, a result variable)
+        values[0] = rng.choice([node.target] * 6 + [Var("w"), Var("x"), Var("v")]
+                               + [ResVar(IntLit(0))] * (kind is Assign))
+    if kind is CallAssign and rng.random() < 0.1:
+        values[1] = "q"
+    return remake(node, values)
 
 
 class TestLookup:

@@ -15,9 +15,10 @@ from helpers import (contract_m, parse_formula, random_linear_expr,
 from tracelet.calculus import (ContractAssumption, ContractGoal, Judgment,
                                PredAssert, PredGoal)
 from tracelet.cli import SampleResult
-from tracelet.lang import (BoolLit, IntLit, ResVar, Scope, Unary, Var, fields,
-                           remake)
-from tracelet.logic import And, Chop, Concat, Fresh, Mu, Or, pretty_formula
+from tracelet.lang import (BoolLit, Expr, IntLit, ResVar, Scope, Unary, Var,
+                           _record_repr, fields, pretty_expr, remake)
+from tracelet.logic import (And, Chop, Concat, Formula, Fresh, Mu, Or,
+                            pretty_formula)
 from tracelet.traces import Ctx
 from tracelet.updates import CallUpd, Elem, FinishUpd, StartUpd
 
@@ -25,8 +26,8 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "tracelet"
 
 
 def record_classes() -> list:
-    """(class, frozen, methods its body defines) for every class under
-    src/tracelet decorated with ``record``."""
+    """(class, frozen) for every class under src/tracelet decorated with
+    ``record``."""
     out = []
     for path in sorted(SRC.glob("*.py")):
         module = importlib.import_module(f"tracelet.{path.stem}")
@@ -39,22 +40,23 @@ def record_classes() -> list:
                     continue
                 frozen = any(kw.arg == "frozen" and kw.value.value
                              for kw in (call.keywords if call else ()))
-                own = {f.name for f in node.body if isinstance(f, ast.FunctionDef)}
-                out.append((getattr(module, node.name), frozen, own))
+                out.append((getattr(module, node.name), frozen))
     return out
 
 
 RECORDS = record_classes()
 
 
-def twin(cls, frozen: bool, own: set):
+def twin(cls, frozen: bool):
     """The dataclass cls stands for. It subclasses cls, so that methods
     which dispatch on the class (``pretty_expr(self)``) see it as one, and
-    takes the class's own ``__repr__``, which dataclass would replace."""
+    takes the class's own ``__str__`` and ``__repr__``, defined in its body
+    or assigned after it, which dataclass would replace."""
     defaults = dict(zip(reversed(cls.__slots__), reversed(cls.__init__.__defaults__ or ())))
     fields = [(n, object, dataclasses.field(default=defaults[n])) if n in defaults
               else (n, object) for n in cls.__slots__]
-    namespace = {"__repr__": cls.__dict__["__repr__"]} if "__repr__" in own else {}
+    namespace = {name: cls.__dict__[name] for name in ("__str__", "__repr__")
+                 if cls.__dict__.get(name, _record_repr) is not _record_repr}
     return dataclasses.make_dataclass(cls.__name__, fields, bases=(cls,),
                                       frozen=frozen, namespace=namespace)
 
@@ -152,7 +154,7 @@ def field_values(cls) -> st.SearchStrategy:
 
 def test_every_record_is_found():
     assert len(RECORDS) == 53
-    assert all(isinstance(cls.__slots__, tuple) for cls, _, _ in RECORDS)
+    assert all(isinstance(cls.__slots__, tuple) for cls, _ in RECORDS)
 
 
 def test_no_dataclass_left():
@@ -187,9 +189,9 @@ def check_same(rec, dc, frozen: bool):
                     delattr(value, name)
 
 
-@pytest.mark.parametrize("cls, frozen, own", RECORDS, ids=[r[0].__name__ for r in RECORDS])
-def test_record_matches_dataclass(cls, frozen, own):
-    dc = twin(cls, frozen, own)
+@pytest.mark.parametrize("cls, frozen", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+def test_record_matches_dataclass(cls, frozen):
+    dc = twin(cls, frozen)
     values = field_values(cls)
     # other record classes of the same arity: never equal to cls
     peers = [(other, twin(other, *rest)) for other, *rest in RECORDS
@@ -210,6 +212,21 @@ def test_record_matches_dataclass(cls, frozen, own):
             assert (ra != other(*a)) is (da != twin_other(*a)) is True
 
     check()
+
+
+def test_one_printer_per_node_kind():
+    """pretty_expr prints every expression and pretty_formula every
+    formula."""
+    assert {k.__name__ for k in Expr.__args__} == {
+        "IntLit", "BoolLit", "Var", "ResVar", "Fresh", "Unary", "Binary"}
+    assert {k.__name__ for k in Formula.__args__} == {
+        "StatePred", "NoEv", "StartEvF", "FinishEvF", "And", "Or", "Concat", "Chop",
+        "RecApp", "Mu", "MuApp"}
+    assert all(k.__str__ is pretty_expr for k in Expr.__args__)
+    assert all(k.__repr__ is pretty_formula for k in Formula.__args__)
+    assert str(ResVar(Unary("-", Var("x")))) == "res(-x)"
+    text = "mu X(n). ([n == 0] \\/ X(n - 1))"
+    assert repr(parse_formula(text)) == text
 
 
 def test_start_and_finish_formulas_differ():

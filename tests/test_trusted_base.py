@@ -7,8 +7,9 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "tracelet"
 
-# the count at this commit; a change that raises it says why in CHANGES.md
-TRUSTED_LINES = 1848
+# the count at this commit: a change that moves it records the new figure
+# here and in CHANGES.md, and says why when it rises
+TRUSTED_LINES = 1807
 
 
 def index(src: Path):
@@ -98,7 +99,7 @@ def test_trusted_base_size():
     assert not {m for m, _ in base} & {"prover", "cli"}
     assert not any(q.startswith("_Writer.") or q in ("dump_proof", "load_proof")
                    for _, q in base)
-    assert total <= TRUSTED_LINES
+    assert total == TRUSTED_LINES
 
 
 def test_reachable_follows_names_imports_attributes_and_classes(tmp_path):
