@@ -262,8 +262,11 @@ def pretty_expr(e: Expr, min_prec: int = 0) -> str:
         text = f"{pretty_expr(e.left, prec)} {e.op} {pretty_expr(e.right, prec + 1)}"
         return f"({text})" if min_prec > prec else text
     if isinstance(e, Unary):
-        text = f"{e.op}{pretty_expr(e.operand, 6)}"
-        return f"({text})" if min_prec > 6 else text
+        inner = pretty_expr(e.operand, 6)
+        # -3 reads back as one literal, so a literal under a minus is -(3)
+        if e.op == "-" and isinstance(e.operand, IntLit):
+            inner = f"({inner})"
+        return f"({e.op}{inner})" if min_prec > 6 else e.op + inner
     if isinstance(e, ResVar):
         return f"res({pretty_expr(e.index)})"
     if isinstance(e, Fresh):
@@ -670,10 +673,10 @@ def _parse_mul(ts, ar, ab):
 def _parse_unary(ts, ar, ab):
     if ts.at_sym("-"):
         ts.next()
-        inner = _parse_unary(ts, ar, ab)
-        if isinstance(inner, IntLit):
-            return IntLit(-inner.value)
-        return Unary("-", inner)
+        # only an integer right after the minus folds into a negative literal
+        if ts.peek().kind == "int":
+            return IntLit(-int(ts.next().text))
+        return Unary("-", _parse_unary(ts, ar, ab))
     if ts.at_sym("!"):
         ts.next()
         return Unary("!", _parse_unary(ts, ar, ab))

@@ -61,8 +61,8 @@ from .lang import (ARITH_OPS, Binary, Expr, Fresh, IntLit, Names, ParseError,
                    nodes, parse_expr, pretty_expr, record, subst_vars,
                    tokenize)
 from .traces import (CallEv, PopEv, PushEv, RetEv, State, Trace,
-                     UndefinedVariable, eval_expr, event_involves, is_state,
-                     res_name, ret_owners)
+                     UndefinedVariable, eval_expr, event_involves, is_set,
+                     is_state, res_name, ret_owners)
 
 
 class LogicError(Exception):
@@ -683,7 +683,7 @@ class _Member:
                 raise LogicError("fresh(...) only supported in recursion arguments")
             return (e1.value == val and e4.ctx.proc == f.proc
                     and e4.ctx.call_id == cid
-                    and s3 == s0.set(res_name(cid), val))
+                    and is_set(s3, s0, res_name(cid), val))
         if isinstance(f, And):
             return self.sat(f.left, lo, hi, benv, renv, token) and \
                 self.sat(f.right, lo, hi, benv, renv, token)

@@ -61,57 +61,86 @@ def res_name(call_id: int) -> str:
 # States
 # ---------------------------------------------------------------------------
 
+_EMPTY = {}  # the overlay of a state that has none; never changed
+_UNBOUND = object()  # what State._get gives for a name it lacks
+
+
 class State:
     """Immutable partial map from variable names to integers.
+
+    A state is a base dict, shared with the states ``set`` makes from it,
+    plus an overlay of the bindings set since, which win over the base's.
+    ``set`` copies only the overlay, and merges it into a new base once
+    it holds about sqrt(len(base)) bindings, so a chain of sets costs
+    O(sqrt(n)) time and memory per state, not O(n).  Neither dict changes
+    once a state holds it.
 
     ``_src`` is ``(parent, name)`` for a state made by ``parent.set(name,
     ...)`` and None otherwise; ``dump_trace`` reads it, equality and
     hashing ignore it.
     """
 
-    __slots__ = ("_b", "_hash", "_src")
+    __slots__ = ("_base", "_over", "_hash", "_src")
 
     def __init__(self, bindings=None):
-        self._b = dict(bindings) if bindings else {}
+        self._base = dict(bindings) if bindings else {}
+        self._over = _EMPTY
         self._hash = None
         self._src = None
 
     @classmethod
-    def _adopt(cls, bindings: dict, src=None) -> "State":
-        """A state that takes ownership of bindings, without a copy."""
+    def _adopt(cls, base: dict, over: dict = _EMPTY, src=None) -> "State":
+        """A state that takes ownership of its dicts, without a copy."""
         state = cls.__new__(cls)
-        state._b = bindings
+        state._base = base
+        state._over = over
         state._hash = None
         state._src = src
         return state
 
     def set(self, name: str, value: int) -> "State":
-        new = dict(self._b)
-        new[name] = value
-        return State._adopt(new, (self, name))
+        base, over = self._base, self._over
+        if len(over) ** 2 < len(base):
+            over = over.copy()
+            over[name] = value
+            return State._adopt(base, over, (self, name))
+        base = {**base, **over}
+        base[name] = value
+        return State._adopt(base, _EMPTY, (self, name))
+
+    def _get(self, name: str):
+        over = self._over
+        return over[name] if name in over else self._base.get(name, _UNBOUND)
 
     def get(self, name: str) -> int:
+        over = self._over
+        if name in over:
+            return over[name]
         try:
-            return self._b[name]
+            return self._base[name]
         except KeyError:
             raise UndefinedVariable(name) from None
 
     def __contains__(self, name: str) -> bool:
-        return name in self._b
+        return name in self._over or name in self._base
+
+    def _full(self) -> dict:
+        """All bindings; the base itself when the overlay is empty."""
+        return {**self._base, **self._over} if self._over else self._base
 
     def bindings(self) -> dict:
-        return dict(self._b)
+        return {**self._base, **self._over}
 
     def __eq__(self, other):
-        return self is other or (isinstance(other, State) and self._b == other._b)
+        return self is other or (isinstance(other, State) and self._full() == other._full())
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(frozenset(self._b.items()))
+            self._hash = hash(frozenset(self._full().items()))
         return self._hash
 
     def __repr__(self):
-        inner = ", ".join(f"{k}={v}" for k, v in sorted(self._b.items()))
+        inner = ", ".join(f"{k}={v}" for k, v in sorted(self._full().items()))
         return f"[{inner}]"
 
 
@@ -141,10 +170,7 @@ def eval_expr(state: State, e: Expr, env=None):
         name = e.name
         if env and name in env:
             return env[name]
-        try:
-            return state._b[name]
-        except KeyError:
-            raise UndefinedVariable(name) from None
+        return state.get(name)
     elif kind is IntLit or kind is BoolLit:
         return e.value
     elif kind is ResVar:
@@ -361,7 +387,7 @@ def is_adequate(t: Trace, strict: bool = True) -> AdequacyVerdict:
                     if len(diff) == 1:
                         [name] = diff
                         if name.startswith("res") and \
-                                _is_set(entry, prev_state, name, ev.value):
+                                is_set(entry, prev_state, name, ev.value):
                             pending = ("pop", pending[1])
                             pos += 1
                             continue
@@ -414,7 +440,7 @@ def is_adequate(t: Trace, strict: bool = True) -> AdequacyVerdict:
                 ret_ev = ent[pos - 3]
                 before = ent[pos - 2]
                 rn = res_name(entry.ctx.call_id)
-                ok = _is_set(prev_state, before, rn, ret_ev.value)
+                ok = is_set(prev_state, before, rn, ret_ev.value)
             if not ok and pos >= 2 and isinstance(ent[pos - 2], RetEv):
                 # res value was already in place, no separate update step
                 ok = True
@@ -441,20 +467,18 @@ def _step_diff(a: State, b: State) -> tuple:
     """
     if b._src is not None and b._src[0] is a:
         name = b._src[1]
-        same = name in a._b and a._b[name] == b._b[name]
-        return (set() if same else {name}), ()
-    return {k for k, _ in a._b.items() ^ b._b.items()}, a._b.keys() - b._b.keys()
+        return (set() if a._get(name) == b._get(name) else {name}), ()
+    a, b = a._full(), b._full()
+    return {k for k, _ in a.items() ^ b.items()}, a.keys() - b.keys()
 
 
-def _is_set(b: State, a: State, name: str, value) -> bool:
+def is_set(b: State, a: State, name: str, value) -> bool:
     """b == a.set(name, value), in O(1) when b was made by ``a.set``."""
     if b._src is None or b._src[0] is not a:
         return b == a.set(name, value)
     changed = b._src[1]
-    if name not in b._b or b._b[name] != value:
-        return False
     # the binding b changed must be a's own unless it is name itself
-    return changed == name or (changed in a._b and a._b[changed] == b._b[changed])
+    return b._get(name) == value and (changed == name or a._get(changed) == b._get(changed))
 
 
 # ---------------------------------------------------------------------------
@@ -484,19 +508,18 @@ def _state_entry(prev: Optional[State], state: State) -> str:
     """The entry of state after the state entry prev: all its bindings
     when prev is None, else those that differ from prev's, and "unset"
     for the names it lacks."""
-    b = state._b
     if prev is None:
-        return '{"state": %s}' % json.dumps(b, sort_keys=True)
+        return '{"state": %s}' % json.dumps(state._full(), sort_keys=True)
     if state is prev:
         return _SAME
-    a = prev._b
     src = state._src
     if src is not None and src[0] is prev:
         name = src[1]
-        value = b[name]
-        if name in a and _same(a[name], value):
+        value = state._get(name)
+        if _same(prev._get(name), value):
             return _SAME
         return '{"state": {%s: %s}}' % (encode_basestring_ascii(name), _json(value))
+    a, b = prev._full(), state._full()
     changed = {k: v for k, v in b.items() if k not in a or not _same(a[k], v)}
     removed = a.keys() - b.keys()
     unset = ', "unset": %s' % json.dumps(sorted(removed)) if removed else ""
@@ -565,7 +588,7 @@ def _shared(objs: list) -> list:
     for obj in objs:
         entry = entry_from_json(obj)
         if isinstance(entry, State):
-            if state is not None and entry._b == state._b:
+            if state is not None and entry == state:
                 entry = state
             state = entry
         entries.append(entry)
@@ -574,7 +597,7 @@ def _shared(objs: list) -> list:
 
 def _applied(state: Optional[State], changed: dict, obj: dict) -> State:
     """state with the names of the entry's "unset" removed and changed bound."""
-    bindings = dict(state._b) if state is not None else {}
+    bindings = state.bindings() if state is not None else {}
     if "unset" in obj:
         unset = obj["unset"]
         if type(unset) is not list or not {str}.issuperset(map(type, unset)):

@@ -164,6 +164,86 @@ def curr_ctx_stack(trace: Trace):
     return stack[-1] if stack else MAIN_CTX
 
 
+class DictState:
+    """The dict-copy state that ``traces.State`` replaced: every ``set``
+    copies the whole binding map.  Kept as it was, as an oracle.
+
+    ``_src`` is ``(parent, name)`` for a state made by ``parent.set(name,
+    ...)`` and None otherwise; ``dump_trace`` reads it, equality and
+    hashing ignore it.
+    """
+
+    __slots__ = ("_b", "_hash", "_src")
+
+    def __init__(self, bindings=None):
+        self._b = dict(bindings) if bindings else {}
+        self._hash = None
+        self._src = None
+
+    @classmethod
+    def _adopt(cls, bindings: dict, src=None) -> "DictState":
+        """A state that takes ownership of bindings, without a copy."""
+        state = cls.__new__(cls)
+        state._b = bindings
+        state._hash = None
+        state._src = src
+        return state
+
+    def set(self, name: str, value: int) -> "DictState":
+        new = dict(self._b)
+        new[name] = value
+        return DictState._adopt(new, (self, name))
+
+    def get(self, name: str) -> int:
+        try:
+            return self._b[name]
+        except KeyError:
+            raise UndefinedVariable(name) from None
+
+    def __contains__(self, name: str) -> bool:
+        return name in self._b
+
+    def bindings(self) -> dict:
+        return dict(self._b)
+
+    def __eq__(self, other):
+        return self is other or (isinstance(other, DictState) and self._b == other._b)
+
+    def __hash__(self):
+        if self._hash is None:
+            self._hash = hash(frozenset(self._b.items()))
+        return self._hash
+
+    def __repr__(self):
+        inner = ", ".join(f"{k}={v}" for k, v in sorted(self._b.items()))
+        return f"[{inner}]"
+
+
+def step_diff_oracle(a: DictState, b: DictState) -> tuple:
+    """(names whose binding differs, names b lacks) from a to b.
+
+    O(1) when b was made by ``a.set``: its record names the one binding
+    that can differ, and nothing is removed.  Otherwise both maps are
+    compared.
+    """
+    if b._src is not None and b._src[0] is a:
+        name = b._src[1]
+        same = name in a._b and a._b[name] == b._b[name]
+        return (set() if same else {name}), ()
+    return {k for k, _ in a._b.items() ^ b._b.items()}, a._b.keys() - b._b.keys()
+
+
+def is_set_oracle(b: DictState, a: DictState, name: str, value) -> bool:
+    """b == a.set(name, value), in O(1) when b was made by ``a.set``."""
+    if b._src is None or b._src[0] is not a:
+        return b == a.set(name, value)
+    changed = b._src[1]
+    if name not in b._b or b._b[name] != value:
+        return False
+    # the binding b changed must be a's own unless it is name itself
+    return changed == name or (changed in a._b and a._b[changed] == b._b[changed])
+
+
 def eval_expr_oracle(state: State, e):
     """Direct recursive evaluator, written independently."""
     if isinstance(e, IntLit):
@@ -881,10 +961,11 @@ def _term_atom_oracle(ts):
     tok = ts.peek()
     if ts.at_sym("-"):
         ts.next()
+        digits = ts.peek().kind == "int"
         inner = _term_atom_oracle(ts)
-        if isinstance(inner, IntLit):
-            return IntLit(-inner.value)
-        return Unary("-", inner)
+        # a literal folds into the minus only when its digits follow it
+        # directly: -(3) and --3 keep the minus
+        return IntLit(-inner.value) if digits else Unary("-", inner)
     if tok.kind == "int":
         ts.next()
         return IntLit(int(tok.text))

@@ -3,15 +3,17 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import (M0_SRC, RUNNING_SRC, random_linear_expr,
                      random_terminating_program, subst_res_oracle,
                      subst_stmt_oracle, subst_vars_oracle, well_formed_oracle)
-from tracelet.lang import (Assign, Binary, BoolLit, CallAssign, Fresh, If, IntLit,
-                           ParseError, ProcDecl, Program, ResVar, Return, Scope,
-                           Seq, Skip, Unary, UnknownProcedure, Var, build_lookup,
-                           fields, lookup, parse_program, remake, subst_stmt,
-                           subst_vars, well_formed)
+from tracelet.lang import (ARITH_OPS, CMP_OPS, Assign, Binary, BoolLit, CallAssign,
+                           Fresh, If, IntLit, ParseError, ProcDecl, Program,
+                           ResVar, Return, Scope, Seq, Skip, TokenStream, Unary,
+                           UnknownProcedure, Var, build_lookup, fields, lookup,
+                           parse_expr, parse_program, pretty_expr, remake,
+                           subst_stmt, subst_vars, tokenize, well_formed)
 
 
 class TestParse:
@@ -86,6 +88,54 @@ class TestPretty:
         for _ in range(60):
             p = random_terminating_program(rng)
             assert parse_program(str(p)) == p
+
+
+_NAMES = st.sampled_from(["x", "y", "n'", "r#1"])
+_LITERALS = st.builds(IntLit, st.integers(-30, 30))
+_ARITH = st.recursive(
+    st.builds(Var, _NAMES) | _LITERALS,
+    lambda inner: (st.builds(Binary, st.sampled_from(ARITH_OPS), inner, inner)
+                   | st.builds(Unary, st.just("-"), inner) | st.builds(ResVar, inner)),
+    max_leaves=10)
+_BOOL = st.recursive(
+    st.builds(BoolLit, st.booleans())
+    | st.builds(Binary, st.sampled_from(CMP_OPS), _ARITH, _ARITH),
+    lambda inner: (st.builds(Binary, st.sampled_from(["&&", "||"]), inner, inner)
+                   | st.builds(Unary, st.just("!"), inner)),
+    max_leaves=6)
+
+
+def _reparsed(text: str):
+    ts = TokenStream(tokenize(text))
+    e = parse_expr(ts, allow_res=True, allow_bool=True)
+    assert ts.peek().kind == "eof", text
+    return e
+
+
+class TestPrettyExpr:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(e=_ARITH | _BOOL, mapping=st.dictionaries(_NAMES, _LITERALS | _ARITH))
+    def test_printed_expression_reparses_to_itself(self, e, mapping):
+        """Also after a substitution, which can put a negative literal
+        under a minus."""
+        for tree in (e, subst_vars(e, mapping)):
+            assert _reparsed(pretty_expr(tree)) == tree
+
+    @pytest.mark.parametrize("tree,text", [
+        (Unary("-", IntLit(-3)), "-(-3)"),
+        (Unary("-", IntLit(3)), "-(3)"),
+        (IntLit(-3), "-3"),
+        (Unary("-", Unary("-", Var("x"))), "--x"),
+        (Binary("-", Var("x"), IntLit(-3)), "x - -3"),
+    ])
+    def test_a_literal_under_a_minus_is_parenthesized(self, tree, text):
+        assert pretty_expr(tree) == text
+        assert _reparsed(text) == tree
+
+    def test_only_a_literal_right_after_the_minus_folds(self):
+        assert _reparsed("- 3") == IntLit(-3)
+        assert _reparsed("--3") == Unary("-", IntLit(-3))
+        assert _reparsed("-(3)") == Unary("-", IntLit(3))
 
 
 class TestWellFormed:

@@ -1,16 +1,18 @@
 """Trace model: chop, concat, event traces, contexts, adequacy, gaps, JSON."""
 
 import json
+import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import (V2_HEADER, chop, concat, curr_ctx_stack, dump_trace_oracle,
-                     dump_trace_v2_oracle, eval_expr_oracle, eval_expr_reference,
-                     golden_m0, golden_m1, load_trace_oracle,
-                     m_source, mutate_trace, parse_formula, random_linear_expr,
-                     random_terminating_program, running_program)
+from helpers import (V2_HEADER, DictState, chop, concat, curr_ctx_stack,
+                     dump_trace_oracle, dump_trace_v2_oracle, eval_expr_oracle,
+                     eval_expr_reference, golden_m0, golden_m1, is_set_oracle,
+                     load_trace_oracle, m_source, mutate_trace, parse_formula,
+                     random_linear_expr, random_terminating_program,
+                     running_program, step_diff_oracle)
 from tracelet import traces
 from tracelet.interp import run
 from tracelet.lang import (Binary, BoolLit, IntLit, ResVar, Unary, Var,
@@ -18,9 +20,9 @@ from tracelet.lang import (Binary, BoolLit, IntLit, ResVar, Unary, Var,
 from tracelet.logic import member, psi
 from tracelet.traces import (CallEv, ChopUndefined, Ctx, EmptyTraceError,
                              MAIN_CTX, PopEv, PushEv, RetEv, State, Trace,
-                             TraceError, dump_trace, eval_expr,
-                             event_trace, is_adequate, is_state, load_trace,
-                             nest, singleton)
+                             TraceError, UndefinedVariable, dump_trace,
+                             eval_expr, event_trace, is_adequate, is_set,
+                             is_state, load_trace, nest, singleton)
 
 
 def s(**kw):
@@ -93,6 +95,97 @@ class TestStates:
             name = rng.choice("pqr")
             v = rng.randint(-100, 100)
             assert st.set(name, v).get(name) == v
+
+
+_POOL = [f"v{k:02d}" for k in range(32)]
+_VALUES = st.integers(0, 2) | st.sampled_from([-1, 2 ** 70, None])
+
+
+@st.composite
+def _state_families(draw):
+    """The same set calls made on State and on the dict-copy oracle, from
+    the same bindings: (states, oracle states, sets), where sets[k - 1] is
+    (parent index, name, value) of state k.  A parent is mostly the newest
+    state, so chains pass the overlay's bound, and otherwise any earlier
+    one, so they branch."""
+    init = {name: draw(_VALUES) for name in _POOL[:draw(st.integers(0, len(_POOL)))]}
+    new, old, sets = [State(init)], [DictState(init)], []
+    for _ in range(draw(st.integers(0, 60))):
+        parent = len(new) - 1 if draw(st.integers(0, 3)) else \
+            draw(st.integers(0, len(new) - 1))
+        name, value = draw(st.sampled_from(_POOL)), draw(_VALUES)
+        new.append(new[parent].set(name, value))
+        old.append(old[parent].set(name, value))
+        sets.append((parent, name, value))
+    return new, old, sets
+
+
+def _lookup(state, name):
+    try:
+        return state.get(name)
+    except UndefinedVariable:
+        return UndefinedVariable
+
+
+class TestStateOracle:
+    """traces.State (a shared base plus an overlay) against the dict-copy
+    state it replaced."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(families=_state_families(), data=st.data())
+    def test_agrees_with_dict_copy_state(self, families, data):
+        new, old, sets = families
+        for a, b in zip(new, old):
+            assert list(a.bindings().items()) == list(b.bindings().items())
+            assert repr(a) == repr(b) and hash(a) == hash(b)
+            for name in _POOL[::4]:
+                assert (name in a) == (name in b)
+                assert _lookup(a, name) == _lookup(b, name)
+        n = len(new)
+        pairs = [(k - 1, k) for k in range(1, n)] + [(p, k + 1) for k, (p, _, _) in
+                                                     enumerate(sets)]
+        pairs += data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                    max_size=20))
+        for i, j in pairs:
+            assert (new[i] == new[j]) == (old[i] == old[j])
+            # equal maps on different bases
+            assert (new[i] == State(old[j].bindings())) == (old[i] == old[j])
+            diff, removed = traces._step_diff(new[i], new[j])
+            want_diff, want_removed = step_diff_oracle(old[i], old[j])
+            assert (set(diff), set(removed)) == (set(want_diff), set(want_removed))
+            name = data.draw(st.sampled_from(_POOL))
+            checks = [(name, data.draw(_VALUES))]
+            if j > 0:
+                _, set_name, value = sets[j - 1]
+                checks += [(set_name, value), (set_name, 3)]
+            for name, value in checks:
+                assert is_set(new[j], new[i], name, value) == \
+                    is_set_oracle(old[j], old[i], name, value)
+        # consecutive states made by set and by branching: both entry kinds
+        assert dump_trace(Trace(new)) == \
+            dump_trace_v2_oracle(Trace([State(b.bindings()) for b in old]))
+
+    def test_set_shares_the_base_and_bounds_the_overlay(self):
+        state = State({f"v{k}": k for k in range(100)})
+        bases = {id(state._base)}
+        for k in range(300):
+            parent = state
+            state = state.set(f"v{k % 7}" if k % 3 else f"w{k}", k)
+            assert len(state._over) <= math.isqrt(len(state._base)) + 1
+            if state._base is not parent._base:
+                assert not state._over and state.bindings() == {**parent.bindings(),
+                                                                  state._src[1]: k}
+            bases.add(id(state._base))
+        assert 10 < len(bases) < 40
+
+
+def test_states_of_a_deep_run_share_their_bindings():
+    """The states of m(800)'s run hold up to 1 600 bindings each; copied
+    whole by every set, their dicts held 3.2 million entries in all."""
+    t = m_trace(800)
+    held = {id(d): len(d) for e in t.entries if is_state(e)
+            for d in (getattr(e, slot) for slot in State.__slots__) if type(d) is dict}
+    assert sum(held.values()) <= 200_000
 
 
 class TestChopConcat:
