@@ -1,14 +1,16 @@
-"""Small-step interpreter: local evaluation plus the three composition rules.
+"""Small-step interpreter: the three composition rules over a stack.
 
-A configuration is a trace together with a continuation (the statement or
-update-prefixed statement still to be evaluated).  Exactly one of the
-Progress/Call/Return rules applies to every non-final configuration,
-selected by whether the trace ends in a call event, a return event, or
-neither.  Local evaluation looks up one method per statement type in a
-table, as ``step`` picks its rule by the type of the second-last entry.
-The machine grows its trace in place and keeps the stack of open
-call contexts as it goes (``traces.nest``), so Return reads the current
-context off the stack and a step costs O(1) amortised entries.
+A configuration is a trace together with a continuation, the code still
+to run.  Exactly one of the Progress/Call/Return rules applies to every
+non-final configuration, selected by whether the trace ends in a call
+event, a return event, or neither.  The machine grows its trace in place
+and keeps two stacks beside it: the open call contexts (``traces.nest``),
+so Return reads the current context off the top, and the continuation,
+the statements and update atoms still to run.  Progress opens sequences
+and update-prefixed statements on the stack down to their first
+statement or atom, runs it, appends its entries and pushes what follows
+it.  No rule builds a trace or a continuation record.  Expressions are
+evaluated by ``traces.eval_expr``, as in membership.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from typing import Optional, Tuple, Union
 from .lang import (Assign, CallAssign, If, IntLit, LookupTable, Program,
                    Return, ResVar, Scope, Seq, Skip, Stmt, Var, While,
                    build_lookup, lookup, record, subst_stmt)
-from .traces import (CallEv, ChopUndefined, Ctx, PopEv, PushEv, RetEv, State,
-                     Trace, event_trace, eval_expr, nest, res_name, singleton)
+from .traces import (CallEv, Ctx, PopEv, PushEv, RetEv, State, Trace,
+                     eval_expr, nest, res_name, singleton)
 from .updates import (CallUpd, Elem, FinishUpd, StartUpd, UpdateAtom,
                       pretty_update)
 
@@ -51,28 +53,12 @@ class UpStmt:
 Cont = Union[None, Stmt, UpStmt]
 
 
-def _norm_upstmt(atoms, stmt) -> Cont:
-    if atoms:
-        return UpStmt(tuple(atoms), stmt)
-    return stmt
-
-
-def _seq(first: Cont, second: Cont) -> Cont:
-    # empty leading continuations are discarded
-    if first is None:
-        return second
-    if second is None:
-        return first
-    if isinstance(first, UpStmt):
-        return UpStmt(first.atoms, _seq(first.stmt, second))
-    return Seq(first, second)
-
-
 class Machine:
     """One run's configuration; owns its counters and fuel exclusively.
 
-    ``entries`` is the trace so far and ``ctxs`` its open call contexts,
-    innermost last.
+    ``entries`` is the trace so far, ``ctxs`` its open call contexts and
+    ``stack`` the continuation, the statements and update atoms still to
+    run; both stacks hold their innermost item last.
     """
 
     def __init__(self, trace: Trace, cont: Cont, table: LookupTable,
@@ -81,26 +67,15 @@ class Machine:
             raise RunError("initial trace must be non-empty")
         self.entries = list(trace.entries)
         self.ctxs = nest([], trace.entries)
-        self.cont = cont
+        self.stack = [] if cont is None else [cont]
         self.table = table
         self.fuel = fuel
         self.next_id = next_id
         self.next_fresh = next_fresh
-        self._loops = {}   # id(While) -> (the While, Seq(its body, it))
 
     @property
     def trace(self) -> Trace:
         return Trace(self.entries)
-
-    def extend(self, tr: Trace):
-        """Chop tr onto the trace: its first state fuses with the last one."""
-        new = tr.entries
-        last, first = self.entries[-1], new[0]
-        if last is not first and last != first:
-            raise ChopUndefined(last, first)
-        if len(new) > 1:
-            nest(self.ctxs, new)
-            self.entries += new[1:]
 
     # -- allocation ---------------------------------------------------------
 
@@ -111,9 +86,6 @@ class Machine:
         self.next_id = cid + 1
         return cid
 
-    def note_call_id(self, cid: int):
-        self.next_id = max(self.next_id, cid + 1)
-
     def fresh_var(self, base: str, state: State) -> str:
         k = self.next_fresh + 1
         name = f"{base}#{k}"
@@ -123,137 +95,113 @@ class Machine:
         self.next_fresh = k
         return name
 
-    # -- local evaluation, one method per statement kind ----------------------
+    # -- the three composition rules ------------------------------------------
 
-    def _skip(self, state: State, s: Skip) -> Tuple[Trace, Cont]:
-        return singleton(state), None
+    def run(self) -> "Machine":
+        """Apply rules until the configuration is final: Call after a
+        callEv, Return after a retEv, Progress otherwise.  Each costs one
+        unit of fuel; Progress pops the continuation down to its next
+        statement or update atom and runs that.  When the fuel runs out
+        before a rule, the machine stays at the configuration reached, so
+        more fuel resumes it; a call update runs its call in a machine of
+        its own, whose partial trace a FuelExhausted inside it carries."""
+        entries, ctxs, stack = self.entries, self.ctxs, self.stack
+        push, pop = stack.append, stack.pop
+        fuel = self.fuel
+        try:
+            while True:
+                kind = type(entries[-2]) if len(entries) > 1 else State
+                if not stack and kind is not CallEv and kind is not RetEv:
+                    return self
+                if fuel <= 0:
+                    raise FuelExhausted(Trace(entries))
+                fuel -= 1
+                state = entries[-1]
+                if kind is CallEv:
+                    ev = entries[-2]
+                    proc = lookup(ev.proc, self.table)
+                    ctx = Ctx(ev.proc, ev.call_id)
+                    ctxs.append(ctx)
+                    entries += (PushEv(ctx), state)
+                    push(subst_stmt(proc.body, {proc.param: IntLit(ev.arg)}))
+                    continue
+                if kind is RetEv:
+                    if not ctxs:
+                        raise RunError("return event outside any call context")
+                    ctx = ctxs.pop()
+                    after = state.set(res_name(ctx.call_id), entries[-2].value)
+                    entries += (after, PopEv(ctx), after)
+                    continue
+                s = pop()
+                while True:
+                    kind = type(s)
+                    if kind is Seq:
+                        push(s.second)
+                        s = s.first
+                        continue
+                    if kind is Assign or kind is Elem:
+                        # a res target is written by finishEv; this is a no-op
+                        if type(s.target) is not ResVar:
+                            entries.append(state.set(s.target.name, eval_expr(state, s.expr)))
+                    elif kind is While:
+                        if eval_expr(state, s.cond):
+                            push(s)
+                            push(s.body)
+                    elif kind is If:
+                        if eval_expr(state, s.cond):
+                            push(s.body)
+                    elif kind is CallAssign:
+                        cid = self.alloc_call_id(state)
+                        entries += (CallEv(s.proc, eval_expr(state, s.arg), cid), state)
+                        push(Assign(s.target, ResVar(IntLit(cid))))
+                    elif kind is Return:
+                        entries += (RetEv(eval_expr(state, s.expr)), state)
+                    elif kind is Scope:
+                        if not s.decls:
+                            s = s.body
+                            continue
+                        self._declare(state, s)
+                    elif kind is UpStmt:
+                        if s.stmt is not None:
+                            push(s.stmt)
+                        stack += reversed(s.atoms)
+                        s = pop()
+                        continue
+                    elif kind is CallUpd:
+                        # invokes the full program semantics from the last state
+                        sub = run_cont(singleton(state), CallAssign(s.target, s.proc, s.arg),
+                                       self.table, fuel, self.next_id, self.next_fresh)
+                        fuel, self.next_id, self.next_fresh = sub.fuel, sub.next_id, sub.next_fresh
+                        entries += sub.entries[1:]  # its pushEv and popEv balance
+                    elif kind is StartUpd:
+                        arg, cid = eval_expr(state, s.arg), eval_expr(state, s.call_id)
+                        self.next_id = max(self.next_id, cid + 1)
+                        ctx = Ctx(s.proc, cid)
+                        ctxs.append(ctx)
+                        entries += (CallEv(s.proc, arg, cid), state, PushEv(ctx), state)
+                    elif kind is FinishUpd:
+                        v, cid = eval_expr(state, s.arg), eval_expr(state, s.call_id)
+                        after = state.set(res_name(cid), v)
+                        if ctxs:
+                            ctxs.pop()
+                        entries += (RetEv(v), state, after, PopEv(Ctx(s.proc, cid)), after)
+                    elif kind is not Skip:
+                        raise RunError(f"cannot evaluate {s!r}")
+                    break
+        finally:
+            self.fuel = fuel
 
-    def _assign(self, state: State, s: Assign) -> Tuple[Trace, Cont]:
-        if type(s.target) is ResVar:
-            # result variables are written by finishEv; this is a no-op
-            return singleton(state), None
-        return Trace((state, state.set(s.target.name, eval_expr(state, s.expr)))), None
-
-    def _call_assign(self, state: State, s: CallAssign) -> Tuple[Trace, Cont]:
-        cid = self.alloc_call_id(state)
-        arg = eval_expr(state, s.arg)
-        return event_trace(state, CallEv(s.proc, arg, cid)), Assign(s.target, ResVar(IntLit(cid)))
-
-    def _if(self, state: State, s: If) -> Tuple[Trace, Cont]:
-        return singleton(state), s.body if eval_expr(state, s.cond) else None
-
-    def _while(self, state: State, s: While) -> Tuple[Trace, Cont]:
-        # if (cond) { body; loop }, with that continuation built once per loop
-        if not eval_expr(state, s.cond):
-            return singleton(state), None
-        got = self._loops.get(id(s))
-        if got is None:
-            got = self._loops[id(s)] = (s, Seq(s.body, s))
-        return singleton(state), got[1]
-
-    def _seq(self, state: State, s: Seq) -> Tuple[Trace, Cont]:
-        tr, cont = self.local_eval(state, s.first)
-        return tr, _seq(cont, s.second)
-
-    def _scope(self, state: State, s: Scope) -> Tuple[Trace, Cont]:
+    def _declare(self, state: State, s: Scope):
         # Every local gets a fresh name now, in declaration order, and the
         # body is renamed in one walk; the first is bound to 0 in this step
         # and the others by zero updates, one step each.  A later name has
         # a larger suffix, so none collides with one allocated here before.
-        if not s.decls:
-            return self.local_eval(state, s.body)
         fresh = [Var(self.fresh_var(name, state)) for name in s.decls]
         # reversed, so that a name declared twice maps to its first fresh name
         mapping = dict(zip(reversed(s.decls), reversed(fresh)))
-        zeros = [Elem(var, IntLit(0)) for var in fresh[1:]]
-        rest = Scope((), subst_stmt(s.body, mapping))
-        return Trace((state, state.set(fresh[0].name, 0))), _norm_upstmt(zeros, rest)
-
-    def _return(self, state: State, s: Return) -> Tuple[Trace, Cont]:
-        return event_trace(state, RetEv(eval_expr(state, s.expr))), None
-
-    def _update_head(self, state: State, us: UpStmt) -> Tuple[Trace, Cont]:
-        atom = us.atoms[0]
-        rest = _norm_upstmt(us.atoms[1:], us.stmt)
-        if isinstance(atom, Elem):
-            # as the assignment of its expression to its target
-            return self._assign(state, atom)[0], rest
-        if isinstance(atom, CallUpd):
-            # invokes the full program semantics from the last state
-            sub = run_cont(singleton(state), CallAssign(atom.target, atom.proc, atom.arg),
-                           self.table, fuel=self.fuel,
-                           next_id=self.next_id, next_fresh=self.next_fresh)
-            self.fuel = sub.fuel
-            self.next_id = sub.next_id
-            self.next_fresh = sub.next_fresh
-            return sub.trace, rest
-        if isinstance(atom, StartUpd):
-            arg = eval_expr(state, atom.arg)
-            cid = eval_expr(state, atom.call_id)
-            self.note_call_id(cid)
-            tr = Trace((state, CallEv(atom.proc, arg, cid), state,
-                        PushEv(Ctx(atom.proc, cid)), state))
-            return tr, rest
-        if isinstance(atom, FinishUpd):
-            v = eval_expr(state, atom.arg)
-            cid = eval_expr(state, atom.call_id)
-            after = state.set(res_name(cid), v)
-            tr = Trace((state, RetEv(v), state, after, PopEv(Ctx(atom.proc, cid)), after))
-            return tr, rest
-        raise RunError(f"cannot evaluate update atom {atom!r}")
-
-    _LOCAL = {Skip: _skip, Assign: _assign, CallAssign: _call_assign,
-              If: _if, While: _while, Seq: _seq, Scope: _scope, Return: _return,
-              UpStmt: _update_head}
-
-    def local_eval(self, state: State, item: Union[Stmt, UpStmt]) -> Tuple[Trace, Cont]:
-        rule = self._LOCAL.get(type(item))
-        if rule is None:
-            raise RunError(f"cannot evaluate {item!r}")
-        return rule(self, state, item)
-
-    # -- composition --------------------------------------------------------
-
-    @property
-    def done(self) -> bool:
-        e = self.entries
-        kind = type(e[-2]) if len(e) > 1 else State
-        return self.cont is None and kind is not CallEv and kind is not RetEv
-
-    def step(self):
-        """Apply exactly one composition rule: Call after a callEv, Return
-        after a retEv, Progress otherwise."""
-        entries = self.entries
-        kind = type(entries[-2]) if len(entries) > 1 else State
-        if self.cont is None and kind is not CallEv and kind is not RetEv:
-            raise RunError("no rule applies to a final configuration")
-        if self.fuel <= 0:
-            raise FuelExhausted(self.trace)
-        self.fuel -= 1
-        state = entries[-1]
-        if kind is CallEv:
-            ev: CallEv = entries[-2]
-            proc = lookup(ev.proc, self.table)
-            inlined = subst_stmt(proc.body, {proc.param: IntLit(ev.arg)})
-            ctx = Ctx(ev.proc, ev.call_id)
-            self.ctxs.append(ctx)
-            entries += (PushEv(ctx), state)
-            self.cont = _seq(inlined, self.cont)
-        elif kind is RetEv:
-            if not self.ctxs:
-                raise RunError("return event outside any call context")
-            ctx = self.ctxs.pop()
-            after = state.set(res_name(ctx.call_id), entries[-2].value)
-            entries += (after, PopEv(ctx), after)
-        else:  # Progress
-            tr, cont = self.local_eval(state, self.cont)
-            self.extend(tr)
-            self.cont = cont
-
-    def run(self) -> "Machine":
-        while not self.done:
-            self.step()
-        return self
+        self.entries.append(state.set(fresh[0].name, 0))
+        self.stack.append(subst_stmt(s.body, mapping))
+        self.stack += [Elem(var, IntLit(0)) for var in reversed(fresh[1:])]
 
 
 def run_cont(trace: Trace, cont: Cont, table: LookupTable, fuel: int = DEFAULT_FUEL,

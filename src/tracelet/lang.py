@@ -259,7 +259,9 @@ def pretty_expr(e: Expr, min_prec: int = 0) -> str:
         return str(e.value)
     if isinstance(e, Binary):
         prec = _PREC[e.op]
-        text = f"{pretty_expr(e.left, prec)} {e.op} {pretty_expr(e.right, prec + 1)}"
+        # comparisons do not chain, so neither side of one may be one bare
+        left = pretty_expr(e.left, prec + 1 if e.op in CMP_OPS else prec)
+        text = f"{left} {e.op} {pretty_expr(e.right, prec + 1)}"
         return f"({text})" if min_prec > prec else text
     if isinstance(e, Unary):
         inner = pretty_expr(e.operand, 6)

@@ -33,14 +33,6 @@ class TraceError(Exception):
     pass
 
 
-class ChopUndefined(TraceError):
-    def __init__(self, last_state, first_state):
-        super().__init__(f"chop undefined: boundary states differ "
-                         f"({last_state} vs {first_state})")
-        self.last_state = last_state
-        self.first_state = first_state
-
-
 class MalformedNesting(TraceError):
     pass
 
@@ -275,11 +267,6 @@ class Trace:
 
 def singleton(state: State) -> Trace:
     return Trace((state,))
-
-
-def event_trace(state: State, ev: EventMarker) -> Trace:
-    # the evTrio shape: <s> . ev . s
-    return Trace((state, ev, state))
 
 
 def nest(ctxs: list, entries) -> list:

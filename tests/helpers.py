@@ -16,8 +16,8 @@ from itertools import chain
 from tracelet import cli
 from tracelet.calculus import (Judgment, PredAssert, PredGoal, RuleError,
                                node_to_json)
-from tracelet.interp import (DEFAULT_FUEL, FuelExhausted, Machine, RunError,
-                             UpStmt, run_cont)
+from tracelet.interp import (DEFAULT_FUEL, FuelExhausted, RunError, UpStmt,
+                             run_cont)
 from tracelet.lang import (ARITH_OPS, CMP_OPS, Assign, Binary, BoolLit,
                            CallAssign, Diagnostic, Fresh, If, IntLit, Program,
                            ProcDecl, ResVar, Return, Scope, Seq, Skip,
@@ -29,10 +29,10 @@ from tracelet.logic import (And, Chop, Concat, ContractSpec, FinishEvF,
                             StatePred, check_formula, eval_term,
                             make_contract, map_terms, _FreshValue,
                             _parse_formula_or)
-from tracelet.traces import (CallEv, ChopUndefined, Ctx, EmptyTraceError,
+from tracelet.traces import (CallEv, Ctx, EmptyTraceError,
                              MAIN_CTX, PopEv, PushEv, RetEv, State, Trace,
                              TraceError, UndefinedVariable, entry_from_json,
-                             eval_expr, event_trace, is_state,
+                             eval_expr, is_state,
                              nest, res_name, ret_owners, singleton)
 from tracelet.updates import CallUpd, Elem, FinishUpd, StartUpd, update_writes
 
@@ -613,6 +613,19 @@ def run_update_prefixed(atoms, stmt, trace: Trace, table,
 # Trace algebra and the relative semantics, as the paper states them
 # ---------------------------------------------------------------------------
 
+class ChopUndefined(TraceError):
+    def __init__(self, last_state, first_state):
+        super().__init__(f"chop undefined: boundary states differ "
+                         f"({last_state} vs {first_state})")
+        self.last_state = last_state
+        self.first_state = first_state
+
+
+def event_trace(state: State, ev) -> Trace:
+    # the evTrio shape: <s> . ev . s
+    return Trace((state, ev, state))
+
+
 def chop(t1: Trace, t2: Trace) -> Trace:
     """Semantic chop: fuse equal boundary states; undefined on mismatch."""
     if t1.is_empty:
@@ -1140,11 +1153,77 @@ def _then(first, second):
     return Seq(first, second)
 
 
-class ReferenceMachine(Machine):
-    """The machine with each step classified by three end tests, local
+def _cont_leaves(item, out: list):
+    kind = type(item)
+    if kind is Seq:
+        _cont_leaves(item.first, out)
+        _cont_leaves(item.second, out)
+    elif kind is UpStmt:
+        out += item.atoms
+        _cont_leaves(item.stmt, out)
+    elif kind is Scope and not item.decls:
+        _cont_leaves(item.body, out)
+    elif item is not None:
+        out.append(item)
+
+
+def cont_shape(stack):
+    """A continuation stack, innermost last, as one continuation in the
+    reference machine's shape: its statements and update atoms in the
+    order they run, as a right-nested ``Seq`` with each run of atoms
+    leading an ``UpStmt``.  Sequences and update-prefixed statements are
+    opened and blocks without declarations dropped, so ``cont_shape([c])``
+    is the same shape for any continuation c that runs the same way."""
+    leaves = []
+    for item in reversed(stack):
+        _cont_leaves(item, leaves)
+    cont = None
+    for leaf in reversed(leaves):
+        if type(leaf) not in (Elem, CallUpd, StartUpd, FinishUpd):
+            cont = leaf if cont is None else Seq(leaf, cont)
+        elif type(cont) is UpStmt:
+            cont = UpStmt((leaf,) + cont.atoms, cont.stmt)
+        else:
+            cont = UpStmt((leaf,), cont)
+    return cont
+
+
+class ReferenceMachine:
+    """The machine with its continuation as one ``Seq``/``UpStmt`` term
+    rebuilt on every step, each step classified by three end tests, local
     evaluation as an isinstance chain, a loop unfolded into
-    ``if (cond) { body; loop }`` on every turn, and the oracle's evaluation
-    and substitution."""
+    ``if (cond) { body; loop }`` on every turn, a block's locals declared
+    one per step, and the oracle's evaluation and substitution."""
+
+    def __init__(self, trace: Trace, cont, table, fuel: int = DEFAULT_FUEL,
+                 next_id: int = 0, next_fresh: int = 0):
+        if trace.is_empty:
+            raise RunError("initial trace must be non-empty")
+        self.entries = list(trace.entries)
+        self.ctxs = nest([], trace.entries)
+        self.cont = cont
+        self.table = table
+        self.fuel = fuel
+        self.next_id = next_id
+        self.next_fresh = next_fresh
+
+    @property
+    def trace(self) -> Trace:
+        return Trace(self.entries)
+
+    def alloc_call_id(self, state: State) -> int:
+        cid = self.next_id
+        while res_name(cid) in state:
+            cid += 1
+        self.next_id = cid + 1
+        return cid
+
+    def fresh_var(self, base: str, state: State) -> str:
+        k = self.next_fresh + 1
+        while f"{base}#{k}" in state:
+            k += 1
+        self.next_fresh = k
+        return f"{base}#{k}"
 
     def extend(self, tr: Trace):
         last, first = self.entries[-1], tr.entries[0]
@@ -1160,6 +1239,11 @@ class ReferenceMachine(Machine):
     @property
     def done(self) -> bool:
         return self.cont is None and not self.ends_in(CallEv) and not self.ends_in(RetEv)
+
+    def run(self) -> "ReferenceMachine":
+        while not self.done:
+            self.step()
+        return self
 
     def step(self):
         if self.done:
@@ -1238,7 +1322,7 @@ class ReferenceMachine(Machine):
             return sub.trace, rest
         if isinstance(atom, StartUpd):
             arg, cid = ev(state, atom.arg), ev(state, atom.call_id)
-            self.note_call_id(cid)
+            self.next_id = max(self.next_id, cid + 1)
             return Trace((state, CallEv(atom.proc, arg, cid), state,
                           PushEv(Ctx(atom.proc, cid)), state)), rest
         if isinstance(atom, FinishUpd):

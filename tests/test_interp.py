@@ -1,20 +1,21 @@
 """Interpreter: local evaluation, composition rules, golden traces."""
 
 import random
+import sys
 
 import pytest
 
 from helpers import (M0_SRC, M2_SRC, M2_EVENT_SKELETON, RUNNING_SRC,
-                     ReferenceMachine, chop, curr_ctx_stack, event_skeleton,
+                     ReferenceMachine, chop, cont_shape, curr_ctx_stack, event_skeleton,
                      golden_m0, golden_m1, m_source, multi_proc_source,
                      random_linear_expr, random_terminating_program,
                      run_update_prefixed, semantics, subst_stmt_oracle,
                      while_source)
-from tracelet.interp import (FuelExhausted, Machine, RunError, UpStmt,
-                             initial_state, run, run_cont)
+from tracelet.interp import (DEFAULT_FUEL, FuelExhausted, Machine, RunError,
+                             UpStmt, initial_state, run, run_cont)
 from tracelet.lang import (Assign, Binary, CallAssign, IntLit, ResVar,
-                           Scope, Seq, Skip, Var, While, build_lookup,
-                           parse_program, seq)
+                           Scope, Seq, Skip, Var, While, build_lookup, nodes,
+                           parse_program, seq, subst_stmt)
 from tracelet.traces import (CallEv, Ctx, MAIN_CTX, PopEv, PushEv, RetEv, State,
                              Trace, dump_trace, is_adequate, singleton)
 from tracelet.updates import CallUpd, Elem, FinishUpd, StartUpd
@@ -27,70 +28,83 @@ def table_of(src):
 EMPTY_TABLE = {}
 
 
-def machine(state, cont, table=EMPTY_TABLE):
-    return Machine(singleton(state), cont, table)
+def advance(m: Machine, fuel: int) -> Machine:
+    """Run m on fuel more units, up to where they run out."""
+    m.fuel += fuel
+    try:
+        m.run()
+    except FuelExhausted:
+        pass
+    return m
+
+
+def after_rules(k, state, cont, table=EMPTY_TABLE):
+    """The machine from <state> with cont once it has applied k rules, or
+    at its final configuration if that comes first."""
+    return advance(Machine(singleton(state), cont, table, fuel=0), k)
+
+
+def configurations(start, cont, table):
+    """The machine at the start and after each rule it applies, given one
+    unit of fuel at a time: the same object each time."""
+    m = Machine(start, cont, table, fuel=0)
+    while m.fuel == 0:
+        yield m
+        advance(m, 1)
+
+
+def rule_count(start, cont, table) -> int:
+    """How many rules the machine applies to run cont from start."""
+    return DEFAULT_FUEL - Machine(start, cont, table).run().fuel
 
 
 class TestLocalEval:
     def test_skip(self):
-        m = machine(State({"x": 0}), None)
-        tr, cont = m.local_eval(State({"x": 0}), Skip())
-        assert tr == singleton(State({"x": 0})) and cont is None
+        m = after_rules(1, State({"x": 0}), Skip())
+        assert m.entries == [State({"x": 0})] and m.stack == [] and m.fuel == 0
 
     def test_assign(self):
         sigma = State({"x": 0})
-        m = machine(sigma, None)
-        tr, cont = m.local_eval(sigma, Assign(Var("x"), IntLit(5)))
-        assert tr.entries == (sigma, State({"x": 5})) and cont is None
+        m = after_rules(1, sigma, Assign(Var("x"), IntLit(5)))
+        assert m.entries == [sigma, State({"x": 5})] and m.stack == []
 
     def test_call_assign_emits_call_event(self):
         sigma = State({"x": 0})
-        m = machine(sigma, None)
-        tr, cont = m.local_eval(sigma, CallAssign(Var("x"), "m", IntLit(1)))
-        assert tr.entries == (sigma, CallEv("m", 1, 0), sigma)
-        assert cont == Assign(Var("x"), ResVar(IntLit(0)))
+        m = after_rules(1, sigma, CallAssign(Var("x"), "m", IntLit(1)))
+        assert m.entries == [sigma, CallEv("m", 1, 0), sigma]
+        assert m.stack == [Assign(Var("x"), ResVar(IntLit(0)))]
 
     def test_res_assignment_is_ignored(self):
         sigma = State({"x": 0})
-        m = machine(sigma, None)
-        tr, cont = m.local_eval(sigma, UpStmt((Elem(ResVar(IntLit(0)), IntLit(5)),)))
-        assert tr == singleton(sigma) and cont is None
+        m = after_rules(1, sigma, UpStmt((Elem(ResVar(IntLit(0)), IntLit(5)),)))
+        assert m.entries == [sigma] and m.stack == [] and m.fuel == 0
 
     def test_start_event_update(self):
         # one local step yields the callEv ** pushEv trace
         sigma = State({})
-        m = machine(sigma, None)
         up = UpStmt((StartUpd("q", IntLit(0), IntLit(3)),),
                     Assign(Var("r"), IntLit(0)))
-        tr, cont = m.local_eval(sigma, up)
-        assert tr.entries == (sigma, CallEv("q", 0, 3), sigma,
-                              PushEv(Ctx("q", 3)), sigma)
-        assert cont == Assign(Var("r"), IntLit(0))
+        m = after_rules(1, sigma, up)
+        assert m.entries == [sigma, CallEv("q", 0, 3), sigma, PushEv(Ctx("q", 3)), sigma]
+        assert m.stack == [Assign(Var("r"), IntLit(0))] and m.ctxs == [Ctx("q", 3)]
 
     def test_finish_event_update(self):
         sigma = State({})
-        m = machine(sigma, None)
-        up = UpStmt((FinishUpd("q", IntLit(7), IntLit(2)),))
-        tr, cont = m.local_eval(sigma, up)
+        m = after_rules(1, sigma, UpStmt((FinishUpd("q", IntLit(7), IntLit(2)),)))
         after = sigma.set("res2", 7)
-        assert tr.entries == (sigma, RetEv(7), sigma, after,
-                              PopEv(Ctx("q", 2)), after)
-        assert cont is None
+        assert m.entries == [sigma, RetEv(7), sigma, after, PopEv(Ctx("q", 2)), after]
+        assert m.stack == []
 
     def test_scope_declares_fresh_zero(self):
-        sigma = State({"r": 9})
-        m = machine(sigma, None)
-        tr, cont = m.local_eval(sigma, Scope(("r",), Assign(Var("r"), IntLit(1))))
-        assert tr.entries[1].get("r#1") == 0
-        assert cont == Scope((), Assign(Var("r#1"), IntLit(1)))
+        m = after_rules(1, State({"r": 9}), Scope(("r",), Assign(Var("r"), IntLit(1))))
+        assert m.entries[1].get("r#1") == 0
+        assert m.stack == [Assign(Var("r#1"), IntLit(1))]
 
     def test_scope_names_all_locals_on_its_first_step(self):
         sigma = State({"r": 9})
-        m = machine(sigma, None)
-        tr, cont = m.local_eval(sigma, Scope(("r", "t"), Assign(Var("r"), Var("t"))))
-        assert tr.entries == (sigma, sigma.set("r#1", 0))
-        assert cont == UpStmt((Elem(Var("t#2"), IntLit(0)),),
-                              Scope((), Assign(Var("r#1"), Var("t#2"))))
+        m = after_rules(1, sigma, Scope(("r", "t"), Assign(Var("r"), Var("t"))))
+        assert m.entries == [sigma, sigma.set("r#1", 0)]
+        assert m.stack == [Assign(Var("r#1"), Var("t#2")), Elem(Var("t#2"), IntLit(0))]
 
     def test_local_named_like_a_fresh_name_is_not_captured(self):
         # a becomes a#1 and the local a#1 becomes a#1#2, both at once
@@ -100,24 +114,22 @@ class TestLocalEval:
 
 class TestStep:
     def test_call_rule_inlines_body(self):
-        src = RUNNING_SRC
-        p = parse_program(src)
-        m = Machine(singleton(State({"x": 0})), p.main_body, build_lookup(p))
-        m.step()  # progress: emit callEv
-        assert isinstance(m.trace.entries[-2], CallEv)
-        m.step()  # call rule: push context, inline body
-        assert isinstance(m.trace.entries[-2], PushEv)
-        assert m.trace.entries[-2].ctx == Ctx("m", 0)
+        p = parse_program(RUNNING_SRC)
+        m = after_rules(1, State({"x": 0}), p.main_body, build_lookup(p))
+        assert isinstance(m.entries[-2], CallEv)  # progress: emit callEv
+        m = after_rules(2, State({"x": 0}), p.main_body, build_lookup(p))
+        assert m.entries[-2] == PushEv(Ctx("m", 0))  # call rule: push context
+        assert m.stack[-1] == subst_stmt(p.procs[0].body, {"k": IntLit(1)})
 
     def test_return_rule_assigns_res_and_pops(self):
-        src = "m(k) { r; return r }\nmain { x; x = m(5) }"
-        p = parse_program(src)
-        m = Machine(singleton(State({"x": 0})), p.main_body, build_lookup(p))
-        while not isinstance(m.trace.entries[-2] if len(m.trace.entries) > 1 else None, RetEv):
-            m.step()
-        m.step()  # return rule
-        assert isinstance(m.trace.entries[-2], PopEv)
-        assert m.trace.entries[-1].get("res0") == 0
+        p = parse_program("m(k) { r; return r }\nmain { x; x = m(5) }")
+        k = 1
+        while not isinstance(after_rules(k, State({"x": 0}), p.main_body,
+                                         build_lookup(p)).entries[-2], RetEv):
+            k += 1
+        m = after_rules(k + 1, State({"x": 0}), p.main_body, build_lookup(p))
+        assert isinstance(m.entries[-2], PopEv)  # return rule
+        assert m.entries[-1].get("res0") == 0
 
     def test_step_deterministic(self):
         rng = random.Random(17)
@@ -131,17 +143,16 @@ class TestStep:
         rng = random.Random(29)
         for _ in range(30):
             p = random_terminating_program(rng)
-            m = Machine(singleton(initial_state(p)), p.main_body, build_lookup(p))
-            while not m.done:
-                m.step()
+            for m in configurations(singleton(initial_state(p)), p.main_body,
+                                    build_lookup(p)):
                 assert (m.ctxs or [MAIN_CTX])[-1] == curr_ctx_stack(m.trace)
 
-    def test_final_configuration_rejects_step(self):
+    def test_final_configuration_takes_no_rule(self):
+        # a final configuration runs without fuel and is left as it is
         p = parse_program("main { skip }")
-        m = Machine(singleton(State({})), p.main_body, build_lookup(p))
-        m.run()
-        with pytest.raises(RunError):
-            m.step()
+        m = Machine(singleton(State({})), p.main_body, build_lookup(p), fuel=1).run()
+        assert m.fuel == 0
+        assert m.run().entries == [State({})] and m.fuel == 0
 
 
 class TestRun:
@@ -273,7 +284,6 @@ class TestCompositionProperties:
         p = parse_program(RUNNING_SRC)
         table = build_lookup(p)
         proc = p.procs[0]
-        from tracelet.lang import subst_stmt
         inlined = UpStmt((StartUpd("m", IntLit(1), IntLit(0)),),
                          Seq(Assign(Var("k'"), IntLit(1)),
                              subst_stmt(proc.body, {"k": Var("k'")})))
@@ -289,13 +299,12 @@ class TestLastEventLemma:
         # in every reachable configuration, a trailing callEv/retEv is
         # literally the last event group of the trace
         p = parse_program(M2_SRC)
-        m = Machine(singleton(State({"x": 0})), p.main_body, build_lookup(p))
-        while not m.done:
-            ev = next((e for e in reversed(m.entries) if not isinstance(e, State)), None)
+        for m in configurations(singleton(State({"x": 0})), p.main_body, build_lookup(p)):
+            entries = m.entries
+            ev = next((e for e in reversed(entries) if not isinstance(e, State)), None)
             if isinstance(ev, (CallEv, RetEv)):
                 # nothing may follow the event's flanking state
-                assert m.entries[-2] is ev
-            m.step()
+                assert entries[-2] is ev
 
 
 def test_update_prefixed_skip():
@@ -323,7 +332,7 @@ def oracle_programs():
 
 def declared_ahead(ref_cont, cont):
     """The reference's continuation and fresh-name counter as the machine
-    holds them, given the machine's continuation cont.
+    holds them, given the machine's continuation cont (``cont_shape``).
 
     The reference declares a block's locals one per step and renames the
     body each time.  The machine names them all on the first step and
@@ -350,20 +359,26 @@ def declared_ahead(ref_cont, cont):
 
 
 def assert_agrees_with_reference(start: Trace, cont, table, fuel=100_000):
-    """The machine and the reference machine step in lockstep to the same
-    entries, open contexts, continuation and counters, up to the
-    declarations the machine makes ahead (``declared_ahead``)."""
-    m, ref = Machine(start, cont, table, fuel), ReferenceMachine(start, cont, table, fuel)
+    """The machine, given after each step of the reference machine the
+    fuel that step used, uses it up and stops at the same entries, open
+    contexts, continuation and counters, up to the declarations the
+    machine makes ahead (``declared_ahead``).  Given all the fuel at
+    once, it ends where the reference ends."""
+    ref = ReferenceMachine(start, cont, table, fuel)
+    m = Machine(start, cont, table, fuel=0)
     while not ref.done:
-        assert not m.done
+        before = ref.fuel
         ref.step()
-        m.step()
-        ref_cont, ref_fresh = declared_ahead(ref.cont, m.cont)
-        assert m.entries == ref.entries and m.ctxs == ref.ctxs and m.cont == ref_cont
+        advance(m, before - ref.fuel)
+        shape = cont_shape(m.stack)
+        ref_cont, ref_fresh = declared_ahead(ref.cont, shape)
+        assert m.entries == ref.entries and m.ctxs == ref.ctxs
+        assert shape == cont_shape([ref_cont])
         assert (m.next_id, m.next_fresh, m.fuel) == \
-            (ref.next_id, ref.next_fresh if ref_fresh is None else ref_fresh, ref.fuel)
-    assert m.done
-    assert dump_trace(m.trace) == dump_trace(ref.trace)
+            (ref.next_id, ref.next_fresh if ref_fresh is None else ref_fresh, 0)
+    assert m.stack == [] and advance(m, 1).fuel == 1
+    whole = Machine(start, cont, table, fuel).run()
+    assert whole.fuel == ref.fuel and dump_trace(whole.trace) == dump_trace(ref.trace)
 
 
 def test_run_agrees_with_reference_machine():
@@ -374,39 +389,113 @@ def test_run_agrees_with_reference_machine():
         assert_agrees_with_reference(start, p.main_body, build_lookup(p))
 
 
+def random_update_prefixed(rng: random.Random):
+    """A start trace and an update-prefixed continuation for RUNNING_SRC's
+    table: one to four atoms of every kind, then nothing, a statement or
+    a loop."""
+    atoms = []
+    for _ in range(rng.randint(1, 4)):
+        kind = rng.randrange(5)
+        if kind == 0:
+            atoms.append(Elem(Var(rng.choice("xy")), random_linear_expr(rng, ["x", "y"])))
+        elif kind == 1:
+            atoms.append(CallUpd(Var(rng.choice("xy")), "m", IntLit(rng.randint(0, 3))))
+        elif kind == 2:
+            atoms.append(StartUpd("m", IntLit(rng.randint(0, 3)), IntLit(rng.randint(0, 5))))
+        elif kind == 3:
+            atoms.append(FinishUpd("m", Var("x"), IntLit(rng.randint(0, 5))))
+        else:
+            atoms.append(Elem(ResVar(IntLit(0)), IntLit(1)))
+    stmt = rng.choice([None, Skip(), Assign(Var("x"), Binary("+", Var("y"), IntLit(1))),
+                       CallAssign(Var("y"), "m", Binary("-", IntLit(2), Var("z"))),
+                       While(Binary("<", Var("x"), IntLit(3)),
+                             Assign(Var("x"), Binary("+", Var("x"), IntLit(1))))])
+    start = singleton(State({"x": rng.randint(-1, 2), "y": 0, "z": rng.randint(0, 2)}))
+    return start, UpStmt(tuple(atoms), stmt)
+
+
 def test_update_prefixed_runs_agree_with_reference_machine():
     rng = random.Random(103)
     table = build_lookup(parse_program(RUNNING_SRC))
     for _ in range(150):
-        atoms = []
-        for _ in range(rng.randint(1, 4)):
-            kind = rng.randrange(5)
-            if kind == 0:
-                atoms.append(Elem(Var(rng.choice("xy")), random_linear_expr(rng, ["x", "y"])))
-            elif kind == 1:
-                atoms.append(CallUpd(Var(rng.choice("xy")), "m", IntLit(rng.randint(0, 3))))
-            elif kind == 2:
-                atoms.append(StartUpd("m", IntLit(rng.randint(0, 3)), IntLit(rng.randint(0, 5))))
-            elif kind == 3:
-                atoms.append(FinishUpd("m", Var("x"), IntLit(rng.randint(0, 5))))
-            else:
-                atoms.append(Elem(ResVar(IntLit(0)), IntLit(1)))
-        stmt = rng.choice([None, Skip(), Assign(Var("x"), Binary("+", Var("y"), IntLit(1))),
-                           CallAssign(Var("y"), "m", Binary("-", IntLit(2), Var("z"))),
-                           While(Binary("<", Var("x"), IntLit(3)),
-                                 Assign(Var("x"), Binary("+", Var("x"), IntLit(1))))])
-        start = singleton(State({"x": rng.randint(-1, 2), "y": 0, "z": rng.randint(0, 2)}))
-        assert_agrees_with_reference(start, UpStmt(tuple(atoms), stmt), table)
+        assert_agrees_with_reference(*random_update_prefixed(rng), table)
 
 
-def test_loop_continuation_built_once_per_loop():
+def fuel_outcome(machine):
+    try:
+        machine.run()
+    except FuelExhausted as e:
+        return "exhausted", dump_trace(e.partial)
+    return "finished", machine.fuel
+
+
+def assert_same_at_every_fuel(start: Trace, cont, table):
+    """Given each fuel up to the run's rule count, the machine and the
+    reference machine stop with the same partial trace, or both finish
+    with the same fuel left.  The reference given fuel k stops where its
+    steps have used k, so one reference is stepped along; a fuel that
+    runs out inside one of its steps (a call update runs a whole call in
+    one step) gets a reference run of its own."""
+    total = rule_count(start, cont, table)
+    ref = ReferenceMachine(start, cont, table, total)
+    for fuel in range(total + 1):
+        while total - ref.fuel < fuel:
+            ref.step()
+        if total - ref.fuel > fuel:
+            expected = fuel_outcome(ReferenceMachine(start, cont, table, fuel))
+        elif ref.done:
+            expected = "finished", 0
+        else:
+            expected = "exhausted", dump_trace(ref.trace)
+        assert fuel_outcome(Machine(start, cont, table, fuel)) == expected, fuel
+    assert ref.done
+
+
+def test_fuel_runs_out_where_the_reference_machine_runs_out():
+    """At every fuel up to a run's rule count, both machines stop with the
+    same partial trace, or both finish with the same fuel left."""
+    for name, p in oracle_programs():
+        assert_same_at_every_fuel(singleton(initial_state(p)), p.main_body, build_lookup(p))
+    rng = random.Random(107)
+    table = build_lookup(parse_program(RUNNING_SRC))
+    for _ in range(30):
+        assert_same_at_every_fuel(*random_update_prefixed(rng), table)
+
+
+def test_loop_turn_pushes_the_loop_and_its_body():
+    # each turn leaves the While node and its body node on the stack
+    # themselves, and the stack does not grow from turn to turn
     p = parse_program(while_source(5, 2))
-    m = Machine(singleton(initial_state(p)), p.main_body, build_lookup(p))
-    unfolded = []
-    while not m.done:
-        loop = m.cont if isinstance(m.cont, While) else None
-        m.step()
-        if loop is not None and m.cont is not None:
-            assert m.cont == Seq(loop.body, loop)
-            unfolded.append(m.cont)
-    assert len(unfolded) == 5 and all(c is unfolded[0] for c in unfolded)
+    loop = next(node for node in nodes(p.main_body) if type(node) is While)
+    turns, depth = 0, 0
+    for m in configurations(singleton(initial_state(p)), p.main_body, build_lookup(p)):
+        stack = m.stack
+        if stack and stack[-1] is loop.body:
+            assert stack[-2] is loop
+            turns += 1
+        depth = max(depth, len(stack))
+    assert turns == 5 and depth <= 3
+
+
+def calls_per_entry(program) -> float:
+    """The Python calls, and calls of built-ins, that ``run`` makes per
+    entry of the trace it returns."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call" or event == "c_call":
+            count += 1
+
+    sys.setprofile(profile)
+    try:
+        t = run(program)
+    finally:
+        sys.setprofile(None)
+    return count / len(t.entries)
+
+
+@pytest.mark.parametrize("src, bound", [(while_source(2000, 3), 25), (m_source(100), 15)],
+                         ids=["while", "m"])
+def test_calls_per_entry(src, bound):
+    assert calls_per_entry(parse_program(src)) <= bound

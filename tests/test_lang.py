@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import (M0_SRC, RUNNING_SRC, random_linear_expr,
+from helpers import (M0_SRC, RUNNING_SRC, parse_formula, random_linear_expr,
                      random_terminating_program, subst_res_oracle,
                      subst_stmt_oracle, subst_vars_oracle, well_formed_oracle)
 from tracelet.lang import (ARITH_OPS, CMP_OPS, Assign, Binary, BoolLit, CallAssign,
@@ -14,6 +14,7 @@ from tracelet.lang import (ARITH_OPS, CMP_OPS, Assign, Binary, BoolLit, CallAssi
                            UnknownProcedure, Var, build_lookup, fields, lookup,
                            parse_expr, parse_program, pretty_expr, remake,
                            subst_stmt, subst_vars, tokenize, well_formed)
+from tracelet.logic import StatePred
 
 
 class TestParse:
@@ -100,7 +101,7 @@ _ARITH = st.recursive(
 _BOOL = st.recursive(
     st.builds(BoolLit, st.booleans())
     | st.builds(Binary, st.sampled_from(CMP_OPS), _ARITH, _ARITH),
-    lambda inner: (st.builds(Binary, st.sampled_from(["&&", "||"]), inner, inner)
+    lambda inner: (st.builds(Binary, st.sampled_from(["&&", "||", "==", "!="]), inner, inner)
                    | st.builds(Unary, st.just("!"), inner)),
     max_leaves=6)
 
@@ -131,6 +132,23 @@ class TestPrettyExpr:
     def test_a_literal_under_a_minus_is_parenthesized(self, tree, text):
         assert pretty_expr(tree) == text
         assert _reparsed(text) == tree
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(e=_BOOL)
+    def test_printed_predicate_reparses_to_itself(self, e):
+        """Boolean comparisons of comparisons included."""
+        f = StatePred(e)
+        assert parse_formula(repr(f)) == f
+
+    @pytest.mark.parametrize("tree,text", [
+        (Binary("==", Binary("==", Var("n"), IntLit(0)), Binary("==", Var("i"), IntLit(0))),
+         "(n == 0) == (i == 0)"),
+        (Binary("!=", Binary("<", Var("x"), IntLit(1)), BoolLit(True)), "(x < 1) != true"),
+    ])
+    def test_a_comparison_under_a_comparison_is_parenthesized(self, tree, text):
+        assert pretty_expr(tree) == text
+        assert _reparsed(text) == tree
+        assert parse_formula(f"[{text}]") == StatePred(tree)
 
     def test_only_a_literal_right_after_the_minus_folds(self):
         assert _reparsed("- 3") == IntLit(-3)

@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import (MUTANT_SRC, RUNNING_SRC, contract_m, golden_m0,
+from helpers import (MUTANT_SRC, RUNNING_SRC, contract_m, event_trace, golden_m0,
                      golden_m1, m_source, member_approx, mutate_trace,
                      parse_formula, parse_term_oracle, spec_m)
 from tracelet import logic
@@ -22,8 +22,7 @@ from tracelet.logic import (And, Chop, Concat, ContractSpec, FinishEvF,
                             is_psi, make_contract, member, no_event_chop,
                             parse_contract_file,
                             pretty_formula, psi, substitute, unfold)
-from tracelet.traces import (CallEv, State, Trace, event_trace, is_state,
-                             singleton)
+from tracelet.traces import CallEv, State, Trace, is_state, singleton
 
 
 def state_segments(trace):

@@ -7,9 +7,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import (V2_HEADER, DictState, chop, concat, curr_ctx_stack,
-                     dump_trace_oracle, dump_trace_v2_oracle, eval_expr_oracle,
-                     eval_expr_reference, golden_m0, golden_m1, is_set_oracle,
+from helpers import (V2_HEADER, ChopUndefined, DictState, chop, concat,
+                     curr_ctx_stack, dump_trace_oracle, dump_trace_v2_oracle,
+                     eval_expr_oracle, eval_expr_reference, event_trace,
+                     golden_m0, golden_m1, is_set_oracle,
                      load_trace_oracle, m_source, mutate_trace, parse_formula,
                      random_linear_expr, random_terminating_program,
                      running_program, step_diff_oracle)
@@ -18,10 +19,10 @@ from tracelet.interp import run
 from tracelet.lang import (Binary, BoolLit, IntLit, ResVar, Unary, Var,
                            parse_program)
 from tracelet.logic import member, psi
-from tracelet.traces import (CallEv, ChopUndefined, Ctx, EmptyTraceError,
+from tracelet.traces import (CallEv, Ctx, EmptyTraceError,
                              MAIN_CTX, PopEv, PushEv, RetEv, State, Trace,
                              TraceError, UndefinedVariable, dump_trace,
-                             eval_expr, event_trace, is_adequate, is_set,
+                             eval_expr, is_adequate, is_set,
                              is_state, load_trace, nest, singleton)
 
 
