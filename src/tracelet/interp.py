@@ -6,24 +6,21 @@ non-final configuration, selected by whether the trace ends in a call
 event, a return event, or neither.  The machine grows its trace in place
 and keeps two stacks beside it: the open call contexts (``traces.nest``),
 so Return reads the current context off the top, and the continuation,
-the statements and update atoms still to run.  Progress opens sequences
-and update-prefixed statements on the stack down to their first
-statement or atom, runs it, appends its entries and pushes what follows
-it.  No rule builds a trace or a continuation record.  Expressions are
-evaluated by ``traces.eval_expr``, as in membership.
+the statements still to run.  Progress opens sequences on the stack down
+to their first statement, runs it, appends its entries and pushes what
+follows it.  No rule builds a trace or a continuation record.
+Expressions are evaluated by ``traces.eval_expr``, as in membership.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple, Union
+from typing import Optional
 
 from .lang import (Assign, CallAssign, If, IntLit, LookupTable, Program,
                    Return, ResVar, Scope, Seq, Skip, Stmt, Var, While,
-                   build_lookup, lookup, record, subst_stmt)
+                   build_lookup, lookup, subst_stmt)
 from .traces import (CallEv, Ctx, PopEv, PushEv, RetEv, State, Trace,
                      eval_expr, nest, res_name, singleton)
-from .updates import (CallUpd, Elem, FinishUpd, StartUpd, UpdateAtom,
-                      pretty_update)
 
 DEFAULT_FUEL = 10 ** 6
 
@@ -38,30 +35,15 @@ class FuelExhausted(Exception):
         self.partial = partial
 
 
-@record(frozen=True)
-class UpStmt:
-    """A statement with leading updates; stmt None means updates only."""
-
-    atoms: Tuple[UpdateAtom, ...]
-    stmt: Optional[Stmt] = None
-
-    def __repr__(self):
-        body = "" if self.stmt is None else f" {self.stmt}"
-        return f"{pretty_update(self.atoms)}{body}"
-
-
-Cont = Union[None, Stmt, UpStmt]
-
-
 class Machine:
     """One run's configuration; owns its counters and fuel exclusively.
 
     ``entries`` is the trace so far, ``ctxs`` its open call contexts and
-    ``stack`` the continuation, the statements and update atoms still to
-    run; both stacks hold their innermost item last.
+    ``stack`` the continuation, the statements still to run; both stacks
+    hold their innermost item last.
     """
 
-    def __init__(self, trace: Trace, cont: Cont, table: LookupTable,
+    def __init__(self, trace: Trace, cont: Optional[Stmt], table: LookupTable,
                  fuel: int = DEFAULT_FUEL, next_id: int = 0, next_fresh: int = 0):
         if trace.is_empty:
             raise RunError("initial trace must be non-empty")
@@ -101,10 +83,9 @@ class Machine:
         """Apply rules until the configuration is final: Call after a
         callEv, Return after a retEv, Progress otherwise.  Each costs one
         unit of fuel; Progress pops the continuation down to its next
-        statement or update atom and runs that.  When the fuel runs out
-        before a rule, the machine stays at the configuration reached, so
-        more fuel resumes it; a call update runs its call in a machine of
-        its own, whose partial trace a FuelExhausted inside it carries."""
+        statement and runs that.  When the fuel runs out before a rule,
+        the machine stays at the configuration reached, so more fuel
+        resumes it."""
         entries, ctxs, stack = self.entries, self.ctxs, self.stack
         push, pop = stack.append, stack.pop
         fuel = self.fuel
@@ -139,7 +120,7 @@ class Machine:
                         push(s.second)
                         s = s.first
                         continue
-                    if kind is Assign or kind is Elem:
+                    if kind is Assign:
                         # a res target is written by finishEv; this is a no-op
                         if type(s.target) is not ResVar:
                             entries.append(state.set(s.target.name, eval_expr(state, s.expr)))
@@ -161,30 +142,6 @@ class Machine:
                             s = s.body
                             continue
                         self._declare(state, s)
-                    elif kind is UpStmt:
-                        if s.stmt is not None:
-                            push(s.stmt)
-                        stack += reversed(s.atoms)
-                        s = pop()
-                        continue
-                    elif kind is CallUpd:
-                        # invokes the full program semantics from the last state
-                        sub = run_cont(singleton(state), CallAssign(s.target, s.proc, s.arg),
-                                       self.table, fuel, self.next_id, self.next_fresh)
-                        fuel, self.next_id, self.next_fresh = sub.fuel, sub.next_id, sub.next_fresh
-                        entries += sub.entries[1:]  # its pushEv and popEv balance
-                    elif kind is StartUpd:
-                        arg, cid = eval_expr(state, s.arg), eval_expr(state, s.call_id)
-                        self.next_id = max(self.next_id, cid + 1)
-                        ctx = Ctx(s.proc, cid)
-                        ctxs.append(ctx)
-                        entries += (CallEv(s.proc, arg, cid), state, PushEv(ctx), state)
-                    elif kind is FinishUpd:
-                        v, cid = eval_expr(state, s.arg), eval_expr(state, s.call_id)
-                        after = state.set(res_name(cid), v)
-                        if ctxs:
-                            ctxs.pop()
-                        entries += (RetEv(v), state, after, PopEv(Ctx(s.proc, cid)), after)
                     elif kind is not Skip:
                         raise RunError(f"cannot evaluate {s!r}")
                     break
@@ -194,21 +151,14 @@ class Machine:
     def _declare(self, state: State, s: Scope):
         # Every local gets a fresh name now, in declaration order, and the
         # body is renamed in one walk; the first is bound to 0 in this step
-        # and the others by zero updates, one step each.  A later name has
-        # a larger suffix, so none collides with one allocated here before.
+        # and the others by zero assignments, one step each.  Later names
+        # have larger suffixes, so none collides with one allocated before.
         fresh = [Var(self.fresh_var(name, state)) for name in s.decls]
         # reversed, so that a name declared twice maps to its first fresh name
         mapping = dict(zip(reversed(s.decls), reversed(fresh)))
         self.entries.append(state.set(fresh[0].name, 0))
         self.stack.append(subst_stmt(s.body, mapping))
-        self.stack += [Elem(var, IntLit(0)) for var in reversed(fresh[1:])]
-
-
-def run_cont(trace: Trace, cont: Cont, table: LookupTable, fuel: int = DEFAULT_FUEL,
-             next_id: int = 0, next_fresh: int = 0) -> Machine:
-    """Run cont from the end of trace; call ids and fresh-name suffixes
-    continue from next_id and next_fresh."""
-    return Machine(trace, cont, table, fuel, next_id, next_fresh).run()
+        self.stack += [Assign(var, IntLit(0)) for var in reversed(fresh[1:])]
 
 
 def initial_state(program: Program, overrides: Optional[dict] = None) -> State:
@@ -227,7 +177,5 @@ def run(program: Program, state: Optional[State] = None,
     """The unique maximal trace of the program's main body."""
     table = build_lookup(program)
     sigma0 = state if state is not None else initial_state(program)
-    machine = run_cont(singleton(sigma0), program.main_body, table,
-                       fuel=fuel, next_id=0, next_fresh=0)
-    return machine.trace
+    return Machine(singleton(sigma0), program.main_body, table, fuel).run().trace
 

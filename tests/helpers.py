@@ -11,30 +11,30 @@ import argparse
 import json
 import random
 import re
-from itertools import chain
+from itertools import chain, product
 
-from tracelet import cli
+from tracelet import cli, lang
 from tracelet.calculus import (Judgment, PredAssert, PredGoal, RuleError,
                                node_to_json)
-from tracelet.interp import (DEFAULT_FUEL, FuelExhausted, RunError, UpStmt,
-                             run_cont)
+from tracelet.interp import DEFAULT_FUEL, FuelExhausted, Machine, RunError
 from tracelet.lang import (ARITH_OPS, CMP_OPS, Assign, Binary, BoolLit,
                            CallAssign, Diagnostic, Fresh, If, IntLit, Program,
                            ProcDecl, ResVar, Return, Scope, Seq, Skip,
                            TokenStream, Unary, Var, While, _stmt_seq,
-                           fold_expr, lookup, parse_program, seq,
+                           fold_expr, lookup, parse_program, record, seq,
                            subst_vars, tokenize)
 from tracelet.logic import (And, Chop, Concat, ContractSpec, FinishEvF,
                             LogicError, Mu, MuApp, NoEv, Or, RecApp, StartEvF,
                             StatePred, check_formula, eval_term,
-                            make_contract, map_terms, _FreshValue,
+                            make_contract, map_terms, member, _FreshValue,
                             _parse_formula_or)
 from tracelet.traces import (CallEv, Ctx, EmptyTraceError,
                              MAIN_CTX, PopEv, PushEv, RetEv, State, Trace,
                              TraceError, UndefinedVariable, entry_from_json,
                              eval_expr, is_state,
                              nest, res_name, ret_owners, singleton)
-from tracelet.updates import CallUpd, Elem, FinishUpd, StartUpd, update_writes
+from tracelet.updates import (CallUpd, Elem, FinishUpd, StartUpd, update_reads,
+                              update_writes)
 
 RUNNING_SRC = """\
 // identity computed by k recursive calls
@@ -601,14 +601,6 @@ def dump_proof_oracle(node, proc: str) -> str:
     return json.dumps(doc, indent=1, sort_keys=True) + "\n"
 
 
-def run_update_prefixed(atoms, stmt, trace: Trace, table,
-                        fuel: int = DEFAULT_FUEL) -> Trace:
-    """[[U s]](trace): the suffix that the updates, then the statement,
-    append to trace (stmt None runs the updates alone)."""
-    item = UpStmt(tuple(atoms), stmt) if atoms else stmt
-    return semantics(item, trace, table, fuel)
-
-
 # ---------------------------------------------------------------------------
 # Trace algebra and the relative semantics, as the paper states them
 # ---------------------------------------------------------------------------
@@ -664,14 +656,26 @@ def counters_from_trace(trace: Trace):
     return next_id, next_fresh
 
 
-def semantics(item, trace: Trace, table, fuel: int = DEFAULT_FUEL) -> Trace:
-    """Relative semantics [[item]](trace): the appended suffix.
+def run_update_prefixed(atoms, stmt, trace: Trace, table,
+                        fuel: int = DEFAULT_FUEL) -> Trace:
+    """[[U s]](trace): the suffix that the updates, then the statement,
+    append to trace (stmt None runs the updates alone).
 
     The suffix shares its first state with trace's last; the full run is
     trace ** suffix.  Counters continue from the ids already in trace.
+    The updates run on ``ReferenceMachine``, the one concrete semantics
+    of update atoms; the statement runs on the package ``Machine`` from
+    the trace, fuel and counters they leave.
     """
-    machine = run_cont(trace, item, table, fuel, *counters_from_trace(trace))
+    ref = ReferenceMachine(trace, UpStmt(tuple(atoms)) if atoms else None, table, fuel,
+                           *counters_from_trace(trace)).run()
+    machine = Machine(ref.trace, stmt, table, ref.fuel, ref.next_id, ref.next_fresh).run()
     return Trace(machine.entries[len(trace.entries) - 1:])
+
+
+def semantics(stmt, trace: Trace, table, fuel: int = DEFAULT_FUEL) -> Trace:
+    """Relative semantics [[stmt]](trace): the appended suffix."""
+    return run_update_prefixed((), stmt, trace, table, fuel)
 
 
 def parse_formula(text: str):
@@ -1158,9 +1162,6 @@ def _cont_leaves(item, out: list):
     if kind is Seq:
         _cont_leaves(item.first, out)
         _cont_leaves(item.second, out)
-    elif kind is UpStmt:
-        out += item.atoms
-        _cont_leaves(item.stmt, out)
     elif kind is Scope and not item.decls:
         _cont_leaves(item.body, out)
     elif item is not None:
@@ -1168,24 +1169,27 @@ def _cont_leaves(item, out: list):
 
 
 def cont_shape(stack):
-    """A continuation stack, innermost last, as one continuation in the
-    reference machine's shape: its statements and update atoms in the
-    order they run, as a right-nested ``Seq`` with each run of atoms
-    leading an ``UpStmt``.  Sequences and update-prefixed statements are
-    opened and blocks without declarations dropped, so ``cont_shape([c])``
-    is the same shape for any continuation c that runs the same way."""
+    """A continuation stack of statements, innermost last, as one
+    statement: the statements in the order they run, as a right-nested
+    ``Seq``.  Sequences are opened and blocks without declarations
+    dropped, so ``cont_shape([c])`` is the same shape for any
+    continuation c that runs the same way."""
     leaves = []
     for item in reversed(stack):
         _cont_leaves(item, leaves)
     cont = None
     for leaf in reversed(leaves):
-        if type(leaf) not in (Elem, CallUpd, StartUpd, FinishUpd):
-            cont = leaf if cont is None else Seq(leaf, cont)
-        elif type(cont) is UpStmt:
-            cont = UpStmt((leaf,) + cont.atoms, cont.stmt)
-        else:
-            cont = UpStmt((leaf,), cont)
+        cont = leaf if cont is None else Seq(leaf, cont)
     return cont
+
+
+@record(frozen=True)
+class UpStmt:
+    """A statement with leading updates, the reference machine's form of
+    an update-prefixed continuation; stmt None means updates only."""
+
+    atoms: Tuple[UpdateAtom, ...]
+    stmt: Optional[Stmt] = None
 
 
 class ReferenceMachine:
@@ -1330,6 +1334,109 @@ class ReferenceMachine:
             after = state.set(res_name(cid), v)
             return Trace((state, RetEv(v), state, after, PopEv(Ctx(atom.proc, cid)), after)), rest
         raise RunError(f"cannot evaluate update atom {atom!r}")
+
+
+# ---------------------------------------------------------------------------
+# The sampled-state judge: a sequent's truth on one concrete state, against
+# which the kernel's rules are checked
+# ---------------------------------------------------------------------------
+
+def sample_states(seq, rng: random.Random, tries: int = 600) -> list:
+    """Up to eight states that satisfy the sequent's predicate assumptions.
+
+    Every name the assumptions, the update and the statement read gets a
+    value in 0..6, except result variables; an assumed equality with a
+    ``res(...)`` node on its left binds that node to its right side."""
+    preds = [a.pred for a in seq.gamma if isinstance(a, PredAssert)]
+    j = seq.goal
+    read = set()
+    for p in preds:
+        read |= lang.names(p)
+    if isinstance(j, Judgment):
+        for a in j.update:
+            read |= update_reads(a)
+        read |= lang.names(j.stmt, j.formula)
+    read = sorted(n for n in read if not n.startswith("res"))
+    out = []
+    for _ in range(tries):
+        state = State({n: rng.randint(0, 6) for n in read})
+        try:
+            for p in preds:
+                if isinstance(p, Binary) and p.op == "==" and isinstance(p.left, ResVar):
+                    state = state.set(res_name(eval_expr(state, p.left.index)),
+                                      eval_expr(state, p.right))
+            if all(eval_expr(state, p) for p in preds):
+                out.append(state)
+        except UndefinedVariable:
+            continue
+        if len(out) >= 8:
+            break
+    return out
+
+
+def assume_equalities(gamma, state: State) -> State:
+    """state with the rigid side of each assumed equality bound to the
+    other side's value, so that it satisfies the assumptions."""
+    for a in gamma:
+        lhs, rhs = a.pred.left, a.pred.right
+        if not isinstance(lhs, (Var, ResVar)):
+            lhs, rhs = rhs, lhs
+        name = lhs.name if isinstance(lhs, Var) else res_name(eval_expr(state, lhs.index))
+        state = state.set(name, eval_expr(state, rhs))
+    return state
+
+
+def judgment_true(seq, state: State, table, witnesses=(), fuel: int = 200_000) -> bool:
+    """Whether the sequent's judgment ``U s : Phi`` holds from state: the
+    trace that ``run_update_prefixed`` gives U and s from <state> (update
+    atoms on the reference machine, the statement on the interpreter) is
+    a member of Phi.  A run that exhausts fuel is undefined, so the
+    judgment holds vacuously.  Witness rigids are fresh-id symbols, read
+    existentially over the call identifiers of the trace.  A variable the
+    update or the statement never writes is rigid: it keeps its first
+    value, so it is bound as a logical variable; logical bindings shadow
+    program variables, so a written one is not."""
+    j = seq.goal
+    written = {update_writes(a) for a in j.update} | {
+        s.target.name for s in lang.nodes(j.stmt)
+        if isinstance(s, (Assign, CallAssign)) and isinstance(s.target, Var)}
+    env = {k: v for k, v in state.bindings().items() if k not in written}
+    try:
+        trace = run_update_prefixed(j.update, j.stmt, singleton(state), table, fuel=fuel)
+    except FuelExhausted:
+        return True
+    free_witnesses = [w for w in witnesses if w in lang.names(j.formula)]
+    if not free_witnesses:
+        return member(trace, j.formula, env)
+    ids = sorted({e.call_id for e in trace.entries if hasattr(e, "call_id")})
+    for combo in product(ids or [0], repeat=len(free_witnesses)):
+        trial = dict(env)
+        trial.update(zip(free_witnesses, combo))
+        if member(trace, j.formula, trial):
+            return True
+    return False
+
+
+def sequent_true(seq, state: State, table) -> bool:
+    """Whether the sequent holds on state: vacuously when an assumption
+    is false or reads a name state lacks; otherwise its judgment goal by
+    ``judgment_true``, with the fresh-id symbol k' as a witness, or its
+    predicate goal, false when it reads a name state lacks."""
+    for a in seq.gamma:
+        if isinstance(a, PredAssert):
+            try:
+                if not eval_expr(state, a.pred):
+                    return True
+            except UndefinedVariable:
+                return True
+    if isinstance(seq.goal, Judgment):
+        return judgment_true(seq, state, table, ("k'",))
+    if isinstance(seq.goal, PredGoal):
+        try:
+            return bool(eval_expr(state, seq.goal.pred))
+        except UndefinedVariable:
+            return False
+    return True
 
 
 def while_source(turns: int, c: int) -> str:

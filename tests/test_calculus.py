@@ -1,6 +1,5 @@
 """Sequent calculus: rules, automated proof, replay checking, soundness."""
 
-import itertools
 import random
 import re
 from collections import Counter
@@ -8,32 +7,32 @@ from collections import Counter
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from helpers import (MUTANT_SRC, dump_proof_oracle, expr_vars_oracle,
+from helpers import (MUTANT_SRC, assume_equalities, dump_proof_oracle,
+                     event_skeleton, expr_vars_oracle,
                      formula_children_oracle, formula_rebuild_oracle,
-                     formula_vars_oracle, names_in_sequent_oracle,
+                     formula_vars_oracle, judgment_true, names_in_sequent_oracle,
                      parse_formula, random_terminating_program,
-                     run_update_prefixed, running_program, spec_m,
-                     stmt_names_oracle, subst_atom_oracle,
-                     subst_judgment_res_oracle, subst_stmt_oracle,
-                     update_reads_oracle)
+                     run_update_prefixed, running_program, sample_states,
+                     semantics, sequent_true, spec_m, stmt_names_oracle,
+                     subst_atom_oracle, subst_judgment_res_oracle,
+                     subst_stmt_oracle, update_reads_oracle)
 from tracelet import calculus, lang
 from tracelet.calculus import (ContractAssumption, Judgment, PredAssert,
                                PredGoal, RuleContext, RuleError, Sequent,
                                apply_rule, check_proof, contract_goal,
-                               dump_proof, load_proof, node_to_json,
-                               stmt_head)
+                               dump_proof, inline, load_proof,
+                               node_to_json, stmt_head)
 from tracelet.fo import fo_valid
-from tracelet.interp import FuelExhausted, UpStmt, run_cont
 from tracelet.lang import (RESERVED, Assign, Binary, BoolLit, CallAssign, If,
                            IntLit, Return, ResVar, Scope, Seq, Skip,
                            TokenStream, Var, build_lookup, parse_expr,
                            parse_program, pretty_expr, subst_vars, tokenize)
 from tracelet.logic import (Chop, Concat, ContractSpec, MuApp, StatePred,
-                            children, formula_vars, map_terms, member,
+                            children, formula_vars, map_terms,
                             pretty_formula, psi, rebuild)
 from tracelet.prover import (ScriptError, UnsupportedConstruct, prove_auto,
                              run_script)
-from tracelet.traces import (Ctx, MAIN_CTX, State, eval_expr, res_name,
+from tracelet.traces import (Ctx, MAIN_CTX, State, eval_expr, nest, res_name,
                              singleton)
 from tracelet.updates import (CallUpd, Elem, FinishUpd, StartUpd,
                               apply_update_expr, curr_ctx_update,
@@ -98,7 +97,6 @@ class TestUpdateApplication:
     def test_semantic_agreement(self):
         # applied expression evaluated in sigma equals evaluation in the
         # final state of the update's trace
-        from tracelet.traces import eval_expr
         rng = random.Random(14)
         table = build_lookup(running_program())
         for _ in range(100):
@@ -138,12 +136,13 @@ class TestCurrCtxUpdate:
                 atoms.append(StartUpd("m", IntLit(0), IntLit(1)))
                 if rng.random() < 0.5:
                     atoms.append(FinishUpd("m", IntLit(0), IntLit(1)))
-            machine = run_cont(singleton(State({})), UpStmt(tuple(atoms)), table)
+            ctxs = nest([], run_update_prefixed(atoms, None, singleton(State({})),
+                                                table).entries)
             sym = curr_ctx_update(tuple(atoms))
             if sym == MAIN_CTX:
-                assert machine.ctxs == []
+                assert ctxs == []
             else:
-                assert machine.ctxs[-1] == Ctx(sym.proc, sym.call_id.value)
+                assert ctxs[-1] == Ctx(sym.proc, sym.call_id.value)
 
 
 class TestRules:
@@ -312,7 +311,7 @@ class TestRules:
         unsound = Sequent(seq0.gamma, Judgment(premise[0] or update, premise[1], formula))
         state = State({"a": 1, "b": 1, res_name(1): 1, res_name(2): 7})
         table = build_lookup(running_program())
-        assert _sequent_true(unsound, state, table) and not _sequent_true(seq0, state, table)
+        assert sequent_true(unsound, state, table) and not sequent_true(seq0, state, table)
         with pytest.raises(RuleError, match=f"writes {written},"):
             apply_rule("ApplyEqRigid", seq0, {"eq": 0}, ctx_m())
 
@@ -346,7 +345,7 @@ class TestRules:
         unsound = Sequent(seq0.gamma, Judgment(*premise[:2], parse_formula(premise[2])))
         state = State({"i'": 1, "k'": 1, "b": 5, res_name(1): 5})
         table = build_lookup(running_program())
-        assert _sequent_true(unsound, state, table) and not _sequent_true(seq0, state, table)
+        assert sequent_true(unsound, state, table) and not sequent_true(seq0, state, table)
         with pytest.raises(RuleError, match="finishes a call"):
             apply_rule("ApplyEqRigid", seq0, {"eq": 0}, ctx_m())
 
@@ -795,78 +794,6 @@ Cond @ 0
             run_script(contract_goal("m"), ctx_m(), "ProcedureContract @ 3")
 
 
-def _sample_states(seq, rng, tries=600):
-    """States satisfying the sequent's predicate assumptions."""
-    preds = [a.pred for a in seq.gamma if isinstance(a, PredAssert)]
-    j = seq.goal
-    names = set()
-    for p in preds:
-        names |= _expr_rigids(p)
-    if isinstance(j, Judgment):
-        for a in j.update:
-            names |= update_reads(a)
-        names |= lang.names(j.stmt, j.formula)
-    names = sorted(n for n in names if not n.startswith("res"))
-    out = []
-    from tracelet.traces import eval_expr
-    for _ in range(tries):
-        assignment = {n: rng.randint(0, 6) for n in names}
-        state = State(assignment)
-        # bind result variables forced by equational assumptions
-        ok = True
-        for p in preds:
-            if isinstance(p, Binary) and p.op == "==" and isinstance(p.left, ResVar):
-                try:
-                    idx = eval_expr(state, p.left.index)
-                    val = eval_expr(state, p.right)
-                except Exception:
-                    ok = False
-                    break
-                state = state.set(res_name(idx), val)
-        if not ok:
-            continue
-        try:
-            if all(bool(eval_expr(state, p)) for p in preds):
-                out.append(state)
-        except Exception:
-            continue
-        if len(out) >= 8:
-            break
-    return out
-
-
-def _expr_rigids(e):
-    return lang.names(e)
-
-
-def _judgment_true(seq, state, table, witnesses=(), fuel=200_000):
-    """Sequent-semantics truth; witness rigids are fresh-id symbols and
-    are read existentially over the call identifiers of the trace.  A
-    variable the update or the statement never writes is rigid: it keeps
-    its first value, so it is bound as a logical variable; logical bindings
-    shadow program variables, so a written one is not."""
-    j = seq.goal
-    written = {update_writes(a) for a in j.update} | {
-        s.target.name for s in lang.nodes(j.stmt)
-        if isinstance(s, (Assign, CallAssign)) and isinstance(s.target, Var)}
-    env = {k: v for k, v in state.bindings().items() if k not in written}
-    try:
-        trace = run_update_prefixed(j.update, j.stmt, singleton(state), table,
-                                    fuel=fuel)
-    except FuelExhausted:
-        return True  # undefined: the judgment holds vacuously
-    free_witnesses = [w for w in witnesses if w in lang.names(j.formula)]
-    if not free_witnesses:
-        return member(trace, j.formula, env)
-    ids = sorted({e.call_id for e in trace.entries if hasattr(e, "call_id")})
-    for combo in itertools.product(ids or [0], repeat=len(free_witnesses)):
-        trial = dict(env)
-        trial.update(zip(free_witnesses, combo))
-        if member(trace, j.formula, trial):
-            return True
-    return False
-
-
 class TestDifferentialSoundness:
     def test_closed_judgments_hold_concretely(self):
         tree = closed_proof()
@@ -882,8 +809,8 @@ class TestDifferentialSoundness:
                 stack.append((c, witnesses))
             if not isinstance(node.sequent.goal, Judgment) or not node.closed:
                 continue
-            for state in _sample_states(node.sequent, rng)[:4]:
-                assert _judgment_true(node.sequent, state, table, witnesses), \
+            for state in sample_states(node.sequent, rng)[:4]:
+                assert judgment_true(node.sequent, state, table, witnesses), \
                     (node.rule, node.sequent)
                 checked += 1
         assert checked >= 30
@@ -896,11 +823,11 @@ class TestDifferentialSoundness:
             for node in find_nodes(tree, rule):
                 if not isinstance(node.sequent.goal, Judgment):
                     continue
-                for state in _sample_states(node.sequent, rng)[:3]:
-                    conclusion = _judgment_true(node.sequent, state, table,
+                for state in sample_states(node.sequent, rng)[:3]:
+                    conclusion = judgment_true(node.sequent, state, table,
                                                 ("k'",))
                     premises = all(
-                        _sequent_true(c.sequent, state, table)
+                        sequent_true(c.sequent, state, table)
                         for c in node.children
                         if isinstance(c.sequent.goal, Judgment))
                     if premises:
@@ -910,7 +837,7 @@ class TestDifferentialSoundness:
         # x is sampled, but the update writes it: the formula reads 5, not 0
         seq = Sequent((), Judgment((Elem(Var("x"), IntLit(5)),), None,
                                    parse_formula("psi(q) ** [x == 5]")))
-        assert _sequent_true(seq, State({"x": 0}), build_lookup(running_program()))
+        assert sequent_true(seq, State({"x": 0}), build_lookup(running_program()))
 
     def test_mutant_program_judgment_fails(self):
         # the same contract formula rejects the off-by-one implementation
@@ -921,28 +848,8 @@ class TestDifferentialSoundness:
         assert not tree.closed
 
 
-def _sequent_true(seq, state, table):
-    from tracelet.traces import eval_expr
-    for a in seq.gamma:
-        if isinstance(a, PredAssert):
-            try:
-                if not bool(eval_expr(state, a.pred)):
-                    return True
-            except Exception:
-                return True
-    if isinstance(seq.goal, Judgment):
-        return _judgment_true(seq, state, table, ("k'",))
-    if isinstance(seq.goal, PredGoal):
-        try:
-            return bool(eval_expr(state, seq.goal.pred))
-        except Exception:
-            return False
-    return True
-
-
 class TestInline:
     def test_inline_shape(self):
-        from tracelet.calculus import inline
         table = build_lookup(running_program())
         update, stmt = inline("m", Var("n'"), Var("i'"), table)
         assert update == (StartUpd("m", Var("n'"), Var("i'")),)
@@ -951,7 +858,6 @@ class TestInline:
         assert "k'" in repr(rest)
 
     def test_inline_of_constant_body(self):
-        from tracelet.calculus import inline
         table = build_lookup(parse_program(
             "q(a) { return 0 }\nmain { skip }"))
         update, stmt = inline("q", IntLit(5), IntLit(0), table)
@@ -961,13 +867,10 @@ class TestInline:
 
     def test_inline_runs_like_a_call(self):
         # differential: executing the inlined form reproduces the call
-        from tracelet.calculus import inline
-        from helpers import event_skeleton
         table = build_lookup(running_program())
         update, stmt = inline("m", IntLit(2), IntLit(0), table)
-        t_inline = run_cont(singleton(State({})), UpStmt(update, stmt), table).trace
-        t_call = run_cont(singleton(State({})), CallAssign(Var("x"), "m", IntLit(2)),
-                          table).trace
+        t_inline = run_update_prefixed(update, stmt, singleton(State({})), table)
+        t_call = semantics(CallAssign(Var("x"), "m", IntLit(2)), singleton(State({})), table)
         assert event_skeleton(t_inline) == event_skeleton(t_call)
         assert t_inline.last().get("res0") == t_call.last().get("res0") == 2
 
@@ -1032,18 +935,6 @@ def _apply_eq_rigid_instances(rng, count):
         yield seq, {"eq": 0, "drop": rng.random() < 0.3}, kind
 
 
-def _assume(gamma, state):
-    """state with the rigid side of each assumed equality bound to the
-    other side's value, so that it satisfies the assumptions."""
-    for a in gamma:
-        lhs, rhs = a.pred.left, a.pred.right
-        if not isinstance(lhs, (Var, ResVar)):
-            lhs, rhs = rhs, lhs
-        name = lhs.name if isinstance(lhs, Var) else res_name(eval_expr(state, lhs.index))
-        state = state.set(name, eval_expr(state, rhs))
-    return state
-
-
 def _gap_rule_instances(rule, rng, count):
     """Random conclusions of a rule, its arguments and a label for the
     kind of instance.  For a gap rule: an event update of m at the end
@@ -1105,10 +996,10 @@ class TestExtensionRules:
             except RuleError:
                 continue
             for state in _states(rng, 4):
-                state = _assume(seq.gamma, state)
-                if all(_sequent_true(p, state, ctx.table) for p in premises):
+                state = assume_equalities(seq.gamma, state)
+                if all(sequent_true(p, state, ctx.table) for p in premises):
                     applied[kind] += 1
-                    assert _sequent_true(seq, state, ctx.table), (seq, state)
+                    assert sequent_true(seq, state, ctx.table), (seq, state)
         assert sum(applied.values()) >= 200 and min(applied.values()) >= 100, applied
 
     def test_fte_prefix_and_postfix(self):
@@ -1131,8 +1022,8 @@ class TestExtensionRules:
             "finishEv(m, 5, 0) ** [res(0) == 3]")))
         premise = Sequent((), Judgment((), None, parse_formula("[res(0) == 3]")))
         state = State({"res0": 3})
-        assert _judgment_true(premise, state, table)
-        assert not _judgment_true(conclusion, state, table)
+        assert judgment_true(premise, state, table)
+        assert not judgment_true(conclusion, state, table)
         with pytest.raises(RuleError, match="unknown rule"):
             apply_rule("PrefixEv", conclusion, {}, ctx_m())
 
@@ -1146,8 +1037,8 @@ class TestExtensionRules:
         premises = [Sequent((), Judgment((x1,), None, parse_formula("[true] .. [true]"))),
                     Sequent((), Judgment((zx,), None, parse_formula("[true] .. [z == 0]")))]
         state = State({"x": 0})
-        assert all(_judgment_true(p, state, table) for p in premises)
-        assert not _judgment_true(conclusion, state, table)
+        assert all(judgment_true(p, state, table) for p in premises)
+        assert not judgment_true(conclusion, state, table)
         with pytest.raises(RuleError, match="unknown rule"):
             apply_rule("Composition", conclusion, {"at": 1, "split": 2}, ctx_m())
 

@@ -6,18 +6,18 @@ import sys
 import pytest
 
 from helpers import (M0_SRC, M2_SRC, M2_EVENT_SKELETON, RUNNING_SRC,
-                     ReferenceMachine, chop, cont_shape, curr_ctx_stack, event_skeleton,
-                     golden_m0, golden_m1, m_source, multi_proc_source,
+                     ReferenceMachine, UpStmt, chop, cont_shape, curr_ctx_stack,
+                     event_skeleton, golden_m0, golden_m1, m_source, multi_proc_source,
                      random_linear_expr, random_terminating_program,
                      run_update_prefixed, semantics, subst_stmt_oracle,
                      while_source)
 from tracelet.interp import (DEFAULT_FUEL, FuelExhausted, Machine, RunError,
-                             UpStmt, initial_state, run, run_cont)
+                             initial_state, run)
 from tracelet.lang import (Assign, Binary, CallAssign, IntLit, ResVar,
                            Scope, Seq, Skip, Var, While, build_lookup, nodes,
                            parse_program, seq, subst_stmt)
 from tracelet.traces import (CallEv, Ctx, MAIN_CTX, PopEv, PushEv, RetEv, State,
-                             Trace, dump_trace, is_adequate, singleton)
+                             Trace, dump_trace, is_adequate, nest, singleton)
 from tracelet.updates import CallUpd, Elem, FinishUpd, StartUpd
 
 
@@ -76,24 +76,23 @@ class TestLocalEval:
 
     def test_res_assignment_is_ignored(self):
         sigma = State({"x": 0})
-        m = after_rules(1, sigma, UpStmt((Elem(ResVar(IntLit(0)), IntLit(5)),)))
+        m = after_rules(1, sigma, Assign(ResVar(IntLit(0)), IntLit(5)))
         assert m.entries == [sigma] and m.stack == [] and m.fuel == 0
 
     def test_start_event_update(self):
-        # one local step yields the callEv ** pushEv trace
+        # the update yields the callEv ** pushEv trace and opens q's context
         sigma = State({})
-        up = UpStmt((StartUpd("q", IntLit(0), IntLit(3)),),
-                    Assign(Var("r"), IntLit(0)))
-        m = after_rules(1, sigma, up)
-        assert m.entries == [sigma, CallEv("q", 0, 3), sigma, PushEv(Ctx("q", 3)), sigma]
-        assert m.stack == [Assign(Var("r"), IntLit(0))] and m.ctxs == [Ctx("q", 3)]
+        t = run_update_prefixed((StartUpd("q", IntLit(0), IntLit(3)),), None,
+                                singleton(sigma), EMPTY_TABLE)
+        assert t.entries == (sigma, CallEv("q", 0, 3), sigma, PushEv(Ctx("q", 3)), sigma)
+        assert nest([], t.entries) == [Ctx("q", 3)]
 
     def test_finish_event_update(self):
         sigma = State({})
-        m = after_rules(1, sigma, UpStmt((FinishUpd("q", IntLit(7), IntLit(2)),)))
+        t = run_update_prefixed((FinishUpd("q", IntLit(7), IntLit(2)),), None,
+                                singleton(sigma), EMPTY_TABLE)
         after = sigma.set("res2", 7)
-        assert m.entries == [sigma, RetEv(7), sigma, after, PopEv(Ctx("q", 2)), after]
-        assert m.stack == []
+        assert t.entries == (sigma, RetEv(7), sigma, after, PopEv(Ctx("q", 2)), after)
 
     def test_scope_declares_fresh_zero(self):
         m = after_rules(1, State({"r": 9}), Scope(("r",), Assign(Var("r"), IntLit(1))))
@@ -104,7 +103,7 @@ class TestLocalEval:
         sigma = State({"r": 9})
         m = after_rules(1, sigma, Scope(("r", "t"), Assign(Var("r"), Var("t"))))
         assert m.entries == [sigma, sigma.set("r#1", 0)]
-        assert m.stack == [Assign(Var("r#1"), Var("t#2")), Elem(Var("t#2"), IntLit(0))]
+        assert m.stack == [Assign(Var("r#1"), Var("t#2")), Assign(Var("t#2"), IntLit(0))]
 
     def test_local_named_like_a_fresh_name_is_not_captured(self):
         # a becomes a#1 and the local a#1 becomes a#1#2, both at once
@@ -284,12 +283,11 @@ class TestCompositionProperties:
         p = parse_program(RUNNING_SRC)
         table = build_lookup(p)
         proc = p.procs[0]
-        inlined = UpStmt((StartUpd("m", IntLit(1), IntLit(0)),),
-                         Seq(Assign(Var("k'"), IntLit(1)),
-                             subst_stmt(proc.body, {"k": Var("k'")})))
-        t_inline = run_cont(singleton(State({})), inlined, table).trace
-        t_call = run_cont(singleton(State({})), CallAssign(Var("x"), "m", IntLit(1)),
-                          table).trace
+        t_inline = run_update_prefixed((StartUpd("m", IntLit(1), IntLit(0)),),
+                                       Seq(Assign(Var("k'"), IntLit(1)),
+                                           subst_stmt(proc.body, {"k": Var("k'")})),
+                                       singleton(State({})), table)
+        t_call = semantics(CallAssign(Var("x"), "m", IntLit(1)), singleton(State({})), table)
         assert event_skeleton(t_inline) == event_skeleton(t_call)
         assert t_inline.last().get("res0") == t_call.last().get("res0") == 1
 
@@ -337,25 +335,30 @@ def declared_ahead(ref_cont, cont):
     The reference declares a block's locals one per step and renames the
     body each time.  The machine names them all on the first step and
     renames the body once, so until the reference has declared the last
-    one the machine holds zero updates of the names still to be bound
-    in front of the block with all of them renamed, and its counter
+    one the machine holds zero assignments of the names still to be
+    bound in front of the block with all of them renamed, and its counter
     stands at the last name's suffix.
     """
     seconds, head = [], ref_cont
     while type(head) is Seq:
         seconds.append(head.second)
         head = head.first
-    if type(head) is not Scope or not head.decls or type(cont) is not UpStmt:
+    first = cont.first if type(cont) is Seq else cont
+    if type(head) is not Scope or not head.decls or type(first) is not Assign:
         return ref_cont, None
-    names = [atom.target.name for atom in cont.atoms]
+    names = []
+    for _ in head.decls:
+        names.append(cont.first.target.name)
+        cont = cont.second
     body = head.body
     for name, fresh in zip(head.decls, names):
         body = subst_stmt_oracle(body, name, Var(fresh))
     settled = Scope((), body)
     for second in reversed(seconds):
         settled = Seq(settled, second)
-    zeros = tuple(Elem(Var(fresh), IntLit(0)) for fresh in names[:len(head.decls)])
-    return UpStmt(zeros, settled), int(names[-1].rsplit("#", 1)[1])
+    for fresh in reversed(names):
+        settled = Seq(Assign(Var(fresh), IntLit(0)), settled)
+    return settled, int(names[-1].rsplit("#", 1)[1])
 
 
 def assert_agrees_with_reference(start: Trace, cont, table, fuel=100_000):
@@ -414,52 +417,55 @@ def random_update_prefixed(rng: random.Random):
     return start, UpStmt(tuple(atoms), stmt)
 
 
+def fuel_outcome(run_to_end):
+    """What a run does: the partial trace it exhausts its fuel at, or the
+    trace it ends with, as dumped."""
+    try:
+        return "finished", dump_trace(run_to_end())
+    except FuelExhausted as e:
+        return "exhausted", dump_trace(e.partial)
+
+
 def test_update_prefixed_runs_agree_with_reference_machine():
+    """At every fuel up to the reference's rule count, ``run_update_prefixed``
+    (the atoms on the reference machine, the statement on the package
+    machine) and the reference machine alone stop with the same partial
+    trace or end with the same trace.  The start is one state, so the
+    suffix ``run_update_prefixed`` returns is the whole trace."""
     rng = random.Random(103)
     table = build_lookup(parse_program(RUNNING_SRC))
     for _ in range(150):
-        assert_agrees_with_reference(*random_update_prefixed(rng), table)
-
-
-def fuel_outcome(machine):
-    try:
-        machine.run()
-    except FuelExhausted as e:
-        return "exhausted", dump_trace(e.partial)
-    return "finished", machine.fuel
+        start, cont = random_update_prefixed(rng)
+        total = DEFAULT_FUEL - ReferenceMachine(start, cont, table).run().fuel
+        for fuel in range(total + 1):
+            assert fuel_outcome(lambda: run_update_prefixed(cont.atoms, cont.stmt, start,
+                                                            table, fuel)) == \
+                fuel_outcome(lambda: ReferenceMachine(start, cont, table, fuel).run().trace), \
+                (cont, fuel)
 
 
 def assert_same_at_every_fuel(start: Trace, cont, table):
     """Given each fuel up to the run's rule count, the machine and the
-    reference machine stop with the same partial trace, or both finish
-    with the same fuel left.  The reference given fuel k stops where its
-    steps have used k, so one reference is stepped along; a fuel that
-    runs out inside one of its steps (a call update runs a whole call in
-    one step) gets a reference run of its own."""
+    reference machine stop with the same partial trace, or both end with
+    the same trace.  Each step of the reference costs one unit of fuel,
+    and given fuel k it stops where its steps have used k, so one
+    reference is stepped along."""
     total = rule_count(start, cont, table)
     ref = ReferenceMachine(start, cont, table, total)
     for fuel in range(total + 1):
         while total - ref.fuel < fuel:
             ref.step()
-        if total - ref.fuel > fuel:
-            expected = fuel_outcome(ReferenceMachine(start, cont, table, fuel))
-        elif ref.done:
-            expected = "finished", 0
-        else:
-            expected = "exhausted", dump_trace(ref.trace)
-        assert fuel_outcome(Machine(start, cont, table, fuel)) == expected, fuel
+        expected = "finished" if ref.done else "exhausted", dump_trace(ref.trace)
+        assert fuel_outcome(lambda: Machine(start, cont, table, fuel).run().trace) == \
+            expected, fuel
     assert ref.done
 
 
 def test_fuel_runs_out_where_the_reference_machine_runs_out():
     """At every fuel up to a run's rule count, both machines stop with the
-    same partial trace, or both finish with the same fuel left."""
+    same partial trace, or both end with the same trace."""
     for name, p in oracle_programs():
         assert_same_at_every_fuel(singleton(initial_state(p)), p.main_body, build_lookup(p))
-    rng = random.Random(107)
-    table = build_lookup(parse_program(RUNNING_SRC))
-    for _ in range(30):
-        assert_same_at_every_fuel(*random_update_prefixed(rng), table)
 
 
 def test_loop_turn_pushes_the_loop_and_its_body():
