@@ -677,7 +677,7 @@ def _parse_unary(ts, ar, ab):
         ts.next()
         # only an integer right after the minus folds into a negative literal
         if ts.peek().kind == "int":
-            return IntLit(-int(ts.next().text))
+            return IntLit(-_int_value(ts.next()))
         return Unary("-", _parse_unary(ts, ar, ab))
     if ts.at_sym("!"):
         ts.next()
@@ -685,11 +685,23 @@ def _parse_unary(ts, ar, ab):
     return _parse_atom(ts, ar, ab)
 
 
+def _int_value(t: Token) -> int:
+    """The value of an int token.  ``tokenize`` takes any Unicode digit,
+    so int() may reject one (``²``), or a literal past Python's limit on
+    the digits int() reads."""
+    try:
+        return int(t.text)
+    except ValueError:
+        what = (f"an integer literal of {len(t.text)} digits is too long" if t.text.isascii()
+                else f"{t.text!r} is not a decimal integer literal")
+        raise ParseError(what, t.line, t.col) from None
+
+
 def _parse_atom(ts, ar, ab):
     t = ts.peek()
     if t.kind == "int":
         ts.next()
-        return IntLit(int(t.text))
+        return IntLit(_int_value(t))
     if ts.at_sym("("):
         ts.next()
         e = _parse_or(ts, ar, ab)

@@ -13,7 +13,9 @@ line.  The first is the header ``{"format": "tracelet-trace", "version":
 only the bindings that differ from the previous state entry, plus
 ``"unset": [names]`` for bindings that disappear, so an event's flank is
 ``{"state": {}}``.  Event entries are ``{"event": {...}}`` with sorted
-keys.  ``load_trace`` reads the file with one ``json.loads`` and turns a
+keys.  ``load_trace`` walks the array with json's C scanner and turns each
+element into its entry before it decodes the next, so it holds the loaded
+trace plus one element, never the whole decoded document.  It turns a
 one-binding change into ``set`` on the previous state, whose record keeps
 adequacy's step check O(1).  A file without the header is v1, where every
 state entry holds all its bindings; it is still read.
@@ -23,7 +25,11 @@ from __future__ import annotations
 
 import json
 import operator
+import re
+from itertools import chain
+from json.decoder import JSONDecoder
 from json.encoder import encode_basestring_ascii
+from json.scanner import make_scanner
 from typing import Iterable, Optional, Union
 
 from .lang import (Binary, BoolLit, Expr, IntLit, ResVar, Unary, Var, record)
@@ -67,27 +73,27 @@ class State:
     O(sqrt(n)) time and memory per state, not O(n).  Neither dict changes
     once a state holds it.
 
-    ``_src`` is ``(parent, name)`` for a state made by ``parent.set(name,
-    ...)`` and None otherwise; ``dump_trace`` reads it, equality and
-    hashing ignore it.
+    A state made by ``parent.set(name, ...)`` records ``_parent`` and
+    ``_name``; both are None otherwise.  Adequacy and ``dump_trace`` read
+    them, equality and hashing ignore them.
     """
 
-    __slots__ = ("_base", "_over", "_hash", "_src")
+    __slots__ = ("_base", "_over", "_hash", "_parent", "_name")
 
     def __init__(self, bindings=None):
         self._base = dict(bindings) if bindings else {}
         self._over = _EMPTY
         self._hash = None
-        self._src = None
+        self._parent = self._name = None
 
     @classmethod
-    def _adopt(cls, base: dict, over: dict = _EMPTY, src=None) -> "State":
+    def _adopt(cls, base: dict, over: dict = _EMPTY, parent=None, name=None) -> "State":
         """A state that takes ownership of its dicts, without a copy."""
         state = cls.__new__(cls)
         state._base = base
         state._over = over
         state._hash = None
-        state._src = src
+        state._parent, state._name = parent, name
         return state
 
     def set(self, name: str, value: int) -> "State":
@@ -95,10 +101,10 @@ class State:
         if len(over) ** 2 < len(base):
             over = over.copy()
             over[name] = value
-            return State._adopt(base, over, (self, name))
+            return State._adopt(base, over, self, name)
         base = {**base, **over}
         base[name] = value
-        return State._adopt(base, _EMPTY, (self, name))
+        return State._adopt(base, _EMPTY, self, name)
 
     def _get(self, name: str):
         over = self._over
@@ -452,8 +458,8 @@ def _step_diff(a: State, b: State) -> tuple:
     that can differ, and nothing is removed.  Otherwise both maps are
     compared.
     """
-    if b._src is not None and b._src[0] is a:
-        name = b._src[1]
+    if b._parent is a:
+        name = b._name
         return (set() if a._get(name) == b._get(name) else {name}), ()
     a, b = a._full(), b._full()
     return {k for k, _ in a.items() ^ b.items()}, a.keys() - b.keys()
@@ -461,9 +467,9 @@ def _step_diff(a: State, b: State) -> tuple:
 
 def is_set(b: State, a: State, name: str, value) -> bool:
     """b == a.set(name, value), in O(1) when b was made by ``a.set``."""
-    if b._src is None or b._src[0] is not a:
+    if b._parent is not a:
         return b == a.set(name, value)
-    changed = b._src[1]
+    changed = b._name
     # the binding b changed must be a's own unless it is name itself
     return b._get(name) == value and (changed == name or a._get(changed) == b._get(changed))
 
@@ -499,9 +505,8 @@ def _state_entry(prev: Optional[State], state: State) -> str:
         return '{"state": %s}' % json.dumps(state._full(), sort_keys=True)
     if state is prev:
         return _SAME
-    src = state._src
-    if src is not None and src[0] is prev:
-        name = src[1]
+    if state._parent is prev:
+        name = state._name
         value = state._get(name)
         if _same(prev._get(name), value):
             return _SAME
@@ -529,7 +534,7 @@ def _event_entry(e) -> str:
 
 def dump_trace(t: Trace) -> str:
     """The v2 text of a trace: the header, then one entry per line."""
-    lines = [_HEADER_LINE]
+    lines = ["[\n" + _HEADER_LINE]
     prev = None
     for e in t.entries:
         if is_state(e):
@@ -537,7 +542,8 @@ def dump_trace(t: Trace) -> str:
             prev = e
         else:
             lines.append(_event_entry(e))
-    return "[\n" + ",\n".join(lines) + "\n]\n"
+    lines[-1] += "\n]\n"  # the brackets ride on the first and last line: one join
+    return ",\n".join(lines)
 
 
 def _checked(bindings: dict) -> dict:
@@ -568,7 +574,7 @@ def entry_from_json(obj):
     raise TraceError(f"unknown event kind {kind!r}")
 
 
-def _shared(objs: list) -> list:
+def _shared(objs) -> list:
     """The entries of v1 objects, consecutive equal states as one State."""
     entries = []
     state = None
@@ -597,10 +603,9 @@ def _applied(state: Optional[State], changed: dict, obj: dict) -> State:
     return State._adopt(bindings)
 
 
-def _v2_entries(objs: list) -> list:
-    """The entries of v2 objects, the header first.  A one-binding change
-    is ``set`` on the previous state, and an empty one repeats it."""
-    head = objs[0]
+def _v2_entries(head: dict, objs) -> list:
+    """The entries of the v2 objects after the header head.  A one-binding
+    change is ``set`` on the previous state, and an empty one repeats it."""
     if head.get("format") != _HEADER["format"]:
         raise TraceError(f"unknown trace format {head.get('format')!r}")
     version = head.get("version")
@@ -608,7 +613,8 @@ def _v2_entries(objs: list) -> list:
         raise TraceError(f"unknown trace format version {version!r}")
     entries = []
     state = None
-    for obj in objs[1:]:
+    names = {}  # one str per variable name, as one json.loads would share it
+    for obj in objs:
         if "state" not in obj:
             entries.append(entry_from_json(obj))
             continue
@@ -621,21 +627,72 @@ def _v2_entries(objs: list) -> list:
             [(name, value)] = changed.items()
             if type(value) is not int:
                 raise TraceError("state values must be integers")
-            state = state.set(name, value)
+            state = state.set(names.setdefault(name, name), value)
         entries.append(state)
     return entries
 
 
+_scan = make_scanner(JSONDecoder())
+_SPACE = re.compile(r"[ \t\n\r]*")  # what json.loads skips between values
+
+
+def _elements(text: str):
+    """The elements of the JSON array text, each decoded when it is
+    reached, so that one element's objects are freed before the next is
+    read.  Raises ValueError where the text is not a JSON array."""
+    pos = _SPACE.match(text).end()
+    if not text.startswith("[", pos):
+        raise ValueError("not a JSON array")
+    pos = _SPACE.match(text, pos + 1).end()
+    if not text.startswith("]", pos):
+        while True:
+            try:
+                obj, pos = _scan(text, pos)
+            except StopIteration:
+                raise ValueError("expecting a value") from None
+            yield obj
+            if text.startswith(",\n{", pos):  # the separator dump_trace writes
+                pos += 2
+                continue
+            pos = _SPACE.match(text, pos).end()
+            if text.startswith("]", pos):
+                break
+            if not text.startswith(",", pos):
+                raise ValueError("expecting ',' or ']'")
+            pos = _SPACE.match(text, pos + 1).end()
+    if _SPACE.match(text, pos + 1).end() != len(text):
+        raise ValueError("extra data")
+
+
+def _entries(text: str) -> list:
+    """The entries of a trace text: v2 when its first element is a header."""
+    objs = _elements(text)
+    for head in objs:
+        if isinstance(head, dict) and "format" in head:
+            return _v2_entries(head, objs)
+        return _shared(chain((head,), objs))
+    return []
+
+
 def load_trace(text: str) -> Trace:
-    """Parse a .trace.json text, v2 or v1; any malformed input raises TraceError."""
+    """Parse a .trace.json text, v2 or v1; any malformed input raises TraceError.
+
+    The text is read one array element at a time.  The walk stops at the
+    first fault; json.loads of the whole text then reports a syntax fault
+    anywhere in it first, as reading the whole text before any entry does.
+    """
+    try:
+        return Trace(_entries(text))
+    except TraceError as e:
+        fault = e
+    except KeyError as e:
+        fault = TraceError(f"trace entry lacks the key {e}")
+    except (ValueError, TypeError, AttributeError, RecursionError) as e:
+        fault = TraceError(f"malformed trace file: {e}")
     try:
         data = json.loads(text)
-        if not isinstance(data, list):
-            raise TraceError("a trace file holds a JSON array of entries")
-        if data and isinstance(data[0], dict) and "format" in data[0]:
-            return Trace(_v2_entries(data))
-        return Trace(_shared(data))
-    except KeyError as e:
-        raise TraceError(f"trace entry lacks the key {e}") from None
-    except (ValueError, TypeError, AttributeError, RecursionError) as e:
+    except (ValueError, RecursionError) as e:
         raise TraceError(f"malformed trace file: {e}") from None
+    if not isinstance(data, list):
+        raise TraceError("a trace file holds a JSON array of entries")
+    raise fault

@@ -260,6 +260,26 @@ def test_ill_formed_program_one_line_error(work, capsys, command):
     assert "; [undeclared]" in err
 
 
+@pytest.mark.parametrize("literal", ["²", "9" * 4301], ids=["superscript-digit", "4301-digits"])
+@pytest.mark.parametrize("kind", ["tcp", "tcf"])
+def test_bad_integer_literal_one_line_error(work, capsys, kind, literal):
+    """A digit int() rejects, and a literal past Python's digit limit: a
+    parse error at the literal, not a traceback."""
+    contract = gen_contract(work)
+    bad = work / f"bad.{kind}"
+    if kind == "tcp":
+        bad.write_text(f"main {{ x;\n x = -{literal} }}")
+        argv = ["run", str(bad)]
+    else:
+        bad.write_text(contract.read_text().replace("[n == 0]", f"[n ==\n -{literal}]"))
+        argv = ["prove", str(work / "running.tcp"), str(bad), "--proc", "m"]
+    capsys.readouterr()
+    assert main(argv) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert ("2:7: " if kind == "tcp" else ":3: ") in err  # the literal's line and column
+
+
 _EXIT_CODES = {EXIT_OK, EXIT_ERROR, EXIT_FUEL, EXIT_NOT_MEMBER, EXIT_OPEN_PROOF,
                EXIT_VALIDATION_FAILED, EXIT_INADEQUATE, EXIT_PROOF_REJECTED}
 

@@ -1,8 +1,10 @@
 """Trace model: chop, concat, event traces, contexts, adequacy, gaps, JSON."""
 
+import gc
 import json
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -175,7 +177,7 @@ class TestStateOracle:
             assert len(state._over) <= math.isqrt(len(state._base)) + 1
             if state._base is not parent._base:
                 assert not state._over and state.bindings() == {**parent.bindings(),
-                                                                  state._src[1]: k}
+                                                                  state._name: k}
             bases.add(id(state._base))
         assert 10 < len(bases) < 40
 
@@ -589,14 +591,56 @@ _HEADER_TEXT = json.dumps(V2_HEADER)
     '[{"format": "other", "version": 2}, {"state": {}}]',
     f'[{{"state": {{}}}}, {_HEADER_TEXT}]',
     f'[{_HEADER_TEXT}, {_HEADER_TEXT}, {{"state": {{}}}}]',
+    # the walk over the array's elements: separators and the ends
+    '[{"state": {"x": 1}},]',
+    f'[\n{_HEADER_TEXT},\n{{"state": {{"x": 1}}}},\n]\n',
+    '[,{"state": {"x": 1}}]',
+    f'[\n,{_HEADER_TEXT},\n{{"state": {{"x": 1}}}}\n]\n',
+    '[{"state": {"x": 1}} {"state": {"x": 1}}]',
+    f'[\n{_HEADER_TEXT},\n{{"state": {{"x": 1}}}}\n{{"state": {{}}}}\n]\n',
+    '[\t{"state": {"x": 1}}\r,\t\r{"state": {"x": 1}}\r\n]\t\r',
+    f'[{_HEADER_TEXT}\t,\r\n\t{{"state": {{"x": 1}}}},\r{{"state": {{"x": 2}}}}]',
+    "[ ]",
+    f"[\n{_HEADER_TEXT}\n]\n",
+    f'[\n{_HEADER_TEXT},\n{{"state": {{"x": {"9" * 80}}}}},\n{{"state": {{"x": -{"8" * 80}}}}}\n]\n',
 ], ids=["long-empty", "extra-after-empty", "repeats", "doubled-bracket",
         "state-and-event", "bom", "not-an-array", "nested-too-deep",
         "v2-header-only", "v2-unset", "v2-first-state-unsets", "v2-unset-not-a-list",
         "v2-unset-twice", "v2-unset-null", "v2-state-not-an-object", "v2-float",
         "v2-bool", "v2-version-3", "v2-version-float", "v2-other-format",
-        "v2-header-not-first", "v2-two-headers"])
+        "v2-header-not-first", "v2-two-headers",
+        "trailing-comma", "v2-trailing-comma", "leading-comma", "v2-leading-comma",
+        "no-comma", "v2-no-comma", "tab-cr", "v2-tab-cr", "spaced-empty",
+        "v2-header-alone", "v2-80-digits"])
 def test_load_edge_texts_match_whole_text_reader(text):
     _same_outcome(text)
+
+
+def test_syntax_fault_reported_before_an_earlier_entry_fault():
+    """The walk meets the float first, but a text that is not JSON is
+    reported as such, as when the whole text is read before any entry."""
+    text = f'[\n{_HEADER_TEXT},\n{{"state": {{"x": 1.5}}}},\n{{"state": ]\n'
+    with pytest.raises(TraceError, match="malformed trace file: Expecting value: line 4"):
+        load_trace(text)
+    with pytest.raises(TraceError, match="state values must be integers"):
+        load_trace(text.replace("]", "{}}]"))
+
+
+def test_load_peak_near_what_the_trace_keeps():
+    """load_trace decodes one array element at a time, so its peak is the
+    loaded trace plus about one entry.  A reader that decodes the whole
+    text first peaks at about twice what the trace keeps."""
+    text = dump_trace(while_trace(8000))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        loaded = load_trace(text)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(loaded) > 16_000
+    assert peak - before <= 1.25 * (kept - before)
 
 
 def test_load_shares_event_flanks():
@@ -614,7 +658,7 @@ def _assert_made_by_set(loaded):
     made from it by one set, as adequacy's O(1) step check needs."""
     states = [e for e in loaded.entries if is_state(e)]
     for prev, state in zip(states, states[1:]):
-        assert state is prev or state._src[0] is prev
+        assert state is prev or state._parent is prev
 
 
 def _set_chain():
