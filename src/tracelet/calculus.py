@@ -19,10 +19,9 @@ from .lang import (Assign, Binary, CallAssign, Expr, Fresh, If, IntLit,
                    LookupTable, Program, ResVar, Return, Scope, Seq, Skip,
                    Stmt, Var, build_lookup, fields, fold_expr, lookup, names,
                    nodes, pretty_expr, record, remake, subst_stmt, subst_vars)
-from .logic import (And, ContractSpec, FinishEvF, Formula, Mu, MuApp, Or,
-                    RecApp, StartEvF, StatePred, flatten_chain, is_psi,
-                    join_chain, make_contract, map_terms, pretty_formula,
-                    unfold)
+from .logic import (ContractSpec, FinishEvF, Formula, Mu, MuApp, Or,
+                    StartEvF, StatePred, flatten_chain, is_psi, join_chain,
+                    make_contract, map_terms, pretty_formula, unfold)
 from .traces import MAIN_CTX, MalformedNesting
 from .updates import (CallUpd, Elem, FinishUpd, StartUpd, Update, UpdateAtom,
                       UpdateApplicationError, apply_update_expr,
@@ -163,9 +162,7 @@ def stmt_head(s: Stmt) -> Tuple[Stmt, Optional[Stmt]]:
     return s, None
 
 
-def seq_join(a: Optional[Stmt], b: Optional[Stmt]) -> Optional[Stmt]:
-    if a is None:
-        return b
+def seq_join(a: Stmt, b: Optional[Stmt]) -> Stmt:
     if b is None:
         return a
     return Seq(a, b)
@@ -403,12 +400,9 @@ def _rule_empty_update(seq, args, ctx):
 
 def _rule_unfold(seq, args, ctx):
     j = _judgment(seq)
-    f = j.formula
-    if isinstance(f, Mu) and not f.params:
-        f = MuApp(f, ())
-    if not isinstance(f, MuApp):
+    if not isinstance(j.formula, MuApp):
         raise RuleError("Unfold expects an applied fixed point")
-    body = unfold(f)
+    body = unfold(j.formula)
     taken = names(seq)
     introduced: list = []
     body = _instantiate_fresh(body, taken, introduced)
@@ -425,14 +419,6 @@ def _rule_or(side: str):
         chosen = j.formula.left if side == "left" else j.formula.right
         return [Sequent(seq.gamma, Judgment(j.update, j.stmt, chosen))]
     return rule
-
-
-def _rule_and_split(seq, args, ctx):
-    j = _judgment(seq)
-    if not isinstance(j.formula, And):
-        raise RuleError("AndSplit expects a conjunctive trace formula")
-    return [Sequent(seq.gamma, Judgment(j.update, j.stmt, j.formula.left)),
-            Sequent(seq.gamma, Judgment(j.update, j.stmt, j.formula.right))]
 
 
 def _rule_close(seq, args, ctx):
@@ -495,7 +481,7 @@ def _rule_trabs(seq, args, ctx):
     if any(op != "**" for op, _ in parts[1:]):
         raise RuleError("TrAbs expects a chop chain")
     occ_indices = [k for k, p in enumerate(parts)
-                   if isinstance(p[1] if isinstance(p, tuple) else p, (MuApp, RecApp))]
+                   if isinstance(p[1] if isinstance(p, tuple) else p, MuApp)]
     if not occ_indices:
         raise RuleError("no recursion occurrence in the goal formula")
     xi = _index_arg(args, "occ", occ_indices[0])
@@ -509,23 +495,15 @@ def _rule_trabs(seq, args, ctx):
     if not any(isinstance(a, ContractAssumption) and a.proc == call.proc
                for a in seq.gamma):
         raise RuleError(f"contract for {call.proc!r} not among the assumptions")
-    if isinstance(xapp, MuApp):
-        if xapp.mu != c.phi:
-            raise RuleError("recursion occurrence does not match the contract")
-        xargs = xapp.args
-    else:
-        if xapp.name != c.phi.name:
-            raise RuleError("recursion variable does not match the contract")
-        xargs = xapp.args
-    if len(xargs) != 2:
+    if xapp.mu != c.phi:
+        raise RuleError("recursion occurrence does not match the contract")
+    if len(xapp.args) != 2:
         raise RuleError("contract occurrences take (value, identifier) arguments")
-    t_val, t_id = xargs
+    t_val, t_id = xapp.args
     if not isinstance(t_id, Var):
         raise RuleError("identifier argument must be a rigid symbol")
-    try:
-        call_arg = apply_update_expr(u1, call.arg)
-    except UpdateApplicationError as e:
-        raise RuleError(str(e)) from None
+    # u1 holds no call update, so nothing blocks the substitution
+    call_arg = apply_update_expr(u1, call.arg)
     if not fo.terms_equal(t_val, call_arg):
         raise RuleError(
             f"call argument {pretty_expr(call_arg)} does not match "
@@ -567,7 +545,7 @@ def _rule_apply_update(seq, args, ctx):
 def _gap_tolerant(formula: Formula, update: Update, idx: int) -> bool:
     # dropping a state entry is covered when the goal is a contract
     # application (gap-closed) or the entry falls in a leading gap
-    if isinstance(formula, (MuApp, RecApp)):
+    if isinstance(formula, MuApp):
         return True
     parts = flatten_chain(formula)
     lead = parts[0]
@@ -659,8 +637,8 @@ def _written(j: Judgment) -> list:
 
 def _event_formula_matches(atom, part, update_prefix) -> Optional[Expr]:
     """Equality side conditions when an event update meets a formula of its
-    kind."""
-    if atom.proc != part.proc or isinstance(part.arg, Fresh) or isinstance(part.call_id, Fresh):
+    kind.  Unfold leaves no fresh(...) term in a goal."""
+    if atom.proc != part.proc:
         return None
     try:
         ae = apply_update_expr(update_prefix, atom.arg)
@@ -694,22 +672,6 @@ def _rule_elim_event(kind: str):
         return [Sequent(seq.gamma, PredGoal(cond))] + rest
 
     return rule
-
-
-def _rule_elim_update1(seq, args, ctx):
-    j = _finished(seq, "ElimUpdate1")
-    if not j.update or not isinstance(j.update[-1], Elem) \
-            or isinstance(j.update[-1].target, ResVar):
-        raise RuleError("ElimUpdate1 expects a trailing elementary update")
-    parts = flatten_chain(j.formula)
-    if len(parts) < 2 or parts[-1][0] != ".." or not isinstance(parts[-1][1], StatePred):
-        raise RuleError("ElimUpdate1 expects Phi .. [Q]")
-    try:
-        applied = apply_update_expr(j.update, parts[-1][1].pred)
-    except UpdateApplicationError as e:
-        raise RuleError(str(e)) from None
-    return [Sequent(seq.gamma, Judgment(j.update[:-1], None, _drop_last(parts))),
-            Sequent(seq.gamma, PredGoal(applied))]
 
 
 def _atoms_outside(update: Update, exclude: frozenset) -> bool:
@@ -795,7 +757,6 @@ RULES = {
     "Unfold": _rule_unfold,
     "OrLeft": _rule_or("left"),
     "OrRight": _rule_or("right"),
-    "AndSplit": _rule_and_split,
     "Close": _rule_close,
     "ProcedureContract": _rule_procedure_contract,
     "TrAbs": _rule_trabs,
@@ -805,7 +766,6 @@ RULES = {
     "ApplyEqRigid": _rule_apply_eq_rigid,
     "ElimStart": _rule_elim_event("start"),
     "ElimFinish": _rule_elim_event("finish"),
-    "ElimUpdate1": _rule_elim_update1,
     "SubsumeUpdates": _rule_subsume_updates,
     "GapAxiom": _rule_gap_axiom,
     "FiniteTraceEmptyPrefix": _rule_fte_prefix,

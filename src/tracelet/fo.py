@@ -9,7 +9,6 @@ with nonlinear terms make the answer 'unknown'.
 from __future__ import annotations
 
 import itertools
-import random
 from math import gcd
 from typing import Dict, List, Optional, Tuple
 
@@ -27,11 +26,8 @@ _BOX = 10
 
 
 def _var_key(e: Expr) -> str:
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, ResVar):
-        return f"res({pretty_expr(e.index)})"
-    raise NonlinearError(f"not a variable: {e!r}")
+    """The key of a variable or a res(...) node in a coefficient map."""
+    return e.name if isinstance(e, Var) else f"res({pretty_expr(e.index)})"
 
 
 def linearize(e: Expr) -> Tuple[Dict[str, int], int]:
@@ -209,18 +205,16 @@ def _fm_unsat(constraints: List[Constraint]) -> bool:
             eqs = [subst(c2) for c2 in eqs]
             changed = True
             break
+    # the loop above leaves equalities with variables, none of unit coefficient
     for items, const, _ in eqs:
-        if not items and const != 0:
+        g = 0
+        for _, v in items:
+            g = gcd(g, abs(v))
+        if const % g != 0:
             return True
-        if items:
-            g = 0
-            for _, v in items:
-                g = gcd(g, abs(v))
-            if g and const % g != 0:
-                return True
-            # remaining equality as two inequalities
-            work.append(_mk(dict(items), const, ">="))
-            work.append(_mk({k: -v for k, v in items}, -const, ">="))
+        # remaining equality as two inequalities
+        work.append(_mk(dict(items), const, ">="))
+        work.append(_mk({k: -v for k, v in items}, -const, ">="))
 
     # Fourier-Motzkin elimination
     while True:
@@ -258,13 +252,10 @@ def _fm_unsat(constraints: List[Constraint]) -> bool:
 
 
 def _eval_constraint(c: Constraint, assignment: Dict[str, int]) -> bool:
+    """c at assignment; systems hold no '!=', which is split into two '>='."""
     items, const, op = c
     total = const + sum(v * assignment.get(k, 0) for k, v in items)
-    if op == ">=":
-        return total >= 0
-    if op == "==":
-        return total == 0
-    return total != 0
+    return total >= 0 if op == ">=" else total == 0
 
 
 @record(frozen=True)
@@ -292,20 +283,13 @@ def fo_valid(gamma, goal: Expr) -> FoResult:
             return FoResult("valid")
     except NonlinearError:
         return FoResult("unknown")
-    # look for an integer counterexample in a small box
+    # look for an integer counterexample in a small box, of at most three
+    # dimensions; the counterexample only goes into a refusal's message
     names = sorted({k for s in systems for c in s for k, _ in c[0]})
-    if not names:
-        return FoResult("invalid", {})
-    if len(names) <= 3:
-        space = itertools.product(range(-_BOX, _BOX + 1), repeat=len(names))
-        for point in space:
-            assignment = dict(zip(names, point))
-            if any(all(_eval_constraint(c, assignment) for c in s) for s in systems):
-                return FoResult("invalid", assignment)
+    if len(names) > 3:
         return FoResult("unknown")
-    rng = random.Random(0)
-    for _ in range(20000):
-        assignment = {k: rng.randint(-_BOX, _BOX) for k in names}
+    for point in itertools.product(range(-_BOX, _BOX + 1), repeat=len(names)):
+        assignment = dict(zip(names, point))
         if any(all(_eval_constraint(c, assignment) for c in s) for s in systems):
             return FoResult("invalid", assignment)
     return FoResult("unknown")
@@ -352,25 +336,17 @@ def simplify_or(a: Expr, b: Expr) -> Expr:
         ca, cb = _single_atom(a), _single_atom(b)
     except NonlinearError:
         return Binary("||", a, b)
-    if ca is None or cb is None:
+    if ca is None or cb is None or ca[0] != cb[0]:
         return Binary("||", a, b)
-    for first, second in ((ca, cb), (cb, ca)):
-        items1, k1, op1 = first
-        items2, k2, op2 = second
-        if items1 != items2:
-            # allow sign-flipped equality atoms
-            flipped = tuple((k, -v) for k, v in items2)
-            if op2 == "==" and flipped == items1:
-                items2, k2 = flipped, -k2
-            else:
-                continue
+    coeffs = dict(ca[0])
+    for (_, k1, op1), (_, k2, op2) in ((ca, cb), (cb, ca)):
         if op1 == "==" and op2 == ">=" and k1 == k2 + 1:
             # point c adjoins the bound c+1: lower the bound to c
-            return lin_to_expr(dict(items1), k1, ">=")
+            return lin_to_expr(coeffs, k1, ">=")
         if op1 == ">=" and op2 == ">=":
-            return lin_to_expr(dict(items1), max(k1, k2), ">=")
+            return lin_to_expr(coeffs, max(k1, k2), ">=")
         if op1 == "==" and op2 == "==" and k1 == k2:
-            return lin_to_expr(dict(items1), k1, "==")
+            return lin_to_expr(coeffs, k1, "==")
     return Binary("||", a, b)
 
 

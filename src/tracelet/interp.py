@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .lang import (Assign, CallAssign, If, IntLit, LookupTable, Program,
-                   Return, ResVar, Scope, Seq, Skip, Stmt, Var, While,
+                   Return, ResVar, Scope, Seq, Stmt, Var, While,
                    build_lookup, lookup, subst_stmt)
 from .traces import (CallEv, Ctx, PopEv, PushEv, RetEv, State, Trace,
                      eval_expr, nest, res_name, singleton)
@@ -45,8 +45,6 @@ class Machine:
 
     def __init__(self, trace: Trace, cont: Optional[Stmt], table: LookupTable,
                  fuel: int = DEFAULT_FUEL, next_id: int = 0, next_fresh: int = 0):
-        if trace.is_empty:
-            raise RunError("initial trace must be non-empty")
         self.entries = list(trace.entries)
         self.ctxs = nest([], trace.entries)
         self.stack = [] if cont is None else [cont]
@@ -69,13 +67,9 @@ class Machine:
         return cid
 
     def fresh_var(self, base: str, state: State) -> str:
-        k = self.next_fresh + 1
-        name = f"{base}#{k}"
-        while name in state:
-            k += 1
-            name = f"{base}#{k}"
-        self.next_fresh = k
-        return name
+        # no program variable holds '#', and each name drawn here is new
+        self.next_fresh += 1
+        return f"{base}#{self.next_fresh}"
 
     # -- the three composition rules ------------------------------------------
 
@@ -106,9 +100,7 @@ class Machine:
                     entries += (PushEv(ctx), state)
                     push(subst_stmt(proc.body, {proc.param: IntLit(ev.arg)}))
                     continue
-                if kind is RetEv:
-                    if not ctxs:
-                        raise RunError("return event outside any call context")
+                if kind is RetEv:  # well-formedness keeps return out of main
                     ctx = ctxs.pop()
                     after = state.set(res_name(ctx.call_id), entries[-2].value)
                     entries += (after, PopEv(ctx), after)
@@ -142,9 +134,7 @@ class Machine:
                             s = s.body
                             continue
                         self._declare(state, s)
-                    elif kind is not Skip:
-                        raise RunError(f"cannot evaluate {s!r}")
-                    break
+                    break  # a Skip takes no step
         finally:
             self.fuel = fuel
 

@@ -68,8 +68,6 @@ def record(cls=None, /, *, frozen: bool = False):
     ns = dict(cls.__dict__)
     names = tuple(ns.get("__annotations__", ()))
     first = len(names) - sum(n in ns for n in names)  # the first field with a default
-    if not all(n in ns for n in names[first:]):
-        raise TypeError(f"{cls.__name__}: a field without a default follows one with one")
     defaults = tuple(ns.pop(n) for n in names[first:])
     made = {"__repr__": _record_repr}
     if frozen:
@@ -273,9 +271,7 @@ def pretty_expr(e: Expr, min_prec: int = 0) -> str:
         return f"res({pretty_expr(e.index)})"
     if isinstance(e, Fresh):
         return f"fresh({pretty_expr(e.arg)})"
-    if isinstance(e, BoolLit):
-        return "true" if e.value else "false"
-    raise TypeError(f"not an expression: {e!r}")
+    return "true" if e.value else "false"  # a BoolLit
 
 
 for _kind in Expr.__args__:
@@ -421,8 +417,6 @@ Stmt = Union[Skip, Assign, CallAssign, If, While, Seq, Scope, Return]
 def seq(parts) -> Stmt:
     """Right-associated sequence of statements."""
     parts = list(parts)
-    if not parts:
-        return Skip()
     out = parts[-1]
     for p in reversed(parts[:-1]):
         out = Seq(p, out)
@@ -464,9 +458,7 @@ def subst_stmt(s: Stmt, mapping: dict) -> Stmt:
     if kind is Return:
         expr = subst_vars(s.expr, mapping)
         return s if expr is s.expr else Return(expr)
-    if kind is Skip:
-        return s
-    raise TypeError(f"not a statement: {s!r}")
+    return s  # a Skip
 
 
 @record(frozen=True)
@@ -929,8 +921,6 @@ def _check_stmt(s: Stmt, scope: set, locals_only: Optional[set], table: dict,
             inner_locals = None if locals_only is None else locals_only | set(item.decls)
             _check_stmt(item.body, inner_scope, inner_locals, table, diags, where,
                         tail_return_ok and last)
-        else:
-            diags.append(Diagnostic("internal", f"unexpected statement {item!r}", where))
 
 
 def well_formed(p: Program) -> list:
@@ -942,13 +932,10 @@ def well_formed(p: Program) -> list:
             diags.append(Diagnostic("duplicate-procedure",
                                     f"procedure {proc.name!r} declared twice", proc.name))
         table[proc.name] = proc
+    # the parser ends every procedure body in a return
     for proc in p.procs:
         scope = {proc.param} | set(proc.body.decls)
         locals_only = set(proc.body.decls)
-        items = list(_stmt_seq(proc.body.body))
-        if not items or not isinstance(items[-1], Return):
-            diags.append(Diagnostic("return-position",
-                                    "procedure body must end in return", proc.name))
         _check_stmt(proc.body.body, scope, locals_only, table, diags, proc.name, True)
     _check_stmt(p.main_body, set(p.main_decls), None, table, diags, "main", False)
     return diags

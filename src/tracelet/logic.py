@@ -205,8 +205,6 @@ def _parts(kind) -> tuple:
     fields, its sub-formulas and its terms (the fields themselves, or the
     one field that holds a run of them), and whether it holds a run."""
     roles = {f: _ROLES.get(n, 0) for f, n in kind.__annotations__.items()}
-    if list(roles.values()) != sorted(roles.values()):
-        raise LogicError(f"{kind.__name__}: data, sub-formulas and terms out of order")
     role = {r: [f for f, q in roles.items() if q == r] for r in range(4)}
     got = _PARTS[kind] = (getter(role[0]), getter(role[1]),
                           operator.attrgetter(*role[3]) if role[3] else getter(role[2]),
@@ -386,10 +384,8 @@ def _subst_formula(f: Formula, mapping: dict, rec_name: str, mu: Optional[Mu]) -
 
 
 def substitute(phi: Formula, rec_name: str, mu: Mu, args: tuple) -> Formula:
-    """phi[(mu X(ys). body)/X, args/ys]: one unfolding step's body."""
-    if len(args) != len(mu.params):
-        raise LogicError(f"arity mismatch unfolding {mu.name}: "
-                         f"{len(args)} args for {len(mu.params)} params")
+    """phi[(mu X(ys). body)/X, args/ys]: one unfolding step's body.  The
+    parser's check_formula has matched the arities."""
     mapping = dict(zip(mu.params, args))
     return _subst_formula(phi, mapping, rec_name, mu)
 
@@ -754,12 +750,8 @@ class _Member:
             mu, args = f, ()
         elif isinstance(f, MuApp):
             mu, args = f.mu, f.args
-        elif isinstance(f, RecApp):
-            if f.name not in renv:
-                raise LogicError(f"unbound recursion variable {f.name}")
+        else:  # a RecApp, which check_formula has bound
             mu, args = renv[f.name].mu, f.args
-        else:
-            raise LogicError(f"not a formula: {f!r}")
         # every unfolding of mu has its anchors' events at lo+1 and hi-2
         mrec = shapes.get(id(mu)) or _shape(mu, shapes)
         if mrec.first is not None and (n < 3 or _event_key(ent[lo + 1]) != mrec.first):
@@ -1062,10 +1054,8 @@ def pretty_formula(f: Formula, prec: int = 0) -> str:
         if f._text is None:
             f._text = f"mu {f.name}({', '.join(f.params)}). ({pretty_formula(f.body, 0)})"
         return f"({f._text})" if prec > 0 else f._text
-    if isinstance(f, MuApp):
-        mu_text = pretty_formula(f.mu, 4)
-        return f"{mu_text}({', '.join(pretty_expr(a) for a in f.args)})"
-    raise LogicError(f"not a formula: {f!r}")
+    mu_text = pretty_formula(f.mu, 4)  # a MuApp
+    return f"{mu_text}({', '.join(pretty_expr(a) for a in f.args)})"
 
 
 for _kind in Formula.__args__:

@@ -15,9 +15,9 @@ from .calculus import (ContractGoal, Judgment, PredGoal, ProofNode,
                        gamma_preds, stmt_head)
 from .lang import (Assign, CallAssign, Expr, If, Return, Scope, Skip, Var,
                    While)
-from .logic import (And, FinishEvF, Formula, Mu, MuApp, Or, RecApp,
-                    StartEvF, StatePred, flatten_chain, is_psi)
-from .updates import CallUpd, Elem, FinishUpd, StartUpd, is_res_elem, update_reads
+from .logic import (FinishEvF, Formula, MuApp, Or, StartEvF, StatePred,
+                    flatten_chain, is_psi)
+from .updates import CallUpd, Elem, FinishUpd, is_res_elem, update_reads
 
 
 class UnsupportedConstruct(Exception):
@@ -82,19 +82,13 @@ def _solve(seq: Sequent, ctx: RuleContext, budget: _Budget) -> ProofNode:
         }.get(type(head))
         if isinstance(head, Scope):
             rule = "VarDecl" if head.decls else "Scope"
-        if rule is None:
-            return ProofNode(seq)
         return _attempt(rule, seq, {}, ctx, budget)
 
     formula = j.formula
     has_call = any(isinstance(a, CallUpd) for a in j.update)
 
     if is_psi(formula) is not None:
-        attempt = _attempt("GapAxiom", seq, {}, ctx, budget)
-        if attempt.closed:
-            return attempt
-    if isinstance(formula, Mu) and not formula.params:
-        formula = MuApp(formula, ())
+        return _attempt("GapAxiom", seq, {}, ctx, budget)
     if isinstance(formula, MuApp):
         if has_call:
             step = _pre_call_simplification(seq, ctx)
@@ -123,12 +117,9 @@ def _solve(seq: Sequent, ctx: RuleContext, budget: _Budget) -> ProofNode:
             first = first or attempt
         return first
 
-    if isinstance(formula, And):
-        return _attempt("AndSplit", seq, {}, ctx, budget)
-
     parts = flatten_chain(formula)
     has_occurrence = any(
-        isinstance(p[1] if isinstance(p, tuple) else p, (MuApp, RecApp))
+        isinstance(p[1] if isinstance(p, tuple) else p, MuApp)
         for p in parts) and len(parts) > 1
     if has_call and has_occurrence:
         return _attempt("TrAbs", seq, {}, ctx, budget)
@@ -140,12 +131,8 @@ def _solve(seq: Sequent, ctx: RuleContext, budget: _Budget) -> ProofNode:
         lone = parts[0]
         if isinstance(lone, StatePred) and not j.update:
             return _attempt("EmptyUpdate", seq, {}, ctx, budget)
-        if is_psi(lone) is not None:
-            return _attempt("GapAxiom", seq, {}, ctx, budget)
         if isinstance(lone, StartEvF) and len(j.update) == 1:
             return _attempt("ElimStart", seq, {}, ctx, budget)
-        if isinstance(lone, FinishEvF) and len(j.update) == 1:
-            return _attempt("ElimFinish", seq, {}, ctx, budget)
         return ProofNode(seq)
 
     if isinstance(parts[0], StatePred) and parts[1][0] == "**":
@@ -153,13 +140,8 @@ def _solve(seq: Sequent, ctx: RuleContext, budget: _Budget) -> ProofNode:
     last_op, last = parts[-1]
     if isinstance(last, StatePred) and last_op == "**":
         return _attempt("Poststate", seq, {}, ctx, budget)
-    if isinstance(last, StatePred) and last_op == ".." and j.update \
-            and isinstance(j.update[-1], Elem) and not is_res_elem(j.update[-1]):
-        return _attempt("ElimUpdate1", seq, {}, ctx, budget)
     if isinstance(last, FinishEvF) and j.update and isinstance(j.update[-1], FinishUpd):
         return _attempt("ElimFinish", seq, {}, ctx, budget)
-    if isinstance(last, StartEvF) and j.update and isinstance(j.update[-1], StartUpd):
-        return _attempt("ElimStart", seq, {}, ctx, budget)
     if is_psi(last) is not None and last_op == "**":
         return _attempt("SubsumeUpdates", seq, {}, ctx, budget)
     return ProofNode(seq)

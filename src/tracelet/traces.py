@@ -387,8 +387,7 @@ def is_adequate(t: Trace, strict: bool = True) -> AdequacyVerdict:
                     return _viol("strict", pos, "retEv must be followed by its res update")
                 if kind == "pop":
                     return _viol("strict", pos, "only popEv may follow a retEv's res update")
-            if not is_state(prev_state):
-                return _viol("shape", pos, "adjacent event entries")
+            # an event step skips its closing state, so prev_state is a state
             diff, removed = _step_diff(prev_state, entry)
             if len(diff) > 1:
                 return _viol("1", pos, f"more than one variable changes: {sorted(diff)}")
@@ -526,22 +525,24 @@ def _event_entry(e) -> str:
             _json(e.arg), _json(e.call_id), _json(e.proc))
     if kind is RetEv:
         return '{"event": {"kind": "retEv", "val": %s}}' % _json(e.value)
-    if kind is PushEv or kind is PopEv:
-        return '{"event": {"id": %s, "kind": "%s", "proc": %s}}' % (
-            _json(e.ctx.call_id), "pushEv" if kind is PushEv else "popEv", _json(e.ctx.proc))
-    raise TraceError(f"not a trace entry: {e!r}")
+    # a PushEv or a PopEv
+    return '{"event": {"id": %s, "kind": "%s", "proc": %s}}' % (
+        _json(e.ctx.call_id), "pushEv" if kind is PushEv else "popEv", _json(e.ctx.proc))
 
 
 def dump_trace(t: Trace) -> str:
     """The v2 text of a trace: the header, then one entry per line."""
     lines = ["[\n" + _HEADER_LINE]
     prev = None
-    for e in t.entries:
-        if is_state(e):
-            lines.append(_state_entry(prev, e))
-            prev = e
-        else:
-            lines.append(_event_entry(e))
+    try:
+        for e in t.entries:
+            if is_state(e):
+                lines.append(_state_entry(prev, e))
+                prev = e
+            else:
+                lines.append(_event_entry(e))
+    except ValueError as err:  # an integer past Python's digit limit
+        raise TraceError(f"cannot write the trace: {err}") from None
     lines[-1] += "\n]\n"  # the brackets ride on the first and last line: one join
     return ",\n".join(lines)
 

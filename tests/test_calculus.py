@@ -1,8 +1,10 @@
 """Sequent calculus: rules, automated proof, replay checking, soundness."""
 
+import ast
 import random
 import re
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -17,9 +19,9 @@ from helpers import (MUTANT_SRC, assume_equalities, dump_proof_oracle,
                      subst_atom_oracle, subst_judgment_res_oracle,
                      subst_stmt_oracle, update_reads_oracle)
 from tracelet import calculus, lang
-from tracelet.calculus import (ContractAssumption, Judgment, PredAssert,
-                               PredGoal, RuleContext, RuleError, Sequent,
-                               apply_rule, check_proof, contract_goal,
+from tracelet.calculus import (ContractAssumption, ContractGoal, Judgment,
+                               PredAssert, PredGoal, RuleContext, RuleError,
+                               Sequent, apply_rule, check_proof, contract_goal,
                                dump_proof, inline, load_proof,
                                node_to_json, stmt_head)
 from tracelet.fo import fo_valid
@@ -82,6 +84,11 @@ class TestUpdateApplication:
         # {k' := n'}(k' - 1)  ->  n' - 1
         u = (Elem(Var("k'"), Var("n'")),)
         assert apply_update_expr(u, pexpr("k' - 1")) == pexpr("n' - 1")
+
+    def test_res_assignment_is_skipped(self):
+        # a res(...) elementary update is a no-op at run time
+        u = (Elem(ResVar(IntLit(0)), IntLit(5)),)
+        assert apply_update_expr(u, pexpr("res(0) + 1")) == pexpr("res(0) + 1")
 
     def test_empty_identity(self):
         assert apply_update_expr((), pexpr("x + 1")) == pexpr("x + 1")
@@ -222,12 +229,13 @@ class TestRules:
 
     def test_extension_rules_gated(self):
         # one rule table and no gate: the gap rules apply in every
-        # context, the two rules that failed the semantic check are gone
+        # context; the two rules that failed the semantic check are gone,
+        # and so are the two that no goal descending from a contract meets
         seq0 = Sequent((), Judgment((START_M00,), None,
                                     parse_formula("psi(m) ** [true]")))
         prem = apply_rule("FiniteTraceEmptyPrefix", seq0, {}, ctx_m())
         assert prem[0].goal.formula == StatePred(BoolLit(True))
-        for rule in ("PrefixEv", "Composition"):
+        for rule in ("PrefixEv", "Composition", "AndSplit", "ElimUpdate1"):
             with pytest.raises(RuleError, match="unknown rule"):
                 apply_rule(rule, seq0, {"at": 0, "split": 1}, ctx_m())
 
@@ -348,6 +356,180 @@ class TestRules:
         assert sequent_true(unsound, state, table) and not sequent_true(seq0, state, table)
         with pytest.raises(RuleError, match="finishes a call"):
             apply_rule("ApplyEqRigid", seq0, {"eq": 0}, ctx_m())
+
+
+# ---------------------------------------------------------------------------
+# Every refusal of the kernel, reached through apply_rule: one row per
+# `raise RuleError` in calculus.py.  Most of these shapes never descend from
+# a contract goal; a proof file can still name any rule at any goal.
+# ---------------------------------------------------------------------------
+
+C_M = ContractAssumption.from_spec(spec_m())
+CALL_M = CallUpd(Var("r'"), "m", pexpr("n' - 1"))
+
+
+def _seq(update, stmt, formula, gamma=(C_M,)):
+    if isinstance(formula, str):
+        formula = parse_formula(formula)
+    return Sequent(tuple(gamma), Judgment(tuple(update), stmt, formula))
+
+
+def _x_m(*args, mu=C_M.phi):
+    """[true] ** X_m(args) ** [true]: a recursion occurrence for TrAbs."""
+    return Chop(Chop(StatePred(BoolLit(True)), MuApp(mu, args)), StatePred(BoolLit(True)))
+
+
+_OTHER_M = ContractAssumption.from_spec(
+    ContractSpec("m", pexpr("n == 0"), pexpr("n > 0"), pexpr("n + 1"), pexpr("n - 1")))
+_TRUE = StatePred(BoolLit(True))
+_PRED = Sequent((), PredGoal(pexpr("x > 0")))
+_X1 = Elem(Var("x"), IntLit(1))
+
+REFUSALS = [
+    ("Prestate", _PRED, {}, "expects a judgment goal"),
+    ("Assign", _seq((), None, _TRUE), {}, "Assign needs a leading statement"),
+    ("Poststate", _seq((), Skip(), _TRUE), {}, "applies after symbolic execution finished"),
+    ("ApplyUpdate", _seq((_X1,), None, _TRUE), {}, r"needs at=<index>"),
+    ("ApplyUpdate", _seq((_X1,), None, _TRUE), {"at": 1}, "index out of range"),
+    ("DropUpdate", _seq((START_M00,), None, _TRUE), {"at": 0},
+     "expects an elementary update on a variable"),
+    ("DropResUpdate", _seq((Elem(ResVar(IntLit(0)), IntLit(1)),), None, _TRUE), {"at": "0"},
+     "at= must be an integer"),
+    ("Assign", _seq((), Skip(), _TRUE), {}, "expects an assignment statement"),
+    ("Skip", _seq((), Assign(Var("x"), IntLit(1)), _TRUE), {}, "expects a skip statement"),
+    ("Scope", _seq((), Scope(("y",), Skip()), _TRUE), {}, "expects a declaration-free block"),
+    ("VarDecl", _seq((), Skip(), _TRUE), {}, "expects a block with declarations"),
+    ("Cond", _seq((), Skip(), _TRUE), {}, "expects a conditional"),
+    ("Cond", _seq((CallUpd(Var("x"), "m", IntLit(1)),), If(pexpr("x == 0"), Skip()), _TRUE),
+     {}, "guard reads a call-update target"),
+    ("Return", _seq((), Skip(), _TRUE), {}, "expects a return statement"),
+    ("Return", _seq((START_M00,), Seq(Return(IntLit(1)), Skip()), _TRUE), {},
+     "return must be in tail position"),
+    ("Return", _seq((FinishUpd("m", IntLit(1), IntLit(0)),), Return(IntLit(1)), _TRUE), {},
+     r"finishEv\(m,_,0\) without matching startEv"),
+    ("Return", _seq((), Return(IntLit(1)), _TRUE), {}, "return outside any startEv context"),
+    ("Prestate", _seq((), None, "psi(m) ** [true]"), {}, r"expects \[Q\] \*\* Phi"),
+    ("Poststate", _seq((), None, _TRUE), {}, r"expects Phi \*\* \[Q\]"),
+    ("Poststate", _seq((CallUpd(Var("x"), "m", IntLit(1)),), None, "psi(m) ** [x == 0]"), {},
+     "reads 'x', assigned by a call update"),
+    ("EmptyUpdate", _seq((_X1,), None, _TRUE), {}, "expects an empty update and no statement"),
+    ("EmptyUpdate", _seq((), None, psi("m")), {}, "expects a state predicate"),
+    ("Unfold", _seq((), None, psi("m")), {}, "expects an applied fixed point"),
+    ("OrLeft", _seq((), None, _TRUE), {}, "expects a disjunctive trace formula"),
+    ("Close", _seq((), None, _TRUE), {}, "Close expects a predicate goal"),
+    ("Close", _PRED, {}, r"not first-order valid \(counterexample \{'x': -10\}\)"),
+    ("ProcedureContract", _seq((), None, _TRUE), {}, "expects a contract goal"),
+    ("ProcedureContract", Sequent((), ContractGoal("q")), {}, "no contract assumption for 'q'"),
+    ("TrAbs", _seq((), None, _TRUE), {}, "needs a call update"),
+    ("TrAbs", _seq((START_M00, CALL_M), None, _x_m(pexpr("n' - 1"), Var("k'"))), {"call": 0},
+     "no call update at index 0"),
+    ("TrAbs", _seq((CALL_M, CALL_M), None, _x_m(pexpr("n' - 1"), Var("k'"))), {"call": 1},
+     "call updates precede the selected one"),
+    ("TrAbs", _seq((CALL_M,), None, "[true] .. [true]"), {}, "expects a chop chain"),
+    ("TrAbs", _seq((CALL_M,), None, "[true] ** [true]"), {}, "no recursion occurrence"),
+    ("TrAbs", _seq((CALL_M,), None, _x_m(pexpr("n' - 1"), Var("k'"))), {"occ": 0},
+     "recursion occurrence must be interior"),
+    ("TrAbs", _seq((CallUpd(Var("r'"), "q", IntLit(0)),), None,
+                   _x_m(pexpr("n' - 1"), Var("k'"))), {}, "no contract assumption for 'q'"),
+    ("TrAbs", _seq((CALL_M,), None, _x_m(pexpr("n' - 1"), Var("k'")), gamma=()), {},
+     "contract for 'm' not among the assumptions"),
+    ("TrAbs", _seq((CALL_M,), None, _x_m(pexpr("n' - 1"), Var("k'"), mu=_OTHER_M.phi)), {},
+     "recursion occurrence does not match the contract"),
+    ("TrAbs", _seq((CALL_M,), None, _x_m(pexpr("n' - 1"))), {},
+     r"take \(value, identifier\) arguments"),
+    ("TrAbs", _seq((CALL_M,), None, _x_m(pexpr("n' - 1"), IntLit(0))), {},
+     "identifier argument must be a rigid symbol"),
+    ("TrAbs", _seq((CALL_M,), None, _x_m(pexpr("n' - 2"), Var("k'"))), {},
+     "call argument n' - 1 does not match occurrence argument n' - 2"),
+    ("ApplyUpdate", _seq((Elem(Var("x"), pexpr("x + 1")),), None, _TRUE), {"at": 0},
+     "cannot propagate a self-referential update"),
+    ("DropUpdate", _seq((_X1, Elem(Var("y"), Var("x"))), None, _TRUE), {"at": 0},
+     "'x' is read by a later update"),
+    ("DropUpdate", _seq((_X1,), Assign(Var("y"), Var("x")), _TRUE), {"at": 0},
+     "'x' occurs in the remaining statement"),
+    ("DropUpdate", _seq((_X1,), None, "[x == 1]"), {"at": 0}, "'x' occurs in the goal formula"),
+    # the entry falls in the leading gap, but after an event
+    ("DropUpdate", _seq((START_M00, _X1), None, "psi(m) ** [true]"), {"at": 1},
+     "goal formula does not absorb the dropped state entry"),
+    ("DropResUpdate", _seq((), None, _TRUE), {}, "no result-variable update to drop"),
+    ("DropResUpdate", _seq((Elem(ResVar(IntLit(0)), IntLit(1)), _X1), None, _TRUE), {"at": 1},
+     "no result-variable update at index 1"),
+    ("ApplyEqRigid", _seq((), None, _TRUE), {}, r"needs eq=<gamma index>"),
+    ("ApplyEqRigid", _seq((), None, _TRUE, gamma=(PredAssert(pexpr("x > 0")),)), {"eq": 0},
+     "expects an equality assumption"),
+    ("ApplyEqRigid", _seq((Elem(Var("x"), IntLit(2)),), None, _TRUE,
+                          gamma=(PredAssert(pexpr("x == 1")),)), {"eq": 0},
+     "the judgment writes x"),
+    ("ApplyEqRigid", _seq((), Skip(), _TRUE, gamma=(PredAssert(pexpr("res(0) == 1")),)),
+     {"eq": 0}, "result-variable equalities apply after execution finished"),
+    ("ApplyEqRigid", _seq((), None, _TRUE, gamma=(PredAssert(pexpr("1 == 1")),)), {"eq": 0},
+     "equality must bind a variable or result variable"),
+    ("ApplyEqRigid", _seq((FinishUpd("m", IntLit(1), IntLit(5)),), None, _TRUE,
+                          gamma=(PredAssert(pexpr("res(0) == 1")),)), {"eq": 0},
+     "the judgment finishes a call"),
+    ("ElimStart", _seq((), None, "startEv(m, 0, 0)"), {}, "expects a trailing event update"),
+    ("ElimStart", _seq((START_M00,), None, _TRUE), {}, "ElimStart: shape mismatch"),
+    ("ElimStart", _seq((START_M00,), None, "startEv(q, 0, 0)"), {},
+     "event update and formula do not align"),
+    ("SubsumeUpdates", _seq((), None, _TRUE), {}, "expects a trailing chop gap"),
+    ("SubsumeUpdates", _seq((), None, "[true] ** [true]"), {}, "expects a trailing no-event gap"),
+    ("SubsumeUpdates", _seq((), None, "[true] ** psi(m)"), {"keep": 1}, "keep out of range"),
+    ("SubsumeUpdates", _seq((CallUpd(Var("x"), "q", IntLit(1)),), None, "[true] ** psi(m)"),
+     {"keep": 0}, "dropped updates involve an excluded procedure"),
+    ("GapAxiom", _seq((), None, _TRUE), {}, "expects a no-event gap formula"),
+    ("GapAxiom", _seq((START_M00,), None, psi("m")), {}, "updates involve an excluded procedure"),
+    ("FiniteTraceEmptyPrefix", _seq((), None, "psi(m) ** [true]"), {},
+     "expects a leading event update"),
+    ("FiniteTraceEmptyPrefix", _seq((START_M00,), None, _TRUE), {}, "expects a leading chop gap"),
+    ("FiniteTraceEmptyPrefix", _seq((START_M00,), None, "psi(q) ** [true]"), {},
+     "must name the leading event's procedure"),
+    ("FiniteTraceEmptyPostfix", _seq((), None, "[true] ** psi(m)"), {},
+     "expects a trailing event update"),
+    ("FiniteTraceEmptyPostfix", _seq((START_M00,), None, _TRUE), {}, "expects a trailing gap"),
+    ("FiniteTraceEmptyPostfix", _seq((START_M00,), None, "[true] ** psi(q)"), {},
+     "must name the trailing event's procedure"),
+    ("AndSplit", _seq((), None, "[true] /\\ [true]"), {}, "unknown rule 'AndSplit'"),
+]
+
+
+def _refusal_site(rule, seq, args) -> int:
+    """The line in calculus.py of the raise that refuses the row."""
+    with pytest.raises(RuleError) as info:
+        apply_rule(rule, seq, dict(args), ctx_m())
+    return [tb.lineno for tb in info.traceback if tb.path == Path(calculus.__file__)][-1] + 1
+
+
+def _rule_error_raises() -> dict:
+    """{line: raise node} of every `raise RuleError(...)` in calculus.py."""
+    tree = ast.parse(Path(calculus.__file__).read_text())
+    return {node.lineno: node for node in ast.walk(tree)
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+            and getattr(node.exc.func, "id", None) == "RuleError"}
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("rule,seq,args,message", REFUSALS,
+                             ids=[f"{k}-{row[0]}" for k, row in enumerate(REFUSALS)])
+    def test_refused_with_its_reason(self, rule, seq, args, message):
+        with pytest.raises(RuleError, match=message):
+            apply_rule(rule, seq, dict(args), ctx_m())
+
+    def test_one_row_per_refusal(self):
+        raises = _rule_error_raises()
+        sites = [_refusal_site(*row[:3]) for row in REFUSALS]
+        assert len(REFUSALS) == len(raises)
+        assert sorted(sites) == sorted(raises)
+
+    def test_state_entry_outside_a_gap_is_kept(self):
+        seq0 = _seq((_X1,), None, "[true] ** psi(m)")
+        with pytest.raises(RuleError, match="does not absorb the dropped state entry"):
+            apply_rule("DropUpdate", seq0, {"at": 0}, ctx_m())
+
+    def test_event_argument_read_through_a_call_is_refused(self):
+        seq0 = _seq((CallUpd(Var("x"), "q", IntLit(1)), FinishUpd("m", Var("x"), IntLit(0))),
+                    None, "[true] ** finishEv(m, 1, 0)")
+        with pytest.raises(RuleError, match="event update and formula do not align"):
+            apply_rule("ElimFinish", seq0, {}, ctx_m())
 
 
 def closed_proof():
@@ -788,6 +970,15 @@ Cond @ 0
         with pytest.raises(ScriptError, match="line 2"):
             run_script(contract_goal("m"), ctx_m(),
                        "ProcedureContract @ 0\nReturn @ 0")
+
+    @pytest.mark.parametrize("line,message", [
+        ("Assign 0", "line 1: expected 'rule @ goal-index [key=value ...]'"),
+        ("Assign @ first", "line 1: goal index must be an integer"),
+        ("ApplyUpdate @ 0 at", "line 1: malformed argument 'at'"),
+    ])
+    def test_malformed_script_line(self, line, message):
+        with pytest.raises(ScriptError, match=re.escape(message)):
+            run_script(contract_goal("m"), ctx_m(), line)
 
     def test_bad_goal_index(self):
         with pytest.raises(ScriptError, match="out of range"):

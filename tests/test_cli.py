@@ -20,7 +20,7 @@ from tracelet.cli import (COMMANDS, EXIT_ERROR, EXIT_FUEL, EXIT_INADEQUATE,
                           EXIT_NOT_MEMBER, EXIT_OK, EXIT_OPEN_PROOF,
                           EXIT_PROOF_REJECTED, EXIT_VALIDATION_FAILED, CliError,
                           main, parse_args)
-from tracelet.interp import RunError, run
+from tracelet.interp import FuelExhausted, RunError, run
 from tracelet.lang import parse_program
 from tracelet.logic import MemberBudgetExceeded, _Member, pretty_formula
 from tracelet.traces import dump_trace
@@ -69,6 +69,11 @@ class TestRun:
         f.write_text("main { x; while (0 == 0) { skip } }")
         monkeypatch.setenv("TRACELET_FUEL", "50")
         assert main(["run", str(f)]) == EXIT_FUEL
+
+    def test_fuel_env_not_an_integer_one_line_error(self, work, monkeypatch, capsys):
+        monkeypatch.setenv("TRACELET_FUEL", "abc")
+        assert main(["run", str(work / "running.tcp")]) == EXIT_ERROR
+        assert capsys.readouterr().err == "error: TRACELET_FUEL must be an integer\n"
 
     def test_parse_error_exit_1(self, work, tmp_path, capsys):
         f = tmp_path / "bad.tcp"
@@ -278,6 +283,32 @@ def test_bad_integer_literal_one_line_error(work, capsys, kind, literal):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert ("2:7: " if kind == "tcp" else ":3: ") in err  # the literal's line and column
+
+
+_SQUARINGS = "x = 10" + "; x = x * x" * 13   # 10^8192: past the 4300-digit limit
+
+
+@pytest.mark.parametrize("command", ["run", "run-o", "validate"])
+def test_unwritable_integer_one_line_error(work, capsys, command):
+    """A state value with more digits than Python prints: every writer of
+    a trace file reports it in one line, with nothing written."""
+    out = work / "out"
+    if command == "validate":
+        program = work / "square.tcp"
+        program.write_text("m(k) { x; %s; return k }\nmain { skip }" % _SQUARINGS)
+        argv = ["validate", str(program), str(gen_contract(work)), "--proc", "m",
+                "--samples", "1", "--range", "0..0", "--no-proof", "--trace-dir", str(work)]
+    else:
+        program = work / "square.tcp"
+        program.write_text("main { x; %s }" % _SQUARINGS)
+        argv = ["run", str(program)] + (["-o", str(out)] if command == "run-o" else [])
+    capsys.readouterr()
+    assert main(argv) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write the trace: Exceeds the limit (4300 "
+                                   "digits)") and captured.err.count("\n") == 1
+    assert not out.exists() and not list(work.glob("*.trace.json"))
 
 
 _EXIT_CODES = {EXIT_OK, EXIT_ERROR, EXIT_FUEL, EXIT_NOT_MEMBER, EXIT_OPEN_PROOF,
@@ -693,7 +724,7 @@ class TestProve:
                      "--program", str(work / "running.tcp"),
                      "--contracts", str(contract)]) == EXIT_PROOF_REJECTED
 
-    @pytest.mark.parametrize("rule", ["PrefixEv", "Composition"])
+    @pytest.mark.parametrize("rule", ["PrefixEv", "Composition", "AndSplit", "ElimUpdate1"])
     def test_deleted_rule_rejected_exit_7(self, work, capsys, rule):
         contract = gen_contract(work)
         proof = work / "m.proof.json"
@@ -779,12 +810,43 @@ class TestProve:
         assert err.startswith("error: line 1: ApplyUpdate failed") and err.count("\n") == 1
 
     def test_while_unsupported(self, work, tmp_path, capsys):
+        # m writes no parameter, so the program is well-formed and the
+        # prover itself meets the loop
         f = tmp_path / "loopy.tcp"
-        f.write_text("m(k) { r; while (k > 0) { k = k - 1 }; return r }\n"
+        f.write_text("m(k) { r; j; j = k; while (j > 0) { r = r + 1; j = j - 1 }; return r }\n"
                      "main { skip }")
         contract = gen_contract(work)
-        code = main(["prove", str(f), str(contract), "--proc", "m"])
-        assert code == EXIT_ERROR
+        capsys.readouterr()
+        assert main(["prove", str(f), str(contract), "--proc", "m",
+                     "-o", str(tmp_path / "loopy.proof.json")]) == EXIT_ERROR
+        assert capsys.readouterr().err == ("error: unsupported construct: no calculus rule "
+                                           "covers while loops\n")
+
+    def test_no_node_budget_leaves_the_goal_open(self, work, capsys):
+        contract = gen_contract(work)
+        proof = work / "none.proof.json"
+        assert main(["prove", str(work / "running.tcp"), str(contract), "--proc", "m",
+                     "--max-nodes", "0", "-o", str(proof)]) == EXIT_OPEN_PROOF
+        assert "proof has 1 open goals" in capsys.readouterr().out
+        assert json.loads(proof.read_text())["root"]["rule"] is None
+
+    def test_two_spec_blocks_need_proc(self, work, capsys):
+        program, contract = two_specs(work)
+        capsys.readouterr()
+        assert main(["prove", str(program), str(contract)]) == EXIT_ERROR
+        assert capsys.readouterr().err == "error: pick a procedure with --proc\n"
+
+
+def two_specs(work):
+    """A program with procedures m and q, and a contract file with a spec
+    block for each."""
+    program = work / "two.tcp"
+    program.write_text("q(k) { r; r = k; return r }\n" + RUNNING_SRC)
+    contract = work / "two.tcf"
+    contract.write_text("".join(
+        f"spec {p} {{ base: [n == 0]; step: [n > 0]; inv: n - 1; result: n }}\n"
+        for p in "mq"))
+    return program, contract
 
 
 @pytest.fixture(scope="module")
@@ -868,6 +930,19 @@ class TestValidate:
         assert report["overall"] == "pass"
         assert [s["n"] for s in report["samples"]] == [0, 1, 2, 3, 4, 5]
 
+    def test_proof_of_another_procedure_rejected_exit_7(self, work, capsys):
+        program, contract = two_specs(work)
+        proof = work / "m.proof.json"
+        assert main(["prove", str(program), str(contract), "--proc", "m",
+                     "-o", str(proof)]) == EXIT_OK
+        doc = json.loads(proof.read_text())
+        doc["proc"] = "q"
+        proof.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["validate", str(program), str(contract), "--proc", "m",
+                     "--proof", str(proof)]) == EXIT_PROOF_REJECTED
+        assert capsys.readouterr().out == "proof rejected: the proof is for 'q', not 'm'\n"
+
     def test_mutant_fails_at_smallest_recursive_n(self, work, capsys):
         contract = gen_contract(work)
         capsys.readouterr()
@@ -924,7 +999,8 @@ class TestValidate:
     @pytest.mark.parametrize("name,error,verdict", [
         ("run", RunError("undefined variable"), "run-error"),
         ("member", MemberBudgetExceeded("budget"), "member-budget-exceeded"),
-    ], ids=["run", "member"])
+        ("run", FuelExhausted(None), "fuel-exhausted"),
+    ], ids=["run", "member", "fuel"])
     def test_sample_error_is_its_verdict(self, work, capsys, monkeypatch,
                                          name, error, verdict):
         contract = gen_contract(work)
@@ -984,6 +1060,13 @@ class TestGenContract:
         cf = parse_contract_file(contract.read_text())
         assert set(cf.contracts) == {"m", "m_big_step"}
         assert "m" in cf.specs
+
+    def test_output_to_stdout_equals_the_file(self, work, capsys):
+        contract = gen_contract(work)
+        capsys.readouterr()
+        assert main(["gen-contract", "m", "--pre-base", "n == 0", "--pre-step", "n > 0",
+                     "--result", "n", "--step-inv", "n - 1"]) == EXIT_OK
+        assert capsys.readouterr().out == contract.read_text()
 
     @pytest.mark.parametrize("field", ["--result", "--step-inv"])
     def test_res_in_a_term_one_line_error(self, work, capsys, field):
@@ -1045,6 +1128,23 @@ class TestRepl:
                      "--proc", "m", "--repl", "-o", str(proof)])
         assert code == EXIT_OK
         assert json.loads(proof.read_text())["closed"] is True
+
+    @pytest.mark.parametrize("stdin,code,shown", [
+        ("\ngoals\nshow 0\nshow x\nshow 5\nBogus @ 0\ndone\n", EXIT_OPEN_PROOF,
+         ["  0:  |- C_m\n", "]>  |- C_m\n", "]> usage: show N\n[1 open]> usage: show N\n",
+          "error: line 1: Bogus failed: unknown rule 'Bogus'"]),
+        ("auto\n", EXIT_OK, ["proof closed.\n"]),
+        ("", EXIT_OPEN_PROOF, []),
+    ], ids=["commands", "auto", "eof"])
+    def test_repl_reads_stdin(self, work, capsys, monkeypatch, stdin, code, shown):
+        contract = gen_contract(work)
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        capsys.readouterr()
+        assert main(["prove", str(work / "running.tcp"), str(contract), "--proc", "m",
+                     "--repl", "-o", str(work / "repl.proof.json")]) == code
+        out = capsys.readouterr().out
+        for text in shown:
+            assert text in out
 
     def test_repl_quit_leaves_open(self, work, capsys, monkeypatch):
         contract = gen_contract(work)

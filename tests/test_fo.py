@@ -3,10 +3,12 @@
 import itertools
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from tracelet.fo import fo_valid, negate_pred, simplify_or, terms_equal
-from tracelet.lang import Binary, BoolLit, IntLit, ResVar, Var
+from tracelet.lang import (Binary, BoolLit, IntLit, ResVar, TokenStream, Var,
+                           parse_expr, pretty_expr, tokenize)
 
 
 def v(name):
@@ -15,6 +17,10 @@ def v(name):
 
 def atom(op, left, right):
     return Binary(op, left, right)
+
+
+def pred(text):
+    return parse_expr(TokenStream(tokenize(text)), allow_res=True, allow_bool=True)
 
 
 def equivalent(a, b):
@@ -153,3 +159,43 @@ class TestCanonical:
         assert terms_equal(Binary("+", Binary("-", v("n'"), IntLit(1)), IntLit(1)),
                            v("n'"))
         assert not terms_equal(v("n'"), Binary("+", v("n'"), IntLit(1)))
+
+
+class TestPredicatesAsWritten:
+    """Predicates as a contract file or a program may spell them, including
+    those that fo_valid can only answer 'unknown' for."""
+
+    @pytest.mark.parametrize("gamma,goal,status", [
+        ([], "-x == 0 - x", "valid"),
+        ([], "!(x > 0) || x > 0", "valid"),
+        (["2 * x + 3 * y == 1"], "2 * x + 3 * y >= 1", "valid"),
+        (["2 * x + 4 * y == 1"], "false", "valid"),     # no integer solution
+        ([], "x == true", "unknown"),                  # a truth value as a term
+        (["b"], "b", "unknown"),                       # an atom that is no comparison
+        ([" && ".join(f"(x{i} == 0 || x{i} == 1)" for i in range(12))], "false", "unknown"),
+        ([" && ".join(f"x{i} != 0" for i in range(12))], "false", "unknown"),
+        ([" && ".join(f"x - y >= {-i}" for i in range(150))
+          + " && " + " && ".join(f"y - x >= {-i}" for i in range(150))], "false", "unknown"),
+        ([], "a + b + c + d > 0", "unknown"),           # no box search past three names
+    ], ids=["unary-minus", "negation", "non-unit-equality", "equality-without-integers",
+            "bool-term", "bare-atom", "dnf-blowup", "disequality-blowup", "fm-blowup",
+            "four-names"])
+    def test_verdict(self, gamma, goal, status):
+        assert fo_valid([pred(g) for g in gamma], pred(goal)).status == status
+
+    @pytest.mark.parametrize("a,b,merged", [
+        ("n >= 2", "n >= 5", "n >= 2"),
+        ("n == 3", "n == 3", "n == 3"),
+        ("n <= 0", "n <= -1", "0 >= n"),
+        ("m == n + 1", "m - n >= 2", "m >= n + 1"),
+        ("res(0) == 0", "res(0) > 0", "res(0) >= 0"),
+        ("n * n == 0", "n > 0", "n * n == 0 || n > 0"),
+        ("n == 0", "n == 2", "n == 0 || n == 2"),
+    ])
+    def test_simplify_or(self, a, b, merged):
+        assert pretty_expr(simplify_or(pred(a), pred(b))) == merged
+        assert equivalent(pred(merged), Binary("||", pred(a), pred(b))) or "*" in merged
+
+    def test_nonlinear_terms_equal_only_as_written(self):
+        assert terms_equal(pred("k * k"), pred("k * k"))
+        assert not terms_equal(pred("k * k"), pred("k * (k + 0)"))

@@ -11,7 +11,7 @@ from helpers import (M0_SRC, RUNNING_SRC, parse_formula, random_linear_expr,
 from tracelet.lang import (ARITH_OPS, CMP_OPS, Assign, Binary, BoolLit, CallAssign,
                            Fresh, If, IntLit, ParseError, ProcDecl, Program,
                            ResVar, Return, Scope, Seq, Skip, TokenStream, Unary,
-                           UnknownProcedure, Var, build_lookup, fields, lookup,
+                           UnknownProcedure, Var, build_lookup, fields, fold_expr, lookup,
                            parse_expr, parse_program, pretty_expr, remake,
                            subst_stmt, subst_vars, tokenize, well_formed)
 from tracelet.logic import StatePred
@@ -64,6 +64,14 @@ class TestParse:
             assert e.line == 1 and e.col > 0
         else:
             pytest.fail("expected a syntax error")
+
+    @pytest.mark.parametrize("src,message", [
+        ("main { x; true = 1 }", "1:11: unexpected 'true'"),
+        ("main { skip } main { skip }", "1:15: trailing input after main block"),
+    ])
+    def test_syntax_error_message(self, src, message):
+        with pytest.raises(ParseError, match=message):
+            parse_program(src)
 
     def test_sequence_right_associated(self):
         p = parse_program("main { x; x = 1; x = 2; x = 3 }")
@@ -289,6 +297,12 @@ def walk(e):
         child = getattr(e, f)
         if not isinstance(child, (str, int, bool)):
             yield from walk(child)
+
+
+def test_fold_under_a_unary_operator():
+    assert fold_expr(Unary("-", Binary("+", IntLit(1), IntLit(2)))) == IntLit(-3)
+    assert fold_expr(Unary("-", Binary("+", Var("x"), IntLit(0)))) == Unary("-", Var("x"))
+    assert fold_expr(Unary("!", BoolLit(True))) == Unary("!", BoolLit(True))
 
 
 class TestSubstitution:

@@ -1,6 +1,7 @@
 """Trace logic: parsing, membership vs the brute-force oracle, contracts."""
 
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -22,7 +23,8 @@ from tracelet.logic import (And, Chop, Concat, ContractSpec, FinishEvF,
                             is_psi, make_contract, member, no_event_chop,
                             parse_contract_file,
                             pretty_formula, psi, substitute, unfold)
-from tracelet.traces import CallEv, State, Trace, is_state, singleton
+from tracelet.traces import (CallEv, Ctx, PopEv, PushEv, RetEv, State, Trace,
+                             is_state, singleton)
 
 
 def state_segments(trace):
@@ -262,6 +264,22 @@ class TestTermParser:
         with pytest.raises(ParseError) as err:
             parse_formula(text)
         assert message in str(err.value)
+
+    @pytest.mark.parametrize("text,message", [
+        ("spec m { base: [n == 0]; step: [n > 0]; inv: n - 1; result: n; post: n }",
+         "unknown spec field 'post'"),
+        ("spec m { base: [n == 0]; step: [n > 0] }",
+         "spec m missing fields: ['inv', 'result']"),
+        ("[true] [true]", "trailing input after formula"),
+        ("contract c() := [true]\nproof c", "expected 'contract' or 'spec'"),
+        ("[true](1)", "only fixed points and recursion variables take arguments"),
+        ("** [true]", "expected formula, found '**'"),
+        ("(mu X(a). [a == 0] ** X(1, 2))(0)", "arity mismatch for X: 2 args, expected 1"),
+    ], ids=["unknown-field", "missing-fields", "trailing-input", "top-level",
+            "applied-predicate", "no-formula", "arity"])
+    def test_malformed_contract_files(self, text, message):
+        with pytest.raises((ParseError, LogicError), match=re.escape(message)):
+            parse_contract_file(text)
 
     def test_spec_fields_are_terms(self):
         with pytest.raises(ParseError, match="'true' not allowed here"):
@@ -660,3 +678,60 @@ class TestSchemaCrossCheck:
             if not (is_state(entries[0]) and is_state(entries[-1])):
                 continue  # mutants that break the state/event shape
             assert member(t, psi("m")) == member_approx(t, psi("m")), t
+
+
+class TestFormulasAsWritten:
+    """Formulas a contract file may hold that no contract template builds."""
+
+    def test_near_gaps_are_not_gaps(self):
+        gap = NoEv(frozenset({"m"}))
+        other = NoEv(frozenset({"q"}))
+        assert is_psi(Mu("G", (), Or(StatePred(BoolLit(True)), Concat(gap, RecApp("G", ()))))) is None
+        assert is_psi(Mu("G", (), Or(gap, Concat(other, RecApp("G", ()))))) is None
+        assert is_psi(Mu("G", (), Or(gap, Concat(gap, RecApp("H", ()))))) is None
+
+    def test_unfolding_through_a_nested_fixed_point(self):
+        f = parse_formula("(mu X(a). [a == 0] ** (mu Y(b). [b == a])(a))(1)")
+        assert unfold(f) == parse_formula("[1 == 0] ** (mu Y(b). [b == 1])(1)")
+        # a nested binder of the same name shadows X
+        f = parse_formula("(mu X(a). (mu X(b). [b == a] .. X(b))(0))(1)")
+        assert unfold(f) == parse_formula("(mu X(b). [b == 1] .. X(b))(0)")
+        with pytest.raises(LogicError, match="capture a parameter of Y"):
+            unfold(parse_formula("(mu X(a). (mu Y(b). [b == a])(0))(b)"))
+
+    def test_fresh_cannot_reach_a_state_predicate(self):
+        mu = parse_formula("mu X(n, i). [i == 0] ** X(n, fresh(i))")
+        with pytest.raises(LogicError, match="cannot appear inside state predicates"):
+            substitute(mu.body, "X", mu, (Var("n"), Fresh(Var("i"))))
+
+    @pytest.mark.parametrize("formula,message", [
+        (StatePred(Binary("+", Var("x"), IntLit(1))), "predicate is not boolean"),
+        (Mu("X", ("a",), StatePred(BoolLit(True))), "unapplied fixed point X"),
+        (StartEvF("m", Fresh(Var("i")), IntLit(0)), "only supported in recursion arguments"),
+        (FinishEvF("m", Fresh(Var("i")), IntLit(0)), "only supported in recursion arguments"),
+    ], ids=["non-boolean", "unapplied", "fresh-start", "fresh-finish"])
+    def test_refused_at_membership(self, formula, message):
+        sigma, done = State({"x": 0}), State({"x": 0, "res0": 5})
+        start = Trace([sigma, CallEv("m", 1, 0), sigma, PushEv(Ctx("m", 0)), sigma])
+        finish = Trace([sigma, RetEv(5), sigma, done, PopEv(Ctx("m", 0)), done])
+        trace = {StartEvF: start, FinishEvF: finish}.get(type(formula), singleton(sigma))
+        with pytest.raises(LogicError, match=message):
+            member(trace, formula)
+
+    def test_parameterless_fixed_point_in_formula_position(self):
+        assert member(singleton(State({})), Mu("X", (), StatePred(BoolLit(True))))
+
+    def test_empty_trace_refused(self):
+        with pytest.raises(LogicError, match="empty trace"):
+            member(Trace(()), StatePred(BoolLit(True)))
+
+    def test_width_range_named_when_the_trace_is_too_long(self):
+        why = []
+        three = Trace([State({})] * 3)
+        assert not member(three, parse_formula("[true] \\/ [true] .. [true]"), why=why)
+        assert why == ["the trace has 3 entries; the formula matches traces of 1 to 2 entries"]
+
+    def test_segment_ids_read_once(self):
+        checker = _Member(golden_m1())
+        first = checker.ids_in(0, len(golden_m1().entries))
+        assert checker.ids_in(0, len(golden_m1().entries)) is first

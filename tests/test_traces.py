@@ -18,7 +18,7 @@ from helpers import (V2_HEADER, ChopUndefined, DictState, chop, concat,
                      running_program, step_diff_oracle)
 from tracelet import traces
 from tracelet.interp import run
-from tracelet.lang import (Binary, BoolLit, IntLit, ResVar, Unary, Var,
+from tracelet.lang import (Binary, BoolLit, Fresh, IntLit, ResVar, Unary, Var,
                            parse_program)
 from tracelet.logic import member, psi
 from tracelet.traces import (CallEv, Ctx, EmptyTraceError,
@@ -43,6 +43,15 @@ class TestStates:
     def test_eval_example(self):
         # val(x+y) = 0 + 1 = 1
         assert eval_expr(s(x=0, y=1), Binary("+", Var("x"), Var("y"))) == 1
+
+    def test_eval_of_a_fresh_term_refused(self):
+        with pytest.raises(TraceError, match="cannot evaluate"):
+            eval_expr(s(i=0), Fresh(Var("i")))
+
+    def test_empty_trace_has_no_last_state(self):
+        with pytest.raises(EmptyTraceError):
+            Trace().last()
+        assert repr(singleton(s(x=0))) == "Trace([x=0])"
 
     def test_eval_literal(self):
         assert eval_expr(s(), IntLit(7)) == 7
@@ -360,6 +369,24 @@ class TestAdequacy:
         with pytest.raises(EmptyTraceError):
             is_adequate(Trace())
 
+    def test_shapes_a_trace_file_may_hold(self):
+        sigma, done = s(x=0), s(x=0, res0=5)
+        starts_with_event = Trace([CallEv("m", 1, 0), sigma])
+        verdict = is_adequate(starts_with_event)
+        assert not verdict and verdict.clause == "shape"
+        # strict: once the retEv's res update is made, only its popEv may follow
+        late_pop = Trace([sigma, CallEv("m", 1, 0), sigma, PushEv(Ctx("m", 0)), sigma,
+                          RetEv(5), sigma, done, done.set("x", 1)])
+        verdict = is_adequate(late_pop, strict=True)
+        assert not verdict and verdict.reason == "only popEv may follow a retEv's res update"
+        # the res value already in place: the popEv follows the retEv directly
+        in_place = Trace([done, CallEv("m", 1, 0), done, PushEv(Ctx("m", 0)), done,
+                          RetEv(5), done, PopEv(Ctx("m", 0)), done])
+        assert is_adequate(in_place, strict=False)
+        unopened = Trace([sigma, RetEv(0), sigma, PopEv(Ctx("m", 0)), sigma])
+        verdict = is_adequate(unopened, strict=False)
+        assert not verdict and verdict.reason == "popEv with malformed nesting"
+
 
 class TestSchemas:
     """Event shapes of traces, written as formulas and checked by member."""
@@ -489,6 +516,11 @@ def test_v2_roundtrip_bit_exact(t):
 def test_dump_writes_non_integer_values_as_json():
     t = Trace([State({"b": True}), State({"b": True}).set("n", None)])
     assert dump_trace(t) == dump_trace_v2_oracle(t)
+    # a state that set made from the one before it is written as its one change
+    wide = State({"b": True, "w": 4, "x": 1, "y": 2, "z": 3})
+    t = Trace([wide, wide.set("c", False)])
+    assert dump_trace(t) == dump_trace_v2_oracle(t)
+    assert dump_trace(t).endswith('{"state": {"c": false}}\n]\n')
     with pytest.raises(TraceError, match="integers"):
         load_trace(dump_trace(t))
 
