@@ -66,7 +66,7 @@ class Machine:
         self.next_id = cid + 1
         return cid
 
-    def fresh_var(self, base: str, state: State) -> str:
+    def fresh_var(self, base: str) -> str:
         # no program variable holds '#', and each name drawn here is new
         self.next_fresh += 1
         return f"{base}#{self.next_fresh}"
@@ -143,7 +143,7 @@ class Machine:
         # body is renamed in one walk; the first is bound to 0 in this step
         # and the others by zero assignments, one step each.  Later names
         # have larger suffixes, so none collides with one allocated before.
-        fresh = [Var(self.fresh_var(name, state)) for name in s.decls]
+        fresh = [Var(self.fresh_var(name)) for name in s.decls]
         # reversed, so that a name declared twice maps to its first fresh name
         mapping = dict(zip(reversed(s.decls), reversed(fresh)))
         self.entries.append(state.set(fresh[0].name, 0))

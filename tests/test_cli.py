@@ -23,7 +23,7 @@ from tracelet.cli import (COMMANDS, EXIT_ERROR, EXIT_FUEL, EXIT_INADEQUATE,
 from tracelet.interp import FuelExhausted, RunError, run
 from tracelet.lang import parse_program
 from tracelet.logic import MemberBudgetExceeded, _Member, pretty_formula
-from tracelet.traces import dump_trace
+from tracelet.traces import dump_trace, load_trace
 
 
 @pytest.fixture
@@ -288,16 +288,20 @@ def test_bad_integer_literal_one_line_error(work, capsys, kind, literal):
 _SQUARINGS = "x = 10" + "; x = x * x" * 13   # 10^8192: past the 4300-digit limit
 
 
-@pytest.mark.parametrize("command", ["run", "run-o", "validate"])
+@pytest.mark.parametrize("command", ["run", "run-o", "validate", "validate-later-sample"])
 def test_unwritable_integer_one_line_error(work, capsys, command):
     """A state value with more digits than Python prints: every writer of
-    a trace file reports it in one line, with nothing written."""
+    a trace file reports it in one line and writes no file for it.
+    validate writes each sample's trace as it goes, so the traces of the
+    samples before it stay."""
     out = work / "out"
-    if command == "validate":
+    if command.startswith("validate"):
         program = work / "square.tcp"
-        program.write_text("m(k) { x; %s; return k }\nmain { skip }" % _SQUARINGS)
+        program.write_text("m(k) { x; x = 10; if (k > 0) { %s }; return k }\nmain { skip }"
+                           % _SQUARINGS.split("; ", 1)[1])
         argv = ["validate", str(program), str(gen_contract(work)), "--proc", "m",
-                "--samples", "1", "--range", "0..0", "--no-proof", "--trace-dir", str(work)]
+                "--samples", "2", "--range", "1..1" if command == "validate" else "0..1",
+                "--no-proof", "--trace-dir", str(work)]
     else:
         program = work / "square.tcp"
         program.write_text("main { x; %s }" % _SQUARINGS)
@@ -308,7 +312,11 @@ def test_unwritable_integer_one_line_error(work, capsys, command):
     assert captured.out == ""
     assert captured.err.startswith("error: cannot write the trace: Exceeds the limit (4300 "
                                    "digits)") and captured.err.count("\n") == 1
-    assert not out.exists() and not list(work.glob("*.trace.json"))
+    assert not out.exists()
+    written = ["m_0.trace.json"] if command == "validate-later-sample" else []
+    assert sorted(f.name for f in work.glob("*.trace.json")) == written
+    for name in written:
+        assert load_trace((work / name).read_text()).last().get("x") == 0  # main's x = m(0)
 
 
 _EXIT_CODES = {EXIT_OK, EXIT_ERROR, EXIT_FUEL, EXIT_NOT_MEMBER, EXIT_OPEN_PROOF,

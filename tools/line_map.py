@@ -1,6 +1,6 @@
 """Which lines of the tracelet package run: a line-usage map.
 
-    python3 tools/line_map.py [--list]
+    python3 tools/line_map.py
 
 Run from anywhere; the package is imported from the checkout's ``src/``.
 Under one ``sys.settrace`` line collector, in this process, it runs:
@@ -14,8 +14,8 @@ Under one ``sys.settrace`` line collector, in this process, it runs:
 
 It prints, per module of ``src/tracelet``, its executable lines (those in
 the line tables of the module's code objects) split three ways: reached
-by steps 1-2, reached only by step 3, and reached by nothing.  ``--list``
-also prints the line numbers that nothing reaches.
+by steps 1-2, reached only by step 3, and reached by nothing; then the
+line numbers that nothing reaches.
 
 The collector is installed before tracelet is imported, and again before
 each test: a trace function that raises, as on a ``RecursionError``, is
@@ -26,7 +26,6 @@ tracing, Tier-1 takes several minutes, so this script is not part of it.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import io
 import os
@@ -125,11 +124,7 @@ class _Recollect:
     pytest_runtest_call = pytest_runtest_teardown = pytest_runtest_setup
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--list", action="store_true",
-                    help="also print the line numbers that nothing reaches")
-    args = ap.parse_args(argv)
+def main() -> int:
     files = module_files()
     for path in files.values():
         _front[path], _rest[path] = set(), set()
@@ -167,10 +162,9 @@ def main(argv=None) -> int:
         totals = [t + r for t, r in zip(totals, row)]
         print(f"{module:<12}" + "".join(f"{n:>7}" for n in row))
     print(f"{'total':<12}" + "".join(f"{n:>7}" for n in totals))
-    if args.list:
-        for module, lines in unreached.items():
-            if lines:
-                print(f"{module}: {' '.join(map(str, lines))}")
+    for module, lines in unreached.items():
+        if lines:
+            print(f"{module}: {' '.join(map(str, lines))}")
     return 0
 
 
