@@ -19,8 +19,8 @@ from .lang import (Assign, Binary, CallAssign, Expr, Fresh, If, IntLit,
                    LookupTable, Program, ResVar, Return, Scope, Seq, Skip,
                    Stmt, Var, build_lookup, fields, fold_expr, lookup, names,
                    nodes, pretty_expr, record, remake, subst_stmt, subst_vars)
-from .logic import (ContractSpec, FinishEvF, Formula, Mu, MuApp, Or,
-                    StartEvF, StatePred, flatten_chain, is_psi, join_chain,
+from .logic import (ContractSpec, FinishEvF, Formula, Gap, Mu, MuApp, Or,
+                    StartEvF, StatePred, flatten_chain, join_chain,
                     make_contract, map_terms, pretty_formula, unfold)
 from .traces import MAIN_CTX, MalformedNesting
 from .updates import (CallUpd, Elem, FinishUpd, StartUpd, Update, UpdateAtom,
@@ -547,9 +547,7 @@ def _gap_tolerant(formula: Formula, update: Update, idx: int) -> bool:
     # application (gap-closed) or the entry falls in a leading gap
     if isinstance(formula, MuApp):
         return True
-    parts = flatten_chain(formula)
-    lead = parts[0]
-    if is_psi(lead) is not None:
+    if isinstance(flatten_chain(formula)[0], Gap):
         return not any(isinstance(a, (StartUpd, FinishUpd, CallUpd))
                        for a in update[:idx])
     return False
@@ -688,8 +686,8 @@ def _rule_subsume_updates(seq, args, ctx):
     parts = flatten_chain(j.formula)
     if len(parts) < 2 or parts[-1][0] != "**":
         raise RuleError("SubsumeUpdates expects a trailing chop gap")
-    excl = is_psi(parts[-1][1])
-    if excl is None:
+    gap = parts[-1][1]
+    if not isinstance(gap, Gap):
         raise RuleError("SubsumeUpdates expects a trailing no-event gap")
     default_keep = 0
     for k, a in enumerate(j.update):
@@ -699,17 +697,16 @@ def _rule_subsume_updates(seq, args, ctx):
     if not (0 <= keep <= len(j.update)):
         raise RuleError("keep out of range")
     dropped = j.update[keep:]
-    if not _atoms_outside(dropped, excl):
+    if not _atoms_outside(dropped, gap.exclude):
         raise RuleError("dropped updates involve an excluded procedure")
     return [Sequent(seq.gamma, Judgment(j.update[:keep], None, _drop_last(parts)))]
 
 
 def _rule_gap_axiom(seq, args, ctx):
     j = _finished(seq, "GapAxiom")
-    excl = is_psi(j.formula)
-    if excl is None:
+    if not isinstance(j.formula, Gap):
         raise RuleError("GapAxiom expects a no-event gap formula")
-    if not _atoms_outside(j.update, excl):
+    if not _atoms_outside(j.update, j.formula.exclude):
         raise RuleError("updates involve an excluded procedure")
     return []
 
@@ -725,8 +722,7 @@ def _rule_fte_prefix(seq, args, ctx):
     parts = flatten_chain(j.formula)
     if len(parts) < 2 or parts[1][0] != "**":
         raise RuleError("FiniteTraceEmptyPrefix expects a leading chop gap")
-    excl = is_psi(parts[0])
-    if excl != frozenset({j.update[0].proc}):
+    if not (isinstance(parts[0], Gap) and parts[0].exclude == {j.update[0].proc}):
         raise RuleError("gap exclusion must name the leading event's procedure")
     return [Sequent(seq.gamma, Judgment(j.update, j.stmt, _drop_first(parts)))]
 
@@ -738,8 +734,8 @@ def _rule_fte_postfix(seq, args, ctx):
     parts = flatten_chain(j.formula)
     if len(parts) < 2 or parts[-1][0] != "**":
         raise RuleError("FiniteTraceEmptyPostfix expects a trailing gap")
-    excl = is_psi(parts[-1][1])
-    if excl != frozenset({j.update[-1].proc}):
+    gap = parts[-1][1]
+    if not (isinstance(gap, Gap) and gap.exclude == {j.update[-1].proc}):
         raise RuleError("gap exclusion must name the trailing event's procedure")
     return [Sequent(seq.gamma, Judgment(j.update, None, _drop_last(parts)))]
 

@@ -32,8 +32,8 @@ from .lang import (Binary, CallAssign, IntLit, ParseError, Program, ResVar,
 from .logic import (Chop, ContractSpec, LogicError, MemberBudgetExceeded,
                     MuApp, StatePred, applied, contract_file_text, member,
                     parse_arith, parse_contract_file)
-from .prover import (ScriptError, UnsupportedConstruct, apply_script,
-                     prove_auto, run_script)
+from .prover import (MAX_NODES, ScriptError, UnsupportedConstruct,
+                     apply_script, prove_auto, run_script)
 from .traces import (State, Trace, TraceError, dump_trace, eval_expr,
                      is_adequate, load_trace)
 
@@ -226,7 +226,7 @@ def _parse_option(option: str, text: str, parse):
 
 
 def _parse_pred(ts: TokenStream):
-    return parse_expr(ts, allow_res=True, allow_bool=True)
+    return parse_expr(ts, logical=True)
 
 
 def cmd_gen_contract(args) -> int:
@@ -249,7 +249,7 @@ def cmd_gen_contract(args) -> int:
 # prove
 # ---------------------------------------------------------------------------
 
-def _repl(root_seq, ctx) -> ProofNode:
+def _repl(root_seq, ctx, max_nodes: int) -> ProofNode:
     root = ProofNode(root_seq)
     print("interactive proof mode; commands: goals | show N | RULE @ N [k=v ...] "
           "| auto | done")
@@ -273,13 +273,15 @@ def _repl(root_seq, ctx) -> ProofNode:
         if line.startswith("show"):
             try:
                 k = int(line.split()[1])
-                print(repr(goals[k].sequent))
             except (IndexError, ValueError):
                 print("usage: show N")
+                continue
+            print(repr(goals[k].sequent) if 0 <= k < len(goals)
+                  else f"error: goal index {k} out of range ({len(goals)} open)")
             continue
         if line == "auto":
             for g in goals:
-                sub = prove_auto(g.sequent, ctx)
+                sub = prove_auto(g.sequent, ctx, max_nodes)
                 if sub.closed:
                     g.rule, g.args, g.children = sub.rule, sub.args, sub.children
             continue
@@ -301,7 +303,7 @@ def cmd_prove(args) -> int:
         if args.script:
             tree = run_script(goal, ctx, _read(args.script))
         elif args.repl:
-            tree = _repl(goal, ctx)
+            tree = _repl(goal, ctx, args.max_nodes)
         else:
             tree = prove_auto(goal, ctx, max_nodes=args.max_nodes)
     except UnsupportedConstruct as e:
@@ -495,7 +497,7 @@ COMMANDS = {
                      ("--pre-base", "--pre-step", "--result", "--step-inv"), ()),
     "prove": (cmd_prove, "prove a procedure contract", ("program", "contracts"),
               (("--proc", str), ("--script", str), ("--repl", bool),
-               ("--max-nodes", int, 50_000), ("-o --output", str)), (), ("--script", "--repl")),
+               ("--max-nodes", int, MAX_NODES), ("-o --output", str)), (), ("--script", "--repl")),
     "check-proof": (cmd_check_proof, "replay and verify a proof file", ("proof",),
                     (("--program", str), ("--contracts", str)), ("--program", "--contracts"), ()),
     "validate": (cmd_validate, "differential check of a proved contract", ("program", "contracts"),

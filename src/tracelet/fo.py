@@ -322,8 +322,7 @@ def lin_to_expr(coeffs: Dict[str, int], const: int, op: str) -> Expr:
 
 
 def _parse_res(key: str) -> Expr:
-    ts = TokenStream(tokenize(key))
-    return parse_expr(ts, allow_res=True)
+    return parse_expr(TokenStream(tokenize(key)), logical=True)
 
 
 def simplify_or(a: Expr, b: Expr) -> Expr:

@@ -44,14 +44,13 @@ class Machine:
     """
 
     def __init__(self, trace: Trace, cont: Optional[Stmt], table: LookupTable,
-                 fuel: int = DEFAULT_FUEL, next_id: int = 0, next_fresh: int = 0):
+                 fuel: int = DEFAULT_FUEL):
         self.entries = list(trace.entries)
         self.ctxs = nest([], trace.entries)
         self.stack = [] if cont is None else [cont]
         self.table = table
         self.fuel = fuel
-        self.next_id = next_id
-        self.next_fresh = next_fresh
+        self.next_id = self.next_fresh = 0
 
     @property
     def trace(self) -> Trace:

@@ -616,65 +616,66 @@ RESERVED = {"skip", "if", "while", "return", "main", "res", "true", "false",
             "mu", "contract", "spec", "fresh", "psi", "startEv", "finishEv"}
 
 
-# Expression parsing, shared grammar.  allow_res/allow_bool control which
-# leaves are legal: user programs get neither res(i) nor true/false.
+# Expression parsing, shared grammar.  A logical expression (a contract
+# predicate or a res(...) key) may hold res(i) and true/false; a user
+# program holds neither.
 
-def parse_expr(ts: TokenStream, allow_res: bool = False, allow_bool: bool = False) -> Expr:
-    return _parse_or(ts, allow_res, allow_bool)
+def parse_expr(ts: TokenStream, logical: bool = False) -> Expr:
+    return _parse_or(ts, logical)
 
 
-def _parse_or(ts, ar, ab):
-    e = _parse_and(ts, ar, ab)
+def _parse_or(ts, lg):
+    e = _parse_and(ts, lg)
     while ts.at_sym("||"):
         ts.next()
-        e = Binary("||", e, _parse_and(ts, ar, ab))
+        e = Binary("||", e, _parse_and(ts, lg))
     return e
 
 
-def _parse_and(ts, ar, ab):
-    e = _parse_cmp(ts, ar, ab)
+def _parse_and(ts, lg):
+    e = _parse_cmp(ts, lg)
     while ts.at_sym("&&"):
         ts.next()
-        e = Binary("&&", e, _parse_cmp(ts, ar, ab))
+        e = Binary("&&", e, _parse_cmp(ts, lg))
     return e
 
 
-def _parse_cmp(ts, ar, ab):
-    e = _parse_add(ts, ar, ab)
+def _parse_cmp(ts, lg):
+    e = _parse_add(ts, lg)
     for op in CMP_OPS:
         if ts.at_sym(op):
             ts.next()
-            return Binary(op, e, _parse_add(ts, ar, ab))
+            return Binary(op, e, _parse_add(ts, lg))
     return e
 
 
-def _parse_add(ts, ar, ab):
-    e = _parse_mul(ts, ar, ab)
+def _parse_add(ts, lg):
+    e = _parse_mul(ts, lg)
     while ts.at_sym("+") or ts.at_sym("-"):
         op = ts.next().text
-        e = Binary(op, e, _parse_mul(ts, ar, ab))
+        e = Binary(op, e, _parse_mul(ts, lg))
     return e
 
 
-def _parse_mul(ts, ar, ab):
-    e = _parse_unary(ts, ar, ab)
+def _parse_mul(ts, lg):
+    e = _parse_unary(ts, lg)
     while ts.at_sym("*"):
         ts.next()
-        e = Binary("*", e, _parse_unary(ts, ar, ab))
+        e = Binary("*", e, _parse_unary(ts, lg))
     return e
 
 
-def _parse_unary(ts, ar, ab):
+def _parse_unary(ts, lg):
     if ts.at_sym("-"):
         ts.next()
         # only an integer right after the minus folds into a negative literal
         if ts.peek().kind == "int":
             return IntLit(-_int_value(ts.next()))
-        return Unary("-", _parse_unary(ts, ar, ab))
+        return Unary("-", _parse_unary(ts, lg))
     if ts.at_sym("!"):
         ts.next()
-        return Unary("!", _parse_unary(ts, ar, ab))
-    return _parse_atom(ts, ar, ab)
+        return Unary("!", _parse_unary(ts, lg))
+    return _parse_atom(ts, lg)
 
 
 def _int_value(t: Token) -> int:
@@ -689,27 +690,27 @@ def _int_value(t: Token) -> int:
         raise ParseError(what, t.line, t.col) from None
 
 
-def _parse_atom(ts, ar, ab):
+def _parse_atom(ts, lg):
     t = ts.peek()
     if t.kind == "int":
         ts.next()
         return IntLit(_int_value(t))
     if ts.at_sym("("):
         ts.next()
-        e = _parse_or(ts, ar, ab)
+        e = _parse_or(ts, lg)
         ts.expect_sym(")")
         return e
     if t.kind == "ident":
         if t.text == "res":
-            if not ar:
+            if not lg:
                 ts.error("res(...) is reserved for the semantics")
             ts.next()
             ts.expect_sym("(")
-            idx = _parse_or(ts, ar, ab)
+            idx = _parse_or(ts, lg)
             ts.expect_sym(")")
             return ResVar(idx)
         if t.text in ("true", "false"):
-            if not ab:
+            if not lg:
                 ts.error(f"{t.text!r} not allowed here")
             ts.next()
             return BoolLit(t.text == "true")
@@ -818,9 +819,9 @@ def parse_program(text: str) -> Program:
     procs = []
     seen = set()
     while ts.at_ident() and not ts.at_ident("main"):
+        tok = ts.peek()
         p = _parse_proc(ts)
         if p.name in seen:
-            tok = ts.peek()
             raise ParseError(f"duplicate procedure name {p.name!r}", tok.line, tok.col)
         seen.add(p.name)
         procs.append(p)
@@ -870,9 +871,6 @@ _TYPING = {IntLit: ("int", None, "integer where condition expected"),
 def _check_expr(e: Expr, scope: set, want: str, diags, where: str):
     # want is 'int' or 'bool'
     kind = type(e)
-    if kind is ResVar:
-        diags.append(Diagnostic("res-var", "res(...) may not appear in user programs", where))
-        return
     if kind is Var and e.name not in scope:
         diags.append(Diagnostic("undeclared", f"variable {e.name!r} not in scope", where))
     made, operand, message = _TYPING[e.op if kind is Unary or kind is Binary else kind]
@@ -884,22 +882,15 @@ def _check_expr(e: Expr, scope: set, want: str, diags, where: str):
 
 
 def _check_stmt(s: Stmt, scope: set, locals_only: Optional[set], table: dict,
-                diags, where: str, tail_return_ok: bool):
+                diags, where: str):
     # locals_only, when set, is the set of names a procedure may write to
-    items = list(_stmt_seq(s))
-    for k, item in enumerate(items):
-        last = k == len(items) - 1
+    for item in _stmt_seq(s):
         kind = type(item)
         if kind is Skip:
             continue
         if kind is Return:
-            if not (tail_return_ok and last):
-                diags.append(Diagnostic("return-position", "return must be the final statement", where))
             _check_expr(item.expr, scope, "int", diags, where)
         elif kind is Assign or kind is CallAssign:
-            if type(item.target) is ResVar:
-                diags.append(Diagnostic("res-var", "user code may not write res(...)", where))
-                continue
             # a call's procedure and argument are checked before its target
             if kind is CallAssign:
                 if item.proc not in table:
@@ -915,27 +906,22 @@ def _check_stmt(s: Stmt, scope: set, locals_only: Optional[set], table: dict,
                 _check_expr(item.expr, scope, "int", diags, where)
         elif kind is If or kind is While:
             _check_expr(item.cond, scope, "bool", diags, where)
-            _check_stmt(item.body, scope, locals_only, table, diags, where, False)
+            _check_stmt(item.body, scope, locals_only, table, diags, where)
         elif kind is Scope:
             inner_scope = scope | set(item.decls)
             inner_locals = None if locals_only is None else locals_only | set(item.decls)
-            _check_stmt(item.body, inner_scope, inner_locals, table, diags, where,
-                        tail_return_ok and last)
+            _check_stmt(item.body, inner_scope, inner_locals, table, diags, where)
 
 
 def well_formed(p: Program) -> list:
-    """Empty list iff all program invariants hold."""
+    """Empty list iff all program invariants hold.  What ``parse_program``
+    rejects is not checked again: a procedure named twice, a return other
+    than a procedure body's last statement, and res(...)."""
     diags: list = []
-    table = {}
-    for proc in p.procs:
-        if proc.name in table:
-            diags.append(Diagnostic("duplicate-procedure",
-                                    f"procedure {proc.name!r} declared twice", proc.name))
-        table[proc.name] = proc
-    # the parser ends every procedure body in a return
+    table = {proc.name: proc for proc in p.procs}
     for proc in p.procs:
         scope = {proc.param} | set(proc.body.decls)
         locals_only = set(proc.body.decls)
-        _check_stmt(proc.body.body, scope, locals_only, table, diags, proc.name, True)
-    _check_stmt(p.main_body, set(p.main_decls), None, table, diags, "main", False)
+        _check_stmt(proc.body.body, scope, locals_only, table, diags, proc.name)
+    _check_stmt(p.main_body, set(p.main_decls), None, table, diags, "main")
     return diags

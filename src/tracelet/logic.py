@@ -34,15 +34,17 @@ loop, bounded by a static record per node (``_shape``):
 
 Terms are expressions: arithmetic over logical variables, read by
 ``lang.parse_expr`` and evaluated by ``traces.eval_expr``, or ``fresh(...)``
-of one as a whole argument (``lang.Fresh``).
+of one as a whole recursion argument (``lang.Fresh``).  The ``.tcf``
+parser is the only check on a formula: it knows the recursion variables
+in scope and reports each fault at its token.
 
 ``children``/``rebuild`` is the one generic traversal of the formula AST.
 It reads a node's fields through ``lang``'s field walk, by annotation: a
 ``Formula`` or ``Mu`` field holds a sub-formula, an ``Expr`` field a term,
 a ``Tuple[Expr, ...]`` field a run of terms, and any other field data.
-Free variables, term maps, substitution, arity checks and the static
-per-node record (``_shape``) are written on top of it, and the names a
-formula uses are ``lang.names``, as for every other node.  Only per-node
+Free variables, term maps, substitution and the static per-node record
+(``_shape``) are written on top of it, and the names a formula uses are
+``lang.names``, as for every other node.  Only per-node
 analyses keep their own dispatch: membership (``_Member._sat``), the
 record's rules per kind and ``pretty_formula``.
 """
@@ -114,6 +116,15 @@ class NoEv:
     """One-entry matcher: a state, or an event not involving the procs."""
 
     exclude: frozenset  # procedure names; empty set excludes nothing
+
+
+@record(frozen=True)
+class Gap:
+    """psi: a trace none of whose events involves an excluded procedure.
+    The paper's fixed point mu X. noev \\/ noev .. X as one node, printed
+    ``psi(...)``; a fixed point written out so is an ordinary one."""
+
+    exclude: frozenset
 
 
 @record(frozen=True)
@@ -191,7 +202,7 @@ class MuApp:
     args: Tuple[Expr, ...]
 
 
-Formula = Union[StatePred, NoEv, StartEvF, FinishEvF, And, Or, Concat, Chop,
+Formula = Union[StatePred, NoEv, Gap, StartEvF, FinishEvF, And, Or, Concat, Chop,
                 RecApp, Mu, MuApp]
 
 
@@ -248,31 +259,9 @@ def map_terms(f: Formula, fn) -> Formula:
 # Builders
 # ---------------------------------------------------------------------------
 
-def psi(*procs: str) -> Mu:
+def psi(*procs: str) -> Gap:
     """Traces not containing any event involving the given procedures."""
-    excl = frozenset(procs)
-    atom = NoEv(excl)
-    return Mu("_G" + "_".join(sorted(excl)), (),
-              Or(atom, Concat(atom, RecApp("_G" + "_".join(sorted(excl)), ()))))
-
-
-def is_psi(f: Formula):
-    """The exclusion set when f is a no-event fixed point, else None."""
-    if isinstance(f, MuApp) and not f.args:
-        f = f.mu
-    if not isinstance(f, Mu) or f.params:
-        return None
-    body = f.body
-    if not isinstance(body, Or):
-        return None
-    base, step = body.left, body.right
-    if not isinstance(base, NoEv) or not isinstance(step, Concat):
-        return None
-    if not isinstance(step.left, NoEv) or step.left != base:
-        return None
-    if not isinstance(step.right, RecApp) or step.right.name != f.name or step.right.args:
-        return None
-    return base.exclude
+    return Gap(frozenset(procs))
 
 
 def chop_chain(parts) -> Formula:
@@ -280,8 +269,7 @@ def chop_chain(parts) -> Formula:
 
 
 def no_event_chop(left: Formula, proc: Optional[str], right: Formula) -> Formula:
-    gap = psi(proc) if proc else psi()
-    return Chop(Chop(left, gap), right)
+    return Chop(Chop(left, psi(proc) if proc else psi()), right)
 
 
 def flatten_chain(f: Formula):
@@ -364,8 +352,6 @@ def big_step_of(spec: ContractSpec) -> Formula:
 def _subst_formula(f: Formula, mapping: dict, rec_name: str, mu: Optional[Mu]) -> Formula:
     """Substitute terms for logical variables and mu for X occurrences."""
     if isinstance(f, Mu):
-        if is_psi(f) is not None:
-            return f  # a gap is closed: nothing to substitute
         inner_map = {k: v for k, v in mapping.items() if k not in f.params}
         if f.params and names(*inner_map.values()) & set(f.params):
             raise LogicError(f"substitution would capture a parameter of {f.name}")
@@ -385,7 +371,7 @@ def _subst_formula(f: Formula, mapping: dict, rec_name: str, mu: Optional[Mu]) -
 
 def substitute(phi: Formula, rec_name: str, mu: Mu, args: tuple) -> Formula:
     """phi[(mu X(ys). body)/X, args/ys]: one unfolding step's body.  The
-    parser's check_formula has matched the arities."""
+    parser has matched the arities."""
     mapping = dict(zip(mu.params, args))
     return _subst_formula(phi, mapping, rec_name, mu)
 
@@ -466,20 +452,18 @@ def _shape(f: Formula, shapes: dict) -> _Rec:
     subs = [_shape(g, shapes) for g in children(f)[0]]
     if isinstance(f, (StatePred, NoEv)):
         out = _Rec(1, 1)
+    elif isinstance(f, Gap):
+        out = _Rec(1, None, f.exclude, head=(f.exclude, 0), tail=(f.exclude, 0))
     elif isinstance(f, StartEvF):
         out = _Rec(5, 5, None, ("call", f.proc), ("push", f.proc),
                    f.call_id.name if isinstance(f.call_id, Var) else None)
     elif isinstance(f, FinishEvF):
         out = _Rec(6, 6, None, ("ret", None), ("pop", f.proc))
     elif isinstance(f, (Mu, MuApp)):
-        excl = is_psi(f)
+        # an application's cid would name a variable of mu's scope
         body = subs[0]
-        if excl is not None:
-            out = _Rec(1, None, excl, head=(excl, 0), tail=(excl, 0))
-        else:
-            # an application's cid would name a variable of mu's scope
-            out = _Rec(1, None, None, body.first, body.last,
-                       body.cid if isinstance(f, Mu) else None)
+        out = _Rec(1, None, None, body.first, body.last,
+                   body.cid if isinstance(f, Mu) else None)
     elif isinstance(f, RecApp):
         out = _Rec(1, None)
     else:
@@ -661,8 +645,6 @@ class _Member:
                 cid = eval_term(f.call_id, benv)
             except UndefinedVariable:
                 return False
-            if isinstance(arg, _FreshValue) or isinstance(cid, _FreshValue):
-                raise LogicError("fresh(...) only supported in recursion arguments")
             return (e1.proc == f.proc and e1.arg == arg and e1.call_id == cid
                     and e3.ctx.proc == f.proc and e3.ctx.call_id == cid)
         if isinstance(f, FinishEvF):
@@ -675,8 +657,6 @@ class _Member:
                 cid = eval_term(f.call_id, benv)
             except UndefinedVariable:
                 return False
-            if isinstance(val, _FreshValue) or isinstance(cid, _FreshValue):
-                raise LogicError("fresh(...) only supported in recursion arguments")
             return (e1.value == val and e4.ctx.proc == f.proc
                     and e4.ctx.call_id == cid
                     and is_set(s3, s0, res_name(cid), val))
@@ -750,7 +730,7 @@ class _Member:
             mu, args = f, ()
         elif isinstance(f, MuApp):
             mu, args = f.mu, f.args
-        else:  # a RecApp, which check_formula has bound
+        else:  # a RecApp, which the parser has bound
             mu, args = renv[f.name].mu, f.args
         # every unfolding of mu has its anchors' events at lo+1 and hi-2
         mrec = shapes.get(id(mu)) or _shape(mu, shapes)
@@ -856,7 +836,7 @@ def member(trace: Trace, formula: Formula, env: Optional[dict] = None,
 _TERM_ERRORS = {"res(...) is reserved for the semantics":
                 "res(...) may only appear inside [...] predicates",
                 "reserved word 'fresh' in expression":
-                "fresh(...) must be a whole argument"}
+                "fresh(...) must be a whole argument of a recursion"}
 
 
 def _is_arith(e: Expr) -> bool:
@@ -881,7 +861,7 @@ def parse_arith(ts: TokenStream) -> Expr:
 
 
 def _parse_term(ts: TokenStream) -> Expr:
-    """A term; fresh(...) may only stand as a whole term."""
+    """A recursion argument: a term, or fresh(...) of one."""
     if ts.at_ident("fresh"):
         ts.next()
         ts.expect_sym("(")
@@ -908,63 +888,75 @@ def _parse_name(ts) -> str:
     return ts.expect_ident().text
 
 
-def _parse_formula_or(ts) -> Formula:
-    f = _parse_formula_and(ts)
+def _parse_args(ts, name: str, arity: int, tok) -> tuple:
+    """The argument list of recursion variable or fixed point name, none
+    when no "(" follows; a count other than arity is reported at tok."""
+    args = _parse_list(ts, _parse_term) if ts.at_sym("(") else ()
+    if len(args) != arity:
+        raise ParseError(f"arity mismatch for {name}: {len(args)} args, expected {arity}",
+                         tok.line, tok.col)
+    return args
+
+
+# The formula grammar, one function per precedence level.  scope maps each
+# recursion variable bound around the formula to its arity.
+
+def _parse_formula_or(ts, scope: dict) -> Formula:
+    f = _parse_formula_and(ts, scope)
     while ts.at_sym("\\/"):
         ts.next()
-        f = Or(f, _parse_formula_and(ts))
+        f = Or(f, _parse_formula_and(ts, scope))
     return f
 
 
-def _parse_formula_and(ts) -> Formula:
-    f = _parse_formula_chain(ts)
+def _parse_formula_and(ts, scope) -> Formula:
+    f = _parse_formula_chain(ts, scope)
     while ts.at_sym("/\\"):
         ts.next()
-        f = And(f, _parse_formula_chain(ts))
+        f = And(f, _parse_formula_chain(ts, scope))
     return f
 
 
-def _parse_formula_chain(ts) -> Formula:
-    f = _parse_formula_app(ts)
+def _parse_formula_chain(ts, scope) -> Formula:
+    f = _parse_formula_app(ts, scope)
     while True:
         if ts.at_sym("**"):
             ts.next()
-            f = Chop(f, _parse_formula_app(ts))
+            f = Chop(f, _parse_formula_app(ts, scope))
         elif ts.at_sym(".."):
             ts.next()
-            f = Concat(f, _parse_formula_app(ts))
+            f = Concat(f, _parse_formula_app(ts, scope))
         elif ts.at_sym("~~"):
             ts.next()
-            f = no_event_chop(f, None, _parse_formula_app(ts))
+            f = no_event_chop(f, None, _parse_formula_app(ts, scope))
         elif ts.at_sym("~"):
             ts.next()
             name = ts.expect_ident().text
             ts.expect_sym("~")
-            f = no_event_chop(f, name, _parse_formula_app(ts))
+            f = no_event_chop(f, name, _parse_formula_app(ts, scope))
         else:
             return f
 
 
-def _parse_formula_app(ts) -> Formula:
-    f = _parse_formula_atom(ts)
-    while ts.at_sym("("):
-        if not isinstance(f, (Mu, RecApp)):
-            ts.error("only fixed points and recursion variables take arguments")
-        args = _parse_list(ts, _parse_term)
-        f = MuApp(f, args) if isinstance(f, Mu) else RecApp(f.name, args)
+def _parse_formula_app(ts, scope) -> Formula:
+    f = _parse_formula_atom(ts, scope)
+    if isinstance(f, Mu) and ts.at_sym("("):
+        f = MuApp(f, _parse_args(ts, f.name, len(f.params), ts.peek()))
+    if ts.at_sym("("):
+        ts.error("only fixed points and recursion variables take arguments, one list each")
     return f
 
 
-def _parse_formula_atom(ts) -> Formula:
+def _parse_formula_atom(ts, scope) -> Formula:
     tok = ts.peek()
     if ts.at_sym("["):
         ts.next()
-        pred = parse_expr(ts, allow_res=True, allow_bool=True)
+        pred = parse_expr(ts, logical=True)
         ts.expect_sym("]")
         return StatePred(pred)
     if ts.at_sym("("):
         ts.next()
-        f = _parse_formula_or(ts)
+        f = _parse_formula_or(ts, scope)
         ts.expect_sym(")")
         return f
     if tok.kind != "ident":
@@ -974,9 +966,9 @@ def _parse_formula_atom(ts) -> Formula:
         ts.expect_sym("(")
         proc = ts.expect_ident().text
         ts.expect_sym(",")
-        arg = _parse_term(ts)
+        arg = parse_arith(ts)
         ts.expect_sym(",")
-        cid = _parse_term(ts)
+        cid = parse_arith(ts)
         ts.expect_sym(")")
         return StartEvF(proc, arg, cid) if tok.text == "startEv" else \
             FinishEvF(proc, arg, cid)
@@ -991,37 +983,21 @@ def _parse_formula_atom(ts) -> Formula:
         name = ts.expect_ident().text
         params = _parse_list(ts, _parse_name)
         ts.expect_sym(".")
-        return Mu(name, params, _parse_formula_or(ts))
-    name = ts.next().text
-    return RecApp(name, ())
-
-
-def check_formula(f: Formula, bound: dict):
-    """Arity checking for recursion variables; bound maps name -> arity."""
-    if isinstance(f, RecApp):
-        if f.name not in bound:
-            raise LogicError(f"unbound recursion variable {f.name}")
-        if bound[f.name] != len(f.args):
-            raise LogicError(f"arity mismatch for {f.name}: "
-                             f"{len(f.args)} args, expected {bound[f.name]}")
-    elif isinstance(f, Mu):
-        bound = {**bound, f.name: len(f.params)}
-    elif isinstance(f, MuApp) and len(f.args) != len(f.mu.params):
-        raise LogicError(f"arity mismatch applying {f.mu.name}")
-    for g in children(f)[0]:
-        check_formula(g, bound)
+        return Mu(name, params, _parse_formula_or(ts, {**scope, name: len(params)}))
+    ts.next()
+    if tok.text not in scope:
+        raise ParseError(f"unbound recursion variable {tok.text}", tok.line, tok.col)
+    return RecApp(tok.text, _parse_args(ts, tok.text, scope[tok.text], tok))
 
 
 def pretty_formula(f: Formula, prec: int = 0) -> str:
     """Render with the ~m~ shorthand for chop-embedded no-event gaps.  It is
     the ``__repr__`` of every formula class."""
-    excl = is_psi(f)
-    if excl is not None:
-        return f"psi({', '.join(sorted(excl))})"
     if isinstance(f, StatePred):
         return f"[{pretty_expr(f.pred)}]"
-    if isinstance(f, NoEv):
-        return f"noev({', '.join(sorted(f.exclude))})"
+    if isinstance(f, (NoEv, Gap)):
+        kind = "psi" if isinstance(f, Gap) else "noev"
+        return f"{kind}({', '.join(sorted(f.exclude))})"
     if isinstance(f, (StartEvF, FinishEvF)):
         kind = "startEv" if isinstance(f, StartEvF) else "finishEv"
         return f"{kind}({f.proc}, {pretty_expr(f.arg)}, {pretty_expr(f.call_id)})"
@@ -1037,10 +1013,9 @@ def pretty_formula(f: Formula, prec: int = 0) -> str:
         j = 1
         while j < len(parts):
             op, part = parts[j]
-            part_excl = is_psi(part)
-            if part_excl is not None and op == "**" and j + 1 < len(parts) \
-                    and parts[j + 1][0] == "**" and len(part_excl) <= 1:
-                tie = "~~" if not part_excl else f"~{next(iter(part_excl))}~"
+            if isinstance(part, Gap) and op == "**" and j + 1 < len(parts) \
+                    and parts[j + 1][0] == "**" and len(part.exclude) <= 1:
+                tie = "~~" if not part.exclude else f"~{next(iter(part.exclude))}~"
                 pieces.append(f" {tie} {pretty_formula(parts[j + 1][1], 4)}")
                 j += 2
             else:
@@ -1072,15 +1047,25 @@ class ContractFile:
     specs: dict      # proc -> ContractSpec
 
 
+def _parse_contract_body(ts, params: tuple) -> Formula:
+    """A contract's formula; when it is a whole fixed point, that takes
+    the contract's parameters."""
+    tok = ts.peek()
+    f = _parse_formula_or(ts, {})
+    if isinstance(f, Mu) and len(f.params) != len(params):
+        raise ParseError(f"fixed point {f.name} takes {len(f.params)} parameters, "
+                         f"the contract {len(params)}", tok.line, tok.col)
+    return f
+
+
 def parse_contract_file(text: str) -> ContractFile:
     ts = TokenStream(tokenize(text))
     contracts = {}
     specs = {}
     if not (ts.at_ident("contract") or ts.at_ident("spec")):
-        f = _parse_formula_or(ts)
+        f = _parse_contract_body(ts, ())
         if ts.peek().kind != "eof":
             ts.error("trailing input after formula")
-        check_formula(f, {})
         contracts["_"] = ((), f)
         return ContractFile(contracts, specs)
     while ts.peek().kind != "eof":
@@ -1094,10 +1079,10 @@ def parse_contract_file(text: str) -> ContractFile:
                 ts.expect_sym(":")
                 if key in ("base", "step"):
                     ts.expect_sym("[")
-                    fields[key] = parse_expr(ts, allow_res=True, allow_bool=True)
+                    fields[key] = parse_expr(ts, logical=True)
                     ts.expect_sym("]")
                 elif key in ("inv", "result"):
-                    fields[key] = _parse_term(ts)
+                    fields[key] = parse_arith(ts)
                 else:
                     ts.error(f"unknown spec field {key!r}")
                 if ts.at_sym(";"):
@@ -1113,9 +1098,7 @@ def parse_contract_file(text: str) -> ContractFile:
             name = ts.expect_ident().text
             params = _parse_list(ts, _parse_name)
             ts.expect_sym(":=")
-            f = _parse_formula_or(ts)
-            check_formula(f, {})
-            contracts[name] = (params, f)
+            contracts[name] = (params, _parse_contract_body(ts, params))
         else:
             ts.error("expected 'contract' or 'spec'")
     return ContractFile(contracts, specs)

@@ -15,8 +15,8 @@ from .calculus import (ContractGoal, Judgment, PredGoal, ProofNode,
                        gamma_preds, stmt_head)
 from .lang import (Assign, CallAssign, Expr, If, Return, Scope, Skip, Var,
                    While)
-from .logic import (FinishEvF, Formula, MuApp, Or, StartEvF, StatePred,
-                    flatten_chain, is_psi)
+from .logic import (FinishEvF, Formula, Gap, MuApp, Or, StartEvF, StatePred,
+                    flatten_chain)
 from .updates import CallUpd, Elem, FinishUpd, is_res_elem, update_reads
 
 
@@ -87,7 +87,7 @@ def _solve(seq: Sequent, ctx: RuleContext, budget: _Budget) -> ProofNode:
     formula = j.formula
     has_call = any(isinstance(a, CallUpd) for a in j.update)
 
-    if is_psi(formula) is not None:
+    if isinstance(formula, Gap):
         return _attempt("GapAxiom", seq, {}, ctx, budget)
     if isinstance(formula, MuApp):
         if has_call:
@@ -142,7 +142,7 @@ def _solve(seq: Sequent, ctx: RuleContext, budget: _Budget) -> ProofNode:
         return _attempt("Poststate", seq, {}, ctx, budget)
     if isinstance(last, FinishEvF) and j.update and isinstance(j.update[-1], FinishUpd):
         return _attempt("ElimFinish", seq, {}, ctx, budget)
-    if is_psi(last) is not None and last_op == "**":
+    if isinstance(last, Gap) and last_op == "**":
         return _attempt("SubsumeUpdates", seq, {}, ctx, budget)
     return ProofNode(seq)
 
@@ -176,7 +176,11 @@ def _pre_call_simplification(seq: Sequent, ctx: RuleContext):
     return None
 
 
-def prove_auto(seq: Sequent, ctx: RuleContext, max_nodes: int = 50_000) -> ProofNode:
+# the nodes one automated search may build, unless told otherwise
+MAX_NODES = 50_000
+
+
+def prove_auto(seq: Sequent, ctx: RuleContext, max_nodes: int = MAX_NODES) -> ProofNode:
     """Strategy-driven search; the returned tree may contain open goals."""
     return _solve(seq, ctx, _Budget(max_nodes))
 

@@ -65,7 +65,7 @@ def is_res_elem(atom) -> bool:
     return isinstance(atom, Elem) and isinstance(atom.target, ResVar)
 
 
-def apply_update_expr(update: Update, e: Expr, fold: bool = True) -> Expr:
+def apply_update_expr(update: Update, e: Expr) -> Expr:
     """Evaluate e under the state changes of the update, by substitution.
 
     Atoms apply from inner- to outermost (rightmost first).  Elementary
@@ -85,7 +85,7 @@ def apply_update_expr(update: Update, e: Expr, fold: bool = True) -> Expr:
         elif isinstance(atom, FinishUpd):
             e = subst_vars(e, {ResVar(atom.call_id): atom.arg})
         # StartUpd: identity on expressions
-    return fold_expr(e) if fold else e
+    return fold_expr(e)
 
 
 def curr_ctx_update(update: Update) -> Ctx:

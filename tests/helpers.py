@@ -23,9 +23,9 @@ from tracelet.lang import (ARITH_OPS, CMP_OPS, Assign, Binary, BoolLit,
                            TokenStream, Unary, Var, While, _stmt_seq,
                            fold_expr, lookup, parse_program, record, seq,
                            subst_vars, tokenize)
-from tracelet.logic import (And, Chop, Concat, ContractSpec, FinishEvF,
+from tracelet.logic import (And, Chop, Concat, ContractSpec, FinishEvF, Gap,
                             LogicError, Mu, MuApp, NoEv, Or, RecApp, StartEvF,
-                            StatePred, check_formula, eval_term,
+                            StatePred, eval_term,
                             make_contract, map_terms, member, _FreshValue,
                             _parse_formula_or)
 from tracelet.traces import (CallEv, Ctx, EmptyTraceError,
@@ -264,12 +264,19 @@ def eval_expr_oracle(state: State, e):
     return ops[e.op](eval_expr_oracle(state, e.left), eval_expr_oracle(state, e.right))
 
 
+def psi_fixed_point(*procs: str) -> Mu:
+    """psi as the paper writes it: mu G. noev(procs) \\/ noev(procs) .. G."""
+    atom = NoEv(frozenset(procs))
+    return Mu("G", (), Or(atom, Concat(atom, RecApp("G", ()))))
+
+
 def member_approx(trace: Trace, formula, env=None, k=None) -> bool:
     """Brute-force split enumeration with approximant-bounded unfolding.
 
     Fixed points are replaced by their k-th approximation; k defaults to
     a bound sufficient for any recursion that consumes at least one trace
-    entry per unfolding, which covers the contract corpus.
+    entry per unfolding, which covers the contract corpus.  A ``Gap`` is
+    read as the fixed point that defines it (``psi_fixed_point``).
     """
     entries = trace.entries
     owners = ret_owners(trace)
@@ -278,6 +285,7 @@ def member_approx(trace: Trace, formula, env=None, k=None) -> bool:
         k = 2 * n + 8
     env = dict(env or {})
     memo = {}
+    gaps = {}  # exclusion set -> its fixed point, kept alive for the memo's ids
 
     def ids_in(lo, hi):
         ids = set()
@@ -374,6 +382,10 @@ def member_approx(trace: Trace, formula, env=None, k=None) -> bool:
                         go(f.right, m, hi, benv, rho, depth):
                     return True
             return False
+        if isinstance(f, Gap):
+            if f.exclude not in gaps:
+                gaps[f.exclude] = psi_fixed_point(*f.exclude)
+            f = gaps[f.exclude]
         if isinstance(f, Mu) and not f.params:
             f = MuApp(f, ())
         if isinstance(f, (MuApp, RecApp)):
@@ -669,7 +681,9 @@ def run_update_prefixed(atoms, stmt, trace: Trace, table,
     """
     ref = ReferenceMachine(trace, UpStmt(tuple(atoms)) if atoms else None, table, fuel,
                            *counters_from_trace(trace)).run()
-    machine = Machine(ref.trace, stmt, table, ref.fuel, ref.next_id, ref.next_fresh).run()
+    machine = Machine(ref.trace, stmt, table, ref.fuel)
+    machine.next_id, machine.next_fresh = ref.next_id, ref.next_fresh
+    machine.run()
     return Trace(machine.entries[len(trace.entries) - 1:])
 
 
@@ -681,10 +695,9 @@ def semantics(stmt, trace: Trace, table, fuel: int = DEFAULT_FUEL) -> Trace:
 def parse_formula(text: str):
     """Parse a single formula, verifying arities and closedness rules."""
     ts = TokenStream(tokenize(text))
-    f = _parse_formula_or(ts)
+    f = _parse_formula_or(ts, {})
     if ts.peek().kind != "eof":
         ts.error("trailing input after formula")
-    check_formula(f, {})
     return f
 
 
@@ -805,7 +818,7 @@ def formula_children_oracle(f):
         return (f.mu,), f.args
     if isinstance(f, Mu):
         return (f.body,), ()
-    if isinstance(f, NoEv):
+    if isinstance(f, (NoEv, Gap)):
         return (), ()
     raise LogicError(f"not a formula: {f!r}")
 
@@ -1048,8 +1061,6 @@ def _check_expr_oracle(e: Expr, scope: set, want: str, diags, where: str):
             diags.append(Diagnostic("undeclared", f"variable {e.name!r} not in scope", where))
         if want != "int":
             diags.append(Diagnostic("type", f"integer variable where condition expected: {e}", where))
-    elif isinstance(e, ResVar):
-        diags.append(Diagnostic("res-var", "res(...) may not appear in user programs", where))
     elif isinstance(e, Unary):
         if e.op == "-":
             if want != "int":
@@ -1078,22 +1089,15 @@ def _check_expr_oracle(e: Expr, scope: set, want: str, diags, where: str):
 
 
 def _check_stmt_oracle(s: Stmt, scope: set, locals_only: Optional[set], table: dict,
-                diags, where: str, tail_return_ok: bool):
+                diags, where: str):
     # locals_only, when set, is the set of names a procedure may write to
-    items = list(_stmt_seq(s))
-    for k, item in enumerate(items):
-        last = k == len(items) - 1
+    for item in _stmt_seq(s):
         if isinstance(item, Skip):
             continue
         if isinstance(item, Return):
-            if not (tail_return_ok and last):
-                diags.append(Diagnostic("return-position", "return must be the final statement", where))
             _check_expr_oracle(item.expr, scope, "int", diags, where)
             continue
         if isinstance(item, Assign):
-            if isinstance(item.target, ResVar):
-                diags.append(Diagnostic("res-var", "user code may not write res(...)", where))
-                continue
             name = item.target.name
             if name not in scope:
                 diags.append(Diagnostic("undeclared", f"assignment to undeclared {name!r}", where))
@@ -1115,35 +1119,26 @@ def _check_stmt_oracle(s: Stmt, scope: set, locals_only: Optional[set], table: d
             continue
         if isinstance(item, If) or isinstance(item, While):
             _check_expr_oracle(item.cond, scope, "bool", diags, where)
-            _check_stmt_oracle(item.body, scope, locals_only, table, diags, where, False)
+            _check_stmt_oracle(item.body, scope, locals_only, table, diags, where)
             continue
         if isinstance(item, Scope):
             inner_scope = scope | set(item.decls)
             inner_locals = None if locals_only is None else locals_only | set(item.decls)
-            _check_stmt_oracle(item.body, inner_scope, inner_locals, table, diags, where,
-                        tail_return_ok and last)
+            _check_stmt_oracle(item.body, inner_scope, inner_locals, table, diags, where)
             continue
         diags.append(Diagnostic("internal", f"unexpected statement {item!r}", where))
 
 
 def well_formed_oracle(p: Program) -> list:
-    """Empty list iff all program invariants hold."""
+    """Empty list iff all program invariants that the parser leaves
+    unchecked hold."""
     diags: list = []
-    table = {}
-    for proc in p.procs:
-        if proc.name in table:
-            diags.append(Diagnostic("duplicate-procedure",
-                                    f"procedure {proc.name!r} declared twice", proc.name))
-        table[proc.name] = proc
+    table = {proc.name: proc for proc in p.procs}
     for proc in p.procs:
         scope = {proc.param} | set(proc.body.decls)
         locals_only = set(proc.body.decls)
-        items = list(_stmt_seq(proc.body.body))
-        if not items or not isinstance(items[-1], Return):
-            diags.append(Diagnostic("return-position",
-                                    "procedure body must end in return", proc.name))
-        _check_stmt_oracle(proc.body.body, scope, locals_only, table, diags, proc.name, True)
-    _check_stmt_oracle(p.main_body, set(p.main_decls), None, table, diags, "main", False)
+        _check_stmt_oracle(proc.body.body, scope, locals_only, table, diags, proc.name)
+    _check_stmt_oracle(p.main_body, set(p.main_decls), None, table, diags, "main")
     return diags
 
 

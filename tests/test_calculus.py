@@ -49,7 +49,7 @@ def ctx_m():
 
 def pexpr(text):
     ts = TokenStream(tokenize(text))
-    return parse_expr(ts, allow_res=True, allow_bool=True)
+    return parse_expr(ts, logical=True)
 
 
 START_M00 = StartUpd("m", IntLit(0), IntLit(0))

@@ -204,23 +204,32 @@ def nested(depth: int, inner: str, around: str) -> str:
     return left * depth + inner + right * depth
 
 
-@pytest.mark.parametrize("argv, files", [
-    (["run", "{dir}/p.tcp"], {"p.tcp": "main { x; x = %s }" % nested(3000, "1", "(@)")}),
-    (["run", "{dir}/p.tcp"], {"p.tcp": "main { x; x = %s }" % "+".join(["1"] * 50_000)}),
-    (["run", "{dir}/p.tcp"], {"p.tcp": "main { x; %s }" % nested(400, "x = 1", "if (x == 0) { @ }")}),
+@pytest.mark.parametrize("argv, files, verdict", [
+    (["run", "{dir}/p.tcp"], {"p.tcp": "main { x; x = %s }" % nested(3000, "1", "(@)")}, None),
+    (["run", "{dir}/p.tcp"], {"p.tcp": "main { x; x = %s }" % "+".join(["1"] * 50_000)}, None),
+    (["run", "{dir}/p.tcp"],
+     {"p.tcp": "main { x; %s }" % nested(400, "x = 1", "if (x == 0) { @ }")}, None),
     (["check", "{dir}/t.json", "{dir}/c.tcf"],
-     {"c.tcf": "contract c() := %s\n" % nested(3000, "[true]", "(@)")}),
+     {"c.tcf": "contract c() := %s\n" % nested(3000, "[true]", "(@)")}, None),
+    # the parser reads a chain in a loop, and membership descends it within
+    # its raised recursion limit
     (["check", "{dir}/t.json", "{dir}/c.tcf"],
-     {"c.tcf": "contract c() := %s\n" % " ** ".join(["[true]"] * 20_000)}),
+     {"c.tcf": "contract c() := %s\n" % " ** ".join(["[true]"] * 20_000)}, "member\n"),
     (["gen-contract", "m", "--pre-base", "n == 0", "--pre-step", "n > 0",
-      "--result", nested(3000, "n", "(@)"), "--step-inv", "n - 1"], {}),
+      "--result", nested(3000, "n", "(@)"), "--step-inv", "n - 1"], {}, None),
 ], ids=["parens", "long-sum", "nested-ifs", "deep-formula", "long-chop", "deep-predicate"])
-def test_deep_nesting_one_line_error(tmp_path, capsys, argv, files):
+def test_deep_nesting_one_line_error(tmp_path, capsys, argv, files, verdict):
+    """Input that nests too deeply ends in one error line; input that
+    does not nest, in its verdict."""
     (tmp_path / "t.json").write_text('[\n{"state": {}}\n]\n')
     for name, text in files.items():
         (tmp_path / name).write_text(text)
-    assert main([a.format(dir=tmp_path) for a in argv]) == EXIT_ERROR
-    err = capsys.readouterr().err
+    code = main([a.format(dir=tmp_path) for a in argv])
+    out, err = capsys.readouterr()
+    if verdict is not None:
+        assert (code, out, err) == (EXIT_OK, verdict, "")
+        return
+    assert code == EXIT_ERROR
     assert err.startswith("error: ") and "nests too deeply" in err and err.count("\n") == 1
 
 
@@ -766,8 +775,14 @@ class TestProve:
                      "--proof", str(fake)]) == EXIT_PROOF_REJECTED
         assert "proof rejected" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("text", ['{"format": "tracelet-proof", "proc": "m"}',
-                                      '[]', 'not json'])
+    @pytest.mark.parametrize("text", [
+        '{"format": "tracelet-proof", "proc": "m"}', '[]', 'not json',
+        '{"format": "tracelet-proof", "proc": 1, "root": {}}',
+        '{"format": "tracelet-proof", "proc": "m", "root": []}',
+        *('{"format": "tracelet-proof", "proc": "m", "root": {"sequent": {}, %s}}' % node
+          for node in ('"rule": 0, "args": {}, "children": []',
+                       '"rule": null, "args": [], "children": []',
+                       '"rule": null, "args": {}, "children": {}'))])
     def test_malformed_proof_one_line_error(self, work, capsys, text):
         contract = gen_contract(work)
         bad = work / "bad.proof.json"
@@ -1126,6 +1141,41 @@ class TestGenContract:
         assert err == "error: 1:29: 'true' not allowed here\n"
 
 
+@pytest.mark.parametrize("command, text, message", [
+    ("check", "(mu X(a). [a == 0] ** X(1, 2))(0)",
+     "1:23: arity mismatch for X: 2 args, expected 1"),
+    ("check", "(mu X(a). [a == 0] ** X)(0)", "1:23: arity mismatch for X: 0 args, expected 1"),
+    ("check", "(mu X(a). [a == 0])(0, 1)", "1:20: arity mismatch for X: 2 args, expected 1"),
+    ("check", "[true] ** Y(1)", "1:11: unbound recursion variable Y"),
+    ("check", "contract c(a) := mu X(a, b). [a == 0]",
+     "1:18: fixed point X takes 2 parameters, the contract 1"),
+    ("check", "mu X(a). [a == 0]", "1:1: fixed point X takes 1 parameters, the contract 0"),
+    ("check", "contract c(i) := startEv(m, fresh(i), i)",
+     "1:29: fresh(...) must be a whole argument of a recursion"),
+    ("check", "contract c(i) := finishEv(m, 0, fresh(i))",
+     "1:33: fresh(...) must be a whole argument of a recursion"),
+    ("prove", "result: fresh(n)", "1:61: fresh(...) must be a whole argument of a recursion"),
+    ("prove", "inv: fresh(n)", "1:46: fresh(...) must be a whole argument of a recursion"),
+], ids=["arity", "arity-bare", "arity-applied", "unbound", "contract-params",
+        "formula-file-params", "fresh-start", "fresh-finish", "fresh-result", "fresh-inv"])
+def test_contract_fault_at_its_token(work, capsys, command, text, message):
+    """A contract file the parser rejects: one error line with the line
+    and column of the fault, and exit 1."""
+    bad = work / "bad.tcf"
+    if command == "check":
+        bad.write_text(text)
+        (work / "t.json").write_text('[\n{"state": {}}\n]\n')
+        argv = ["check", str(work / "t.json"), str(bad), "--bind", "a=0", "--bind", "i=0"]
+    else:
+        field = text.split(":")[0]
+        spec = gen_contract(work).read_text()
+        bad.write_text(spec.replace({"result": "result: n", "inv": "inv: n - 1"}[field], text))
+        argv = ["prove", str(work / "running.tcp"), str(bad), "--proc", "m"]
+    capsys.readouterr()
+    assert main(argv) == EXIT_ERROR
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 class TestRepl:
     def test_repl_accepts_rule_commands(self, work, capsys, monkeypatch):
         contract = gen_contract(work)
@@ -1137,19 +1187,25 @@ class TestRepl:
         assert code == EXIT_OK
         assert json.loads(proof.read_text())["closed"] is True
 
-    @pytest.mark.parametrize("stdin,code,shown", [
-        ("\ngoals\nshow 0\nshow x\nshow 5\nBogus @ 0\ndone\n", EXIT_OPEN_PROOF,
-         ["  0:  |- C_m\n", "]>  |- C_m\n", "]> usage: show N\n[1 open]> usage: show N\n",
+    @pytest.mark.parametrize("stdin,options,code,shown", [
+        ("\ngoals\nshow 0\nshow x\nshow 5\nBogus @ 0\ndone\n", [], EXIT_OPEN_PROOF,
+         ["  0:  |- C_m\n", "]>  |- C_m\n",
+          "]> usage: show N\n[1 open]> error: goal index 5 out of range (1 open)\n",
           "error: line 1: Bogus failed: unknown rule 'Bogus'"]),
-        ("auto\n", EXIT_OK, ["proof closed.\n"]),
-        ("", EXIT_OPEN_PROOF, []),
-    ], ids=["commands", "auto", "eof"])
-    def test_repl_reads_stdin(self, work, capsys, monkeypatch, stdin, code, shown):
+        ("show -1\nshow 1\n", [], EXIT_OPEN_PROOF,
+         ["]> error: goal index -1 out of range (1 open)\n"
+          "[1 open]> error: goal index 1 out of range (1 open)\n[1 open]> "]),
+        ("auto\n", [], EXIT_OK, ["proof closed.\n"]),
+        # auto searches within --max-nodes: with none, the goal stays open
+        ("auto\n", ["--max-nodes", "0"], EXIT_OPEN_PROOF, ["]> [1 open]> proof has 1 open goals"]),
+        ("", [], EXIT_OPEN_PROOF, []),
+    ], ids=["commands", "show-out-of-range", "auto", "auto-max-nodes-0", "eof"])
+    def test_repl_reads_stdin(self, work, capsys, monkeypatch, stdin, options, code, shown):
         contract = gen_contract(work)
         monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
         capsys.readouterr()
         assert main(["prove", str(work / "running.tcp"), str(contract), "--proc", "m",
-                     "--repl", "-o", str(work / "repl.proof.json")]) == code
+                     "--repl", "-o", str(work / "repl.proof.json")] + options) == code
         out = capsys.readouterr().out
         for text in shown:
             assert text in out

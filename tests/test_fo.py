@@ -20,7 +20,7 @@ def atom(op, left, right):
 
 
 def pred(text):
-    return parse_expr(TokenStream(tokenize(text)), allow_res=True, allow_bool=True)
+    return parse_expr(TokenStream(tokenize(text)), logical=True)
 
 
 def equivalent(a, b):

@@ -1,6 +1,7 @@
 """Parser, pretty printer, and well-formedness checks."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -116,7 +117,7 @@ _BOOL = st.recursive(
 
 def _reparsed(text: str):
     ts = TokenStream(tokenize(text))
-    e = parse_expr(ts, allow_res=True, allow_bool=True)
+    e = parse_expr(ts, logical=True)
     assert ts.peek().kind == "eof", text
     return e
 
@@ -186,12 +187,20 @@ class TestWellFormed:
         assert "side-effect" in codes
 
     def test_duplicate_name_diagnostic(self):
-        p = Program(
-            (ProcDecl("m", "k", Scope((), Return(Var("k")))),
-             ProcDecl("m", "j", Scope((), Return(Var("j")))),),
-            (), Skip())
-        codes = {d.code for d in well_formed(p)}
-        assert "duplicate-procedure" in codes
+        # the parser rejects it, so well_formed does not check it again
+        with pytest.raises(ParseError, match="2:1: duplicate procedure name 'm'"):
+            parse_program("m(k) { return k }\nm(j) { return j }\nmain { skip }")
+
+    @pytest.mark.parametrize("src, message", [
+        ("m(k) { return k; skip }\nmain { skip }", "1:8: return must be the final statement"),
+        ("main { x; return x }", "1:11: return outside a procedure body"),
+        ("main { x; x = res(0) }", "1:15: res(...) is reserved for the semantics"),
+        ("main { x; res(0) = 1 }", "1:11: unexpected 'res'"),
+    ], ids=["return-position", "return-in-main", "res-read", "res-write"])
+    def test_rejected_by_the_parser(self, src, message):
+        # well_formed does not check these again
+        with pytest.raises(ParseError, match=re.escape(message)):
+            parse_program(src)
 
     def test_undeclared_variable(self):
         codes = {d.code for d in well_formed(parse_program("main { x; x = y }"))}
@@ -224,20 +233,18 @@ class TestWellFormed:
                 got = well_formed(q)
                 assert got == well_formed_oracle(q), q
                 codes |= {d.code for d in got}
-        assert codes == {"type", "undeclared", "res-var", "side-effect",
-                         "unknown-procedure", "return-position"}
+        assert codes == {"type", "undeclared", "side-effect", "unknown-procedure"}
 
 
-# replacements for an expression: ill-typed, undeclared, or a result variable
-_EXPRS = [BoolLit(True), IntLit(2), Var("w"), Var("a"), Var("z"), ResVar(IntLit(0)),
+# replacements for an expression: ill-typed or undeclared
+_EXPRS = [BoolLit(True), IntLit(2), Var("w"), Var("a"), Var("z"),
           Unary("!", Var("x")), Unary("-", BoolLit(False)), Binary("<", Var("v"), IntLit(1)),
           Binary("&&", Var("y"), BoolLit(True)), Binary("+", BoolLit(True), Var("x"))]
 
 
 def _mutate(node, rng):
     """node with some expressions, assignment targets and called procedures
-    replaced, some declarations dropped and some assignments turned into
-    returns."""
+    replaced and some declarations dropped."""
     kind = type(node)
     if kind is tuple:
         if all(type(x) is str for x in node):
@@ -247,13 +254,10 @@ def _mutate(node, rng):
         return node
     if kind in (IntLit, BoolLit, Var, ResVar, Unary, Binary) and rng.random() < 0.15:
         return rng.choice(_EXPRS)
-    if kind is Assign and rng.random() < 0.05:
-        return Return(node.expr)
     values = [_mutate(v, rng) for v in fields(node)]
     if kind in (Assign, CallAssign):
-        # a target stays a variable (or, assigned, a result variable)
-        values[0] = rng.choice([node.target] * 6 + [Var("w"), Var("x"), Var("v")]
-                               + [ResVar(IntLit(0))] * (kind is Assign))
+        # a target stays a variable
+        values[0] = rng.choice([node.target] * 6 + [Var("w"), Var("x"), Var("v")])
     if kind is CallAssign and rng.random() < 0.1:
         values[1] = "q"
     return remake(node, values)

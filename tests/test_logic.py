@@ -9,18 +9,18 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (MUTANT_SRC, RUNNING_SRC, contract_m, event_trace, golden_m0,
                      golden_m1, m_source, member_approx, mutate_trace,
-                     parse_formula, parse_term_oracle, spec_m)
+                     parse_formula, parse_term_oracle, psi_fixed_point, spec_m)
 from tracelet import logic
 from tracelet.interp import run
 from tracelet.lang import (RESERVED, Binary, BoolLit, IntLit, ParseError,
                            ResVar, TokenStream, Var, names, parse_program,
                            pretty_expr, tokenize)
 from tracelet.logic import (And, Chop, Concat, ContractSpec, FinishEvF,
-                            Fresh, LogicError, MemberBudgetExceeded, Mu,
+                            Fresh, Gap, LogicError, MemberBudgetExceeded, Mu,
                             MuApp, NoEv, Or, RecApp, StartEvF, StatePred,
-                            _Member, big_step_of, check_formula,
+                            _Member, big_step_of,
                             contract_file_text, eval_pred, formula_vars,
-                            is_psi, make_contract, member, no_event_chop,
+                            make_contract, member, no_event_chop,
                             parse_contract_file,
                             pretty_formula, psi, substitute, unfold)
 from tracelet.traces import (CallEv, Ctx, PopEv, PushEv, RetEv, State, Trace,
@@ -112,7 +112,7 @@ class TestPsi:
         f = no_event_chop(a, "m", b)
         assert f == Chop(Chop(a, psi("m")), b)
         g = no_event_chop(a, None, b)
-        assert is_psi(g.left.right) == frozenset()
+        assert g.left.right == Gap(frozenset())
 
 
 class TestParseFormula:
@@ -136,16 +136,16 @@ class TestParseFormula:
         assert not member(singleton(State({})), f)
 
     def test_unbound_recursion_variable(self):
-        with pytest.raises(LogicError):
+        with pytest.raises(ParseError, match="1:11: unbound recursion variable Y"):
             parse_formula("[true] ** Y(1)")
 
     def test_arity_mismatch(self):
-        with pytest.raises(LogicError):
+        with pytest.raises(ParseError, match="1:23: arity mismatch for X: 1 args, expected 2"):
             parse_formula("(mu X(a, b). [a == b])(1)")
 
     def test_sugar_parses_to_chop_psi_chop(self):
         f = parse_formula("[true] ~m~ [true]")
-        assert isinstance(f, Chop) and is_psi(f.left.right) == frozenset({"m"})
+        assert isinstance(f, Chop) and f.left.right == psi("m")
 
     def test_noev_syntax(self):
         f = parse_formula("noev(m, q)")
@@ -272,13 +272,33 @@ class TestTermParser:
          "spec m missing fields: ['inv', 'result']"),
         ("[true] [true]", "trailing input after formula"),
         ("contract c() := [true]\nproof c", "expected 'contract' or 'spec'"),
-        ("[true](1)", "only fixed points and recursion variables take arguments"),
+        ("[true](1)", "1:7: only fixed points and recursion variables take arguments"),
+        ("(mu X(a). X(1)(2))(0)",
+         "1:15: only fixed points and recursion variables take arguments, one list each"),
         ("** [true]", "expected formula, found '**'"),
-        ("(mu X(a). [a == 0] ** X(1, 2))(0)", "arity mismatch for X: 2 args, expected 1"),
+        ("(mu X(a). [a == 0] ** X(1, 2))(0)", "1:23: arity mismatch for X: 2 args, expected 1"),
+        ("(mu X(a). [a == 0] ** X)(0)", "1:23: arity mismatch for X: 0 args, expected 1"),
+        ("(mu X(a). [a == 0])(0, 1)", "1:20: arity mismatch for X: 2 args, expected 1"),
+        ("[true] ** Y(1)", "1:11: unbound recursion variable Y"),
+        ("(mu X(a). [a == 0])(0) ** X(0)", "1:27: unbound recursion variable X"),
+        ("contract c(a) := mu X(a, b). [a == 0]",
+         "1:18: fixed point X takes 2 parameters, the contract 1"),
+        ("contract d() := [true]\ncontract c(a, b) :=\n  (mu X(a). [a == 0])",
+         "3:3: fixed point X takes 1 parameters, the contract 2"),
+        ("mu X(a). [a == 0]", "1:1: fixed point X takes 1 parameters, the contract 0"),
+        ("startEv(m, fresh(i), 0)", "1:12: fresh(...) must be a whole argument of a recursion"),
+        ("finishEv(m, 0, fresh(i))", "1:16: fresh(...) must be a whole argument of a recursion"),
+        ("spec m { base: [n == 0]; step: [n > 0];\n inv: n - 1; result: fresh(n) }",
+         "2:22: fresh(...) must be a whole argument of a recursion"),
+        ("spec m { base: [n == 0]; step: [n > 0]; inv: fresh(n); result: n }",
+         "1:46: fresh(...) must be a whole argument of a recursion"),
     ], ids=["unknown-field", "missing-fields", "trailing-input", "top-level",
-            "applied-predicate", "no-formula", "arity"])
+            "applied-predicate", "applied-twice", "no-formula", "arity", "arity-bare",
+            "arity-applied", "unbound", "unbound-outside", "contract-params",
+            "contract-params-line-3", "formula-file-params", "fresh-start", "fresh-finish",
+            "fresh-result", "fresh-inv"])
     def test_malformed_contract_files(self, text, message):
-        with pytest.raises((ParseError, LogicError), match=re.escape(message)):
+        with pytest.raises(ParseError, match=re.escape(message)):
             parse_contract_file(text)
 
     def test_spec_fields_are_terms(self):
@@ -539,7 +559,7 @@ class TestContracts:
         bp = flatten_chain(base)
         assert isinstance(bp[0], StatePred)
         assert isinstance(bp[1][1], StartEvF)
-        assert is_psi(bp[2][1]) == frozenset({"m"})
+        assert bp[2][1] == psi("m")
         assert isinstance(bp[3][1], FinishEvF)
         assert isinstance(bp[4][1], StatePred)
         sp = flatten_chain(step)
@@ -582,7 +602,7 @@ class TestUnfold:
         mu = contract_m()
         app = MuApp(mu, (Var("n"), Var("i")))
         unfolded = unfold(app)
-        check_formula(unfolded, {})
+        assert parse_formula(pretty_formula(unfolded)) == unfolded
         phi_app = Chop(app, StatePred(Binary("==", ResVar(Var("i")), Var("n"))))
         phi_unf = Chop(unfolded, StatePred(Binary("==", ResVar(Var("i")), Var("n"))))
         rng = random.Random(13)
@@ -636,7 +656,7 @@ class TestUnfold:
             direct = _instantiate_fresh(
                 substitute(mu2.body, mu2.name, mu2, inner[0].args), {"k'"})
             assert twice == direct
-            check_formula(twice, {})
+            assert parse_formula(pretty_formula(twice)) == twice
 
     def test_unfold_substitutes_all_parameters_at_once(self):
         # the argument for n names the parameter i, which must stay i
@@ -684,11 +704,23 @@ class TestFormulasAsWritten:
     """Formulas a contract file may hold that no contract template builds."""
 
     def test_near_gaps_are_not_gaps(self):
-        gap = NoEv(frozenset({"m"}))
-        other = NoEv(frozenset({"q"}))
-        assert is_psi(Mu("G", (), Or(StatePred(BoolLit(True)), Concat(gap, RecApp("G", ()))))) is None
-        assert is_psi(Mu("G", (), Or(gap, Concat(other, RecApp("G", ()))))) is None
-        assert is_psi(Mu("G", (), Or(gap, Concat(gap, RecApp("H", ()))))) is None
+        # psi is one node: a fixed point is never read as a gap by its shape,
+        # not even the one that defines psi, and each is decided as written
+        texts = [pretty_formula(psi_fixed_point("m")),
+                 "mu G(). [true] \\/ noev(m) .. G()",
+                 "mu G(). noev(m) \\/ noev(q) .. G()",
+                 "mu H(). (mu G(). noev(m) \\/ noev(m) .. H())()"]
+        sigma = State({"x": 0})
+        traces = [singleton(sigma), golden_m1(), m1_core(),
+                  event_trace(sigma, CallEv("q", 1, 0)), event_trace(sigma, CallEv("m", 1, 0))]
+        for text in texts:
+            f = parse_formula(text)
+            assert isinstance(f, Mu) and "psi" not in pretty_formula(f)
+            for t in traces:
+                assert member(t, f) == member_approx(t, f), (text, t)
+        written = parse_formula(texts[0])
+        assert [member(t, written) for t in traces] == [member(t, psi("m")) for t in traces] \
+            == [True, False, False, True, False]
 
     def test_unfolding_through_a_nested_fixed_point(self):
         f = parse_formula("(mu X(a). [a == 0] ** (mu Y(b). [b == a])(a))(1)")
@@ -707,16 +739,22 @@ class TestFormulasAsWritten:
     @pytest.mark.parametrize("formula,message", [
         (StatePred(Binary("+", Var("x"), IntLit(1))), "predicate is not boolean"),
         (Mu("X", ("a",), StatePred(BoolLit(True))), "unapplied fixed point X"),
-        (StartEvF("m", Fresh(Var("i")), IntLit(0)), "only supported in recursion arguments"),
-        (FinishEvF("m", Fresh(Var("i")), IntLit(0)), "only supported in recursion arguments"),
-    ], ids=["non-boolean", "unapplied", "fresh-start", "fresh-finish"])
+    ], ids=["non-boolean", "unapplied"])
     def test_refused_at_membership(self, formula, message):
+        with pytest.raises(LogicError, match=message):
+            member(singleton(State({"x": 0})), formula)
+
+    def test_fresh_event_argument_built_by_hand_is_no_match(self):
+        # the parser lets fresh(...) stand only as a recursion argument
         sigma, done = State({"x": 0}), State({"x": 0, "res0": 5})
         start = Trace([sigma, CallEv("m", 1, 0), sigma, PushEv(Ctx("m", 0)), sigma])
         finish = Trace([sigma, RetEv(5), sigma, done, PopEv(Ctx("m", 0)), done])
-        trace = {StartEvF: start, FinishEvF: finish}.get(type(formula), singleton(sigma))
-        with pytest.raises(LogicError, match=message):
-            member(trace, formula)
+        assert member(start, StartEvF("m", IntLit(1), IntLit(0)))
+        assert member(finish, FinishEvF("m", IntLit(5), IntLit(0)))
+        assert not member(start, StartEvF("m", Fresh(Var("i")), IntLit(0)))
+        assert not member(start, StartEvF("m", IntLit(1), Fresh(Var("i"))))
+        assert not member(finish, FinishEvF("m", Fresh(Var("i")), IntLit(0)))
+        assert not member(finish, FinishEvF("m", IntLit(5), Fresh(Var("i"))))
 
     def test_parameterless_fixed_point_in_formula_position(self):
         assert member(singleton(State({})), Mu("X", (), StatePred(BoolLit(True))))

@@ -79,7 +79,7 @@ _programs = st.builds(random_terminating_program, st.randoms(use_true_random=Fal
 _stmts = _programs.map(lambda p: p.main_body) | _programs.flatmap(
     lambda p: st.sampled_from([d.body.body for d in p.procs]) if p.procs else st.just(p.main_body))
 _formula_leaves = st.sampled_from([parse_formula(text) for text in [
-    "psi(m)", "noev(m, p)", "startEv(m, n, i)", "finishEv(m, 0, fresh(i))",
+    "psi(m)", "noev(m, p)", "startEv(m, n, i)", "finishEv(m, n - 1, i)",
     "[res(i) == n]", "[true] ~m~ [x >= 1]", f"({pretty_formula(contract_m())})(n, fresh(i))"]])
 _formulas = st.recursive(
     _formula_leaves,
@@ -155,7 +155,7 @@ def field_values(cls) -> st.SearchStrategy:
 # ---------------------------------------------------------------------------
 
 def test_every_record_is_found():
-    assert len(RECORDS) == 52
+    assert len(RECORDS) == 53
     assert all(isinstance(cls.__slots__, tuple) for cls, _ in RECORDS)
 
 
@@ -222,7 +222,7 @@ def test_one_printer_per_node_kind():
     assert {k.__name__ for k in Expr.__args__} == {
         "IntLit", "BoolLit", "Var", "ResVar", "Fresh", "Unary", "Binary"}
     assert {k.__name__ for k in Formula.__args__} == {
-        "StatePred", "NoEv", "StartEvF", "FinishEvF", "And", "Or", "Concat", "Chop",
+        "StatePred", "NoEv", "Gap", "StartEvF", "FinishEvF", "And", "Or", "Concat", "Chop",
         "RecApp", "Mu", "MuApp"}
     assert all(k.__str__ is pretty_expr for k in Expr.__args__)
     assert all(k.__repr__ is pretty_formula for k in Formula.__args__)
