@@ -22,10 +22,9 @@ from .lang import (Assign, Binary, CallAssign, Expr, Fresh, If, IntLit,
 from .logic import (ContractSpec, FinishEvF, Formula, Gap, Mu, MuApp, Or,
                     StartEvF, StatePred, flatten_chain, join_chain,
                     make_contract, map_terms, pretty_formula, unfold)
-from .traces import MAIN_CTX, MalformedNesting
 from .updates import (CallUpd, Elem, FinishUpd, StartUpd, Update, UpdateAtom,
                       UpdateApplicationError, apply_update_expr,
-                      curr_ctx_update, is_res_elem, pretty_update,
+                      is_res_elem, pretty_update,
                       update_reads, update_writes)
 
 
@@ -350,20 +349,18 @@ def _rule_cond(seq, args, ctx):
 
 
 def _rule_return(seq, args, ctx):
-    j, head, rest = _leading(seq, "Return")
+    j, head, _ = _leading(seq, "Return")
     if not isinstance(head, Return):
         raise RuleError("Return expects a return statement")
-    if rest is not None:
-        raise RuleError("return must be in tail position")
-    try:
-        uctx = curr_ctx_update(j.update)
-    except MalformedNesting as e:
-        raise RuleError(str(e)) from None
-    if uctx == MAIN_CTX:
+    # A goal from a contract inlines one body behind the startEv of its
+    # call, and the body's one return is its last statement.  Until then,
+    # rules only append or drop assignment atoms and rewrite atoms' fields,
+    # so that startEv is still first and the innermost open call.
+    start = j.update[0] if j.update else None
+    if type(start) is not StartUpd:
         raise RuleError("return outside any startEv context")
-    m, cid = uctx.proc, uctx.call_id
-    update = j.update + (FinishUpd(m, head.expr, cid),)
-    stmt = Assign(ResVar(cid), head.expr)
+    update = j.update + (FinishUpd(start.proc, head.expr, start.call_id),)
+    stmt = Assign(ResVar(start.call_id), head.expr)
     return [Sequent(seq.gamma, Judgment(update, stmt, j.formula))]
 
 

@@ -28,7 +28,7 @@ from .calculus import (ContractAssumption, ProofFileError, ProofNode,
 from .interp import DEFAULT_FUEL, FuelExhausted, RunError, initial_state, run
 from .lang import (Binary, CallAssign, IntLit, ParseError, Program, ResVar,
                    TokenStream, Var, parse_expr, parse_program, record,
-                   tokenize, well_formed)
+                   tokenize)
 from .logic import (Chop, ContractSpec, LogicError, MemberBudgetExceeded,
                     MuApp, StatePred, applied, contract_file_text, member,
                     parse_arith, parse_contract_file)
@@ -77,14 +77,6 @@ def _write(path: str, text: str):
         raise CliError(str(e)) from None
     except ValueError as e:
         raise CliError(f"{path!r}: {e}") from None
-
-
-def _load_program(path: str) -> Program:
-    program = parse_program(_read(path))
-    diags = well_formed(program)
-    if diags:
-        raise CliError("program is not well-formed: " + "; ".join(map(str, diags)))
-    return program
 
 
 def _parse_bindings(pairs: List[str]) -> dict:
@@ -140,7 +132,7 @@ def _pick_proc(args, assumptions) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_run(args) -> int:
-    program = _load_program(args.program)
+    program = parse_program(_read(args.program))
     overrides = _parse_bindings(args.state or [])
     fuel = _fuel(args)
     state = initial_state(program, overrides)
@@ -294,7 +286,7 @@ def _repl(root_seq, ctx, max_nodes: int) -> ProofNode:
 def cmd_prove(args) -> int:
     if args.max_nodes < 0:
         raise CliError(f"--max-nodes must not be negative, got {args.max_nodes}")
-    program = _load_program(args.program)
+    program = parse_program(_read(args.program))
     assumptions = _assumptions(program, parse_contract_file(_read(args.contracts)))
     proc = _pick_proc(args, assumptions)
     ctx = RuleContext.for_program(program, assumptions.values())
@@ -344,7 +336,7 @@ def _size(node: dict) -> int:
 
 
 def cmd_check_proof(args) -> int:
-    program = _load_program(args.program)
+    program = parse_program(_read(args.program))
     assumptions = _assumptions(program, parse_contract_file(_read(args.contracts)))
     proc, root, bad = _replay_proof(args, program, assumptions)
     if bad is None:
@@ -441,7 +433,7 @@ def validate_contract(program: Program, assumption: ContractAssumption,
 
 
 def cmd_validate(args) -> int:
-    program = _load_program(args.program)
+    program = parse_program(_read(args.program))
     assumptions = _assumptions(program, parse_contract_file(_read(args.contracts)))
     proc = _pick_proc(args, assumptions)
     try:
@@ -503,7 +495,8 @@ COMMANDS = {
     "validate": (cmd_validate, "differential check of a proved contract", ("program", "contracts"),
                  (("--proc", str), ("--samples", int, 20), ("--seed", int, 0),
                   ("--range", str, "0..25"), ("--proof", str), ("--no-proof", bool),
-                  ("--fuel", int), ("--trace-dir", str), ("--json", bool)), (), ()),
+                  ("--fuel", int), ("--trace-dir", str), ("--json", bool)), (),
+                 ("--proof", "--no-proof")),
 }
 _TOP = (None, "Trace-based contract toolkit", ("command",), (), (), ())   # tracelet's own
 _HELP = ("-h --help", bool)
@@ -603,13 +596,20 @@ def _usage(name: Optional[str]) -> str:
 def main(argv=None) -> int:
     try:
         args = parse_args(sys.argv[1:] if argv is None else list(argv))
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that has gone shows here, not at exit
+        return code
     except (CliError, ParseError, LogicError, TraceError, RunError,
             ScriptError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
     except RecursionError:
         print("error: the input nests too deeply to process", file=sys.stderr)
+        return EXIT_ERROR
+    except BrokenPipeError:
+        # stop quietly, and send what stdout still holds to the null device,
+        # so that its flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_ERROR
 
 

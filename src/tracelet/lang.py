@@ -576,6 +576,7 @@ class TokenStream:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.scope = None  # while a program is read: the names it may read
 
     def peek(self, ahead: int = 0) -> Token:
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
@@ -618,63 +619,55 @@ RESERVED = {"skip", "if", "while", "return", "main", "res", "true", "false",
 
 # Expression parsing, shared grammar.  A logical expression (a contract
 # predicate or a res(...) key) may hold res(i) and true/false; a user
-# program holds neither.
+# program holds neither.  In a program (ts.scope is set) each variable read
+# must be in scope and each operand must have the type of its position.
+
+# For each literal kind and operator: the type it produces, the type of its
+# operands, and what a context that wants the other type is told
+_TYPING = {IntLit: ("int", None, "integer where condition expected"),
+           Var: ("int", None, "integer variable where condition expected"),
+           "!": ("bool", "bool", "boolean where integer expected"),
+           **{op: ("int", "int", "arithmetic where condition expected") for op in ARITH_OPS},
+           **{op: ("bool", "int", "comparison in integer position") for op in CMP_OPS},
+           **{op: ("bool", "bool", "boolean operator in integer position") for op in BOOL_OPS}}
+
+
+def _typed(ts: TokenStream, e: Expr, start: Token, want: str) -> Expr:
+    """e, read from token start on; in a program it must have type want."""
+    if ts.scope is not None:
+        made, _, message = _TYPING[e.op if type(e) is Unary or type(e) is Binary else type(e)]
+        if made != want:
+            raise ParseError(f"{message}: {e}", start.line, start.col)
+    return e
+
 
 def parse_expr(ts: TokenStream, logical: bool = False) -> Expr:
-    return _parse_or(ts, logical)
+    return _parse_binary(ts, logical, 1)
 
 
-def _parse_or(ts, lg):
-    e = _parse_and(ts, lg)
-    while ts.at_sym("||"):
-        ts.next()
-        e = Binary("||", e, _parse_and(ts, lg))
-    return e
-
-
-def _parse_and(ts, lg):
-    e = _parse_cmp(ts, lg)
-    while ts.at_sym("&&"):
-        ts.next()
-        e = Binary("&&", e, _parse_cmp(ts, lg))
-    return e
-
-
-def _parse_cmp(ts, lg):
-    e = _parse_add(ts, lg)
-    for op in CMP_OPS:
-        if ts.at_sym(op):
-            ts.next()
-            return Binary(op, e, _parse_add(ts, lg))
-    return e
-
-
-def _parse_add(ts, lg):
-    e = _parse_mul(ts, lg)
-    while ts.at_sym("+") or ts.at_sym("-"):
+def _parse_binary(ts, lg, prec):
+    """An expression whose operators bind at least as tightly as prec
+    (``_PREC``), left-associated; comparisons do not chain."""
+    start = ts.peek()
+    e = _parse_binary(ts, lg, prec + 1) if prec < 5 else _parse_unary(ts, lg)
+    while _PREC.get(ts.peek().text) == prec:
         op = ts.next().text
-        e = Binary(op, e, _parse_mul(ts, lg))
-    return e
-
-
-def _parse_mul(ts, lg):
-    e = _parse_unary(ts, lg)
-    while ts.at_sym("*"):
-        ts.next()
-        e = Binary("*", e, _parse_unary(ts, lg))
+        want, right = _TYPING[op][1], ts.peek()
+        e = Binary(op, _typed(ts, e, start, want),
+                   _typed(ts, _parse_binary(ts, lg, prec + 1), right, want))
+        if op in CMP_OPS:
+            break
     return e
 
 
 def _parse_unary(ts, lg):
-    if ts.at_sym("-"):
-        ts.next()
+    if ts.at_sym("-") or ts.at_sym("!"):
+        op = ts.next().text
         # only an integer right after the minus folds into a negative literal
-        if ts.peek().kind == "int":
+        if op == "-" and ts.peek().kind == "int":
             return IntLit(-_int_value(ts.next()))
-        return Unary("-", _parse_unary(ts, lg))
-    if ts.at_sym("!"):
-        ts.next()
-        return Unary("!", _parse_unary(ts, lg))
+        start = ts.peek()
+        return Unary(op, _typed(ts, _parse_unary(ts, lg), start, _TYPING[op][1]))
     return _parse_atom(ts, lg)
 
 
@@ -697,7 +690,7 @@ def _parse_atom(ts, lg):
         return IntLit(_int_value(t))
     if ts.at_sym("("):
         ts.next()
-        e = _parse_or(ts, lg)
+        e = _parse_binary(ts, lg, 1)
         ts.expect_sym(")")
         return e
     if t.kind == "ident":
@@ -706,7 +699,7 @@ def _parse_atom(ts, lg):
                 ts.error("res(...) is reserved for the semantics")
             ts.next()
             ts.expect_sym("(")
-            idx = _parse_or(ts, lg)
+            idx = _parse_binary(ts, lg, 1)
             ts.expect_sym(")")
             return ResVar(idx)
         if t.text in ("true", "false"):
@@ -716,13 +709,19 @@ def _parse_atom(ts, lg):
             return BoolLit(t.text == "true")
         if t.text in RESERVED:
             ts.error(f"reserved word {t.text!r} in expression")
+        if ts.scope is not None and t.text not in ts.scope:
+            ts.error(f"variable {t.text!r} not in scope")
         ts.next()
         return Var(t.text)
     ts.error(f"expected expression, found {t.text!r}")
 
 
 # ---------------------------------------------------------------------------
-# Program parsing
+# Program parsing.  The parser is the one check of a program: each name a
+# statement reads or writes is in scope (a procedure's parameter and the
+# declarations of the blocks around it), a procedure writes only its own
+# locals, each expression has the type its position wants, and each
+# called procedure is declared somewhere in the program.
 # ---------------------------------------------------------------------------
 
 def _parse_decls(ts: TokenStream) -> list:
@@ -735,7 +734,12 @@ def _parse_decls(ts: TokenStream) -> list:
     return decls
 
 
-def _parse_stmt(ts: TokenStream) -> Stmt:
+def _parse_typed(ts: TokenStream, want: str) -> Expr:
+    start = ts.peek()
+    return _typed(ts, parse_expr(ts), start, want)
+
+
+def _parse_stmt(ts: TokenStream, writable, calls: list) -> Stmt:
     t = ts.peek()
     if ts.at_ident("skip"):
         ts.next()
@@ -743,185 +747,95 @@ def _parse_stmt(ts: TokenStream) -> Stmt:
     if ts.at_ident("if") or ts.at_ident("while"):
         kw = ts.next().text
         ts.expect_sym("(")
-        cond = parse_expr(ts)
+        cond = _parse_typed(ts, "bool")
         ts.expect_sym(")")
-        body = _parse_block(ts)
+        body = _parse_block(ts, writable, calls)
         return If(cond, body) if kw == "if" else While(cond, body)
     if ts.at_sym("{"):
-        return _parse_block(ts)
+        return _parse_block(ts, writable, calls)
     if ts.at_ident():
         if t.text in RESERVED:
             ts.error(f"unexpected {t.text!r}")
-        name = ts.next().text
+        ts.next()
         ts.expect_sym("=")
+        if t.text not in ts.scope:
+            raise ParseError(f"assignment to undeclared {t.text!r}", t.line, t.col)
+        if writable is not None and t.text not in writable:
+            raise ParseError(f"procedure writes non-local variable {t.text!r}", t.line, t.col)
         if ts.at_ident() and ts.peek().text not in RESERVED and \
                 ts.peek(1).kind == "sym" and ts.peek(1).text == "(":
-            proc = ts.next().text
+            callee = ts.next()
+            calls.append(callee)
             ts.expect_sym("(")
-            arg = parse_expr(ts)
+            arg = _parse_typed(ts, "int")
             ts.expect_sym(")")
-            return CallAssign(Var(name), proc, arg)
-        return Assign(Var(name), parse_expr(ts))
+            return CallAssign(Var(t.text), callee.text, arg)
+        return Assign(Var(t.text), _parse_typed(ts, "int"))
     ts.error(f"expected statement, found {t.text!r}")
 
 
-def _parse_stmt_list(ts: TokenStream, *, in_proc: bool) -> tuple:
-    """Statements separated by ';'.  Returns (stmt_list, return_expr_or_none)."""
+def _parse_body(ts: TokenStream, writable, calls: list, proc: Optional[Token] = None):
+    """(declarations, statement) of a block, from after its '{' through its
+    '}'.  Its declarations are in scope until the block ends, and writable
+    when writable is a set (in a procedure; None in main).  A procedure
+    body (proc is its name) ends in its return."""
+    outer = ts.scope
+    decls = tuple(_parse_decls(ts))
+    ts.scope = outer | set(decls)
+    if writable is not None:
+        writable = writable | set(decls)
     stmts = []
-    ret = None
     while not ts.at_sym("}"):
         if ts.at_ident("return"):
             tok = ts.next()
-            ret = parse_expr(ts)
-            if not in_proc:
+            stmts.append(Return(_parse_typed(ts, "int")))
+            if proc is None:
                 raise ParseError("return outside a procedure body", tok.line, tok.col)
             while ts.at_sym(";"):
                 ts.next()
             if not ts.at_sym("}"):
                 raise ParseError("return must be the final statement", tok.line, tok.col)
             break
-        stmts.append(_parse_stmt(ts))
+        stmts.append(_parse_stmt(ts, writable, calls))
         if ts.at_sym(";"):
             while ts.at_sym(";"):
                 ts.next()
         elif not ts.at_sym("}"):
             ts.error("expected ';' or '}'")
-    return stmts, ret
-
-
-def _parse_block(ts: TokenStream) -> Stmt:
-    ts.expect_sym("{")
-    decls = _parse_decls(ts)
-    stmts, ret = _parse_stmt_list(ts, in_proc=False)
+    if proc is not None and not (stmts and type(stmts[-1]) is Return):
+        raise ParseError(f"procedure {proc.text!r} must end with return", proc.line, proc.col)
     ts.expect_sym("}")
-    body = seq(stmts) if stmts else Skip()
-    return Scope(tuple(decls), body) if decls else body
+    ts.scope = outer
+    return decls, seq(stmts) if stmts else Skip()
 
 
-def _parse_proc(ts: TokenStream) -> ProcDecl:
-    name_tok = ts.expect_ident()
-    name = name_tok.text
-    ts.expect_sym("(")
-    param = ts.expect_ident().text
-    ts.expect_sym(")")
+def _parse_block(ts: TokenStream, writable, calls: list) -> Stmt:
     ts.expect_sym("{")
-    decls = _parse_decls(ts)
-    stmts, ret = _parse_stmt_list(ts, in_proc=True)
-    if ret is None:
-        raise ParseError(f"procedure {name!r} must end with return",
-                         name_tok.line, name_tok.col)
-    ts.expect_sym("}")
-    return ProcDecl(name, param, Scope(tuple(decls), seq(stmts + [Return(ret)])))
+    decls, body = _parse_body(ts, writable, calls)
+    return Scope(decls, body) if decls else body
 
 
 def parse_program(text: str) -> Program:
     ts = TokenStream(tokenize(text))
-    procs = []
-    seen = set()
+    procs, calls = {}, []
     while ts.at_ident() and not ts.at_ident("main"):
-        tok = ts.peek()
-        p = _parse_proc(ts)
-        if p.name in seen:
-            raise ParseError(f"duplicate procedure name {p.name!r}", tok.line, tok.col)
-        seen.add(p.name)
-        procs.append(p)
+        name = ts.expect_ident()
+        ts.expect_sym("(")
+        param = ts.expect_ident().text
+        ts.expect_sym(")")
+        ts.expect_sym("{")
+        ts.scope = {param}
+        body = Scope(*_parse_body(ts, set(), calls, name))
+        if name.text in procs:
+            raise ParseError(f"duplicate procedure name {name.text!r}", name.line, name.col)
+        procs[name.text] = ProcDecl(name.text, param, body)
     ts.expect_ident("main")
     ts.expect_sym("{")
-    decls = _parse_decls(ts)
-    stmts, _ = _parse_stmt_list(ts, in_proc=False)
-    ts.expect_sym("}")
+    ts.scope = set()
+    decls, body = _parse_body(ts, None, calls)
     if ts.peek().kind != "eof":
         ts.error("trailing input after main block")
-    return Program(tuple(procs), tuple(decls), seq(stmts) if stmts else Skip())
-
-
-# ---------------------------------------------------------------------------
-# Well-formedness
-# ---------------------------------------------------------------------------
-
-@record(frozen=True)
-class Diagnostic:
-    code: str
-    message: str
-    where: str
-
-    def __str__(self):
-        return f"[{self.code}] {self.where}: {self.message}"
-
-
-def _stmt_seq(s: Stmt) -> Iterator[Stmt]:
-    if isinstance(s, Seq):
-        yield from _stmt_seq(s.first)
-        yield from _stmt_seq(s.second)
-    else:
-        yield s
-
-
-# For each literal kind and operator: the type it produces, the type of its
-# operands, and what a context that wants the other type is told
-_TYPING = {IntLit: ("int", None, "integer where condition expected"),
-           BoolLit: ("bool", None, "boolean literal in integer position"),
-           Var: ("int", None, "integer variable where condition expected"),
-           "!": ("bool", "bool", "boolean where integer expected"),
-           **{op: ("int", "int", "arithmetic where condition expected") for op in ARITH_OPS},
-           **{op: ("bool", "int", "comparison in integer position") for op in CMP_OPS},
-           **{op: ("bool", "bool", "boolean operator in integer position") for op in BOOL_OPS}}
-
-
-def _check_expr(e: Expr, scope: set, want: str, diags, where: str):
-    # want is 'int' or 'bool'
-    kind = type(e)
-    if kind is Var and e.name not in scope:
-        diags.append(Diagnostic("undeclared", f"variable {e.name!r} not in scope", where))
-    made, operand, message = _TYPING[e.op if kind is Unary or kind is Binary else kind]
-    if want != made:
-        diags.append(Diagnostic("type", f"{message}: {e}", where))
-    if operand:
-        for sub in fields(e)[1:]:  # after the operator
-            _check_expr(sub, scope, operand, diags, where)
-
-
-def _check_stmt(s: Stmt, scope: set, locals_only: Optional[set], table: dict,
-                diags, where: str):
-    # locals_only, when set, is the set of names a procedure may write to
-    for item in _stmt_seq(s):
-        kind = type(item)
-        if kind is Skip:
-            continue
-        if kind is Return:
-            _check_expr(item.expr, scope, "int", diags, where)
-        elif kind is Assign or kind is CallAssign:
-            # a call's procedure and argument are checked before its target
-            if kind is CallAssign:
-                if item.proc not in table:
-                    diags.append(Diagnostic("unknown-procedure", f"call to unknown {item.proc!r}", where))
-                _check_expr(item.arg, scope, "int", diags, where)
-            name = item.target.name
-            if name not in scope:
-                diags.append(Diagnostic("undeclared", f"assignment to undeclared {name!r}", where))
-            elif locals_only is not None and name not in locals_only:
-                diags.append(Diagnostic("side-effect",
-                                        f"procedure writes non-local variable {name!r}", where))
-            if kind is Assign:
-                _check_expr(item.expr, scope, "int", diags, where)
-        elif kind is If or kind is While:
-            _check_expr(item.cond, scope, "bool", diags, where)
-            _check_stmt(item.body, scope, locals_only, table, diags, where)
-        elif kind is Scope:
-            inner_scope = scope | set(item.decls)
-            inner_locals = None if locals_only is None else locals_only | set(item.decls)
-            _check_stmt(item.body, inner_scope, inner_locals, table, diags, where)
-
-
-def well_formed(p: Program) -> list:
-    """Empty list iff all program invariants hold.  What ``parse_program``
-    rejects is not checked again: a procedure named twice, a return other
-    than a procedure body's last statement, and res(...)."""
-    diags: list = []
-    table = {proc.name: proc for proc in p.procs}
-    for proc in p.procs:
-        scope = {proc.param} | set(proc.body.decls)
-        locals_only = set(proc.body.decls)
-        _check_stmt(proc.body.body, scope, locals_only, table, diags, proc.name)
-    _check_stmt(p.main_body, set(p.main_decls), None, table, diags, "main")
-    return diags
+    for callee in calls:
+        if callee.text not in procs:
+            raise ParseError(f"call to unknown {callee.text!r}", callee.line, callee.col)
+    return Program(tuple(procs.values()), decls, body)

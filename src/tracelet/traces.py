@@ -39,10 +39,6 @@ class TraceError(Exception):
     pass
 
 
-class MalformedNesting(TraceError):
-    pass
-
-
 class UndefinedVariable(TraceError):
     pass
 

@@ -11,7 +11,6 @@ from typing import Optional, Tuple, Union
 
 from .lang import (Expr, ResVar, Var, fields, fold_expr, names, record,
                    subst_vars)
-from .traces import Ctx, MAIN_CTX, MalformedNesting
 
 
 @record(frozen=True)
@@ -86,24 +85,6 @@ def apply_update_expr(update: Update, e: Expr) -> Expr:
             e = subst_vars(e, {ResVar(atom.call_id): atom.arg})
         # StartUpd: identity on expressions
     return fold_expr(e)
-
-
-def curr_ctx_update(update: Update) -> Ctx:
-    """Innermost startEv not yet closed by its matching finishEv."""
-    stack = []
-    for atom in update:
-        if isinstance(atom, StartUpd):
-            stack.append(atom)
-        elif isinstance(atom, FinishUpd):
-            if not stack or stack[-1].proc != atom.proc or \
-                    stack[-1].call_id != atom.call_id:
-                raise MalformedNesting(
-                    f"finishEv({atom.proc},_,{atom.call_id}) without matching startEv")
-            stack.pop()
-    if not stack:
-        return MAIN_CTX
-    top = stack[-1]
-    return Ctx(top.proc, top.call_id)
 
 
 def update_reads(atom) -> set:

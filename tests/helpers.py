@@ -18,9 +18,9 @@ from tracelet.calculus import (Judgment, PredAssert, PredGoal, RuleError,
                                node_to_json)
 from tracelet.interp import DEFAULT_FUEL, FuelExhausted, Machine, RunError
 from tracelet.lang import (ARITH_OPS, CMP_OPS, Assign, Binary, BoolLit,
-                           CallAssign, Diagnostic, Fresh, If, IntLit, Program,
+                           CallAssign, Fresh, If, IntLit, Program,
                            ProcDecl, ResVar, Return, Scope, Seq, Skip,
-                           TokenStream, Unary, Var, While, _stmt_seq,
+                           TokenStream, Unary, Var, While,
                            fold_expr, lookup, parse_program, record, seq,
                            subst_vars, tokenize)
 from tracelet.logic import (And, Chop, Concat, ContractSpec, FinishEvF, Gap,
@@ -1045,45 +1045,65 @@ def subst_stmt_oracle(s, name: str, replacement):
     raise TypeError(f"not a statement: {s!r}")
 
 
-# lang.well_formed before its typing table: one branch per literal kind
-# and operator, and an assignment's target checked in two places
+# The well-formedness checks that lang.parse_program makes as it reads, as
+# a separate pass over a program's tree: one branch per literal kind and
+# operator, and an assignment's target checked in two places
+
+@record(frozen=True)
+class Fault:
+    """A fault that well_formed_oracle reports: its kind, message and the
+    procedure (or main) it is in."""
+
+    code: str
+    message: str
+    where: str
+
+
+def _stmt_seq(s: Stmt):
+    """The statements of a sequence, in order."""
+    if isinstance(s, Seq):
+        yield from _stmt_seq(s.first)
+        yield from _stmt_seq(s.second)
+    else:
+        yield s
+
 
 def _check_expr_oracle(e: Expr, scope: set, want: str, diags, where: str):
     # want is 'int' or 'bool'
     if isinstance(e, IntLit):
         if want != "int":
-            diags.append(Diagnostic("type", f"integer where condition expected: {e}", where))
+            diags.append(Fault("type", f"integer where condition expected: {e}", where))
     elif isinstance(e, BoolLit):
         if want != "bool":
-            diags.append(Diagnostic("type", f"boolean literal in integer position: {e}", where))
+            diags.append(Fault("type", f"boolean literal in integer position: {e}", where))
     elif isinstance(e, Var):
         if e.name not in scope:
-            diags.append(Diagnostic("undeclared", f"variable {e.name!r} not in scope", where))
+            diags.append(Fault("undeclared", f"variable {e.name!r} not in scope", where))
         if want != "int":
-            diags.append(Diagnostic("type", f"integer variable where condition expected: {e}", where))
+            diags.append(Fault("type", f"integer variable where condition expected: {e}", where))
     elif isinstance(e, Unary):
         if e.op == "-":
             if want != "int":
-                diags.append(Diagnostic("type", f"arithmetic where condition expected: {e}", where))
+                diags.append(Fault("type", f"arithmetic where condition expected: {e}", where))
             _check_expr_oracle(e.operand, scope, "int", diags, where)
         else:  # '!'
             if want != "bool":
-                diags.append(Diagnostic("type", f"boolean where integer expected: {e}", where))
+                diags.append(Fault("type", f"boolean where integer expected: {e}", where))
             _check_expr_oracle(e.operand, scope, "bool", diags, where)
     elif isinstance(e, Binary):
         if e.op in ARITH_OPS:
             if want != "int":
-                diags.append(Diagnostic("type", f"arithmetic where condition expected: {e}", where))
+                diags.append(Fault("type", f"arithmetic where condition expected: {e}", where))
             _check_expr_oracle(e.left, scope, "int", diags, where)
             _check_expr_oracle(e.right, scope, "int", diags, where)
         elif e.op in CMP_OPS:
             if want != "bool":
-                diags.append(Diagnostic("type", f"comparison in integer position: {e}", where))
+                diags.append(Fault("type", f"comparison in integer position: {e}", where))
             _check_expr_oracle(e.left, scope, "int", diags, where)
             _check_expr_oracle(e.right, scope, "int", diags, where)
         else:
             if want != "bool":
-                diags.append(Diagnostic("type", f"boolean operator in integer position: {e}", where))
+                diags.append(Fault("type", f"boolean operator in integer position: {e}", where))
             _check_expr_oracle(e.left, scope, "bool", diags, where)
             _check_expr_oracle(e.right, scope, "bool", diags, where)
 
@@ -1100,22 +1120,22 @@ def _check_stmt_oracle(s: Stmt, scope: set, locals_only: Optional[set], table: d
         if isinstance(item, Assign):
             name = item.target.name
             if name not in scope:
-                diags.append(Diagnostic("undeclared", f"assignment to undeclared {name!r}", where))
+                diags.append(Fault("undeclared", f"assignment to undeclared {name!r}", where))
             elif locals_only is not None and name not in locals_only:
-                diags.append(Diagnostic("side-effect",
-                                        f"procedure writes non-local variable {name!r}", where))
+                diags.append(Fault("side-effect",
+                                   f"procedure writes non-local variable {name!r}", where))
             _check_expr_oracle(item.expr, scope, "int", diags, where)
             continue
         if isinstance(item, CallAssign):
             if item.proc not in table:
-                diags.append(Diagnostic("unknown-procedure", f"call to unknown {item.proc!r}", where))
+                diags.append(Fault("unknown-procedure", f"call to unknown {item.proc!r}", where))
             _check_expr_oracle(item.arg, scope, "int", diags, where)
             name = item.target.name
             if name not in scope:
-                diags.append(Diagnostic("undeclared", f"assignment to undeclared {name!r}", where))
+                diags.append(Fault("undeclared", f"assignment to undeclared {name!r}", where))
             elif locals_only is not None and name not in locals_only:
-                diags.append(Diagnostic("side-effect",
-                                        f"procedure writes non-local variable {name!r}", where))
+                diags.append(Fault("side-effect",
+                                   f"procedure writes non-local variable {name!r}", where))
             continue
         if isinstance(item, If) or isinstance(item, While):
             _check_expr_oracle(item.cond, scope, "bool", diags, where)
@@ -1126,7 +1146,7 @@ def _check_stmt_oracle(s: Stmt, scope: set, locals_only: Optional[set], table: d
             inner_locals = None if locals_only is None else locals_only | set(item.decls)
             _check_stmt_oracle(item.body, inner_scope, inner_locals, table, diags, where)
             continue
-        diags.append(Diagnostic("internal", f"unexpected statement {item!r}", where))
+        diags.append(Fault("internal", f"unexpected statement {item!r}", where))
 
 
 def well_formed_oracle(p: Program) -> list:
@@ -1531,8 +1551,9 @@ def argparse_oracle() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--range", default="0..25")
-    p.add_argument("--proof", default=None)
-    p.add_argument("--no-proof", action="store_true")
+    proof = p.add_mutually_exclusive_group()
+    proof.add_argument("--proof", default=None)
+    proof.add_argument("--no-proof", action="store_true")
     p.add_argument("--fuel", type=int, default=None)
     p.add_argument("--trace-dir", default=None)
     p.add_argument("--json", action="store_true")

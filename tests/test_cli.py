@@ -5,6 +5,7 @@ import copy
 import importlib.util
 import io
 import json
+import os
 import random
 import sys
 from pathlib import Path
@@ -269,9 +270,79 @@ def test_ill_formed_program_one_line_error(work, capsys, command):
                          "--no-proof"]}[command]
     capsys.readouterr()
     assert main(argv) == EXIT_ERROR
-    err = capsys.readouterr().err
-    assert err.startswith("error: program is not well-formed: ") and err.count("\n") == 1
-    assert "; [undeclared]" in err
+    # the first fault, at its line and column; the undeclared y comes after it
+    assert capsys.readouterr().err == "error: 1:15: comparison in integer position: 1 < 2\n"
+
+
+# One program per fault kind, with its error line; main calls m(1)
+_FAULTS = {
+    "undeclared-read": ("m(k) { r; r = y; return r }", "1:15: variable 'y' not in scope"),
+    "undeclared-target": ("m(k) { r; y = k; return r }", "1:11: assignment to undeclared 'y'"),
+    "param-write": ("m(k) { r; k = 2; return r }",
+                    "1:11: procedure writes non-local variable 'k'"),
+    "global-write": ("m(k) { r; x = k; return r }", "1:11: assignment to undeclared 'x'"),
+    "unknown-callee": ("m(k) { r;\n  r = q(k); return r }", "2:7: call to unknown 'q'"),
+    "non-boolean-condition": ("m(k) { r; if (r + 1) { r = 2 }; return r }",
+                              "1:15: arithmetic where condition expected: r + 1"),
+    "comparison-as-integer": ("m(k) { r; r = 1 + (k < 2); return r }",
+                              "1:19: comparison in integer position: k < 2"),
+}
+
+
+def _fault_argv(work, command, program):
+    contract = gen_contract(work)
+    proof = work / "m.proof.json"
+    assert main(["prove", str(work / "running.tcp"), str(contract), "--proc", "m",
+                 "-o", str(proof)]) == EXIT_OK
+    return {"run": ["run", program],
+            "prove": ["prove", program, str(contract), "--proc", "m"],
+            "check-proof": ["check-proof", str(proof), "--program", program,
+                            "--contracts", str(contract)],
+            "validate": ["validate", program, str(contract), "--proc", "m",
+                         "--proof", str(proof)]}[command]
+
+
+@pytest.mark.parametrize("kind, command", [(kind, "run") for kind in _FAULTS] + [
+    ("undeclared-read", "prove"), ("param-write", "check-proof"),
+    ("unknown-callee", "validate")])
+def test_program_fault_at_its_position(work, capsys, kind, command):
+    """Each kind of ill-formed program ends in one error line at the fault's
+    line and column, and exit 1, whichever command reads it."""
+    source, message = _FAULTS[kind]
+    bad = work / "ill.tcp"
+    bad.write_text(source + "\nmain { x; x = m(1) }")
+    argv = _fault_argv(work, command, str(bad))
+    capsys.readouterr()
+    assert main(argv) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("source", [
+    "m(k) { r; if (k > 0) { r = m(k - 1) }; return r }\nmain { x; x = m(2) }",
+    "f(n) { r; r = g(n); return r }\ng(n) { return n }\nmain { x; x = f(2) }",
+], ids=["recursive", "forward"])
+def test_recursive_and_forward_calls_parse(work, capsys, source):
+    f = work / "calls.tcp"
+    f.write_text(source)
+    assert main(["run", str(f)]) == EXIT_OK
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["prove", "{dir}/running.tcp", "{dir}/m.tcf", "--proc", "q"],
+     "contract file has no 'spec q { ... }' block; proving and validation need the "
+     "template fields"),
+    (["check", "{dir}/t.json", "{dir}/m.tcf", "--contract", "nope"],
+     "no contract named 'nope' in {dir}/m.tcf"),
+    (["validate", "{dir}/running.tcp", "{dir}/m.tcf", "--no-proof", "--range", "a..b"],
+     "--range expects lo..hi"),
+], ids=["prove-no-spec", "check-no-contract", "validate-bad-range"])
+def test_input_error_names_it(work, capsys, argv, message):
+    gen_contract(work)
+    (work / "t.json").write_text('[{"state": {}}]')
+    capsys.readouterr()
+    assert main([a.format(dir=work) for a in argv]) == EXIT_ERROR
+    assert capsys.readouterr().err == f"error: {message.replace('{dir}', str(work))}\n"
 
 
 @pytest.mark.parametrize("literal", ["²", "9" * 4301], ids=["superscript-digit", "4301-digits"])
@@ -391,15 +462,54 @@ def test_mutated_inputs_exit_cleanly(fuzz_inputs, data):
     ["prove", "p", "c", "--script", "s", "--repl"],
     ["gen-contract", "m"],
     ["prove", "p", "c", "--max-nodes=abc"],
+    ["validate", "p", "c", "--proof", "f", "--no-proof"],
 ], ids=["missing-positional", "no-command", "bad-int", "removed-flag-prove",
         "removed-flag-check-proof", "removed-flag-validate", "unknown-command",
         "extra-positional", "ambiguous-prefix", "negative-range", "script-and-repl",
-        "missing-required", "attached-bad-int"])
+        "missing-required", "attached-bad-int", "proof-and-no-proof"])
 def test_usage_error_one_line_exit_1(capsys, argv):
     assert main(argv) == EXIT_ERROR
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_proof_and_no_proof_exclusive(capsys):
+    # refused before any file is read
+    assert main(["validate", "p", "c", "--no-proof", "--proof", "f"]) == EXIT_ERROR
+    assert capsys.readouterr().err == ("error: tracelet validate: argument --proof: "
+                                       "not allowed with argument --no-proof\n")
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_closed_output_pipe_exit_1_without_traceback(work, capsys, monkeypatch, command):
+    """A command whose stdout reader has gone stops with exit 1 and no
+    traceback, and leaves nothing for the flush at exit to fail on."""
+    contract, proof, trace = gen_contract(work), work / "m.proof.json", work / "m.json"
+    program = str(work / "running.tcp")
+    assert main(["prove", program, str(contract), "--proc", "m", "-o", str(proof)]) == EXIT_OK
+    assert main(["run", program, "-o", str(trace)]) == EXIT_OK
+    argv = {"run": ["run", program],
+            "adequacy": ["adequacy", str(trace), "--json"],
+            "check": ["check", str(trace), str(contract), "--contract", "m",
+                      "--bind", "n=1", "--bind", "i=0", "--json"],
+            "gen-contract": ["gen-contract", "m", "--pre-base", "n == 0", "--pre-step",
+                             "n > 0", "--result", "n", "--step-inv", "n - 1"],
+            "prove": ["prove", program, str(contract), "--proc", "m",
+                      "-o", str(work / "again.proof.json")],
+            "check-proof": ["check-proof", str(proof), "--program", program,
+                            "--contracts", str(contract)],
+            "validate": ["validate", program, str(contract), "--proc", "m",
+                         "--proof", str(proof), "--samples", "2", "--json"]}[command]
+    read, write = os.pipe()
+    os.close(read)
+    with open(write, "w", encoding="utf-8") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        capsys.readouterr()
+        assert main(argv) == EXIT_ERROR
+        stdout.write("more")
+    # closing flushed what was left without a BrokenPipeError
+    assert capsys.readouterr().err == ""
 
 
 def _oracle_commands():

@@ -1,4 +1,4 @@
-"""Parser, pretty printer, and well-formedness checks."""
+"""Parser, pretty printer, and the parser's well-formedness checks."""
 
 import random
 import re
@@ -13,8 +13,8 @@ from tracelet.lang import (ARITH_OPS, CMP_OPS, Assign, Binary, BoolLit, CallAssi
                            Fresh, If, IntLit, ParseError, ProcDecl, Program,
                            ResVar, Return, Scope, Seq, Skip, TokenStream, Unary,
                            UnknownProcedure, Var, build_lookup, fields, fold_expr, lookup,
-                           parse_expr, parse_program, pretty_expr, remake,
-                           subst_stmt, subst_vars, tokenize, well_formed)
+                           nodes, parse_expr, parse_program, pretty_expr, remake,
+                           subst_stmt, subst_vars, tokenize)
 from tracelet.logic import StatePred
 
 
@@ -85,7 +85,7 @@ class TestParse:
 class TestPretty:
     def test_roundtrip_fixtures(self):
         for src in (RUNNING_SRC, M0_SRC, "main { skip }",
-                    "q(a) { b; while (a > 0) { a = a - 1 }; return b }\n"
+                    "q(a) { b; while (b < a) { b = b + 1 }; return b }\n"
                     "main { x; y; x = q(3); if (x == 0) { y = 1 } }"):
             p = parse_program(src)
             printed = str(p)
@@ -166,11 +166,14 @@ class TestPrettyExpr:
 
 
 class TestWellFormed:
+    """parse_program is the one check of a program: it raises at the first
+    fault, at its line and column, with a message of well_formed_oracle."""
+
     def test_running_example_passes(self):
-        assert well_formed(parse_program(RUNNING_SRC)) == []
+        assert well_formed_oracle(parse_program(RUNNING_SRC)) == []
 
     def test_fixture_programs_pass(self):
-        assert well_formed(parse_program(M0_SRC)) == []
+        assert well_formed_oracle(parse_program(M0_SRC)) == []
 
     def test_side_effect_diagnostic(self):
         # a procedure writing a variable it does not declare
@@ -178,16 +181,16 @@ class TestWellFormed:
             (ProcDecl("m", "k", Scope((), Seq(Assign(Var("g"), IntLit(1)),
                                               Return(IntLit(0))))),),
             ("g",), Skip())
-        codes = {d.code for d in well_formed(p)}
-        assert "undeclared" in codes or "side-effect" in codes
+        assert [f.code for f in well_formed_oracle(p)] == ["undeclared"]
+        with pytest.raises(ParseError, match="1:8: assignment to undeclared 'g'"):
+            parse_program(str(p))
 
     def test_param_write_flagged(self):
         src = "m(k) { k = k + 1; return k }\nmain { skip }"
-        codes = {d.code for d in well_formed(parse_program(src))}
-        assert "side-effect" in codes
+        with pytest.raises(ParseError, match="1:8: procedure writes non-local variable 'k'"):
+            parse_program(src)
 
     def test_duplicate_name_diagnostic(self):
-        # the parser rejects it, so well_formed does not check it again
         with pytest.raises(ParseError, match="2:1: duplicate procedure name 'm'"):
             parse_program("m(k) { return k }\nm(j) { return j }\nmain { skip }")
 
@@ -198,41 +201,65 @@ class TestWellFormed:
         ("main { x; res(0) = 1 }", "1:11: unexpected 'res'"),
     ], ids=["return-position", "return-in-main", "res-read", "res-write"])
     def test_rejected_by_the_parser(self, src, message):
-        # well_formed does not check these again
         with pytest.raises(ParseError, match=re.escape(message)):
             parse_program(src)
 
     def test_undeclared_variable(self):
-        codes = {d.code for d in well_formed(parse_program("main { x; x = y }"))}
-        assert "undeclared" in codes
+        with pytest.raises(ParseError, match="1:15: variable 'y' not in scope"):
+            parse_program("main { x; x = y }")
 
     def test_type_mismatch_condition(self):
-        codes = {d.code
-                 for d in well_formed(parse_program("main { x; if (x + 1) { x = 0 } }"))}
-        assert "type" in codes
+        with pytest.raises(ParseError,
+                           match=re.escape("1:15: arithmetic where condition expected: x + 1")):
+            parse_program("main { x; if (x + 1) { x = 0 } }")
 
     def test_unknown_procedure_call(self):
-        codes = {d.code for d in well_formed(parse_program("main { x; x = q(1) }"))}
-        assert "unknown-procedure" in codes
+        with pytest.raises(ParseError, match="1:15: call to unknown 'q'"):
+            parse_program("main { x; x = q(1) }")
+
+    def test_operand_fault_at_its_own_token(self):
+        with pytest.raises(ParseError, match=re.escape(
+                "1:23: comparison in integer position: x < 1")):
+            parse_program("main { x; x = 2 * 3 + (x < 1) }")
+        with pytest.raises(ParseError, match="1:20: variable 'z' not in scope"):
+            parse_program("main { x; x = x + (z) }")
+
+    def test_forward_and_recursive_calls_parse(self):
+        src = ("f(n) { r; r = g(n); return r }\n"
+               "g(n) { r; if (n > 0) { r = g(n - 1) }; return r }\n"
+               "main { x; x = f(2) }")
+        p = parse_program(src)
+        assert sorted(c.proc for c in nodes(p) if isinstance(c, CallAssign)) == ["f", "g", "g"]
 
     def test_generated_programs_pass(self):
         rng = random.Random(9)
         for _ in range(100):
-            assert well_formed(random_terminating_program(rng)) == []
+            p = random_terminating_program(rng)
+            assert parse_program(str(p)) == p
 
     def test_diagnostics_match_the_oracle(self):
-        # the same diagnostics in the same order, on generated programs and
-        # on copies with mutated types, scopes, targets and calls
+        # on generated programs and on copies with mutated types, scopes,
+        # targets and calls, the parser raises exactly when the oracle
+        # reports a fault, with one of its messages.  A boolean literal is
+        # not program syntax, so the parser refuses it at its token.
         rng = random.Random(18)
         codes = set()
         for _ in range(300):
             p = random_terminating_program(rng)
-            assert well_formed(p) == well_formed_oracle(p) == []
+            assert well_formed_oracle(p) == []
             for _ in range(3):
                 q = _mutate(p, rng)
-                got = well_formed(q)
-                assert got == well_formed_oracle(q), q
-                codes |= {d.code for d in got}
+                faults = well_formed_oracle(q)
+                codes |= {f.code for f in faults}
+                allowed = {f.message for f in faults}
+                if any(isinstance(n, BoolLit) for n in nodes(q)):
+                    allowed |= {"'true' not allowed here", "'false' not allowed here"}
+                try:
+                    parse_program(str(q))
+                except ParseError as e:
+                    assert e.msg in allowed, q
+                else:
+                    assert not allowed, q
         assert codes == {"type", "undeclared", "side-effect", "unknown-procedure"}
 
 

@@ -155,7 +155,7 @@ def field_values(cls) -> st.SearchStrategy:
 # ---------------------------------------------------------------------------
 
 def test_every_record_is_found():
-    assert len(RECORDS) == 53
+    assert len(RECORDS) == 52
     assert all(isinstance(cls.__slots__, tuple) for cls, _ in RECORDS)
 
 

@@ -9,7 +9,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "tracelet"
 
 # the count at this commit: a change that moves it records the new figure
 # here and in CHANGES.md, and says why when it rises
-TRUSTED_LINES = 1738
+TRUSTED_LINES = 1720
 
 
 def index(src: Path):
@@ -84,14 +84,24 @@ def _attributes(node) -> set:
     return {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
 
 
-def test_trusted_base_size():
-    base = reachable([("calculus", "check_proof"), ("logic", "member")])
+def _report(label: str, base: dict) -> int:
+    """Print base's lines in all, in how many functions and methods, and by
+    module; return the lines."""
     by_module = {}
     for (module, _), lines in base.items():
         by_module[module] = by_module.get(module, 0) + lines
     total = sum(base.values())
-    print(f"trusted base: {total} lines in {len(base)} functions and methods; "
+    print(f"{label}: {total} lines in {len(base)} functions and methods; "
           + ", ".join(f"{m} {n}" for m, n in sorted(by_module.items())))
+    return total
+
+
+def test_trusted_base_size():
+    roots = [("calculus", "check_proof"), ("logic", "member")]
+    for root in roots:
+        _report(".".join(root), reachable([root]))
+    base = reachable(roots)
+    total = _report("trusted base", base)
     for key in [("calculus", "_rule_apply_eq_rigid"), ("calculus", "_Printer.sequent"),
                 ("fo", "fo_valid"), ("logic", "_Member.sat"), ("logic", "_shape"),
                 ("lang", "names"), ("traces", "State.__eq__")]:
