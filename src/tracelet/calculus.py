@@ -11,7 +11,6 @@ whole trusted base; proof search and scripts live in ``prover``.
 from __future__ import annotations
 
 import json
-from json.encoder import encode_basestring_ascii as _esc
 from typing import Dict, List, Optional, Tuple, Union
 
 from . import fo
@@ -237,9 +236,9 @@ def _var_elem_at(seq: Sequent, args: dict, rule: str) -> Tuple[Judgment, int, El
 
 
 def _index_arg(args: dict, key: str, default: Optional[int] = None) -> Optional[int]:
-    """An integer rule argument, as scripts and proof files give it."""
+    """An integer rule argument, or default where args lack the key."""
     value = args.get(key, default)
-    if value is not None and type(value) is not int:
+    if key in args and type(value) is not int:
         raise RuleError(f"{key}= must be an integer")
     return value
 
@@ -842,106 +841,16 @@ class _Printer:
                 "children": [self.node(c) for c in node.children]}
 
 
-def node_to_json(node: ProofNode) -> dict:
-    """A proof tree as the JSON value a proof file stores for it."""
-    return _Printer().node(node)
-
-
-# The file layout is json.dumps(doc, indent=1, sort_keys=True) + "\n",
-# whose indent makes json fall back to its pure-Python encoder.  The
-# writer below puts the document's, a node's and a sequent's keys in their
-# sorted order itself, and json's C encoder writes each string.
-
 _FORMAT = "tracelet-proof"
 
 
-def _members(d: dict, nl: str) -> str:
-    """The members of an object of strings and nulls, each after nl."""
-    return ",".join([nl + _esc(k) + ": " + ("null" if t is None else _esc(t))
-                     for k, t in sorted(d.items())])
-
-
-class _Writer:
-    """One proof file's text; each depth's newline and indent is made once."""
-
-    def __init__(self):
-        self.out: List[str] = []
-        self.nl = ["\n"]
-
-    def indent(self, depth: int) -> str:
-        """A newline and the indent of depth."""
-        nl = self.nl
-        while len(nl) <= depth:
-            nl.append(nl[-1] + " ")
-        return nl[depth]
-
-    def value(self, v, depth: int):
-        """A JSON value (a node's args) at the given depth, sorted keys."""
-        put = self.out.append
-        if isinstance(v, str):
-            put(_esc(v))
-        elif isinstance(v, dict):
-            if not v:
-                put("{}")
-                return
-            sep = "{"
-            for key in sorted(v):
-                put(sep + self.indent(depth + 1) + _esc(key) + ": ")
-                self.value(v[key], depth + 1)
-                sep = ","
-            put(self.indent(depth) + "}")
-        elif isinstance(v, (list, tuple)):
-            if not v:
-                put("[]")
-                return
-            sep = "["
-            for item in v:
-                put(sep + self.indent(depth + 1))
-                self.value(item, depth + 1)
-                sep = ","
-            put(self.indent(depth) + "]")
-        else:
-            # a number, a boolean or null prints the same at any indent
-            put(json.dumps(v))
-
-    def sequent(self, seq: dict, depth: int) -> str:
-        """A sequent, whose assertions and goal map keys to strings or null."""
-        self.indent(depth + 3)
-        n0, n1, n2, n3 = self.nl[depth:depth + 4]
-        gamma = ",".join([n2 + "{" + _members(a, n3) + n2 + "}" for a in seq["gamma"]])
-        return ("{" + n1 + '"gamma": ' + ("[" + gamma + n1 + "]" if gamma else "[]")
-                + "," + n1 + '"goal": {' + _members(seq["goal"], n2) + n1 + "}" + n0 + "}")
-
-    def node(self, node: dict, depth: int):
-        put = self.out.append
-        n1, n2 = self.indent(depth + 1), self.indent(depth + 2)
-        put("{" + n1 + '"args": ')
-        self.value(node["args"], depth + 1)
-        children = node["children"]
-        if children:
-            sep = "," + n1 + '"children": [' + n2
-            for child in children:
-                put(sep)
-                self.node(child, depth + 2)
-                sep = "," + n2
-            put(n1 + "]")
-        else:
-            put("," + n1 + '"children": []')
-        rule = node["rule"]
-        put("," + n1 + '"rule": ' + ("null" if rule is None else _esc(rule))
-            + "," + n1 + '"sequent": ' + self.sequent(node["sequent"], depth + 1)
-            + self.nl[depth] + "}")
-
-
 def dump_proof(node: ProofNode, proc: str) -> str:
-    """The proof file of node, a proof of proc's contract."""
-    w = _Writer()
-    w.out.append('{\n "closed": ' + ("true" if node.closed else "false")
-                 + ',\n "format": ' + _esc(_FORMAT) + ',\n "proc": ' + _esc(proc)
-                 + ',\n "root": ')
-    w.node(node_to_json(node), 1)
-    w.out.append(',\n "version": 1\n}\n')
-    return "".join(w.out)
+    """The proof file of node, a proof of proc's contract: its document on
+    one line, with sorted keys and ASCII escapes.  Any JSON layout of the
+    same document loads the same."""
+    return json.dumps({"closed": node.closed, "format": _FORMAT, "proc": proc,
+                       "root": _Printer().node(node), "version": 1},
+                      sort_keys=True) + "\n"
 
 
 _NODE_KEYS = ("sequent", "rule", "args", "children")

@@ -27,11 +27,10 @@ from .calculus import (ContractAssumption, ProofFileError, ProofNode,
                        load_proof)
 from .interp import DEFAULT_FUEL, FuelExhausted, RunError, initial_state, run
 from .lang import (Binary, CallAssign, IntLit, ParseError, Program, ResVar,
-                   TokenStream, Var, parse_expr, parse_program, record,
-                   tokenize)
+                   TokenStream, Var, parse_program, record, tokenize)
 from .logic import (Chop, ContractSpec, LogicError, MemberBudgetExceeded,
                     MuApp, StatePred, applied, contract_file_text, member,
-                    parse_arith, parse_contract_file)
+                    parse_contract_file, parse_spec_field)
 from .prover import (MAX_NODES, ScriptError, UnsupportedConstruct,
                      apply_script, prove_auto, run_script)
 from .traces import (State, Trace, TraceError, dump_trace, eval_expr,
@@ -204,12 +203,12 @@ def cmd_check(args) -> int:
 # gen-contract
 # ---------------------------------------------------------------------------
 
-def _parse_option(option: str, text: str, parse):
-    """An option's text, read whole by parse; an error names the option
-    and the line and column within its text."""
+def _parse_field(option: str, text: str, key: str):
+    """An option's text, read whole as the spec field key; an error names
+    the option and the line and column within its text."""
     try:
         ts = TokenStream(tokenize(text))
-        e = parse(ts)
+        e = parse_spec_field(ts, key)
         if ts.peek().kind != "eof":
             ts.error("trailing input")
     except ParseError as err:
@@ -217,16 +216,12 @@ def _parse_option(option: str, text: str, parse):
     return e
 
 
-def _parse_pred(ts: TokenStream):
-    return parse_expr(ts, logical=True)
-
-
 def cmd_gen_contract(args) -> int:
     spec = ContractSpec(args.proc,
-                        _parse_option("--pre-base", args.pre_base, _parse_pred),
-                        _parse_option("--pre-step", args.pre_step, _parse_pred),
-                        _parse_option("--result", args.result, parse_arith),
-                        _parse_option("--step-inv", args.step_inv, parse_arith))
+                        _parse_field("--pre-base", args.pre_base, "base"),
+                        _parse_field("--pre-step", args.pre_step, "step"),
+                        _parse_field("--result", args.result, "result"),
+                        _parse_field("--step-inv", args.step_inv, "inv"))
     text = contract_file_text(spec, include_big_step=not args.no_big_step)
     parse_contract_file(text)  # never write a file that does not read back
     if args.output:

@@ -1058,6 +1058,19 @@ def _parse_contract_body(ts, params: tuple) -> Formula:
     return f
 
 
+def parse_spec_field(ts: TokenStream, key: str) -> Expr:
+    """A spec field: a predicate for base and step, an arithmetic term for
+    inv and result.  Its terms are in the parameter n alone, so any other
+    name is refused at its token."""
+    start = ts.pos
+    e = parse_expr(ts, logical=True) if key in ("base", "step") else parse_arith(ts)
+    for t in ts.tokens[start:ts.pos]:
+        if t.kind == "ident" and t.text not in (ContractSpec.PARAM, "res", "true", "false"):
+            raise ParseError(f"spec field {key} may name only {ContractSpec.PARAM}, "
+                             f"found {t.text!r}", t.line, t.col)
+    return e
+
+
 def parse_contract_file(text: str) -> ContractFile:
     ts = TokenStream(tokenize(text))
     contracts = {}
@@ -1079,10 +1092,10 @@ def parse_contract_file(text: str) -> ContractFile:
                 ts.expect_sym(":")
                 if key in ("base", "step"):
                     ts.expect_sym("[")
-                    fields[key] = parse_expr(ts, logical=True)
+                    fields[key] = parse_spec_field(ts, key)
                     ts.expect_sym("]")
                 elif key in ("inv", "result"):
-                    fields[key] = parse_arith(ts)
+                    fields[key] = parse_spec_field(ts, key)
                 else:
                     ts.error(f"unknown spec field {key!r}")
                 if ts.at_sym(";"):

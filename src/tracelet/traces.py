@@ -113,7 +113,7 @@ class State:
         try:
             return self._base[name]
         except KeyError:
-            raise UndefinedVariable(name) from None
+            raise UndefinedVariable(f"variable {name!r} is unbound") from None
 
     def __contains__(self, name: str) -> bool:
         return name in self._over or name in self._base

@@ -14,27 +14,26 @@ import re
 from itertools import chain, product
 
 from tracelet import cli, lang
-from tracelet.calculus import (Judgment, PredAssert, PredGoal, RuleError,
-                               node_to_json)
+from tracelet.calculus import Judgment, PredAssert, PredGoal, RuleError
 from tracelet.interp import DEFAULT_FUEL, FuelExhausted, Machine, RunError
 from tracelet.lang import (ARITH_OPS, CMP_OPS, Assign, Binary, BoolLit,
                            CallAssign, Fresh, If, IntLit, Program,
                            ProcDecl, ResVar, Return, Scope, Seq, Skip,
                            TokenStream, Unary, Var, While,
-                           fold_expr, lookup, parse_program, record, seq,
-                           subst_vars, tokenize)
+                           fold_expr, lookup, parse_program, pretty_expr,
+                           record, seq, subst_vars, tokenize)
 from tracelet.logic import (And, Chop, Concat, ContractSpec, FinishEvF, Gap,
                             LogicError, Mu, MuApp, NoEv, Or, RecApp, StartEvF,
                             StatePred, eval_term,
-                            make_contract, map_terms, member, _FreshValue,
-                            _parse_formula_or)
+                            make_contract, map_terms, member, pretty_formula,
+                            _FreshValue, _parse_formula_or)
 from tracelet.traces import (CallEv, Ctx, EmptyTraceError,
                              MAIN_CTX, PopEv, PushEv, RetEv, State, Trace,
                              TraceError, UndefinedVariable, entry_from_json,
                              eval_expr, is_state,
                              nest, res_name, ret_owners, singleton)
-from tracelet.updates import (CallUpd, Elem, FinishUpd, StartUpd, update_reads,
-                              update_writes)
+from tracelet.updates import (CallUpd, Elem, FinishUpd, StartUpd, pretty_update,
+                              update_reads, update_writes)
 
 RUNNING_SRC = """\
 // identity computed by k recursive calls
@@ -198,7 +197,7 @@ class DictState:
         try:
             return self._b[name]
         except KeyError:
-            raise UndefinedVariable(name) from None
+            raise UndefinedVariable(f"variable {name!r} is unbound") from None
 
     def __contains__(self, name: str) -> bool:
         return name in self._b
@@ -606,11 +605,29 @@ def load_trace_oracle(text: str) -> Trace:
         raise TraceError(f"malformed trace file: {e}") from None
 
 
-def dump_proof_oracle(node, proc: str) -> str:
-    """The proof writer as json lays it out: sorted keys, one-space indent."""
-    doc = {"format": "tracelet-proof", "version": 1, "proc": proc,
-           "closed": node.closed, "root": node_to_json(node)}
-    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+def dump_proof_oracle(node, proc: str) -> dict:
+    """The document a proof file holds for node: each sequent printed whole
+    by the package's printers, with no memo."""
+    def assertion(a):
+        return {"pred": pretty_expr(a.pred)} if isinstance(a, PredAssert) \
+            else {"contract": a.proc}
+
+    def goal(g):
+        if isinstance(g, Judgment):
+            return {"kind": "judgment", "update": pretty_update(g.update),
+                    "stmt": None if g.stmt is None else str(g.stmt),
+                    "formula": pretty_formula(g.formula)}
+        if isinstance(g, PredGoal):
+            return {"kind": "pred", "pred": pretty_expr(g.pred)}
+        return {"kind": "contract", "proc": g.proc}
+
+    def tree(n):
+        return {"sequent": {"gamma": [assertion(a) for a in n.sequent.gamma],
+                            "goal": goal(n.sequent.goal)},
+                "rule": n.rule, "args": n.args, "children": [tree(c) for c in n.children]}
+
+    return {"format": "tracelet-proof", "version": 1, "proc": proc,
+            "closed": node.closed, "root": tree(node)}
 
 
 # ---------------------------------------------------------------------------
@@ -718,7 +735,7 @@ def eval_expr_reference(state: State, e, env=None):
             return env[e.name]
         if e.name in state:
             return state.get(e.name)
-        raise UndefinedVariable(e.name)
+        raise UndefinedVariable(f"variable {e.name!r} is unbound")
     if isinstance(e, ResVar):
         idx = eval_expr_reference(state, e.index, env)
         return state.get(res_name(idx))

@@ -1,6 +1,7 @@
 """Sequent calculus: rules, automated proof, replay checking, soundness."""
 
 import ast
+import json
 import random
 import re
 from collections import Counter
@@ -22,8 +23,7 @@ from tracelet import calculus, lang
 from tracelet.calculus import (ContractAssumption, ContractGoal, Judgment,
                                PredAssert, PredGoal, RuleContext, RuleError,
                                Sequent, apply_rule, check_proof, contract_goal,
-                               dump_proof, inline, load_proof,
-                               node_to_json, stmt_head)
+                               dump_proof, inline, load_proof, stmt_head)
 from tracelet.fo import fo_valid
 from tracelet.lang import (RESERVED, Assign, Binary, BoolLit, CallAssign, If,
                            IntLit, Return, ResVar, Scope, Seq, Skip,
@@ -711,7 +711,7 @@ class TestCheckProof:
         text = dump_proof(tree, "m")
         proc, root = load_proof(text)
         assert proc == "m"
-        assert root == node_to_json(tree)
+        assert root == dump_proof_oracle(tree, "m")["root"]
         assert check_proof(root, proc, ctx_m()) is None
 
     def test_random_mutations_rejected(self):
@@ -829,13 +829,24 @@ _JSON = st.recursive(
     max_leaves=8)
 
 
-def assert_written_as_json_lays_out(tree, proc, ctx):
-    """dump_proof gives the oracle's bytes, and the file replays: a closed
-    proof is valid, an open one stops at its first open goal."""
+def assert_plain_json(text, doc):
+    """text is doc as json.dumps(doc, sort_keys=True) lays it out: ASCII,
+    on one line and its newline."""
+    assert text.isascii() and text.count("\n") == 1 and text.endswith("\n")
+    assert json.loads(text) == doc
+    assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+
+
+def assert_written_as_plain_json(tree, proc, ctx):
+    """dump_proof writes the oracle's document as plain json, and the file
+    replays: a closed proof is valid, an open one stops at its first open
+    goal.  The same document in the indented layout that earlier versions
+    wrote replays with the same verdict."""
     text = dump_proof(tree, proc)
-    assert text == dump_proof_oracle(tree, proc)
-    _, root = load_proof(text)
-    bad = check_proof(root, proc, ctx)
+    assert_plain_json(text, dump_proof_oracle(tree, proc))
+    indented = json.dumps(json.loads(text), indent=1, sort_keys=True) + "\n"
+    bad, bad_indented = (check_proof(load_proof(t)[1], proc, ctx) for t in (text, indented))
+    assert bad == bad_indented
     if tree.closed:
         assert bad is None
     else:
@@ -843,10 +854,11 @@ def assert_written_as_json_lays_out(tree, proc, ctx):
 
 
 class TestProofFile:
-    """The schema writer gives the bytes of json.dumps(indent=1, sort_keys=True)."""
+    """A proof file is its document as json.dumps(doc, sort_keys=True) lays
+    it out; any JSON layout of that document replays the same."""
 
     def test_m_proof(self):
-        assert_written_as_json_lays_out(closed_proof(), "m", ctx_m())
+        assert_written_as_plain_json(closed_proof(), "m", ctx_m())
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 10 ** 6),
@@ -858,7 +870,7 @@ class TestProofFile:
             ctx = RuleContext.for_program(
                 program, [ContractAssumption.from_spec(gen_contract_spec(proc.name, result))])
             tree = prove_auto(contract_goal(proc.name), ctx, max_nodes=300)
-            assert_written_as_json_lays_out(tree, proc.name, ctx)
+            assert_written_as_plain_json(tree, proc.name, ctx)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(names=st.lists(_IDENT, min_size=3, max_size=3, unique=True),
@@ -872,7 +884,7 @@ class TestProofFile:
             program, [ContractAssumption.from_spec(gen_contract_spec(proc, result))])
         tree = prove_auto(contract_goal(proc), ctx)
         assert tree.closed == (result == ("n" if step == 1 else f"{step} * n"))
-        assert_written_as_json_lays_out(tree, proc, ctx)
+        assert_written_as_plain_json(tree, proc, ctx)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(extra=st.lists(st.tuples(st.text(st.sampled_from(list("akéλ_0")), min_size=1,
@@ -889,7 +901,7 @@ class TestProofFile:
         assert bool(find_nodes(tree, "Unfold")) == unfold
         if unfold:
             assert find_nodes(tree, "Unfold")[0].args["fresh"]
-        assert_written_as_json_lays_out(tree, "m", ctx_m())
+        assert_written_as_plain_json(tree, "m", ctx_m())
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(args=st.lists(st.dictionaries(st.text(max_size=4), _JSON, max_size=3),
@@ -902,7 +914,7 @@ class TestProofFile:
             stack.extend(nodes[-1].children)
         for node, value in zip(nodes, args):
             node.args = value
-        assert dump_proof(tree, "m") == dump_proof_oracle(tree, "m")
+        assert_plain_json(dump_proof(tree, "m"), dump_proof_oracle(tree, "m"))
 
 
 def assert_mutations_rejected(text, ctx, count):

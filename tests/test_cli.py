@@ -336,10 +336,13 @@ def test_recursive_and_forward_calls_parse(work, capsys, source):
      "no contract named 'nope' in {dir}/m.tcf"),
     (["validate", "{dir}/running.tcp", "{dir}/m.tcf", "--no-proof", "--range", "a..b"],
      "--range expects lo..hi"),
-], ids=["prove-no-spec", "check-no-contract", "validate-bad-range"])
+    (["check", "{dir}/t.json", "{dir}/c.tcf", "--contract", "c", "--bind", "n=1"],
+     "variable 'q' is unbound"),
+], ids=["prove-no-spec", "check-no-contract", "validate-bad-range", "check-unbound"])
 def test_input_error_names_it(work, capsys, argv, message):
     gen_contract(work)
     (work / "t.json").write_text('[{"state": {}}]')
+    (work / "c.tcf").write_text("contract c(n) := (mu X(a). [a == 0] ** psi())(q)\n")
     capsys.readouterr()
     assert main([a.format(dir=work) for a in argv]) == EXIT_ERROR
     assert capsys.readouterr().err == f"error: {message.replace('{dir}', str(work))}\n"
@@ -866,6 +869,41 @@ class TestProve:
                      "--contracts", str(contract)]) == EXIT_PROOF_REJECTED
         assert f"unknown rule '{rule}'" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("rule, key", [("SubsumeUpdates", "keep"), ("TrAbs", "call"),
+                                           ("TrAbs", "occ"), ("DropResUpdate", "at")])
+    def test_null_index_argument_rejected_exit_7(self, work, capsys, rule, key):
+        contract = gen_contract(work)
+        proof = work / "m.proof.json"
+        main(["prove", str(work / "running.tcp"), str(contract),
+              "--proc", "m", "-o", str(proof)])
+        doc = json.loads(proof.read_text())
+        stack = [doc["root"]]
+        while stack[-1]["rule"] != rule:
+            stack.extend(stack.pop()["children"])
+        stack[-1]["args"][key] = None
+        proof.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["check-proof", str(proof), "--program", str(work / "running.tcp"),
+                     "--contracts", str(contract)]) == EXIT_PROOF_REJECTED
+        out, err = capsys.readouterr()
+        assert err == "" and out.count("\n") == 1
+        assert out.endswith(f": {rule}: {key}= must be an integer\n")
+
+    @pytest.mark.parametrize("tamper, code", [(False, EXIT_OK), (True, EXIT_PROOF_REJECTED)],
+                             ids=["intact", "tampered"])
+    def test_indented_layout_replays(self, work, capsys, tamper, code):
+        # the same document in the layout that earlier versions wrote
+        contract = gen_contract(work)
+        proof = work / "m.proof.json"
+        main(["prove", str(work / "running.tcp"), str(contract),
+              "--proc", "m", "-o", str(proof)])
+        doc = json.loads(proof.read_text())
+        if tamper:
+            doc["root"]["children"][0]["children"] = []
+        proof.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+        assert main(["check-proof", str(proof), "--program", str(work / "running.tcp"),
+                     "--contracts", str(contract)]) == code
+
     @pytest.mark.parametrize("proc,goal", [
         ("m", {"kind": "pred", "pred": "1 == 1"}),   # proves the wrong goal
         ("q", {"kind": "pred", "pred": "1 == 1"}),   # names no spec block
@@ -1232,7 +1270,11 @@ class TestGenContract:
         ("--result", "true", "1:1: 'true' not allowed here"),
         ("--step-inv", "n < 1", "1:1: expected an arithmetic term, found 'n < 1'"),
         ("--result", "n n", "1:3: trailing input"),
-        ("--pre-step", "n >", "1:4: expected expression, found ''")])
+        ("--pre-step", "n >", "1:4: expected expression, found ''"),
+        ("--pre-base", "k == 0", "1:1: spec field base may name only n, found 'k'"),
+        ("--pre-step", "res(n) > j", "1:10: spec field step may name only n, found 'j'"),
+        ("--result", "n + k", "1:5: spec field result may name only n, found 'k'"),
+        ("--step-inv", "i - 1", "1:1: spec field inv may name only n, found 'i'")])
     def test_error_names_the_option_and_its_column(self, work, capsys, field, text, message):
         argv = ["gen-contract", "m", "--pre-base", "n == 0", "--pre-step", "n > 0",
                 "--result", "n", "--step-inv", "n - 1"]
@@ -1266,8 +1308,13 @@ class TestGenContract:
      "1:33: fresh(...) must be a whole argument of a recursion"),
     ("prove", "result: fresh(n)", "1:61: fresh(...) must be a whole argument of a recursion"),
     ("prove", "inv: fresh(n)", "1:46: fresh(...) must be a whole argument of a recursion"),
+    ("prove", "base: [k == 0]", "1:17: spec field base may name only n, found 'k'"),
+    ("prove", "step: [n > k]", "1:37: spec field step may name only n, found 'k'"),
+    ("prove", "inv: n - i", "1:50: spec field inv may name only n, found 'i'"),
+    ("prove", "result: k", "1:61: spec field result may name only n, found 'k'"),
 ], ids=["arity", "arity-bare", "arity-applied", "unbound", "contract-params",
-        "formula-file-params", "fresh-start", "fresh-finish", "fresh-result", "fresh-inv"])
+        "formula-file-params", "fresh-start", "fresh-finish", "fresh-result", "fresh-inv",
+        "name-base", "name-step", "name-inv", "name-result"])
 def test_contract_fault_at_its_token(work, capsys, command, text, message):
     """A contract file the parser rejects: one error line with the line
     and column of the fault, and exit 1."""
@@ -1279,7 +1326,9 @@ def test_contract_fault_at_its_token(work, capsys, command, text, message):
     else:
         field = text.split(":")[0]
         spec = gen_contract(work).read_text()
-        bad.write_text(spec.replace({"result": "result: n", "inv": "inv: n - 1"}[field], text))
+        bad.write_text(spec.replace({"base": "base: [n == 0]", "step": "step: [n > 0]",
+                                     "result": "result: n", "inv": "inv: n - 1"}[field],
+                                    text))
         argv = ["prove", str(work / "running.tcp"), str(bad), "--proc", "m"]
     capsys.readouterr()
     assert main(argv) == EXIT_ERROR

@@ -107,8 +107,7 @@ def test_trusted_base_size():
                 ("lang", "names"), ("traces", "State.__eq__")]:
         assert key in base, key
     assert not {m for m, _ in base} & {"prover", "cli"}
-    assert not any(q.startswith("_Writer.") or q in ("dump_proof", "load_proof")
-                   for _, q in base)
+    assert not any(q in ("dump_proof", "load_proof") for _, q in base)
     assert total == TRUSTED_LINES
 
 
