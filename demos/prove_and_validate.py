@@ -10,11 +10,11 @@ membership in the contract's denotation.
 
 from collections import Counter
 
-from tracelet.calculus import (ContractAssumption, RuleContext, check_proof,
-                               contract_goal, dump_proof, load_proof)
+from tracelet.calculus import ContractAssumption, RuleContext, contract_goal
 from tracelet.cli import validate_contract
 from tracelet.lang import Binary, IntLit, Var, parse_program
 from tracelet.logic import ContractSpec
+from tracelet.proofs import check_proof, dump_proof, load_proof
 from tracelet.prover import prove_auto
 
 GOOD = """

@@ -4,13 +4,13 @@ Sequents carry assertions (closed predicates over rigid symbols, or
 contract assumptions) and a goal: a judgment ``U s : Phi``, a first-order
 predicate, or a procedure contract.  Rules are applied by name through
 one table, ``RULES``, so a proof is checked independently of how it was
-produced by replaying every step (``check_proof``).  This module is the
-whole trusted base; proof search and scripts live in ``prover``.
+produced by replaying every step (``replay``).  This module is the
+kernel and nothing else: proof trees, search and scripts live in
+``prover``, proof files in ``proofs``.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Dict, List, Optional, Tuple, Union
 
 from . import fo
@@ -106,34 +106,6 @@ class Sequent:
 
 def gamma_preds(seq: Sequent) -> List[Expr]:
     return [a.pred for a in seq.gamma if isinstance(a, PredAssert)]
-
-
-# ---------------------------------------------------------------------------
-# Proof trees
-# ---------------------------------------------------------------------------
-
-class ProofNode:
-    def __init__(self, sequent: Sequent, rule: Optional[str] = None,
-                 args: Optional[dict] = None, children: Optional[list] = None):
-        self.sequent = sequent
-        self.rule = rule
-        self.args = dict(args or {})
-        self.children = list(children or [])
-
-    @property
-    def closed(self) -> bool:
-        return self.rule is not None and all(c.closed for c in self.children)
-
-    def open_goals(self) -> list:
-        if self.rule is None:
-            return [self]
-        out = []
-        for c in self.children:
-            out.extend(c.open_goals())
-        return out
-
-    def size(self) -> int:
-        return 1 + sum(c.size() for c in self.children)
 
 
 # ---------------------------------------------------------------------------
@@ -783,113 +755,6 @@ def contract_goal(proc: str) -> Sequent:
 
 
 # ---------------------------------------------------------------------------
-# Proof files (.proof.json)
-# ---------------------------------------------------------------------------
-
-class ProofFileError(Exception):
-    """A proof file is not JSON or not shaped like a proof tree."""
-
-
-class _Printer:
-    """The printed form of sequents, with each object printed once.
-
-    A child sequent mostly reuses its parent's formula, update, statement
-    and predicates, so one printer serves one dump_proof or check_proof
-    call and memoizes by id().  Each memo entry holds the object beside
-    its text: the id cannot pass to another object while the printer
-    lives.
-    """
-
-    def __init__(self):
-        self.formulas, self.updates, self.atoms = {}, {}, {}
-        self.stmts, self.preds = {}, {}
-
-    @staticmethod
-    def _once(memo: dict, show, obj) -> str:
-        got = memo.get(id(obj))
-        if got is None:
-            got = memo[id(obj)] = (obj, show(obj))
-        return got[1]
-
-    def _update(self, update: Update) -> str:
-        # as pretty_update prints it, with each atom printed once
-        return "".join([self._once(self.atoms, repr, a) for a in update])
-
-    def assertion(self, a: Assertion) -> dict:
-        if isinstance(a, PredAssert):
-            return {"pred": self._once(self.preds, pretty_expr, a.pred)}
-        return {"contract": a.proc}
-
-    def goal(self, g: Goal) -> dict:
-        if isinstance(g, Judgment):
-            return {"kind": "judgment",
-                    "update": self._once(self.updates, self._update, g.update),
-                    "stmt": None if g.stmt is None else self._once(self.stmts, str, g.stmt),
-                    "formula": self._once(self.formulas, pretty_formula, g.formula)}
-        if isinstance(g, PredGoal):
-            return {"kind": "pred", "pred": self._once(self.preds, pretty_expr, g.pred)}
-        return {"kind": "contract", "proc": g.proc}
-
-    def sequent(self, seq: Sequent) -> dict:
-        return {"gamma": [self.assertion(a) for a in seq.gamma],
-                "goal": self.goal(seq.goal)}
-
-    def node(self, node: ProofNode) -> dict:
-        return {"sequent": self.sequent(node.sequent),
-                "rule": node.rule,
-                "args": node.args,
-                "children": [self.node(c) for c in node.children]}
-
-
-_FORMAT = "tracelet-proof"
-
-
-def dump_proof(node: ProofNode, proc: str) -> str:
-    """The proof file of node, a proof of proc's contract: its document on
-    one line, with sorted keys and ASCII escapes.  Any JSON layout of the
-    same document loads the same."""
-    return json.dumps({"closed": node.closed, "format": _FORMAT, "proc": proc,
-                       "root": _Printer().node(node), "version": 1},
-                      sort_keys=True) + "\n"
-
-
-_NODE_KEYS = ("sequent", "rule", "args", "children")
-
-
-def load_proof(text: str) -> Tuple[str, dict]:
-    """The procedure a proof file names and its root node, as JSON.
-
-    Only the shape is checked here.  Stored sequents stay in their printed
-    form: check_proof compares them with the sequents it rebuilds.
-    """
-    try:
-        doc = json.loads(text)
-    except (ValueError, RecursionError) as e:
-        raise ProofFileError(f"not JSON ({e})") from None
-    if not isinstance(doc, dict) or doc.get("format") != _FORMAT:
-        raise ProofFileError("not a tracelet proof file")
-    if not isinstance(doc.get("proc"), str):
-        raise ProofFileError("'proc' must be a procedure name")
-    if "root" not in doc:
-        raise ProofFileError("missing key 'root'")
-    stack = [((), doc["root"])]
-    while stack:
-        path, node = stack.pop()
-        where = "/".join(str(p) for p in path) or "root"
-        if not isinstance(node, dict) or any(k not in node for k in _NODE_KEYS):
-            raise ProofFileError(f"node {where} is not an object with keys "
-                                 + ", ".join(_NODE_KEYS))
-        if not (node["rule"] is None or isinstance(node["rule"], str)):
-            raise ProofFileError(f"node {where}: 'rule' must be a string or null")
-        if not isinstance(node["args"], dict):
-            raise ProofFileError(f"node {where}: 'args' must be an object")
-        if not isinstance(node["children"], list):
-            raise ProofFileError(f"node {where}: 'children' must be a list")
-        stack.extend((path + (k,), c) for k, c in enumerate(node["children"]))
-    return doc["proc"], doc["root"]
-
-
-# ---------------------------------------------------------------------------
 # Proof checking (independent replay)
 # ---------------------------------------------------------------------------
 
@@ -903,19 +768,19 @@ class InvalidStep:
         return f"invalid step at {where}: {self.reason}"
 
 
-def check_proof(root: dict, proc: str, ctx: RuleContext) -> Optional[InvalidStep]:
+def replay(root: dict, proc: str, ctx: RuleContext, recorded) -> Optional[InvalidStep]:
     """Replay a loaded proof of proc's contract; None means it is valid.
 
-    Replay starts at contract_goal(proc) and rebuilds every sequent from
-    the rules and args alone; each stored sequent must print exactly as
-    the rebuilt one does.
+    Every sequent is rebuilt from contract_goal(proc) by the nodes' rules,
+    args and children alone.  recorded(node, seq) decides only whether the
+    sequent a node records may stand for the rebuilt one, seq.
     """
-    return _replay(root, contract_goal(proc), ctx, (), _Printer())
+    return _replay(root, contract_goal(proc), ctx, (), recorded)
 
 
 def _replay(node: dict, seq: Sequent, ctx: RuleContext, path: tuple,
-            printer: _Printer) -> Optional[InvalidStep]:
-    if node["sequent"] != printer.sequent(seq):
+            recorded) -> Optional[InvalidStep]:
+    if not recorded(node, seq):
         return InvalidStep(path, f"recorded sequent is not {seq!r}")
     rule = node["rule"]
     if rule is None:
@@ -929,7 +794,7 @@ def _replay(node: dict, seq: Sequent, ctx: RuleContext, path: tuple,
         return InvalidStep(path, f"{rule}: expected {len(premises)} premises, "
                                  f"recorded {len(children)}")
     for k, (premise, child) in enumerate(zip(premises, children)):
-        bad = _replay(child, premise, ctx, path + (k,), printer)
+        bad = _replay(child, premise, ctx, path + (k,), recorded)
         if bad is not None:
             return bad
     return None

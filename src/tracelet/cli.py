@@ -22,16 +22,16 @@ import sys
 from types import SimpleNamespace
 from typing import Dict, List, Optional
 
-from .calculus import (ContractAssumption, ProofFileError, ProofNode,
-                       RuleContext, check_proof, contract_goal, dump_proof,
-                       load_proof)
+from .calculus import ContractAssumption, RuleContext, contract_goal
 from .interp import DEFAULT_FUEL, FuelExhausted, RunError, initial_state, run
 from .lang import (Binary, CallAssign, IntLit, ParseError, Program, ResVar,
                    TokenStream, Var, parse_program, record, tokenize)
 from .logic import (Chop, ContractSpec, LogicError, MemberBudgetExceeded,
                     MuApp, StatePred, applied, contract_file_text, member,
                     parse_contract_file, parse_spec_field)
-from .prover import (MAX_NODES, ScriptError, UnsupportedConstruct,
+from .proofs import (ProofFileError, check_proof, dump_proof, load_proof,
+                     node_count)
+from .prover import (MAX_NODES, ProofNode, ScriptError, UnsupportedConstruct,
                      apply_script, prove_auto, run_script)
 from .traces import (State, Trace, TraceError, dump_trace, eval_expr,
                      is_adequate, load_trace)
@@ -326,16 +326,12 @@ def _replay_proof(args, program: Program, assumptions,
     return proc, root, check_proof(root, proc, ctx)
 
 
-def _size(node: dict) -> int:
-    return 1 + sum(_size(c) for c in node["children"])
-
-
 def cmd_check_proof(args) -> int:
     program = parse_program(_read(args.program))
     assumptions = _assumptions(program, parse_contract_file(_read(args.contracts)))
     proc, root, bad = _replay_proof(args, program, assumptions)
     if bad is None:
-        print(f"proof of {proc} is valid ({_size(root)} nodes)")
+        print(f"proof of {proc} is valid ({node_count(root)} nodes)")
         return EXIT_OK
     print(f"proof rejected: {bad}")
     return EXIT_PROOF_REJECTED

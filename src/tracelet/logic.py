@@ -79,27 +79,9 @@ class MemberBudgetExceeded(LogicError):
 MEMBER_BUDGET = 500_000
 
 
-# ---------------------------------------------------------------------------
-# Terms: arithmetic expressions over logical variables, or fresh(...)
-# ---------------------------------------------------------------------------
-
-class _FreshValue:
-    """Placeholder produced when a fresh(...) term is evaluated."""
-
-    __slots__ = ("token",)
-
-    def __init__(self, token: int):
-        self.token = token
-
-
+# Terms are arithmetic expressions over logical variables, evaluated in no
+# state; a fresh(...) term stands only as a whole recursion argument.
 _NO_STATE = State()
-
-
-def eval_term(t: Expr, env: dict):
-    """A term's value under env; a fresh(...) term yields a marker."""
-    if isinstance(t, Fresh):
-        return _FreshValue(id(t))
-    return eval_expr(_NO_STATE, t, env)
 
 
 # ---------------------------------------------------------------------------
@@ -531,17 +513,16 @@ class _Member:
     def resolve_args(self, mu: Mu, args: tuple, benv: dict, lo: int, hi: int):
         """All concrete argument tuples.
 
-        A fresh marker ranges over the segment's call ids, or is the id of
-        the call at lo+1 when every body match starts with that call and
-        names the marker's parameter as its id.
+        A fresh(...) argument ranges over the segment's call ids, or is
+        the id of the call at lo+1 when every body match starts with that
+        call and names the argument's parameter as its id.
         """
-        concrete = [eval_term(a, benv) for a in args]
         cid = self.shapes[id(mu)].cid
         bound = {p: k for k, p in enumerate(mu.params)}.get(cid)
         choices = []
-        for k, v in enumerate(concrete):
-            if not isinstance(v, _FreshValue):
-                choices.append((v,))
+        for k, a in enumerate(args):
+            if type(a) is not Fresh:
+                choices.append((eval_expr(_NO_STATE, a, benv),))
             elif k == bound:
                 call = self.entries[lo + 1] if hi - lo > 1 else None
                 choices.append((call.call_id,) if isinstance(call, CallEv) else ())
@@ -641,8 +622,8 @@ class _Member:
                     and isinstance(e1, CallEv) and isinstance(e3, PushEv)):
                 return False
             try:
-                arg = eval_term(f.arg, benv)
-                cid = eval_term(f.call_id, benv)
+                arg = eval_expr(_NO_STATE, f.arg, benv)
+                cid = eval_expr(_NO_STATE, f.call_id, benv)
             except UndefinedVariable:
                 return False
             return (e1.proc == f.proc and e1.arg == arg and e1.call_id == cid
@@ -653,8 +634,8 @@ class _Member:
                     and is_state(s3) and isinstance(e4, PopEv) and s5 == s3):
                 return False
             try:
-                val = eval_term(f.arg, benv)
-                cid = eval_term(f.call_id, benv)
+                val = eval_expr(_NO_STATE, f.arg, benv)
+                cid = eval_expr(_NO_STATE, f.call_id, benv)
             except UndefinedVariable:
                 return False
             return (e1.value == val and e4.ctx.proc == f.proc

@@ -1,8 +1,9 @@
-"""Proof search and proof scripts on top of the calculus kernel.
+"""Proof trees, proof search and proof scripts on top of the calculus
+kernel.
 
 Nothing here is trusted.  The prover proposes rule applications and the
 kernel (``calculus.apply_rule``) decides each one; a proof it builds is
-accepted only when ``calculus.check_proof`` replays it.
+accepted only when ``proofs.check_proof`` replays it.
 """
 
 from __future__ import annotations
@@ -10,9 +11,8 @@ from __future__ import annotations
 from typing import Optional
 
 from . import fo
-from .calculus import (ContractGoal, Judgment, PredGoal, ProofNode,
-                       RuleContext, RuleError, Sequent, apply_rule,
-                       gamma_preds, stmt_head)
+from .calculus import (ContractGoal, Judgment, PredGoal, RuleContext,
+                       RuleError, Sequent, apply_rule, gamma_preds, stmt_head)
 from .lang import (Assign, CallAssign, Expr, If, Return, Scope, Skip, Var,
                    While)
 from .logic import (FinishEvF, Formula, Gap, MuApp, Or, StartEvF, StatePred,
@@ -22,6 +22,34 @@ from .updates import CallUpd, Elem, FinishUpd, is_res_elem, update_reads
 
 class UnsupportedConstruct(Exception):
     pass
+
+
+# ---------------------------------------------------------------------------
+# Proof trees
+# ---------------------------------------------------------------------------
+
+class ProofNode:
+    def __init__(self, sequent: Sequent, rule: Optional[str] = None,
+                 args: Optional[dict] = None, children: Optional[list] = None):
+        self.sequent = sequent
+        self.rule = rule
+        self.args = dict(args or {})
+        self.children = list(children or [])
+
+    @property
+    def closed(self) -> bool:
+        return self.rule is not None and all(c.closed for c in self.children)
+
+    def open_goals(self) -> list:
+        if self.rule is None:
+            return [self]
+        out = []
+        for c in self.children:
+            out.extend(c.open_goals())
+        return out
+
+    def size(self) -> int:
+        return 1 + sum(c.size() for c in self.children)
 
 
 # ---------------------------------------------------------------------------

@@ -189,9 +189,6 @@ class Ctx:
         return f"({self.proc},{cid})"
 
 
-MAIN_CTX = Ctx("main", None)
-
-
 @record(frozen=True)
 class CallEv:
     proc: str

@@ -24,11 +24,10 @@ from tracelet.lang import (ARITH_OPS, CMP_OPS, Assign, Binary, BoolLit,
                            record, seq, subst_vars, tokenize)
 from tracelet.logic import (And, Chop, Concat, ContractSpec, FinishEvF, Gap,
                             LogicError, Mu, MuApp, NoEv, Or, RecApp, StartEvF,
-                            StatePred, eval_term,
-                            make_contract, map_terms, member, pretty_formula,
-                            _FreshValue, _parse_formula_or)
+                            StatePred, make_contract, map_terms, member,
+                            pretty_formula, _parse_formula_or)
 from tracelet.traces import (CallEv, Ctx, EmptyTraceError,
-                             MAIN_CTX, PopEv, PushEv, RetEv, State, Trace,
+                             PopEv, PushEv, RetEv, State, Trace,
                              TraceError, UndefinedVariable, entry_from_json,
                              eval_expr, is_state,
                              nest, res_name, ret_owners, singleton)
@@ -149,6 +148,10 @@ def event_skeleton(trace: Trace):
 # ---------------------------------------------------------------------------
 # Independent oracles
 # ---------------------------------------------------------------------------
+
+# the context of main, whose call id is the distinguished 'nul'
+MAIN_CTX = Ctx("main", None)
+
 
 def curr_ctx_stack(trace: Trace):
     """Current context by an explicit push/pop stack scan."""
@@ -285,6 +288,11 @@ def member_approx(trace: Trace, formula, env=None, k=None) -> bool:
     env = dict(env or {})
     memo = {}
     gaps = {}  # exclusion set -> its fixed point, kept alive for the memo's ids
+    # a fresh(...) term evaluates to the marker `fresh`, which equals no value
+    fresh, no_state = object(), State()
+
+    def term(t, benv):
+        return fresh if isinstance(t, Fresh) else eval_expr(no_state, t, benv)
 
     def ids_in(lo, hi):
         ids = set()
@@ -297,8 +305,8 @@ def member_approx(trace: Trace, formula, env=None, k=None) -> bool:
         return sorted(ids)
 
     def resolve(args, benv, lo, hi):
-        vals = [eval_term(a, benv) for a in args]
-        slots = [i for i, v in enumerate(vals) if isinstance(v, _FreshValue)]
+        vals = [term(a, benv) for a in args]
+        slots = [i for i, v in enumerate(vals) if v is fresh]
         if not slots:
             return [tuple(vals)]
         out = []
@@ -347,8 +355,8 @@ def member_approx(trace: Trace, formula, env=None, k=None) -> bool:
             if width != 5:
                 return False
             a, b, c, d, e = entries[lo:hi]
-            ev = eval_term(f.arg, benv)
-            iv = eval_term(f.call_id, benv)
+            ev = term(f.arg, benv)
+            iv = term(f.call_id, benv)
             return (is_state(a) and a == c == e and isinstance(b, CallEv)
                     and isinstance(d, PushEv) and b.proc == f.proc
                     and b.arg == ev and b.call_id == iv
@@ -357,8 +365,8 @@ def member_approx(trace: Trace, formula, env=None, k=None) -> bool:
             if width != 6:
                 return False
             a, b, c, d, e, g = entries[lo:hi]
-            ev = eval_term(f.arg, benv)
-            iv = eval_term(f.call_id, benv)
+            ev = term(f.arg, benv)
+            iv = term(f.call_id, benv)
             return (is_state(a) and isinstance(b, RetEv) and c == a
                     and is_state(d) and isinstance(e, PopEv) and g == d
                     and b.value == ev and e.ctx == Ctx(f.proc, iv)

@@ -13,13 +13,14 @@ from helpers import (M0_SRC, M2_EVENT_SKELETON, M2_SRC, MUTANT_SRC,
                      golden_m1, member_approx, mutate_trace,
                      random_terminating_program, run_update_prefixed,
                      running_program, semantics, spec_m)
-from tracelet.calculus import ContractAssumption, contract_goal, dump_proof
+from tracelet.calculus import ContractAssumption, contract_goal
 from tracelet.cli import validate_contract
 from tracelet.interp import run
 from tracelet.lang import (Assign, Binary, CallAssign, IntLit, ResVar, Seq,
                            Var, build_lookup, parse_program, seq)
 from tracelet.logic import (Chop, MuApp, StatePred, big_step_of, member,
                             unfold)
+from tracelet.proofs import dump_proof
 from tracelet.prover import prove_auto
 from tracelet.traces import (State, Trace, is_adequate, singleton,
                              CallEv, PushEv, PopEv, RetEv, Ctx)

@@ -19,11 +19,11 @@ from helpers import (MUTANT_SRC, assume_equalities, dump_proof_oracle,
                      semantics, sequent_true, spec_m, stmt_names_oracle,
                      subst_atom_oracle, subst_judgment_res_oracle,
                      subst_stmt_oracle, update_reads_oracle)
-from tracelet import calculus, lang
+from tracelet import calculus, lang, proofs
 from tracelet.calculus import (ContractAssumption, ContractGoal, Judgment,
                                PredAssert, PredGoal, RuleContext, RuleError,
-                               Sequent, apply_rule, check_proof, contract_goal,
-                               dump_proof, inline, load_proof, stmt_head)
+                               Sequent, apply_rule, contract_goal, inline,
+                               stmt_head)
 from tracelet.fo import fo_valid
 from tracelet.lang import (RESERVED, Assign, Binary, BoolLit, CallAssign, If,
                            IntLit, Return, ResVar, Scope, Seq, Skip,
@@ -32,6 +32,7 @@ from tracelet.lang import (RESERVED, Assign, Binary, BoolLit, CallAssign, If,
 from tracelet.logic import (Chop, Concat, ContractSpec, MuApp, StatePred,
                             children, formula_vars, map_terms,
                             pretty_formula, psi, rebuild)
+from tracelet.proofs import check_proof, dump_proof, load_proof
 from tracelet.prover import (ScriptError, UnsupportedConstruct, prove_auto,
                              run_script)
 from tracelet.traces import State, eval_expr, res_name, singleton
@@ -721,6 +722,21 @@ class TestCheckProof:
         # each node of the m proof, each printed part of its sequent
         assert_edits_rejected(closed_proof(), ctx_m(), every_node=True)
 
+    def test_recorded_sequents_are_not_evidence(self):
+        # the kernel rebuilds every sequent from rules, args and children:
+        # with every recorded sequent replaced, the proof still replays
+        # when any record is accepted, and check_proof's comparison
+        # refuses it at the root
+        proc, root = load_proof(dump_proof(closed_proof(), "m"))
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            node["sequent"] = {"gamma": [], "goal": {"kind": "contract", "proc": "other"}}
+            stack.extend(node["children"])
+        assert calculus.replay(root, proc, ctx_m(), lambda node, seq: True) is None
+        assert str(check_proof(root, proc, ctx_m())) == \
+            "invalid step at root: recorded sequent is not  |- C_m"
+
     @pytest.mark.parametrize("src,result", [
         (rec_source(step="3"), "3 * n"),
         (rec_source(step="1", extra_local=True), "n"),
@@ -738,14 +754,14 @@ class TestCheckProof:
     def test_each_formula_printed_once_per_call(self, monkeypatch):
         tree = closed_proof()
         calls, held = Counter(), []
-        show = calculus.pretty_formula
+        show = proofs.pretty_formula
 
         def counted(f, *rest):
             calls[id(f)] += 1
             held.append(f)  # keeps each id to one object
             return show(f, *rest)
 
-        monkeypatch.setattr(calculus, "pretty_formula", counted)
+        monkeypatch.setattr(proofs, "pretty_formula", counted)
         text = dump_proof(tree, "m")
         assert calls and max(calls.values()) == 1
         assert len(calls) < tree.size()

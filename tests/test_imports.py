@@ -106,16 +106,19 @@ def test_detects_private_and_local_imports():
 
 
 @pytest.mark.parametrize("module, forbidden", [
-    ("calculus", {"prover", "cli"}),
+    ("calculus", {"json", "proofs", "prover", "cli"}),
     ("prover", {"cli"}),
     ("interp", {"updates", "calculus", "prover", "logic", "fo", "cli"}),
+    ("proofs", {"prover", "cli"}),
 ])
 def test_kernel_layering(module, forbidden):
-    """The kernel imports neither the prover nor the CLI, and the prover
-    not the CLI, so the kernel alone is the trusted base.  The interpreter
-    runs statements only: it imports no update atoms and nothing above
-    the trace model."""
-    assert imported_modules((SRC / f"{module}.py").read_text()) & forbidden == set()
+    """The kernel imports neither proof files nor JSON, the prover nor the
+    CLI, so the kernel alone is the trusted base; proof files import
+    neither the prover nor the CLI, and the prover not the CLI.  The
+    interpreter runs statements only: it imports no update atoms and
+    nothing above the trace model."""
+    source = (SRC / f"{module}.py").read_text()
+    assert (imported_modules(source) | absolute_imports(source)) & forbidden == set()
 
 
 def test_imported_modules_sees_every_form():

@@ -5,8 +5,8 @@ import sys
 
 import pytest
 
-from helpers import (M0_SRC, M2_SRC, M2_EVENT_SKELETON, RUNNING_SRC,
-                     ReferenceMachine, UpStmt, chop, cont_shape, curr_ctx_stack,
+from helpers import (MAIN_CTX, M0_SRC, M2_SRC, M2_EVENT_SKELETON,
+                     RUNNING_SRC, ReferenceMachine, UpStmt, chop, cont_shape, curr_ctx_stack,
                      event_skeleton, golden_m0, golden_m1, m_source, multi_proc_source,
                      random_linear_expr, random_terminating_program,
                      run_update_prefixed, semantics, subst_stmt_oracle,
@@ -16,7 +16,7 @@ from tracelet.interp import (DEFAULT_FUEL, FuelExhausted, Machine, RunError,
 from tracelet.lang import (Assign, Binary, CallAssign, IntLit, ResVar,
                            Scope, Seq, Skip, Var, While, build_lookup, nodes,
                            parse_program, seq, subst_stmt)
-from tracelet.traces import (CallEv, Ctx, MAIN_CTX, PopEv, PushEv, RetEv, State,
+from tracelet.traces import (CallEv, Ctx, PopEv, PushEv, RetEv, State,
                              Trace, dump_trace, is_adequate, nest, singleton)
 from tracelet.updates import CallUpd, Elem, FinishUpd, StartUpd
 

@@ -24,7 +24,7 @@ from tracelet.logic import (And, Chop, Concat, ContractSpec, FinishEvF,
                             parse_contract_file,
                             pretty_formula, psi, substitute, unfold)
 from tracelet.traces import (CallEv, Ctx, PopEv, PushEv, RetEv, State, Trace,
-                             is_state, singleton)
+                             TraceError, is_state, singleton)
 
 
 def state_segments(trace):
@@ -744,17 +744,20 @@ class TestFormulasAsWritten:
         with pytest.raises(LogicError, match=message):
             member(singleton(State({"x": 0})), formula)
 
-    def test_fresh_event_argument_built_by_hand_is_no_match(self):
+    def test_fresh_event_argument_built_by_hand_is_an_error(self):
         # the parser lets fresh(...) stand only as a recursion argument
         sigma, done = State({"x": 0}), State({"x": 0, "res0": 5})
         start = Trace([sigma, CallEv("m", 1, 0), sigma, PushEv(Ctx("m", 0)), sigma])
         finish = Trace([sigma, RetEv(5), sigma, done, PopEv(Ctx("m", 0)), done])
         assert member(start, StartEvF("m", IntLit(1), IntLit(0)))
         assert member(finish, FinishEvF("m", IntLit(5), IntLit(0)))
-        assert not member(start, StartEvF("m", Fresh(Var("i")), IntLit(0)))
-        assert not member(start, StartEvF("m", IntLit(1), Fresh(Var("i"))))
-        assert not member(finish, FinishEvF("m", Fresh(Var("i")), IntLit(0)))
-        assert not member(finish, FinishEvF("m", IntLit(5), Fresh(Var("i"))))
+        for trace, formula in [
+                (start, StartEvF("m", Fresh(Var("i")), IntLit(0))),
+                (start, StartEvF("m", IntLit(1), Fresh(Var("i")))),
+                (finish, FinishEvF("m", Fresh(Var("i")), IntLit(0))),
+                (finish, FinishEvF("m", IntLit(5), Fresh(Var("i"))))]:
+            with pytest.raises(TraceError, match="cannot evaluate Fresh"):
+                member(trace, formula)
 
     def test_parameterless_fixed_point_in_formula_position(self):
         assert member(singleton(State({})), Mu("X", (), StatePred(BoolLit(True))))

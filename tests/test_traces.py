@@ -9,8 +9,8 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import (V2_HEADER, ChopUndefined, DictState, chop, concat,
-                     curr_ctx_stack, dump_trace_oracle, dump_trace_v2_oracle,
+from helpers import (MAIN_CTX, V2_HEADER, ChopUndefined, DictState, chop,
+                     concat, curr_ctx_stack, dump_trace_oracle, dump_trace_v2_oracle,
                      eval_expr_oracle, eval_expr_reference, event_trace,
                      golden_m0, golden_m1, is_set_oracle,
                      load_trace_oracle, m_source, mutate_trace, parse_formula,
@@ -22,7 +22,7 @@ from tracelet.lang import (Binary, BoolLit, Fresh, IntLit, ResVar, Unary, Var,
                            parse_program)
 from tracelet.logic import member, psi
 from tracelet.traces import (CallEv, Ctx, EmptyTraceError,
-                             MAIN_CTX, PopEv, PushEv, RetEv, State, Trace,
+                             PopEv, PushEv, RetEv, State, Trace,
                              TraceError, UndefinedVariable, dump_trace,
                              eval_expr, is_adequate, is_set,
                              is_state, load_trace, nest, singleton)

@@ -14,8 +14,10 @@ Under one ``sys.settrace`` line collector, in this process, it runs:
 
 It prints, per module of ``src/tracelet``, its executable lines (those in
 the line tables of the module's code objects) split three ways: reached
-by steps 1-2, reached only by step 3, and reached by nothing; then the
-line numbers that nothing reaches.
+by steps 1-2, reached only by step 3, and reached by nothing; then, per
+module, the numbers of the lines that only step 3 reaches and of those
+that nothing reaches.  The first list is the line-level audit for
+production code that only tests use.
 
 The collector is installed before tracelet is imported, and again before
 each test: a trace function that raises, as on a ``RecursionError``, is
@@ -151,20 +153,20 @@ def main() -> int:
     print(f"{commands} corpus commands; Tier-1 exit status {int(status)}")
     print(f"{'module':<12}{'lines':>7}{'front':>7}{'tests':>7}{'none':>7}")
     totals = [0, 0, 0, 0]
-    unreached = {}
+    listed = []
     for module, path in files.items():
         lines = executable_lines(path)
         front = lines & _front[path]
         tests = (lines & _rest[path]) - front
         none = lines - front - tests
-        unreached[module] = sorted(none)
+        listed += [(f"{module} tests only", tests), (f"{module} unreached", none)]
         row = [len(lines), len(front), len(tests), len(none)]
         totals = [t + r for t, r in zip(totals, row)]
         print(f"{module:<12}" + "".join(f"{n:>7}" for n in row))
     print(f"{'total':<12}" + "".join(f"{n:>7}" for n in totals))
-    for module, lines in unreached.items():
+    for label, lines in listed:
         if lines:
-            print(f"{module}: {' '.join(map(str, lines))}")
+            print(f"{label}: {' '.join(map(str, sorted(lines)))}")
     return 0
 
 
