@@ -25,81 +25,74 @@ _MAX_CONSTRAINTS = 20000
 _BOX = 10
 
 
-def _var_key(e: Expr) -> str:
-    """The key of a variable or a res(...) node in a coefficient map."""
-    return e.name if isinstance(e, Var) else f"res({pretty_expr(e.index)})"
-
-
 def linearize(e: Expr) -> Tuple[Dict[str, int], int]:
     """Coefficient map and constant of a linear integer term."""
-    if isinstance(e, IntLit):
-        return {}, e.value
-    if isinstance(e, (Var, ResVar)):
-        return {_var_key(e): 1}, 0
-    if isinstance(e, Unary) and e.op == "-":
-        coeffs, const = linearize(e.operand)
-        return {k: -v for k, v in coeffs.items()}, -const
-    if isinstance(e, Binary) and e.op in ("+", "-"):
-        lc, lk = linearize(e.left)
-        rc, rk = linearize(e.right)
-        sign = 1 if e.op == "+" else -1
-        out = dict(lc)
-        for k, v in rc.items():
-            out[k] = out.get(k, 0) + sign * v
-            if out[k] == 0:
-                del out[k]
-        return out, lk + sign * rk
-    if isinstance(e, Binary) and e.op == "*":
-        lc, lk = linearize(e.left)
-        rc, rk = linearize(e.right)
+    coeffs: Dict[str, int] = {}
+    const = _linear(e, 1, coeffs)
+    return {k: v for k, v in coeffs.items() if v}, const
+
+
+def _linear(e: Expr, scale: int, coeffs: Dict[str, int]) -> int:
+    """Add scale times e's coefficients into coeffs; return scale times
+    its constant."""
+    kind = type(e)
+    if kind is Var or kind is ResVar:
+        key = e.name if kind is Var else f"res({pretty_expr(e.index)})"
+        coeffs[key] = coeffs.get(key, 0) + scale
+        return 0
+    if kind is IntLit:
+        return scale * e.value
+    if kind is Binary and e.op in ("+", "-"):
+        return _linear(e.left, scale, coeffs) + \
+            _linear(e.right, scale if e.op == "+" else -scale, coeffs)
+    if kind is Binary and e.op == "*":
+        (lc, lk), (rc, rk) = linearize(e.left), linearize(e.right)
         if lc and rc:
             raise NonlinearError(f"nonlinear product: {pretty_expr(e)}")
-        if lc:
-            return {k: v * rk for k, v in lc.items() if v * rk != 0}, lk * rk
-        return {k: v * lk for k, v in rc.items() if v * lk != 0}, lk * rk
+        factor = scale * (rk if lc else lk)
+        for k, v in (lc or rc).items():
+            coeffs[k] = coeffs.get(k, 0) + factor * v
+        return scale * lk * rk
+    if kind is Unary and e.op == "-":
+        return _linear(e.operand, -scale, coeffs)
     raise NonlinearError(f"not a linear term: {e!r}")
 
 
-# A constraint is coeffs.x + const OP 0 with OP in {'>=', '==', '!='}.
+# A constraint is coeffs.x + const OP 0 with OP '>=' or '=='.
 Constraint = Tuple[Tuple[Tuple[str, int], ...], int, str]
 
 
 def _mk(coeffs: Dict[str, int], const: int, op: str) -> Constraint:
-    items = tuple(sorted((k, v) for k, v in coeffs.items() if v != 0))
-    if op in ("==", "!=") and items and items[0][1] < 0:
-        items = tuple((k, -v) for k, v in items)
-        const = -const
-    if op == ">=" and items:
-        g = 0
-        for _, v in items:
-            g = gcd(g, abs(v))
-        if g > 1:
-            items = tuple((k, v // g) for k, v in items)
-            const //= g
-    if op in ("==", "!=") and items:
-        g = 0
-        for _, v in items:
-            g = gcd(g, abs(v))
-        if g > 1:
-            if const % g == 0:
-                items = tuple((k, v // g) for k, v in items)
-                const //= g
-    return (items, const, op)
+    """The constraint in normal form: names sorted, no zero coefficient; an
+    '==' leads with a positive coefficient and is divided by its
+    coefficients' gcd when that divides const; a '>=' is divided and its
+    constant rounded down."""
+    if 0 in coeffs.values():
+        coeffs = {k: v for k, v in coeffs.items() if v}
+    if not coeffs:
+        return (), const, op
+    g = gcd(*coeffs.values())
+    if op != ">=":
+        g = g if const % g == 0 else 1
+        g = -g if coeffs[min(coeffs)] < 0 else g
+    if g == 1:
+        return tuple(sorted(coeffs.items())), const, op
+    return tuple(sorted((k, v // g) for k, v in coeffs.items())), const // g, op
 
 
-def _atom_constraints(e1: Expr, op: str, e2: Expr) -> Constraint:
-    lc, lk = linearize(Binary("-", e1, e2))
-    if op == ">":
-        return _mk(lc, lk - 1, ">=")
-    if op == ">=":
-        return _mk(lc, lk, ">=")
-    if op == "<":
-        return _mk({k: -v for k, v in lc.items()}, -lk - 1, ">=")
-    if op == "<=":
-        return _mk({k: -v for k, v in lc.items()}, -lk, ">=")
+def _atom_constraints(e1: Expr, op: str, e2: Expr) -> Tuple[Constraint, ...]:
+    """The constraint of e1 op e2, an '==' or a '>='; for '!=' its two
+    strict sides, first the one that leads with a negative coefficient."""
+    sign = -1 if op in ("<", "<=") else 1
+    coeffs: Dict[str, int] = {}
+    const = _linear(e1, sign, coeffs) + _linear(e2, -sign, coeffs)
     if op == "==":
-        return _mk(lc, lk, "==")
-    return _mk(lc, lk, "!=")
+        return (_mk(coeffs, const, op),)
+    if op != "!=":
+        return (_mk(coeffs, const - (op in ("<", ">")), ">="),)
+    below = _mk({k: -v for k, v in coeffs.items()}, -const - 1, ">=")
+    above = _mk(coeffs, const - 1, ">=")
+    return (below, above) if not below[0] or below[0][0][1] < 0 else (above, below)
 
 
 _FLIP = {"==": "!=", "!=": "==", "<": ">=", ">=": "<", ">": "<=", "<=": ">"}
@@ -125,137 +118,109 @@ def negate_pred(e: Expr) -> Expr:
     return _nnf(e, False)
 
 
-def _dnf(e: Expr) -> List[List[Expr]]:
-    """Disjunctive normal form as lists of atoms (comparisons/bool literals)."""
-    if isinstance(e, Binary) and e.op == "||":
-        return _dnf(e.left) + _dnf(e.right)
-    if isinstance(e, Binary) and e.op == "&&":
-        out = []
-        for l in _dnf(e.left):
-            for r in _dnf(e.right):
-                out.append(l + r)
-                if len(out) > _MAX_DISJUNCTS:
-                    raise NonlinearError("DNF blowup")
-        return out
-    return [[e]]
+def _dnf(e: Expr, positive: bool, leaves: list) -> List[tuple]:
+    """Disjunctive normal form of e, or of !e when not positive, as tuples
+    of indices into leaves, where each leaf of e is appended once: a
+    comparison as (op, left, right) with the negation pushed into op, a
+    truth value as a bool, and anything else as is (no atom)."""
+    kind = type(e)
+    if kind is Unary and e.op == "!":
+        return _dnf(e.operand, not positive, leaves)
+    if kind is Binary and e.op in ("&&", "||"):
+        left, right = _dnf(e.left, positive, leaves), _dnf(e.right, positive, leaves)
+        return left + right if (e.op == "||") == positive else _product(left, right)
+    if kind is Binary and e.op in CMP_OPS:
+        leaves.append((e.op if positive else _FLIP[e.op], e.left, e.right))
+    elif kind is BoolLit:
+        leaves.append(bool(e.value) == positive)
+    else:
+        leaves.append(e)
+    return [(len(leaves) - 1,)]
 
 
-def _conj_to_constraints(atoms: List[Expr]) -> Optional[List[List[Constraint]]]:
-    """Expand a conjunction into alternative constraint systems (splitting !=)."""
-    systems: List[List[Constraint]] = [[]]
-    for a in atoms:
-        if isinstance(a, BoolLit):
-            if not a.value:
-                return None
-            continue
-        if not (isinstance(a, Binary) and a.op in CMP_OPS):
-            raise NonlinearError(f"not an atom: {a!r}")
-        c = _atom_constraints(a.left, a.op, a.right)
-        if c[2] == "!=":
-            coeffs = dict(c[0])
-            lt = _mk({k: -v for k, v in coeffs.items()}, -c[1] - 1, ">=")
-            gt = _mk(coeffs, c[1] - 1, ">=")
-            systems = [s + [lt] for s in systems] + [s + [gt] for s in systems]
-        else:
-            systems = [s + [c] for s in systems]
-        if len(systems) > _MAX_DISJUNCTS:
-            raise NonlinearError("disequality blowup")
-    return systems
+def _product(left: List[tuple], right: List[tuple]) -> List[tuple]:
+    """The disjuncts of left && right."""
+    if len(left) * len(right) > _MAX_DISJUNCTS:
+        raise NonlinearError("DNF blowup")
+    return [l + r for l in left for r in right]
+
+
+def _expand(leaf) -> Tuple[tuple, tuple]:
+    """(alternatives, coefficients) of a comparison leaf, where an
+    alternative that is a false variable-free constraint is False."""
+    if type(leaf) is not tuple:
+        raise NonlinearError(f"not an atom: {leaf!r}")
+    alts = _atom_constraints(leaf[1], leaf[0], leaf[2])
+    return tuple(False if not items and (const < 0 if op == ">=" else const != 0)
+                 else (items, const, op) for items, const, op in alts), alts[0][0]
 
 
 def _fm_unsat(constraints: List[Constraint]) -> bool:
     """True when the system has no rational solution (after tightening)."""
-    work: List[Constraint] = []
-    eqs: List[Constraint] = []
-    for c in constraints:
-        (eqs if c[2] == "==" else work).append(c)
-
-    # substitute unit-coefficient equalities
-    changed = True
-    while changed:
-        changed = False
-        for idx, eq in enumerate(eqs):
-            items, const, _ = eq
-            if not items:
-                if const != 0:
-                    return True
-                eqs.pop(idx)
-                changed = True
-                break
-            unit = next((k for k, v in items if abs(v) == 1), None)
-            if unit is None:
-                continue
-            coeff = dict(items)[unit]
-            # unit*x = -(rest + const)  =>  x = -coeff*(rest + const)
-            eqs.pop(idx)
-            rest = {k: v for k, v in items if k != unit}
-
-            def subst(c2: Constraint) -> Constraint:
-                it2, k2, op2 = c2
-                d2 = dict(it2)
-                if unit not in d2:
-                    return c2
-                factor = d2.pop(unit)
-                # x = -(rest + const)/coeff with |coeff| = 1
-                for k, v in rest.items():
-                    d2[k] = d2.get(k, 0) - factor * coeff * v
-                return _mk(d2, k2 - factor * coeff * const, op2)
-
-            work = [subst(c2) for c2 in work]
-            eqs = [subst(c2) for c2 in eqs]
-            changed = True
+    work = [c for c in constraints if c[2] == ">="]
+    eqs = [c for c in constraints if c[2] == "=="]
+    # substitute, each time, the first equality with a unit coefficient;
+    # a variable-free one holds (and goes) or refutes the system
+    while eqs:
+        idx = next((i for i, (items, _, _) in enumerate(eqs)
+                    if not items or any(abs(v) == 1 for _, v in items)), None)
+        if idx is None:
             break
+        items, const, _ = eqs.pop(idx)
+        if not items:
+            if const != 0:
+                return True
+            continue
+        unit, coeff = next((k, v) for k, v in items if abs(v) == 1)
+
+        def subst(c2: Constraint) -> Constraint:
+            # unit = -coeff*(rest + const), as |coeff| = 1
+            d2 = dict(c2[0])
+            factor = d2.pop(unit, 0)
+            if not factor:
+                return c2
+            for k, v in items:
+                if k != unit:
+                    d2[k] = d2.get(k, 0) - factor * coeff * v
+            return _mk(d2, c2[1] - factor * coeff * const, c2[2])
+
+        work = [subst(c2) for c2 in work]
+        eqs = [subst(c2) for c2 in eqs]
     # the loop above leaves equalities with variables, none of unit coefficient
     for items, const, _ in eqs:
-        g = 0
-        for _, v in items:
-            g = gcd(g, abs(v))
-        if const % g != 0:
+        if const % gcd(*[v for _, v in items]) != 0:
             return True
         # remaining equality as two inequalities
         work.append(_mk(dict(items), const, ">="))
         work.append(_mk({k: -v for k, v in items}, -const, ">="))
 
-    # Fourier-Motzkin elimination
+    # Fourier-Motzkin elimination, of the name in the fewest constraints
     while True:
+        counts: Dict[str, int] = {}
         for items, const, _ in work:
             if not items and const < 0:
                 return True
-        variables = sorted({k for items, _, _ in work for k, _ in items})
-        if not variables:
+            for k, _ in items:
+                counts[k] = counts.get(k, 0) + 1
+        if not counts:
             return False
-        x = min(variables, key=lambda v: sum(1 for it, _, _ in work if v in dict(it)))
-        lowers, uppers, rest = [], [], []
+        x = min(sorted(counts), key=counts.__getitem__)
+        lowers, uppers, new = [], [], []
         for c in work:
             d = dict(c[0])
-            if x not in d:
-                rest.append(c)
-            elif d[x] > 0:
-                lowers.append(c)
+            a = d.pop(x, 0)
+            if a == 0:
+                new.append(c)
             else:
-                uppers.append(c)
-        new = rest
-        for (li, lk, _), (ui, uk, _) in itertools.product(lowers, uppers):
-            ld, ud = dict(li), dict(ui)
-            a, b = ld[x], -ud[x]
-            combo: Dict[str, int] = {}
-            for k, v in ld.items():
-                if k != x:
-                    combo[k] = combo.get(k, 0) + b * v
+                (lowers if a > 0 else uppers).append((abs(a), d, c[1]))
+        for (a, ld, lk), (b, ud, uk) in itertools.product(lowers, uppers):
+            combo = {k: b * v for k, v in ld.items()}
             for k, v in ud.items():
-                if k != x:
-                    combo[k] = combo.get(k, 0) + a * v
+                combo[k] = combo.get(k, 0) + a * v
             new.append(_mk(combo, b * lk + a * uk, ">="))
             if len(new) > _MAX_CONSTRAINTS:
                 raise NonlinearError("Fourier-Motzkin blowup")
         work = new
-
-
-def _eval_constraint(c: Constraint, assignment: Dict[str, int]) -> bool:
-    """c at assignment; systems hold no '!=', which is split into two '>='."""
-    items, const, op = c
-    total = const + sum(v * assignment.get(k, 0) for k, v in items)
-    return total >= 0 if op == ">=" else total == 0
 
 
 @record(frozen=True)
@@ -268,31 +233,82 @@ class FoResult:
 
 
 def fo_valid(gamma, goal: Expr) -> FoResult:
-    """gamma |- goal over the integers; gamma is an iterable of predicates."""
-    formula = negate_pred(goal)
-    for g in gamma:
-        formula = Binary("&&", g, formula)
+    """gamma |- goal over the integers; gamma is an iterable of predicates.
+
+    gamma && !goal goes to DNF, each disjunct splits on its '!=' into
+    systems, and Fourier-Motzkin refutes each live system.  A leaf is
+    linearized once, when the first disjunct reaches it."""
+    leaves: list = []
+    memo: dict = {}
+    whole: List[tuple] = []  # the disjuncts that no False cut short
+    systems: List[List[Constraint]] = []
     try:
-        disjuncts = _dnf(_nnf(formula, True))
-        systems: List[List[Constraint]] = []
+        disjuncts = _dnf(goal, False, leaves)
+        for g in gamma:
+            disjuncts = _product(_dnf(g, True, leaves), disjuncts)
         for d in disjuncts:
-            expanded = _conj_to_constraints(d)
-            if expanded:
-                systems.extend(expanded)
+            choices, count = [], 1
+            for i in d:
+                if leaves[i] is True:
+                    continue
+                if leaves[i] is False:
+                    break
+                if i not in memo:
+                    memo[i] = _expand(leaves[i])
+                choices.append(memo[i][0])
+                count *= len(choices[-1])
+                if count > _MAX_DISJUNCTS:
+                    raise NonlinearError("disequality blowup")
+            else:
+                whole.append(d)
+                # a system per choice of alternatives, the first '!=' varying
+                # fastest; a false variable-free constraint kills it
+                for chosen in itertools.product(*reversed(choices)):
+                    if False not in chosen:
+                        systems.append(list(reversed(chosen)))
         if all(_fm_unsat(s) for s in systems):
             return FoResult("valid")
     except NonlinearError:
         return FoResult("unknown")
-    # look for an integer counterexample in a small box, of at most three
-    # dimensions; the counterexample only goes into a refusal's message
-    names = sorted({k for s in systems for c in s for k, _ in c[0]})
+    # the counterexample only goes into a refusal's message: the first
+    # point in lexicographic order of the box [-_BOX, _BOX]^names, for at
+    # most three names of whole disjuncts, with the last name's least
+    # value solved for
+    names = sorted({k for d in whole for i in d if i in memo for k, _ in memo[i][1]})
     if len(names) > 3:
         return FoResult("unknown")
-    for point in itertools.product(range(-_BOX, _BOX + 1), repeat=len(names)):
-        assignment = dict(zip(names, point))
-        if any(all(_eval_constraint(c, assignment) for c in s) for s in systems):
-            return FoResult("invalid", assignment)
+    if not names:  # a live system without names holds only true constraints
+        return FoResult("invalid", {})
+    *outer, last = names
+    for point in itertools.product(range(-_BOX, _BOX + 1), repeat=len(outer)):
+        at = dict(zip(outer, point))
+        found = [x for x in (_least(s, last, at) for s in systems) if x is not None]
+        if found:
+            at[last] = min(found)
+            return FoResult("invalid", at)
     return FoResult("unknown")
+
+
+def _least(system: List[Constraint], last: str, at: Dict[str, int]) -> Optional[int]:
+    """The least value of last in [-_BOX, _BOX] that meets every constraint
+    of system, with the other names at at; None if there is none."""
+    lo, hi = -_BOX, _BOX
+    for items, const, op in system:
+        coeffs = dict(items)
+        a = coeffs.pop(last, 0)
+        b = const + sum(v * at[k] for k, v in coeffs.items())  # a*last + b >= 0, or == 0
+        if a == 0:
+            if b < 0 or op == "==" and b:
+                return None
+        elif op == "==":
+            if b % a:
+                return None
+            lo, hi = max(lo, -b // a), min(hi, -b // a)
+        elif a > 0:
+            lo = max(lo, -(b // a))
+        else:
+            hi = min(hi, b // -a)
+    return lo if lo <= hi else None
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +367,7 @@ def simplify_or(a: Expr, b: Expr) -> Expr:
 
 def _single_atom(e: Expr) -> Optional[Constraint]:
     if isinstance(e, Binary) and e.op in CMP_OPS and e.op != "!=":
-        return _atom_constraints(e.left, e.op, e.right)
+        return _atom_constraints(e.left, e.op, e.right)[0]
     return None
 
 

@@ -9,6 +9,7 @@ booleans exist only at condition positions.
 from __future__ import annotations
 
 import operator
+import re
 from types import FunctionType
 from typing import Iterator, Optional, Union
 
@@ -509,6 +510,17 @@ def lookup(name: str, table: LookupTable) -> ProcDecl:
 _TWO_CHAR = ("==", "!=", "<=", ">=", "&&", "||", "**", "..", "~~", ":=", "/\\", "\\/")
 _ONE_CHAR = "+-*!<>=(){}[],;.~:@"
 
+# One token, with the blanks before it, per match.  \w is str.isalnum() or
+# '_' and \d is str.isdecimal(), but an identifier starts with a letter or
+# '_' and an integer is a run of str.isdigit() characters: a ``word`` (a
+# run that starts with another numeral or a non-ASCII character, or decimal
+# digits that one follows) is finished by hand in ``tokenize``.
+_TOKEN = re.compile("[ \t\r]*(?:" + "|".join([
+    r"(?P<ident>[A-Za-z_][\w#]*'*)", r"(?P<int>\d+)(?![^\x00-\x7f]|\d)",
+    "(?P<sym>" + "|".join(map(re.escape, _TWO_CHAR)) + f"|[{re.escape(_ONE_CHAR)}])",
+    r"(?P<nl>\n)", r"(?P<comment>//[^\n]*)", r"(?P<word>[^\W\d_A-Za-z][\w#]*'*|\d+)",
+    r"(?P<bad>.)", r"\Z"]) + ")", re.S)
+
 
 @record
 class Token:
@@ -520,55 +532,30 @@ class Token:
 
 def tokenize(src: str) -> list:
     toks = []
-    i, line, col = 0, 1, 1
-    n = len(src)
-    while i < n:
-        c = src[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if src.startswith("//", i):
-            while i < n and src[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] in "_#"):
-                j += 1
-            while j < n and src[j] == "'":
-                j += 1
-            toks.append(Token("ident", src[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            toks.append(Token("int", src[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        two = src[i:i + 2]
-        if two in _TWO_CHAR:
-            toks.append(Token("sym", two, line, start_col))
-            i += 2
-            col += 2
-            continue
-        if c in _ONE_CHAR:
-            toks.append(Token("sym", c, line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, col)
-    toks.append(Token("eof", "", line, col))
+    pos, n, line, first = 0, len(src), 1, 0  # first: where the line starts
+    end = n  # where eof stands; a comment that ends the text does not count
+    while pos < n:
+        m = _TOKEN.match(src, pos)
+        kind, pos = m.lastgroup, m.end()
+        if kind == "nl":
+            line, first = line + 1, pos
+        elif kind == "comment":
+            end = m.start(kind) if pos == n else end
+        elif kind is not None:
+            text = m[kind]
+            start = pos - len(text)
+            if kind == "word":
+                if text[0].isalpha():
+                    kind = "ident"
+                else:
+                    pos = start
+                    while pos < n and src[pos].isdigit():
+                        pos += 1
+                    kind, text = "int", src[start:pos]
+            if kind == "bad" or not text:
+                raise ParseError(f"unexpected character {src[start]!r}", line, start - first + 1)
+            toks.append(Token(kind, text, line, start - first + 1))
+    toks.append(Token("eof", "", line, end - first + 1))
     return toks
 
 
@@ -579,7 +566,10 @@ class TokenStream:
         self.scope = None  # while a program is read: the names it may read
 
     def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+        # next never moves past eof, so only a look further ahead is clamped
+        if ahead:
+            return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+        return self.tokens[self.pos]
 
     def next(self) -> Token:
         t = self.tokens[self.pos]
@@ -647,16 +637,16 @@ def parse_expr(ts: TokenStream, logical: bool = False) -> Expr:
 
 def _parse_binary(ts, lg, prec):
     """An expression whose operators bind at least as tightly as prec
-    (``_PREC``), left-associated; comparisons do not chain."""
-    start = ts.peek()
-    e = _parse_binary(ts, lg, prec + 1) if prec < 5 else _parse_unary(ts, lg)
-    while _PREC.get(ts.peek().text) == prec:
+    (``_PREC``), left-associated; comparisons do not chain.  After an
+    operator, only one binding as loosely (or, after a comparison, more
+    loosely) may follow: the right operand took those binding tighter."""
+    start, e, top = ts.peek(), _parse_unary(ts, lg), 5
+    while prec <= _PREC.get(ts.peek().text, 0) <= top:
         op = ts.next().text
         want, right = _TYPING[op][1], ts.peek()
         e = Binary(op, _typed(ts, e, start, want),
-                   _typed(ts, _parse_binary(ts, lg, prec + 1), right, want))
-        if op in CMP_OPS:
-            break
+                   _typed(ts, _parse_binary(ts, lg, _PREC[op] + 1), right, want))
+        top = _PREC[op] - (op in CMP_OPS)
     return e
 
 

@@ -32,7 +32,8 @@ from json.encoder import encode_basestring_ascii
 from json.scanner import make_scanner
 from typing import Iterable, Optional, Union
 
-from .lang import (Binary, BoolLit, Expr, IntLit, ResVar, Unary, Var, record)
+from .lang import (Binary, BoolLit, Expr, IntLit, ResVar, Unary, Var, pretty_expr,
+                   record)
 
 
 class TraceError(Exception):
@@ -172,7 +173,7 @@ def eval_expr(state: State, e: Expr, env=None):
     elif kind is Unary:
         v = eval_expr(state, e.operand, env)
         return -v if e.op == "-" else (not v)
-    raise TraceError(f"cannot evaluate {e!r}")
+    raise TraceError(f"cannot evaluate {pretty_expr(e)}")
 
 
 # ---------------------------------------------------------------------------

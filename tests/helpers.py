@@ -8,12 +8,16 @@ implementation under test is never checked against itself.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import random
 import re
+import sys
 from itertools import chain, product
+from math import gcd
+from pathlib import Path
 
-from tracelet import cli, lang
+from tracelet import cli, fo, lang
 from tracelet.calculus import Judgment, PredAssert, PredGoal, RuleError
 from tracelet.interp import DEFAULT_FUEL, FuelExhausted, Machine, RunError
 from tracelet.lang import (ARITH_OPS, CMP_OPS, Assign, Binary, BoolLit,
@@ -775,7 +779,7 @@ def eval_expr_reference(state: State, e, env=None):
             return l > r
         if e.op == ">=":
             return l >= r
-    raise TraceError(f"cannot evaluate {e!r}")
+    raise TraceError(f"cannot evaluate {pretty_expr(e)}")
 
 
 def subst_vars_oracle(e, mapping: dict):
@@ -1585,3 +1589,260 @@ def argparse_oracle() -> argparse.ArgumentParser:
     p.set_defaults(func=cli.cmd_validate)
 
     return ap
+
+
+def bench_corpus(monkeypatch):
+    """bench/corpus.py, imported from its file; it imports no tracelet."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("bench_corpus", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+# ---------------------------------------------------------------------------
+# The lexer as one character loop: the reference for ``lang.tokenize``
+# ---------------------------------------------------------------------------
+
+def tokenize_reference(src: str) -> list:
+    """Tokens of src, or the ParseError, as a loop over its characters."""
+    toks = []
+    i, line, col = 0, 1, 1
+    n = len(src)
+    while i < n:
+        c = src[i]
+        if c == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if c in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if src.startswith("//", i):
+            while i < n and src[i] != "\n":
+                i += 1
+            continue
+        start_col = col
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (src[j].isalnum() or src[j] in "_#"):
+                j += 1
+            while j < n and src[j] == "'":
+                j += 1
+            toks.append(lang.Token("ident", src[i:j], line, start_col))
+            col += j - i
+            i = j
+            continue
+        if c.isdigit():
+            j = i
+            while j < n and src[j].isdigit():
+                j += 1
+            toks.append(lang.Token("int", src[i:j], line, start_col))
+            col += j - i
+            i = j
+            continue
+        two = src[i:i + 2]
+        if two in lang._TWO_CHAR:
+            toks.append(lang.Token("sym", two, line, start_col))
+            i += 2
+            col += 2
+            continue
+        if c in lang._ONE_CHAR:
+            toks.append(lang.Token("sym", c, line, start_col))
+            i += 1
+            col += 1
+            continue
+        raise lang.ParseError(f"unexpected character {c!r}", line, col)
+    toks.append(lang.Token("eof", "", line, col))
+    return toks
+
+
+# ---------------------------------------------------------------------------
+# Validity by expanding every disjunct and searching the whole box: the
+# reference for ``fo.fo_valid``.  It builds gamma && !goal as one formula,
+# linearizes every atom of every disjunct, keeps variable-free constraints
+# in their systems and tries all 21^k points of the box.
+# ---------------------------------------------------------------------------
+
+def _linearize_ref(e):
+    if isinstance(e, IntLit):
+        return {}, e.value
+    if isinstance(e, (Var, ResVar)):
+        return {e.name if isinstance(e, Var) else f"res({pretty_expr(e.index)})": 1}, 0
+    if isinstance(e, Unary) and e.op == "-":
+        coeffs, const = _linearize_ref(e.operand)
+        return {k: -v for k, v in coeffs.items()}, -const
+    if isinstance(e, Binary) and e.op in ("+", "-"):
+        lc, lk = _linearize_ref(e.left)
+        rc, rk = _linearize_ref(e.right)
+        sign = 1 if e.op == "+" else -1
+        out = dict(lc)
+        for k, v in rc.items():
+            out[k] = out.get(k, 0) + sign * v
+            if out[k] == 0:
+                del out[k]
+        return out, lk + sign * rk
+    if isinstance(e, Binary) and e.op == "*":
+        lc, lk = _linearize_ref(e.left)
+        rc, rk = _linearize_ref(e.right)
+        if lc and rc:
+            raise fo.NonlinearError("nonlinear product")
+        if lc:
+            return {k: v * rk for k, v in lc.items() if v * rk != 0}, lk * rk
+        return {k: v * lk for k, v in rc.items() if v * lk != 0}, lk * rk
+    raise fo.NonlinearError("not a linear term")
+
+
+def _mk_ref(coeffs, const, op):
+    items = tuple(sorted((k, v) for k, v in coeffs.items() if v != 0))
+    if op in ("==", "!=") and items and items[0][1] < 0:
+        items = tuple((k, -v) for k, v in items)
+        const = -const
+    g = 0
+    for _, v in items:
+        g = gcd(g, abs(v))
+    if g > 1 and (op == ">=" or const % g == 0):
+        items = tuple((k, v // g) for k, v in items)
+        const //= g
+    return (items, const, op)
+
+
+def _atom_ref(e1, op, e2):
+    lc, lk = _linearize_ref(Binary("-", e1, e2))
+    neg = {k: -v for k, v in lc.items()}
+    return {">": (lc, lk - 1, ">="), ">=": (lc, lk, ">="), "<": (neg, -lk - 1, ">="),
+            "<=": (neg, -lk, ">="), "==": (lc, lk, "=="), "!=": (lc, lk, "!=")}[op]
+
+
+def _dnf_ref(e):
+    if isinstance(e, Binary) and e.op == "||":
+        return _dnf_ref(e.left) + _dnf_ref(e.right)
+    if isinstance(e, Binary) and e.op == "&&":
+        out = []
+        for left in _dnf_ref(e.left):
+            for right in _dnf_ref(e.right):
+                out.append(left + right)
+                if len(out) > fo._MAX_DISJUNCTS:
+                    raise fo.NonlinearError("DNF blowup")
+        return out
+    return [[e]]
+
+
+def _systems_ref(atoms):
+    """The constraint systems of one conjunction, '!=' split in two; None
+    when a false literal is among its atoms."""
+    systems = [[]]
+    for a in atoms:
+        if isinstance(a, BoolLit):
+            if not a.value:
+                return None
+            continue
+        if not (isinstance(a, Binary) and a.op in CMP_OPS):
+            raise fo.NonlinearError("not an atom")
+        c = _mk_ref(*_atom_ref(a.left, a.op, a.right))
+        if c[2] == "!=":
+            coeffs = dict(c[0])
+            lt = _mk_ref({k: -v for k, v in coeffs.items()}, -c[1] - 1, ">=")
+            gt = _mk_ref(coeffs, c[1] - 1, ">=")
+            systems = [s + [lt] for s in systems] + [s + [gt] for s in systems]
+        else:
+            systems = [s + [c] for s in systems]
+        if len(systems) > fo._MAX_DISJUNCTS:
+            raise fo.NonlinearError("disequality blowup")
+    return systems
+
+
+def _fm_unsat_ref(constraints):
+    work = [c for c in constraints if c[2] != "=="]
+    eqs = [c for c in constraints if c[2] == "=="]
+    changed = True
+    while changed:
+        changed = False
+        for idx, (items, const, _) in enumerate(eqs):
+            if not items:
+                if const != 0:
+                    return True
+                eqs.pop(idx)
+                changed = True
+                break
+            unit = next((k for k, v in items if abs(v) == 1), None)
+            if unit is None:
+                continue
+            coeff = dict(items)[unit]
+            eqs.pop(idx)
+            rest = {k: v for k, v in items if k != unit}
+
+            def subst(c2, unit=unit, coeff=coeff, rest=rest, const=const):
+                d2 = dict(c2[0])
+                if unit not in d2:
+                    return c2
+                factor = d2.pop(unit)
+                for k, v in rest.items():
+                    d2[k] = d2.get(k, 0) - factor * coeff * v
+                return _mk_ref(d2, c2[1] - factor * coeff * const, c2[2])
+
+            work = [subst(c2) for c2 in work]
+            eqs = [subst(c2) for c2 in eqs]
+            changed = True
+            break
+    for items, const, _ in eqs:
+        g = 0
+        for _, v in items:
+            g = gcd(g, abs(v))
+        if const % g != 0:
+            return True
+        work.append(_mk_ref(dict(items), const, ">="))
+        work.append(_mk_ref({k: -v for k, v in items}, -const, ">="))
+    while True:
+        if any(not items and const < 0 for items, const, _ in work):
+            return True
+        variables = sorted({k for items, _, _ in work for k, _ in items})
+        if not variables:
+            return False
+        x = min(variables, key=lambda v: sum(1 for it, _, _ in work if v in dict(it)))
+        lowers = [c for c in work if dict(c[0]).get(x, 0) > 0]
+        uppers = [c for c in work if dict(c[0]).get(x, 0) < 0]
+        new = [c for c in work if x not in dict(c[0])]
+        for (li, lk, _), (ui, uk, _) in product(lowers, uppers):
+            ld, ud = dict(li), dict(ui)
+            a, b = ld[x], -ud[x]
+            combo = {}
+            for k, v in ld.items():
+                if k != x:
+                    combo[k] = combo.get(k, 0) + b * v
+            for k, v in ud.items():
+                if k != x:
+                    combo[k] = combo.get(k, 0) + a * v
+            new.append(_mk_ref(combo, b * lk + a * uk, ">="))
+            if len(new) > fo._MAX_CONSTRAINTS:
+                raise fo.NonlinearError("Fourier-Motzkin blowup")
+        work = new
+
+
+def fo_valid_reference(gamma, goal) -> fo.FoResult:
+    """fo_valid as the whole formula, each disjunct's atoms linearized on
+    their own, and the whole box searched point by point."""
+    formula = fo.negate_pred(goal)
+    for g in gamma:
+        formula = Binary("&&", g, formula)
+    try:
+        systems = []
+        for d in _dnf_ref(fo._nnf(formula, True)):
+            systems += _systems_ref(d) or []
+        if all(_fm_unsat_ref(s) for s in systems):
+            return fo.FoResult("valid")
+    except fo.NonlinearError:
+        return fo.FoResult("unknown")
+    names = sorted({k for s in systems for c in s for k, _ in c[0]})
+    if len(names) > 3:
+        return fo.FoResult("unknown")
+    for point in product(range(-fo._BOX, fo._BOX + 1), repeat=len(names)):
+        at = dict(zip(names, point))
+        if any(all((c[1] + sum(v * at[k] for k, v in c[0])) >= 0 if c[2] == ">="
+                   else c[1] + sum(v * at[k] for k, v in c[0]) == 0 for c in s)
+               for s in systems):
+            return fo.FoResult("invalid", at)
+    return fo.FoResult("unknown")

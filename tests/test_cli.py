@@ -2,20 +2,18 @@
 
 import contextlib
 import copy
-import importlib.util
 import io
 import json
 import os
 import random
 import sys
-from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 from helpers import (M0_SRC, MUTANT_SRC, RUNNING_SRC, V2_HEADER, OracleError,
-                     argparse_oracle, contract_m, m_source)
+                     argparse_oracle, bench_corpus, contract_m, m_source)
 from tracelet import cli
 from tracelet.cli import (COMMANDS, EXIT_ERROR, EXIT_FUEL, EXIT_INADEQUATE,
                           EXIT_NOT_MEMBER, EXIT_OK, EXIT_OPEN_PROOF,
@@ -140,19 +138,9 @@ class TestAdequacy:
         assert out["adequate"] is False and out["clause"] == "4"
 
 
-def _bench_corpus(monkeypatch):
-    """bench/corpus.py, imported from its file; it imports no tracelet."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "corpus.py"
-    spec = importlib.util.spec_from_file_location("bench_corpus", path)
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.mark.parametrize("kind", ["two-vars", "unflanked", "reused-id"])
 def test_bench_mutations_of_a_v2_file_are_inadequate(tmp_path, capsys, monkeypatch, kind):
-    corpus = _bench_corpus(monkeypatch)
+    corpus = bench_corpus(monkeypatch)
     sources = [RUNNING_SRC, corpus.rec_program(main_arg=10),
                corpus.while_program(random.Random(1), 6),
                corpus.random_program(random.Random(2), 3, 4)]

@@ -6,9 +6,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import bench_corpus, fo_valid_reference
+from tracelet import cli, fo
 from tracelet.fo import fo_valid, negate_pred, simplify_or, terms_equal
-from tracelet.lang import (Binary, BoolLit, IntLit, ResVar, TokenStream, Var,
-                           parse_expr, pretty_expr, tokenize)
+from tracelet.lang import (CMP_OPS, Binary, BoolLit, IntLit, ResVar, TokenStream, Unary,
+                           Var, parse_expr, pretty_expr, tokenize)
 
 
 def v(name):
@@ -177,9 +179,15 @@ class TestPredicatesAsWritten:
         ([" && ".join(f"x - y >= {-i}" for i in range(150))
           + " && " + " && ".join(f"y - x >= {-i}" for i in range(150))], "false", "unknown"),
         ([], "a + b + c + d > 0", "unknown"),           # no box search past three names
+        # one name: but for the bounds, the box would find a counterexample
+        ([" && ".join(f"x >= {-i}" for i in range(150))
+          + " && " + " && ".join(f"x <= {i}" for i in range(150))], "false", "unknown"),
+        ([" && ".join(["(x == 0 || x == 1)"] * 12)], "false", "unknown"),
+        ([" && ".join(f"x != {i}" for i in range(12))], "false", "unknown"),
     ], ids=["unary-minus", "negation", "non-unit-equality", "equality-without-integers",
             "bool-term", "bare-atom", "dnf-blowup", "disequality-blowup", "fm-blowup",
-            "four-names"])
+            "four-names", "fm-blowup-one-name", "dnf-blowup-one-name",
+            "disequality-blowup-one-name"])
     def test_verdict(self, gamma, goal, status):
         assert fo_valid([pred(g) for g in gamma], pred(goal)).status == status
 
@@ -199,3 +207,109 @@ class TestPredicatesAsWritten:
     def test_nonlinear_terms_equal_only_as_written(self):
         assert terms_equal(pred("k * k"), pred("k * k"))
         assert not terms_equal(pred("k * k"), pred("k * (k + 0)"))
+
+
+def _same(gamma, goal):
+    """fo_valid's verdict on gamma |- goal is the reference's, and so is its
+    counterexample, key order included (a refusal prints it)."""
+    got, want = fo_valid(gamma, goal), fo_valid_reference(gamma, goal)
+    assert got == want
+    assert list((got.counterexample or {}).items()) == list((want.counterexample or {}).items())
+    return got
+
+
+_NAMES = ["a", "b", "c", "d"]
+
+
+def _weighted(*choices):
+    """One of the strategies, each drawn as often as its weight says."""
+    return st.sampled_from([s for s, weight in choices for _ in range(weight)]).flatmap(
+        lambda s: s)
+
+
+def _terms(names):
+    leaf = _weighted((st.integers(-3, 3).map(IntLit), 2), (st.sampled_from(names).map(Var), 2),
+                     (st.sampled_from(names).map(lambda n: ResVar(Var(n))), 1),
+                     (st.integers(0, 1).map(lambda k: ResVar(IntLit(k))), 1))
+    return st.recursive(leaf, lambda t: _weighted(
+        (st.tuples(st.sampled_from(["+", "-"]), t, t).map(lambda x: Binary(*x)), 2),
+        (st.tuples(leaf, t).map(lambda x: Binary("*", *x)), 1),  # nonlinear with a name left
+        (t.map(lambda x: Unary("-", x)), 1)), max_leaves=4)
+
+
+def _predicates(names):
+    terms = _terms(names)
+    atom = _weighted((st.tuples(st.sampled_from(CMP_OPS), terms, terms).map(
+                          lambda x: Binary(*x)), 8),
+                     (st.booleans().map(BoolLit), 1),
+                     (st.sampled_from(names).map(Var), 1))  # a name is no atom
+    return st.recursive(atom, lambda p: _weighted(
+        (st.tuples(st.sampled_from(["&&", "||"]), p, p).map(lambda x: Binary(*x)), 2),
+        (p.map(lambda x: Unary("!", x)), 1)), max_leaves=5)
+
+
+@st.composite
+def _sequents(draw):
+    predicates = _predicates(_NAMES[:draw(st.integers(1, 4))])
+    return draw(st.lists(predicates, max_size=3)), draw(predicates)
+
+
+class TestAgreesWithReference:
+    """fo_valid against tests/helpers.fo_valid_reference, the formula put in
+    DNF whole, every atom of every disjunct linearized, variable-free
+    constraints kept and the box searched point by point."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(sequent=_sequents())
+    def test_same_result(self, sequent):
+        _same(*sequent)
+
+    @pytest.mark.parametrize("gamma,goal,status", [
+        (["a >= 3"], "b > 100", "invalid"),       # a bound on a name before the last
+        (["2 * b == a + 1"], "false", "invalid"),  # an odd a leaves no integer b
+        (["a - 2 * b >= 1", "2 * b >= a - 1"], "false", "invalid"),  # an even a leaves none
+        (["a + 2 * b == -31", "c >= 0"], "false", "unknown"),  # false before the last name
+        (["x >= 100"], "false", "unknown"),        # no point of the box
+        (["1 != 0", "0 <= 2"], "x > 0", "invalid"),  # variable-free, true
+        (["x == x", "x == 1"], "x > 0 || 1 != 1", "valid"),
+        (["1 > 2 || x >= 0"], "x >= 0", "valid"),  # variable-free, false
+        (["x > 0 && false && y > 0"], "false", "valid"),
+        (["x * x > 0 || false && y * y > 0"], "false", "unknown"),
+        (["false && y * y > 0"], "false", "valid"),
+    ], ids=["zero-coefficient-false", "equality-remainder", "negative-coefficient",
+            "zero-coefficient-equality", "empty-box", "ground-true", "ground-true-equality",
+            "ground-false", "false-literal", "nonlinear-reached", "nonlinear-after-false"])
+    def test_box_and_decided_constraints(self, gamma, goal, status):
+        assert _same([pred(g) for g in gamma], pred(goal)).status == status
+
+    @pytest.mark.parametrize("split", ["x != 500", "500 != x"])
+    def test_the_lower_side_of_a_split_is_refuted_first(self, split):
+        # x <= 499 keeps Fourier-Motzkin at 100 * 200 = 20000 combinations,
+        # a point of the box satisfies it; x >= 501 makes 101 * 199 and
+        # blows up, so the verdict shows which side went first
+        bounds = [f"x >= {-i}" for i in range(100)] + [f"x <= {i}" for i in range(199)]
+        verdict = _same([pred(" && ".join(bounds + [split]))], pred("false"))
+        assert verdict.counterexample == {"x": 0}
+
+    def test_every_call_of_the_seed_1_corpora(self, tmp_path, monkeypatch, capsys):
+        corpus, calls, real = bench_corpus(monkeypatch), [], fo.fo_valid
+
+        def record(gamma, goal):
+            calls.append((list(gamma), goal))
+            return real(*calls[-1])
+
+        monkeypatch.setattr(fo, "fo_valid", record)
+        for workload in corpus.WORKLOADS:
+            (tmp_path / workload).mkdir()
+            built = corpus.build(workload, str(tmp_path / workload), 1)
+            for cmd in built.setup:
+                cli.main(cmd.argv)
+            if built.derive:
+                built.derive()
+            for cmd in built.warmup + built.commands:
+                assert cli.main(cmd.argv) == cmd.expect, cmd.argv
+        monkeypatch.setattr(fo, "fo_valid", real)
+        capsys.readouterr()
+        assert len(calls) > 500
+        for gamma, goal in calls:
+            _same(gamma, goal)

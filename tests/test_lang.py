@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (M0_SRC, RUNNING_SRC, parse_formula, random_linear_expr,
                      random_terminating_program, subst_res_oracle,
-                     subst_stmt_oracle, subst_vars_oracle, well_formed_oracle)
+                     subst_stmt_oracle, subst_vars_oracle, tokenize_reference,
+                     well_formed_oracle)
 from tracelet.lang import (ARITH_OPS, CMP_OPS, Assign, Binary, BoolLit, CallAssign,
                            Fresh, If, IntLit, ParseError, ProcDecl, Program,
                            ResVar, Return, Scope, Seq, Skip, TokenStream, Unary,
@@ -80,6 +81,52 @@ class TestParse:
         assert isinstance(body, Seq)
         assert isinstance(body.first, Assign)
         assert isinstance(body.second, Seq)
+
+
+def _lexed(lex, text):
+    """(kind, text, line, col) of each token, or the ParseError's parts."""
+    try:
+        return [(t.kind, t.text, t.line, t.col) for t in lex(text)]
+    except ParseError as e:
+        return ("error", e.msg, e.line, e.col)
+
+
+# characters each lexer rule turns on: a letter, '_', a decimal digit, a
+# digit that is not decimal (²), a numeral that is no digit (½, Ⅻ), a
+# combining mark, a quote, '#', layout, comment and operator characters
+_LEXER_CHARS = list("aZ_09'#/ \t\r\n=!<>&|*.~:@+-(){}[],;\\") + \
+    ["²", "①", "٣", "½", "Ⅻ", "é", "\u0301", "一", "𝟘", "\x00"]
+
+
+class TestTokenize:
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    @given(text=st.text(st.one_of(st.sampled_from(_LEXER_CHARS), st.characters()),
+                        max_size=30))
+    def test_agrees_with_the_character_loop(self, text):
+        assert _lexed(tokenize, text) == _lexed(tokenize_reference, text)
+
+    @pytest.mark.parametrize("text", ["x²", "3²", "²x", "x // c", "x\n// c", "½", "a'b#1'"])
+    def test_numerals_and_comments_as_the_character_loop_reads_them(self, text):
+        assert _lexed(tokenize, text) == _lexed(tokenize_reference, text)
+
+
+class TestPrecedence:
+    @pytest.mark.parametrize("text,tree", [
+        ("a - b - c", "(a - b) - c"),
+        ("a + b * c - d", "(a + (b * c)) - d"),
+        ("a == b && c < d || e", "((a == b) && (c < d)) || e"),
+        ("a || b && c", "a || (b && c)"),
+        ("-a * b", "(-a) * b"),
+    ])
+    def test_left_associated_by_binding(self, text, tree):
+        assert parse_formula(f"[{text}]") == parse_formula(f"[{tree}]")
+
+    @pytest.mark.parametrize("text,col", [("a < b < c", 7), ("x && a < b < c", 12),
+                                          ("a * b < c < d", 11), ("a < b + c < d", 11)])
+    def test_comparisons_do_not_chain(self, text, col):
+        ts = TokenStream(tokenize(text))
+        parse_expr(ts, logical=True)
+        assert ts.peek().text == "<" and ts.peek().col == col
 
 
 class TestPretty:

@@ -9,7 +9,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "tracelet"
 
 # the count at this commit: a change that moves it records the new figure
 # here and in CHANGES.md, and says why when it rises
-TRUSTED_LINES = 1685
+TRUSTED_LINES = 1699
 
 
 def index(src: Path):
