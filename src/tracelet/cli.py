@@ -176,9 +176,8 @@ def cmd_check(args) -> int:
     cf = parse_contract_file(_read(args.formula))
     name = args.contract
     if name is None:
-        if len(cf.contracts) != 1:
-            raise CliError("multiple contracts in file; pick one with --contract"
-                           if cf.contracts else f"no contract in {args.formula}")
+        if len(cf.contracts) != 1:   # a file defines at least one
+            raise CliError("multiple contracts in file; pick one with --contract")
         name = next(iter(cf.contracts))
     if name not in cf.contracts:
         raise CliError(f"no contract named {name!r} in {args.formula}")
@@ -222,7 +221,7 @@ def cmd_gen_contract(args) -> int:
                         _parse_field("--pre-step", args.pre_step, "step"),
                         _parse_field("--result", args.result, "result"),
                         _parse_field("--step-inv", args.step_inv, "inv"))
-    text = contract_file_text(spec, include_big_step=not args.no_big_step)
+    text = contract_file_text(spec)
     parse_contract_file(text)  # never write a file that does not read back
     if args.output:
         _write(args.output, text)
@@ -476,7 +475,7 @@ COMMANDS = {
               (("--contract", str), ("--bind", list), ("--json", bool)), (), ()),
     "gen-contract": (cmd_gen_contract, "emit the recursive-contract template", ("proc",),
                      (("--pre-base", str), ("--pre-step", str), ("--result", str),
-                      ("--step-inv", str), ("--no-big-step", bool), ("-o --output", str)),
+                      ("--step-inv", str), ("-o --output", str)),
                      ("--pre-base", "--pre-step", "--result", "--step-inv"), ()),
     "prove": (cmd_prove, "prove a procedure contract", ("program", "contracts"),
               (("--proc", str), ("--script", str), ("--repl", bool),

@@ -1024,7 +1024,7 @@ for _kind in Formula.__args__:
 
 @record
 class ContractFile:
-    contracts: dict  # name -> (params, Formula)
+    contracts: dict  # name -> (params, Formula), both names of each spec included
     specs: dict      # proc -> ContractSpec
 
 
@@ -1053,67 +1053,66 @@ def parse_spec_field(ts: TokenStream, key: str) -> Expr:
 
 
 def parse_contract_file(text: str) -> ContractFile:
+    """One bare formula (the contract ``_``), or ``contract`` bindings and
+    ``spec`` blocks.  ``spec m`` defines two contracts of (n, i): ``m``
+    (``make_contract``) and ``m_big_step`` (``big_step_of``).  A name is
+    defined once; a second definition is refused at its name."""
     ts = TokenStream(tokenize(text))
-    contracts = {}
-    specs = {}
     if not (ts.at_ident("contract") or ts.at_ident("spec")):
         f = _parse_contract_body(ts, ())
         if ts.peek().kind != "eof":
             ts.error("trailing input after formula")
-        contracts["_"] = ((), f)
-        return ContractFile(contracts, specs)
+        return ContractFile({"_": ((), f)}, {})
+    contracts, specs, by = {}, {}, {}   # by: name -> (kind, name) of its definition
     while ts.peek().kind != "eof":
-        if ts.at_ident("spec"):
-            ts.next()
-            proc = ts.expect_ident().text
-            ts.expect_sym("{")
-            fields = {}
-            while not ts.at_sym("}"):
-                key = ts.expect_ident().text
-                ts.expect_sym(":")
-                if key in ("base", "step"):
-                    ts.expect_sym("[")
-                    fields[key] = parse_spec_field(ts, key)
-                    ts.expect_sym("]")
-                elif key in ("inv", "result"):
-                    fields[key] = parse_spec_field(ts, key)
-                else:
-                    ts.error(f"unknown spec field {key!r}")
-                if ts.at_sym(";"):
-                    ts.next()
-            ts.expect_sym("}")
-            missing = {"base", "step", "inv", "result"} - set(fields)
-            if missing:
-                ts.error(f"spec {proc} missing fields: {sorted(missing)}")
-            specs[proc] = ContractSpec(proc, fields["base"], fields["step"],
-                                       fields["result"], fields["inv"])
-        elif ts.at_ident("contract"):
-            ts.next()
-            name = ts.expect_ident().text
+        if not (ts.at_ident("contract") or ts.at_ident("spec")):
+            ts.error("expected 'contract' or 'spec'")
+        kind, tok = ts.next().text, ts.expect_ident()
+        names = (tok.text, f"{tok.text}_big_step") if kind == "spec" else (tok.text,)
+        for name in names:
+            if name in by:
+                hint = "" if by[name][0] == kind else \
+                    "; delete the written contract or regenerate the file with gen-contract"
+                raise ParseError(f"duplicate contract name {name!r}: also defined by "
+                                 f"{' '.join(by[name])}{hint}", tok.line, tok.col)
+            by[name] = (kind, tok.text)
+        if kind == "contract":
             params = _parse_list(ts, _parse_name)
             ts.expect_sym(":=")
-            contracts[name] = (params, _parse_contract_body(ts, params))
-        else:
-            ts.error("expected 'contract' or 'spec'")
+            contracts[tok.text] = (params, _parse_contract_body(ts, params))
+            continue
+        ts.expect_sym("{")
+        fields = {}
+        while not ts.at_sym("}"):
+            key = ts.expect_ident().text
+            ts.expect_sym(":")
+            if key in ("base", "step"):
+                ts.expect_sym("[")
+                fields[key] = parse_spec_field(ts, key)
+                ts.expect_sym("]")
+            elif key in ("inv", "result"):
+                fields[key] = parse_spec_field(ts, key)
+            else:
+                ts.error(f"unknown spec field {key!r}")
+            if ts.at_sym(";"):
+                ts.next()
+        ts.expect_sym("}")
+        missing = {"base", "step", "inv", "result"} - set(fields)
+        if missing:
+            ts.error(f"spec {tok.text} missing fields: {sorted(missing)}")
+        spec = specs[tok.text] = ContractSpec(tok.text, fields["base"], fields["step"],
+                                              fields["result"], fields["inv"])
+        params = (ContractSpec.PARAM, ContractSpec.ID)
+        contracts[names[0]] = (params, make_contract(spec))
+        contracts[names[1]] = (params, big_step_of(spec))
     return ContractFile(contracts, specs)
 
 
-def contract_file_text(spec: ContractSpec, include_big_step: bool = True) -> str:
-    lines = [
-        f"spec {spec.proc} {{ base: [{pretty_expr(spec.pre_base)}]; "
-        f"step: [{pretty_expr(spec.pre_step)}]; "
-        f"inv: {pretty_expr(spec.step_inv)}; result: {pretty_expr(spec.f_m)} }}",
-        "",
-        f"contract {spec.proc}(n, i) :=",
-        f"  {pretty_formula(make_contract(spec))}",
-    ]
-    if include_big_step:
-        lines += [
-            "",
-            f"contract {spec.proc}_big_step(n, i) :=",
-            f"  {pretty_formula(big_step_of(spec))}",
-        ]
-    return "\n".join(lines) + "\n"
+def contract_file_text(spec: ContractSpec) -> str:
+    """The spec line that ``gen-contract`` writes."""
+    return (f"spec {spec.proc} {{ base: [{pretty_expr(spec.pre_base)}]; "
+            f"step: [{pretty_expr(spec.pre_step)}]; "
+            f"inv: {pretty_expr(spec.step_inv)}; result: {pretty_expr(spec.f_m)} }}\n")
 
 
 def applied(formula: Formula, params: tuple) -> Formula:

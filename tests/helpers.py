@@ -89,6 +89,11 @@ def contract_m() -> Mu:
     return make_contract(spec_m())
 
 
+# The texts that the CLI fuzz table gives gen-contract's four fields: some
+# a field reads, some a parse error.
+GEN_CONTRACT_FIELD_TEXTS = ("n == 0", "n > 0", "n", "n - 1", "res(0)", "(", "n +")
+
+
 # ---------------------------------------------------------------------------
 # Golden traces, constructed from the published step sequences
 # ---------------------------------------------------------------------------
@@ -1552,7 +1557,6 @@ def argparse_oracle() -> argparse.ArgumentParser:
     p.add_argument("--pre-step", required=True)
     p.add_argument("--result", required=True)
     p.add_argument("--step-inv", required=True)
-    p.add_argument("--no-big-step", action="store_true")
     p.add_argument("-o", "--output")
     p.set_defaults(func=cli.cmd_gen_contract)
 

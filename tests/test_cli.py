@@ -12,8 +12,9 @@ from unittest import mock
 import pytest
 from hypothesis import HealthCheck, event, given, settings, strategies as st
 
-from helpers import (M0_SRC, MUTANT_SRC, RUNNING_SRC, V2_HEADER, OracleError,
-                     argparse_oracle, bench_corpus, contract_m, m_source)
+from helpers import (GEN_CONTRACT_FIELD_TEXTS, M0_SRC, MUTANT_SRC, RUNNING_SRC,
+                     V2_HEADER, OracleError, argparse_oracle, bench_corpus, contract_m,
+                     m_source)
 from tracelet import cli
 from tracelet.cli import (COMMANDS, EXIT_ERROR, EXIT_FUEL, EXIT_INADEQUATE,
                           EXIT_NOT_MEMBER, EXIT_OK, EXIT_OPEN_PROOF,
@@ -326,7 +327,12 @@ def test_recursive_and_forward_calls_parse(work, capsys, source):
      "--range expects lo..hi"),
     (["check", "{dir}/t.json", "{dir}/c.tcf", "--contract", "c", "--bind", "n=1"],
      "variable 'q' is unbound"),
-], ids=["prove-no-spec", "check-no-contract", "validate-bad-range", "check-unbound"])
+    (["check", "{dir}/t.json", "{dir}/m.tcf", "--contract", "m", "--bind", "n"],
+     "binding 'n' is not name=value"),
+    (["check", "{dir}/t.json", "{dir}/m.tcf", "--contract", "m", "--bind", "n=x"],
+     "binding 'n=x': value must be an integer"),
+], ids=["prove-no-spec", "check-no-contract", "validate-bad-range", "check-unbound",
+        "check-bind-no-value", "check-bind-not-integer"])
 def test_input_error_names_it(work, capsys, argv, message):
     gen_contract(work)
     (work / "t.json").write_text('[{"state": {}}]')
@@ -334,6 +340,56 @@ def test_input_error_names_it(work, capsys, argv, message):
     capsys.readouterr()
     assert main([a.format(dir=work) for a in argv]) == EXIT_ERROR
     assert capsys.readouterr().err == f"error: {message.replace('{dir}', str(work))}\n"
+
+
+_SPEC_M = "spec m { base: [n == 0]; step: [n > 0]; inv: n - 1; result: n }\n"
+# The layout gen-contract wrote before a spec block became the one source
+# of m and m_big_step: the spec, then both contracts written out again.
+_WRITTEN_M = ("contract m(n, i) :=\n  mu X_m(n, i). ([n == 0] ** startEv(m, n, i) ~m~ "
+              "finishEv(m, n, i) ** [res(i) == n] \\/ [n > 0] ** startEv(m, n, i) ~m~ "
+              "X_m(n - 1, fresh(i)) ~m~ finishEv(m, n, i) ** [res(i) == n])\n")
+_WRITTEN_BIG_STEP = "contract m_big_step(n, i) :=\n  [n == 0 || n > 0] ~~ [res(i) == n]\n"
+_TWICE = {
+    "generated-before": (_SPEC_M + "\n" + _WRITTEN_M + "\n" + _WRITTEN_BIG_STEP,
+                         "3:10: duplicate contract name 'm': also defined by spec m; delete "
+                         "the written contract or regenerate the file with gen-contract"),
+    "edited": (_SPEC_M + "\n" + _WRITTEN_M.replace("res(i) == n])", "res(i) == n + 7])"),
+               "3:10: duplicate contract name 'm': also defined by spec m; delete "
+               "the written contract or regenerate the file with gen-contract"),
+    "written-first": (_WRITTEN_BIG_STEP + _SPEC_M,
+                      "3:6: duplicate contract name 'm_big_step': also defined by contract "
+                      "m_big_step; delete the written contract or regenerate the file with "
+                      "gen-contract"),
+    "contract-twice": ("contract a() := [true]\ncontract a() := [false]\n",
+                       "2:10: duplicate contract name 'a': also defined by contract a"),
+    "spec-twice": (_SPEC_M + _SPEC_M.replace("result: n", "result: n + 1"),
+                   "2:6: duplicate contract name 'm': also defined by spec m"),
+}
+
+
+@pytest.mark.parametrize("kind, command", [
+    ("edited", "prove"), ("edited", "check-proof"), ("edited", "validate"),
+    ("edited", "check"), ("generated-before", "prove"), ("written-first", "check"),
+    ("contract-twice", "check"), ("spec-twice", "check-proof")])
+def test_name_defined_twice_one_line_error(work, capsys, kind, command):
+    """A name that a contract file defines twice, by a spec block and a
+    written contract, by two contracts or by two specs, is refused at its
+    second definition, whichever command reads the file."""
+    text, message = _TWICE[kind]
+    program, contract, proof = str(work / "running.tcp"), work / "c.tcf", work / "m.proof.json"
+    assert main(["prove", program, str(gen_contract(work)), "--proc", "m",
+                 "-o", str(proof)]) == EXIT_OK
+    assert main(["run", program, "-o", str(work / "t.json")]) == EXIT_OK
+    contract.write_text(text)
+    argv = {"prove": ["prove", program, str(contract), "--proc", "m"],
+            "check-proof": ["check-proof", str(proof), "--program", program,
+                            "--contracts", str(contract)],
+            "validate": ["validate", program, str(contract), "--proc", "m", "--no-proof"],
+            "check": ["check", str(work / "t.json"), str(contract), "--contract",
+                      "m_big_step", "--bind", "n=1", "--bind", "i=0"]}[command]
+    capsys.readouterr()
+    assert main(argv) == EXIT_ERROR
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("literal", ["²", "9" * 4301], ids=["superscript-digit", "4301-digits"])
@@ -353,7 +409,7 @@ def test_bad_integer_literal_one_line_error(work, capsys, kind, literal):
     assert main(argv) == EXIT_ERROR
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert ("2:7: " if kind == "tcp" else ":3: ") in err  # the literal's line and column
+    assert ("2:7: " if kind == "tcp" else "2:3: ") in err  # the literal's line and column
 
 
 _SQUARINGS = "x = 10" + "; x = x * x" * 13   # 10^8192: past the 4300-digit limit
@@ -454,10 +510,13 @@ def test_mutated_inputs_exit_cleanly(fuzz_inputs, data):
     ["gen-contract", "m"],
     ["prove", "p", "c", "--max-nodes=abc"],
     ["validate", "p", "c", "--proof", "f", "--no-proof"],
+    ["gen-contract", "m", "--pre-base", "n == 0", "--pre-step", "n > 0", "--result", "n",
+     "--step-inv", "n - 1", "--no-big-step"],
 ], ids=["missing-positional", "no-command", "bad-int", "removed-flag-prove",
         "removed-flag-check-proof", "removed-flag-validate", "unknown-command",
         "extra-positional", "ambiguous-prefix", "negative-range", "script-and-repl",
-        "missing-required", "attached-bad-int", "proof-and-no-proof"])
+        "missing-required", "attached-bad-int", "proof-and-no-proof",
+        "removed-flag-gen-contract"])
 def test_usage_error_one_line_exit_1(capsys, argv):
     assert main(argv) == EXIT_ERROR
     captured = capsys.readouterr()
@@ -624,7 +683,7 @@ def _fuzz_flags(files, out):
     """Per command: its leading arguments (a kind of file, or a literal)
     and its flags, each with the strategy of its value (None for a
     switch)."""
-    pred = st.sampled_from(["n == 0", "n > 0", "n", "n - 1", "res(0)", "(", "n +"])
+    pred = st.sampled_from(GEN_CONTRACT_FIELD_TEXTS)
     ranges = st.sampled_from(["0..2", "1..3", "2..1", "0..", "a..b", "-1..1"])
     return {
         "run": (["program"], {"--state": st.sampled_from(["x=1", "x", "y=2", "x=a"]),
@@ -634,8 +693,7 @@ def _fuzz_flags(files, out):
                   {"--contract": st.sampled_from(["m", "m_big_step", "nope"]),
                    "--bind": st.sampled_from(["n=3", "i=0", "n=x", "n"]), "--json": None}),
         "gen-contract": (["m"], {"--pre-base": pred, "--pre-step": pred,
-                                 "--result": pred, "--step-inv": pred,
-                                 "--no-big-step": None, "-o": out}),
+                                 "--result": pred, "--step-inv": pred, "-o": out}),
         "prove": (["program", "contracts"],
                   {"--proc": st.sampled_from(["m", "q"]), "--script": st.just(files["script"]),
                    "--repl": None, "--max-nodes": _SMALL_INTS | st.just("600"), "-o": out}),
@@ -786,13 +844,17 @@ class TestCheck:
         assert main(["check", str(t), str(f)]) == EXIT_NOT_MEMBER
         assert capsys.readouterr().out == f"not a member: {reason}\n"
 
-    def test_spec_only_file_has_no_contract(self, work, capsys):
+    def test_spec_only_file_defines_two_contracts(self, work, capsys):
+        """spec m defines m and m_big_step, so check needs --contract."""
         t = work / "s.json"
         t.write_text(json.dumps([{"state": {"x": 0}}]))
         f = work / "spec.tcf"
-        f.write_text("spec m { base: [n == 0]; step: [n > 0]; inv: n - 1; result: n }\n")
+        f.write_text(_SPEC_M)
         assert main(["check", str(t), str(f)]) == EXIT_ERROR
-        assert capsys.readouterr().err == f"error: no contract in {f}\n"
+        assert capsys.readouterr().err == ("error: multiple contracts in file; "
+                                           "pick one with --contract\n")
+        assert main(["check", str(t), str(f), "--contract", "m_big_step",
+                     "--bind", "n=0", "--bind", "i=0"]) == EXIT_NOT_MEMBER
 
     def test_singleton_true(self, work, tmp_path, capsys):
         t = tmp_path / "s.json"
@@ -1214,11 +1276,14 @@ class TestValidate:
 
 class TestGenContract:
     def test_output_parses_back(self, work, capsys):
+        """The file is the spec line alone, which defines m and m_big_step."""
         contract = gen_contract(work)
         from tracelet.logic import parse_contract_file
+        assert contract.read_text() == _SPEC_M
         cf = parse_contract_file(contract.read_text())
         assert set(cf.contracts) == {"m", "m_big_step"}
-        assert "m" in cf.specs
+        assert set(cf.specs) == {"m"}
+        assert cf.contracts["m"] == (("n", "i"), contract_m())
 
     def test_output_to_stdout_equals_the_file(self, work, capsys):
         contract = gen_contract(work)

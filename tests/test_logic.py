@@ -5,10 +5,10 @@ import re
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from helpers import (MUTANT_SRC, RUNNING_SRC, contract_m, event_trace, golden_m0,
-                     golden_m1, m_source, member_approx, mutate_trace,
+from helpers import (GEN_CONTRACT_FIELD_TEXTS, MUTANT_SRC, RUNNING_SRC, contract_m,
+                     event_trace, golden_m0, golden_m1, m_source, member_approx, mutate_trace,
                      parse_formula, parse_term_oracle, psi_fixed_point, spec_m)
 from tracelet import logic
 from tracelet.interp import run
@@ -21,7 +21,7 @@ from tracelet.logic import (And, Chop, Concat, ContractSpec, FinishEvF,
                             _Member, big_step_of,
                             contract_file_text, eval_pred, formula_vars,
                             make_contract, member, no_event_chop,
-                            parse_contract_file,
+                            parse_contract_file, parse_spec_field,
                             pretty_formula, psi, substitute, unfold)
 from tracelet.traces import (CallEv, Ctx, PopEv, PushEv, RetEv, State, Trace,
                              TraceError, is_state, singleton)
@@ -115,17 +115,48 @@ class TestPsi:
         assert g.left.right == Gap(frozenset())
 
 
+_TERM_TEXTS = st.recursive(
+    st.sampled_from(["n", "0", "1", "2", "-1"]),
+    lambda t: st.builds("{} {} {}".format, t, st.sampled_from(["+", "-", "*"]), t)
+    | st.builds("({})".format, t) | st.builds("-{}".format, t), max_leaves=5)
+_PRED_TEXTS = st.recursive(
+    st.builds("{} {} {}".format, _TERM_TEXTS,
+              st.sampled_from(["==", "!=", "<", "<=", ">", ">="]), _TERM_TEXTS)
+    | st.sampled_from(["true", "false"])
+    | st.builds("res({}) == {}".format, _TERM_TEXTS, _TERM_TEXTS),
+    lambda p: st.builds("{} && {}".format, p, p) | st.builds("{} || {}".format, p, p)
+    | st.builds("!({})".format, p) | st.builds("({})".format, p), max_leaves=4)
+_GEN_TEXTS = st.sampled_from(GEN_CONTRACT_FIELD_TEXTS)
+
+
 class TestParseFormula:
     def test_state_pred_leaf(self):
         f = parse_formula("[x == 0]")
         assert f == StatePred(Binary("==", Var("x"), IntLit(0)))
 
-    def test_contract_text_round_trips(self):
-        mu = contract_m()
-        printed = pretty_formula(mu)
-        again = parse_formula(printed)
-        assert mu == again
-        assert pretty_formula(again) == printed
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(texts=st.tuples(*[_GEN_TEXTS | _PRED_TEXTS] * 2, *[_GEN_TEXTS | _TERM_TEXTS] * 2))
+    @example(texts=("n == 0", "n > 0", "n - 1", "n"))   # spec_m()
+    @example(texts=("res(0)", "n", "n", "n - 1"))
+    @example(texts=("!(n < 0) && n != 2 || false", "res(n - 1) == -n * (n + 1)", "-n", "2 - -n"))
+    def test_contract_text_round_trips(self, texts):
+        """A spec's two contracts print to text that parses back to them.
+        So a spec block defines the contracts that files generated before
+        it became their one source wrote out."""
+        fields = [parse_whole_term(lambda ts, key=key: parse_spec_field(ts, key), text)
+                  for key, text in zip(("base", "step", "inv", "result"), texts)]
+        assume(all(f is not ParseError for f in fields))
+        base, step, inv, result = fields
+        spec = ContractSpec("m", base, step, result, inv)
+        cf = parse_contract_file(contract_file_text(spec))
+        assert cf.specs == {"m": spec}
+        assert cf.contracts == {"m": (("n", "i"), make_contract(spec)),
+                                "m_big_step": (("n", "i"), big_step_of(spec))}
+        for f in cf.contracts["m"][1], cf.contracts["m_big_step"][1]:
+            printed = pretty_formula(f)
+            again = parse_formula(printed)
+            assert f == again
+            assert pretty_formula(again) == printed
 
     def test_example_contract_two_disjuncts(self):
         f = parse_formula(pretty_formula(contract_m()))
@@ -576,12 +607,11 @@ class TestContracts:
 
     def test_generated_contract_file_parses(self):
         text = contract_file_text(spec_m())
+        assert text.count("\n") == 1   # the spec line alone
         cf = parse_contract_file(text)
-        assert set(cf.contracts) == {"m", "m_big_step"}
-        assert "m" in cf.specs
-        params, formula = cf.contracts["m"]
-        assert params == ("n", "i")
-        assert formula == contract_m()
+        assert cf.specs == {"m": spec_m()}
+        assert cf.contracts == {"m": (("n", "i"), contract_m()),
+                                "m_big_step": (("n", "i"), big_step_of(spec_m()))}
 
     def test_big_step_weakening_on_goldens(self):
         big = big_step_of(spec_m())
