@@ -17,7 +17,7 @@ from . import fo
 from .lang import (Assign, Binary, CallAssign, Expr, Fresh, If, IntLit,
                    LookupTable, Program, ResVar, Return, Scope, Seq, Skip,
                    Stmt, Var, build_lookup, fields, fold_expr, lookup, names,
-                   nodes, pretty_expr, record, remake, subst_stmt, subst_vars)
+                   pretty_expr, record, remake, subst_stmt, subst_vars)
 from .logic import (ContractSpec, FinishEvF, Formula, Gap, Mu, MuApp, Or,
                     StartEvF, StatePred, flatten_chain, join_chain,
                     make_contract, map_terms, pretty_formula, unfold)
@@ -235,33 +235,18 @@ def _instantiate_fresh(f: Formula, taken: set,
     return map_terms(f, term)
 
 
-# The fields of an update atom that the res(...) rewrite keeps: the target
-# it writes and the call id that names its call.  A variable rewrite keeps
-# only a Var target.
-_RES_BINDERS = ("target", "call_id")
-
-
-def _subst_atom(a: UpdateAtom, mapping: dict, keep: tuple = ()) -> UpdateAtom:
+def _subst_atom(a: UpdateAtom, mapping: dict) -> UpdateAtom:
     """a with mapping substituted into each expression field, folding each
-    result, but for the fields in keep.  A Var target is never rewritten;
-    a res(...) target's index is, unless keep names the target."""
+    result.  A Var target is never rewritten; a res(...) target's index is."""
     out = []
     for field, value in zip(a.__slots__, fields(a)):
-        if field in keep or type(value) is str or (field == "target" and type(value) is Var):
+        if type(value) is str or (field == "target" and type(value) is Var):
             out.append(value)
         elif field == "target":
             out.append(ResVar(fold_expr(subst_vars(value.index, mapping))))
         else:
             out.append(fold_expr(subst_vars(value, mapping)))
     return remake(a, out)
-
-
-def _subst_judgment(j: Judgment, mapping: dict, keep: tuple = ()) -> Judgment:
-    """mapping substituted into j's update (by _subst_atom), statement and
-    formula terms."""
-    stmt = subst_stmt(j.stmt, mapping) if j.stmt is not None else None
-    formula = map_terms(j.formula, lambda t: subst_vars(t, mapping))
-    return Judgment(tuple(_subst_atom(a, mapping, keep) for a in j.update), stmt, formula)
 
 
 # ---------------------------------------------------------------------------
@@ -554,53 +539,6 @@ def _rule_drop_res_update(seq, args, ctx):
     return [Sequent(seq.gamma, Judgment(update, j.stmt, j.formula))]
 
 
-def _rule_apply_eq_rigid(seq, args, ctx):
-    j = _judgment(seq)
-    gi = _index_arg(args, "eq")
-    if gi is None or not (0 <= gi < len(seq.gamma)):
-        raise RuleError("ApplyEqRigid needs eq=<gamma index>")
-    a = seq.gamma[gi]
-    if not isinstance(a, PredAssert) or not isinstance(a.pred, Binary) \
-            or a.pred.op != "==":
-        raise RuleError("ApplyEqRigid expects an equality assumption")
-    lhs, rhs = a.pred.left, a.pred.right
-    if not isinstance(lhs, (Var, ResVar)):
-        lhs, rhs = rhs, lhs
-    # the equality is assumed of the state before the update and the
-    # statement: once either writes a variable or res(...) node of the
-    # equality, later reads no longer see the assumed values
-    written = _written(j)
-    for node in nodes(a.pred):
-        if isinstance(node, (Var, ResVar)) and node in written:
-            raise RuleError(f"the judgment writes {pretty_expr(node)}, so the equality "
-                            "cannot be applied through it")
-    if isinstance(lhs, Var):
-        new_j = _subst_judgment(j, {lhs.name: rhs})
-    elif isinstance(lhs, ResVar):
-        if j.stmt is not None:
-            raise RuleError("result-variable equalities apply after execution finished")
-        new_j = _subst_judgment(j, {lhs: rhs}, _RES_BINDERS)
-    else:
-        raise RuleError("equality must bind a variable or result variable")
-    # a finishEv or a return writes the result of a call whose id may be the
-    # value of any index of the equality, whatever its structure
-    if any(type(n) is ResVar for n in nodes(a.pred)) and any(
-            type(n) in (FinishUpd, Return) for n in nodes(j.update, j.stmt)):
-        raise RuleError("the judgment finishes a call, whose result variable the "
-                        "equality may read")
-    gamma = seq.gamma
-    if args.get("drop"):
-        gamma = gamma[:gi] + gamma[gi + 1:]
-    return [Sequent(gamma, new_j)]
-
-
-def _written(j: Judgment) -> list:
-    """The variables and res(...) nodes that j's update and statement write."""
-    out = [ResVar(a.call_id) if isinstance(a, FinishUpd) else a.target
-           for a in j.update if not isinstance(a, StartUpd)]
-    return out + [s.target for s in nodes(j.stmt) if isinstance(s, (Assign, CallAssign))]
-
-
 def _event_formula_matches(atom, part, update_prefix) -> Optional[Expr]:
     """Equality side conditions when an event update meets a formula of its
     kind.  Unfold leaves no fresh(...) term in a goal."""
@@ -679,35 +617,6 @@ def _rule_gap_axiom(seq, args, ctx):
     return []
 
 
-# A gap matches the one-state trace, so Phi's traces are in psi ** Phi
-# and in Phi ** psi: the two rules below drop such an empty gap.  Not
-# under "..": a concatenated gap takes at least one entry of its own.
-
-def _rule_fte_prefix(seq, args, ctx):
-    j = _judgment(seq)
-    if not j.update or not isinstance(j.update[0], (StartUpd, FinishUpd)):
-        raise RuleError("FiniteTraceEmptyPrefix expects a leading event update")
-    parts = flatten_chain(j.formula)
-    if len(parts) < 2 or parts[1][0] != "**":
-        raise RuleError("FiniteTraceEmptyPrefix expects a leading chop gap")
-    if not (isinstance(parts[0], Gap) and parts[0].exclude == {j.update[0].proc}):
-        raise RuleError("gap exclusion must name the leading event's procedure")
-    return [Sequent(seq.gamma, Judgment(j.update, j.stmt, _drop_first(parts)))]
-
-
-def _rule_fte_postfix(seq, args, ctx):
-    j = _finished(seq, "FiniteTraceEmptyPostfix")
-    if not j.update or not isinstance(j.update[-1], (StartUpd, FinishUpd)):
-        raise RuleError("FiniteTraceEmptyPostfix expects a trailing event update")
-    parts = flatten_chain(j.formula)
-    if len(parts) < 2 or parts[-1][0] != "**":
-        raise RuleError("FiniteTraceEmptyPostfix expects a trailing gap")
-    gap = parts[-1][1]
-    if not (isinstance(gap, Gap) and gap.exclude == {j.update[-1].proc}):
-        raise RuleError("gap exclusion must name the trailing event's procedure")
-    return [Sequent(seq.gamma, Judgment(j.update, None, _drop_last(parts)))]
-
-
 RULES = {
     "Assign": _rule_assign,
     "Skip": _rule_skip,
@@ -727,13 +636,10 @@ RULES = {
     "ApplyUpdate": _rule_apply_update,
     "DropUpdate": _rule_drop_update,
     "DropResUpdate": _rule_drop_res_update,
-    "ApplyEqRigid": _rule_apply_eq_rigid,
     "ElimStart": _rule_elim_event("start"),
     "ElimFinish": _rule_elim_event("finish"),
     "SubsumeUpdates": _rule_subsume_updates,
     "GapAxiom": _rule_gap_axiom,
-    "FiniteTraceEmptyPrefix": _rule_fte_prefix,
-    "FiniteTraceEmptyPostfix": _rule_fte_postfix,
 }
 
 

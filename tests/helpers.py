@@ -18,7 +18,7 @@ from math import gcd
 from pathlib import Path
 
 from tracelet import cli, fo, lang
-from tracelet.calculus import Judgment, PredAssert, PredGoal, RuleError
+from tracelet.calculus import Judgment, PredAssert, PredGoal
 from tracelet.interp import DEFAULT_FUEL, FuelExhausted, Machine, RunError
 from tracelet.lang import (ARITH_OPS, CMP_OPS, Assign, Binary, BoolLit,
                            CallAssign, Fresh, If, IntLit, Program,
@@ -28,7 +28,7 @@ from tracelet.lang import (ARITH_OPS, CMP_OPS, Assign, Binary, BoolLit,
                            record, seq, subst_vars, tokenize)
 from tracelet.logic import (And, Chop, Concat, ContractSpec, FinishEvF, Gap,
                             LogicError, Mu, MuApp, NoEv, Or, RecApp, StartEvF,
-                            StatePred, make_contract, map_terms, member,
+                            StatePred, make_contract, member,
                             pretty_formula, _parse_formula_or)
 from tracelet.traces import (CallEv, Ctx, EmptyTraceError,
                              PopEv, PushEv, RetEv, State, Trace,
@@ -971,26 +971,6 @@ def subst_atom_oracle(a, name: str, e):
     return type(a)(a.proc, sub(a.arg), sub(a.call_id))
 
 
-def subst_judgment_res_oracle(j, index, replacement):
-    # the kernel rewrites right-hand sides only: never a target or a call id
-    mapping = {ResVar(index): replacement}
-
-    def sub(x):
-        return fold_expr(subst_vars(x, mapping))
-
-    def atom(a):
-        if isinstance(a, Elem):
-            return Elem(a.target, sub(a.expr))
-        if isinstance(a, CallUpd):
-            return CallUpd(a.target, a.proc, sub(a.arg))
-        return type(a)(a.proc, sub(a.arg), a.call_id)
-
-    if j.stmt is not None:
-        raise RuleError("result-variable equalities apply after execution finished")
-    formula = map_terms(j.formula, lambda t: subst_vars(t, mapping))
-    return Judgment(tuple(atom(a) for a in j.update), None, formula)
-
-
 def parse_term_oracle(ts: TokenStream):
     """A contract term by a grammar of its own: + - * over integer
     literals, unary minus, parentheses and variables, where every
@@ -1421,18 +1401,6 @@ def sample_states(seq, rng: random.Random, tries: int = 600) -> list:
         if len(out) >= 8:
             break
     return out
-
-
-def assume_equalities(gamma, state: State) -> State:
-    """state with the rigid side of each assumed equality bound to the
-    other side's value, so that it satisfies the assumptions."""
-    for a in gamma:
-        lhs, rhs = a.pred.left, a.pred.right
-        if not isinstance(lhs, (Var, ResVar)):
-            lhs, rhs = rhs, lhs
-        name = lhs.name if isinstance(lhs, Var) else res_name(eval_expr(state, lhs.index))
-        state = state.set(name, eval_expr(state, rhs))
-    return state
 
 
 def judgment_true(seq, state: State, table, witnesses=(), fuel: int = 200_000) -> bool:

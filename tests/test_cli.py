@@ -844,6 +844,19 @@ class TestCheck:
         assert main(["check", str(t), str(f)]) == EXIT_NOT_MEMBER
         assert capsys.readouterr().out == f"not a member: {reason}\n"
 
+    @pytest.mark.parametrize("event, entries", [("startEv", "0..5"), ("finishEv", "0..17")])
+    def test_unbound_event_argument_matches_no_event(self, work, capsys, event, entries):
+        # q is given by no --bind: the event element matches nowhere
+        trace = work / "m1.trace.json"
+        assert main(["run", str(work / "running.tcp"), "--state", "x=0",
+                     "-o", str(trace)]) == EXIT_OK
+        f = work / "ev.tcf"
+        f.write_text(f"contract c(i) := psi() ** {event}(m, q, i) ** psi()\n")
+        capsys.readouterr()
+        assert main(["check", str(trace), str(f), "--bind", "i=0"]) == EXIT_NOT_MEMBER
+        assert capsys.readouterr().out == ("not a member: no match for chain element #2: "
+                                           f"{event}(m, q, i) (#1..#1 match entries {entries})\n")
+
     def test_spec_only_file_defines_two_contracts(self, work, capsys):
         """spec m defines m and m_big_step, so check needs --contract."""
         t = work / "s.json"
@@ -904,7 +917,9 @@ class TestProve:
                      "--program", str(work / "running.tcp"),
                      "--contracts", str(contract)]) == EXIT_PROOF_REJECTED
 
-    @pytest.mark.parametrize("rule", ["PrefixEv", "Composition", "AndSplit", "ElimUpdate1"])
+    @pytest.mark.parametrize("rule", ["PrefixEv", "Composition", "AndSplit", "ElimUpdate1",
+                                      "ApplyEqRigid", "FiniteTraceEmptyPrefix",
+                                      "FiniteTraceEmptyPostfix"])
     def test_deleted_rule_rejected_exit_7(self, work, capsys, rule):
         contract = gen_contract(work)
         proof = work / "m.proof.json"

@@ -9,7 +9,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "tracelet"
 
 # the count at this commit: a change that moves it records the new figure
 # here and in CHANGES.md, and says why when it rises
-TRUSTED_LINES = 1699
+TRUSTED_LINES = 1618
 
 
 def index(src: Path):
@@ -104,7 +104,7 @@ def test_trusted_base_size():
         _report(".".join(root), reachable([root]))
     base = reachable(ROOTS)
     total = _report("trusted base", base)
-    for key in [("calculus", "_rule_apply_eq_rigid"), ("calculus", "_replay"),
+    for key in [("calculus", "_rule_trabs"), ("calculus", "_replay"),
                 ("fo", "fo_valid"), ("logic", "_Member.sat"), ("logic", "_shape"),
                 ("lang", "names"), ("traces", "State.__eq__")]:
         assert key in base, key
